@@ -182,7 +182,9 @@ def run_kvservice(cfg: KvServiceConfig) -> KvServiceResult:
             nonlocal pending
             for arrival, req in pending[:until]:
                 yield from req.wait()
-                lat.append(proc.wtime() - arrival)
+                # Sampled at the flush's completion, not at whenever this
+                # loop got around to noticing it.
+                lat.append(req.completed_at - arrival)
             pending = pending[until:]
 
         for epoch in range(cfg.rebalances):

@@ -53,6 +53,13 @@ class Request:
         """Operation result (e.g. received data), ``None`` until done."""
         return self.event.value
 
+    @property
+    def completed_at(self) -> float | None:
+        """Virtual time of completion (``None`` until done, then fixed).
+        Latencies are measured to here — not to whenever the caller got
+        around to ``wait()``."""
+        return self.event.trigger_time
+
     def complete(self, value: Any = None) -> None:
         """Mark the request complete (middleware-internal)."""
         self.event.trigger(value)

@@ -112,6 +112,9 @@ class RmaEngineBase:
         #: Sweeps and per-sweep window visits (wall-clock diagnostics).
         self.sweep_count = 0
         self.windows_visited = 0
+        #: Epoch examinations: one per ``_advance_epoch`` call and one per
+        #: (epoch, target) readiness test (exact and machine-independent).
+        self.epochs_examined = 0
         #: gid -> interned per-window visit-metric name (hot path).
         self._visit_metric: dict[int, str] = {}
         #: Blocking-flush snapshots: (ws, request, ops, local) tuples,
@@ -280,6 +283,28 @@ class RmaEngineBase:
                 m.inc(names[ws.gid])
         return merged
 
+    # -- ready-set wake-ups -------------------------------------------------
+    # The mechanics below call these wherever an epoch's predicate input
+    # moves.  Who becomes due is policy: no-ops here, filled in by the
+    # engines whose sweep consumes ``WindowState``'s ready sets.
+    def _wake_post(self, ws: WindowState, ep: Epoch, target: int) -> None:
+        """``ep``'s readiness toward ``target`` may have flipped."""
+
+    def _wake_advance(self, ws: WindowState, ep: Epoch) -> None:
+        """One of ``ep``'s completion conditions may have moved."""
+
+    def _wake_peer(self, ws: WindowState, kind: EpochKind, peer: int,
+                   advance: bool = True) -> None:
+        """A grant / done / fence announcement from ``peer`` landed: the
+        active epochs of ``kind`` that involve ``peer`` are due."""
+
+    def _wake_target(self, ws: WindowState, ep: Epoch, target: int) -> None:
+        """``target`` granted ``ep`` access: ops recorded toward it may
+        post, and a closed epoch may send it its done / unlock."""
+        if not ep.all_issued_to(target):
+            self._wake_post(ws, ep, target)
+        self._wake_advance(ws, ep)
+
     # =====================================================================
     # Packet reception
     # =====================================================================
@@ -407,25 +432,30 @@ class RmaEngineBase:
                 self.rank, "grant", p.granter, pack_win_value(ws.gid, int(ws.g[p.granter]))
             )
         if p.lock_access_id is not None:
-            for ep in ws.epochs:
-                if (
-                    ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL)
-                    and ep.access_ids.get(p.granter) == p.lock_access_id
-                    and not ep.lock_held.get(p.granter, False)
-                ):
-                    ep.lock_held[p.granter] = True
-                    start = ep.activate_time if ep.activate_time is not None else ep.open_time
-                    if m is not None and start is not None:
-                        m.observe("omega.lock_grant_wait_us", self.sim.now - start)
-                    if self.causal is not None and start is not None:
-                        self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
-                    break
+            ep = ws.lock_epochs.get((p.granter, p.lock_access_id))
+            if ep is not None and not ep.lock_held.get(p.granter, False):
+                self._lock_held(ws, ep, p.granter, "omega.lock_grant_wait_us")
+        # g[granter] is shared: a lock grant advances the counter GATS
+        # access epochs toward the same host compare against (A_i <= g_r).
+        self._wake_peer(ws, EpochKind.GATS_ACCESS, p.granter)
         if self._trace_enabled():
             self._trace("grant_recv", ws, granter=p.granter, g=int(ws.g[p.granter]))
+
+    def _lock_held(self, ws: WindowState, ep: Epoch, target: int, wait_metric: str) -> None:
+        """``ep``'s lock at ``target`` was granted."""
+        ep.lock_held[target] = True
+        start = ep.activate_time if ep.activate_time is not None else ep.open_time
+        if start is not None:
+            if self.metrics is not None:
+                self.metrics.observe(wait_metric, self.sim.now - start)
+            if self.causal is not None:
+                self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
+        self._wake_target(ws, ep, target)
 
     def _on_done(self, ws: WindowState, p: DonePacket, src: int) -> None:
         if p.access_id > ws.done_id[p.origin]:
             ws.done_id[p.origin] = p.access_id
+        self._wake_peer(ws, EpochKind.GATS_EXPOSURE, p.origin)
         if self._explore is not None:
             self._explore.record_notification(
                 self.rank, "done", p.origin, pack_win_value(ws.gid, p.access_id)
@@ -441,22 +471,20 @@ class RmaEngineBase:
         ws.lock_backlog.append(("unlock", p))
 
     def _on_unlock_ack(self, ws: WindowState, p: UnlockAck, src: int) -> None:
-        for ep in ws.epochs:
-            if (
-                ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL)
-                and src in ep.access_ids
-                and ep.access_ids[src] == p.access_id
-                and src not in ep.unlock_acked
-            ):
-                ep.unlock_acked.add(src)
-                return
+        # A stale or replayed ack finds no entry: the first one popped it.
+        ep = ws.lock_epochs.pop((src, p.access_id), None)
+        if ep is not None:
+            ep.unlock_acked.add(src)
+            self._wake_advance(ws, ep)
 
     def _on_fence_open(self, ws: WindowState, p: FenceOpen, src: int) -> None:
         if p.round_no > ws.remote_fence_open[p.origin]:
             ws.remote_fence_open[p.origin] = p.round_no
+        self._wake_peer(ws, EpochKind.FENCE, p.origin, advance=False)
 
     def _on_fence_done(self, ws: WindowState, p: FenceDone, src: int) -> None:
         ws.fence_done_from[p.round_no].add(p.origin)
+        self._wake_peer(ws, EpochKind.FENCE, p.origin)
         self._trace("fence_done", ws, origin=p.origin, round_no=p.round_no)
 
     _PACKET_HANDLERS = {
@@ -512,6 +540,7 @@ class RmaEngineBase:
             if kind is NotifyKind.EPOCH_COMPLETE:
                 if ident > ws.done_id[sender]:
                     ws.done_id[sender] = ident
+                self._wake_peer(ws, EpochKind.GATS_EXPOSURE, sender)
                 if explore is not None:
                     # Same canonical form as the internode DonePacket
                     # path: the digest multiset is transport-agnostic.
@@ -812,7 +841,8 @@ class RmaEngineBase:
             return
         op.delivered = True
         op.deliver_time = self.sim.now
-        op.epoch.mark_delivered(op)
+        if op.epoch.mark_delivered(op):
+            self._wake_advance(ws, op.epoch)
         self.mark_dirty(ws)
         prof = self.profiler
         if prof is not None:
@@ -841,6 +871,7 @@ class RmaEngineBase:
     def _open_epoch(self, ws: WindowState, ep: Epoch) -> Epoch:
         ep.open_time = self.sim.now
         ws.epochs.append(ep)
+        ws.activation_pending = True
         if self.causal is not None:
             self.causal.epoch_open(self.rank, ws.gid, ep)
         self.mark_dirty(ws)
@@ -867,12 +898,14 @@ class RmaEngineBase:
             req.complete()
             ws.retire_closed()
         else:
+            self._wake_advance(ws, ep)
             self.poke()
         return req
 
     def _complete_epoch(self, ws: WindowState, ep: Epoch) -> None:
         ep.state = EpochState.COMPLETED
         ep.complete_time = self.sim.now
+        ws.activation_pending = True
         if self.causal is not None:
             self.causal.epoch_complete(self.rank, ws.gid, ep)
         m = self.metrics
@@ -921,6 +954,8 @@ class RmaEngineBase:
         op.call_time = self.sim.now
         ep.record_op(op)
         ws.unissued_total += 1
+        if ep.active:
+            self._wake_post(ws, ep, op.target)
         self.mark_dirty(ws)
         if self._trace_enabled():
             self._trace("op_call", ws, ep, op_kind=op.kind.value, target=op.target)
@@ -972,12 +1007,7 @@ class RmaEngineBase:
         if checker is not None:
             checker.on_flush(ws, ep)
         self._flush_activate(ws, ep)
-        ops = [
-            op
-            for op in ep.ops
-            if (target is None or op.target == target)
-            and not (op.local_done if local else op.delivered)
-        ]
+        ops = [op for op in ep.undelivered_ops(target) if not (local and op.local_done)]
         req = Request(self.sim, f"bflush(ep{ep.uid})")
         if not ops:
             req.complete()

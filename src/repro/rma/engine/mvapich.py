@@ -198,6 +198,7 @@ class MvapichEngine(RmaEngineBase):
             return
         for target in ep.targets:
             ep.access_ids[target] = ws.next_access_id(target)
+            ws.lock_epochs[target, ep.access_ids[target]] = ep
             self._send(
                 target,
                 self.model.control_bytes,

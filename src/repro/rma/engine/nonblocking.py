@@ -36,10 +36,9 @@ The 7-step progress loop (§VII-D)
 
 from __future__ import annotations
 
+from operator import attrgetter
 from time import perf_counter
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ...network.packets import ServiceKind
 from ..epoch import Epoch, EpochKind, EpochState
@@ -53,6 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..window import Window
 
 __all__ = ["NonblockingEngine"]
+
+#: Sort key of the ready sets: application open order within a window.
+_uid = attrgetter("uid")
 
 
 class NonblockingEngine(RmaEngineBase):
@@ -80,13 +82,13 @@ class NonblockingEngine(RmaEngineBase):
         for ws in dirty:
             # Step 1 (completion verification) is event-driven here:
             # op completion callbacks have already updated the state.
-            if ws.unissued_total:
+            if ws.post_ready:
                 self._post_ready_ops(ws, intranode=False)  # step 2
         for ws in dirty:
             self._complete_and_activate(ws)            # step 3
         late = 0
         for ws in dirty:
-            if ws.unissued_total:
+            if ws.post_ready:
                 late += self._post_ready_ops(ws, intranode=True)   # step 4
         late += self._consume_notifications()                  # step 5
         # Step 5 may have dirtied windows that were clean at sweep start
@@ -196,6 +198,11 @@ class NonblockingEngine(RmaEngineBase):
         ep.state = EpochState.ACTIVE
         ep.activate_time = self.sim.now
         ep.activated_past = tuple(p.uid for p in active_preceding)
+        # Due on activation: it may have been closed while deferred (an
+        # exposure's dones may even be in already), and every op recorded
+        # while deferred is now postable.
+        ws.advance_ready.add(ep)
+        ws.post_ready.update((ep, target) for target in ep.unissued_targets())
         checker = self._checker_of(ws)
         if checker is not None:
             checker.on_epoch_activate(ws, ep, active_preceding)
@@ -228,6 +235,7 @@ class NonblockingEngine(RmaEngineBase):
             ep.access_ids[target] = ws.next_access_id(target)
         if ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL):
             for target in ep.targets:
+                ws.lock_epochs[target, ep.access_ids[target]] = ep
                 self._send(
                     target,
                     self.model.control_bytes,
@@ -257,14 +265,6 @@ class NonblockingEngine(RmaEngineBase):
         enrollment at ``target`` (ω form: ``A_i <= g_r``)."""
         return ws.access_granted(target, ep.access_ids[target])
 
-    def _grants_vector(self, ws: WindowState, ep: Epoch, targets: list[int]):
-        """Vectorized :meth:`_access_granted` over a pending peer group
-        (§VII-B): one fancy-indexed gather + compare."""
-        ids = ep.access_ids
-        return ws.g[targets] >= np.fromiter(
-            (ids[t] for t in targets), np.int64, len(targets)
-        )
-
     def _fence_open_seen(self, ws: WindowState, target: int, round_no: int) -> bool:
         """Whether ``target`` announced entering fence round ``round_no``."""
         return ws.remote_fence_open[target] >= round_no
@@ -272,11 +272,44 @@ class NonblockingEngine(RmaEngineBase):
     def _fence_done_reached(self, ws: WindowState, ep: Epoch) -> bool:
         """Barrier test for a closing fence: every peer completed the
         round.  The ω form also reclaims the round's sender set."""
-        peers = set(ws.win.group.ranks) - {self.rank}
-        if ws.fence_done_from[ep.fence_round] >= peers:
-            del ws.fence_done_from[ep.fence_round]
-            return True
-        return False
+        # ``_broadcast_fence_done`` never sends to self and the set holds
+        # distinct peers, so a full house is a count — no O(nranks) peer
+        # set per examination.
+        senders = ws.fence_done_from[ep.fence_round]
+        ranks = ws.win.group.ranks
+        if len(senders) != len(ranks) - 1:
+            return False
+        if self._checker_of(ws) is not None:
+            assert self.rank not in senders and senders <= set(ranks), senders
+        del ws.fence_done_from[ep.fence_round]
+        return True
+
+    # =====================================================================
+    # Ready-set wake-ups (the base-class hooks, filled in)
+    # =====================================================================
+    def _wake_post(self, ws: WindowState, ep: Epoch, target: int) -> None:
+        ws.post_ready.add((ep, target))
+
+    def _wake_advance(self, ws: WindowState, ep: Epoch) -> None:
+        if ep.active:  # activation wakes a deferred epoch itself
+            ws.advance_ready.add(ep)
+
+    def _wake_peer(self, ws: WindowState, kind: EpochKind, peer: int,
+                   advance: bool = True) -> None:
+        for ep in ws.epochs:
+            if not ep.active or ep.kind is not kind:
+                continue
+            if kind is EpochKind.GATS_EXPOSURE:
+                involved = peer in ep.origin_group
+            else:  # a fence involves every peer; GATS until its done went out
+                involved = kind is EpochKind.FENCE or (
+                    peer in ep.targets and peer not in ep.done_sent
+                )
+            if involved:
+                if not ep.all_issued_to(peer):
+                    ws.post_ready.add((ep, peer))
+                if advance:
+                    ws.advance_ready.add(ep)
 
     # =====================================================================
     # Op readiness and posting
@@ -297,43 +330,44 @@ class NonblockingEngine(RmaEngineBase):
         raise AssertionError(f"ops not allowed in {ep.kind}")
 
     def _post_ready_ops(self, ws: WindowState, intranode: bool) -> int:
-        """Steps 2/4: issue recorded ops to every granted target;
-        returns the number of ops posted."""
-        if not ws.unissued_total:
+        """Steps 2/4: test the due (epoch, target) pairs on this step's
+        side of the node boundary and issue the recorded ops of the ready
+        ones; returns the number of ops posted.  Order is part of the
+        virtual-time contract: epochs in open order, an epoch's targets
+        in first-recorded order."""
+        due = ws.post_ready
+        if not due:
             return 0
         node_lo, node_hi = self._node_lo, self._node_hi
+        pairs = [p for p in due if (node_lo <= p[1] < node_hi) == intranode]
+        if not pairs:
+            return 0
+        due.difference_update(pairs)
+        if len(pairs) > 1:
+            # Ordering only — one pair or many, none is dropped: ops leave
+            # an epoch through this examination alone, so every due pair
+            # still has unissued ops and appears in the walk below.
+            wanted = set(pairs)
+            pairs = [
+                (ep, target)
+                for ep in sorted({p[0] for p in pairs}, key=_uid)
+                for target in ep.unissued_targets()
+                if (ep, target) in wanted
+            ]
+            assert len(pairs) == len(wanted), wanted.difference(pairs)
         m = self.metrics
         posted = 0
-        for ep in ws.epochs:
-            if not ep.active or ep.kind is EpochKind.GATS_EXPOSURE:
-                continue
-            if not ep.unissued_count:
-                continue
-            targets = ep.unissued_targets()
-            granted = None
-            if ep.kind is EpochKind.GATS_ACCESS and not ep.nocheck and len(targets) > 1:
-                # Vectorized matching: one gather + compare covers the
-                # whole pending peer group; per-target iteration below
-                # keeps the issue order and match/wait accounting
-                # identical to the scalar walk.
-                granted = self._grants_vector(ws, ep, targets)
-            for i, target in enumerate(targets):
-                if (node_lo <= target < node_hi) != intranode:
-                    continue
-                ready = (
-                    bool(granted[i])
-                    if granted is not None
-                    else self._target_ready(ws, ep, target)
-                )
-                if m is not None:
-                    # ω matching outcome (§VII-B): one O(1) test per
-                    # pending target per sweep.
-                    m.inc("omega.matches" if ready else "omega.wait_for_grant")
-                if ready:
-                    for op in self._take_unissued(ws, ep, target):
-                        self._record_concurrency(ws, ep, op)
-                        self._issue_op(ws, op)
-                        posted += 1
+        for ep, target in pairs:
+            self.epochs_examined += 1
+            ready = self._target_ready(ws, ep, target)
+            if m is not None:
+                # ω matching outcome (§VII-B): one O(1) test per due pair.
+                m.inc("omega.matches" if ready else "omega.wait_for_grant")
+            if ready:
+                for op in self._take_unissued(ws, ep, target):
+                    self._record_concurrency(ws, ep, op)
+                    self._issue_op(ws, op)
+                    posted += 1
         return posted
 
     def _record_concurrency(self, ws: WindowState, ep: Epoch, op: RmaOp) -> None:
@@ -353,22 +387,23 @@ class NonblockingEngine(RmaEngineBase):
     # Completion (step 3 / step 7)
     # =====================================================================
     def _complete_and_activate(self, ws: WindowState) -> int:
-        """Steps 3/7: returns the number of epochs progressed (completed
-        or activated)."""
-        if not ws.epochs:
+        """Steps 3/7: examine the due epochs (in open order) and rerun
+        the activation scan while either has work; returns the number of
+        epochs progressed (completed or activated)."""
+        due = ws.advance_ready
+        if not due and not ws.activation_pending:
             return 0
-        changed = True
         progressed = 0
-        while changed:
-            changed = False
-            for ep in ws.epochs:
-                if ep.active and self._advance_epoch(ws, ep):
-                    changed = True
-                    progressed += 1
-            activated = self._try_activate(ws)
-            if activated:
-                changed = True
-                progressed += activated
+        while due or ws.activation_pending:
+            if due:
+                batch = sorted(due, key=_uid) if len(due) > 1 else list(due)
+                due.clear()
+                for ep in batch:
+                    if ep.active and self._advance_epoch(ws, ep):
+                        progressed += 1
+            if ws.activation_pending:
+                ws.activation_pending = False
+                progressed += self._try_activate(ws)
         if progressed and ws.unissued_total:
             # Newly activated epochs may have ready ops; re-mark the
             # window and rerun the step sequence so steps 2/4 post them.
@@ -383,6 +418,7 @@ class NonblockingEngine(RmaEngineBase):
 
     def _advance_epoch(self, ws: WindowState, ep: Epoch) -> bool:
         """Move one active epoch toward completion; True if it completed."""
+        self.epochs_examined += 1
         if ep.kind is EpochKind.GATS_ACCESS:
             if ep.app_closed:
                 done_sent = ep.done_sent
@@ -518,14 +554,12 @@ class NonblockingEngine(RmaEngineBase):
         if checker is not None:
             checker.on_flush(ws, ep)
         stamp = ws.age_counter
-        pending = [
-            op
-            for op in ep.ops
-            if op.age <= stamp
-            and (target is None or op.target == target)
-            and not (op.local_done if local else op.delivered)
-        ]
-        req = FlushRequest(self.sim, ep, stamp, target, local, len(pending))
+        pending = sum(
+            1
+            for op in ep.undelivered_ops(target)
+            if op.age <= stamp and not (local and op.local_done)
+        )
+        req = FlushRequest(self.sim, ep, stamp, target, local, pending)
         if not req.done:
             ws.flushes.append(req)
             self.mark_dirty(ws)

@@ -34,11 +34,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ...network.packets import ServiceKind
 from ..epoch import Epoch, EpochKind
-from ..notify import SIGNAL_LIMIT, SignalBoard, SignalChannel
+from ..notify import SignalBoard, SignalChannel
 from ..ops import OpKind, RmaOp
 from ..packets import LockRequestPacket, SignalUpdate
 from ..state import WindowState
@@ -50,6 +48,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..window import Window
 
 __all__ = ["SignalEngine"]
+
+
+#: Channel -> (epoch kind whose predicates read it, whether it moves a
+#: completion condition too or only target readiness).
+_WOKEN = {
+    SignalChannel.GRANT: (EpochKind.GATS_ACCESS, True),
+    SignalChannel.DONE: (EpochKind.GATS_EXPOSURE, True),
+    SignalChannel.FENCE_OPEN: (EpochKind.FENCE, False),
+    SignalChannel.FENCE_DONE: (EpochKind.FENCE, True),
+}
 
 
 class SignalEngine(NonblockingEngine):
@@ -118,9 +126,12 @@ class SignalEngine(NonblockingEngine):
                 p.signaler, p.value,
             )
         if p.channel == SignalChannel.LOCK:
-            self._lock_signal(ws, p.signaler)
+            self._lock_signal(ws, p.signaler, p.value)
         elif p.channel == SignalChannel.NOTIFY:
             self._resolve_notify_waits(ws, p.signaler)
+        else:
+            kind, advance = _WOKEN[p.channel]
+            self._wake_peer(ws, kind, p.signaler, advance)
 
     _PACKET_HANDLERS = {
         **NonblockingEngine._PACKET_HANDLERS,
@@ -149,6 +160,7 @@ class SignalEngine(NonblockingEngine):
             expected = board.bump_expected(SignalChannel.LOCK, target)
             ep.signal_expected[target] = expected
             ep.access_ids[target] = expected
+            ws.lock_epochs[target, expected] = ep
             self._send(
                 target,
                 self.model.control_bytes,
@@ -176,12 +188,6 @@ class SignalEngine(NonblockingEngine):
     def _access_granted(self, ws: WindowState, ep: Epoch, target: int) -> bool:
         return ws.signal_board.reached(
             SignalChannel.GRANT, target, ep.signal_expected[target]
-        )
-
-    def _grants_vector(self, ws: WindowState, ep: Epoch, targets: list[int]):
-        expected = ep.signal_expected
-        return ws.signal_board.inbound[SignalChannel.GRANT, targets] >= np.fromiter(
-            (expected[t] for t in targets), np.int64, len(targets)
         )
 
     def _fence_open_seen(self, ws: WindowState, target: int, round_no: int) -> bool:
@@ -234,24 +240,18 @@ class SignalEngine(NonblockingEngine):
         if self._trace_enabled():
             self._trace("lock_grant", ws, origin=waiter.origin, access_id=waiter.access_id)
 
-    def _lock_signal(self, ws: WindowState, granter: int) -> None:
-        """Origin side of a LOCK-channel signal: mark every lock epoch
-        whose reservation the inbound counter now covers (idempotent —
-        an already-held flag is simply skipped)."""
-        inbound = int(ws.signal_board.inbound[SignalChannel.LOCK, granter])
-        m = self.metrics
-        for ep in ws.epochs:
-            if (
-                ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL)
-                and not ep.lock_held.get(granter, False)
-                and ep.signal_expected.get(granter, SIGNAL_LIMIT) <= inbound
-            ):
-                ep.lock_held[granter] = True
-                start = ep.activate_time if ep.activate_time is not None else ep.open_time
-                if m is not None and start is not None:
-                    m.observe("signal.lock_grant_wait_us", self.sim.now - start)
-                if self.causal is not None and start is not None:
-                    self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
+    def _lock_signal(self, ws: WindowState, granter: int, value: int) -> None:
+        """Origin side of a LOCK-channel signal: the inbound counter now
+        covers every reservation up to ``value``.  Reservations toward
+        one host are consecutive, so walk the index down from ``value``
+        until an epoch that already holds its lock (or a reservation
+        already acked and dropped) ends the newly covered run."""
+        while True:
+            ep = ws.lock_epochs.get((granter, value))
+            if ep is None or ep.lock_held.get(granter, False):
+                return
+            self._lock_held(ws, ep, granter, "signal.lock_grant_wait_us")
+            value -= 1
 
     # =====================================================================
     # Notified access (foMPI-style; NOTIFY channel)

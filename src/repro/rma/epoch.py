@@ -115,7 +115,9 @@ class Epoch:
         # every sweep; scanning `ops` there would be quadratic).
         self._unissued_by_target: dict[int, list["RmaOp"]] = {}
         self._unissued_count = 0
-        self._undelivered_by_target: dict[int, int] = {}
+        #: Not-yet-delivered ops per target, by op uid (flushes filter
+        #: this in-flight set, never the whole ``ops`` history).
+        self._undelivered_by_target: dict[int, dict[int, "RmaOp"]] = {}
         self._undelivered_count = 0
         #: Access ids per target (assigned at activation; §VII-B).
         self.access_ids: dict[int, int] = {}
@@ -172,9 +174,7 @@ class Epoch:
         self.ops.append(op)
         self._unissued_by_target.setdefault(op.target, []).append(op)
         self._unissued_count += 1
-        self._undelivered_by_target[op.target] = (
-            self._undelivered_by_target.get(op.target, 0) + 1
-        )
+        self._undelivered_by_target.setdefault(op.target, {})[op.uid] = op
         self._undelivered_count += 1
 
     def take_unissued(self, target: int) -> list["RmaOp"]:
@@ -184,10 +184,20 @@ class Epoch:
         self._unissued_count -= len(ops)
         return ops
 
-    def mark_delivered(self, op: "RmaOp") -> None:
-        """Account one op's remote completion."""
-        self._undelivered_by_target[op.target] -= 1
+    def mark_delivered(self, op: "RmaOp") -> bool:
+        """Account one op's remote completion; True when that moved a
+        completion input (every closing condition that counts deliveries
+        also requires the closing routine to have been called)."""
+        del self._undelivered_by_target[op.target][op.uid]
         self._undelivered_count -= 1
+        return self.app_closed
+
+    def undelivered_ops(self, target: int | None = None) -> list["RmaOp"]:
+        """Ops not yet remotely complete, toward ``target`` (None: all)."""
+        by_target = self._undelivered_by_target
+        if target is not None:
+            return list(by_target.get(target, {}).values())
+        return [op for ops in by_target.values() for op in ops.values()]
 
     def ops_to(self, target: int) -> list["RmaOp"]:
         """Recorded ops directed at ``target``."""
@@ -195,7 +205,7 @@ class Epoch:
 
     def undelivered_to(self, target: int) -> int:
         """Ops to ``target`` not yet remotely complete."""
-        return self._undelivered_by_target.get(target, 0)
+        return len(self._undelivered_by_target.get(target, ()))
 
     @property
     def undelivered(self) -> int:
@@ -221,7 +231,7 @@ class Epoch:
         u = self._unissued_by_target.get(target)
         if u:
             return True
-        return self._undelivered_by_target.get(target, 0) > 0
+        return bool(self._undelivered_by_target.get(target))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

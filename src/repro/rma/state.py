@@ -69,6 +69,21 @@ class WindowState:
         #: and retirement pops finished epochs from the head in O(1)
         #: instead of rebuilding a list per sweep.
         self.epochs: deque["Epoch"] = deque()
+        # Ready sets (docs/PERFORMANCE.md part 3 has the wake-up table):
+        # an epoch or (epoch, target) pair enters one only when one of
+        # its own predicate inputs moved and leaves it when examined, so
+        # whatever is outside is at a fixpoint.  Only engines whose sweep
+        # consumes them fill them.
+        #: Pairs whose readiness test may have flipped (sweep steps 2/4).
+        self.post_ready: set[tuple["Epoch", int]] = set()
+        #: Epochs whose completion conditions may have moved (steps 3/7).
+        self.advance_ready: set["Epoch"] = set()
+        #: An epoch was opened or completed since the last activation scan.
+        self.activation_pending = False
+        #: (target, access id) -> the lock epoch enrolled there, from its
+        #: lock request to its UnlockAck: grants and acks find their epoch
+        #: here instead of scanning ``epochs``.
+        self.lock_epochs: dict[tuple[int, int], "Epoch"] = {}
 
         # -- lock hosting ----------------------------------------------------
         self.lock_mgr = LockManager(on_lock_grant)

@@ -6,13 +6,23 @@ behind a test-only flag, and the differential sweep must (1) detect the
 divergence within a 64-schedule budget, (2) replay the failing seed to a
 byte-identical digest, and (3) shrink it to a minimal perturbation set
 that still fails.
+
+The two ready-set mutants (a dropped wake-up each) must die differently:
+as a deadlock, never as a digest mismatch.
 """
 
 from __future__ import annotations
 
-from repro.explore import VARIANTS, explore, run_workload, shrink
-from repro.explore.mutation import activation_gate_disabled
+import pytest
+
+from repro.explore import VARIANTS, explore, run_workload, shrink, specs_for
+from repro.explore.mutation import (
+    activation_gate_disabled,
+    lock_grant_wakeup_dropped,
+    op_delivered_wakeup_dropped,
+)
 from repro.rma.engine.nonblocking import NonblockingEngine
+from repro.simtime import SimulationDeadlock
 
 _NEW_NB = VARIANTS[2]  # the variant that exercises deferred epochs
 _SIGNAL = VARIANTS[3]  # signal engine: inherits the same deferral path
@@ -83,3 +93,31 @@ def test_shrink_failing_seed_to_minimal_set():
         assert result.minimal
         replay = run_workload("ordering", _NEW_NB, result.minimal_spec)
         assert replay.digest.strict_sha != ref.digest.strict_sha
+
+
+# ---------------------------------------------------------------------------
+# Ready-set wake-up mutants: a missed wake-up must be *loud*
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "mutant", [lock_grant_wakeup_dropped, op_delivered_wakeup_dropped],
+    ids=["lock-grant", "op-delivered"],
+)
+def test_dropped_wakeup_is_killed_as_a_deadlock_never_a_wrong_answer(mutant):
+    """Default budget (baseline + 4 schedules) on the lock-epoch
+    workload, every ready-set variant: each run either deadlocks or
+    still agrees with the healthy reference, and the mutant is killed."""
+    ref = run_workload("transactions", VARIANTS[0], None).digest.strict_sha
+    ready_set_variants = [v for v in VARIANTS if v.engine != "mvapich"]
+    deadlocks = 0
+    with mutant():
+        for variant in ready_set_variants:
+            for spec in [None, *specs_for(4)]:
+                try:
+                    run = run_workload("transactions", variant, spec)
+                except SimulationDeadlock:
+                    deadlocks += 1
+                else:
+                    assert run.digest.strict_sha == ref
+    assert deadlocks
+    # restored on exit: the healthy engine is clean again
+    assert run_workload("transactions", _NEW_NB, None).digest.strict_sha == ref

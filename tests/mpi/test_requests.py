@@ -19,6 +19,17 @@ class TestRequest:
         req = CompletedRequest(sim, value=3)
         assert req.done and req.value == 3
 
+    def test_completed_at_is_stamped_once_in_virtual_time(self, sim):
+        req = Request(sim)
+        assert req.completed_at is None
+        sim.schedule(5.0, req.complete)
+        sim.run()
+        assert req.completed_at == 5.0
+        sim.schedule(3.0, lambda: None)
+        sim.run()  # the clock moves on; the stamp does not
+        assert sim.now == 8.0 and req.completed_at == 5.0
+        assert CompletedRequest(sim).completed_at == 8.0
+
     def test_wait_resumes_on_completion(self, sim):
         req = Request(sim)
         sim.schedule(5.0, req.complete, "late")

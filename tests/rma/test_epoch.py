@@ -75,6 +75,20 @@ class TestOpBookkeeping:
         assert ep.undelivered == 1
         assert ep.undelivered_to(1) == 1
 
+    def test_undelivered_ops_is_the_in_flight_set(self):
+        """What a flush filters: never the whole ``ops`` history."""
+        ep = make_epoch(targets=(1, 2))
+        a, b, c = add_op(ep, target=1), add_op(ep, target=2), add_op(ep, target=1)
+        assert ep.undelivered_ops(1) == [a, c]
+        assert set(ep.undelivered_ops()) == {a, b, c}
+        assert not ep.mark_delivered(a)  # not closed: no completion input moved
+        ep.app_closed = True
+        assert ep.mark_delivered(b)
+        assert ep.undelivered_ops() == [c] and ep.undelivered_ops(2) == []
+        assert ep.ops == [a, b, c]
+        ep.take_unissued(1), ep.take_unissued(2)
+        assert ep.pending_to(1) and not ep.pending_to(2)
+
     def test_unissued_bookkeeping(self):
         ep = make_epoch(targets=(1, 2))
         add_op(ep, target=1)

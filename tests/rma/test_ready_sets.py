@@ -1,0 +1,474 @@
+"""The per-window ready sets are sound, precise and loud when wrong.
+
+Production sweeps examine only the epochs and (epoch, target) pairs
+whose own predicate inputs moved (the wake-up table in
+docs/PERFORMANCE.md part 3).  The engines in this file exist only here:
+
+- ``Exhaustive*`` mark every live epoch and pair due before every step,
+  which is the historical every-epoch walk.  It must be indistinguishable
+  from production on every observable of a run — a missed wake-up shows
+  as a different virtual time or a deadlock, a spurious *order* as a
+  different send log.
+- ``Audited*`` check the fixpoint invariant directly after every
+  outermost ``poke()``: nothing outside the sets would move if examined.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.mpi.runtime as runtime_mod
+from repro.apps.transactions import TransactionsConfig, run_transactions
+from repro.explore import ExplorationContext, build_digest
+from repro.mpi.info import Info
+from repro.network.fabric import Fabric
+from repro.rma import SEMANTICS_CHECK_INFO_KEY
+from repro.rma.engine.nonblocking import NonblockingEngine
+from repro.rma.engine.registry import canonical_engine
+from repro.rma.engine.signal import SignalEngine
+from repro.rma.epoch import EpochKind
+from repro.rma.flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R
+from repro.rma.packets import GrantUpdate, UnlockAck
+from repro.simtime import SimulationDeadlock
+from repro.workloads import get_workload, workload_names
+from tests.conftest import make_runtime
+from tests.test_chaos_property import ALL_FLAGS_CHECKED, random_accumulate_app
+
+
+# ---------------------------------------------------------------------------
+# Test-only engines
+# ---------------------------------------------------------------------------
+def _mark_all(ws) -> None:
+    for ep in ws.epochs:
+        if ep.active:
+            ws.advance_ready.add(ep)
+            ws.post_ready.update((ep, t) for t in ep.unissued_targets())
+    ws.activation_pending = True
+
+
+class _Exhaustive:
+    """Every step of every sweep sees every live epoch and pair due."""
+
+    def _take_dirty(self):
+        dirty = super()._take_dirty()
+        for ws in dirty:
+            _mark_all(ws)
+        return dirty
+
+    def _merge_marked(self, dirty):
+        merged = super()._merge_marked(dirty)
+        for ws in merged:
+            _mark_all(ws)
+        return merged
+
+    def _complete_and_activate(self, ws):
+        total = 0
+        while True:  # the old ``while changed`` loop over all of ws.epochs
+            _mark_all(ws)
+            progressed = super()._complete_and_activate(ws)
+            total += progressed
+            if not progressed:
+                break
+        _mark_all(ws)  # the step after this one looked at everything too
+        return total
+
+
+class ExhaustiveNonblocking(_Exhaustive, NonblockingEngine):
+    pass
+
+
+class ExhaustiveSignal(_Exhaustive, SignalEngine):
+    pass
+
+
+class _Audited:
+    """After every outermost poke, whatever is outside the ready sets
+    must be at a fixpoint: examining it sends and completes nothing."""
+
+    def poke(self):
+        outermost = not self._sweeping
+        super().poke()
+        if outermost:
+            for ws in self.states.values():
+                self._audit(ws)
+
+    def _audit(self, ws):
+        due_pairs, due_epochs = set(ws.post_ready), set(ws.advance_ready)
+        for ep in list(ws.epochs):
+            if not ep.active:
+                continue
+            for target in ep.unissued_targets():
+                if (ep, target) not in due_pairs:
+                    assert not self._target_ready(ws, ep, target), (
+                        f"missed post wake-up: {ep} -> {target}")
+            if ep not in due_epochs:
+                def sent():
+                    return (len(ep.done_sent), len(ep.unlock_sent),
+                            ep.fence_done_sent, self.fabric.messages_sent)
+                before = sent()
+                assert not self._advance_epoch(ws, ep), f"missed advance wake-up: {ep}"
+                assert sent() == before, f"missed advance wake-up (partial): {ep}"
+        if not ws.activation_pending:
+            assert self._try_activate(ws) == 0, "missed activation wake-up"
+
+
+class AuditedNonblocking(_Audited, NonblockingEngine):
+    pass
+
+
+class AuditedSignal(_Audited, SignalEngine):
+    pass
+
+
+EXHAUSTIVE = {"nonblocking": ExhaustiveNonblocking, "signal": ExhaustiveSignal}
+AUDITED = {"nonblocking": AuditedNonblocking, "signal": AuditedSignal}
+
+
+def _substitute(monkeypatch, classes) -> None:
+    """Make ``MPIRuntime`` build ``classes`` for the ready-set engines."""
+    real = runtime_mod._engine_factory
+    monkeypatch.setattr(
+        runtime_mod, "_engine_factory",
+        lambda name: classes.get(canonical_engine(name)) or real(name),
+    )
+
+
+# ---------------------------------------------------------------------------
+# (a) production == exhaustive walk, on every observable
+# ---------------------------------------------------------------------------
+FLAG_SETS = {
+    "noflags": {},
+    "A_A_A_R": {A_A_A_R: 1},
+    # §VI-B exempts fence and lock_all neighbours; the activation
+    # predicate enforces that itself, so the flags go on every window.
+    "allflags": {A_A_A_R: 1, A_A_E_R: 1, E_A_E_R: 1, E_A_A_R: 1},
+}
+
+
+def _observe(monkeypatch, workload, engine, nonblocking, flags, classes=None):
+    """Run one registry cell; return everything a run can be told by."""
+    with monkeypatch.context() as mp:
+        if classes:
+            _substitute(mp, classes)
+        real_info = runtime_mod.MPIRuntime._apply_exploration_info
+        mp.setattr(
+            runtime_mod.MPIRuntime, "_apply_exploration_info",
+            lambda self, info: real_info(
+                self, Info({**dict(info), **{k: str(v) for k, v in flags.items()}})),
+        )
+        real_send = Fabric.send
+
+        def logged_send(self, src, dst, nbytes, payload, *args, **kwargs):
+            self.__dict__.setdefault("sent_log", {}).setdefault(src, []).append(
+                (dst, type(payload).__name__, nbytes, self.sim.now))
+            return real_send(self, src, dst, nbytes, payload, *args, **kwargs)
+
+        mp.setattr(Fabric, "send", logged_send)
+        context = ExplorationContext(semantics_check="report")
+        result = get_workload(workload).oracle(engine, nonblocking, context)
+    digest = build_digest(context, result)
+    return {
+        "now": [rt.now for rt in context.runtimes],
+        "events": [rt.sim.events_scheduled for rt in context.runtimes],
+        "sweeps": [[e.sweep_count for e in rt.engines] for rt in context.runtimes],
+        "strict": digest.strict_sha,
+        "engine_only": digest.engine_sha,
+        "sends": [rt.fabric.__dict__.get("sent_log", {}) for rt in context.runtimes],
+    }
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=list(FLAG_SETS))
+@pytest.mark.parametrize("nonblocking", [False, True], ids=["blocking", "istar"])
+@pytest.mark.parametrize("engine", ["nonblocking", "signal"])
+@pytest.mark.parametrize("workload", workload_names())
+def test_production_matches_exhaustive_walk(monkeypatch, workload, engine, nonblocking, flags):
+    args = (monkeypatch, workload, engine, nonblocking, FLAG_SETS[flags])
+    production = _observe(*args)
+    exhaustive = _observe(*args, classes=EXHAUSTIVE)
+    for field in production:
+        assert production[field] == exhaustive[field], field
+
+
+# ---------------------------------------------------------------------------
+# (b) the fixpoint invariant, audited after every poke
+# ---------------------------------------------------------------------------
+@given(
+    nranks=st.integers(2, 6),
+    updates=st.integers(1, 12),
+    seed=st.integers(0, 2**20),
+    cores_per_node=st.sampled_from([1, 2, 8]),
+    engine=st.sampled_from(["nonblocking", "signal"]),
+)
+@settings(max_examples=20, deadline=None)
+def test_nothing_outside_the_sets_would_progress(nranks, updates, seed, cores_per_node, engine):
+    """Chaos programs, every reorder flag on, checker in raise mode."""
+    with pytest.MonkeyPatch.context() as mp:
+        _substitute(mp, AUDITED)
+        rt = runtime_mod.MPIRuntime(nranks, cores_per_node=cores_per_node, engine=engine)
+    assert isinstance(rt.engines[0], _Audited)
+    res = rt.run(random_accumulate_app(updates, seed, info=ALL_FLAGS_CHECKED))
+    assert sum(int(t.sum()) for t in res) == updates * sum(1 + r for r in range(nranks))
+
+
+@pytest.mark.parametrize("engine", ["nonblocking", "signal"])
+@pytest.mark.parametrize("workload", workload_names())
+def test_registry_workloads_pass_the_audit(monkeypatch, workload, engine):
+    """Fence, GATS, lock_all and collective traffic under the same audit
+    (the chaos generator above only writes lock epochs)."""
+    _substitute(monkeypatch, AUDITED)
+    context = ExplorationContext(semantics_check="report")
+    get_workload(workload).oracle(engine, True, context)
+    assert all(isinstance(e, _Audited) for rt in context.runtimes for e in rt.engines)
+
+
+def _mixed_origin_app(kinds, delays, flags):
+    """Rank 0 opens lock / lock_all / GATS access epochs toward ranks 1
+    and 2 back to back, all nonblocking; the hosts post for the GATS
+    ones in order.  No registry workload mixes kinds toward one host."""
+    def app(proc):
+        win = yield from proc.win_allocate(64, info={SEMANTICS_CHECK_INFO_KEY: 1, **flags})
+        yield from proc.barrier()
+        yield from proc.compute(delays[proc.rank])
+        reqs = []
+        for step, kind in enumerate(kinds):
+            val, hosts = np.int64([step + 1]), tuple(int(c) for c in kind if c.isdigit())
+            if proc.rank != 0:
+                if kind.startswith("gats") and proc.rank in hosts:
+                    yield from win.post((0,))
+                    yield from win.wait_epoch()
+            elif kind == "lock_all":
+                win.ilock_all()
+                win.accumulate(val, 1, 0)
+                win.accumulate(val, 2, 0)
+                reqs.append(win.iunlock_all())
+            elif kind.startswith("lock"):
+                win.ilock(hosts[0])
+                win.accumulate(val, hosts[0], 8)
+                reqs.append(win.iunlock(hosts[0]))
+            else:
+                win.istart(hosts)
+                for host in hosts:
+                    win.accumulate(val, host, 16)
+                reqs.append(win.icomplete())
+        yield from proc.waitall(reqs)
+        yield from proc.barrier()
+        return win.view(np.int64, 0, 3).tolist()
+    return app
+
+
+@given(
+    kinds=st.lists(
+        st.sampled_from(["lock1", "lock2", "gats1", "gats2", "gats12", "lock_all"]),
+        min_size=2, max_size=6),
+    delays=st.tuples(*[st.sampled_from([0.0, 3.0, 40.0])] * 3),
+    flags=st.sampled_from(["A_A_A_R", "allflags"]),
+    engine=st.sampled_from(["nonblocking", "signal"]),
+    cores_per_node=st.sampled_from([1, 4]),
+)
+@settings(max_examples=40, deadline=None)
+def test_mixed_kinds_toward_one_host_match_the_exhaustive_walk(
+        kinds, delays, flags, engine, cores_per_node):
+    """Epoch kinds share state (ω counts lock and exposure grants in one
+    ``g_r``), so a wake-up row can be too narrow only for a mix.  Some of
+    these programs hang on any engine; what is asserted is that all three
+    engines agree, and that the audit never fires."""
+    def outcome(classes):
+        with pytest.MonkeyPatch.context() as mp:
+            _substitute(mp, classes)
+            rt = make_runtime(3, engine, cores_per_node=cores_per_node)
+        try:
+            return rt.run(_mixed_origin_app(kinds, delays, FLAG_SETS[flags])), rt.now
+        except SimulationDeadlock:
+            return "deadlock"
+
+    production = outcome({})
+    assert production == outcome(EXHAUSTIVE)
+    assert production == outcome(AUDITED)
+
+
+# ---------------------------------------------------------------------------
+# Wake-ups no registry workload depends on: each of these hangs (a
+# SimulationDeadlock, loudly) when its row of the table is dropped.
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ["nonblocking", "signal"])
+@pytest.mark.parametrize("with_put", [False, True], ids=["empty", "put"])
+def test_epoch_whose_inputs_are_all_in_at_activation(engine, with_put):
+    """A GATS access epoch opened, filled and closed while deferred
+    behind a lock epoch, its grant long since in: activation is the only
+    event left to make it (and its recorded put) due."""
+    def app(proc):
+        win = yield from proc.win_allocate(64, info={SEMANTICS_CHECK_INFO_KEY: 1})
+        yield from proc.barrier()
+        if proc.rank == 0:
+            win.ilock(1)
+            win.put(np.int64([1]), 1, 0)
+            reqs = [win.iunlock(1)]
+            win.istart((1,))
+            if with_put:
+                win.put(np.int64([2]), 1, 8)
+            reqs.append(win.icomplete())
+            yield from proc.waitall(reqs)
+        else:
+            yield from win.post((0,))
+            yield from win.wait_epoch()
+        yield from proc.barrier()
+        return win.view(np.int64, 0, 2).copy()
+
+    res = make_runtime(2, engine).run(app)
+    np.testing.assert_array_equal(res[1], [1, 2 if with_put else 0])
+
+
+@pytest.mark.parametrize("engine", ["nonblocking", "signal"])
+@pytest.mark.parametrize("post_delay", [0.0, 5.0, 50.0])
+def test_lock_grant_moves_the_counter_a_gats_epoch_compares(monkeypatch, engine, post_delay):
+    """ω keeps one ``g_r`` per host for exposure *and* lock grants.  With
+    A_A_A_R the access epoch (A=2) is active beside the lock epoch (A=1);
+    the exposure grant arrives first (g=1 < 2) and it is the lock grant
+    that satisfies it, so that grant must make it due as well."""
+    def app(proc):
+        win = yield from proc.win_allocate(
+            64, info={SEMANTICS_CHECK_INFO_KEY: 1, A_A_A_R: 1})
+        yield from proc.barrier()
+        if proc.rank == 0:
+            win.ilock(1)
+            win.put(np.int64([1]), 1, 0)
+            reqs = [win.iunlock(1)]
+            win.istart((1,))
+            win.put(np.int64([2]), 1, 8)
+            reqs.append(win.icomplete())
+            yield from proc.waitall(reqs)
+        else:
+            yield from proc.compute(post_delay)
+            yield from win.post((0,))
+            yield from win.wait_epoch()
+        yield from proc.barrier()
+        return win.view(np.int64, 0, 2).copy()
+
+    _substitute(monkeypatch, AUDITED)
+    rt = make_runtime(2, engine)
+    assert isinstance(rt.engines[0], _Audited)
+    np.testing.assert_array_equal(rt.run(app)[1], [1, 2])
+
+
+@pytest.mark.parametrize("engine", ["nonblocking", "signal"])
+def test_late_grant_releases_a_closed_epoch_with_nothing_to_post(engine):
+    """Access epoch to {1, 2} with ops only toward 1; rank 2 posts late.
+    Its grant has nothing to post, only a done to let out."""
+    def app(proc):
+        win = yield from proc.win_allocate(64, info={SEMANTICS_CHECK_INFO_KEY: 1})
+        yield from proc.barrier()
+        if proc.rank == 0:
+            yield from win.start((1, 2))
+            win.put(np.int64([5]), 1, 0)
+            yield from win.complete()
+        else:
+            if proc.rank == 2:
+                yield from proc.compute(50.0)
+            yield from win.post((0,))
+            yield from win.wait_epoch()
+        yield from proc.barrier()
+        return int(win.view(np.int64)[0])
+
+    assert make_runtime(3, engine).run(app) == [0, 5, 0]
+
+
+# ---------------------------------------------------------------------------
+# (d) the (target, access id) -> epoch index
+# ---------------------------------------------------------------------------
+def _origin_with_open_lock():
+    """Rank 0 mid-way through an exclusive lock on rank 1: granted, its
+    one put issued, not yet closed."""
+    rt = make_runtime(2)
+    captured = {}
+
+    def app(proc):
+        win = yield from proc.win_allocate(64)
+        yield from proc.barrier()
+        if proc.rank == 0:
+            yield from win.lock(1)
+            win.put(np.int64([7]), 1, 0)
+            yield from win.flush(1)
+            captured["ws"], captured["eng"] = win._state, win.engine
+            captured["ep"] = win._state.epochs[-1]
+            captured["during"] = dict(win._state.lock_epochs)
+            yield from win.unlock(1)
+        yield from proc.barrier()
+
+    rt.run(app)
+    return captured
+
+
+def test_index_holds_an_epoch_from_request_to_ack():
+    c = _origin_with_open_lock()
+    ep = c["ep"]
+    assert c["during"] == {(1, ep.access_ids[1]): ep}
+    assert c["ws"].lock_epochs == {}  # the UnlockAck popped it
+    assert ep.completed and ep.unlock_acked == {1}
+
+
+def test_replayed_grant_and_stale_ack_neither_enqueue_nor_raise():
+    c = _origin_with_open_lock()
+    ws, eng, ep = c["ws"], c["eng"], c["ep"]
+    access_id = ep.access_ids[1]
+    assert not ws.post_ready and not ws.advance_ready
+    # A replay without a sequence number gets past the idempotent g
+    # update; the index no longer knows the epoch, so nothing is woken.
+    eng._on_grant(ws, GrantUpdate(ws.gid, granter=1, lock_access_id=access_id), 1)
+    # A sequenced replay is dropped before it reaches the index at all.
+    eng._on_grant(ws, GrantUpdate(ws.gid, granter=1, lock_access_id=access_id,
+                                  grant_seq=int(ws.g[1])), 1)
+    eng._on_unlock_ack(ws, UnlockAck(ws.gid, access_id=access_id), 1)
+    eng._on_unlock_ack(ws, UnlockAck(ws.gid, access_id=access_id + 99), 1)
+    assert not ws.post_ready and not ws.advance_ready
+    assert ep.unlock_acked == {1} and ws.lock_epochs == {}
+
+
+def test_grant_replayed_while_the_lock_is_held_is_ignored():
+    rt = make_runtime(2)
+    seen = {}
+
+    def app(proc):
+        win = yield from proc.win_allocate(64)
+        yield from proc.barrier()
+        if proc.rank == 0:
+            yield from win.lock(1)
+            win.put(np.int64([7]), 1, 0)
+            yield from win.flush(1)
+            ws, eng = win._state, win.engine
+            ep = ws.epochs[-1]
+            assert ep.kind is EpochKind.LOCK and ep.lock_held[1]
+            eng._on_grant(ws, GrantUpdate(ws.gid, granter=1,
+                                          lock_access_id=ep.access_ids[1]), 1)
+            seen["woken"] = bool(ws.post_ready or ws.advance_ready)
+            yield from win.unlock(1)
+        yield from proc.barrier()
+
+    rt.run(app)
+    assert seen == {"woken": False}
+
+
+# ---------------------------------------------------------------------------
+# The deterministic gate: examinations scale with epochs, not with sweeps
+# ---------------------------------------------------------------------------
+def _examined(nonblocking: bool) -> tuple[int, int]:
+    context = ExplorationContext(semantics_check=None)
+    res = run_transactions(TransactionsConfig(
+        nranks=16, txns_per_rank=20, nonblocking=nonblocking, reorder=nonblocking,
+        max_pending=8, exploration=context,
+    ))
+    assert res.applied == res.total_txns
+    (rt,) = context.runtimes
+    return sum(e.epochs_examined for e in rt.engines), res.total_txns
+
+
+def test_examinations_per_epoch_are_bounded():
+    """Deep deferred queues (i* + A_A_A_R) no longer multiply the work:
+    before the ready sets this cell examined 36 436 times for 320 epochs
+    (114 per epoch), and the blocking control 5 200 times."""
+    examined, epochs = _examined(nonblocking=True)
+    assert examined <= 8 * epochs
+    blocking, _ = _examined(nonblocking=False)
+    assert blocking <= 5200

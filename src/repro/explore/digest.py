@@ -104,7 +104,7 @@ def _omega_counters(runtime: "MPIRuntime") -> dict[str, dict]:
     for rank, engine in enumerate(runtime.engines):
         for gid, ws in sorted(engine.states.items()):
             out[f"{gid}/{rank}"] = {
-                # ω counters are pooled sparse vectors; items() yields
+                # ω counters are sparse vectors; items() yields
                 # nonzero entries in ascending rank order, keeping the
                 # digest's str->int JSON shape independent of touch order.
                 "a": {str(r): v for r, v in ws.a.items()},

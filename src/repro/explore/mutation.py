@@ -12,11 +12,12 @@ stop-at-first-blocked-epoch gate, an epoch ``E_{k+1}`` can activate
 while ``E_k`` is still blocked, violating program order whenever no
 reorder flag licensed it.
 
-The other two each drop one row of the ready-set wake-up table
-(docs/PERFORMANCE.md part 3).  An epoch the sweep is never told to
-re-examine cannot produce a wrong answer, only none: both must die as a
-:class:`~repro.simtime.SimulationDeadlock`, and a suite that saw a
-silently different digest instead would have found a second bug.
+The others each drop one row of the ready-set wake-up table
+(docs/PERFORMANCE.md part 3).  An epoch, a target or an arrival the
+sweep is never told about cannot produce a wrong answer, only none: all
+must die as a :class:`~repro.simtime.SimulationDeadlock`, and a suite
+that saw a silently different digest instead would have found a second
+bug.
 
 Never import this module from production code.
 """
@@ -29,7 +30,9 @@ from unittest.mock import patch
 __all__ = [
     "activation_gate_disabled",
     "lock_grant_wakeup_dropped",
+    "grant_target_wakeup_dropped",
     "op_delivered_wakeup_dropped",
+    "done_arrival_uncounted",
 ]
 
 
@@ -49,20 +52,34 @@ def activation_gate_disabled():
         NonblockingEngine._activation_gate = saved
 
 
+def _grant_wakeup_dropped(*kind_names: str):
+    """Make a grant from ``r`` wake nothing of an epoch of these kinds."""
+    from ..rma.engine.base import RmaEngineBase
+    from ..rma.epoch import EpochKind
+
+    kinds = [EpochKind[name] for name in kind_names]
+    real = RmaEngineBase._wake_target
+
+    def mutated(self, ws, ep, target):
+        if ep.kind not in kinds:
+            real(self, ws, ep, target)
+
+    return patch.object(RmaEngineBase, "_wake_target", mutated)
+
+
 def lock_grant_wakeup_dropped():
     """Drop the *lock held at r* wake-up: the grant still flips
     ``lock_held`` but the epoch is not made due, so ops recorded before
     the grant are never posted and the unlock is never sent."""
-    from ..rma.engine.base import RmaEngineBase
-    from ..rma.epoch import EpochKind
+    return _grant_wakeup_dropped("LOCK", "LOCK_ALL")
 
-    real = RmaEngineBase._wake_target
 
-    def mutated(self, ws, ep, target):
-        if ep.kind not in (EpochKind.LOCK, EpochKind.LOCK_ALL):
-            real(self, ws, ep, target)
-
-    return patch.object(RmaEngineBase, "_wake_target", mutated)
+def grant_target_wakeup_dropped():
+    """Drop the *grant from r* wake-up of GATS access epochs: the
+    counter still moves but ``(epoch, r)`` is not made due, so ops
+    recorded toward ``r`` before the grant are never posted and a closed
+    epoch never sends ``r`` its done."""
+    return _grant_wakeup_dropped("GATS_ACCESS")
 
 
 def op_delivered_wakeup_dropped():
@@ -78,3 +95,19 @@ def op_delivered_wakeup_dropped():
         return False
 
     return patch.object(Epoch, "mark_delivered", mutated)
+
+
+def done_arrival_uncounted():
+    """Drop the *done from o* wake-up: ``done_id`` / the DONE counter
+    still move, but the exposure's arrival count does not, so the
+    exposure never sees its group complete."""
+    from ..rma.engine.nonblocking import NonblockingEngine
+    from ..rma.epoch import EpochKind
+
+    real = NonblockingEngine._wake_peer
+
+    def mutated(self, ws, kind, peer, advance=True):
+        if kind is not EpochKind.GATS_EXPOSURE:
+            real(self, ws, kind, peer, advance)
+
+    return patch.object(NonblockingEngine, "_wake_peer", mutated)

@@ -115,6 +115,10 @@ class RmaEngineBase:
         #: Epoch examinations: one per ``_advance_epoch`` call and one per
         #: (epoch, target) readiness test (exact and machine-independent).
         self.epochs_examined = 0
+        #: Completion tests inside those examinations: one per (epoch,
+        #: target) done / unlock test and one per group-predicate
+        #: evaluation (exposure, fence).  Exact like the above.
+        self.targets_examined = 0
         #: gid -> interned per-window visit-metric name (hot path).
         self._visit_metric: dict[int, str] = {}
         #: Blocking-flush snapshots: (ws, request, ops, local) tuples,
@@ -290,20 +294,22 @@ class RmaEngineBase:
     def _wake_post(self, ws: WindowState, ep: Epoch, target: int) -> None:
         """``ep``'s readiness toward ``target`` may have flipped."""
 
-    def _wake_advance(self, ws: WindowState, ep: Epoch) -> None:
-        """One of ``ep``'s completion conditions may have moved."""
+    def _wake_advance(self, ws: WindowState, ep: Epoch, target: int | None = None) -> None:
+        """One of ``ep``'s completion conditions may have moved: the one
+        toward ``target``, or (None) any of them."""
 
     def _wake_peer(self, ws: WindowState, kind: EpochKind, peer: int,
                    advance: bool = True) -> None:
         """A grant / done / fence announcement from ``peer`` landed: the
-        active epochs of ``kind`` that involve ``peer`` are due."""
+        active epochs of ``kind`` that involve ``peer`` are due, toward
+        ``peer`` only."""
 
     def _wake_target(self, ws: WindowState, ep: Epoch, target: int) -> None:
         """``target`` granted ``ep`` access: ops recorded toward it may
         post, and a closed epoch may send it its done / unlock."""
         if not ep.all_issued_to(target):
             self._wake_post(ws, ep, target)
-        self._wake_advance(ws, ep)
+        self._wake_advance(ws, ep, target)
 
     # =====================================================================
     # Packet reception
@@ -475,7 +481,7 @@ class RmaEngineBase:
         ep = ws.lock_epochs.pop((src, p.access_id), None)
         if ep is not None:
             ep.unlock_acked.add(src)
-            self._wake_advance(ws, ep)
+            self._wake_advance(ws, ep, src)
 
     def _on_fence_open(self, ws: WindowState, p: FenceOpen, src: int) -> None:
         if p.round_no > ws.remote_fence_open[p.origin]:
@@ -842,7 +848,7 @@ class RmaEngineBase:
         op.delivered = True
         op.deliver_time = self.sim.now
         if op.epoch.mark_delivered(op):
-            self._wake_advance(ws, op.epoch)
+            self._wake_advance(ws, op.epoch, op.target)
         self.mark_dirty(ws)
         prof = self.profiler
         if prof is not None:
@@ -923,24 +929,6 @@ class RmaEngineBase:
             checker.on_epoch_complete(ws, ep)
         if ep.closing_request is not None and not ep.closing_request.done:
             ep.closing_request.complete()
-
-    def _advance_exposure(self, ws: WindowState, ep: Epoch) -> bool:
-        """Exposure completion test: every origin's done packet arrived
-        (identical in both engines)."""
-        og = ep.origin_group
-        if len(og) > 1:
-            # Vectorized over the origin group: one gather + compare
-            # instead of a Python generator per origin per sweep.
-            ids = ep.exposure_ids
-            arrived = bool(
-                np.all(ws.done_id[list(og)] >= np.fromiter((ids[o] for o in og), np.int64, len(og)))
-            )
-        else:
-            arrived = all(ws.done_id[origin] >= ep.exposure_ids[origin] for origin in og)
-        if arrived:
-            self._complete_epoch(ws, ep)
-            return True
-        return False
 
     def test_exposure(self, win: "Window", ep: Epoch) -> bool:
         """MPI_WIN_TEST: nonblocking completion probe of an exposure."""

@@ -125,6 +125,13 @@ class MvapichEngine(RmaEngineBase):
             return self._advance_fence(ws, ep)
         raise AssertionError(f"unhandled kind {ep.kind}")
 
+    def _advance_exposure(self, ws: WindowState, ep: Epoch) -> bool:
+        """Exposure completion test: every origin's done packet arrived."""
+        if all(ws.done_id[origin] >= ep.exposure_ids[origin] for origin in ep.origin_group):
+            self._complete_epoch(ws, ep)
+            return True
+        return False
+
     # -- GATS access: issue-at-close with two-phase gating -----------------
     def _split_targets(self, ep: Epoch) -> tuple[list[int], list[int]]:
         """Internode/intranode partition of the epoch's target group,
@@ -139,13 +146,7 @@ class MvapichEngine(RmaEngineBase):
         return split
 
     def _all_granted(self, ws: WindowState, ep: Epoch, targets: list[int]) -> bool:
-        """The all-targets-ready gate (§VIII-B), vectorized over the
-        phase's peer group when it has more than one member."""
-        if len(targets) > 1:
-            ids = ep.access_ids
-            return ws.all_access_granted(
-                targets, [ids[t] for t in targets]
-            )
+        """The all-targets-ready gate (§VIII-B)."""
         return all(ws.access_granted(t, ep.access_ids[t]) for t in targets)
 
     def _advance_gats_access(self, ws: WindowState, ep: Epoch) -> bool:

@@ -198,9 +198,10 @@ class NonblockingEngine(RmaEngineBase):
         ep.state = EpochState.ACTIVE
         ep.activate_time = self.sim.now
         ep.activated_past = tuple(p.uid for p in active_preceding)
-        # Due on activation: it may have been closed while deferred (an
-        # exposure's dones may even be in already), and every op recorded
-        # while deferred is now postable.
+        # Due on activation, every target of it (``due_targets`` is still
+        # None): it may have been closed while deferred (an exposure's
+        # dones may even be in already), and every op recorded while
+        # deferred is now postable.
         ws.advance_ready.add(ep)
         ws.post_ready.update((ep, target) for target in ep.unissued_targets())
         checker = self._checker_of(ws)
@@ -222,6 +223,10 @@ class NonblockingEngine(RmaEngineBase):
             self._enroll_access(ws, ep)
         elif ep.kind is EpochKind.GATS_EXPOSURE:
             self._enroll_exposure(ws, ep)
+            # A done can be in before its exposure activates (a NOCHECK
+            # origin, or this epoch deferred behind another): count those
+            # now, later ones are counted as they land.
+            ep.done_from.update(o for o in ep.peers if self._done_arrived(ws, ep, o))
         elif ep.kind is EpochKind.FENCE:
             self._announce_fence(ws, ep)
 
@@ -265,9 +270,19 @@ class NonblockingEngine(RmaEngineBase):
         enrollment at ``target`` (ω form: ``A_i <= g_r``)."""
         return ws.access_granted(target, ep.access_ids[target])
 
+    def _done_arrived(self, ws: WindowState, ep: Epoch, origin: int) -> bool:
+        """Whether ``origin``'s done for this exposure epoch is in (ω
+        form: its access id reached the exposure's index)."""
+        return ws.done_id[origin] >= ep.exposure_ids[origin]
+
     def _fence_open_seen(self, ws: WindowState, target: int, round_no: int) -> bool:
         """Whether ``target`` announced entering fence round ``round_no``."""
         return ws.remote_fence_open[target] >= round_no
+
+    def _fence_done_landed(self, ws: WindowState, ep: Epoch, peer: int) -> None:
+        """``peer`` announced completing a fence round while ``ep`` is
+        active.  ω form: ``ws.fence_done_from`` counted it per round
+        already, nothing to do per epoch."""
 
     def _fence_done_reached(self, ws: WindowState, ep: Epoch) -> bool:
         """Barrier test for a closing fence: every peer completed the
@@ -290,9 +305,18 @@ class NonblockingEngine(RmaEngineBase):
     def _wake_post(self, ws: WindowState, ep: Epoch, target: int) -> None:
         ws.post_ready.add((ep, target))
 
-    def _wake_advance(self, ws: WindowState, ep: Epoch) -> None:
-        if ep.active:  # activation wakes a deferred epoch itself
-            ws.advance_ready.add(ep)
+    def _wake_advance(self, ws: WindowState, ep: Epoch, target: int | None = None) -> None:
+        if not ep.active:  # activation wakes a deferred epoch itself
+            return
+        if target is None:
+            ep.due_targets = None
+        elif not ep.app_closed:
+            # Dones and unlocks wait for the close call, which makes
+            # every target due: until then the examination is a no-op.
+            return
+        elif ep.due_targets is not None:
+            ep.due_targets.add(target)
+        ws.advance_ready.add(ep)
 
     def _wake_peer(self, ws: WindowState, kind: EpochKind, peer: int,
                    advance: bool = True) -> None:
@@ -300,16 +324,21 @@ class NonblockingEngine(RmaEngineBase):
             if not ep.active or ep.kind is not kind:
                 continue
             if kind is EpochKind.GATS_EXPOSURE:
-                involved = peer in ep.origin_group
-            else:  # a fence involves every peer; GATS until its done went out
-                involved = kind is EpochKind.FENCE or (
-                    peer in ep.targets and peer not in ep.done_sent
-                )
-            if involved:
+                if (
+                    peer in ep.peers
+                    and peer not in ep.done_from
+                    and self._done_arrived(ws, ep, peer)
+                ):
+                    ep.done_from.add(peer)
+                    ws.advance_ready.add(ep)
+            elif kind is EpochKind.FENCE:  # involves every peer
                 if not ep.all_issued_to(peer):
                     ws.post_ready.add((ep, peer))
                 if advance:
+                    self._fence_done_landed(ws, ep, peer)
                     ws.advance_ready.add(ep)
+            elif peer in ep.peers and peer not in ep.done_sent:
+                self._wake_target(ws, ep, peer)
 
     # =====================================================================
     # Op readiness and posting
@@ -417,12 +446,15 @@ class NonblockingEngine(RmaEngineBase):
         return progressed
 
     def _advance_epoch(self, ws: WindowState, ep: Epoch) -> bool:
-        """Move one active epoch toward completion; True if it completed."""
+        """Move one active epoch toward completion; True if it completed.
+        A closed access epoch tests only its due targets: the others
+        were found not ready last time and nothing of theirs moved."""
         self.epochs_examined += 1
         if ep.kind is EpochKind.GATS_ACCESS:
             if ep.app_closed:
                 done_sent = ep.done_sent
-                for target in ep.targets:
+                for target in ep.take_due_targets():
+                    self.targets_examined += 1
                     if (
                         target not in done_sent
                         and (ep.nocheck or self._access_granted(ws, ep, target))
@@ -443,7 +475,8 @@ class NonblockingEngine(RmaEngineBase):
                         self._complete_epoch(ws, ep)
                         return True
                     return False
-                for target in ep.targets:
+                for target in ep.take_due_targets():
+                    self.targets_examined += 1
                     if (
                         target not in ep.unlock_sent
                         and ep.lock_held.get(target, False)
@@ -471,12 +504,24 @@ class NonblockingEngine(RmaEngineBase):
             if ep.app_closed and ep.unissued_count == 0 and ep.undelivered == 0:
                 if not ep.fence_done_sent:
                     self._broadcast_fence_done(ws, ep)
+                self.targets_examined += 1
                 if self._fence_done_reached(ws, ep):
                     self._complete_epoch(ws, ep)
                     return True
             return False
 
         raise AssertionError(f"unhandled epoch kind {ep.kind}")
+
+    def _advance_exposure(self, ws: WindowState, ep: Epoch) -> bool:
+        """Exposure completion test: every origin's done is in — counted
+        as each landed, so one compare with the group size."""
+        self.targets_examined += 1
+        if len(ep.done_from) != len(ep.peers):
+            return False
+        if self._checker_of(ws) is not None:
+            assert all(self._done_arrived(ws, ep, o) for o in ep.peers), ep
+        self._complete_epoch(ws, ep)
+        return True
 
     # =====================================================================
     # Epoch lifecycle API (called by the Window facade)

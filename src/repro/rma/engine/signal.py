@@ -184,6 +184,8 @@ class SignalEngine(NonblockingEngine):
         for peer in ws.win.group.ranks:
             if peer != self.rank:
                 self._signal(ws, SignalChannel.FENCE_OPEN, peer, value=ep.fence_round)
+                # A peer can finish the round before this rank enters it.
+                self._fence_done_landed(ws, ep, peer)
 
     def _access_granted(self, ws: WindowState, ep: Epoch, target: int) -> bool:
         return ws.signal_board.reached(
@@ -199,13 +201,22 @@ class SignalEngine(NonblockingEngine):
                 self._signal(ws, SignalChannel.FENCE_DONE, peer, value=epoch.fence_round)
         epoch.fence_done_sent = True
 
+    def _fence_done_landed(self, ws: WindowState, ep: Epoch, peer: int) -> None:
+        if ws.signal_board.reached(SignalChannel.FENCE_DONE, peer, ep.fence_round):
+            ep.done_from.add(peer)
+
     def _fence_done_reached(self, ws: WindowState, ep: Epoch) -> bool:
-        board = ws.signal_board
-        return all(
-            board.reached(SignalChannel.FENCE_DONE, peer, ep.fence_round)
-            for peer in ws.win.group.ranks
-            if peer != self.rank
-        )
+        ranks = ws.win.group.ranks
+        if len(ep.done_from) != len(ranks) - 1:
+            return False
+        if self._checker_of(ws) is not None:
+            board = ws.signal_board
+            assert all(
+                board.reached(SignalChannel.FENCE_DONE, peer, ep.fence_round)
+                for peer in ranks
+                if peer != self.rank
+            ), ep
+        return True
 
     def _send_done(self, ws: WindowState, epoch: Epoch, target: int) -> None:
         # Access-epoch completion is one DONE-channel signal; the plain
@@ -216,16 +227,10 @@ class SignalEngine(NonblockingEngine):
         if self._trace_enabled():
             self._trace("done_sent", ws, epoch, target=target, access_id=value)
 
-    def _advance_exposure(self, ws: WindowState, ep: Epoch) -> bool:
-        board = ws.signal_board
-        arrived = all(
-            board.reached(SignalChannel.DONE, origin, ep.signal_expected[origin])
-            for origin in ep.origin_group
+    def _done_arrived(self, ws: WindowState, ep: Epoch, origin: int) -> bool:
+        return ws.signal_board.reached(
+            SignalChannel.DONE, origin, ep.signal_expected[origin]
         )
-        if arrived:
-            self._complete_epoch(ws, ep)
-            return True
-        return False
 
     # -- lock hosting (target side) ------------------------------------------
     def _grant_lock(self, ws: WindowState, waiter: "LockWaiter") -> None:

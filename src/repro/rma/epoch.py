@@ -84,6 +84,14 @@ class Epoch:
         self.targets = tuple(targets)
         #: Exposure-side origin group (GATS post group).
         self.origin_group = tuple(origin_group)
+        #: A GATS group as a set: every grant and done asks each live
+        #: epoch of the kind whether its sender belongs.  (Fence and
+        #: lock_all involve every rank and are never asked.)
+        self.peers = (
+            frozenset(self.targets or self.origin_group)
+            if kind is EpochKind.GATS_ACCESS or kind is EpochKind.GATS_EXPOSURE
+            else frozenset()
+        )
         self.exclusive = exclusive
         self.fence_round = fence_round
         #: MPI_MODE_NOCHECK: the application guarantees the matching
@@ -131,6 +139,15 @@ class Epoch:
         self.lock_held: dict[int, bool] = {}
         #: Done packet already sent per target (access side).
         self.done_sent: set[int] = set()
+        #: Peers whose completion announcement for this epoch is in (an
+        #: exposure's origins; under the counter-signal engine a fence's
+        #: peers): the group predicate is this set's size.
+        self.done_from: set[int] = set()
+        #: Targets whose done / unlock may have become sendable since the
+        #: epoch was last examined closed; None: every target (an epoch is
+        #: born that way, the close call restores it, and one with a
+        #: single target has nothing to narrow and stays that way).
+        self.due_targets: set[int] | None = None
         #: Unlock packet sent / acknowledged per target.
         self.unlock_sent: set[int] = set()
         self.unlock_acked: set[int] = set()
@@ -191,6 +208,21 @@ class Epoch:
         del self._undelivered_by_target[op.target][op.uid]
         self._undelivered_count -= 1
         return self.app_closed
+
+    def take_due_targets(self) -> tuple[int, ...] | list[int]:
+        """Pop the due targets, in ``targets`` order (the order dones and
+        unlocks leave in is part of the virtual-time contract)."""
+        due = self.due_targets
+        if due is None:
+            if len(self.targets) > 1:
+                self.due_targets = set()
+            return self.targets
+        if len(due) > 1:
+            out = [t for t in self.targets if t in due]
+        else:
+            out = tuple(due)
+        due.clear()
+        return out
 
     def undelivered_ops(self, target: int | None = None) -> list["RmaOp"]:
         """Ops not yet remotely complete, toward ``target`` (None: all)."""

@@ -78,7 +78,7 @@ class SignalBoard:
     def bump_outbound(self, channel: int, peer: int) -> int:
         """Allocate the next outbound value toward ``peer`` (the value a
         ``signal()`` writes into the peer's inbound replica)."""
-        value = int(self.outbound[channel, peer]) + 1
+        value = self.outbound[channel, peer] + 1
         if value >= SIGNAL_LIMIT:
             raise RmaInternalError(
                 f"signal counter wraparound: channel {SignalChannel(channel).name} "
@@ -112,7 +112,7 @@ class SignalBoard:
     def bump_expected(self, channel: int, peer: int, count: int = 1) -> int:
         """Consume ``count`` future signals from ``peer``; returns the
         inbound value that satisfies the reservation."""
-        value = int(self.expected[channel, peer]) + count
+        value = self.expected[channel, peer] + count
         if value >= SIGNAL_LIMIT:
             raise RmaInternalError(
                 f"signal counter wraparound: expected {SignalChannel(channel).name} "
@@ -123,11 +123,11 @@ class SignalBoard:
 
     def reached(self, channel: int, peer: int, value: int) -> bool:
         """``wait(expected)`` probe: has the inbound replica caught up?"""
-        return bool(self.inbound[channel, peer] >= value)
+        return self.inbound[channel, peer] >= value
 
     def unconsumed(self, channel: int, peer: int) -> int:
         """Signals arrived but not yet reserved by any wait/test."""
-        return int(self.inbound[channel, peer] - self.expected[channel, peer])
+        return self.inbound[channel, peer] - self.expected[channel, peer]
 
     # -- introspection -------------------------------------------------------
     def snapshot(self) -> dict[str, dict[str, dict[str, int]]]:

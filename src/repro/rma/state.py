@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from ..simtime import SparseCounterVec
 from .locks import LockManager
 
@@ -41,10 +39,9 @@ class WindowState:
         self.gid = win.group.gid
 
         # -- ω-triples (per remote rank) ---------------------------------
-        # Pooled sparse int64 vectors indexed by rank (every peer starts
-        # at 0, untouched peers allocate nothing) — the engines' ready-
-        # mask tests still compare whole peer groups at once via gather
-        # loads, but window registration is O(1) in nranks.
+        # Sparse vectors indexed by rank (every peer starts at 0,
+        # untouched peers allocate nothing): window registration is O(1)
+        # in nranks.
         nranks = win.group.runtime.nranks
         self.a = SparseCounterVec(nranks)
         self.e = SparseCounterVec(nranks)
@@ -76,7 +73,8 @@ class WindowState:
         # consumes them fill them.
         #: Pairs whose readiness test may have flipped (sweep steps 2/4).
         self.post_ready: set[tuple["Epoch", int]] = set()
-        #: Epochs whose completion conditions may have moved (steps 3/7).
+        #: Epochs whose completion conditions may have moved (steps 3/7);
+        #: which of an epoch's targets is in ``Epoch.due_targets``.
         self.advance_ready: set["Epoch"] = set()
         #: An epoch was opened or completed since the last activation scan.
         self.activation_pending = False
@@ -117,28 +115,20 @@ class WindowState:
         return self.age_counter
 
     def next_access_id(self, target: int) -> int:
-        """``A_i = ++a_l`` for an activating access epoch (§VII-B).
-
-        Returns a plain int: allocated ids are stored in epoch dicts and
-        wire packets, where numpy scalars must not leak.
-        """
-        self.a[target] += 1
-        return int(self.a[target])
+        """``A_i = ++a_l`` for an activating access epoch (§VII-B)."""
+        access_id = self.a[target] + 1
+        self.a[target] = access_id
+        return access_id
 
     def next_exposure_id(self, origin: int) -> int:
         """``++e_l`` for an activating exposure epoch / lock grant."""
-        self.e[origin] += 1
-        return int(self.e[origin])
+        exposure_id = self.e[origin] + 1
+        self.e[origin] = exposure_id
+        return exposure_id
 
     def access_granted(self, target: int, access_id: int) -> bool:
         """The O(1) matching test ``A_i <= g_r``."""
         return access_id <= self.g[target]
-
-    def all_access_granted(self, targets, access_ids) -> bool:
-        """Vectorized ``A_i <= g_r`` over a peer group: one fancy-indexed
-        gather + compare instead of a Python loop per target.  ``targets``
-        and ``access_ids`` must be equal-length index/id arrays."""
-        return bool(np.all(self.g[targets] >= access_ids))
 
     def live_epochs(self) -> list["Epoch"]:
         """Epochs whose internal lifetime has not ended."""

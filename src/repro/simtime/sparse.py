@@ -1,4 +1,4 @@
-"""Pooled sparse counter containers for O(active peers) engine state.
+"""Sparse counter containers for O(active peers) engine state.
 
 The RMA engines keep several per-window counter families indexed by peer
 rank (the ω-triple vectors ``a``/``e``/``g``/``done_id``) or by
@@ -8,164 +8,97 @@ registration — and every digest snapshot — O(nranks) even when a rank
 only ever talks to a handful of peers, which is exactly the per-pair
 state blowup "Quo Vadis MPI RMA?" documents for real implementations.
 
-:class:`SparseCounterVec` and :class:`SparseCounterMat` keep the numpy
-fast paths the engines rely on (scalar loads, fancy-indexed gathers for
-the vectorized grant checks) while allocating O(touched keys): a dict
-maps the key to a slot in a pooled ``int64`` array grown geometrically.
-Untouched keys read as 0 and allocate nothing — loads never materialize
-a slot; only stores do.
+:class:`SparseCounterVec` and :class:`SparseCounterMat` are a ``dict``
+of Python ints each: untouched keys read as 0 and allocate nothing —
+loads never materialize an entry; only stores do.  Every engine test is
+one scalar compare per peer (``A_i <= g_r``), so there is no vector
+form to serve.
 
-Both containers are deterministic: slot order is touch order, and
-:meth:`items` iterates nonzero entries in ascending key order so digest
-material is independent of touch order.
+Both containers are deterministic: :meth:`items` / :meth:`row_items`
+iterate nonzero entries in ascending key order, so digest material is
+independent of touch order.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 __all__ = ["SparseCounterVec", "SparseCounterMat"]
-
-#: Initial pool size; doubled on exhaustion.
-_INITIAL_POOL = 8
 
 
 class SparseCounterVec:
-    """Sparse int64 counter vector indexed by peer rank.
+    """Sparse counter vector indexed by peer rank.
 
-    Drop-in for the dense ``np.zeros(nranks, np.int64)`` ω vectors:
-    scalar ``v[r]`` loads (0 for untouched ranks), scalar stores,
-    in-place ``v[r] += k``, and gather loads ``v[list_of_ranks]``
-    returning an ``np.ndarray`` for vectorized comparisons.  Memory is
-    O(touched ranks), independent of ``nranks``.
+    Scalar ``v[r]`` loads (0 for untouched ranks), scalar stores and
+    in-place ``v[r] += k``.  Memory is O(touched ranks), independent of
+    ``nranks``.
     """
 
-    __slots__ = ("_slots", "_pool", "_used")
+    __slots__ = ("_values",)
 
     def __init__(self, nranks: int = 0):
         # ``nranks`` is accepted (and ignored) for signature parity with
-        # the dense constructor; sizing is driven purely by touches.
-        self._slots: dict[int, int] = {}
-        self._pool = np.zeros(_INITIAL_POOL, dtype=np.int64)
-        self._used = 0
+        # a dense constructor; sizing is driven purely by touches.
+        self._values: dict[int, int] = {}
 
-    def _slot(self, key: int) -> int:
-        """Slot for ``key``, materializing one (store path only)."""
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._used
-            if slot == len(self._pool):
-                grown = np.zeros(2 * len(self._pool), dtype=np.int64)
-                grown[:slot] = self._pool
-                self._pool = grown
-            self._slots[int(key)] = slot
-            self._used = slot + 1
-        return slot
+    def __getitem__(self, key: int) -> int:
+        return self._values.get(key, 0)
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            slot = self._slots.get(int(key))
-            return 0 if slot is None else int(self._pool[slot])
-        # Gather: list/tuple/ndarray of ranks -> int64 ndarray.
-        slots = self._slots
-        pool = self._pool
-        return np.fromiter(
-            (0 if (s := slots.get(int(k))) is None else pool[s] for k in key),
-            dtype=np.int64,
-            count=len(key),
-        )
-
-    def __setitem__(self, key: int, value) -> None:
-        # Resolve the slot first: _slot may grow (rebind) the pool.
-        slot = self._slot(int(key))
-        self._pool[slot] = value
+    def __setitem__(self, key: int, value: int) -> None:
+        self._values[key] = value
 
     def __len__(self) -> int:
-        return self._used
+        return len(self._values)
 
     def __contains__(self, key: int) -> bool:
-        return int(key) in self._slots
+        return key in self._values
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Nonzero ``(rank, value)`` pairs in ascending rank order."""
-        pool = self._pool
-        for key in sorted(self._slots):
-            v = pool[self._slots[key]]
+        values = self._values
+        for key in sorted(values):
+            v = values[key]
             if v:
-                yield key, int(v)
+                yield key, v
 
     def sum(self) -> int:
         """Sum over all (touched) entries — untouched ranks are 0."""
-        return int(self._pool[: self._used].sum())
+        return sum(self._values.values())
 
     def touched(self) -> int:
-        """Number of materialized slots (test/diagnostic hook)."""
-        return self._used
+        """Number of materialized entries (test/diagnostic hook)."""
+        return len(self._values)
 
 
 class SparseCounterMat:
-    """Sparse int64 counter matrix indexed by ``(row, peer)``.
+    """Sparse counter matrix indexed by ``(row, peer)``.
 
-    Drop-in for the dense ``np.zeros((nrows, nranks))`` signal-board
-    arrays: scalar ``m[row, r]`` loads/stores and gather loads
-    ``m[row, list_of_ranks]``.  Rows are a small fixed enum (signal
-    channels); columns are peer ranks, materialized on store only.
+    Scalar ``m[row, r]`` loads/stores.  Rows are a small fixed enum
+    (signal channels); columns are peer ranks, materialized on store
+    only.
     """
 
-    __slots__ = ("_slots", "_pool", "_used")
+    __slots__ = ("_values",)
 
     def __init__(self, nrows: int = 0, nranks: int = 0):
         # Both shape arguments are accepted for dense-constructor parity
         # and ignored; sizing is driven purely by touches.
-        self._slots: dict[tuple[int, int], int] = {}
-        self._pool = np.zeros(_INITIAL_POOL, dtype=np.int64)
-        self._used = 0
+        self._values: dict[tuple[int, int], int] = {}
 
-    def _slot(self, row: int, col: int) -> int:
-        key = (row, col)
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._used
-            if slot == len(self._pool):
-                grown = np.zeros(2 * len(self._pool), dtype=np.int64)
-                grown[:slot] = self._pool
-                self._pool = grown
-            self._slots[key] = slot
-            self._used = slot + 1
-        return slot
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        return self._values.get(key, 0)
 
-    def __getitem__(self, key):
-        row, col = key
-        row = int(row)
-        if isinstance(col, (int, np.integer)):
-            slot = self._slots.get((row, int(col)))
-            return 0 if slot is None else int(self._pool[slot])
-        slots = self._slots
-        pool = self._pool
-        return np.fromiter(
-            (0 if (s := slots.get((row, int(c)))) is None else pool[s] for c in col),
-            dtype=np.int64,
-            count=len(col),
-        )
-
-    def __setitem__(self, key, value) -> None:
-        row, col = key
-        # Resolve the slot first: _slot may grow (rebind) the pool.
-        slot = self._slot(int(row), int(col))
-        self._pool[slot] = value
+    def __setitem__(self, key: tuple[int, int], value: int) -> None:
+        self._values[key] = value
 
     def row_items(self, row: int) -> Iterator[tuple[int, int]]:
         """Nonzero ``(peer, value)`` pairs of ``row``, ascending peer."""
-        row = int(row)
-        pool = self._pool
-        pairs = sorted(k[1] for k in self._slots if k[0] == row)
-        for col in pairs:
-            v = pool[self._slots[(row, col)]]
+        values = self._values
+        for col in sorted(k[1] for k in values if k[0] == row):
+            v = values[row, col]
             if v:
-                yield col, int(v)
+                yield col, v
 
     def touched(self) -> int:
-        """Number of materialized slots (test/diagnostic hook)."""
-        return self._used
+        """Number of materialized entries (test/diagnostic hook)."""
+        return len(self._values)

@@ -7,7 +7,7 @@ divergence within a 64-schedule budget, (2) replay the failing seed to a
 byte-identical digest, and (3) shrink it to a minimal perturbation set
 that still fails.
 
-The two ready-set mutants (a dropped wake-up each) must die differently:
+The four ready-set mutants (a dropped wake-up each) must die differently:
 as a deadlock, never as a digest mismatch.
 """
 
@@ -18,6 +18,8 @@ import pytest
 from repro.explore import VARIANTS, explore, run_workload, shrink, specs_for
 from repro.explore.mutation import (
     activation_gate_disabled,
+    done_arrival_uncounted,
+    grant_target_wakeup_dropped,
     lock_grant_wakeup_dropped,
     op_delivered_wakeup_dropped,
 )
@@ -99,25 +101,32 @@ def test_shrink_failing_seed_to_minimal_set():
 # Ready-set wake-up mutants: a missed wake-up must be *loud*
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "mutant", [lock_grant_wakeup_dropped, op_delivered_wakeup_dropped],
-    ids=["lock-grant", "op-delivered"],
+    "mutant, workload",
+    [
+        (lock_grant_wakeup_dropped, "transactions"),
+        (op_delivered_wakeup_dropped, "transactions"),
+        (grant_target_wakeup_dropped, "lu"),
+        (done_arrival_uncounted, "lu"),
+    ],
+    ids=["lock-grant", "op-delivered", "grant-target", "done-arrival"],
 )
-def test_dropped_wakeup_is_killed_as_a_deadlock_never_a_wrong_answer(mutant):
-    """Default budget (baseline + 4 schedules) on the lock-epoch
-    workload, every ready-set variant: each run either deadlocks or
-    still agrees with the healthy reference, and the mutant is killed."""
-    ref = run_workload("transactions", VARIANTS[0], None).digest.strict_sha
+def test_dropped_wakeup_is_killed_as_a_deadlock_never_a_wrong_answer(mutant, workload):
+    """Default budget (baseline + 4 schedules) on a workload that lives
+    on the dropped row (lock epochs / GATS), every ready-set variant:
+    each run either deadlocks or still agrees with the healthy
+    reference, and the mutant is killed."""
+    ref = run_workload(workload, VARIANTS[0], None).digest.strict_sha
     ready_set_variants = [v for v in VARIANTS if v.engine != "mvapich"]
     deadlocks = 0
     with mutant():
         for variant in ready_set_variants:
             for spec in [None, *specs_for(4)]:
                 try:
-                    run = run_workload("transactions", variant, spec)
+                    run = run_workload(workload, variant, spec)
                 except SimulationDeadlock:
                     deadlocks += 1
                 else:
                     assert run.digest.strict_sha == ref
     assert deadlocks
     # restored on exit: the healthy engine is clean again
-    assert run_workload("transactions", _NEW_NB, None).digest.strict_sha == ref
+    assert run_workload(workload, _NEW_NB, None).digest.strict_sha == ref

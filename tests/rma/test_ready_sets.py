@@ -1,16 +1,19 @@
 """The per-window ready sets are sound, precise and loud when wrong.
 
 Production sweeps examine only the epochs and (epoch, target) pairs
-whose own predicate inputs moved (the wake-up table in
-docs/PERFORMANCE.md part 3).  The engines in this file exist only here:
+whose own predicate inputs moved, and read group predicates off arrival
+counts (the wake-up table in docs/PERFORMANCE.md part 3).  The engines
+in this file exist only here:
 
-- ``Exhaustive*`` mark every live epoch and pair due before every step,
-  which is the historical every-epoch walk.  It must be indistinguishable
-  from production on every observable of a run — a missed wake-up shows
-  as a different virtual time or a deadlock, a spurious *order* as a
-  different send log.
+- ``Exhaustive*`` mark every live epoch, every one of its targets and
+  every pair due, and recount every arrival, before every step — the
+  historical walk over every target of every epoch.  It must be
+  indistinguishable from production on every observable of a run — a
+  missed wake-up shows as a different virtual time or a deadlock, a
+  spurious *order* as a different send log.
 - ``Audited*`` check the fixpoint invariant directly after every
-  outermost ``poke()``: nothing outside the sets would move if examined.
+  outermost ``poke()``: no epoch and no target outside the sets would
+  move if examined, and every arrival count equals its predicate.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from repro.apps.transactions import TransactionsConfig, run_transactions
 from repro.explore import ExplorationContext, build_digest
 from repro.mpi.info import Info
 from repro.network.fabric import Fabric
-from repro.rma import SEMANTICS_CHECK_INFO_KEY
+from repro.rma import MODE_NOCHECK, SEMANTICS_CHECK_INFO_KEY, SEMANTICS_MODE_INFO_KEY
 from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.rma.engine.registry import canonical_engine
 from repro.rma.engine.signal import SignalEngine
 from repro.rma.epoch import EpochKind
 from repro.rma.flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R
+from repro.rma.notify import SignalChannel
 from repro.rma.packets import GrantUpdate, UnlockAck
 from repro.simtime import SimulationDeadlock
 from repro.workloads import get_workload, workload_names
@@ -41,38 +45,51 @@ from tests.test_chaos_property import ALL_FLAGS_CHECKED, random_accumulate_app
 # ---------------------------------------------------------------------------
 # Test-only engines
 # ---------------------------------------------------------------------------
-def _mark_all(ws) -> None:
-    for ep in ws.epochs:
-        if ep.active:
-            ws.advance_ready.add(ep)
-            ws.post_ready.update((ep, t) for t in ep.unissued_targets())
-    ws.activation_pending = True
+def _arrivals(engine, ws, ep) -> set[int]:
+    """``ep``'s arrival count, recomputed from the protocol's counters."""
+    if ep.kind is EpochKind.GATS_EXPOSURE:
+        return {o for o in ep.peers if engine._done_arrived(ws, ep, o)}
+    board = ws.signal_board  # fences count per epoch under signals only
+    if ep.kind is EpochKind.FENCE and board is not None:
+        return {p for p in ws.win.group.ranks if p != engine.rank
+                and board.reached(SignalChannel.FENCE_DONE, p, ep.fence_round)}
+    return set()
 
 
 class _Exhaustive:
-    """Every step of every sweep sees every live epoch and pair due."""
+    """Every step of every sweep sees every live epoch, target and pair
+    due, and every arrival count fresh from its predicate."""
+
+    def _mark_all(self, ws) -> None:
+        for ep in ws.epochs:
+            if ep.active:
+                ws.advance_ready.add(ep)
+                ep.due_targets = None
+                ep.done_from = _arrivals(self, ws, ep)
+                ws.post_ready.update((ep, t) for t in ep.unissued_targets())
+        ws.activation_pending = True
 
     def _take_dirty(self):
         dirty = super()._take_dirty()
         for ws in dirty:
-            _mark_all(ws)
+            self._mark_all(ws)
         return dirty
 
     def _merge_marked(self, dirty):
         merged = super()._merge_marked(dirty)
         for ws in merged:
-            _mark_all(ws)
+            self._mark_all(ws)
         return merged
 
     def _complete_and_activate(self, ws):
         total = 0
         while True:  # the old ``while changed`` loop over all of ws.epochs
-            _mark_all(ws)
+            self._mark_all(ws)
             progressed = super()._complete_and_activate(ws)
             total += progressed
             if not progressed:
                 break
-        _mark_all(ws)  # the step after this one looked at everything too
+        self._mark_all(ws)  # the step after this one looked at everything too
         return total
 
 
@@ -86,7 +103,9 @@ class ExhaustiveSignal(_Exhaustive, SignalEngine):
 
 class _Audited:
     """After every outermost poke, whatever is outside the ready sets
-    must be at a fixpoint: examining it sends and completes nothing."""
+    must be at a fixpoint: examining it — every one of its targets —
+    sends and completes nothing, and what the counts say is what the
+    predicates say."""
 
     def poke(self):
         outermost = not self._sweeping
@@ -104,13 +123,17 @@ class _Audited:
                 if (ep, target) not in due_pairs:
                     assert not self._target_ready(ws, ep, target), (
                         f"missed post wake-up: {ep} -> {target}")
+            assert ep.done_from == _arrivals(self, ws, ep), f"miscounted arrivals: {ep}"
             if ep not in due_epochs:
                 def sent():
                     return (len(ep.done_sent), len(ep.unlock_sent),
                             ep.fence_done_sent, self.fabric.messages_sent)
                 before = sent()
+                # Not due means none of its targets is: test them all.
+                was_due, ep.due_targets = ep.due_targets, None
                 assert not self._advance_epoch(ws, ep), f"missed advance wake-up: {ep}"
-                assert sent() == before, f"missed advance wake-up (partial): {ep}"
+                assert sent() == before, f"missed target wake-up: {ep}"
+                ep.due_targets = was_due
         if not ws.activation_pending:
             assert self._try_activate(ws) == 0, "missed activation wake-up"
 
@@ -224,19 +247,38 @@ def test_registry_workloads_pass_the_audit(monkeypatch, workload, engine):
     assert all(isinstance(e, _Audited) for rt in context.runtimes for e in rt.engines)
 
 
-def _mixed_origin_app(kinds, delays, flags):
-    """Rank 0 opens lock / lock_all / GATS access epochs toward ranks 1
-    and 2 back to back, all nonblocking; the hosts post for the GATS
-    ones in order.  No registry workload mixes kinds toward one host."""
+_HOSTS = (1, 2, 3, 4)
+# One step of rank 0's program: ("lock", host, nocheck), ("lock_all",) or
+# ("gats", hosts, hosts that get an op, nocheck).
+_STEPS = st.one_of(
+    st.tuples(st.just("lock"), st.sampled_from(_HOSTS), st.booleans()),
+    st.just(("lock_all",)),
+    st.lists(st.sampled_from(_HOSTS), min_size=1, max_size=4, unique=True).flatmap(
+        lambda hosts: st.tuples(
+            st.just("gats"), st.just(tuple(hosts)),
+            st.sets(st.sampled_from(hosts)), st.booleans())),
+)
+
+
+def _mixed_origin_app(steps, delays, flags):
+    """Rank 0 opens lock / lock_all / GATS access epochs toward ranks
+    1..4 back to back, all nonblocking; each host starts after its own
+    delay and posts for the GATS epochs that name it, in order.  No
+    registry workload mixes kinds toward one host, leaves a GATS target
+    without an op, or asserts MODE_NOCHECK.  A NOCHECK start whose host
+    posts late is a false assertion: the checker reports it (report
+    mode), the engines must still agree on what happens."""
+    info = {SEMANTICS_CHECK_INFO_KEY: 1, SEMANTICS_MODE_INFO_KEY: "report", **flags}
+
     def app(proc):
-        win = yield from proc.win_allocate(64, info={SEMANTICS_CHECK_INFO_KEY: 1, **flags})
+        win = yield from proc.win_allocate(64, info=info)
         yield from proc.barrier()
         yield from proc.compute(delays[proc.rank])
         reqs = []
-        for step, kind in enumerate(kinds):
-            val, hosts = np.int64([step + 1]), tuple(int(c) for c in kind if c.isdigit())
+        for n, (kind, *args) in enumerate(steps):
+            val = np.int64([n + 1])
             if proc.rank != 0:
-                if kind.startswith("gats") and proc.rank in hosts:
+                if kind == "gats" and proc.rank in args[0]:
                     yield from win.post((0,))
                     yield from win.wait_epoch()
             elif kind == "lock_all":
@@ -244,14 +286,17 @@ def _mixed_origin_app(kinds, delays, flags):
                 win.accumulate(val, 1, 0)
                 win.accumulate(val, 2, 0)
                 reqs.append(win.iunlock_all())
-            elif kind.startswith("lock"):
-                win.ilock(hosts[0])
-                win.accumulate(val, hosts[0], 8)
-                reqs.append(win.iunlock(hosts[0]))
+            elif kind == "lock":
+                host, nocheck = args
+                win.ilock(host, assert_=MODE_NOCHECK if nocheck else 0)
+                win.accumulate(val, host, 8)
+                reqs.append(win.iunlock(host))
             else:
-                win.istart(hosts)
+                hosts, with_op, nocheck = args
+                win.istart(hosts, MODE_NOCHECK if nocheck else 0)
                 for host in hosts:
-                    win.accumulate(val, host, 16)
+                    if host in with_op:
+                        win.accumulate(val, host, 16)
                 reqs.append(win.icomplete())
         yield from proc.waitall(reqs)
         yield from proc.barrier()
@@ -260,27 +305,27 @@ def _mixed_origin_app(kinds, delays, flags):
 
 
 @given(
-    kinds=st.lists(
-        st.sampled_from(["lock1", "lock2", "gats1", "gats2", "gats12", "lock_all"]),
-        min_size=2, max_size=6),
-    delays=st.tuples(*[st.sampled_from([0.0, 3.0, 40.0])] * 3),
+    steps=st.lists(_STEPS, min_size=2, max_size=6),
+    delays=st.tuples(*[st.sampled_from([0.0, 3.0, 40.0])] * 5),
     flags=st.sampled_from(["A_A_A_R", "allflags"]),
     engine=st.sampled_from(["nonblocking", "signal"]),
     cores_per_node=st.sampled_from([1, 4]),
 )
 @settings(max_examples=40, deadline=None)
 def test_mixed_kinds_toward_one_host_match_the_exhaustive_walk(
-        kinds, delays, flags, engine, cores_per_node):
+        steps, delays, flags, engine, cores_per_node):
     """Epoch kinds share state (ω counts lock and exposure grants in one
-    ``g_r``), so a wake-up row can be too narrow only for a mix.  Some of
-    these programs hang on any engine; what is asserted is that all three
+    ``g_r``), so a wake-up row can be too narrow only for a mix; a grant
+    has a completion half of its own only toward a target without ops;
+    a done can precede its exposure only under NOCHECK.  Some of these
+    programs hang on any engine; what is asserted is that all three
     engines agree, and that the audit never fires."""
     def outcome(classes):
         with pytest.MonkeyPatch.context() as mp:
             _substitute(mp, classes)
-            rt = make_runtime(3, engine, cores_per_node=cores_per_node)
+            rt = make_runtime(5, engine, cores_per_node=cores_per_node)
         try:
-            return rt.run(_mixed_origin_app(kinds, delays, FLAG_SETS[flags])), rt.now
+            return rt.run(_mixed_origin_app(steps, delays, FLAG_SETS[flags])), rt.now
         except SimulationDeadlock:
             return "deadlock"
 
@@ -472,3 +517,39 @@ def test_examinations_per_epoch_are_bounded():
     assert examined <= 8 * epochs
     blocking, _ = _examined(nonblocking=False)
     assert blocking <= 5200
+
+
+@pytest.mark.parametrize("engine", ["nonblocking", "signal"])
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_completion_tests_per_fanout_epoch_are_linear_in_its_targets(engine, k):
+    """1 -> k GATS fan-out, the hosts posting one after the other once
+    the origin sits in ``complete``: every grant and every delivery
+    re-examines the closed epoch.  Testing all k targets each time made
+    that ~2·k² tests per epoch; a due target is tested on the close
+    call, on its grant and on its delivery.  An exposure evaluates its
+    group predicate on activation, close and arrival."""
+    rounds = 3
+    hosts = tuple(range(1, k + 1))
+
+    def app(proc):
+        win = yield from proc.win_allocate(64)
+        yield from proc.barrier()
+        for step in range(rounds):
+            if proc.rank == 0:
+                yield from win.start(hosts)
+                for host in hosts:
+                    win.put(np.int64([step + 1]), host, 0)
+                yield from win.complete()
+            else:
+                yield from proc.compute(2.0 * proc.rank)
+                yield from win.post((0,))
+                yield from win.wait_epoch()
+        yield from proc.barrier()
+        return int(win.view(np.int64)[0])
+
+    rt = make_runtime(k + 1, engine)
+    assert rt.run(app) == [0] + [rounds] * k
+    origin, *exposers = rt.engines
+    assert 2 * k * rounds < origin.targets_examined <= 4 * k * rounds
+    for eng in exposers:
+        assert eng.targets_examined <= 4 * rounds

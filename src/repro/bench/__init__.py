@@ -1,22 +1,11 @@
-"""Benchmark support: the paper's three test series, the §VIII
-microbenchmark scenarios (Figs. 2–11), and table rendering used by the
-``benchmarks/`` harness."""
+"""Benchmark support: the paper's test series, the figure registry
+(every §VIII table ``python -m repro.bench`` regenerates; the scenarios
+behind Figs. 2–11 are in :mod:`repro.bench.figures`), and the table
+rendering shared with the ``benchmarks/`` harness."""
 
 from .calibration import PAPER_1MB_PUT_US, default_model
-from .figures import (
-    SIZES_4B_TO_1MB,
-    fig02_late_post,
-    fig03_late_complete,
-    fig04_early_fence,
-    fig05_wait_at_fence,
-    fig06_late_unlock,
-    fig07_aaar_gats,
-    fig08_aaar_lock,
-    fig09_aaer,
-    fig10_eaer,
-    fig11_eaar,
-)
 from .harness import SERIES, Series, format_table, series_label
+from .registry import FIGURES, Figure
 
 __all__ = [
     "SERIES",
@@ -25,15 +14,6 @@ __all__ = [
     "format_table",
     "default_model",
     "PAPER_1MB_PUT_US",
-    "SIZES_4B_TO_1MB",
-    "fig02_late_post",
-    "fig03_late_complete",
-    "fig04_early_fence",
-    "fig05_wait_at_fence",
-    "fig06_late_unlock",
-    "fig07_aaar_gats",
-    "fig08_aaar_lock",
-    "fig09_aaer",
-    "fig10_eaer",
-    "fig11_eaar",
+    "FIGURES",
+    "Figure",
 ]

@@ -1,63 +1,33 @@
 """Standalone figure-table runner: ``python -m repro.bench``.
 
-Regenerates the §VIII microbenchmark tables (Figs. 2-11) without
-pytest.  For the application figures (12, 13) and wall-clock tracking,
-use ``pytest benchmarks/ --benchmark-only``.
+Regenerates every table in the figure registry
+(:mod:`repro.bench.registry`) without pytest: the §VIII microbenchmark
+figures (Figs. 2-11), the Fig. 12 rank-count sweep, ``protocol_cost``
+and ``coll_overlap``.  The application-level Fig. 12 / Fig. 13 runs,
+the §VIII-A latency table and the ablations are ``pytest benchmarks/``;
+host-time (how fast the simulator itself runs) is ``python3 -m perf``.
 
-Usage::
+Usage (``--help`` lists every flag)::
 
-    python -m repro.bench                    # every microbenchmark figure
+    python -m repro.bench                    # every registered figure
     python -m repro.bench fig02 fig06 ...    # a subset
-    python -m repro.bench protocol_cost      # causal blocked-time figure
-                                             # (4 engine series x 6 workloads,
-                                             # see repro.obs.critpath)
-    python -m repro.bench --json out.json    # machine-readable rows
-    python -m repro.bench --json -           # JSON to stdout
+    python -m repro.bench --json out.json    # machine-readable rows ('-': stdout)
     python -m repro.bench --check BENCH_seed.json [--tolerance 0.2]
                           [--figure-tolerance NAME=VAL] [--diff-out diff.json]
-                                             # regression guard: re-run and
-                                             # diff against a baseline doc;
-                                             # exit 1 on per-figure drift
-                                             # (protocol_cost is held exact
-                                             # by default: it is integer
-                                             # virtual-time data)
-    python -m repro.bench --wallclock        # host-throughput suite: flat /
-                                             # worklist / full-scan sweeping
-                                             # over hot_idle, lock_heavy,
-                                             # fan_in
-    python -m repro.bench --wallclock --samples 3
-                                             # best-of-3 wall times (CI
-                                             # de-flaking); deterministic
-                                             # fields must agree across
-                                             # samples
-    python -m repro.bench --wallclock --json out.json
-    python -m repro.bench --wallclock --check BENCH_wallclock.json \
-                          [--tolerance 0.3]  # fail if any workload's flat
-                                             # events/sec fell more than the
-                                             # tolerance below the committed
-                                             # baseline, or any deterministic
-                                             # field (events, sweeps, window
-                                             # visits, virtual time) drifted
-                                             # at all
-    python -m repro.bench --scaling          # Fig. 12 rank-count sweep:
-                                             # contended fan-in at 64..4096
-                                             # simulated ranks, 4 series,
-                                             # plus the per-event host-cost
-                                             # slope (must stay ~flat)
-    python -m repro.bench --scaling --smoke  # CI subset (64, 256, 1024)
-    python -m repro.bench --scaling --ranks 64,128,256
-    python -m repro.bench --scaling --samples 2
-                                             # deterministic fields must
-                                             # agree across repeat runs
-    python -m repro.bench --scaling --slope-gate 0.35
-                                             # fail if per-event wall cost
-                                             # grows faster than N^gate
-    python -m repro.bench --scaling --check BENCH_seed.json
-                                             # exact comparison of every
-                                             # (series, rank count)
-                                             # throughput cell against the
-                                             # committed fig12_collapse
-                                             # figure (subset of ranks ok)
+        # regression guard: re-run and diff against a baseline doc; the
+        # pure virtual-time figures are held exact by their registry
+        # tolerance whatever --tolerance says
+    python -m repro.bench --scaling [--smoke | --ranks 64,128,256]
+                          [--samples 2] [--slope-gate 0.35]
+                          [--check BENCH_seed.json]
+        # Fig. 12 rank-count sweep: contended fan-in at 64..4096 simulated
+        # ranks (--smoke: 64, 256, 1024), 4 series.  Gates: deterministic
+        # fields agree across --samples runs; per-event wall cost grows no
+        # faster than N^gate; with --check every (series, rank count)
+        # throughput cell equals the committed fig12_collapse figure
+        # (a subset of its ranks is fine)
+
+Exit codes: 0 ok, 1 drift (or a failed scaling gate), 2 usage error.
 
 The JSON document carries run metadata plus a list of figure objects,
 each with its per-series rows::
@@ -78,233 +48,24 @@ hunts diff against.
 
 from __future__ import annotations
 
+import argparse
 import json
 import platform
-import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from . import figures
-from .harness import SERIES, format_table
-
-MB = 1 << 20
-
-#: (title, columns, rows) produced by one figure builder.
-FigData = tuple
-
-
-def _sweep_sizes(fn, metric: str) -> dict:
-    sizes = {"4B": 4, "64KB": 65536, "1MB": MB}
-    return {
-        s.name: {label: fn(s, n)[metric] for label, n in sizes.items()} for s in SERIES
-    }
-
-
-def _fig02_data() -> FigData:
-    rows = {s.name: figures.fig02_late_post(s) for s in SERIES}
-    return "Fig. 2: Late Post", ("access_epoch", "two_sided", "cumulative"), rows
-
-
-def _fig03_data() -> FigData:
-    rows = _sweep_sizes(figures.fig03_late_complete, "target_epoch")
-    return "Fig. 3: Late Complete (target epoch)", ("4B", "64KB", "1MB"), rows
-
-
-def _fig04_data() -> FigData:
-    rows = {
-        s.name: {"256KB": figures.fig04_early_fence(s, 256 * 1024)["cumulative"],
-                 "1MB": figures.fig04_early_fence(s, MB)["cumulative"]}
-        for s in SERIES
-    }
-    return "Fig. 4: Early Fence (cumulative)", ("256KB", "1MB"), rows
-
-
-def _fig05_data() -> FigData:
-    rows = _sweep_sizes(figures.fig05_wait_at_fence, "target_epoch")
-    return "Fig. 5: Wait at Fence (target epoch)", ("4B", "64KB", "1MB"), rows
-
-
-def _fig06_data() -> FigData:
-    rows = {s.name: figures.fig06_late_unlock(s) for s in SERIES}
-    return "Fig. 6: Late Unlock", ("first_lock", "second_lock"), rows
-
-
-def _flag_rows(fn) -> dict:
-    return {"off": fn(False), "on": fn(True)}
-
-
-def _fig07_data() -> FigData:
-    return ("Fig. 7: A_A_A_R (GATS)", ("target_T1", "origin_cumulative"),
-            _flag_rows(figures.fig07_aaar_gats))
-
-
-def _fig08_data() -> FigData:
-    return ("Fig. 8: A_A_A_R (lock)", ("o1_cumulative",),
-            _flag_rows(figures.fig08_aaar_lock))
-
-
-def _fig09_data() -> FigData:
-    return ("Fig. 9: A_A_E_R", ("target_P1", "p2_cumulative"),
-            _flag_rows(figures.fig09_aaer))
-
-
-def _fig10_data() -> FigData:
-    return ("Fig. 10: E_A_E_R", ("origin_O1", "target_cumulative"),
-            _flag_rows(figures.fig10_eaer))
-
-
-def _fig11_data() -> FigData:
-    return ("Fig. 11: E_A_A_R", ("origin_P1", "p2_cumulative"),
-            _flag_rows(figures.fig11_eaar))
-
-
-def _protocol_cost_data() -> FigData:
-    """Per-category blocked time of the four engine series across the
-    six test-matrix workloads (the paper's protocol-cost story told by
-    the causal recorder; see ``docs/OBSERVABILITY.md``).
-
-    Values are integer nanoseconds of epoch-active time attributed by
-    :func:`repro.obs.critpath.attribute_epochs` — fully deterministic,
-    so the baseline check holds this figure to exact equality (see
-    :data:`DEFAULT_FIGURE_TOLERANCES`).
-    """
-    from ..obs.causal import CATEGORIES
-    from ..obs.critpath import critpath_report
-    from ..obs.workloads import run_instrumented
-    from ..workloads import CLASSIC_WORKLOADS, SERIES
-
-    # Pinned to the classic six-workload matrix: the committed baseline
-    # is exact-equality, so registry growth must not change this figure.
-    label = {s.name: s.label for s in SERIES}
-    rows: dict[str, dict] = {}
-    for series_key in ("mvapich", "new", "new-nonblocking", "signal"):
-        for workload in CLASSIC_WORKLOADS:
-            runtime = run_instrumented(workload, series_key, metrics=False)
-            doc = critpath_report(runtime, include_epochs=False)
-            rows[f"{label[series_key]}/{workload}"] = {
-                c: doc["blocked_ns"][c] for c in CATEGORIES
-            }
-    return "Protocol cost: per-category blocked time", CATEGORIES, rows, "ns"
-
-
-def _coll_overlap_data() -> FigData:
-    """Blocking vs persistent-nonblocking collective invocations over
-    three counts shapes (see :mod:`repro.bench.coll_overlap`).  Pure
-    virtual-time data — held to exact equality by the baseline check."""
-    from .coll_overlap import coll_overlap_data
-
-    return coll_overlap_data()
-
-
-def _fig12_collapse_data() -> FigData:
-    """Fig. 12's rank-count scaling sweep (see :mod:`repro.bench.scaling`):
-    aggregate throughput of the contended fan-in workload, 4 engine
-    series x rank counts 64..4096.  Pure virtual-time data — held to
-    exact equality by the baseline check."""
-    from .scaling import fig12_collapse_data
-
-    return fig12_collapse_data()
-
-
-#: Figure name -> builder of (title, columns, rows[, unit]).
-BUILDERS = {
-    name[1:-5]: fn
-    for name, fn in list(globals().items())
-    if re.fullmatch(r"_fig\d+_data", name) and callable(fn)
-}
-# Not paper figures 2-11, so registered explicitly (the regex only
-# harvests the bare fig\d+ builders).
-BUILDERS["protocol_cost"] = _protocol_cost_data
-BUILDERS["coll_overlap"] = _coll_overlap_data
-BUILDERS["fig12_collapse"] = _fig12_collapse_data
-
-#: Per-figure tolerance overrides applied by ``--check`` on top of the
-#: global ``--tolerance`` (CLI ``--figure-tolerance`` wins over these).
-#: All three figures are pure virtual-time data, so drift means a
-#: schedule changed and is never acceptable without re-baselining.
-DEFAULT_FIGURE_TOLERANCES = {
-    "protocol_cost": 0.0,
-    "coll_overlap": 0.0,
-    "fig12_collapse": 0.0,
-}
-
-
-def _build(name: str) -> tuple:
-    """Run one builder; normalizes to (title, columns, rows, unit)."""
-    out = BUILDERS[name]()
-    if len(out) == 3:
-        title, columns, rows = out
-        return title, columns, rows, "µs"
-    return out
-
-
-def _render(name: str) -> str:
-    title, columns, rows, unit = _build(name)
-    precision = 0 if unit == "ns" else 1
-    return format_table(title, columns, rows, unit=unit, precision=precision)
-
-
-def fig02() -> str:
-    return _render("fig02")
-
-
-def fig03() -> str:
-    return _render("fig03")
-
-
-def fig04() -> str:
-    return _render("fig04")
-
-
-def fig05() -> str:
-    return _render("fig05")
-
-
-def fig06() -> str:
-    return _render("fig06")
-
-
-def fig07() -> str:
-    return _render("fig07")
-
-
-def fig08() -> str:
-    return _render("fig08")
-
-
-def fig09() -> str:
-    return _render("fig09")
-
-
-def fig10() -> str:
-    return _render("fig10")
-
-
-def fig11() -> str:
-    return _render("fig11")
-
-
-def protocol_cost() -> str:
-    return _render("protocol_cost")
-
-
-def coll_overlap() -> str:
-    return _render("coll_overlap")
-
-
-def fig12_collapse() -> str:
-    return _render("fig12_collapse")
-
-
-ALL = {
-    name: fn
-    for name, fn in list(globals().items())
-    if re.fullmatch(r"fig\d+", name) and callable(fn)
-}
-ALL["protocol_cost"] = protocol_cost
-ALL["coll_overlap"] = coll_overlap
-ALL["fig12_collapse"] = fig12_collapse
+from .check import compare_docs
+from .harness import SERIES
+from .registry import FIGURES, collect_json, figure_doc, render
+from .scaling import (
+    RANKS_FULL,
+    RANKS_SMOKE,
+    collapse_rows,
+    format_scaling_report,
+    run_scaling,
+)
 
 
 def run_meta() -> dict:
@@ -334,61 +95,59 @@ def run_meta() -> dict:
     }
 
 
-def collect_json(names: list[str]) -> list[dict]:
-    """Machine-readable per-series rows for the given figures."""
-    doc = []
-    for name in names:
-        title, columns, rows, unit = _build(name)
-        doc.append(
-            {
-                "figure": name,
-                "title": title,
-                "unit": unit,
-                "columns": [str(c) for c in columns],
-                "rows": [
-                    {
-                        "series": series,
-                        "values": {str(c): cells.get(str(c), cells.get(c))
-                                   for c in columns},
-                    }
-                    for series, cells in rows.items()
-                ],
-            }
-        )
-    return doc
+def _write_json(doc: dict, path: str, what: str) -> None:
+    if path == "-":
+        json.dump(doc, sys.stdout, indent=2)
+        print()
+    else:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2)
+        print(f"wrote {what} to {path}")
 
 
-def check_baseline(baseline_path: str, wanted: list[str], tolerance: float,
-                   diff_out: str | None,
-                   figure_tolerances: dict[str, float] | None = None,
-                   subset: bool = False) -> int:
-    """Regression-guard mode: re-run ``wanted`` figures, diff against the
-    baseline document, optionally write the diff artifact; returns the
-    process exit code (1 = drift beyond tolerance).
-
-    Per-figure tolerances start from :data:`DEFAULT_FIGURE_TOLERANCES`
-    (the deterministic ``protocol_cost`` figure is held exact) with
-    ``--figure-tolerance`` entries layered on top.
-
-    With ``subset`` (the user named figures explicitly), the baseline
-    is filtered to those figures before comparing — the comparison
-    itself stays symmetric (see :mod:`repro.bench.check`), so a full
-    check still flags a figure that vanished without re-baselining.
-    """
-    from .check import compare_docs
-
-    fig_tols = dict(DEFAULT_FIGURE_TOLERANCES)
-    fig_tols.update(figure_tolerances or {})
-    with open(baseline_path) as fh:
+def _load_baseline(path: str, keep=None) -> dict:
+    """The baseline document, filtered to the figures named in ``keep``
+    (``None`` keeps all).  The comparison itself stays symmetric (see
+    :mod:`repro.bench.check`), so a subset run filters here instead."""
+    with open(path) as fh:
         baseline = json.load(fh)
-    if subset:
-        keep = set(wanted)
-        baseline["figures"] = [
-            f for f in baseline.get("figures", []) if f["figure"] in keep
-        ]
-    known = {f["figure"] for f in baseline.get("figures", [])}
-    names = [w for w in wanted if w in known]
-    current = {"meta": run_meta(), "figures": collect_json(names)}
+    baseline["figures"] = [f for f in baseline.get("figures", [])
+                           if keep is None or f["figure"] in keep]
+    return baseline
+
+
+def _print_drifts(verdict: dict) -> None:
+    for d in verdict["drifts"]:
+        rel = d["rel_change"]
+        how = f"{rel:+.1%}" if isinstance(rel, float) else "structural"
+        print(f"DRIFT {d['figure']}/{d['series']}/{d['column']}: "
+              f"{d['baseline']} -> {d['current']} ({how})")
+
+
+def check_baseline(baseline_path: str, named: list[str], tolerance: float,
+                   diff_out: str | None,
+                   figure_tolerances: dict[str, float] | None = None) -> int:
+    """Regression-guard mode: re-run figures, diff against the baseline
+    document, optionally write the diff artifact; returns the process
+    exit code (1 = drift beyond tolerance).
+
+    Per-figure tolerances start from the registry (the pure virtual-time
+    figures are held exact) with ``--figure-tolerance`` entries layered
+    on top.
+
+    With figures ``named`` on the command line, the baseline is filtered
+    to them and every one is run — a named figure the baseline lacks is
+    a structural drift, not a skipped check.  With none, the registry
+    figures the baseline holds are run, so a full check still flags a
+    figure that vanished without re-baselining.
+    """
+    fig_tols = {f.name: f.tolerance for f in FIGURES.values()
+                if f.tolerance is not None}
+    fig_tols.update(figure_tolerances or {})
+    baseline = _load_baseline(baseline_path, named or None)
+    known = {f["figure"] for f in baseline["figures"]}
+    wanted = named or [n for n in sorted(FIGURES) if n in known]
+    current = {"meta": run_meta(), "figures": collect_json(wanted)}
     verdict = compare_docs(baseline, current, tolerance=tolerance,
                            figure_tolerances=fig_tols)
     verdict["baseline"] = baseline_path
@@ -402,90 +161,8 @@ def check_baseline(baseline_path: str, wanted: list[str], tolerance: float,
     if verdict["ok"]:
         print("no drift")
         return 0
-    for d in verdict["drifts"]:
-        rel = d["rel_change"]
-        how = f"{rel:+.1%}" if isinstance(rel, float) else "structural"
-        print(f"DRIFT {d['figure']}/{d['series']}/{d['column']}: "
-              f"{d['baseline']} -> {d['current']} ({how})")
+    _print_drifts(verdict)
     return 1
-
-
-def run_wallclock_cli(json_path: str | None, check_path: str | None,
-                      tolerance: float, samples: int) -> int:
-    """``--wallclock`` mode: run the host-throughput suite, print/write
-    the report, and (with ``--check``) gate against a baseline.
-
-    Two kinds of checks:
-
-    - Wall-clock events/sec is machine-dependent, so it is gated
-      one-sided per workload: only a drop of more than ``tolerance``
-      below the baseline's *flat* events/sec fails.
-    - The deterministic fields (events, sweeps, windows visited, virtual
-      time) are machine-independent and compared exactly, per workload
-      per mode.  A virtual-time mismatch between the sweep modes of one
-      run always fails — a host-side path changed a schedule.
-    """
-    from .wallclock import DETERMINISTIC_FIELDS, format_report, run_wallclock
-
-    doc = {"meta": run_meta(), "wallclock": run_wallclock(samples=samples)}
-    wc = doc["wallclock"]
-    if json_path is not None:
-        if json_path == "-":
-            json.dump(doc, sys.stdout, indent=2)
-            print()
-        else:
-            with open(json_path, "w") as fh:
-                json.dump(doc, fh, indent=2)
-            print(f"wrote wallclock report to {json_path}")
-    else:
-        print(format_report(wc))
-    failed = False
-    for name, wl in wc["workloads"].items():
-        if not wl["virtual_time_match"]:
-            print(f"FAIL: {name}: sweep modes diverged in virtual time",
-                  file=sys.stderr)
-            failed = True
-    if failed:
-        return 1
-    if check_path is None:
-        return 0
-    with open(check_path) as fh:
-        baseline = json.load(fh)
-    base_wc = baseline.get("wallclock", {})
-    if "workloads" not in base_wc:
-        print(f"FAIL: {check_path} uses the pre-suite single-workload "
-              "schema; regenerate it with --wallclock --json", file=sys.stderr)
-        return 1
-    checked = 0
-    for name, wl in wc["workloads"].items():
-        base_wl = base_wc["workloads"].get(name)
-        if base_wl is None:
-            print(f"wallclock check: {name}: not in baseline, skipped")
-            continue
-        base_eps = base_wl["modes"]["flat"]["events_per_sec"]
-        cur_eps = wl["modes"]["flat"]["events_per_sec"]
-        floor = base_eps * (1.0 - tolerance)
-        checked += 1
-        print(f"wallclock check: {name}: flat {cur_eps:.0f} events/s vs "
-              f"baseline {base_eps:.0f} (floor {floor:.0f})")
-        if cur_eps < floor:
-            print(f"FAIL: {name}: events/sec regressed more than "
-                  f"{tolerance:.0%} below {check_path}", file=sys.stderr)
-            failed = True
-        for mode_name, mode in wl["modes"].items():
-            base_mode = base_wl["modes"].get(mode_name)
-            if base_mode is None:
-                continue
-            for field in DETERMINISTIC_FIELDS:
-                if mode[field] != base_mode[field]:
-                    print(f"FAIL: {name}/{mode_name}: {field} "
-                          f"{base_mode[field]} -> {mode[field]} "
-                          "(deterministic field drifted)", file=sys.stderr)
-                    failed = True
-    if failed:
-        return 1
-    print(f"no regression ({checked} workloads checked)")
-    return 0
 
 
 def run_scaling_cli(json_path: str | None, check_path: str | None,
@@ -503,23 +180,17 @@ def run_scaling_cli(json_path: str | None, check_path: str | None,
     - the fitted log-log slope of wall µs/event against rank count must
       not exceed ``slope_gate`` for any series (per-rank dense state
       shows up as a clearly positive slope);
-    - against a baseline, every (series, rank count) throughput cell is
-      virtual-time data and must match *exactly*; the run's rank set
-      may be a subset of the committed figure's (the smoke job), but
-      unknown ranks or series fail.
+    - against a baseline, the run's cells are the ``fig12_collapse``
+      figure over the run's rank columns, compared by
+      :func:`~repro.bench.check.compare_docs` at tolerance 0 with the
+      committed figure filtered to those columns: the rank set may be
+      a subset of the committed one (the smoke job), but an unknown
+      rank count or series, or a baseline without the figure, drifts.
     """
-    from .scaling import format_scaling_report, run_scaling
-
     doc = {"meta": run_meta(), "scaling": run_scaling(ranks, samples=samples)}
     sc = doc["scaling"]
     if json_path is not None:
-        if json_path == "-":
-            json.dump(doc, sys.stdout, indent=2)
-            print()
-        else:
-            with open(json_path, "w") as fh:
-                json.dump(doc, fh, indent=2)
-            print(f"wrote scaling report to {json_path}")
+        _write_json(doc, json_path, "scaling report")
     else:
         print(format_scaling_report(sc))
     failed = False
@@ -530,37 +201,19 @@ def run_scaling_cli(json_path: str | None, check_path: str | None,
                   file=sys.stderr)
             failed = True
     if check_path is not None:
-        with open(check_path) as fh:
-            baseline = json.load(fh)
-        fig = next((f for f in baseline.get("figures", [])
-                    if f["figure"] == "fig12_collapse"), None)
-        if fig is None:
-            print(f"FAIL: {check_path} has no fig12_collapse figure; "
-                  "regenerate it with --json", file=sys.stderr)
-            return 1
-        base = {row["series"]: row["values"] for row in fig["rows"]}
-        checked = 0
-        for name, by_rank in sc["cells"].items():
-            if name not in base:
-                print(f"FAIL: series {name} not in baseline figure",
-                      file=sys.stderr)
-                failed = True
-                continue
-            for nranks in sc["ranks"]:
-                cur = by_rank[nranks]["throughput"]
-                ref = base[name].get(str(nranks))
-                if ref is None:
-                    print(f"FAIL: {name}@{nranks}: rank count not in "
-                          "baseline figure", file=sys.stderr)
-                    failed = True
-                    continue
-                checked += 1
-                if cur != ref:
-                    print(f"FAIL: {name}@{nranks}: throughput {ref} -> {cur} "
-                          "(virtual-time drift)", file=sys.stderr)
-                    failed = True
-        print(f"scaling check: {checked} cells compared exactly "
+        fig = replace(FIGURES["fig12_collapse"],
+                      columns=tuple(str(n) for n in sc["ranks"]))
+        baseline = _load_baseline(check_path, keep={fig.name})
+        for base_fig in baseline["figures"]:
+            for row in base_fig["rows"]:
+                row["values"] = {c: v for c, v in row["values"].items()
+                                 if c in fig.columns}
+        current = {"figures": [figure_doc(fig, collapse_rows(sc))]}
+        verdict = compare_docs(baseline, current, tolerance=0.0)
+        print(f"scaling check: {verdict['checked']} cells compared exactly "
               f"against {check_path}")
+        _print_drifts(verdict)
+        failed = failed or not verdict["ok"]
     if failed:
         return 1
     print(f"scaling ok (max per-event slope "
@@ -568,136 +221,87 @@ def run_scaling_cli(json_path: str | None, check_path: str | None,
     return 0
 
 
-def main(argv: list[str]) -> int:
-    json_path: str | None = None
-    check_path: str | None = None
-    diff_out: str | None = None
-    wallclock = False
-    scaling = False
-    smoke = False
-    ranks_arg: str | None = None
-    slope_gate = 0.35
-    tolerance = 0.2
-    tolerance_given = False
-    figure_tolerances: dict[str, float] = {}
-    samples = 1
-    wanted: list[str] = []
-    it = iter(argv)
-    for arg in it:
-        if arg == "--wallclock":
-            wallclock = True
-        elif arg == "--scaling":
-            scaling = True
-        elif arg == "--smoke":
-            smoke = True
-        elif arg == "--ranks":
-            ranks_arg = next(it, None)
-            if ranks_arg is None:
-                print("--ranks needs a comma list (e.g. 64,256,1024)",
-                      file=sys.stderr)
-                return 2
-        elif arg == "--slope-gate":
-            try:
-                slope_gate = float(next(it))
-            except (StopIteration, ValueError):
-                print("--slope-gate needs a number (e.g. 0.35)", file=sys.stderr)
-                return 2
-        elif arg == "--samples":
-            try:
-                samples = int(next(it))
-            except (StopIteration, ValueError):
-                print("--samples needs an integer (e.g. 3)", file=sys.stderr)
-                return 2
-            if samples < 1:
-                print("--samples must be >= 1", file=sys.stderr)
-                return 2
-        elif arg == "--json":
-            json_path = next(it, None)
-            if json_path is None:
-                print("--json needs a path (or '-' for stdout)", file=sys.stderr)
-                return 2
-        elif arg == "--check":
-            check_path = next(it, None)
-            if check_path is None:
-                print("--check needs a baseline JSON path", file=sys.stderr)
-                return 2
-        elif arg == "--tolerance":
-            try:
-                tolerance = float(next(it))
-                tolerance_given = True
-            except (StopIteration, ValueError):
-                print("--tolerance needs a number (e.g. 0.2)", file=sys.stderr)
-                return 2
-        elif arg == "--figure-tolerance":
-            spec = next(it, None)
-            name, sep, val = (spec or "").partition("=")
-            try:
-                if not (name and sep):
-                    raise ValueError
-                figure_tolerances[name] = float(val)
-            except ValueError:
-                print("--figure-tolerance needs NAME=VALUE "
-                      "(e.g. protocol_cost=0)", file=sys.stderr)
-                return 2
-        elif arg == "--diff-out":
-            diff_out = next(it, None)
-            if diff_out is None:
-                print("--diff-out needs a path", file=sys.stderr)
-                return 2
-        else:
-            wanted.append(arg)
-    if scaling:
-        if wanted or wallclock:
-            print("--scaling takes no figure names and excludes --wallclock",
-                  file=sys.stderr)
-            return 2
-        from .scaling import RANKS_FULL, RANKS_SMOKE
+def _figure_tolerance(spec: str) -> tuple[str, float]:
+    name, sep, val = spec.partition("=")
+    try:
+        if not (name and sep):
+            raise ValueError
+        return name, float(val)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "needs NAME=VALUE (e.g. protocol_cost=0)") from None
 
-        if ranks_arg is not None:
-            try:
-                ranks = tuple(int(r) for r in ranks_arg.split(",") if r)
-                if not ranks or any(r < 2 for r in ranks):
-                    raise ValueError
-            except ValueError:
-                print("--ranks needs positive integers (e.g. 64,256,1024)",
-                      file=sys.stderr)
-                return 2
-        else:
-            ranks = RANKS_SMOKE if smoke else RANKS_FULL
-        return run_scaling_cli(json_path, check_path, ranks, samples, slope_gate)
-    if smoke or ranks_arg is not None:
-        print("--smoke/--ranks only apply to --scaling", file=sys.stderr)
-        return 2
-    if wallclock:
-        if wanted:
-            print("--wallclock takes no figure names", file=sys.stderr)
-            return 2
-        if not tolerance_given:
-            tolerance = 0.3  # wall clock is machine-dependent; be generous
-        return run_wallclock_cli(json_path, check_path, tolerance, samples)
-    subset = bool(wanted)
-    wanted = wanted or sorted(ALL)
-    unknown = [w for w in wanted if w not in ALL]
-    if unknown:
-        print(f"unknown figures: {unknown}; available: {sorted(ALL)}", file=sys.stderr)
-        return 2
-    if check_path is not None:
-        return check_baseline(check_path, wanted, tolerance, diff_out,
-                              figure_tolerances, subset=subset)
-    if json_path is not None:
-        doc = {"meta": run_meta(), "figures": collect_json(wanted)}
-        if json_path == "-":
-            json.dump(doc, sys.stdout, indent=2)
-            print()
-        else:
-            with open(json_path, "w") as fh:
-                json.dump(doc, fh, indent=2)
-            figs = doc["figures"]
-            print(f"wrote {sum(len(f['rows']) for f in figs)} series rows "
-                  f"({len(figs)} figures) to {json_path}")
+
+def _rank_list(spec: str) -> tuple[int, ...]:
+    try:
+        ranks = tuple(int(r) for r in spec.split(",") if r)
+        if not ranks or any(r < 2 for r in ranks):
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "needs integers >= 2 (e.g. 64,256,1024)") from None
+    return ranks
+
+
+def _parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Regenerate, export or check the paper's figure tables.")
+    p.add_argument("figures", nargs="*", metavar="FIGURE",
+                   help=f"figures to run (default: all of {', '.join(FIGURES)})")
+    p.add_argument("--json", metavar="PATH", help="write JSON ('-' for stdout)")
+    p.add_argument("--check", metavar="BASELINE",
+                   help="diff the run against a baseline JSON; exit 1 on drift")
+    p.add_argument("--tolerance", type=float, default=0.2,
+                   help="relative per-value tolerance of --check (default 0.2)")
+    p.add_argument("--figure-tolerance", type=_figure_tolerance, action="append",
+                   default=[], metavar="NAME=VAL",
+                   help="per-figure override of --tolerance (repeatable)")
+    p.add_argument("--diff-out", metavar="PATH", help="write the --check verdict")
+    p.add_argument("--scaling", action="store_true",
+                   help="Fig. 12 rank-count sweep with host-cost slope gate")
+    p.add_argument("--smoke", action="store_true",
+                   help="--scaling: the CI rank subset (64, 256, 1024)")
+    p.add_argument("--ranks", type=_rank_list, metavar="N,N,...",
+                   help="--scaling: explicit rank counts")
+    p.add_argument("--samples", type=int, default=1,
+                   help="--scaling: runs per cell (deterministic fields must agree)")
+    p.add_argument("--slope-gate", type=float, default=0.35,
+                   help="--scaling: ceiling on the per-event cost slope")
+    return p
+
+
+def main(argv: list[str]) -> int:
+    parser = _parser()
+    try:
+        args = parser.parse_intermixed_args(argv)
+        unknown = [w for w in args.figures if w not in FIGURES]
+        if unknown:
+            parser.error(f"unknown figures: {unknown}; available: {sorted(FIGURES)}")
+        if args.samples < 1:
+            parser.error("--samples must be >= 1")
+        if args.scaling and args.figures:
+            parser.error("--scaling takes no figure names")
+        if not args.scaling and (args.smoke or args.ranks is not None):
+            parser.error("--smoke/--ranks only apply to --scaling")
+    except SystemExit as exc:  # argparse exits; main() returns the code
+        return exc.code
+    if args.scaling:
+        ranks = args.ranks or (RANKS_SMOKE if args.smoke else RANKS_FULL)
+        return run_scaling_cli(args.json, args.check, ranks, args.samples,
+                               args.slope_gate)
+    if args.check is not None:
+        return check_baseline(args.check, args.figures, args.tolerance,
+                              args.diff_out, dict(args.figure_tolerance))
+    wanted = args.figures or sorted(FIGURES)
+    if args.json is not None:
+        figs = collect_json(wanted)
+        _write_json({"meta": run_meta(), "figures": figs}, args.json,
+                    f"{sum(len(f['rows']) for f in figs)} series rows "
+                    f"({len(figs)} figures)")
         return 0
     for name in wanted:
-        print(ALL[name]())
+        print(render(FIGURES[name]))
         print()
     return 0
 

@@ -11,12 +11,9 @@ one-line change.
 
 from __future__ import annotations
 
-from ..network.model import NetworkModel
+from ..network.model import PAPER_1MB_PUT_US, NetworkModel
 
 __all__ = ["default_model", "PAPER_1MB_PUT_US", "DELAY_US"]
-
-#: The paper's reference 1 MB put latency.
-PAPER_1MB_PUT_US: float = 340.0
 
 #: The artificial delay all §VIII-A microbenchmarks inject.
 DELAY_US: float = 1000.0

@@ -28,7 +28,7 @@ import numpy as np
 
 from .harness import SERIES
 
-__all__ = ["NRANKS", "INVOCATIONS", "WORK_US", "SHAPES", "coll_overlap_data"]
+__all__ = ["NRANKS", "INVOCATIONS", "WORK_US", "SHAPES", "coll_overlap_rows"]
 
 NRANKS = 4
 INVOCATIONS = 4
@@ -80,13 +80,11 @@ def _run_cell(engine: str, nonblocking: bool, counts) -> float:
     return max(finish.values())
 
 
-def coll_overlap_data() -> tuple:
-    """(title, columns, rows, unit) for the ``coll_overlap`` figure."""
+def coll_overlap_rows() -> dict[str, dict[str, float]]:
+    """Rows of the ``coll_overlap`` figure: series -> shape -> µs."""
     shapes = _shape_counts()
-    rows = {
+    return {
         s.name: {name: _run_cell(s.engine, s.nonblocking, counts)
                  for name, counts in shapes.items()}
         for s in SERIES
     }
-    return ("Coll overlap: blocking vs persistent-nonblocking alltoallv",
-            SHAPES, rows, "µs")

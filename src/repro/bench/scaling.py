@@ -62,7 +62,7 @@ __all__ = [
     "contended_fan_in",
     "run_cell",
     "run_scaling",
-    "fig12_collapse_data",
+    "collapse_rows",
     "fit_loglog_slope",
     "format_scaling_report",
 ]
@@ -222,18 +222,14 @@ def run_scaling(ranks: tuple[int, ...] = RANKS_FULL, samples: int = 1) -> dict[s
     }
 
 
-def fig12_collapse_data(ranks: tuple[int, ...] = RANKS_FULL):
-    """Figure builder: aggregate throughput (puts per virtual µs) per
-    series across the rank sweep — the committed, exactly-checked form
-    of the Fig. 12 experiment."""
-    doc = run_scaling(ranks)
-    columns = tuple(str(n) for n in ranks)
-    rows = {
-        s.name: {str(n): doc["cells"][s.name][n]["throughput"] for n in ranks}
-        for s in SERIES
+def collapse_rows(doc: dict[str, Any]) -> dict[str, dict[str, float]]:
+    """Rows of the ``fig12_collapse`` figure from a :func:`run_scaling`
+    document: series -> rank count -> aggregate throughput (puts per
+    virtual µs) — the committed, exactly-checked form of Fig. 12."""
+    return {
+        name: {str(n): by_rank[n]["throughput"] for n in doc["ranks"]}
+        for name, by_rank in doc["cells"].items()
     }
-    return ("Fig. 12: contended scaling (aggregate puts / virtual µs)",
-            columns, rows, "puts/µs")
 
 
 def format_scaling_report(doc: dict[str, Any]) -> str:
@@ -242,22 +238,18 @@ def format_scaling_report(doc: dict[str, Any]) -> str:
     lines = ["== scaling: contended fan-in, 4 series =="]
     if doc.get("samples", 1) > 1:
         lines.append(f"best of {doc['samples']} wall samples per cell")
-    lines.append(f"{'N':>6}" + "".join(f"{name:>18}" for name in doc["cells"]))
-    for nranks in ranks:
-        row = "".join(
-            f"{doc['cells'][name][nranks]['throughput']:>18.4f}"
-            for name in doc["cells"]
-        )
-        lines.append(f"{nranks:>6}{row}  puts/µs")
+
+    def table(field: str, fmt: str, suffix: str = "") -> None:
+        lines.append(f"{'N':>6}" + "".join(f"{name:>18}" for name in doc["cells"]))
+        for nranks in ranks:
+            row = "".join(f"{by_rank[nranks][field]:>18{fmt}}"
+                          for by_rank in doc["cells"].values())
+            lines.append(f"{nranks:>6}{row}{suffix}")
+
+    table("throughput", ".4f", "  puts/µs")
     lines.append("")
     lines.append("wall µs per event (host cost; must stay ~flat in N):")
-    lines.append(f"{'N':>6}" + "".join(f"{name:>18}" for name in doc["cells"]))
-    for nranks in ranks:
-        row = "".join(
-            f"{doc['cells'][name][nranks]['wall_per_event_us']:>18.3f}"
-            for name in doc["cells"]
-        )
-        lines.append(f"{nranks:>6}{row}")
+    table("wall_per_event_us", ".3f")
     for name, slope in doc["per_event_slope"].items():
         lines.append(f"per-event cost slope {name}: {slope:+.3f}")
     lines.append(f"max per-event cost slope: {doc['max_per_event_slope']:+.3f}")

@@ -29,7 +29,7 @@ __all__ = ["SERIES", "WORKLOADS", "run_instrumented"]
 
 #: Series name -> (engine, nonblocking): the paper's three test series
 #: plus the counter-signal engine (same columns as the differential
-#: oracle and the wallclock suite), from the canonical registry table.
+#: oracle), from the canonical registry table.
 SERIES: dict[str, tuple[str, bool]] = {
     s.name: (s.engine, s.nonblocking) for s in _SERIES_TABLE
 }

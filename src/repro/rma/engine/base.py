@@ -80,19 +80,6 @@ class RmaEngineBase:
     #: counter-signal engine provides it.
     supports_notified_access: bool = False
 
-    #: Event-driven progress switch.  ``True`` (production): sweeps visit
-    #: only windows on the dirty worklist — every point that can change
-    #: epoch state (packet arrival, grant update, FIFO notification
-    #: consumption, local epoch open/close/op recording, op-completion
-    #: callbacks — including those of fault-layer retransmit deliveries,
-    #: which re-enter via the same packet path) marks its window.  A
-    #: clean window is at a quiescent fixed point (its previous visit ran
-    #: to no-change and nothing touched it since), so skipping it cannot
-    #: alter the virtual-time schedule; only wall clock changes.
-    #: ``False`` restores the historical scan of every window per sweep —
-    #: kept for the ``--wallclock`` A/B comparison and as a debug lever.
-    dirty_tracking: bool = True
-
     def __init__(self, runtime: "MPIRuntime", rank: int):
         self.runtime = runtime
         self.rank = rank
@@ -104,7 +91,15 @@ class RmaEngineBase:
         self._sweeping = False
         self._resweep = False
         #: Dirty-window worklist: gid -> WindowState, insertion-ordered
-        #: (the dict doubles as the membership set).  Drained by
+        #: (the dict doubles as the membership set).  Sweeps visit only
+        #: these: every point that can change epoch state (packet
+        #: arrival, grant update, FIFO notification consumption, local
+        #: epoch open/close/op recording, op-completion callbacks —
+        #: including those of fault-layer retransmit deliveries, which
+        #: re-enter via the same packet path) marks its window.  A clean
+        #: window is at a quiescent fixed point (its previous visit ran
+        #: to no-change and nothing touched it since), so skipping it
+        #: cannot alter the virtual-time schedule.  Drained by
         #: :meth:`_take_dirty` at sweep time in gid order, which is
         #: exactly the relative order the historical full scan visited
         #: the same (effectful) windows in.
@@ -202,16 +197,14 @@ class RmaEngineBase:
             self._resweep = True
             return
         if (
-            self.dirty_tracking
-            and not self._dirty
+            not self._dirty
             and not self._blocking_flushes
             and (self._fifo is None or not self._fifo._incoming)
         ):
             # Nothing a sweep could act on: no dirty windows, no queued
             # notifications, no blocking flushes.  The sweep body would
             # visit zero windows and mutate nothing, so skipping it is
-            # a pure wall-clock win (full-scan mode never skips — the
-            # historical cost is exactly what the A/B measures).
+            # a pure wall-clock win.
             return
         self._sweeping = True
         try:
@@ -238,14 +231,9 @@ class RmaEngineBase:
 
     def _take_dirty(self) -> list[WindowState]:
         """Drain the worklist for one sweep, in gid order (the relative
-        visit order of the historical every-window scan).  With
-        ``dirty_tracking`` off, returns every window and still clears the
-        worklist (full-scan mode subsumes it)."""
+        visit order of the historical every-window scan)."""
         self.sweep_count += 1
-        if not self.dirty_tracking:
-            self._dirty.clear()
-            out = list(self.states.values())
-        elif not self._dirty:
+        if not self._dirty:
             out = []
         elif len(self._dirty) == 1:
             # Single-window sweeps dominate event-driven runs; skip the
@@ -516,7 +504,7 @@ class RmaEngineBase:
     # =====================================================================
     # Notification FIFO (intranode epoch-completion packets, §VII-D)
     # =====================================================================
-    def _consume_notifications(self, _ws_unused: WindowState | None = None) -> int:
+    def _consume_notifications(self) -> int:
         """Step 5: drain this rank's 64-bit FIFO; returns packets drained.
 
         Flattened inline loop (no per-packet callback indirection) over
@@ -559,21 +547,6 @@ class RmaEngineBase:
         if m is not None:
             m.inc("fifo.drained", count)
         return count
-
-    def _on_notification(self, kind: NotifyKind, sender: int, value: int) -> None:
-        gid, ident = unpack_win_value(value)
-        ws = self.states[gid]
-        self.mark_dirty(ws)
-        if kind is NotifyKind.EPOCH_COMPLETE:
-            if ident > ws.done_id[sender]:
-                ws.done_id[sender] = ident
-            if self._explore is not None:
-                # Same canonical form as the internode DonePacket path:
-                # the digest multiset is transport-agnostic by design.
-                self._explore.record_notification(self.rank, "done", sender, value)
-            self._trace("done_recv", ws, origin=sender, access_id=ident, via="fifo")
-        else:
-            raise RuntimeError(f"unexpected notification {kind} from {sender}")
 
     # =====================================================================
     # Sending helpers

@@ -261,8 +261,8 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Total callbacks ever scheduled (the wall-clock throughput
-        denominator used by ``repro.bench --wallclock``)."""
+        """Total callbacks ever scheduled (the host-throughput
+        denominator of ``repro.bench --scaling`` and ``python3 -m perf``)."""
         return self._seq
 
     @property

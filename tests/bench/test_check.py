@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from repro.bench import FIGURES, SERIES, registry
 from repro.bench.check import compare_docs
 from repro.bench.__main__ import main
 
@@ -31,7 +33,7 @@ class TestCompareDocs:
 
     def test_within_tolerance_passes(self):
         verdict = compare_docs(_doc({"a": 10.0}), _doc({"a": 11.9}), tolerance=0.2)
-        assert verdict["ok"]
+        assert verdict["ok"] and verdict["checked"] == 1
 
     def test_drift_beyond_tolerance_fails_with_detail(self):
         verdict = compare_docs(_doc({"a": 10.0}), _doc({"a": 12.5}), tolerance=0.2)
@@ -46,7 +48,8 @@ class TestCompareDocs:
         assert verdict["drifts"][0]["rel_change"] == -0.3
 
     def test_zero_baseline_requires_zero_current(self):
-        assert compare_docs(_doc({"a": 0.0}), _doc({"a": 0.0}))["ok"]
+        verdict = compare_docs(_doc({"a": 0.0}), _doc({"a": 0.0}))
+        assert verdict["ok"] and verdict["checked"] == 1
         assert not compare_docs(_doc({"a": 0.0}), _doc({"a": 0.1}))["ok"]
 
     def test_missing_structure_is_a_drift(self):
@@ -123,7 +126,7 @@ class TestFigureTolerances:
         verdict = compare_docs(
             _doc({"a": 10.0}), _doc({"a": 14.0}),
             tolerance=0.2, figure_tolerances={"fig02": 0.5})
-        assert verdict["ok"]
+        assert verdict["ok"] and verdict["checked"] == 1
 
     def test_override_scoped_to_named_figure(self):
         base = _doc({"a": 10.0})
@@ -151,8 +154,19 @@ class TestFigureTolerances:
     def test_verdict_records_overrides(self):
         verdict = compare_docs(_doc({"a": 1.0}), _doc({"a": 1.0}),
                                figure_tolerances={"z": 0.1, "a": 0.0})
+        assert verdict["ok"] and verdict["checked"] == 1
         assert verdict["figure_tolerances"] == {"a": 0.0, "z": 0.1}
         assert list(verdict["figure_tolerances"]) == ["a", "z"]
+
+
+def _passes(capsys, *argv) -> bool:
+    """``main(argv)`` exits 0 *and* says it examined something — a
+    check that compared no value must not count as a pass."""
+    capsys.readouterr()
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    checked = int(re.search(r"checked (\d+) values", out).group(1))
+    return code == 0 and checked > 0 and "no drift" in out
 
 
 class TestCheckCli:
@@ -162,8 +176,8 @@ class TestCheckCli:
         baseline = tmp_path / "base.json"
         assert main(["fig02", "--json", str(baseline)]) == 0
         diff = tmp_path / "diff.json"
-        code = main(["--check", str(baseline), "--diff-out", str(diff), "fig02"])
-        assert code == 0
+        assert _passes(capsys, "--check", str(baseline),
+                       "--diff-out", str(diff), "fig02")
         artifact = json.loads(diff.read_text())
         assert artifact["ok"] and artifact["drifts"] == []
         assert artifact["checked"] > 0
@@ -185,23 +199,23 @@ class TestCheckCli:
         assert any(d["rel_change"] for d in artifact["drifts"])
         assert "DRIFT" in capsys.readouterr().out
 
-    def test_tighter_tolerance_via_flag(self, tmp_path):
+    def test_tighter_tolerance_via_flag(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
         assert main(["fig02", "--json", str(baseline)]) == 0
         # identical run passes even at zero tolerance (deterministic sim)
-        assert main(["--check", str(baseline), "--tolerance", "0.0",
-                     "fig02"]) == 0
+        assert _passes(capsys, "--check", str(baseline), "--tolerance", "0.0",
+                       "fig02")
 
     def test_bad_flag_usage(self, capsys):
         assert main(["--check"]) == 2
         assert main(["--tolerance", "abc"]) == 2
 
-    def test_subset_check_filters_full_baseline(self, tmp_path):
+    def test_subset_check_filters_full_baseline(self, tmp_path, capsys):
         # A named-figure check against a multi-figure baseline compares
         # only the named figure — the others are not structural drifts.
         baseline = tmp_path / "base.json"
         assert main(["fig02", "fig08", "--json", str(baseline)]) == 0
-        assert main(["--check", str(baseline), "fig02"]) == 0
+        assert _passes(capsys, "--check", str(baseline), "fig02")
         # Doctor fig08: the fig02-only check stays blind to it, the
         # unfiltered check catches it.
         doc = json.loads(baseline.read_text())
@@ -209,16 +223,123 @@ class TestCheckCli:
         row = fig08["rows"][0]
         row["values"][fig08["columns"][0]] += 1000.0
         baseline.write_text(json.dumps(doc))
-        assert main(["--check", str(baseline), "fig02"]) == 0
+        assert _passes(capsys, "--check", str(baseline), "fig02")
         assert main(["--check", str(baseline)]) == 1
 
-    def test_figure_tolerance_flag(self, tmp_path):
+    def test_named_figure_missing_from_baseline_is_a_drift(self, tmp_path, capsys):
+        """The shape of CI's exact gates (``--figure-tolerance X=0.0 X``):
+        if the baseline lost figure X, the gate must fail, not compare
+        zero values and report "no drift"."""
+        baseline = tmp_path / "base.json"
+        assert main(["fig02", "--json", str(baseline)]) == 0
+        diff = tmp_path / "diff.json"
+        code = main(["--check", str(baseline), "--diff-out", str(diff),
+                     "--figure-tolerance", "fig08=0.0", "fig08"])
+        assert code == 1
+        artifact = json.loads(diff.read_text())
+        (drift,) = artifact["drifts"]
+        assert (drift["figure"], drift["baseline"], drift["current"]) == (
+            "fig08", "missing", "present")
+        assert artifact["checked"] > 0
+        assert "DRIFT fig08" in capsys.readouterr().out
+        # One present, one missing: still a drift, and fig02 still compared.
+        assert main(["--check", str(baseline), "fig02", "fig08"]) == 1
+
+    def test_figure_tolerance_flag(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
         assert main(["fig02", "--json", str(baseline)]) == 0
         # Exact per-figure bound on a deterministic rerun still passes.
-        assert main(["--check", str(baseline),
-                     "--figure-tolerance", "fig02=0.0", "fig02"]) == 0
+        assert _passes(capsys, "--check", str(baseline),
+                       "--figure-tolerance", "fig02=0.0", "fig02")
 
     def test_figure_tolerance_flag_malformed(self, capsys):
         assert main(["--figure-tolerance", "fig02", "fig02"]) == 2
         assert main(["--figure-tolerance", "fig02=abc", "fig02"]) == 2
+
+
+class TestRegistryRoundTrip:
+    """What a registry entry declares is what the JSON document and the
+    regression guard see."""
+
+    def test_every_entry_exports_exactly_its_columns(self, monkeypatch):
+        # The full Fig. 12 sweep takes minutes; its entry's shape is
+        # what is under test, so stand in for the simulation only.
+        monkeypatch.setattr(registry, "run_scaling", lambda ranks: {
+            "ranks": list(ranks),
+            "cells": {s.name: {n: {"throughput": 1.0 / n} for n in ranks}
+                      for s in SERIES}})
+        docs = registry.collect_json(list(FIGURES))
+        assert [d["figure"] for d in docs] == list(FIGURES)
+        for doc in docs:
+            entry = FIGURES[doc["figure"]]
+            assert (doc["title"], doc["unit"]) == (entry.title, entry.unit)
+            assert doc["columns"] == list(entry.columns)
+            assert doc["rows"]
+            for row in doc["rows"]:
+                assert list(row["values"]) == list(entry.columns)
+
+    def test_entry_tolerance_reaches_the_comparator(self, tmp_path, capsys):
+        """An entry's 0.0 holds its figure exact with no
+        ``--figure-tolerance`` on the command line; the flag still wins."""
+        exact = {n: f.tolerance for n, f in FIGURES.items() if f.tolerance is not None}
+        assert exact == {"coll_overlap": 0.0, "fig12_collapse": 0.0,
+                         "protocol_cost": 0.0}
+        baseline = tmp_path / "base.json"
+        assert main(["coll_overlap", "fig02", "--json", str(baseline)]) == 0
+        doc = json.loads(baseline.read_text())
+        for fig in doc["figures"]:  # +1 %: inside the global ±20 %
+            row = fig["rows"][0]
+            row["values"][fig["columns"][0]] *= 1.01
+        baseline.write_text(json.dumps(doc))
+        diff = tmp_path / "diff.json"
+        assert main(["--check", str(baseline), "--diff-out", str(diff),
+                     "coll_overlap", "fig02"]) == 1
+        artifact = json.loads(diff.read_text())
+        assert artifact["figure_tolerances"] == exact
+        assert [d["figure"] for d in artifact["drifts"]] == ["coll_overlap"]
+        assert _passes(capsys, "--check", str(baseline),
+                       "--figure-tolerance", "coll_overlap=0.05",
+                       "coll_overlap", "fig02")
+
+
+class TestScalingCheck:
+    """``--scaling --check``: the run's cells are a ``fig12_collapse``
+    document compared by ``compare_docs`` at tolerance 0, the baseline
+    filtered to the run's rank columns."""
+
+    GATE = ["--slope-gate", "1e9"]  # tiny cells: wall noise is not under test
+
+    @pytest.fixture()
+    def baseline(self, tmp_path):
+        report = tmp_path / "scaling.json"
+        assert main(["--scaling", "--ranks", "4,8", "--json", str(report), *self.GATE]) == 0
+        cells = json.loads(report.read_text())["scaling"]["cells"]
+        doc = {"meta": {}, "figures": [{
+            "figure": "fig12_collapse", "title": "t", "unit": "puts/µs",
+            "columns": ["4", "8", "16"],
+            "rows": [{"series": name,
+                      "values": {**{n: c["throughput"] for n, c in by_rank.items()},
+                                 "16": 1.0}}  # a committed rank this run skips
+                     for name, by_rank in cells.items()]}]}
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_rank_subset_of_the_committed_figure_passes(self, baseline, capsys):
+        assert main(["--scaling", "--ranks", "4,8", "--check", str(baseline), *self.GATE]) == 0
+        out = capsys.readouterr().out
+        assert f"{2 * len(SERIES)} cells compared exactly" in out
+
+    def test_drift_far_below_any_tolerance_fails(self, baseline, capsys):
+        doc = json.loads(baseline.read_text())
+        doc["figures"][0]["rows"][0]["values"]["8"] *= 1 + 1e-12
+        baseline.write_text(json.dumps(doc))
+        assert main(["--scaling", "--ranks", "4,8", "--check", str(baseline), *self.GATE]) == 1
+        assert "DRIFT fig12_collapse" in capsys.readouterr().out
+
+    def test_unknown_rank_or_missing_figure_fails(self, baseline, tmp_path, capsys):
+        assert main(["--scaling", "--ranks", "4,6", "--check", str(baseline), *self.GATE]) == 1
+        assert "/6: missing" in capsys.readouterr().out
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"meta": {}, "figures": []}))
+        assert main(["--scaling", "--ranks", "4", "--check", str(empty), *self.GATE]) == 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.__main__ import ALL, BUILDERS, DEFAULT_FIGURE_TOLERANCES, _build
+from repro.bench import FIGURES
 from repro.bench.coll_overlap import SHAPES, WORK_US, INVOCATIONS
 
 BASELINE = Path(__file__).resolve().parents[2] / "BENCH_seed.json"
@@ -14,15 +14,13 @@ BASELINE = Path(__file__).resolve().parents[2] / "BENCH_seed.json"
 
 @pytest.fixture(scope="module")
 def figure():
-    title, columns, rows, unit = _build("coll_overlap")
-    return title, tuple(columns), rows, unit
+    fig = FIGURES["coll_overlap"]
+    return fig.title, fig.columns, fig.build(), fig.unit
 
 
 def test_registered_everywhere():
-    assert "coll_overlap" in BUILDERS
-    assert "coll_overlap" in ALL
     # Deterministic virtual-time data: the baseline check holds it exact.
-    assert DEFAULT_FIGURE_TOLERANCES["coll_overlap"] == 0.0
+    assert FIGURES["coll_overlap"].tolerance == 0.0
 
 
 def test_shape_of_figure(figure):

@@ -125,11 +125,12 @@ class TestCliRunner:
         assert "A_A_A_R" in out
 
     def test_registry_contains_the_ten_figures_plus_extras(self):
-        from repro.bench.__main__ import ALL
+        from repro.bench import FIGURES
 
         expected = sorted(
             [f"fig{n:02d}" for n in range(2, 12)]
             + ["protocol_cost", "coll_overlap", "fig12_collapse"]
         )
-        assert sorted(ALL) == expected
-        assert all(callable(fn) for fn in ALL.values())
+        assert sorted(FIGURES) == expected
+        assert all(fig.name == name and callable(fig.build)
+                   for name, fig in FIGURES.items())

@@ -18,8 +18,12 @@ from repro.mpi.info import LEGACY_INFO_KEYS, Info
 from repro.rma.checker import SEMANTICS_CHECK_INFO_KEY, SEMANTICS_MODE_INFO_KEY
 from repro.rma.consistency import CONSISTENCY_INFO_KEY
 from repro.rma.flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R, ReorderFlags
+from repro.rma.engine.mvapich import MvapichEngine
+from repro.rma.engine.nonblocking import NonblockingEngine
+from repro.rma.engine.signal import SignalEngine
 from repro.rma.window import MODE_NOSUCCEED, Window
 from tests.conftest import make_runtime
+from tests.rma.test_ready_sets import _substitute
 
 #: Blocking epoch routine -> its request-first twin.  The blocking call
 #: must be exactly "twin + _blocking_wait", so the signatures must match.
@@ -158,17 +162,42 @@ class TestDeprecationShims:
 
 def _traffic_with_idle_windows(proc, idle_windows=4):
     """Fence traffic on window 0; ``idle_windows`` further windows are
-    allocated but never touched."""
-    win0 = yield from proc.win_allocate(64)
-    for _ in range(idle_windows):
-        yield from proc.win_allocate(64)
+    allocated but never touched.  Returns every window's final bytes."""
+    wins = []
+    for _ in range(1 + idle_windows):
+        win = yield from proc.win_allocate(64)
+        wins.append(win)
+    win0 = wins[0]
     yield from proc.barrier()
     peer = (proc.rank + 1) % proc.size
-    for _ in range(3):
+    for i in range(3):
         yield from win0.fence()
-        win0.put(np.zeros(8, dtype=np.uint8), peer, 0)
+        win0.put(np.full(8, 1 + proc.rank + 16 * i, dtype=np.uint8), peer, 8 * i)
     yield from win0.fence(MODE_NOSUCCEED)
     yield from proc.barrier()
+    return np.concatenate([w.view(np.uint8) for w in wins])
+
+
+class _EveryWindow:
+    """Test-only reference for the worklist: every sweep visits every
+    registered window and ``poke()`` never takes its nothing-to-do exit
+    — the historical scan the worklist replaced.  Production must be
+    indistinguishable from it except in how many windows it visits."""
+
+    def poke(self):
+        self._dirty.update(self.states)
+        super().poke()
+
+    def _take_dirty(self):
+        self._dirty.update(self.states)
+        return super()._take_dirty()
+
+
+EVERY_WINDOW = {
+    name: type(f"EveryWindow{cls.__name__}", (_EveryWindow, cls), {})
+    for name, cls in (("nonblocking", NonblockingEngine), ("signal", SignalEngine),
+                      ("mvapich", MvapichEngine))
+}
 
 
 class TestDirtyWorklist:
@@ -181,25 +210,22 @@ class TestDirtyWorklist:
         for gid in range(1, 5):
             assert rt.metrics.value(f"engine.sweep.visited.win{gid}") == 0
 
-    @pytest.mark.parametrize("engine", ["nonblocking", "mvapich"])
-    def test_full_scan_mode_does_visit_clean_windows(self, engine):
-        """The control run: with dirty tracking disabled the same
-        workload sweeps every window, proving the assertion above is
-        measuring the worklist and not an accounting gap."""
-        rt = make_runtime(2, engine, metrics=True)
-        for eng in rt.engines:
-            eng.dirty_tracking = False
-        rt.run(_traffic_with_idle_windows)
-        for gid in range(5):
-            assert rt.metrics.value(f"engine.sweep.visited.win{gid}") > 0
+    @pytest.mark.parametrize("engine", ["nonblocking", "signal", "mvapich"])
+    def test_both_modes_reach_the_same_virtual_time(self, monkeypatch, engine):
+        """Skipping clean windows is invisible: same virtual time and
+        same final window bytes as the scan of every window, in strictly
+        fewer window visits."""
+        def observe():
+            rt = make_runtime(2, engine)
+            results = rt.run(_traffic_with_idle_windows)
+            assert any(r.any() for r in results)
+            return (rt.now, [r.tobytes() for r in results],
+                    sum(e.windows_visited for e in rt.engines))
 
-    @pytest.mark.parametrize("engine", ["nonblocking", "mvapich"])
-    def test_both_modes_reach_the_same_virtual_time(self, engine):
-        times = []
-        for dirty in (True, False):
-            rt = make_runtime(2, engine, metrics=True)
-            for eng in rt.engines:
-                eng.dirty_tracking = dirty
-            rt.run(_traffic_with_idle_windows)
-            times.append(rt.now)
-        assert times[0] == times[1]
+        now, data, visited = observe()
+        with monkeypatch.context() as mp:
+            _substitute(mp, EVERY_WINDOW)
+            ref_now, ref_data, ref_visited = observe()
+        assert now == ref_now
+        assert data == ref_data
+        assert ref_visited > visited

@@ -1,7 +1,7 @@
 """Benchmark support: the paper's test series, the figure registry
-(every §VIII table ``python -m repro.bench`` regenerates; the scenarios
-behind Figs. 2–11 are in :mod:`repro.bench.figures`), and the table
-rendering shared with the ``benchmarks/`` harness."""
+(every evaluation table ``python -m repro.bench`` regenerates; the
+scenarios are in :mod:`repro.bench.figures` and
+:mod:`repro.bench.applications`), and its table rendering."""
 
 from .calibration import PAPER_1MB_PUT_US, default_model
 from .harness import SERIES, Series, format_table, series_label

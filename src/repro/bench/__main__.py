@@ -1,22 +1,21 @@
 """Standalone figure-table runner: ``python -m repro.bench``.
 
 Regenerates every table in the figure registry
-(:mod:`repro.bench.registry`) without pytest: the §VIII microbenchmark
-figures (Figs. 2-11), the Fig. 12 rank-count sweep, ``protocol_cost``
-and ``coll_overlap``.  The application-level Fig. 12 / Fig. 13 runs,
-the §VIII-A latency table and the ablations are ``pytest benchmarks/``;
-host-time (how fast the simulator itself runs) is ``python3 -m perf``.
+(:mod:`repro.bench.registry`): the §VIII microbenchmark figures
+(Figs. 2-11), Fig. 12 (transactions, its credit-starvation mechanism and
+the rank-count sweep), Fig. 13 (LU), the §VIII-A latency / overlap
+tables, the ablations, the extensions, ``protocol_cost`` and
+``coll_overlap``.  Host-time (how fast the simulator itself runs) is
+``python3 -m perf``.
 
 Usage (``--help`` lists every flag)::
 
     python -m repro.bench                    # every registered figure
     python -m repro.bench fig02 fig06 ...    # a subset
     python -m repro.bench --json out.json    # machine-readable rows ('-': stdout)
-    python -m repro.bench --check BENCH_seed.json [--tolerance 0.2]
-                          [--figure-tolerance NAME=VAL] [--diff-out diff.json]
-        # regression guard: re-run and diff against a baseline doc; the
-        # pure virtual-time figures are held exact by their registry
-        # tolerance whatever --tolerance says
+    python -m repro.bench --check BENCH_seed.json [--diff-out diff.json]
+        # regression guard: re-run and compare every value with the
+        # baseline doc by equality (virtual time is deterministic)
     python -m repro.bench --scaling [--smoke | --ranks 64,128,256]
                           [--samples 2] [--slope-gate 0.35]
                           [--check BENCH_seed.json]
@@ -27,7 +26,8 @@ Usage (``--help`` lists every flag)::
         # throughput cell equals the committed fig12_collapse figure
         # (a subset of its ranks is fine)
 
-Exit codes: 0 ok, 1 drift (or a failed scaling gate), 2 usage error.
+Exit codes: 0 ok, 1 drift (or a failed scaling gate), 2 usage error
+(including a baseline that is missing, not JSON or not a bench document).
 
 The JSON document carries run metadata plus a list of figure objects,
 each with its per-series rows::
@@ -56,7 +56,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .check import compare_docs
+from .check import baseline_error, compare_docs
 from .harness import SERIES
 from .registry import FIGURES, collect_json, figure_doc, render
 from .scaling import (
@@ -105,35 +105,43 @@ def _write_json(doc: dict, path: str, what: str) -> None:
         print(f"wrote {what} to {path}")
 
 
-def _load_baseline(path: str, keep=None) -> dict:
-    """The baseline document, filtered to the figures named in ``keep``
-    (``None`` keeps all).  The comparison itself stays symmetric (see
-    :mod:`repro.bench.check`), so a subset run filters here instead."""
-    with open(path) as fh:
-        baseline = json.load(fh)
-    baseline["figures"] = [f for f in baseline.get("figures", [])
-                           if keep is None or f["figure"] in keep]
+def _load_baseline(path: str) -> dict | None:
+    """The baseline document at ``path``; ``None`` — after one line on
+    stderr — when it is missing, not JSON or not a bench document, so
+    the caller exits 2 instead of reporting a traceback as drift."""
+    try:
+        with open(path) as fh:
+            baseline = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read baseline {path}: {exc}", file=sys.stderr)
+        return None
+    problem = baseline_error(baseline)
+    if problem is not None:
+        print(f"error: malformed baseline {path}: {problem}", file=sys.stderr)
+        return None
     return baseline
+
+
+def _keep_figures(baseline: dict, keep) -> None:
+    """Filter ``baseline`` to the figures named in ``keep``.  The
+    comparison itself stays symmetric (see :mod:`repro.bench.check`),
+    so a subset run filters here instead."""
+    baseline["figures"] = [f for f in baseline["figures"] if f["figure"] in keep]
 
 
 def _print_drifts(verdict: dict) -> None:
     for d in verdict["drifts"]:
         rel = d["rel_change"]
-        how = f"{rel:+.1%}" if isinstance(rel, float) else "structural"
+        how = f"{100 * rel:+.3g}%" if rel is not None else "structural"
         print(f"DRIFT {d['figure']}/{d['series']}/{d['column']}: "
               f"{d['baseline']} -> {d['current']} ({how})")
 
 
-def check_baseline(baseline_path: str, named: list[str], tolerance: float,
-                   diff_out: str | None,
-                   figure_tolerances: dict[str, float] | None = None) -> int:
-    """Regression-guard mode: re-run figures, diff against the baseline
-    document, optionally write the diff artifact; returns the process
-    exit code (1 = drift beyond tolerance).
-
-    Per-figure tolerances start from the registry (the pure virtual-time
-    figures are held exact) with ``--figure-tolerance`` entries layered
-    on top.
+def check_baseline(baseline: dict, baseline_path: str, named: list[str],
+                   diff_out: str | None) -> int:
+    """Regression-guard mode: re-run figures, compare them with the
+    ``baseline`` document by equality, optionally write the diff
+    artifact; returns the process exit code (1 = drift).
 
     With figures ``named`` on the command line, the baseline is filtered
     to them and every one is run — a named figure the baseline lacks is
@@ -141,23 +149,19 @@ def check_baseline(baseline_path: str, named: list[str], tolerance: float,
     figures the baseline holds are run, so a full check still flags a
     figure that vanished without re-baselining.
     """
-    fig_tols = {f.name: f.tolerance for f in FIGURES.values()
-                if f.tolerance is not None}
-    fig_tols.update(figure_tolerances or {})
-    baseline = _load_baseline(baseline_path, named or None)
+    if named:
+        _keep_figures(baseline, named)
     known = {f["figure"] for f in baseline["figures"]}
     wanted = named or [n for n in sorted(FIGURES) if n in known]
     current = {"meta": run_meta(), "figures": collect_json(wanted)}
-    verdict = compare_docs(baseline, current, tolerance=tolerance,
-                           figure_tolerances=fig_tols)
+    verdict = compare_docs(baseline, current)
     verdict["baseline"] = baseline_path
     verdict["baseline_meta"] = baseline.get("meta")
     verdict["current_meta"] = current["meta"]
     if diff_out is not None:
         with open(diff_out, "w") as fh:
             json.dump(verdict, fh, indent=2)
-    print(f"checked {verdict['checked']} values against {baseline_path} "
-          f"(tolerance ±{tolerance:.0%})")
+    print(f"checked {verdict['checked']} values against {baseline_path} (exact)")
     if verdict["ok"]:
         print("no drift")
         return 0
@@ -165,8 +169,8 @@ def check_baseline(baseline_path: str, named: list[str], tolerance: float,
     return 1
 
 
-def run_scaling_cli(json_path: str | None, check_path: str | None,
-                    ranks: tuple[int, ...], samples: int,
+def run_scaling_cli(json_path: str | None, baseline: dict | None,
+                    check_path: str | None, ranks: tuple[int, ...], samples: int,
                     slope_gate: float) -> int:
     """``--scaling`` mode: run the Fig. 12 rank sweep, print/write the
     report, gate the per-event host-cost slope, and (with ``--check``)
@@ -182,8 +186,8 @@ def run_scaling_cli(json_path: str | None, check_path: str | None,
       shows up as a clearly positive slope);
     - against a baseline, the run's cells are the ``fig12_collapse``
       figure over the run's rank columns, compared by
-      :func:`~repro.bench.check.compare_docs` at tolerance 0 with the
-      committed figure filtered to those columns: the rank set may be
+      :func:`~repro.bench.check.compare_docs` with the committed
+      figure filtered to those columns: the rank set may be
       a subset of the committed one (the smoke job), but an unknown
       rank count or series, or a baseline without the figure, drifts.
     """
@@ -200,16 +204,16 @@ def run_scaling_cli(json_path: str | None, check_path: str | None,
                   f"gate {slope_gate:+.3f} (host cost grows with rank count)",
                   file=sys.stderr)
             failed = True
-    if check_path is not None:
+    if baseline is not None:
         fig = replace(FIGURES["fig12_collapse"],
                       columns=tuple(str(n) for n in sc["ranks"]))
-        baseline = _load_baseline(check_path, keep={fig.name})
+        _keep_figures(baseline, {fig.name})
         for base_fig in baseline["figures"]:
             for row in base_fig["rows"]:
                 row["values"] = {c: v for c, v in row["values"].items()
                                  if c in fig.columns}
         current = {"figures": [figure_doc(fig, collapse_rows(sc))]}
-        verdict = compare_docs(baseline, current, tolerance=0.0)
+        verdict = compare_docs(baseline, current)
         print(f"scaling check: {verdict['checked']} cells compared exactly "
               f"against {check_path}")
         _print_drifts(verdict)
@@ -219,17 +223,6 @@ def run_scaling_cli(json_path: str | None, check_path: str | None,
     print(f"scaling ok (max per-event slope "
           f"{sc['max_per_event_slope']:+.3f}, gate {slope_gate:+.3f})")
     return 0
-
-
-def _figure_tolerance(spec: str) -> tuple[str, float]:
-    name, sep, val = spec.partition("=")
-    try:
-        if not (name and sep):
-            raise ValueError
-        return name, float(val)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "needs NAME=VALUE (e.g. protocol_cost=0)") from None
 
 
 def _rank_list(spec: str) -> tuple[int, ...]:
@@ -251,12 +244,7 @@ def _parser() -> argparse.ArgumentParser:
                    help=f"figures to run (default: all of {', '.join(FIGURES)})")
     p.add_argument("--json", metavar="PATH", help="write JSON ('-' for stdout)")
     p.add_argument("--check", metavar="BASELINE",
-                   help="diff the run against a baseline JSON; exit 1 on drift")
-    p.add_argument("--tolerance", type=float, default=0.2,
-                   help="relative per-value tolerance of --check (default 0.2)")
-    p.add_argument("--figure-tolerance", type=_figure_tolerance, action="append",
-                   default=[], metavar="NAME=VAL",
-                   help="per-figure override of --tolerance (repeatable)")
+                   help="compare the run with a baseline JSON exactly; exit 1 on drift")
     p.add_argument("--diff-out", metavar="PATH", help="write the --check verdict")
     p.add_argument("--scaling", action="store_true",
                    help="Fig. 12 rank-count sweep with host-cost slope gate")
@@ -286,13 +274,17 @@ def main(argv: list[str]) -> int:
             parser.error("--smoke/--ranks only apply to --scaling")
     except SystemExit as exc:  # argparse exits; main() returns the code
         return exc.code
+    baseline = None
+    if args.check is not None:  # read before any figure runs
+        baseline = _load_baseline(args.check)
+        if baseline is None:
+            return 2
     if args.scaling:
         ranks = args.ranks or (RANKS_SMOKE if args.smoke else RANKS_FULL)
-        return run_scaling_cli(args.json, args.check, ranks, args.samples,
+        return run_scaling_cli(args.json, baseline, args.check, ranks, args.samples,
                                args.slope_gate)
-    if args.check is not None:
-        return check_baseline(args.check, args.figures, args.tolerance,
-                              args.diff_out, dict(args.figure_tolerance))
+    if baseline is not None:
+        return check_baseline(baseline, args.check, args.figures, args.diff_out)
     wanted = args.figures or sorted(FIGURES)
     if args.json is not None:
         figs = collect_json(wanted)

@@ -13,10 +13,18 @@ from __future__ import annotations
 
 from ..network.model import PAPER_1MB_PUT_US, NetworkModel
 
-__all__ = ["default_model", "PAPER_1MB_PUT_US", "DELAY_US"]
+__all__ = ["default_model", "PAPER_1MB_PUT_US", "DELAY_US", "BANDWIDTHS"]
 
 #: The artificial delay all §VIII-A microbenchmarks inject.
 DELAY_US: float = 1000.0
+
+#: Internode bandwidths (B/µs) the network-speed ablations sweep, around
+#: the calibrated QDR point.
+BANDWIDTHS: dict[str, float] = {
+    "4x slower": 775.0,
+    "QDR (calibrated)": 3100.0,
+    "4x faster": 12400.0,
+}
 
 
 def default_model() -> NetworkModel:

@@ -1,11 +1,12 @@
-"""Scenario builders for the §VIII-A microbenchmarks (Figs. 2–11).
+"""Scenario builders for the §VIII-A microbenchmarks (Figs. 2–11), the
+§VIII-A latency / overlap tables and the §VIII-B engine ablations.
 
-Each function runs one figure's scenario for one test series (or one
-flag setting) on a fresh simulated job and returns the measurements the
-paper plots, in virtual-time µs.  All scenarios place ranks on distinct
-nodes (``cores_per_node=1``) like the paper's cross-node measurements,
-inject the same 1000 µs artificial delay, and default to the calibrated
-network model.
+Each function runs one scenario for one test series (or one flag
+setting, or one engine) on a fresh simulated job and returns the
+measurements the paper plots, in virtual-time µs.  All scenarios place
+ranks on distinct nodes (``cores_per_node=1``) like the paper's
+cross-node measurements unless they say otherwise, inject the same
+1000 µs artificial delay, and default to the calibrated network model.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mpi.runtime import DEFAULT_ENGINE, MPIRuntime
+from ..network.model import NetworkModel
 from ..rma.flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R
 from .calibration import DELAY_US, default_model
 from .harness import Series
@@ -29,6 +31,10 @@ __all__ = [
     "fig09_aaer",
     "fig10_eaer",
     "fig11_eaar",
+    "epoch_latency",
+    "lock_epochs",
+    "eager_issue",
+    "issue_during_epoch",
 ]
 
 MB = 1 << 20
@@ -37,8 +43,11 @@ MB = 1 << 20
 SIZES_4B_TO_1MB = (4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576)
 
 
-def _runtime(series_engine: str, nranks: int) -> MPIRuntime:
-    return MPIRuntime(nranks, cores_per_node=1, engine=series_engine, model=default_model())
+def _runtime(
+    series_engine: str, nranks: int, model: NetworkModel | None = None, cores_per_node: int = 1
+) -> MPIRuntime:
+    return MPIRuntime(nranks, cores_per_node=cores_per_node, engine=series_engine,
+                      model=model or default_model())
 
 
 def _buf(nbytes: int) -> np.ndarray:
@@ -99,11 +108,11 @@ def fig02_late_post(
 # Fig. 3 — Late Complete: origin-side work delays the closing call
 # ---------------------------------------------------------------------------
 def fig03_late_complete(
-    series: Series, nbytes: int, work_us: float = DELAY_US
+    series: Series, nbytes: int, work_us: float = DELAY_US, model: NetworkModel | None = None
 ) -> dict[str, float]:
     """Single origin/target; origin puts then overlaps ``work_us`` before
     the completion call.  Returns the target-side epoch length."""
-    rt = _runtime(series.engine, 2)
+    rt = _runtime(series.engine, 2, model)
     out: dict[str, float] = {}
     data = _buf(nbytes)
 
@@ -480,3 +489,150 @@ def fig11_eaar(
 
     rt.run_mixed({0: p0, 1: p1, 2: p2})
     return out
+
+
+# ---------------------------------------------------------------------------
+# §VIII-A prose — pure epoch latency, lock-epoch overlap
+# ---------------------------------------------------------------------------
+def _window_host(proc):
+    """A rank that only hosts its window while the others measure."""
+    _win = yield from proc.win_allocate(2 * MB)
+    yield from proc.barrier()
+    yield from proc.barrier()
+
+
+def epoch_latency(series: Series, style: str) -> float:
+    """Pure latency of one ``style`` (lock / gats / fence) epoch hosting
+    a 1 MB put, driven by blocking calls."""
+    rt = _runtime(series.engine, 2)
+    out: dict[str, float] = {}
+    data = _buf(MB)
+
+    def origin(proc):
+        win = yield from proc.win_allocate(2 * MB)
+        yield from proc.barrier()
+        t0 = proc.wtime()
+        if style == "lock":
+            yield from win.lock(1)
+            win.put(data, 1, 0)
+            yield from win.unlock(1)
+        elif style == "gats":
+            yield from win.start([1])
+            win.put(data, 1, 0)
+            yield from win.complete()
+        else:
+            yield from win.fence()
+            win.put(data, 1, 0)
+            yield from win.fence(assert_=2)
+        out["latency"] = proc.wtime() - t0
+        yield from proc.barrier()
+
+    def target(proc):
+        win = yield from proc.win_allocate(2 * MB)
+        yield from proc.barrier()
+        if style == "gats":
+            yield from win.post([0])
+            yield from win.wait_epoch()
+        elif style == "fence":
+            yield from win.fence()
+            yield from win.fence(assert_=2)
+        yield from proc.barrier()
+
+    rt.run_mixed({0: origin, 1: target})
+    return out["latency"]
+
+
+def lock_epochs(
+    engine: str,
+    nonblocking: bool,
+    work_us: float,
+    repeats: int = 1,
+    accumulate: bool = False,
+    model: NetworkModel | None = None,
+) -> list[float]:
+    """The origin repeats a lock epoch holding one 1 MB op (a put, or an
+    accumulate) and ``work_us`` of compute, back to back.  Returns the
+    virtual timestamps of the epoch boundaries — the first lock call,
+    then each epoch's end — so callers take per-epoch durations or the
+    whole span.  Full overlap makes an epoch ~max(work, transfer); none
+    makes it their sum."""
+    rt = _runtime(engine, 2, model)
+    marks: list[float] = []
+    data = np.zeros(MB // 8, dtype=np.float64) if accumulate else _buf(MB)
+
+    def origin(proc):
+        win = yield from proc.win_allocate(2 * MB)
+        issue = win.accumulate if accumulate else win.put
+        yield from proc.barrier()
+        marks.append(proc.wtime())
+        for _ in range(repeats):
+            if nonblocking:
+                win.ilock(1)
+                issue(data, 1, 0)
+                req = win.iunlock(1)
+                yield from proc.compute(work_us)
+                yield from req.wait()
+            else:
+                yield from win.lock(1)
+                issue(data, 1, 0)
+                yield from proc.compute(work_us)
+                yield from win.unlock(1)
+            marks.append(proc.wtime())
+        yield from proc.barrier()
+
+    rt.run_mixed({0: origin, 1: _window_host})
+    return marks
+
+
+# ---------------------------------------------------------------------------
+# §VIII-B ablations — the two "New > MVAPICH" engine optimizations
+# ---------------------------------------------------------------------------
+def _gats_target(delay_us: float = 0.0):
+    def target(proc):
+        win = yield from proc.win_allocate(2 * MB)
+        yield from proc.barrier()
+        yield from proc.compute(delay_us)
+        yield from win.post([0])
+        yield from win.wait_epoch()
+        yield from proc.barrier()
+
+    return target
+
+
+def _two_target_epoch(rt: MPIRuntime, work_us: float, roles: dict) -> float:
+    """Rank 0 opens one access epoch toward ranks 1 and 2, puts 1 MB to
+    each, works ``work_us`` and completes; returns the epoch length."""
+    out: dict[str, float] = {}
+    data = _buf(MB)
+
+    def origin(proc):
+        win = yield from proc.win_allocate(2 * MB)
+        yield from proc.barrier()
+        t0 = proc.wtime()
+        yield from win.start([1, 2])
+        win.put(data, 1, 0)
+        win.put(data, 2, 0)
+        yield from proc.compute(work_us)
+        yield from win.complete()
+        out["epoch"] = proc.wtime() - t0
+        yield from proc.barrier()
+
+    rt.run_mixed({0: origin, **roles})
+    return out["epoch"]
+
+
+def eager_issue(engine: str) -> float:
+    """One origin, two targets; T2 posts 500 µs late.  Eager per-target
+    issue lets T1's transfer flow immediately; all-ready gating delays
+    both."""
+    return _two_target_epoch(_runtime(engine, 3), 0.0,
+                             {1: _gats_target(), 2: _gats_target(500.0)})
+
+
+def issue_during_epoch(engine: str) -> float:
+    """One origin with an intranode target (rank 1 shares its node) and
+    an internode one, and 200 µs of work inside the epoch.  Both engines
+    overlap the two paths; the work hides transfer time only when the
+    transfers are issued *during* the epoch, not at its closing call."""
+    return _two_target_epoch(_runtime(engine, 4, cores_per_node=2), 200.0,
+                             {1: _gats_target(), 2: _gats_target(), 3: _window_host})

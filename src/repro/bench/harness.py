@@ -2,9 +2,9 @@
 
 The paper compares three test series (§VIII): "MVAPICH" (vanilla RMA),
 "New" (the redesigned engine driven by blocking calls), and "New
-nonblocking" (the redesigned engine driven by the §V API).  Every
-benchmark in ``benchmarks/`` sweeps these series and prints the rows the
-corresponding paper figure plots.
+nonblocking" (the redesigned engine driven by the §V API).  The figures
+of :mod:`repro.bench.registry` sweep these series (plus "Signal") and
+print the rows the corresponding paper figure plots.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ are canonicalized at :class:`Info` construction with a single-shot
 :class:`DeprecationWarning` per legacy key.  :data:`LEGACY_INFO_KEYS` is
 the one table mapping old to new — interpretation of the values still
 lives with the subsystems (:mod:`repro.rma.flags`,
-:mod:`repro.rma.checker`, :mod:`repro.rma.consistency`).
+:mod:`repro.rma.checker`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = ["Info", "LEGACY_INFO_KEYS"]
 LEGACY_INFO_KEYS: dict[str, str] = {
     "repro_semantics_check": "repro.semantics_check",
     "repro_semantics_check_mode": "repro.semantics_check_mode",
-    "repro_consistency_check": "repro.consistency_check",
     "MPI_WIN_ACCESS_AFTER_ACCESS_REORDER": "repro.A_A_A_R",
     "MPI_WIN_ACCESS_AFTER_EXPOSURE_REORDER": "repro.A_A_E_R",
     "MPI_WIN_EXPOSURE_AFTER_EXPOSURE_REORDER": "repro.E_A_E_R",

@@ -21,6 +21,7 @@ timing a loop body.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,6 +69,20 @@ class EngineProfiler:
         st.work += work
         st.wall_s += wall_s
         st.last_virtual_us = self.sim.now
+
+    def begin_sweep(self) -> float:
+        """Count one progress sweep; returns the ``perf_counter()``
+        reading its first step starts at."""
+        self.sweeps += 1
+        return perf_counter()
+
+    def lap(self, step: int, work: int, since: float) -> float:
+        """:meth:`record` an execution of ``step`` that began at the
+        ``perf_counter()`` reading ``since``; returns the reading it
+        ended at — the next step's start."""
+        now = perf_counter()
+        self.record(step, work, now - since)
+        return now
 
     def tally(self, step: int, work: int = 1) -> None:
         """Attribute event-driven work to ``step`` (no wall timing)."""

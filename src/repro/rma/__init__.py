@@ -16,7 +16,7 @@ from .checker import (
     Violation,
     ViolationKind,
 )
-from .consistency import CONSISTENCY_INFO_KEY, ConsistencyTracker, Hazard
+from .consistency import ConsistencyTracker, Hazard
 from .epoch import Epoch, EpochKind, EpochState
 from .flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R, ReorderFlags
 from .locks import LockManager, LockWaiter
@@ -58,7 +58,6 @@ __all__ = [
     "LockWaiter",
     "ConsistencyTracker",
     "Hazard",
-    "CONSISTENCY_INFO_KEY",
     "RmaChecker",
     "RmaSemanticsError",
     "Violation",

@@ -11,14 +11,10 @@ is recorded with its target byte-range; overlapping ranges on the same
 target between different concurrent epochs — where at least one side
 writes — are reported as hazards.
 
-Enable it with the window info key ``repro.consistency_check=1`` (off by
-default: Fig. 12-scale workloads issue millions of ops).
-
-This tracker is subsumed by the full semantics checker in
-:mod:`repro.rma.checker` (info key ``repro.semantics_check=1``), which
-embeds a :class:`ConsistencyTracker` and exposes its report through
-``RmaChecker.hazards()`` alongside five further violation classes.  The
-standalone info key remains supported for hazard-only tracking.
+The tracker runs inside the full semantics checker
+(:mod:`repro.rma.checker`, info key ``repro.semantics_check=1``), which
+feeds it every issued op and exposes its report through
+``RmaChecker.hazards()`` alongside five further violation classes.
 """
 
 from __future__ import annotations
@@ -30,9 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .ops import RmaOp
 
 __all__ = ["ConsistencyTracker", "Hazard", "OpRecord"]
-
-#: Info key that turns the tracker on for a window.
-CONSISTENCY_INFO_KEY = "repro.consistency_check"
 
 
 @dataclass(frozen=True)

@@ -61,41 +61,30 @@ class MvapichEngine(RmaEngineBase):
     # Progress
     # =====================================================================
     def _sweep(self) -> None:
+        # With the §VII-D profiler attached each step also reports its
+        # work count and wall time; steps 6 and 7 interleave per window,
+        # so theirs accumulate across the loop into one record per sweep.
         prof = self.profiler
-        if prof is not None:
-            self._sweep_profiled(prof)
-            return
+        t = prof.begin_sweep() if prof is not None else 0.0
         # Notifications first (they may dirty exposure windows that were
         # clean at entry); the worklist snapshot then covers them.
-        self._consume_notifications()
-        for ws in self._take_dirty():
-            self._process_lock_backlog(ws)
-            self._advance_all(ws)
-        self._check_blocking_flushes()
-
-    def _sweep_profiled(self, prof) -> None:
-        """Baseline sweep with §VII-D accounting.  The per-window
-        interleaving of backlog processing and epoch advancement must
-        match the unprofiled path exactly (loopback fabric delivery is
-        synchronous), so the two steps' wall times accumulate across the
-        loop and are recorded once each."""
-        prof.sweeps += 1
-        t0 = perf_counter()
-        drained = self._consume_notifications()            # step 5
-        t1 = perf_counter()
-        prof.record(5, drained, t1 - t0)
+        drained = self._consume_notifications()             # step 5
+        if prof is not None:
+            t = prof.lap(5, drained, t)
         backlog_work = advance_work = 0
         backlog_s = advance_s = 0.0
         for ws in self._take_dirty():
-            a = perf_counter()
             backlog_work += self._process_lock_backlog(ws)  # step 6
-            b = perf_counter()
+            if prof is not None:
+                mid = perf_counter()
             advance_work += self._advance_all(ws)           # step 7
-            c = perf_counter()
-            backlog_s += b - a
-            advance_s += c - b
-        prof.record(6, backlog_work, backlog_s)
-        prof.record(7, advance_work, advance_s)
+            if prof is not None:
+                backlog_s += mid - t
+                t = perf_counter()
+                advance_s += t - mid
+        if prof is not None:
+            prof.record(6, backlog_work, backlog_s)
+            prof.record(7, advance_work, advance_s)
         self._check_blocking_flushes()
 
     def _advance_all(self, ws: WindowState) -> int:

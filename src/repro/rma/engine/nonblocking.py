@@ -37,12 +37,10 @@ The 7-step progress loop (§VII-D)
 from __future__ import annotations
 
 from operator import attrgetter
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 from ...network.packets import ServiceKind
 from ..epoch import Epoch, EpochKind, EpochState
-from ..ops import RmaOp
 from ..packets import LockRequestPacket, UnlockPacket
 from ..requests import ClosingRequest, FlushRequest
 from ..state import WindowState
@@ -74,83 +72,55 @@ class NonblockingEngine(RmaEngineBase):
     # §VII-D — the progress loop
     # =====================================================================
     def _sweep(self) -> None:
+        # With the §VII-D profiler attached (``metrics=True``) each step
+        # also reports its work count and wall-clock delta.
         prof = self.profiler
-        if prof is not None:
-            self._sweep_profiled(prof)
-            return
         dirty = self._take_dirty()
+        t = prof.begin_sweep() if prof is not None else 0.0
+        work = 0
         for ws in dirty:
             # Step 1 (completion verification) is event-driven here:
             # op completion callbacks have already updated the state.
             if ws.post_ready:
-                self._post_ready_ops(ws, intranode=False)  # step 2
+                work += self._post_ready_ops(ws, intranode=False)  # step 2
+        if prof is not None:
+            t = prof.lap(2, work, t)
+        work = 0
         for ws in dirty:
-            self._complete_and_activate(ws)            # step 3
+            work += self._complete_and_activate(ws)            # step 3
+        if prof is not None:
+            t = prof.lap(3, work, t)
         late = 0
         for ws in dirty:
             if ws.post_ready:
                 late += self._post_ready_ops(ws, intranode=True)   # step 4
-        late += self._consume_notifications()                  # step 5
+        if prof is not None:
+            t = prof.lap(4, late, t)
+        work = self._consume_notifications()                   # step 5
+        late += work
+        if prof is not None:
+            t = prof.lap(5, work, t)
         # Step 5 may have dirtied windows that were clean at sweep start
         # (FIFO done notifications); the historical full scan reached
         # them in steps 6/7 of the same sweep, so fold them in here.
         merged = self._merge_marked(dirty)
+        work = 0
         for ws in merged:
             if ws.lock_backlog:
-                late += self._process_lock_backlog(ws)  # step 6
+                work += self._process_lock_backlog(ws)  # step 6
+        late += work
+        if prof is not None:
+            t = prof.lap(6, work, t)
         # Step 3 already ran each window to the _complete_and_activate
         # fixpoint, so step 7 can only progress if steps 4-6 changed
         # something (posted ops, drained notifications, lock traffic) or
         # pulled extra windows in; otherwise it is a structural no-op.
-        if late or merged is not dirty:
-            for ws in merged:
-                self._complete_and_activate(ws)        # step 7
-        self._check_blocking_flushes()
-
-    def _sweep_profiled(self, prof) -> None:
-        """The same step sequence as :meth:`_sweep`, with per-step work
-        counts and wall-clock deltas fed to the §VII-D profiler.  The
-        loop structure must stay identical to the unprofiled path:
-        loopback fabric delivery is synchronous, so reordering steps
-        would change the virtual-time schedule."""
-        prof.sweeps += 1
-        dirty = self._take_dirty()
-        t0 = perf_counter()
         work = 0
-        for ws in dirty:
-            work += self._post_ready_ops(ws, intranode=False)  # step 2
-        t1 = perf_counter()
-        prof.record(2, work, t1 - t0)
-        work = 0
-        for ws in dirty:
-            work += self._complete_and_activate(ws)            # step 3
-        t2 = perf_counter()
-        prof.record(3, work, t2 - t1)
-        work = 0
-        for ws in dirty:
-            work += self._post_ready_ops(ws, intranode=True)   # step 4
-        t3 = perf_counter()
-        prof.record(4, work, t3 - t2)
-        late = work
-        work = self._consume_notifications()                   # step 5
-        late += work
-        t4 = perf_counter()
-        prof.record(5, work, t4 - t3)
-        merged = self._merge_marked(dirty)
-        work = 0
-        for ws in merged:
-            work += self._process_lock_backlog(ws)             # step 6
-        late += work
-        t5 = perf_counter()
-        prof.record(6, work, t5 - t4)
-        work = 0
-        # Same step-7 skip as the unprofiled path: after step 3's
-        # fixpoint, zero late work means step 7 cannot progress.
         if late or merged is not dirty:
             for ws in merged:
                 work += self._complete_and_activate(ws)        # step 7
-        t6 = perf_counter()
-        prof.record(7, work, t6 - t5)
+        if prof is not None:
+            prof.lap(7, work, t)
         self._check_blocking_flushes()
 
     # =====================================================================
@@ -394,23 +364,9 @@ class NonblockingEngine(RmaEngineBase):
                 m.inc("omega.matches" if ready else "omega.wait_for_grant")
             if ready:
                 for op in self._take_unissued(ws, ep, target):
-                    self._record_concurrency(ws, ep, op)
                     self._issue_op(ws, op)
                     posted += 1
         return posted
-
-    def _record_concurrency(self, ws: WindowState, ep: Epoch, op: RmaOp) -> None:
-        """Feed the consistency tracker when reorder flags permit
-        concurrent epoch progression (§VI-C hazard analysis)."""
-        tracker = ws.win.group.consistency
-        if tracker is None:
-            return
-        concurrent = [
-            other.uid
-            for other in ws.epochs
-            if other.active and other is not ep
-        ]
-        tracker.record(op, ep.uid, concurrent)
 
     # =====================================================================
     # Completion (step 3 / step 7)

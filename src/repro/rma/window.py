@@ -38,7 +38,6 @@ from ..mpi.memory import WindowMemory
 from ..mpi.ops import SUM, ReduceOp
 from ..mpi.requests import CompletedRequest, Request
 from .checker import RmaChecker
-from .consistency import CONSISTENCY_INFO_KEY, ConsistencyTracker
 from .epoch import Epoch, EpochKind
 from .flags import ReorderFlags
 from .ops import OpKind, RmaOp
@@ -79,10 +78,6 @@ class WindowGroup:
         self.flags = ReorderFlags.from_info(info)
         self.ranks = tuple(range(runtime.nranks))
         self.windows: dict[int, "Window"] = {}
-        #: §VI-C hazard tracker (None unless enabled by info key).
-        self.consistency: ConsistencyTracker | None = (
-            ConsistencyTracker() if info.get_bool(CONSISTENCY_INFO_KEY) else None
-        )
         #: Full semantics checker / race detector (None unless enabled by
         #: the ``repro.semantics_check`` info key; see :mod:`.checker`).
         self.checker: RmaChecker | None = RmaChecker.from_info(info)

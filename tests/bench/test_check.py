@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -28,29 +30,29 @@ def _doc(values):
 class TestCompareDocs:
     def test_identical_docs_pass(self):
         doc = _doc({"a": 10.0, "b": 0.0})
-        verdict = compare_docs(doc, doc, tolerance=0.2)
-        assert verdict["ok"] and verdict["checked"] == 2
-
-    def test_within_tolerance_passes(self):
-        verdict = compare_docs(_doc({"a": 10.0}), _doc({"a": 11.9}), tolerance=0.2)
-        assert verdict["ok"] and verdict["checked"] == 1
+        verdict = compare_docs(doc, doc)
+        assert verdict == {"ok": True, "checked": 2, "drifts": []}
 
     def test_drift_beyond_tolerance_fails_with_detail(self):
-        verdict = compare_docs(_doc({"a": 10.0}), _doc({"a": 12.5}), tolerance=0.2)
+        """Any difference is a drift — there is no tolerance to be
+        within; ``rel_change`` says how far, as information."""
+        verdict = compare_docs(_doc({"a": 10.0}), _doc({"a": 12.5}))
         assert not verdict["ok"]
         (drift,) = verdict["drifts"]
         assert drift["figure"] == "fig02" and drift["column"] == "a"
         assert drift["rel_change"] == 0.25
+        tiny = compare_docs(_doc({"a": 10.0}), _doc({"a": 10.0 * (1 + 1e-15)}))
+        assert not tiny["ok"] and 0 < tiny["drifts"][0]["rel_change"] < 1e-14
 
     def test_shrink_drift_also_fails(self):
-        verdict = compare_docs(_doc({"a": 10.0}), _doc({"a": 7.0}), tolerance=0.2)
+        verdict = compare_docs(_doc({"a": 10.0}), _doc({"a": 7.0}))
         assert not verdict["ok"]
         assert verdict["drifts"][0]["rel_change"] == -0.3
 
     def test_zero_baseline_requires_zero_current(self):
         verdict = compare_docs(_doc({"a": 0.0}), _doc({"a": 0.0}))
         assert verdict["ok"] and verdict["checked"] == 1
-        assert not compare_docs(_doc({"a": 0.0}), _doc({"a": 0.1}))["ok"]
+        assert not compare_docs(_doc({"a": 0.0}), _doc({"a": 1e-300}))["ok"]
 
     def test_missing_structure_is_a_drift(self):
         base = _doc({"a": 1.0, "b": 2.0})
@@ -106,58 +108,6 @@ class TestCompareDocs:
         assert ("missing", 1.0) in directions
         assert verdict["checked"] == 2
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            compare_docs(_doc({}), _doc({}), tolerance=-0.1)
-
-
-class TestFigureTolerances:
-    """Per-figure overrides: hold a deterministic figure to exact
-    equality while the rest keep the looser global bound."""
-
-    def test_tighter_override_flags_drift_global_would_pass(self):
-        verdict = compare_docs(
-            _doc({"a": 10.0}), _doc({"a": 10.5}),
-            tolerance=0.2, figure_tolerances={"fig02": 0.0})
-        assert not verdict["ok"]
-        assert verdict["drifts"][0]["rel_change"] == 0.05
-
-    def test_looser_override_passes_drift_global_would_flag(self):
-        verdict = compare_docs(
-            _doc({"a": 10.0}), _doc({"a": 14.0}),
-            tolerance=0.2, figure_tolerances={"fig02": 0.5})
-        assert verdict["ok"] and verdict["checked"] == 1
-
-    def test_override_scoped_to_named_figure(self):
-        base = _doc({"a": 10.0})
-        base["figures"].append({
-            "figure": "fig03", "title": "t", "unit": "µs",
-            "columns": ["a"],
-            "rows": [{"series": "New", "values": {"a": 10.0}}],
-        })
-        cur = _doc({"a": 10.5})
-        cur["figures"].append({
-            "figure": "fig03", "title": "t", "unit": "µs",
-            "columns": ["a"],
-            "rows": [{"series": "New", "values": {"a": 10.5}}],
-        })
-        verdict = compare_docs(base, cur, tolerance=0.2,
-                               figure_tolerances={"fig02": 0.0})
-        # fig02 drifts at its exact bound; fig03 stays on the global one.
-        assert [d["figure"] for d in verdict["drifts"]] == ["fig02"]
-
-    def test_negative_figure_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="fig02"):
-            compare_docs(_doc({}), _doc({}),
-                         figure_tolerances={"fig02": -0.1})
-
-    def test_verdict_records_overrides(self):
-        verdict = compare_docs(_doc({"a": 1.0}), _doc({"a": 1.0}),
-                               figure_tolerances={"z": 0.1, "a": 0.0})
-        assert verdict["ok"] and verdict["checked"] == 1
-        assert verdict["figure_tolerances"] == {"a": 0.0, "z": 0.1}
-        assert list(verdict["figure_tolerances"]) == ["a", "z"]
-
 
 def _passes(capsys, *argv) -> bool:
     """``main(argv)`` exits 0 *and* says it examined something — a
@@ -167,6 +117,27 @@ def _passes(capsys, *argv) -> bool:
     out = capsys.readouterr().out
     checked = int(re.search(r"checked (\d+) values", out).group(1))
     return code == 0 and checked > 0 and "no drift" in out
+
+
+def _unreadable_baselines_exit_2(tmp_path, capsys, monkeypatch, *mode):
+    """A missing, a non-JSON, a row-less and a non-numeric baseline each
+    exit 2 with one line on stderr — before any figure or sweep runs."""
+    def ran(*_args, **_kwargs):
+        raise AssertionError("ran before the baseline was read")
+    monkeypatch.setattr("repro.bench.__main__.collect_json", ran)
+    monkeypatch.setattr("repro.bench.__main__.run_scaling", ran)
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not json {")
+    rowless = tmp_path / "rowless.json"
+    rowless.write_text(json.dumps({"figures": [{"figure": "fig02"}]}))
+    textual = tmp_path / "textual.json"
+    textual.write_text(json.dumps(_doc({"a": "fast"})))
+    for path in (tmp_path / "nonexistent.json", garbage, rowless, textual):
+        capsys.readouterr()
+        assert main(["--check", str(path), *mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 class TestCheckCli:
@@ -199,16 +170,25 @@ class TestCheckCli:
         assert any(d["rel_change"] for d in artifact["drifts"])
         assert "DRIFT" in capsys.readouterr().out
 
-    def test_tighter_tolerance_via_flag(self, tmp_path, capsys):
+    def test_drift_of_1e_9_fails_with_no_flag_given(self, tmp_path, capsys):
+        """The gate is exact and has no knob: one cell off by 1e-9
+        relative is a drift."""
         baseline = tmp_path / "base.json"
         assert main(["fig02", "--json", str(baseline)]) == 0
-        # identical run passes even at zero tolerance (deterministic sim)
-        assert _passes(capsys, "--check", str(baseline), "--tolerance", "0.0",
-                       "fig02")
+        doc = json.loads(baseline.read_text())
+        doc["figures"][0]["rows"][0]["values"][doc["figures"][0]["columns"][0]] *= 1 + 1e-9
+        baseline.write_text(json.dumps(doc))
+        assert main(["--check", str(baseline), "fig02"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("DRIFT fig02") == 1 and "e-07%" in out
 
     def test_bad_flag_usage(self, capsys):
         assert main(["--check"]) == 2
-        assert main(["--tolerance", "abc"]) == 2
+        assert main(["--slope-gate", "abc"]) == 2
+
+    def test_unreadable_baseline_is_a_usage_error_not_a_drift(
+            self, tmp_path, capsys, monkeypatch):
+        _unreadable_baselines_exit_2(tmp_path, capsys, monkeypatch, "fig02")
 
     def test_subset_check_filters_full_baseline(self, tmp_path, capsys):
         # A named-figure check against a multi-figure baseline compares
@@ -227,14 +207,12 @@ class TestCheckCli:
         assert main(["--check", str(baseline)]) == 1
 
     def test_named_figure_missing_from_baseline_is_a_drift(self, tmp_path, capsys):
-        """The shape of CI's exact gates (``--figure-tolerance X=0.0 X``):
-        if the baseline lost figure X, the gate must fail, not compare
-        zero values and report "no drift"."""
+        """If the baseline lost a figure named on the command line, the
+        gate must fail, not compare zero values and report "no drift"."""
         baseline = tmp_path / "base.json"
         assert main(["fig02", "--json", str(baseline)]) == 0
         diff = tmp_path / "diff.json"
-        code = main(["--check", str(baseline), "--diff-out", str(diff),
-                     "--figure-tolerance", "fig08=0.0", "fig08"])
+        code = main(["--check", str(baseline), "--diff-out", str(diff), "fig08"])
         assert code == 1
         artifact = json.loads(diff.read_text())
         (drift,) = artifact["drifts"]
@@ -245,29 +223,22 @@ class TestCheckCli:
         # One present, one missing: still a drift, and fig02 still compared.
         assert main(["--check", str(baseline), "fig02", "fig08"]) == 1
 
-    def test_figure_tolerance_flag(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        assert main(["fig02", "--json", str(baseline)]) == 0
-        # Exact per-figure bound on a deterministic rerun still passes.
-        assert _passes(capsys, "--check", str(baseline),
-                       "--figure-tolerance", "fig02=0.0", "fig02")
-
-    def test_figure_tolerance_flag_malformed(self, capsys):
-        assert main(["--figure-tolerance", "fig02", "fig02"]) == 2
-        assert main(["--figure-tolerance", "fig02=abc", "fig02"]) == 2
-
 
 class TestRegistryRoundTrip:
     """What a registry entry declares is what the JSON document and the
     regression guard see."""
 
-    def test_every_entry_exports_exactly_its_columns(self, monkeypatch):
+    def test_every_entry_exports_exactly_its_columns(self, monkeypatch, built):
         # The full Fig. 12 sweep takes minutes; its entry's shape is
-        # what is under test, so stand in for the simulation only.
+        # what is under test, so stand in for the simulation only.  The
+        # other entries export the session's one build of their rows.
         monkeypatch.setattr(registry, "run_scaling", lambda ranks: {
             "ranks": list(ranks),
             "cells": {s.name: {n: {"throughput": 1.0 / n} for n in ranks}
                       for s in SERIES}})
+        monkeypatch.setattr(registry, "FIGURES", {
+            name: fig if name == "fig12_collapse" else replace(fig, build=partial(built, name))
+            for name, fig in FIGURES.items()})
         docs = registry.collect_json(list(FIGURES))
         assert [d["figure"] for d in docs] == list(FIGURES)
         for doc in docs:
@@ -278,34 +249,11 @@ class TestRegistryRoundTrip:
             for row in doc["rows"]:
                 assert list(row["values"]) == list(entry.columns)
 
-    def test_entry_tolerance_reaches_the_comparator(self, tmp_path, capsys):
-        """An entry's 0.0 holds its figure exact with no
-        ``--figure-tolerance`` on the command line; the flag still wins."""
-        exact = {n: f.tolerance for n, f in FIGURES.items() if f.tolerance is not None}
-        assert exact == {"coll_overlap": 0.0, "fig12_collapse": 0.0,
-                         "protocol_cost": 0.0}
-        baseline = tmp_path / "base.json"
-        assert main(["coll_overlap", "fig02", "--json", str(baseline)]) == 0
-        doc = json.loads(baseline.read_text())
-        for fig in doc["figures"]:  # +1 %: inside the global ±20 %
-            row = fig["rows"][0]
-            row["values"][fig["columns"][0]] *= 1.01
-        baseline.write_text(json.dumps(doc))
-        diff = tmp_path / "diff.json"
-        assert main(["--check", str(baseline), "--diff-out", str(diff),
-                     "coll_overlap", "fig02"]) == 1
-        artifact = json.loads(diff.read_text())
-        assert artifact["figure_tolerances"] == exact
-        assert [d["figure"] for d in artifact["drifts"]] == ["coll_overlap"]
-        assert _passes(capsys, "--check", str(baseline),
-                       "--figure-tolerance", "coll_overlap=0.05",
-                       "coll_overlap", "fig02")
-
 
 class TestScalingCheck:
     """``--scaling --check``: the run's cells are a ``fig12_collapse``
-    document compared by ``compare_docs`` at tolerance 0, the baseline
-    filtered to the run's rank columns."""
+    document compared by ``compare_docs``, the baseline filtered to the
+    run's rank columns."""
 
     GATE = ["--slope-gate", "1e9"]  # tiny cells: wall noise is not under test
 
@@ -343,3 +291,8 @@ class TestScalingCheck:
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"meta": {}, "figures": []}))
         assert main(["--scaling", "--ranks", "4", "--check", str(empty), *self.GATE]) == 1
+
+    def test_unreadable_baseline_exits_2_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        _unreadable_baselines_exit_2(tmp_path, capsys, monkeypatch,
+                                     "--scaling", "--ranks", "4")

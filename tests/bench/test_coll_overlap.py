@@ -1,26 +1,24 @@
 """The ``coll_overlap`` figure: registration, the overlap gate, and
 exact agreement with the committed baseline."""
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.bench import FIGURES
 from repro.bench.coll_overlap import SHAPES, WORK_US, INVOCATIONS
-
-BASELINE = Path(__file__).resolve().parents[2] / "BENCH_seed.json"
+from repro.bench.registry import figure_doc
 
 
 @pytest.fixture(scope="module")
-def figure():
+def figure(built):
     fig = FIGURES["coll_overlap"]
-    return fig.title, fig.columns, fig.build(), fig.unit
+    return fig.title, fig.columns, built(fig.name), fig.unit
 
 
-def test_registered_everywhere():
-    # Deterministic virtual-time data: the baseline check holds it exact.
-    assert FIGURES["coll_overlap"].tolerance == 0.0
+def test_registered_everywhere(committed):
+    # In the registry, and in the committed baseline that the check
+    # holds every figure to exactly.
+    assert FIGURES["coll_overlap"].columns == SHAPES
+    assert committed["coll_overlap"]["columns"] == list(SHAPES)
 
 
 def test_shape_of_figure(figure):
@@ -48,13 +46,7 @@ def test_nonblocking_overlap_beats_blocking(figure):
                 f"{rows[series][shape]} >= {blocking}")
 
 
-def test_matches_committed_baseline(figure):
-    """Bit-exact agreement with BENCH_seed.json (tolerance 0)."""
-    _, columns, rows, _ = figure
-    doc = json.loads(BASELINE.read_text())
-    (fig,) = [f for f in doc["figures"] if f["figure"] == "coll_overlap"]
-    baseline = {r["series"]: r["values"] for r in fig["rows"]}
-    assert tuple(fig["columns"]) == columns
-    for series, cells in rows.items():
-        for shape in columns:
-            assert baseline[series][shape] == cells[shape]
+def test_matches_committed_baseline(figure, committed):
+    """Bit-exact agreement with BENCH_seed.json."""
+    _, _, rows, _ = figure
+    assert figure_doc(FIGURES["coll_overlap"], rows) == committed["coll_overlap"]

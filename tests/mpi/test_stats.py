@@ -130,6 +130,10 @@ class TestCliRunner:
         expected = sorted(
             [f"fig{n:02d}" for n in range(2, 12)]
             + ["protocol_cost", "coll_overlap", "fig12_collapse"]
+            + ["fig12_txn", "fig12_credits", "fig13a", "fig13b", "fig13c", "fig13d",
+               "latency_epoch", "latency_overlap", "abl_eager_issue",
+               "abl_issue_in_epoch", "abl_regcache", "abl_flow_control",
+               "abl_netspeed_lc", "abl_netspeed_lu", "ext_adaptive", "ext_factdb"]
         )
         assert sorted(FIGURES) == expected
         assert all(fig.name == name and callable(fig.build)

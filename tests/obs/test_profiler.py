@@ -1,9 +1,11 @@
 """7-step progress-engine profiler, wired through real runs."""
 
 import numpy as np
+import pytest
 
 from repro import A_A_E_R
 from repro.obs.profiler import PROGRESS_STEPS, EngineProfiler
+from repro.rma.engine.registry import ENGINES
 from repro.simtime import Simulator
 from tests.conftest import make_runtime
 
@@ -30,6 +32,7 @@ def all_steps_workload(proc):
     win.put(np.ones(32, dtype=np.uint8), 0, proc.rank * 32)
     yield from win.unlock(0)
     yield from proc.barrier()
+    return win.view(np.uint8).copy()
 
 
 class TestUnit:
@@ -108,10 +111,18 @@ class TestWired:
         assert rt.profiler is None
         assert rt.metrics is None
 
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_profiling_does_not_change_virtual_time(self, engine):
-        times = []
+        """The profiled and the unprofiled sweep are one loop: same
+        schedule, same work, same answer with the profiler attached."""
+        runs = []
         for flag in (False, True):
             rt = make_runtime(4, engine, cores_per_node=2, metrics=flag)
-            rt.run(all_steps_workload)
-            times.append(rt.now)
-        assert times[0] == times[1]
+            windows = rt.run(all_steps_workload)
+            runs.append((
+                rt.now,
+                rt.sim.events_scheduled,
+                [(e.sweep_count, e.windows_visited, e.epochs_examined) for e in rt.engines],
+                [w.tobytes() for w in windows],
+            ))
+        assert runs[0] == runs[1]

@@ -16,7 +16,6 @@ import repro.mpi.info as info_mod
 from repro.mpi.errors import RmaUsageError
 from repro.mpi.info import LEGACY_INFO_KEYS, Info
 from repro.rma.checker import SEMANTICS_CHECK_INFO_KEY, SEMANTICS_MODE_INFO_KEY
-from repro.rma.consistency import CONSISTENCY_INFO_KEY
 from repro.rma.flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R, ReorderFlags
 from repro.rma.engine.mvapich import MvapichEngine
 from repro.rma.engine.nonblocking import NonblockingEngine
@@ -151,7 +150,6 @@ class TestDeprecationShims:
         for key in (
             SEMANTICS_CHECK_INFO_KEY,
             SEMANTICS_MODE_INFO_KEY,
-            CONSISTENCY_INFO_KEY,
             A_A_A_R,
             A_A_E_R,
             E_A_E_R,

@@ -1,9 +1,11 @@
-"""§VI-C consistency tracker: hazard detection under reorder flags."""
+"""§VI-C consistency tracker: hazard detection under reorder flags.
+The tracker runs inside the semantics checker (``group.checker``)."""
 
 import numpy as np
 
 from repro import A_A_A_R
-from repro.rma.consistency import CONSISTENCY_INFO_KEY, ConsistencyTracker
+from repro.rma.checker import SEMANTICS_CHECK_INFO_KEY, SEMANTICS_MODE_INFO_KEY
+from repro.rma.consistency import ConsistencyTracker
 from repro.rma.epoch import Epoch, EpochKind
 from repro.rma.ops import OpKind, RmaOp
 from tests.conftest import make_runtime
@@ -74,7 +76,9 @@ class TestTrackerUnit:
 
 class TestIntegration:
     def _run(self, disjoint: bool):
-        info = {A_A_A_R: 1, CONSISTENCY_INFO_KEY: 1}
+        # Report mode: the hazards are read after the run, whatever
+        # else the checker might flag on the way.
+        info = {A_A_A_R: 1, SEMANTICS_CHECK_INFO_KEY: 1, SEMANTICS_MODE_INFO_KEY: "report"}
         groups = {}
 
         def app(proc):
@@ -92,7 +96,7 @@ class TestIntegration:
             yield from proc.barrier()
 
         make_runtime(2).run(app)
-        return groups["g"].consistency.hazards()
+        return groups["g"].checker.hazards()
 
     def test_disjoint_epochs_clean(self):
         assert self._run(disjoint=True) == []
@@ -111,4 +115,4 @@ class TestIntegration:
             yield from proc.barrier()
 
         make_runtime(2).run(app)
-        assert holder["group"].consistency is None
+        assert holder["group"].checker is None

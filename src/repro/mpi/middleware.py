@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..network.shmem import NotificationFifo, NotificationPacket
-from .p2p import P2PEngine
+from .p2p import P2P_PAYLOADS, P2PEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.fabric import Fabric
@@ -45,28 +45,23 @@ class RankMiddleware:
     def on_delivery(self, payload: Any, src: int) -> None:
         """Fabric delivery entry point for this rank.
 
-        Payload classes are disjoint across the three layers, so routing
-        order is free to follow traffic share: RMA packets dominate any
-        RMA-heavy run and are tried first (after the single-isinstance
-        notification check); either way every arrival pokes the RMA
-        engine — full opportunistic progression, §VII.
+        Payload classes are disjoint across the three layers, so the
+        route is read off ``type(payload)``; whichever layer consumes
+        it, every arrival pokes the RMA engine — full opportunistic
+        progression, §VII.
         """
         rma = self.rma_engine
-        if isinstance(payload, NotificationPacket):
+        kind = type(payload)
+        if kind is NotificationPacket:
             self.fifo.push(payload.packet, src)
-            if rma is not None:
-                rma.poke()
-            return
-        if rma is not None and rma.on_packet(payload, src):
+        elif kind in P2P_PAYLOADS:
+            self.p2p.on_delivery(payload, src)
+        elif rma is None or not rma.on_packet(payload, src):
+            raise RuntimeError(
+                f"rank {self.rank}: unroutable delivery {payload!r} from {src}"
+            )
+        if rma is not None:
             rma.poke()
-            return
-        if self.p2p.on_delivery(payload, src):
-            if rma is not None:
-                rma.poke()
-            return
-        raise RuntimeError(
-            f"rank {self.rank}: unroutable delivery {payload!r} from {src}"
-        )
 
     @property
     def attention(self):

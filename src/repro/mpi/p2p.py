@@ -73,6 +73,10 @@ class RndvData:
     data: np.ndarray | None
 
 
+#: The payload classes this layer consumes (the middleware routes on it).
+P2P_PAYLOADS = frozenset({EagerData, RtsPacket, CtsPacket, RndvData})
+
+
 # -- requests ----------------------------------------------------------------
 class SendRequest(Request):
     """Completes when the send buffer is reusable (local completion)."""
@@ -82,7 +86,7 @@ class RecvRequest(Request):
     """Completes when the message has fully arrived; value is the data."""
 
     def __init__(self, sim: "Simulator", source: int, tag: int, buffer: np.ndarray | None):
-        super().__init__(sim, f"recv(src={source},tag={tag})")
+        super().__init__(sim, ("recv(src=%d,tag=%d)", source, tag))
         self.source = source
         self.tag = tag
         self.buffer = buffer
@@ -115,7 +119,7 @@ class P2PEngine:
         if data is not None:
             data = np.ascontiguousarray(data)
             nbytes = data.nbytes
-        req = SendRequest(self.sim, f"send(to={dst},tag={tag},n={nbytes})")
+        req = SendRequest(self.sim, ("send(to=%d,tag=%d,n=%d)", dst, tag, nbytes))
         send_id = next(_send_ids)
         if nbytes <= self.fabric.model.eager_threshold:
             payload = EagerData(tag, nbytes, data, send_id)
@@ -151,21 +155,22 @@ class P2PEngine:
 
         Returns True when consumed.
         """
-        if isinstance(payload, EagerData):
+        kind = type(payload)
+        if kind is EagerData:
             req = self._match_posted(src, payload.tag)
             if req is None:
                 self._unexpected.append((src, payload))
             else:
                 self._finish_recv(req, src, payload.tag, payload.nbytes, payload.data)
             return True
-        if isinstance(payload, RtsPacket):
+        if kind is RtsPacket:
             req = self._match_posted(src, payload.tag)
             if req is None:
                 self._unexpected.append((src, payload))
             else:
                 self._send_cts(req, src, payload)
             return True
-        if isinstance(payload, CtsPacket):
+        if kind is CtsPacket:
             dst, nbytes, data, sreq = self._rndv_pending.pop(payload.send_id)
             ticket = self.fabric.send(
                 self.rank, dst, nbytes, RndvData(payload.send_id, nbytes, data),
@@ -173,7 +178,7 @@ class P2PEngine:
             )
             ticket.on_local_complete(sreq.complete)
             return True
-        if isinstance(payload, RndvData):
+        if kind is RndvData:
             req = self._rndv_recv.pop(payload.send_id)
             self._finish_recv(
                 req, req.matched_source, req.matched_tag, payload.nbytes, payload.data

@@ -44,18 +44,12 @@ class MPIProcess:
     def __init__(self, runtime: "MPIRuntime", rank: int):
         self.runtime = runtime
         self.rank = rank
+        #: Number of ranks in the job (``MPI_Comm_size``).
+        self.size: int = runtime.nranks
+        #: This rank's middleware (advanced/diagnostic use).
+        self.middleware = runtime.middlewares[rank]
 
     # -- identity ------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        """Number of ranks in the job (``MPI_Comm_size``)."""
-        return self.runtime.nranks
-
-    @property
-    def middleware(self):
-        """This rank's middleware (advanced/diagnostic use)."""
-        return self.runtime.middlewares[self.rank]
-
     def wtime(self) -> float:
         """Current virtual time in microseconds (``MPI_Wtime``)."""
         return self.runtime.sim.now

@@ -18,8 +18,10 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Generator, Iterable, Sequence
 
+from ..simtime import SimEvent
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simtime import SimEvent, Simulator
+    from ..simtime import Simulator
 
 __all__ = [
     "Request",
@@ -36,11 +38,20 @@ _req_ids = itertools.count()
 class Request:
     """A completion handle backed by a kernel event."""
 
-    def __init__(self, sim: "Simulator", name: str = ""):
+    def __init__(self, sim: "Simulator", name: "str | tuple" = ""):
         self.sim = sim
         self.uid = next(_req_ids)
-        self.name = name or f"request{self.uid}"
-        self.event: "SimEvent" = sim.event(f"{self.name}.complete")
+        self._name = name
+        self.event = SimEvent(sim, name)
+
+    @property
+    def name(self) -> str:
+        """Label for diagnostics.  Given as ``(format, *args)`` it is
+        formatted here, on demand: the hot path never reads a name."""
+        name = self._name
+        if isinstance(name, tuple):
+            return name[0] % name[1:]
+        return name or f"request{self.uid}"
 
     # -- completion interface -------------------------------------------
     @property

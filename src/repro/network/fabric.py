@@ -22,13 +22,18 @@ send when absent.  The wire pipeline with both present::
                                                         │ ack, dedupe, reorder
                                                         ▼
                                           _admit ──► attention gate ──► _deliver
+
+Without a reliability layer the wire arrival *is* the admission, so it
+is scheduled straight onto ``_admit`` — or onto ``_deliver`` for a
+message that needs no host attention.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from .flowcontrol import FlowControl
+from ..obs.metrics import BYTES_BUCKETS
+from .flowcontrol import CreditPool, FlowControl
 from .model import NetworkModel
 from .nic import AttentionGateTable, NicPorts
 from .packets import Message, ServiceKind
@@ -39,11 +44,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
     from ..faults.reliability import ReliabilityLayer
     from ..patterns.trace import Tracer
-    from ..simtime import SimEvent, Simulator
+    from ..simtime import Position, SimEvent, Simulator
 
 __all__ = ["Fabric", "SendTicket"]
 
 DeliveryHandler = Callable[[Any, int], None]
+
+#: ``fabric.sends.<kind>`` counter names, formatted once.
+_SENDS_COUNTER = {kind: f"fabric.sends.{kind.name.lower()}" for kind in ServiceKind}
 
 
 class SendTicket:
@@ -64,7 +72,10 @@ class SendTicket:
 
     *Local complete* fires when the source buffer is reusable (out-port
     done serializing) — the MPI "local completion" notion used by
-    ``flush_local``.  *Delivered* fires when the payload has been handled
+    ``flush_local``.  Until somebody listens it is only a position
+    reserved in the kernel's event order; the first listener claims it,
+    or finds the clock beyond it and takes the after-the-fact path.
+    *Delivered* fires when the payload has been handled
     at the destination (after the attention gate, for attention-requiring
     messages).  Under the reliability layer that is the *first
     successful* delivery; retransmissions and ghost duplicates never
@@ -74,7 +85,7 @@ class SendTicket:
 
     __slots__ = (
         "sim", "message", "rel_seq", "sent_us", "causal_sid",
-        "_local_done", "_local_time", "_local_cbs", "_local_event",
+        "_local_pos", "_local_done", "_local_time", "_local_cbs", "_local_event",
         "_delivered_done", "_delivered_time", "_payload", "_delivered_cbs",
         "_delivered_event",
     )
@@ -86,7 +97,11 @@ class SendTicket:
         #: Message span id when causal recording is on (else None).
         self.causal_sid: int | None = None
         #: Virtual time of the originating send() call (metrics).
-        self.sent_us: float = sim.now
+        self.sent_us: float = sim._now
+        #: ``False`` until the first attempt or listener; the reserved
+        #: position of local completion while nobody listens; ``None``
+        #: once ``_fire_local`` has its own heap entry (or has run).
+        self._local_pos: "Position | None | bool" = False
         self._local_done = False
         self._local_time: float | None = None
         self._local_cbs: list[tuple[Callable[..., None], tuple]] | None = None
@@ -101,6 +116,8 @@ class SendTicket:
     def on_local_complete(self, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` when the source buffer becomes reusable
         (immediately-but-asynchronously if it already is)."""
+        if self._local_pos is not None:
+            self._listen_local()
         if self._local_done:
             self.sim.schedule(0.0, fn, *args)
         elif self._local_cbs is None:
@@ -119,14 +136,27 @@ class SendTicket:
             self._delivered_cbs.append((fn, args))
 
     # -- firing (fabric-internal) ------------------------------------------
+    def _listen_local(self) -> None:
+        """The first listener arrives: from here on local completion is
+        a callback — unless it was reserved and the clock is beyond it,
+        in which case it happened at the reserved time."""
+        pos, self._local_pos = self._local_pos, None
+        if pos:
+            sim = self.sim
+            if pos[0] > sim._now or not sim.passed(pos):
+                sim.claim(pos, self._fire_local)
+            else:
+                self._local_done = True
+                self._local_time = pos[0]
+
     def _fire_local(self) -> None:
-        if self._local_done:
+        if self._local_done or self._local_pos:
             # Retransmissions re-serialize the same buffer; "buffer
-            # reusable" fired at the first serialization.
+            # reusable" fired (or is reserved) at the first serialization.
             return
         self._local_done = True
         sim = self.sim
-        self._local_time = sim.now
+        self._local_time = sim._now
         cbs, self._local_cbs = self._local_cbs, None
         if cbs is not None:
             for fn, args in cbs:
@@ -134,19 +164,14 @@ class SendTicket:
         if self._local_event is not None:
             self._local_event.trigger()
 
-    def _fire_delivered(self, payload: Any) -> None:
-        if self._delivered_done:
-            return
-        self._delivered_done = True
-        sim = self.sim
-        self._delivered_time = sim.now
-        self._payload = payload
+    def _wake_delivered(self) -> None:
+        """Delivery just happened, recorded by the fabric: tell who listens."""
         cbs, self._delivered_cbs = self._delivered_cbs, None
         if cbs is not None:
             for fn, args in cbs:
-                sim.schedule(0.0, fn, *args)
+                self.sim.schedule(0.0, fn, *args)
         if self._delivered_event is not None:
-            self._delivered_event.trigger(payload)
+            self._delivered_event.trigger(self._payload)
 
     # -- lazily materialized events ----------------------------------------
     @property
@@ -154,6 +179,8 @@ class SendTicket:
         """Event form of local completion (created on first access)."""
         ev = self._local_event
         if ev is None:
+            if self._local_pos is not None:
+                self._listen_local()
             ev = self._local_event = self.sim.event(f"msg{self.message.uid}.local")
             if self._local_done:
                 ev.trigger()
@@ -209,8 +236,7 @@ class Fabric:
             )
             for _ in range(topology.nranks)
         ]
-        self._handlers: dict[int, DeliveryHandler] = {}
-        #: Dense handler table mirroring ``_handlers`` (hot-path lookup).
+        #: Per-rank middleware delivery handlers.
         self._handler_list: list[DeliveryHandler | None] = [None] * topology.nranks
         self.injector = injector
         self.reliability = reliability
@@ -251,9 +277,8 @@ class Fabric:
     # -- wiring ----------------------------------------------------------
     def register_handler(self, rank: int, handler: DeliveryHandler) -> None:
         """Install the middleware delivery handler for ``rank``."""
-        if rank in self._handlers:
+        if self._handler_list[rank] is not None:
             raise ValueError(f"rank {rank} already has a delivery handler")
-        self._handlers[rank] = handler
         self._handler_list[rank] = handler
 
     def regcache(self, rank: int) -> RegistrationCache:
@@ -282,15 +307,13 @@ class Fabric:
         real MPI middleware; it bypasses fault injection and reliability
         (nothing crosses a wire).
         """
-        message = Message(src, dst, nbytes, kind, payload, needs_attention)
+        message = Message(src, dst, nbytes, kind, payload, needs_attention, pin_region)
         ticket = SendTicket(self.sim, message)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         m = self.metrics
         if m is not None:
-            from ..obs.metrics import BYTES_BUCKETS
-
-            m.inc(f"fabric.sends.{kind.name.lower()}")
+            m.inc(_SENDS_COUNTER[kind])
             m.observe("fabric.msg_bytes", nbytes, BYTES_BUCKETS)
         causal = self.causal
         if causal is not None:
@@ -324,14 +347,14 @@ class Fabric:
         # FlowControl path so accounting and metrics stay identical.
         flow = self.flow
         if not flow.enabled:
-            self._start_transfer(ticket)
+            self._start_transfer(ticket, None)
             return ticket
         pool = flow.pool(src, dst)
         if pool.available > 0 and not pool._waiters:
             pool.available -= 1
-            self._start_transfer(ticket)
+            self._start_transfer(ticket, pool)
         else:
-            flow.acquire(src, dst, self._start_transfer, ticket)
+            flow.acquire(src, dst, self._start_transfer, ticket, pool)
         return ticket
 
     # -- internals ---------------------------------------------------------
@@ -340,47 +363,70 @@ class Fabric:
         on the wire.  Also the reliability layer's retransmission entry
         point — every attempt pays credits and port occupancy."""
         msg = ticket.message
-        self.flow.acquire(msg.src, msg.dst, self._start_transfer, ticket)
+        flow = self.flow
+        pool = flow.pool(msg.src, msg.dst) if flow.enabled else None
+        flow.acquire(msg.src, msg.dst, self._start_transfer, ticket, pool)
 
-    def _start_transfer(self, ticket: SendTicket) -> None:
+    def _start_transfer(self, ticket: SendTicket, pool: CreditPool | None) -> None:
+        """Put one attempt on the wire; ``pool`` is where its credit
+        came from (``None`` with flow control disabled)."""
         msg = ticket.message
         nodes = self._node_id
         intranode = nodes[msg.src] == nodes[msg.dst]
-        pin_delay = 0.0
-        if not intranode and msg.payload is not None:
-            region = getattr(msg.payload, "pin_region", None)
-            if region is not None:
-                pin_delay = self._regcaches[msg.src].pin_cost(*region)
-
-        now = self.sim.now
+        sim = self.sim
+        now = start = sim._now
+        if msg.pin_region is not None and not intranode:
+            start += self._regcaches[msg.src].pin_cost(*msg.pin_region)
         lat = self._lat[intranode]
         ser = msg.nbytes / self._bw[intranode]
-        ports_src = self._ports[msg.src].pair(intranode)
-        ports_dst = self._ports[msg.dst].pair(intranode)
-        start = max(now + pin_delay, ports_src.out_free, ports_dst.in_free - lat)
+        if intranode:
+            ports_src = self._ports[msg.src].intranode
+            ports_dst = self._ports[msg.dst].intranode
+        else:
+            ports_src = self._ports[msg.src].internode
+            ports_dst = self._ports[msg.dst].internode
+        # start = max(ready, out_free, in_free - L), see nic.py.
+        if ports_src.out_free > start:
+            start = ports_src.out_free
+        cut_through = ports_dst.in_free - lat
+        if cut_through > start:
+            start = cut_through
         out_done = start + ser
         delivery = start + lat + ser
         ports_src.out_free = out_done
         ports_dst.in_free = delivery
 
-        self.sim.schedule(out_done - now, self._local_complete, ticket)
+        # The first attempt of a send nobody listens to yet only reserves
+        # the instant the out-port is done; a send that stalled with
+        # listeners attached, and a retransmission, take a heap entry.
+        if ticket._local_pos is False and out_done > now:
+            ticket._local_pos = sim.reserve(out_done - now)
+        else:
+            if ticket._local_pos is False:
+                ticket._local_pos = None
+            sim.schedule(out_done - now, ticket._fire_local)
         # The ack travels back after the wire-level arrival whether or
         # not the packet is usable there (link-level credits are below
         # the loss model), so dropped packets never leak credits.
-        flow = self.flow
-        if flow.enabled:
-            self.sim.schedule(
-                delivery - now + flow.ack_latency, flow.pool(msg.src, msg.dst).release
-            )
+        if pool is not None:
+            pool.return_after(delivery - now + self.flow.ack_latency)
 
+        # Where the wire arrival lands (see the module docstring).
+        reliability = self.reliability
+        if reliability is not None:
+            arrive = self._arrive
+        elif msg.needs_attention:
+            arrive = self._admit
+        else:
+            arrive = self._deliver
         net_lane = ("net", msg.src, msg.dst)
         if self.injector is None:
             # Per-pair wire arrival order is a fabric contract (the
             # middleware relies on FIFO delivery between two ranks), so
             # exploration policies may only shift the whole lane.
-            self.sim.schedule(delivery - now, self._arrive, ticket, lane=net_lane)
-            if self.reliability is not None and ticket.rel_seq is not None:
-                self.reliability.on_attempt(ticket, delivery - now)
+            sim.schedule(delivery - now, arrive, ticket, lane=net_lane)
+            if reliability is not None and ticket.rel_seq is not None:
+                reliability.on_attempt(ticket, delivery - now)
             return
 
         attempt = self._attempts.get(msg.uid, 0)
@@ -390,16 +436,16 @@ class Fabric:
             self._trace_fault(msg, disp)
         arrival_delay = delivery - now + disp.delay_us
         if not disp.lost:
-            self.sim.schedule(arrival_delay, self._arrive, ticket, lane=net_lane)
+            sim.schedule(arrival_delay, arrive, ticket, lane=net_lane)
             if disp.duplicate:
-                self.sim.schedule(
+                sim.schedule(
                     arrival_delay + self.injector.plan.duplicate_lag_us,
-                    self._arrive,
+                    arrive,
                     ticket,
                     lane=net_lane,
                 )
-        if self.reliability is not None and ticket.rel_seq is not None:
-            self.reliability.on_attempt(ticket, arrival_delay)
+        if reliability is not None and ticket.rel_seq is not None:
+            reliability.on_attempt(ticket, arrival_delay)
 
     def _trace_fault(self, msg: Message, disp) -> None:
         if self.tracer is None:
@@ -417,11 +463,8 @@ class Fabric:
             reason=disp.reason,
         )
 
-    def _local_complete(self, ticket: SendTicket) -> None:
-        ticket._fire_local()
-
     def _arrive(self, ticket: SendTicket) -> None:
-        """Wire-level arrival at the destination NIC."""
+        """Wire-level arrival at the destination NIC (reliability layer on)."""
         if self.reliability is not None and ticket.rel_seq is not None:
             self.reliability.on_wire_arrival(ticket)
         else:
@@ -453,14 +496,20 @@ class Fabric:
             self._attempts.pop(msg.uid, None)
         m = self.metrics
         if m is not None:
-            m.observe("fabric.delivery_us", self.sim.now - ticket.sent_us)
+            m.observe("fabric.delivery_us", self.sim._now - ticket.sent_us)
         causal = self.causal
         if causal is not None and ticket.causal_sid is not None:
             causal.deliver(ticket.causal_sid)
+        payload = msg.payload
         handler = self._handler_list[msg.dst]
         if handler is not None:
-            handler(msg.payload, msg.src)
-        ticket._fire_delivered(msg.payload)
+            handler(payload, msg.src)
+        if not ticket._delivered_done:  # an injected duplicate delivers twice
+            ticket._delivered_done = True
+            ticket._delivered_time = self.sim._now
+            ticket._payload = payload
+            if ticket._delivered_cbs is not None or ticket._delivered_event is not None:
+                ticket._wake_delivered()
 
     # -- reliability-layer ack transport -----------------------------------
     def _send_ack(self, src: int, dst: int, seq: int) -> None:
@@ -476,7 +525,7 @@ class Fabric:
         self.bytes_sent += self.reliability.cfg.ack_bytes
         delay = self.model.latency(self.topology.same_node(src, dst))
         if self.injector is not None:
-            disp = self.injector.ack_disposition(src, dst, self.sim.now)
+            disp = self.injector.ack_disposition(src, dst, self.sim._now)
             if disp.drop:
                 return
             delay += disp.delay_us

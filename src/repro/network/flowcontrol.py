@@ -10,41 +10,78 @@ Sends that find no credit queue up FIFO and are released as acks return.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simtime import Simulator
+    from ..simtime import Position, Simulator
 
 __all__ = ["CreditPool", "FlowControl"]
 
 
 class CreditPool:
-    """Credits for one directed (src → dst) pair."""
+    """Credits for one directed (src → dst) pair.
 
-    __slots__ = ("capacity", "available", "_waiters", "stall_count", "max_queued")
+    A credit on its way back (:meth:`return_after`) is a callback only
+    while somebody waits for it.  Otherwise it is a position reserved in
+    the kernel's event order — where its ``release`` would have run —
+    counted home by one compare against the clock when a sender needs
+    to know.  The first sender to stall claims every outstanding
+    position with :meth:`release`, and while anybody waits a new return
+    is scheduled: grants happen when, and in the order, they would with
+    an event per credit.
+    """
 
-    def __init__(self, capacity: int):
+    __slots__ = ("capacity", "available", "sim", "_waiters", "_returns", "stall_count",
+                 "max_queued")
+
+    def __init__(self, capacity: int, sim: "Simulator | None" = None):
         if capacity <= 0:
             raise ValueError(f"credit capacity must be positive, got {capacity}")
         self.capacity = capacity
+        #: Credits known to be home; :meth:`settle` brings it up to date.
         self.available = capacity
-        self._waiters: deque[tuple[Callable[..., None], tuple[Any, ...]]] = deque()
+        #: Kernel that times the returns (a hand-driven pool needs none).
+        self.sim = sim
+        #: Stalled sends, FIFO: a deque from the first stall on, until
+        #: then ``()`` — an empty deque is 0.6 KiB, most pools never see
+        #: a waiter and 1024 ranks touch 14k pools.
+        self._waiters: "deque[tuple[Callable[..., None], tuple[Any, ...]]] | tuple[()]" = ()
+        #: Reserved positions of the credits in flight, in event order
+        #: (at most ``capacity``); empty whenever a sender waits.
+        self._returns: "list[Position]" = []
         #: Number of sends that had to wait for a credit (contention metric).
         self.stall_count = 0
         #: High-water mark of concurrently stalled sends (§VIII-B: the
         #: depth the pending-epoch backlog reached on this pair).
         self.max_queued = 0
 
+    def settle(self) -> None:
+        """Count home every returning credit the clock has passed."""
+        returns = self._returns
+        if returns:
+            passed = self.sim.passed
+            while returns and passed(returns[0]):
+                del returns[0]
+                self.available += 1
+
     def acquire(self, on_granted: Callable[..., None], *args: Any) -> None:
         """Take one credit, invoking ``on_granted(*args)`` immediately if
         one is free or later (FIFO) when one is released.  Passing the
         arguments separately lets hot callers avoid a closure per send."""
+        if self.available <= 0:
+            self.settle()
         if self.available > 0 and not self._waiters:
             self.available -= 1
             on_granted(*args)
         else:
             self.stall_count += 1
+            if not self._waiters:
+                self._waiters = deque()
+                for pos in self._returns:
+                    self.sim.claim(pos, self.release)
+                self._returns.clear()
             self._waiters.append((on_granted, args))
             if len(self._waiters) > self.max_queued:
                 self.max_queued = len(self._waiters)
@@ -58,6 +95,26 @@ class CreditPool:
             if self.available >= self.capacity:
                 raise RuntimeError("credit released more times than acquired")
             self.available += 1
+
+    def return_after(self, delay: float) -> None:
+        """The credit of a packet put on the wire now is home ``delay``
+        from now (the ack travels back after the wire-level arrival)."""
+        sim = self.sim
+        if self._waiters or delay <= 0.0:
+            sim.schedule(delay, self.release)
+            return
+        returns = self._returns
+        # Those strictly behind the clock are home whatever the tie-break
+        # says: counting them here keeps the list at what is in flight.
+        now = sim._now
+        while returns and returns[0][0] < now:
+            del returns[0]
+            self.available += 1
+        pos = sim.reserve(delay)
+        if returns and pos < returns[-1]:
+            insort(returns, pos)  # a policy delayed an earlier return past this one
+        else:
+            returns.append(pos)
 
     @property
     def queued(self) -> int:
@@ -106,7 +163,7 @@ class FlowControl:
             if self._freelist:
                 pool = self._freelist.pop()
             else:
-                pool = CreditPool(self.capacity if self.enabled else 1)
+                pool = CreditPool(self.capacity if self.enabled else 1, self.sim)
             self._pools[key] = pool
         return pool
 
@@ -117,13 +174,11 @@ class FlowControl:
         communication graphs can bound live pool count to the working
         set; pools with stall statistics are kept so ``pair_stats``
         stays complete."""
-        idle = [
-            key
-            for key, pool in self._pools.items()
-            if pool.available == pool.capacity
-            and not pool._waiters
-            and not pool.stall_count
-        ]
+        idle = []
+        for key, pool in self._pools.items():
+            pool.settle()
+            if pool.available == pool.capacity and not pool._waiters and not pool.stall_count:
+                idle.append(key)
         for key in idle:
             self._freelist.append(self._pools.pop(key))
         return len(idle)
@@ -139,19 +194,21 @@ class FlowControl:
         pool = self.pool(src, dst)
         m = self.metrics
         causal = self.causal
-        if (m is not None or causal is not None) and (pool.available <= 0 or pool.queued):
+        if pool.available <= 0:
+            pool.settle()
+        if (m is not None or causal is not None) and (pool.available <= 0 or pool._waiters):
             # This send will stall; wrap the grant to time the wait.
             # The closure is fine here — stalls are the rare path.
             if m is not None:
                 m.inc("fc.stalls")
-            start = self.sim.now
+            start = self.sim._now
             sid = (causal.begin("fc_stall", rank=src, meta={"dst": dst})
                    if causal is not None else None)
             inner, inner_args = on_granted, args
 
             def on_granted() -> None:
                 if m is not None:
-                    m.observe("fc.credit_wait_us", self.sim.now - start)
+                    m.observe("fc.credit_wait_us", self.sim._now - start)
                 if sid is not None:
                     # end_cause = whatever released the credit; the
                     # resumed send runs under the stall span's context.
@@ -162,14 +219,6 @@ class FlowControl:
             args = ()
 
         pool.acquire(on_granted, *args)
-
-    def schedule_release(self, src: int, dst: int, delivered_at_delay: float) -> None:
-        """Schedule the credit return ``delivered_at_delay + ack_latency``
-        from now (the ack travels back after delivery)."""
-        if not self.enabled:
-            return
-        pool = self.pool(src, dst)
-        self.sim.schedule(delivered_at_delay + self.ack_latency, pool.release)
 
     def total_stalls(self) -> int:
         """Aggregate stall count across all pairs (contention metric)."""

@@ -52,10 +52,6 @@ class NicPorts:
         self.internode = PortPair()
         self.intranode = PortPair()
 
-    def pair(self, intranode: bool) -> PortPair:
-        """The port pair for the given path type."""
-        return self.intranode if intranode else self.internode
-
 
 class AttentionGate:
     """Models host-CPU availability for middleware control processing.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["ServiceKind", "Message"]
@@ -39,7 +38,6 @@ class ServiceKind(enum.Enum):
     NOTIFY = "notify"
 
 
-@dataclass(slots=True)
 class Message:
     """A unit of traffic handed to the fabric.
 
@@ -57,21 +55,28 @@ class Message:
         If true, delivery is deferred until the destination host is
         *attentive* (inside an MPI call or idle); models control work
         that a real NIC cannot perform alone.
+    pin_region:
+        ``(address, size)`` the source registers before an internode
+        transfer, or ``None``.
     uid:
         Monotonic id, for deterministic ordering and tracing.
     """
 
-    src: int
-    dst: int
-    nbytes: int
-    kind: ServiceKind
-    payload: Any
-    needs_attention: bool = False
-    uid: int = field(default_factory=lambda: next(_msg_ids))
+    __slots__ = ("src", "dst", "nbytes", "kind", "payload", "needs_attention", "pin_region",
+                 "uid")
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError(f"negative message size: {self.nbytes}")
+    def __init__(self, src: int, dst: int, nbytes: int, kind: ServiceKind, payload: Any,
+                 needs_attention: bool = False, pin_region: tuple[int, int] | None = None):
+        if nbytes < 0:
+            raise ValueError(f"negative message size: {nbytes}")
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.kind = kind
+        self.payload = payload
+        self.needs_attention = needs_attention
+        self.pin_region = pin_region
+        self.uid = next(_msg_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -560,10 +560,9 @@ class RmaEngineBase:
         needs_attention: bool = False,
         pin_region: tuple[int, int] | None = None,
     ):
-        if pin_region is not None:
-            payload.pin_region = pin_region  # type: ignore[attr-defined]
         return self.fabric.send(
-            self.rank, dst, nbytes, payload, kind=kind, needs_attention=needs_attention
+            self.rank, dst, nbytes, payload, kind=kind, needs_attention=needs_attention,
+            pin_region=pin_region,
         )
 
     def _send_grant(self, ws: WindowState, origin: int) -> None:

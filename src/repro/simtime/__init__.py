@@ -19,7 +19,7 @@ Quick example::
     assert proc.done.value == 5.0
 """
 
-from .core import Simulator, TieBreakPolicy
+from .core import Position, Simulator, TieBreakPolicy
 from .errors import InvalidYield, ProcessFailed, SimtimeError, SimulationDeadlock
 from .events import AllOf, AnyOf, SimEvent, Timeout
 from .process import SimProcess
@@ -27,6 +27,7 @@ from .sparse import SparseCounterMat, SparseCounterVec
 
 __all__ = [
     "Simulator",
+    "Position",
     "TieBreakPolicy",
     "SparseCounterVec",
     "SparseCounterMat",

@@ -31,27 +31,18 @@ class SimEvent:
         Optional human-readable label used in tracing and deadlock reports.
     """
 
-    __slots__ = ("sim", "name", "_callbacks", "_triggered", "_value", "trigger_time")
+    __slots__ = ("sim", "name", "_callbacks", "triggered", "value", "trigger_time")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.name = name
         self._callbacks: list[Callable[[SimEvent], None]] = []
-        self._triggered = False
-        self._value: Any = None
+        #: Whether :meth:`trigger` has been called (read-only for users).
+        self.triggered = False
+        #: The value passed to :meth:`trigger` (``None`` before that).
+        self.value: Any = None
         #: Virtual time at which the event triggered (``None`` until then).
         self.trigger_time: float | None = None
-
-    # -- inspection ------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """Whether :meth:`trigger` has been called."""
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        """The value passed to :meth:`trigger` (``None`` before that)."""
-        return self._value
 
     # -- wiring ----------------------------------------------------------
     def add_callback(self, fn: Callable[["SimEvent"], None]) -> None:
@@ -61,7 +52,7 @@ class SimEvent:
         at the current virtual time (never synchronously), preserving the
         kernel's run-to-completion semantics.
         """
-        if self._triggered:
+        if self.triggered:
             self.sim.schedule(0.0, fn, self)
         else:
             self._callbacks.append(fn)
@@ -69,17 +60,18 @@ class SimEvent:
     def trigger(self, value: Any = None) -> None:
         """Fire the event, waking all waiters.  Idempotent-hostile:
         triggering twice is a programming error and raises."""
-        if self._triggered:
+        if self.triggered:
             raise RuntimeError(f"event {self.name!r} triggered twice")
-        self._triggered = True
-        self._value = value
-        self.trigger_time = self.sim.now
+        self.triggered = True
+        self.value = value
+        sim = self.sim
+        self.trigger_time = sim._now
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
-            self.sim.schedule(0.0, fn, self)
+            sim.schedule(0.0, fn, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "triggered" if self._triggered else "pending"
+        state = "triggered" if self.triggered else "pending"
         return f"<SimEvent {self.name!r} {state}>"
 
 

@@ -140,17 +140,14 @@ class TestAccounting:
 
     def test_pin_region_charges_regcache(self):
         sim, fab, dlv = make_fabric()
-
-        class Payload:
-            pin_region = (0, 1 << 20)
-
-        fab.send(0, 1, 1 << 20, Payload())
+        region = (0, 1 << 20)
+        fab.send(0, 1, 1 << 20, "cold", pin_region=region)
         sim.run_until_idle()
         first = dlv[0][3]
         assert first > fab.model.one_way(1 << 20, False)  # pin cost added
         dlv.clear()
         t_send = sim.now
-        fab.send(0, 1, 1 << 20, Payload())  # cached now
+        fab.send(0, 1, 1 << 20, "warm", pin_region=region)  # cached now
         sim.run_until_idle()
         second = dlv[0][3] - t_send
         assert second == pytest.approx(fab.model.one_way(1 << 20, False))

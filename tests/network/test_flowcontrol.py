@@ -65,7 +65,10 @@ class TestFlowControl:
         granted = []
         fc.acquire(0, 1, lambda: granted.append("first"))
         fc.acquire(0, 1, lambda: granted.append("second"))
-        fc.schedule_release(0, 1, delivered_at_delay=3.0)
+        # A sender waits, so the return is a callback (as the fabric
+        # asks for it: delivery delay + ack latency).
+        fc.pool(0, 1).return_after(3.0 + fc.ack_latency)
+        assert sim.pending_callbacks == 1
         sim.run()
         assert granted == ["first", "second"]
         assert sim.now == 5.0  # 3.0 delivery + 2.0 ack
@@ -91,10 +94,124 @@ class TestFlowControl:
         fc.acquire(2, 3, lambda: None)
         fc.pool(2, 3).release()          # (2, 3) back to full, idle
         fc.pool(4, 5)                    # touched but never acquired
-        assert fc.reclaim_idle() == 2
-        assert set(fc._pools) == {(0, 1)}
+        fc.acquire(6, 7, lambda: None)
+        fc.pool(6, 7).return_after(1.0)  # its credit is home at 1.0 ...
+        fc.acquire(8, 9, lambda: None)
+        fc.pool(8, 9).return_after(5.0)  # ... this one still in flight at 2.0
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=2.0)
+        assert fc.pool(6, 7).available == 0  # ... but nobody has counted it
+        assert fc.reclaim_idle() == 3
+        assert set(fc._pools) == {(0, 1), (8, 9)}
         # The freelist is reused before constructing a fresh pool.
         recycled = set(fc._freelist)
-        assert len(recycled) == 2
+        assert len(recycled) == 3
+        assert all(p.available == p.capacity and not p._returns for p in recycled)
         assert fc.pool(9, 9) in recycled
-        assert len(fc._freelist) == 1
+        assert len(fc._freelist) == 2
+
+
+class TestReturningCredits:
+    """Credits on their way back to a pool nobody waits on are reserved
+    positions, not callbacks; a waiter turns them into callbacks."""
+
+    def make(self, capacity=2):
+        sim = Simulator()
+        return sim, CreditPool(capacity, sim)
+
+    def test_returns_take_a_seq_but_no_heap_entry(self):
+        sim, pool = self.make()
+        pool.acquire(lambda: None)
+        pool.return_after(3.0)
+        assert sim.events_scheduled == 1
+        assert sim.pending_callbacks == 0
+        assert sim.run() == 3.0  # the run still ends where the credit came home
+
+    def test_exhausted_pool_counts_the_returns_the_clock_has_passed(self):
+        sim, pool = self.make()
+        granted = []
+        for _ in range(2):
+            pool.acquire(lambda: None)
+        pool.return_after(1.0)
+        pool.return_after(4.0)
+        sim.schedule(2.0, pool.acquire, granted.append, "at 2.0")
+        sim.run(until=2.0)
+        assert granted == ["at 2.0"]  # the 1.0 credit was home: no stall
+        assert pool.stall_count == 0 and pool.available == 0
+        assert len(pool._returns) == 1
+
+    def test_first_waiter_claims_every_outstanding_return(self):
+        sim, pool = self.make()
+        granted = []
+        for _ in range(2):
+            pool.acquire(lambda: None)
+        pool.return_after(3.0)
+        pool.return_after(5.0)
+        pool.acquire(lambda: granted.append(("a", sim.now)))
+        pool.acquire(lambda: granted.append(("b", sim.now)))
+        assert pool.stall_count == 2 and pool.max_queued == 2
+        assert not pool._returns and sim.pending_callbacks == 2
+        # While somebody waits a new return is a callback at once.
+        pool.return_after(7.0)
+        assert sim.pending_callbacks == 3
+        sim.run()
+        assert granted == [("a", 3.0), ("b", 5.0)]
+        assert pool.available == 1  # the 7.0 one found no waiter
+
+    def test_stall_at_the_instant_a_credit_is_due_later_in_the_batch(self):
+        # The sender runs at 2.0 *before* the position the credit comes
+        # home at (same instant, later seq): it must stall, and be
+        # granted where the credit's callback would have run — after
+        # ``sender`` and before ``after``, not at the batch tail.
+        sim, pool = self.make(capacity=1)
+        log = []
+
+        def sender():
+            log.append("sender")
+            sim.schedule(0.0, log.append, "tail")
+            pool.acquire(log.append, "granted")
+
+        pool.acquire(lambda: None)
+        sim.schedule(2.0, sender)
+        pool.return_after(2.0)
+        sim.schedule(2.0, log.append, "after")
+        sim.run()
+        assert log == ["sender", "granted", "after", "tail"]
+        assert pool.stall_count == 1
+
+    def test_no_stall_when_the_credit_was_due_earlier_in_the_batch(self):
+        sim, pool = self.make(capacity=1)
+        log = []
+        pool.acquire(lambda: None)
+        pool.return_after(2.0)
+        sim.schedule(2.0, pool.acquire, log.append, "granted")
+        sim.run()
+        assert log == ["granted"] and pool.stall_count == 0
+
+    def test_appending_a_return_counts_those_strictly_behind_the_clock(self):
+        sim, pool = self.make(capacity=4)
+        for _ in range(3):
+            pool.acquire(lambda: None)
+        pool.return_after(1.0)
+        pool.return_after(2.0)
+        sim.schedule(2.0, pool.return_after, 5.0)
+        sim.run(until=2.0)
+        # 1.0 is behind the clock; 2.0 is a tie and waits for a sender
+        # that needs to know.
+        assert pool.available == 2
+        assert [p[0] for p in pool._returns] == [2.0, 7.0]
+
+    def test_returns_stay_in_event_order_when_a_policy_swaps_them(self):
+        class Swap:
+            extras = iter((0.5, 0.0))
+
+            def perturb(self, time, seq, lane):
+                return next(self.extras), 0
+
+        sim = Simulator(policy=Swap())
+        pool = CreditPool(2, sim)
+        for _ in range(2):
+            pool.acquire(lambda: None)
+        pool.return_after(1.0)   # perturbed to 1.5
+        pool.return_after(1.25)  # stays at 1.25: home first
+        assert [p[0] for p in pool._returns] == [1.25, 1.5]

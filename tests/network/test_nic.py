@@ -60,5 +60,3 @@ class TestNicPorts:
         ports = NicPorts()
         ports.internode.out_free = 5.0
         assert ports.intranode.out_free == 0.0
-        assert ports.pair(False) is ports.internode
-        assert ports.pair(True) is ports.intranode

@@ -35,6 +35,22 @@ def all_steps_workload(proc):
     return win.view(np.uint8).copy()
 
 
+def two_sided_workload(proc):
+    """Eager and rendezvous traffic, a compute phase and an allreduce:
+    never enters the RMA stack (the shape of perf's ``p2p_ring``)."""
+    left, right = (proc.rank - 1) % proc.size, (proc.rank + 1) % proc.size
+    x = np.int64([proc.rank + 1])
+    for it in range(3):
+        small, big = np.full(8, x[0]), np.full(4096, x[0])  # 64 B eager, 32 KiB rendezvous
+        recvs = [proc.irecv(left, tag=it), proc.irecv(right, tag=it)]
+        sends = [proc.isend(left, 0, tag=it, data=small), proc.isend(right, 0, tag=it, data=big)]
+        yield from proc.compute(2.0)
+        from_left, from_right = yield from proc.waitall(recvs)
+        yield from proc.waitall(sends)
+        x = yield from proc.allreduce_sum(x + from_left[0] + from_right[-1])
+    return x
+
+
 class TestUnit:
     def test_record_and_tally(self):
         prof = EngineProfiler(Simulator())
@@ -113,16 +129,22 @@ class TestWired:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_profiling_does_not_change_virtual_time(self, engine):
-        """The profiled and the unprofiled sweep are one loop: same
-        schedule, same work, same answer with the profiler attached."""
-        runs = []
-        for flag in (False, True):
-            rt = make_runtime(4, engine, cores_per_node=2, metrics=flag)
-            windows = rt.run(all_steps_workload)
-            runs.append((
-                rt.now,
-                rt.sim.events_scheduled,
-                [(e.sweep_count, e.windows_visited, e.epochs_examined) for e in rt.engines],
-                [w.tobytes() for w in windows],
-            ))
-        assert runs[0] == runs[1]
+        """The observed and the unobserved run are one code path: same
+        schedule, same event count, same work, same answer with the
+        profiler or the causal recorder attached — on an RMA program and
+        on one that never leaves the two-sided layer.  ``python3 -m
+        perf`` fails every operation of a traced rep whose ``events``
+        differ from the untraced warm-up's, so this is what it rests on."""
+        for app in (all_steps_workload, two_sided_workload):
+            runs = []
+            for obs in ({}, {"metrics": True}, {"causal": True}):
+                rt = make_runtime(4, engine, cores_per_node=2, **obs)
+                answers = rt.run(app)
+                runs.append((
+                    rt.now,
+                    rt.sim.events_scheduled,
+                    [(e.sweep_count, e.windows_visited, e.epochs_examined)
+                     for e in rt.engines],
+                    [a.tobytes() for a in answers],
+                ))
+            assert runs[0] == runs[1] == runs[2], app.__name__

@@ -68,6 +68,189 @@ class TestScheduling:
         sim.run()
         assert seen == [(1, "x")]
 
+    def test_run_until_behind_the_clock_rejected(self, sim):
+        # Used to move time backwards: the callback below would have
+        # fired at 6.0, before ones that already ran at 10.0.
+        sim.schedule(10.0, lambda: None)
+        sim.run()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="past"):
+            sim.run(until=5.0)
+        assert sim.now == 10.0
+        assert sim.run(until=10.0) == 10.0  # the clock itself is fine
+        assert sim.run() == 11.0
+
+
+class TestReservedPositions:
+    """reserve / claim / passed: a place in the event order without a
+    heap entry.  The reference throughout is what ``schedule`` of a
+    no-op (or of the claimed callback) would have done."""
+
+    def test_reserve_takes_the_seq_schedule_would(self, sim):
+        sim.schedule(1.0, lambda: None)
+        pos = sim.reserve(2.0)
+        sim.schedule(3.0, lambda: None)
+        assert pos == (2.0, 0, 2)
+        assert sim.events_scheduled == 3
+        assert sim.pending_callbacks == 2
+
+    def test_reserve_needs_a_positive_delay(self, sim):
+        for delay in (0.0, -1.0):
+            with pytest.raises(ValueError, match="ahead of the clock"):
+                sim.reserve(delay)
+        assert sim.events_scheduled == 0
+
+    def test_reserve_consults_policy_and_lane(self):
+        seen = []
+
+        class Spy:
+            def perturb(self, time, seq, lane):
+                seen.append((time, seq, lane))
+                return 0.25, 7
+
+        sim = Simulator(policy=Spy())
+        assert sim.reserve(1.0, lane=("net", 0, 1)) == (1.25, 7, 1)
+        assert seen == [(1.0, 1, ("net", 0, 1))]
+
+    def test_claimed_position_runs_in_its_place(self, sim):
+        seen = []
+        sim.schedule(2.0, seen.append, "a")
+        pos = sim.reserve(2.0)
+        sim.schedule(2.0, seen.append, "c")
+        sim.schedule(1.0, sim.claim, pos, seen.append, "b")
+        sim.run()
+        assert seen == ["a", "b", "c"]
+
+    def test_claim_inside_the_executing_batch_is_a_sorted_insert(self, sim):
+        # Claimed at its own instant, while earlier entries of that
+        # instant execute: it must still run before later-scheduled ones
+        # and before zero-delay callbacks appended to the batch tail.
+        seen = []
+        pos = []
+
+        def first():
+            seen.append("first")
+            sim.schedule(0.0, seen.append, "tail")
+            sim.claim(pos[0], seen.append, "claimed")
+
+        sim.schedule(2.0, first)
+        pos.append(sim.reserve(2.0))
+        sim.schedule(2.0, seen.append, "last")
+        sim.run()
+        assert seen == ["first", "claimed", "last", "tail"]
+
+    def test_passed_compares_time_then_position(self, sim):
+        verdicts = {}
+        before = sim.reserve(1.0)
+        tie_behind = sim.reserve(2.0)
+
+        def probe():
+            for name, pos in (("before", before), ("tie_behind", tie_behind),
+                              ("tie_ahead", tie_ahead), ("after", after)):
+                verdicts[name] = sim.passed(pos)
+
+        sim.schedule(2.0, probe)
+        tie_ahead = sim.reserve(2.0)
+        after = sim.reserve(3.0)
+        sim.run()
+        assert verdicts == {"before": True, "tie_behind": True,
+                            "tie_ahead": False, "after": False}
+        assert all(sim.passed(p) for p in (before, tie_behind, tie_ahead, after))
+
+    def test_passed_under_a_policy_tracks_the_furthest_entry_of_the_instant(self):
+        # Under a policy a callback may schedule a same-time entry whose
+        # key sorts *before* positions the instant has already run past.
+        # Heap order at t=1: the position (key 3), then ``outer`` (key 5);
+        # ``inner`` (key 1) is born while ``outer`` runs, so it runs last
+        # although it sorts first — comparing the position with the
+        # executing entry alone would call it not passed.
+        class Keys:
+            def __init__(self):
+                self.keys = iter((5, 3, 1))
+
+            def perturb(self, time, seq, lane):
+                return 0.0, next(self.keys)
+
+        sim = Simulator(policy=Keys())
+        verdicts = []
+
+        def inner():
+            verdicts.append(sim.passed(pos))
+
+        def outer():
+            verdicts.append(sim.passed(pos))
+            sim.schedule(0.0, inner)
+
+        sim.schedule(1.0, outer)
+        pos = sim.reserve(1.0)
+        sim.run()
+        assert verdicts == [True, True]
+
+    def test_claiming_a_position_behind_the_clock_is_an_error(self, sim):
+        pos = sim.reserve(1.0)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError, match="behind the clock"):
+            sim.claim(pos, lambda: None)
+
+    def test_run_ends_at_an_unclaimed_last_position(self, sim):
+        # The clock passes over a reserved position: the run ends where
+        # it would have ended had the position been a no-op callback.
+        sim.schedule(1.0, lambda: None)
+        pos = sim.reserve(4.0)
+        assert sim.run() == 4.0 == sim.now
+        assert sim.passed(pos)
+        # ... and time does not run backwards from there.
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [5.0]
+
+    @pytest.mark.parametrize("until, expect_now, expect_passed", [
+        (3.0, 3.0, False),   # stops before the position
+        (4.0, 4.0, True),    # at it: a callback there would have run
+        (6.0, 4.0, True),    # after it: a drained run ends at the position
+    ])
+    def test_run_until_around_a_reserved_position(self, sim, until, expect_now, expect_passed):
+        sim.schedule(1.0, lambda: None)
+        pos = sim.reserve(4.0)
+        assert sim.run(until=until) == expect_now == sim.now
+        assert sim.passed(pos) is expect_passed
+
+    def test_run_until_with_pending_callbacks_beyond_it(self, sim):
+        pos = sim.reserve(4.0)
+        sim.schedule(9.0, lambda: None)
+        assert sim.run(until=4.0) == 4.0
+        assert sim.passed(pos)
+        assert sim.run() == 9.0
+
+    def test_deadlock_is_reported_after_the_clock_passed_the_last_position(self, sim):
+        def body():
+            yield sim.event("never")
+
+        sim.process(body(), name="stuck")
+        sim.reserve(2.5)
+        with pytest.raises(SimulationDeadlock):
+            sim.run()
+        assert sim.now == 2.5
+
+    def test_causal_context_is_saved_at_reserve_and_restored_at_fire(self, sim):
+        class Recorder:
+            current = None
+
+            def __init__(self):
+                self._ctx = {}
+
+        rec = sim.causal = Recorder()
+        seen = []
+        rec.current = "reserving span"
+        pos = sim.reserve(2.0)
+        rec.current = "claiming span"
+        sim.claim(pos, lambda: seen.append(rec.current))
+        rec.current = None
+        sim.run()
+        assert seen == ["reserving span"]
+
 
 class _Perturb:
     """Deterministic perturbing TieBreakPolicy: bounded extra delay and
@@ -79,9 +262,10 @@ class _Perturb:
 
 
 class TestHeapEntrySlab:
-    """The recycled heap-entry slab: retired entries must drop their
-    callback/args references (no resurrection through the free list),
-    and recycling must never lose or duplicate a delivery."""
+    """Heap entries (immutable tuples since the slab that recycled them
+    was deleted; the class keeps its name for the test ids): a fired
+    entry must not pin its callback or args, and no delivery may be
+    lost or duplicated on either loop."""
 
     def test_recycled_entries_release_callback_and_args(self, sim):
         class Payload:
@@ -96,15 +280,12 @@ class TestHeapEntrySlab:
         cb_ref = weakref.ref(cb)
         sim.schedule(1.0, cb, payload)
         sim.run()
-        # The slab holds the retired entry, but both fn and args slots
-        # must have been cleared before recycling.
-        assert sim._free, "expected the fired entry to be recycled"
-        for entry in sim._free:
-            assert entry[3] is None and entry[4] is None
+        # The kernel remembers where it stopped, not what it ran.
+        assert len(sim._cur) == 3
         del payload, cb
         gc.collect()
-        assert ref() is None, "slab resurrected the callback args"
-        assert cb_ref() is None, "slab resurrected the callback itself"
+        assert ref() is None, "the kernel pinned the callback args"
+        assert cb_ref() is None, "the kernel pinned the callback itself"
 
     def test_recycled_entries_release_refs_in_batched_bursts(self, sim):
         # Same-timestamp batches take the batched delivery path in run();
@@ -121,27 +302,6 @@ class TestHeapEntrySlab:
         sim.run()
         gc.collect()
         assert all(r() is None for r in refs)
-
-    def test_slab_reuse_does_not_leak_stale_args(self, sim):
-        # Fire enough events to populate the free slab, then schedule
-        # argless callbacks that reuse those entries: each must fire with
-        # its own (empty) args, not a stale tuple from a prior life.
-        seen = []
-        for i in range(16):
-            sim.schedule(1.0, lambda a, b: seen.append((a, b)), i, "old")
-        sim.run()
-        assert len(sim._free) >= 16
-        fresh = []
-        sim.schedule(1.0, fresh.append, "new")
-        sim.schedule(1.0, lambda: fresh.append("argless"))
-        sim.run()
-        assert fresh == ["new", "argless"]
-
-    def test_free_slab_is_bounded(self, sim):
-        for i in range(10_000):
-            sim.schedule(float(i % 7), lambda: None)
-        sim.run()
-        assert len(sim._free) <= 8192
 
     def test_events_scheduled_counts_deliveries_without_policy(self, sim):
         delivered = []

@@ -31,6 +31,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..rma.notify import SignalChannel
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import MPIRuntime
     from .context import ExplorationContext
@@ -98,74 +100,80 @@ def _checker_verdict(runtime: "MPIRuntime") -> dict:
     return {"violations": total, "kinds": dict(sorted(kinds.items()))}
 
 
+#: The ω names as rows of the board: name -> (array, channel).
+_OMEGA_ROWS = (
+    ("a", "expected", SignalChannel.GRANT),
+    ("e", "outbound", SignalChannel.GRANT),
+    ("g", "inbound", SignalChannel.GRANT),
+    ("done_id", "inbound", SignalChannel.DONE),
+)
+
+
 def _omega_counters(runtime: "MPIRuntime") -> dict[str, dict]:
-    """Raw ω-triples and done ids per ``"gid/rank"`` (engine-only)."""
+    """Raw ω-triples and done ids per ``"gid/rank"`` (engine-only): the
+    GRANT / DONE rows of the board under the ω names, nonzero entries in
+    ascending peer order (the JSON shape is independent of touch order).
+    The counter-signal engine reports its board whole in
+    :func:`_signal_counters` and keeps the (empty) ω shape here."""
     out: dict[str, dict] = {}
     for rank, engine in enumerate(runtime.engines):
+        omega = not engine.supports_notified_access
         for gid, ws in sorted(engine.states.items()):
             out[f"{gid}/{rank}"] = {
-                # ω counters are sparse vectors; items() yields
-                # nonzero entries in ascending rank order, keeping the
-                # digest's str->int JSON shape independent of touch order.
-                "a": {str(r): v for r, v in ws.a.items()},
-                "e": {str(r): v for r, v in ws.e.items()},
-                "g": {str(r): v for r, v in ws.g.items()},
-                "done_id": {str(r): v for r, v in ws.done_id.items()},
+                name: {str(r): v for r, v in getattr(ws.board, array).row_items(channel)}
+                if omega else {}
+                for name, array, channel in _OMEGA_ROWS
             }
     return out
 
 
 def _signal_counters(runtime: "MPIRuntime") -> dict[str, dict]:
-    """Counter-signal boards per ``"gid/rank"`` (engine-only; empty
-    under the ω engines, whose windows carry no signal board)."""
+    """Counter boards per ``"gid/rank"`` under the counter-signal engine
+    (engine-only; the ω engines report theirs in :func:`_omega_counters`)."""
     out: dict[str, dict] = {}
     for rank, engine in enumerate(runtime.engines):
+        if not engine.supports_notified_access:
+            continue
         for gid, ws in sorted(engine.states.items()):
-            board = ws.signal_board
-            if board is None:
-                continue
-            snap = board.snapshot()
+            snap = ws.board.snapshot()
             if snap:
                 out[f"{gid}/{rank}"] = snap
     return out
 
 
 def _omega_invariants(runtime: "MPIRuntime") -> list[str]:
-    """ω-counter conservation audit at quiescence (strict: must be []).
+    """Counter conservation audit at quiescence (strict: must be []),
+    read off the board every engine matches on, in the ω names.
 
     - **grant conservation** — every grant P_r issued to P_l was
-      received: ``ws_l.g[r] == ws_r.e[l]`` (the granter bumps ``e`` when
-      it issues, the grantee bumps ``g`` when the update lands);
-    - **done causality** — a target never saw a done id above what the
-      origin requested: ``ws_r.done_id[l] <= ws_l.a[r]``;
+      received: ``g_l[r] == e_r[l]`` (the granter bumps ``e`` when it
+      issues, the grantee's ``g`` moves when the update lands);
+    - **done causality** — a target never saw a done above what the
+      origin requested: ``done_id_r[l] <= a_l[r]``;
     - **matching soundness** — no rank holds more grants than it
-      requested accesses: ``ws_l.g[r] <= ws_l.a[r]``  (a grant exists
-      only in response to an access epoch).
+      requested accesses: ``g_l[r] <= a_l[r]``  (a grant exists only in
+      response to an access epoch).
     """
     bad: list[str] = []
     by_gid: dict[int, dict[int, Any]] = {}
     for rank, engine in enumerate(runtime.engines):
         for gid, ws in engine.states.items():
-            by_gid.setdefault(gid, {})[rank] = ws
-    for gid, states in sorted(by_gid.items()):
-        for l, ws_l in sorted(states.items()):
-            for r in sorted(states):
-                ws_r = states[r]
-                if ws_l.g[r] != ws_r.e[l]:
+            by_gid.setdefault(gid, {})[rank] = ws.board
+    grant, done = SignalChannel.GRANT, SignalChannel.DONE
+    for gid, boards in sorted(by_gid.items()):
+        for l, board_l in sorted(boards.items()):
+            for r in sorted(boards):
+                board_r = boards[r]
+                a, g = board_l.expected[grant, r], board_l.inbound[grant, r]
+                e, done_id = board_r.outbound[grant, l], board_r.inbound[done, l]
+                if g != e:
+                    bad.append(f"win {gid}: grant conservation g[{l}<-{r}]={g} != e[{r}->{l}]={e}")
+                if done_id > a:
                     bad.append(
-                        f"win {gid}: grant conservation g[{l}<-{r}]={ws_l.g[r]} "
-                        f"!= e[{r}->{l}]={ws_r.e[l]}"
+                        f"win {gid}: done causality done_id[{r}<-{l}]={done_id} > a[{l}->{r}]={a}"
                     )
-                if ws_r.done_id[l] > ws_l.a[r]:
-                    bad.append(
-                        f"win {gid}: done causality done_id[{r}<-{l}]={ws_r.done_id[l]} "
-                        f"> a[{l}->{r}]={ws_l.a[r]}"
-                    )
-                if ws_l.g[r] > ws_l.a[r]:
-                    bad.append(
-                        f"win {gid}: ungranted access g[{l}<-{r}]={ws_l.g[r]} "
-                        f"> a[{l}->{r}]={ws_l.a[r]}"
-                    )
+                if g > a:
+                    bad.append(f"win {gid}: ungranted access g[{l}<-{r}]={g} > a[{l}->{r}]={a}")
     return bad
 
 

@@ -98,16 +98,16 @@ def op_delivered_wakeup_dropped():
 
 
 def done_arrival_uncounted():
-    """Drop the *done from o* wake-up: ``done_id`` / the DONE counter
-    still move, but the exposure's arrival count does not, so the
-    exposure never sees its group complete."""
+    """Drop the *done from o* wake-up: the inbound DONE counter still
+    moves, but the exposure's arrival count does not, so the exposure
+    never sees its group complete."""
     from ..rma.engine.nonblocking import NonblockingEngine
-    from ..rma.epoch import EpochKind
+    from ..rma.notify import SignalChannel
 
     real = NonblockingEngine._wake_peer
 
-    def mutated(self, ws, kind, peer, advance=True):
-        if kind is not EpochKind.GATS_EXPOSURE:
-            real(self, ws, kind, peer, advance)
+    def mutated(self, ws, channel, peer):
+        if channel != SignalChannel.DONE:
+            real(self, ws, channel, peer)
 
     return patch.object(NonblockingEngine, "_wake_peer", mutated)

@@ -295,11 +295,10 @@ class MPIRuntime:
         summary["counters"] = dict(sorted(summary["counters"].items()))
         boards: dict[str, Any] = {}
         for rank, eng in enumerate(self.engines):
+            if not eng.supports_notified_access:
+                continue
             for gid in sorted(eng.states):
-                board = getattr(eng.states[gid], "signal_board", None)
-                if board is None:
-                    continue
-                snap = board.snapshot()
+                snap = eng.states[gid].board.snapshot()
                 if snap:
                     boards[f"rank{rank}.win{gid}"] = snap
         if boards:

@@ -58,7 +58,7 @@ class RuntimeStats:
     dup_suppressed: int = 0
     acks_sent: int = 0
     delivery_failures: int = 0
-    #: Replayed GrantUpdates discarded by the idempotent g = max(g, seq).
+    #: Replayed grant / signal updates discarded by the idempotent max().
     dup_grants_ignored: int = 0
     #: True once the adaptive engine fell back to conservative mode.
     degraded: bool = False
@@ -131,7 +131,7 @@ def collect_stats(runtime: "MPIRuntime") -> RuntimeStats:
         for ws in engine.states.values():
             lock_grants += ws.lock_mgr.grants
             live_epochs += len(ws.live_epochs())
-            dup_grants += ws.dup_grants_ignored
+            dup_grants += ws.board.dup_signals_ignored
         degraded = degraded or getattr(engine, "degraded", False)
     injector = fabric.injector
     rel = fabric.reliability

@@ -6,7 +6,10 @@ opened / activated / completed, transfers issued / delivered, blocking
 intervals) and the detector reconstructs who waited on whom.
 
 Tracing is off by default; :class:`~repro.mpi.runtime.MPIRuntime` enables
-it with ``trace=True``.  Disabled emission is a single attribute check.
+it with ``trace=True`` — at construction, for the whole run.  Disabled
+emission is a single attribute check: the engines bind the tracer only
+when it is enabled and guard each site with ``self._tracer is not None``
+(the few callers that do not are stopped by :meth:`Tracer.emit` itself).
 """
 
 from __future__ import annotations

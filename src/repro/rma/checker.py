@@ -68,6 +68,7 @@ from typing import TYPE_CHECKING, Any
 from ..mpi.errors import RmaUsageError
 from .consistency import ConsistencyTracker
 from .epoch import EpochKind
+from .notify import SignalChannel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.info import Info
@@ -249,48 +250,24 @@ class RmaChecker:
     # =====================================================================
     def on_op_issue(self, ws: "WindowState", ep: "Epoch", op: "RmaOp") -> None:
         """Called by the engines immediately before an op hits the wire."""
-        # (b) ω-counter violation: the O(1) matching test says this
+        # (b) matching violation: the O(1) test ``A_i <= g_r`` says this
         # access was never granted, yet the op is being issued.
-        if (
-            ep.kind is EpochKind.GATS_ACCESS
-            and op.target in ep.access_ids
-            and not ws.access_granted(op.target, ep.access_ids[op.target])
-        ):
-            self._flag(
-                ViolationKind.OMEGA_VIOLATION,
-                ws,
-                f"op {op.uid} ({op.kind.value}) issued to rank {op.target} with "
-                f"access id {ep.access_ids[op.target]} > g_r={ws.g[op.target]} "
-                f"(no matching exposure granted"
-                f"{'; MPI_MODE_NOCHECK asserted falsely' if ep.nocheck else ''})",
-                epoch=ep,
-                access_id=ep.access_ids[op.target],
-                g=int(ws.g[op.target]),
-            )
-        # (b') counter-signal form of the same probe: the access epoch
-        # reserved a GRANT counter value that the target's signal has
-        # not yet reached.  Deliberately not skipped under NOCHECK —
-        # like the ω probe, it catches false NOCHECK assertions.
-        if (
-            ep.kind is EpochKind.GATS_ACCESS
-            and op.target in ep.signal_expected
-            and ws.signal_board is not None
-        ):
-            from .notify import SignalChannel
-
-            expected = ep.signal_expected[op.target]
-            if not ws.signal_board.reached(SignalChannel.GRANT, op.target, expected):
+        # Deliberately not skipped under NOCHECK: it catches false
+        # NOCHECK assertions.
+        if ep.kind is EpochKind.GATS_ACCESS and op.target in ep.access_ids:
+            access_id = ep.access_ids[op.target]
+            if not ws.board.reached(SignalChannel.GRANT, op.target, access_id):
+                granted = ws.board.inbound[SignalChannel.GRANT, op.target]
                 self._flag(
                     ViolationKind.OMEGA_VIOLATION,
                     ws,
                     f"op {op.uid} ({op.kind.value}) issued to rank {op.target} with "
-                    f"GRANT reservation {expected} > inbound="
-                    f"{int(ws.signal_board.inbound[SignalChannel.GRANT, op.target])} "
-                    f"(no matching exposure signaled"
+                    f"access id {access_id} > g_r={granted} "
+                    f"(no matching exposure granted"
                     f"{'; MPI_MODE_NOCHECK asserted falsely' if ep.nocheck else ''})",
                     epoch=ep,
-                    access_id=expected,
-                    g=int(ws.signal_board.inbound[SignalChannel.GRANT, op.target]),
+                    access_id=access_id,
+                    g=granted,
                 )
         # (d) NOCHECK lock epochs: the application asserted no
         # conflicting lock exists; verify against the target's hosted

@@ -5,9 +5,17 @@ The two engines (the paper's redesign in
 :mod:`~repro.rma.engine.mvapich`) differ only in *policy*: when epochs
 activate, when transfers are issued, what the closing routines wait for.
 Everything mechanical is here — packet construction and reception, data
-application at targets, ω-counter updates, lock hosting, the
-notification FIFO, fence bookkeeping and op completion fan-out — so that
-measured differences between engines are purely synchronization design.
+application at targets, lock hosting, the notification FIFO and op
+completion fan-out — so that measured differences between engines are
+purely synchronization design.
+
+The matching protocol is here too, written once over the window's
+counter board (:mod:`repro.rma.notify`): every announcement goes through
+:meth:`RmaEngineBase._notify`.  What an engine may change is its *wire
+encoding*: ``_transmit`` (which packet carries a counter value), the
+receive handlers that turn it back into ``(channel, peer, value)``, and
+two numbering rules, ``lock_channel`` / ``done_by_id``.  This class
+carries the ω encoding (§VII-B): ``GrantUpdate`` / done / fence packets.
 """
 
 from __future__ import annotations
@@ -16,9 +24,11 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ...mpi.errors import RmaInternalError
 from ...network.packets import ServiceKind
 from ...network.shmem import NotifyKind, decode_checked
 from ..epoch import Epoch, EpochKind, EpochState
+from ..notify import SignalChannel
 from ..ops import OpKind, RmaOp
 from ..packets import (
     AccRendezvousCts,
@@ -53,6 +63,11 @@ __all__ = ["RmaEngineBase", "pack_win_value", "unpack_win_value"]
 _WIN_BITS = 6
 _ID_MASK = (1 << 30) - 1
 
+_GRANT = SignalChannel.GRANT
+_DONE = SignalChannel.DONE
+_FENCE_OPEN = SignalChannel.FENCE_OPEN
+_FENCE_DONE = SignalChannel.FENCE_DONE
+
 
 def pack_win_value(gid: int, ident: int) -> int:
     """Pack (window gid, id) into a 36-bit notification value."""
@@ -79,6 +94,19 @@ class RmaEngineBase:
     #: and request-based ops inside active-target epochs) — only the
     #: counter-signal engine provides it.
     supports_notified_access: bool = False
+
+    # The two numbering rules of a wire encoding (class constants: an
+    # engine *is* its encoding; not settable per run or per window).
+    #: Channel a lock grant advances and a lock epoch reserves on.  ω
+    #: folds it into GRANT — "the host process of a lock still updates
+    #: e_l locally and g_r remotely" (§VII-B) — so a lock grant moves the
+    #: counter GATS accesses toward that host match on (ROADMAP 5a).
+    lock_channel: SignalChannel = _GRANT
+    #: Whether a done carries its epoch's access id and an exposure
+    #: expects the id of the grant it issued (ω), or DONE is a count of
+    #: its own.  They differ once a reorder flag lets a later epoch's
+    #: done overtake an earlier one's: an id floor covers both exposures.
+    done_by_id: bool = True
 
     def __init__(self, runtime: "MPIRuntime", rank: int):
         self.runtime = runtime
@@ -129,48 +157,22 @@ class RmaEngineBase:
         #: Schedule-exploration context (None outside repro.explore runs);
         #: feeds the delivered-notification multiset of the outcome digest.
         self._explore = getattr(runtime, "exploration", None)
-        #: Hot-path caches, resolved once: the tracer (its ``enabled``
-        #: flag gates emit calls), this rank's notification FIFO (the
-        #: ``fifo`` property walks runtime->middleware every call), and
-        #: this rank's node span (block placement makes the same-node
-        #: test ``lo <= peer < hi`` — O(1) per peer, no O(nranks) table).
-        self._tracer = getattr(runtime, "tracer", None)
-        middlewares = getattr(runtime, "middlewares", None)
-        self._fifo = (
-            middlewares[rank].fifo
-            if middlewares is not None and rank < len(middlewares)
-            else None
-        )
+        #: Hot-path caches, resolved once: the tracer (bound only when
+        #: enabled — ``Tracer.enabled`` is fixed at construction — so a
+        #: disabled site is one ``is not None`` test), this rank's 64-bit
+        #: notification FIFO endpoint, and this rank's node span (block
+        #: placement makes the same-node test ``lo <= peer < hi`` — O(1)
+        #: per peer, no O(nranks) table).
+        self._tracer = runtime.tracer if runtime.tracer.enabled else None
+        self.fifo = runtime.middlewares[rank].fifo
         topo = runtime.fabric.topology
         self._node_lo, self._node_hi = topo.node_span(rank)
 
     # -- small conveniences ------------------------------------------------
-    @property
-    def tracer(self):
-        return self.runtime.tracer
-
     def _trace(self, kind: str, ws: WindowState, epoch: Epoch | None = None, **detail: Any) -> None:
-        tracer = self._tracer
-        if tracer is None:
-            tracer = self.runtime.tracer
-        tracer.emit(kind, self.rank, ws.gid, epoch.uid if epoch else None, **detail)
-
-    def _trace_enabled(self) -> bool:
-        """Hot-site guard: skip building ``_trace`` kwargs when tracing
-        is off (the overwhelmingly common case)."""
-        tracer = self._tracer
-        return tracer.enabled if tracer is not None else self.runtime.tracer.enabled
-
-    @property
-    def fifo(self):
-        """This rank's 64-bit notification FIFO endpoint."""
-        return self.runtime.middlewares[self.rank].fifo
-
-    @staticmethod
-    def _checker_of(ws: WindowState):
-        """The window group's semantics checker, or None (default path:
-        one attribute read + None test per hook site)."""
-        return ws.win.group.checker
+        """Emit one trace event; every site guards with ``self._tracer is
+        not None`` so the kwargs are not even built when tracing is off."""
+        self._tracer.emit(kind, self.rank, ws.gid, epoch.uid if epoch else None, **detail)
 
     # -- wiring ---------------------------------------------------------------
     def register_window(self, win: "Window") -> None:
@@ -199,7 +201,7 @@ class RmaEngineBase:
         if (
             not self._dirty
             and not self._blocking_flushes
-            and (self._fifo is None or not self._fifo._incoming)
+            and not self.fifo._incoming
         ):
             # Nothing a sweep could act on: no dirty windows, no queued
             # notifications, no blocking flushes.  The sweep body would
@@ -286,11 +288,10 @@ class RmaEngineBase:
         """One of ``ep``'s completion conditions may have moved: the one
         toward ``target``, or (None) any of them."""
 
-    def _wake_peer(self, ws: WindowState, kind: EpochKind, peer: int,
-                   advance: bool = True) -> None:
-        """A grant / done / fence announcement from ``peer`` landed: the
-        active epochs of ``kind`` that involve ``peer`` are due, toward
-        ``peer`` only."""
+    def _wake_peer(self, ws: WindowState, channel: SignalChannel, peer: int) -> None:
+        """``peer`` moved this rank's inbound counter on ``channel`` (a
+        grant / done / fence announcement landed): the active epochs
+        whose predicates read it are due, toward ``peer`` only."""
 
     def _wake_target(self, ws: WindowState, ep: Epoch, target: int) -> None:
         """``target`` granted ``ep`` access: ops recorded toward it may
@@ -318,7 +319,7 @@ class RmaEngineBase:
     def _on_put(self, ws: WindowState, p: PutData, src: int) -> None:
         if p.data is not None:
             ws.win.memory.write(p.target_disp, p.data)
-        if self._trace_enabled():
+        if self._tracer is not None:
             self._trace("op_delivered", ws, side="target", op_kind="put", src=src,
                         disp=p.target_disp)
 
@@ -407,33 +408,31 @@ class RmaEngineBase:
         self._op_delivered(ws, op)
 
     def _on_grant(self, ws: WindowState, p: GrantUpdate, src: int) -> None:
+        board = ws.board
+        granter = p.granter
+        # Idempotent form: the packet carries its position in the
+        # granter's grant stream, so replays cannot over-increment g.
+        seq = p.grant_seq if p.grant_seq is not None else board.inbound[_GRANT, granter] + 1
         m = self.metrics
-        if p.grant_seq is not None:
-            # Idempotent form: the packet carries its position in the
-            # granter's grant stream, so replays cannot over-increment g.
-            if p.grant_seq <= ws.g[p.granter]:
-                ws.dup_grants_ignored += 1
-                if m is not None:
-                    m.inc("omega.dup_grants_ignored")
-                return
-            ws.g[p.granter] = p.grant_seq
-        else:
-            ws.g[p.granter] += 1
+        if not board.apply(_GRANT, granter, seq):
+            if m is not None:
+                m.inc("omega.dup_grants_ignored")
+            return
         if m is not None:
             m.inc("omega.grants_recv")
         if self._explore is not None:
             self._explore.record_notification(
-                self.rank, "grant", p.granter, pack_win_value(ws.gid, int(ws.g[p.granter]))
+                self.rank, "grant", granter, pack_win_value(ws.gid, seq)
             )
         if p.lock_access_id is not None:
-            ep = ws.lock_epochs.get((p.granter, p.lock_access_id))
-            if ep is not None and not ep.lock_held.get(p.granter, False):
-                self._lock_held(ws, ep, p.granter, "omega.lock_grant_wait_us")
+            ep = ws.lock_epochs.get((granter, p.lock_access_id))
+            if ep is not None and not ep.lock_held.get(granter, False):
+                self._lock_held(ws, ep, granter, "omega.lock_grant_wait_us")
         # g[granter] is shared: a lock grant advances the counter GATS
         # access epochs toward the same host compare against (A_i <= g_r).
-        self._wake_peer(ws, EpochKind.GATS_ACCESS, p.granter)
-        if self._trace_enabled():
-            self._trace("grant_recv", ws, granter=p.granter, g=int(ws.g[p.granter]))
+        self._wake_peer(ws, _GRANT, granter)
+        if self._tracer is not None:
+            self._trace("grant_recv", ws, granter=granter, g=seq)
 
     def _lock_held(self, ws: WindowState, ep: Epoch, target: int, wait_metric: str) -> None:
         """``ep``'s lock at ``target`` was granted."""
@@ -447,19 +446,27 @@ class RmaEngineBase:
         self._wake_target(ws, ep, target)
 
     def _on_done(self, ws: WindowState, p: DonePacket, src: int) -> None:
-        if p.access_id > ws.done_id[p.origin]:
-            ws.done_id[p.origin] = p.access_id
-        self._wake_peer(ws, EpochKind.GATS_EXPOSURE, p.origin)
+        self._done_landed(ws, p.origin, p.access_id)
+
+    def _done_landed(self, ws: WindowState, origin: int, access_id: int,
+                     **detail: str) -> None:
+        """An ω done (control packet or FIFO word) arrived.  A floor, not
+        ``apply``: under the reorder flags dones land out of id order."""
+        ws.board.floor_inbound(_DONE, origin, access_id)
+        self._wake_peer(ws, _DONE, origin)
         if self._explore is not None:
+            # One canonical form for both transports: the digest
+            # multiset is transport-agnostic.
             self._explore.record_notification(
-                self.rank, "done", p.origin, pack_win_value(ws.gid, p.access_id)
+                self.rank, "done", origin, pack_win_value(ws.gid, access_id)
             )
-        if self._trace_enabled():
-            self._trace("done_recv", ws, origin=p.origin, access_id=p.access_id)
+        if self._tracer is not None:
+            self._trace("done_recv", ws, origin=origin, access_id=access_id, **detail)
 
     def _on_lock_request(self, ws: WindowState, p: LockRequestPacket, src: int) -> None:
         ws.lock_backlog.append(("lock", p))
-        self._trace("lock_request", ws, origin=p.origin, exclusive=p.exclusive)
+        if self._tracer is not None:
+            self._trace("lock_request", ws, origin=p.origin, exclusive=p.exclusive)
 
     def _on_unlock(self, ws: WindowState, p: UnlockPacket, src: int) -> None:
         ws.lock_backlog.append(("unlock", p))
@@ -472,14 +479,14 @@ class RmaEngineBase:
             self._wake_advance(ws, ep, src)
 
     def _on_fence_open(self, ws: WindowState, p: FenceOpen, src: int) -> None:
-        if p.round_no > ws.remote_fence_open[p.origin]:
-            ws.remote_fence_open[p.origin] = p.round_no
-        self._wake_peer(ws, EpochKind.FENCE, p.origin, advance=False)
+        ws.board.floor_inbound(_FENCE_OPEN, p.origin, p.round_no)
+        self._wake_peer(ws, _FENCE_OPEN, p.origin)
 
     def _on_fence_done(self, ws: WindowState, p: FenceDone, src: int) -> None:
-        ws.fence_done_from[p.round_no].add(p.origin)
-        self._wake_peer(ws, EpochKind.FENCE, p.origin)
-        self._trace("fence_done", ws, origin=p.origin, round_no=p.round_no)
+        ws.board.floor_inbound(_FENCE_DONE, p.origin, p.round_no)
+        self._wake_peer(ws, _FENCE_DONE, p.origin)
+        if self._tracer is not None:
+            self._trace("fence_done", ws, origin=p.origin, round_no=p.round_no)
 
     _PACKET_HANDLERS = {
         PutData: _on_put,
@@ -507,21 +514,16 @@ class RmaEngineBase:
     def _consume_notifications(self) -> int:
         """Step 5: drain this rank's 64-bit FIFO; returns packets drained.
 
-        Flattened inline loop (no per-packet callback indirection) over
-        the same decode path as :meth:`NotificationFifo.drain`
+        Inline loop over the same decode path as :meth:`NotificationFifo.drain`
         (:func:`~repro.network.shmem.decode_checked`), preserving its
         incremental contract: each packet is popped and consumed before
         the next is decoded, so honest packets queued ahead of a forged
         one take effect even when the forged one then raises.
         """
-        fifo = self._fifo
-        if fifo is None:
-            fifo = self.fifo
+        fifo = self.fifo
         incoming = fifo._incoming
         if not incoming:
             return 0
-        explore = self._explore
-        trace_on = self._trace_enabled()
         states = self.states
         count = 0
         while incoming:
@@ -532,15 +534,7 @@ class RmaEngineBase:
             ws = states[gid]
             self.mark_dirty(ws)
             if kind is NotifyKind.EPOCH_COMPLETE:
-                if ident > ws.done_id[sender]:
-                    ws.done_id[sender] = ident
-                self._wake_peer(ws, EpochKind.GATS_EXPOSURE, sender)
-                if explore is not None:
-                    # Same canonical form as the internode DonePacket
-                    # path: the digest multiset is transport-agnostic.
-                    explore.record_notification(self.rank, "done", sender, value)
-                if trace_on:
-                    self._trace("done_recv", ws, origin=sender, access_id=ident, via="fifo")
+                self._done_landed(ws, sender, ident, via="fifo")
             else:
                 raise RuntimeError(f"unexpected notification {kind} from {sender}")
         m = fifo.metrics
@@ -565,95 +559,154 @@ class RmaEngineBase:
             pin_region=pin_region,
         )
 
-    def _send_grant(self, ws: WindowState, origin: int) -> None:
-        """Exposure/lock grant: ``e++`` locally, ``g++`` remotely (RDMA)."""
-        seq = ws.next_exposure_id(origin)
-        self._send(
-            origin, 8, GrantUpdate(ws.gid, granter=self.rank, grant_seq=seq), ServiceKind.RDMA
-        )
-        m = self.metrics
-        if m is not None:
-            m.inc("omega.grants_sent")
-        if self._trace_enabled():
-            self._trace("grant_sent", ws, origin=origin, e=int(ws.e[origin]))
-
-    def _send_done(self, ws: WindowState, epoch: Epoch, target: int) -> None:
-        """Access-epoch completion notification to one target.
-
-        Intranode dones ride the 64-bit FIFO (§VII-D); internode dones
-        are control packets.
-        """
-        access_id = epoch.access_ids[target]
-        if self._node_lo <= target < self._node_hi:
-            fifo = self._fifo if self._fifo is not None else self.fifo
-            fifo.send(target, NotifyKind.EPOCH_COMPLETE, pack_win_value(ws.gid, access_id))
-            if self.causal is not None:
-                # FIFO dones never cross the fabric, so they get their
-                # own (zero-duration) span here.
-                self.causal.instant(
-                    "done.fifo", rank=self.rank, win=ws.gid, epoch=epoch.uid,
-                    meta={"target": target},
-                )
+    # =====================================================================
+    # The matching protocol (one copy, over ``ws.board``)
+    # =====================================================================
+    def _notify(self, ws: WindowState, channel: SignalChannel, peer: int,
+                value: int | None = None, **wire: Any) -> int:
+        """Advance this rank's outbound counter toward ``peer`` — by one,
+        or up to ``value`` on the id- and round-valued channels — and put
+        the new value on the wire.  ``wire`` is context only an encoding
+        may need (the epoch of a done, the access id of a lock grant)."""
+        board = ws.board
+        if value is None:
+            value = board.bump_outbound(channel, peer)
         else:
-            self._send(
-                target,
-                self.model.control_bytes,
-                DonePacket(ws.gid, origin=self.rank, access_id=access_id),
-                ServiceKind.CONTROL,
-            )
-        epoch.done_sent.add(target)
-        if self._trace_enabled():
-            self._trace("done_sent", ws, epoch, target=target, access_id=access_id)
+            board.raise_outbound(channel, peer, value)
+        self._transmit(ws, channel, peer, value, **wire)
+        return value
 
-    def _broadcast_fence_open(self, ws: WindowState, round_no: int) -> None:
-        for peer in ws.win.group.ranks:
-            if peer != self.rank:
+    def _transmit(self, ws: WindowState, channel: SignalChannel, peer: int, value: int,
+                  epoch: Epoch | None = None, lock_access_id: int | None = None) -> None:
+        """The ω wire encoding: which packet carries ``value``."""
+        if channel is _GRANT:
+            # ``e++`` locally (done by the caller), ``g++`` remotely: one
+            # 8-byte RDMA write; a lock grant names the epoch it is for.
+            self._send(
+                peer, 8,
+                GrantUpdate(ws.gid, granter=self.rank, lock_access_id=lock_access_id,
+                            grant_seq=value),
+                ServiceKind.RDMA,
+            )
+            if self.metrics is not None:
+                self.metrics.inc("omega.grants_sent")
+            if lock_access_id is None and self._tracer is not None:
+                self._trace("grant_sent", ws, origin=peer, e=value)
+        elif channel is _DONE:
+            # Intranode dones ride the 64-bit FIFO (§VII-D); internode
+            # dones are control packets.
+            if self._node_lo <= peer < self._node_hi:
+                self.fifo.send(peer, NotifyKind.EPOCH_COMPLETE, pack_win_value(ws.gid, value))
+                if self.causal is not None:
+                    # FIFO dones never cross the fabric, so they get their
+                    # own (zero-duration) span here.
+                    self.causal.instant(
+                        "done.fifo", rank=self.rank, win=ws.gid, epoch=epoch.uid,
+                        meta={"target": peer},
+                    )
+            else:
                 self._send(
-                    peer,
-                    self.model.control_bytes,
-                    FenceOpen(ws.gid, origin=self.rank, round_no=round_no),
+                    peer, self.model.control_bytes,
+                    DonePacket(ws.gid, origin=self.rank, access_id=value),
                     ServiceKind.CONTROL,
                 )
-        self._trace("fence_open", ws, round_no=round_no)
+        elif channel is _FENCE_OPEN or channel is _FENCE_DONE:
+            packet = FenceOpen if channel is _FENCE_OPEN else FenceDone
+            self._send(
+                peer, self.model.control_bytes,
+                packet(ws.gid, origin=self.rank, round_no=value), ServiceKind.CONTROL,
+            )
+        else:
+            raise RmaInternalError(
+                f"the ω encoding has no packet for channel {SignalChannel(channel).name}"
+            )
+
+    def _enroll_access(self, ws: WindowState, ep: Epoch) -> None:
+        """Enter an activating access-side epoch into the matching
+        protocol: reserve the next value per target (``A_i = ++a_l``,
+        §VII-B) — under a NOCHECK start too: the exposure side grants
+        unconditionally, so a non-consuming epoch would misalign every
+        later one.  Passive-target kinds reserve on ``lock_channel`` and
+        ship their lock request, which echoes the reservation."""
+        board = ws.board
+        passive = ep.kind is not EpochKind.GATS_ACCESS
+        channel = self.lock_channel if passive else _GRANT
+        for target in ep.targets:
+            ep.access_ids[target] = access_id = board.bump_expected(channel, target)
+            if passive:
+                ws.lock_epochs[target, access_id] = ep
+                self._send(
+                    target,
+                    self.model.control_bytes,
+                    LockRequestPacket(
+                        ws.gid, origin=self.rank, exclusive=ep.exclusive, access_id=access_id
+                    ),
+                    ServiceKind.CONTROL,
+                    needs_attention=True,
+                )
+
+    def _enroll_exposure(self, ws: WindowState, ep: Epoch) -> None:
+        """Enter an activating exposure epoch: grant every origin
+        (``e++`` locally, ``g++`` remotely) and fix the DONE value that
+        completes the exposure toward it."""
+        board = ws.board
+        by_id = self.done_by_id
+        for origin in ep.origin_group:
+            grant = self._notify(ws, _GRANT, origin)
+            ep.exposure_ids[origin] = grant if by_id else board.bump_expected(_DONE, origin)
+
+    def _access_granted(self, ws: WindowState, ep: Epoch, target: int) -> bool:
+        """The O(1) matching test ``A_i <= g_r``."""
+        return ws.board.reached(_GRANT, target, ep.access_ids[target])
+
+    def _done_arrived(self, ws: WindowState, ep: Epoch, origin: int) -> bool:
+        """Whether ``origin``'s done for this exposure epoch is in."""
+        return ws.board.reached(_DONE, origin, ep.exposure_ids[origin])
+
+    def _send_done(self, ws: WindowState, epoch: Epoch, target: int) -> None:
+        """Access-epoch completion notification to one target."""
+        access_id = epoch.access_ids[target] if self.done_by_id else None
+        value = self._notify(ws, _DONE, target, access_id, epoch=epoch)
+        epoch.done_sent.add(target)
+        if self._tracer is not None:
+            self._trace("done_sent", ws, epoch, target=target, access_id=value)
+
+    def _broadcast_fence_open(self, ws: WindowState, round_no: int) -> None:
+        # Fence channels carry the round number itself (a floor, not a
+        # count): re-announcements of the same round are idempotent.
+        for peer in ws.win.group.ranks:
+            if peer != self.rank:
+                self._notify(ws, _FENCE_OPEN, peer, round_no)
+        if self._tracer is not None:
+            self._trace("fence_open", ws, round_no=round_no)
 
     def _broadcast_fence_done(self, ws: WindowState, epoch: Epoch) -> None:
         for peer in ws.win.group.ranks:
             if peer != self.rank:
-                self._send(
-                    peer,
-                    self.model.control_bytes,
-                    FenceDone(ws.gid, origin=self.rank, round_no=epoch.fence_round),
-                    ServiceKind.CONTROL,
-                )
+                self._notify(ws, _FENCE_DONE, peer, epoch.fence_round)
         epoch.fence_done_sent = True
+
+    def _all_reached(self, ws: WindowState, channel: SignalChannel, round_no: int) -> bool:
+        """Whether every peer announced ``round_no`` on a fence channel."""
+        reached = ws.board.reached
+        return all(
+            reached(channel, p, round_no) for p in ws.win.group.ranks if p != self.rank
+        )
 
     # =====================================================================
     # Lock hosting (target side)
     # =====================================================================
     def _grant_lock(self, ws: WindowState, waiter: "LockWaiter") -> None:
-        """Lock-manager grant callback: ω updates + grant notification.
-
-        "Even though granting a passive target lock does not create an
-        exposure epoch, the host process of a lock still updates e_l
-        locally and g_r remotely in the process it is granting the lock
-        to." (§VII-B)
-        """
-        checker = self._checker_of(ws)
+        """Lock-manager grant callback: one ``lock_channel`` update.  The
+        lock manager is FIFO and an origin's requests arrive in program
+        order, so the host's k-th update toward an origin answers that
+        origin's k-th reservation on the channel (the ω packet names it
+        too: ``lock_access_id``)."""
+        checker = ws.checker
         if checker is not None:
             checker.on_lock_grant(ws, waiter)
-        seq = ws.next_exposure_id(waiter.origin)
-        self._send(
-            waiter.origin,
-            8,
-            GrantUpdate(
-                ws.gid, granter=self.rank, lock_access_id=waiter.access_id, grant_seq=seq
-            ),
-            ServiceKind.RDMA,
-        )
-        m = self.metrics
-        if m is not None:
-            m.inc("omega.grants_sent")
-        if self._trace_enabled():
+        self._notify(ws, self.lock_channel, waiter.origin, lock_access_id=waiter.access_id)
+        if self._tracer is not None:
             self._trace("lock_grant", ws, origin=waiter.origin, access_id=waiter.access_id)
 
     def _process_lock_backlog(self, ws: WindowState) -> int:
@@ -661,7 +714,7 @@ class RmaEngineBase:
         number of backlog entries consumed."""
         if not ws.lock_backlog:
             return 0
-        checker = self._checker_of(ws)
+        checker = ws.checker
         processed = 0
         while ws.lock_backlog:
             what, packet = ws.lock_backlog.popleft()
@@ -692,7 +745,7 @@ class RmaEngineBase:
                     UnlockAck(ws.gid, access_id=packet.access_id),
                     ServiceKind.CONTROL,
                 )
-                if self._trace_enabled():
+                if self._tracer is not None:
                     self._trace("lock_release", ws, origin=packet.origin)
         return processed
 
@@ -702,7 +755,7 @@ class RmaEngineBase:
     def _issue_op(self, ws: WindowState, op: RmaOp) -> None:
         """Put one recorded op on the wire."""
         assert not op.issued, f"double issue of {op}"
-        checker = self._checker_of(ws)
+        checker = ws.checker
         if checker is not None:
             checker.on_op_issue(ws, op.epoch, op)
         op.issued = True
@@ -722,7 +775,7 @@ class RmaEngineBase:
             )
             _prev_ctx = causal.current
             causal.current = op.causal_sid
-        if self._trace_enabled():
+        if self._tracer is not None:
             self._trace("op_issue", ws, op.epoch, op_kind=op.kind.value, target=op.target,
                         nbytes=op.nbytes)
 
@@ -828,7 +881,7 @@ class RmaEngineBase:
         causal = self.causal
         if causal is not None and op.causal_sid is not None:
             causal.end(op.causal_sid)
-        if self._trace_enabled():
+        if self._tracer is not None:
             self._trace(
                 "op_delivered", ws, op.epoch, side="origin", target=op.target,
                 op_kind=op.kind.value,
@@ -853,7 +906,7 @@ class RmaEngineBase:
         if self.causal is not None:
             self.causal.epoch_open(self.rank, ws.gid, ep)
         self.mark_dirty(ws)
-        if self._trace_enabled():
+        if self._tracer is not None:
             self._trace("epoch_open", ws, ep, epoch_kind=ep.kind.value)
         self.poke()
         return ep
@@ -870,7 +923,7 @@ class RmaEngineBase:
         req = ClosingRequest(self.sim, ep)
         ep.closing_request = req
         self.mark_dirty(ws)
-        if self._trace_enabled():
+        if self._tracer is not None:
             self._trace("epoch_close_call", ws, ep)
         if ep.completed:
             req.complete()
@@ -894,9 +947,9 @@ class RmaEngineBase:
                 if ep.open_time is not None:
                     m.observe(f"epoch.{kind}.defer_us", ep.activate_time - ep.open_time)
                 m.observe(f"epoch.{kind}.active_us", ep.complete_time - ep.activate_time)
-        if self._trace_enabled():
+        if self._tracer is not None:
             self._trace("epoch_complete", ws, ep)
-        checker = self._checker_of(ws)
+        checker = ws.checker
         if checker is not None:
             checker.on_epoch_complete(ws, ep)
         if ep.closing_request is not None and not ep.closing_request.done:
@@ -917,7 +970,7 @@ class RmaEngineBase:
         if ep.active:
             self._wake_post(ws, ep, op.target)
         self.mark_dirty(ws)
-        if self._trace_enabled():
+        if self._tracer is not None:
             self._trace("op_call", ws, ep, op_kind=op.kind.value, target=op.target)
         self.poke()
         return op
@@ -963,7 +1016,7 @@ class RmaEngineBase:
         from ...mpi.requests import Request
 
         ws = self.state_of(win)
-        checker = self._checker_of(ws)
+        checker = ws.checker
         if checker is not None:
             checker.on_flush(ws, ep)
         self._flush_activate(ws, ep)

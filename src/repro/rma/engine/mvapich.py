@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING
 
 from ...network.packets import ServiceKind
 from ..epoch import Epoch, EpochKind, EpochState
-from ..packets import LockRequestPacket, UnlockPacket
+from ..notify import SignalChannel
+from ..packets import UnlockPacket
 from ..requests import ClosingRequest
 from ..state import WindowState
 from .base import RmaEngineBase
@@ -116,7 +117,7 @@ class MvapichEngine(RmaEngineBase):
 
     def _advance_exposure(self, ws: WindowState, ep: Epoch) -> bool:
         """Exposure completion test: every origin's done packet arrived."""
-        if all(ws.done_id[origin] >= ep.exposure_ids[origin] for origin in ep.origin_group):
+        if all(self._done_arrived(ws, ep, origin) for origin in ep.origin_group):
             self._complete_epoch(ws, ep)
             return True
         return False
@@ -136,7 +137,7 @@ class MvapichEngine(RmaEngineBase):
 
     def _all_granted(self, ws: WindowState, ep: Epoch, targets: list[int]) -> bool:
         """The all-targets-ready gate (§VIII-B)."""
-        return all(ws.access_granted(t, ep.access_ids[t]) for t in targets)
+        return all(self._access_granted(ws, ep, t) for t in targets)
 
     def _advance_gats_access(self, ws: WindowState, ep: Epoch) -> bool:
         if not ep.app_closed:
@@ -176,31 +177,17 @@ class MvapichEngine(RmaEngineBase):
         ep.state = EpochState.ACTIVE
         ep.activate_time = self.sim.now
         self.mark_dirty(ws)
-        if self._trace_enabled():
+        if self._tracer is not None:
             self._trace("epoch_activate", ws, ep)
         if self.causal is not None:
             self.causal.instant("epoch_activate", rank=self.rank, win=ws.gid,
                                 epoch=ep.uid, meta={"lazy": True})
         if ep.nocheck:
-            # MPI_MODE_NOCHECK: no acquisition protocol, no ω traffic.
+            # MPI_MODE_NOCHECK: no acquisition protocol, no counter traffic.
             for target in ep.targets:
                 ep.lock_held[target] = True
             return
-        for target in ep.targets:
-            ep.access_ids[target] = ws.next_access_id(target)
-            ws.lock_epochs[target, ep.access_ids[target]] = ep
-            self._send(
-                target,
-                self.model.control_bytes,
-                LockRequestPacket(
-                    ws.gid,
-                    origin=self.rank,
-                    exclusive=ep.exclusive,
-                    access_id=ep.access_ids[target],
-                ),
-                ServiceKind.CONTROL,
-                needs_attention=True,
-            )
+        self._enroll_access(ws, ep)
 
     def _advance_lock(self, ws: WindowState, ep: Epoch) -> bool:
         if not ep.active:
@@ -246,10 +233,9 @@ class MvapichEngine(RmaEngineBase):
         if not ep.app_closed:
             return False
         stage = getattr(ep, "mv_stage", _WAIT_INTERNODE)
-        peers = set(ws.win.group.ranks) - {self.rank}
         if stage == _WAIT_INTERNODE:
             # Wait for every peer to reach its closing fence (arrival).
-            if not all(ws.remote_fence_open[p] >= ep.fence_round for p in peers):
+            if not self._all_reached(ws, SignalChannel.FENCE_OPEN, ep.fence_round):
                 return False
             for target in ep.unissued_targets():
                 for op in self._take_unissued(ws, ep, target):
@@ -261,8 +247,7 @@ class MvapichEngine(RmaEngineBase):
             self._broadcast_fence_done(ws, ep)
             ep.mv_stage = stage = _NOTIFIED
         if stage == _NOTIFIED:
-            if ws.fence_done_from[ep.fence_round] >= peers:
-                del ws.fence_done_from[ep.fence_round]
+            if self._all_reached(ws, SignalChannel.FENCE_DONE, ep.fence_round):
                 self._complete_epoch(ws, ep)
                 return True
         return False
@@ -297,8 +282,7 @@ class MvapichEngine(RmaEngineBase):
         ep = Epoch(EpochKind.GATS_ACCESS, ws.gid, self.rank, targets=group, nocheck=nocheck)
         ep.state = EpochState.ACTIVE
         ep.activate_time = self.sim.now
-        for target in group:
-            ep.access_ids[target] = ws.next_access_id(target)
+        self._enroll_access(ws, ep)
         return self._open_epoch(ws, ep)
 
     def close_gats_access(self, win: "Window", ep: Epoch) -> ClosingRequest:
@@ -309,9 +293,7 @@ class MvapichEngine(RmaEngineBase):
         ep = Epoch(EpochKind.GATS_EXPOSURE, ws.gid, self.rank, origin_group=group)
         ep.state = EpochState.ACTIVE
         ep.activate_time = self.sim.now
-        for origin in group:
-            ep.exposure_ids[origin] = ws.e[origin] + 1
-            self._send_grant(ws, origin)
+        self._enroll_exposure(ws, ep)
         return self._open_epoch(ws, ep)
 
     def close_exposure(self, win: "Window", ep: Epoch) -> ClosingRequest:

@@ -16,9 +16,10 @@ Deferred epochs (§VII-A)
     communication calls and replay them on activation.
 
 Epoch matching (§VII-B)
-    The ω-triple counters in :class:`~repro.rma.state.WindowState`; a
-    target that grants access to an origin several epochs late leaves a
-    persistent trace in the monotonically increasing ``g`` counter.
+    The counter board in :class:`~repro.rma.state.WindowState`, through
+    the shared protocol of :mod:`~repro.rma.engine.base`; a target that
+    grants access to an origin several epochs late leaves a persistent
+    trace in the monotonically increasing inbound grant counter.
 
 Eager per-target issue (§VIII-B)
     Transfers to any granted target are issued right away (internode
@@ -41,7 +42,8 @@ from typing import TYPE_CHECKING
 
 from ...network.packets import ServiceKind
 from ..epoch import Epoch, EpochKind, EpochState
-from ..packets import LockRequestPacket, UnlockPacket
+from ..notify import SignalChannel
+from ..packets import UnlockPacket
 from ..requests import ClosingRequest, FlushRequest
 from ..state import WindowState
 from .base import RmaEngineBase
@@ -53,6 +55,16 @@ __all__ = ["NonblockingEngine"]
 
 #: Sort key of the ready sets: application open order within a window.
 _uid = attrgetter("uid")
+
+#: Board channel -> (epoch kind whose predicates read its inbound row,
+#: whether an arrival moves a completion condition too or only target
+#: readiness): the arrival rows of the wake-up table.
+_WOKEN = {
+    SignalChannel.GRANT: (EpochKind.GATS_ACCESS, True),
+    SignalChannel.DONE: (EpochKind.GATS_EXPOSURE, True),
+    SignalChannel.FENCE_OPEN: (EpochKind.FENCE, False),
+    SignalChannel.FENCE_DONE: (EpochKind.FENCE, True),
+}
 
 
 class NonblockingEngine(RmaEngineBase):
@@ -174,10 +186,10 @@ class NonblockingEngine(RmaEngineBase):
         # deferred is now postable.
         ws.advance_ready.add(ep)
         ws.post_ready.update((ep, target) for target in ep.unissued_targets())
-        checker = self._checker_of(ws)
+        checker = ws.checker
         if checker is not None:
             checker.on_epoch_activate(ws, ep, active_preceding)
-        if self._trace_enabled():
+        if self._tracer is not None:
             self._trace("epoch_activate", ws, ep)
         if self.causal is not None:
             self.causal.instant("epoch_activate", rank=self.rank, win=ws.gid,
@@ -185,8 +197,8 @@ class NonblockingEngine(RmaEngineBase):
         if ep.kind in (EpochKind.GATS_ACCESS, EpochKind.LOCK, EpochKind.LOCK_ALL):
             if ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL) and ep.nocheck:
                 # MPI_MODE_NOCHECK: no acquisition protocol at all — the
-                # epoch neither enters the ω counter stream nor touches
-                # the target's lock manager.
+                # epoch neither enters the counter stream nor touches the
+                # target's lock manager.
                 for target in ep.targets:
                     ep.lock_held[target] = True
                 return
@@ -200,73 +212,30 @@ class NonblockingEngine(RmaEngineBase):
         elif ep.kind is EpochKind.FENCE:
             self._announce_fence(ws, ep)
 
-    # -- synchronization-protocol hooks (overridden by the counter-signal
-    # engine; everything above and below is protocol-independent policy) --
-    def _enroll_access(self, ws: WindowState, ep: Epoch) -> None:
-        """Enter an activating access-side epoch into the matching
-        protocol.  ω form (§VII-B): allocate ``A_i = ++a`` per target;
-        passive-target kinds additionally send their lock request."""
-        for target in ep.targets:
-            ep.access_ids[target] = ws.next_access_id(target)
-        if ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL):
-            for target in ep.targets:
-                ws.lock_epochs[target, ep.access_ids[target]] = ep
-                self._send(
-                    target,
-                    self.model.control_bytes,
-                    LockRequestPacket(
-                        ws.gid,
-                        origin=self.rank,
-                        exclusive=ep.exclusive,
-                        access_id=ep.access_ids[target],
-                    ),
-                    ServiceKind.CONTROL,
-                    needs_attention=True,
-                )
-
-    def _enroll_exposure(self, ws: WindowState, ep: Epoch) -> None:
-        """Enter an activating exposure epoch: grant every origin (ω
-        form: ``e++`` locally, ``g++`` remotely)."""
-        for origin in ep.origin_group:
-            ep.exposure_ids[origin] = ws.e[origin] + 1
-            self._send_grant(ws, origin)
-
+    # -- fence rounds over the board (enrolment, grants and dones are in
+    # the base class: the baseline engine shares them) -------------------
     def _announce_fence(self, ws: WindowState, ep: Epoch) -> None:
-        """Announce an activating fence round to every peer."""
+        """Announce an activating fence round to every peer, and count
+        the peers already through it: one can finish a round before this
+        rank enters it."""
         self._broadcast_fence_open(ws, ep.fence_round)
-
-    def _access_granted(self, ws: WindowState, ep: Epoch, target: int) -> bool:
-        """Whether the matching protocol granted this access epoch's
-        enrollment at ``target`` (ω form: ``A_i <= g_r``)."""
-        return ws.access_granted(target, ep.access_ids[target])
-
-    def _done_arrived(self, ws: WindowState, ep: Epoch, origin: int) -> bool:
-        """Whether ``origin``'s done for this exposure epoch is in (ω
-        form: its access id reached the exposure's index)."""
-        return ws.done_id[origin] >= ep.exposure_ids[origin]
-
-    def _fence_open_seen(self, ws: WindowState, target: int, round_no: int) -> bool:
-        """Whether ``target`` announced entering fence round ``round_no``."""
-        return ws.remote_fence_open[target] >= round_no
+        for peer in ws.win.group.ranks:
+            if peer != self.rank:
+                self._fence_done_landed(ws, ep, peer)
 
     def _fence_done_landed(self, ws: WindowState, ep: Epoch, peer: int) -> None:
-        """``peer`` announced completing a fence round while ``ep`` is
-        active.  ω form: ``ws.fence_done_from`` counted it per round
-        already, nothing to do per epoch."""
+        """Count ``peer`` toward ``ep``'s barrier if it completed the round."""
+        if ws.board.reached(SignalChannel.FENCE_DONE, peer, ep.fence_round):
+            ep.done_from.add(peer)
 
     def _fence_done_reached(self, ws: WindowState, ep: Epoch) -> bool:
         """Barrier test for a closing fence: every peer completed the
-        round.  The ω form also reclaims the round's sender set."""
-        # ``_broadcast_fence_done`` never sends to self and the set holds
-        # distinct peers, so a full house is a count — no O(nranks) peer
-        # set per examination.
-        senders = ws.fence_done_from[ep.fence_round]
-        ranks = ws.win.group.ranks
-        if len(senders) != len(ranks) - 1:
+        round — counted as each landed, so one compare, no O(nranks)
+        peer set per examination."""
+        if len(ep.done_from) != len(ws.win.group.ranks) - 1:
             return False
-        if self._checker_of(ws) is not None:
-            assert self.rank not in senders and senders <= set(ranks), senders
-        del ws.fence_done_from[ep.fence_round]
+        if ws.checker is not None:
+            assert self._all_reached(ws, SignalChannel.FENCE_DONE, ep.fence_round), ep
         return True
 
     # =====================================================================
@@ -288,8 +257,8 @@ class NonblockingEngine(RmaEngineBase):
             ep.due_targets.add(target)
         ws.advance_ready.add(ep)
 
-    def _wake_peer(self, ws: WindowState, kind: EpochKind, peer: int,
-                   advance: bool = True) -> None:
+    def _wake_peer(self, ws: WindowState, channel: SignalChannel, peer: int) -> None:
+        kind, advance = _WOKEN[channel]
         for ep in ws.epochs:
             if not ep.active or ep.kind is not kind:
                 continue
@@ -325,7 +294,8 @@ class NonblockingEngine(RmaEngineBase):
         if ep.kind is EpochKind.FENCE:
             if target == self.rank:
                 return True
-            return self._fence_open_seen(ws, target, ep.fence_round)
+            # Has ``target`` announced entering this fence round?
+            return ws.board.reached(SignalChannel.FENCE_OPEN, target, ep.fence_round)
         raise AssertionError(f"ops not allowed in {ep.kind}")
 
     def _post_ready_ops(self, ws: WindowState, intranode: bool) -> int:
@@ -474,7 +444,7 @@ class NonblockingEngine(RmaEngineBase):
         self.targets_examined += 1
         if len(ep.done_from) != len(ep.peers):
             return False
-        if self._checker_of(ws) is not None:
+        if ws.checker is not None:
             assert all(self._done_arrived(ws, ep, o) for o in ep.peers), ep
         self._complete_epoch(ws, ep)
         return True
@@ -551,7 +521,7 @@ class NonblockingEngine(RmaEngineBase):
     ) -> FlushRequest:
         """The nonblocking flush of §V/§VII-C: age-stamped counter."""
         ws = self.state_of(win)
-        checker = self._checker_of(ws)
+        checker = ws.checker
         if checker is not None:
             checker.on_flush(ws, ep)
         stamp = ws.age_counter

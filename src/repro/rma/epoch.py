@@ -127,21 +127,19 @@ class Epoch:
         #: this in-flight set, never the whole ``ops`` history).
         self._undelivered_by_target: dict[int, dict[int, "RmaOp"]] = {}
         self._undelivered_count = 0
-        #: Access ids per target (assigned at activation; §VII-B).
+        #: Access ids per target: the value reserved on the board's
+        #: grant (or lock) channel at activation — ``A_i = ++a_l``, §VII-B.
         self.access_ids: dict[int, int] = {}
-        #: Counter-signal engine: expected inbound counter value per peer
-        #: (GRANT channel for access epochs, DONE for exposures, LOCK for
-        #: passive-target epochs; empty under the ω engines).
-        self.signal_expected: dict[int, int] = {}
-        #: Exposure indices per origin (assigned at activation).
+        #: Exposure indices per origin: the DONE value that completes
+        #: this exposure toward each origin (assigned at activation).
         self.exposure_ids: dict[int, int] = {}
         #: Lock held per target (lock / lock_all epochs).
         self.lock_held: dict[int, bool] = {}
         #: Done packet already sent per target (access side).
         self.done_sent: set[int] = set()
         #: Peers whose completion announcement for this epoch is in (an
-        #: exposure's origins; under the counter-signal engine a fence's
-        #: peers): the group predicate is this set's size.
+        #: exposure's origins, a fence's peers): the group predicate is
+        #: this set's size.
         self.done_from: set[int] = set()
         #: Targets whose done / unlock may have become sendable since the
         #: epoch was last examined closed; None: every target (an epoch is

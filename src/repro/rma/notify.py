@@ -1,28 +1,31 @@
-"""Counter-signal state: the mscclpp-style epoch-id protocol.
+"""The matching store: one counter board per rank and window.
 
-The :class:`~repro.rma.engine.signal.SignalEngine` synchronizes epochs
-without ω-triples or grant messages.  Every rank keeps, per window, one
-:class:`SignalBoard` of per-(channel, peer) monotonic 64-bit counters:
+Every engine matches epochs on the same three monotonic 64-bit counters
+per (channel, peer) — mscclpp's ``EpochIds{outbound, inboundReplica}`` +
+``expectedInboundEpochId``, and §VII-B's ω-triple under other names:
 
 ``outbound[ch, peer]``
-    How many signals this rank has *sent* to ``peer`` on channel ``ch``.
-    ``signal()`` increments it and writes the new value one-sidedly into
-    the peer's ``inbound`` replica (a single 8-byte RDMA write — the
-    ``inboundReplica`` of mscclpp's ``epoch.hpp``).
+    What this rank has *sent* to ``peer`` on channel ``ch``.  On
+    ``GRANT`` this is ω's ``e_l`` (exposures opened / locks granted).
 ``inbound[ch, peer]``
-    The local replica of ``peer``'s outbound counter.  Applied with
-    ``max()``, so a duplicated or retransmitted signal is a no-op — the
-    same idempotence contract as ``GrantUpdate.grant_seq``.
+    The local replica of ``peer``'s outbound counter, updated one-sidedly
+    by the peer.  On ``GRANT`` this is ω's ``g_r``; on ``DONE`` the
+    ``done_id`` of the ω engines.  Applied with ``max()``, so a
+    duplicated or retransmitted update is a no-op.
 ``expected[ch, peer]``
-    How many of ``peer``'s signals this rank has *consumed*: epoch
-    enrollment and ``notify_wait`` both reserve the next expected value
-    and then wait for ``inbound`` to reach it.
+    What this rank has *reserved* of ``peer``'s stream: epoch enrolment
+    and ``notify_wait`` both take the next expected value and then wait
+    for ``inbound`` to reach it.  On ``GRANT`` this is ω's ``a_l``:
+    ``A_i = ++a_l``, matched iff ``A_i <= g_r``.
 
-Channels keep the independent signal streams apart (a lock grant must
-never satisfy a GATS grant wait); within one (channel, pair) the
-counters align by *program order* on both sides, exactly as the ω
-counters conflate their per-pair streams — the per-pair FIFO fabric
-lanes make the k-th signal sent the k-th applied.
+What differs between engines is only how an increment *travels*
+(``GrantUpdate`` / done / fence packets under ω, one 8-byte
+``SignalUpdate`` under counter signals) and two numbering rules
+(``lock_channel`` and ``done_by_id`` in :mod:`repro.rma.engine.base`).
+
+Channels keep independent streams apart; within one (channel, pair) the
+counters align by *program order* on both sides — the per-pair FIFO
+fabric lanes make the k-th update sent the k-th applied.
 
 Counters saturate at :data:`SIGNAL_LIMIT` (2^62): far below int64
 overflow, far above any real run.  Crossing it raises — wraparound
@@ -47,9 +50,11 @@ class SignalChannel(enum.IntEnum):
 
     #: Exposure/access matching: target signals "you may access me".
     GRANT = 0
-    #: Access-epoch completion: origin signals "my epoch's ops landed".
+    #: Access-epoch completion: origin signals "my epoch's ops landed"
+    #: (value = the epoch's access id under ω, a plain count otherwise).
     DONE = 1
-    #: Passive target: lock host signals "your lock request is granted".
+    #: Passive target: lock host signals "your lock request is granted"
+    #: (unused by the ω engines, whose lock grants ride GRANT: §VII-B).
     LOCK = 2
     #: Fence entry announcements (value = fence round, not a count).
     FENCE_OPEN = 3
@@ -70,8 +75,9 @@ class SignalBoard:
         self.outbound = SparseCounterMat(nrows, nranks)
         self.inbound = SparseCounterMat(nrows, nranks)
         self.expected = SparseCounterMat(nrows, nranks)
-        #: Signals discarded by the idempotent ``max()`` application
-        #: (nonzero only if duplicate suppression is bypassed).
+        #: Replayed grant / signal updates discarded by the idempotent
+        #: ``max()`` application (nonzero only if duplicate suppression
+        #: is bypassed).
         self.dup_signals_ignored = 0
 
     # -- sender side -------------------------------------------------------
@@ -88,8 +94,9 @@ class SignalBoard:
         return value
 
     def raise_outbound(self, channel: int, peer: int, value: int) -> int:
-        """Outbound floor for round-valued channels (fences announce the
-        round number, not a count); monotonic like everything here."""
+        """Outbound floor for id- and round-valued updates (fences
+        announce the round number, ω dones the access id — not a count);
+        monotonic like everything here."""
         if value >= SIGNAL_LIMIT:
             raise RmaInternalError(
                 f"signal counter wraparound: channel {SignalChannel(channel).name} "
@@ -101,13 +108,20 @@ class SignalBoard:
 
     # -- receiver side -------------------------------------------------------
     def apply(self, channel: int, peer: int, value: int) -> bool:
-        """``inbound = max(inbound, value)``; False when the signal was a
-        duplicate/replay (idempotent, like ``GrantUpdate.grant_seq``)."""
+        """``inbound = max(inbound, value)``; False (and counted) when
+        the update was a duplicate/replay."""
         if value <= self.inbound[channel, peer]:
             self.dup_signals_ignored += 1
             return False
         self.inbound[channel, peer] = value
         return True
+
+    def floor_inbound(self, channel: int, peer: int, value: int) -> None:
+        """``inbound = max(inbound, value)`` with no duplicate accounting:
+        for id- and round-valued updates, which may legally land out of
+        value order (a later epoch's done overtaking an earlier one's)."""
+        if value > self.inbound[channel, peer]:
+            self.inbound[channel, peer] = value
 
     def bump_expected(self, channel: int, peer: int, count: int = 1) -> int:
         """Consume ``count`` future signals from ``peer``; returns the

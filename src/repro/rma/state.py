@@ -1,25 +1,36 @@
-"""Per-rank, per-window middleware state shared by both engines.
+"""Per-rank, per-window middleware state shared by every engine.
 
-Holds the ω-triple counters of §VII-B, the epoch list (open order), the
-lock manager for locks this rank hosts, fence-round bookkeeping, flush
-requests, and op routing tables.
+Holds the matching store (one :class:`~repro.rma.notify.SignalBoard`),
+the epoch list (open order), the lock manager for locks this rank hosts,
+flush requests and op routing tables.
 
-The ω-triple: for a local process P_l and each remote P_r,
-``ω_r = ⟨a_l, e_l, g_r⟩`` — accesses requested from P_l to P_r,
-exposures opened from P_l to P_r, and accesses granted to P_l by P_r.
-``g`` is updated one-sidedly by the remote peer (a GrantUpdate/lock
-grant arriving over the fabric); ``a`` and ``e`` are updated locally,
-and only *activated* epochs modify them.  Epoch matching is O(1): an
-access epoch with id ``A_i`` may touch ``r`` iff ``A_i <= g[r]``.
+The board is the only place epoch matching reads or writes.  §VII-B's
+ω-triple ``ω_r = ⟨a_l, e_l, g_r⟩`` and its companions are rows of it:
+
+================  ======================================
+ω name            board entry
+================  ======================================
+``a[r]``          ``board.expected[GRANT, r]``
+``e[r]``          ``board.outbound[GRANT, r]``
+``g[r]``          ``board.inbound[GRANT, r]``
+``done_id[o]``    ``board.inbound[DONE, o]``
+fence open seen   ``board.inbound[FENCE_OPEN, r]``
+fence done seen   ``board.inbound[FENCE_DONE, r]``
+================  ======================================
+
+``inbound`` is updated one-sidedly by the remote peer; ``expected`` and
+``outbound`` are updated locally, and only *activated* epochs modify
+them.  Epoch matching is O(1): an access epoch with id ``A_i`` may
+touch ``r`` iff ``A_i <= g[r]`` — ``board.reached(GRANT, r, A_i)``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from ..simtime import SparseCounterVec
 from .locks import LockManager
+from .notify import SignalBoard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .epoch import Epoch
@@ -38,24 +49,15 @@ class WindowState:
         self.rank = win.rank
         self.gid = win.group.gid
 
-        # -- ω-triples (per remote rank) ---------------------------------
-        # Sparse vectors indexed by rank (every peer starts at 0,
-        # untouched peers allocate nothing): window registration is O(1)
-        # in nranks.
-        nranks = win.group.runtime.nranks
-        self.a = SparseCounterVec(nranks)
-        self.e = SparseCounterVec(nranks)
-        self.g = SparseCounterVec(nranks)
-        #: Highest done-packet access id received per origin (target side).
-        self.done_id = SparseCounterVec(nranks)
-        #: Replayed GrantUpdates discarded by the idempotent ``max``
-        #: application (nonzero only if duplicate suppression is bypassed).
-        self.dup_grants_ignored = 0
+        #: The window group's semantics checker, or None (fixed at group
+        #: construction: every hook site is one attribute read).
+        self.checker = win.group.checker
 
-        # -- counter-signal engine ---------------------------------------
-        #: Per-(channel, peer) signal counters (attached by the signal
-        #: engine's ``register_window``; None under the ω engines).
-        self.signal_board = None
+        # -- matching ------------------------------------------------------
+        #: Per-(channel, peer) counters every engine matches on.  Sparse:
+        #: untouched peers allocate nothing, so window registration is
+        #: O(1) in nranks.
+        self.board = SignalBoard(win.group.runtime.nranks)
         #: Pending ``notify_wait`` reservations: (source, value, request)
         #: triples resolved when the NOTIFY inbound replica catches up.
         self.signal_waits: list[tuple[int, int, Any]] = []
@@ -88,13 +90,8 @@ class WindowState:
         #: Lock/unlock events awaiting batch processing (engine step 6).
         self.lock_backlog: deque[tuple[str, Any]] = deque()
 
-        # -- fences ---------------------------------------------------------
         #: Fence rounds opened locally so far (round numbers start at 1).
         self.fence_round = 0
-        #: Highest fence round each remote announced (FenceOpen).
-        self.remote_fence_open: dict[int, int] = defaultdict(int)
-        #: FenceDone senders per round.
-        self.fence_done_from: dict[int, set[int]] = defaultdict(set)
 
         # -- ops / flushes -----------------------------------------------------
         #: Recorded-but-unissued ops across every live epoch (the engine
@@ -114,32 +111,9 @@ class WindowState:
         self.age_counter += 1
         return self.age_counter
 
-    def next_access_id(self, target: int) -> int:
-        """``A_i = ++a_l`` for an activating access epoch (§VII-B)."""
-        access_id = self.a[target] + 1
-        self.a[target] = access_id
-        return access_id
-
-    def next_exposure_id(self, origin: int) -> int:
-        """``++e_l`` for an activating exposure epoch / lock grant."""
-        exposure_id = self.e[origin] + 1
-        self.e[origin] = exposure_id
-        return exposure_id
-
-    def access_granted(self, target: int, access_id: int) -> bool:
-        """The O(1) matching test ``A_i <= g_r``."""
-        return access_id <= self.g[target]
-
     def live_epochs(self) -> list["Epoch"]:
         """Epochs whose internal lifetime has not ended."""
         return [ep for ep in self.epochs if not ep.completed]
-
-    def retire_completed(self) -> None:
-        """Drop completed epochs from the head bookkeeping deque (keeps
-        memory bounded over long transaction runs)."""
-        eps = self.epochs
-        while eps and eps[0].completed:
-            eps.popleft()
 
     def retire_closed(self) -> None:
         """Pop epochs that are both completed and application-closed off

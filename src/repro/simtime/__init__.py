@@ -23,13 +23,12 @@ from .core import Position, Simulator, TieBreakPolicy
 from .errors import InvalidYield, ProcessFailed, SimtimeError, SimulationDeadlock
 from .events import AllOf, AnyOf, SimEvent, Timeout
 from .process import SimProcess
-from .sparse import SparseCounterMat, SparseCounterVec
+from .sparse import SparseCounterMat
 
 __all__ = [
     "Simulator",
     "Position",
     "TieBreakPolicy",
-    "SparseCounterVec",
     "SparseCounterMat",
     "SimEvent",
     "Timeout",

@@ -1,21 +1,20 @@
-"""Sparse counter containers for O(active peers) engine state.
+"""Sparse counter container for O(active peers) engine state.
 
-The RMA engines keep several per-window counter families indexed by peer
-rank (the ω-triple vectors ``a``/``e``/``g``/``done_id``) or by
-``(channel, peer)`` (the counter-signal board's outbound / inbound /
-expected triples).  Dense ``np.zeros(nranks)`` backing makes window
-registration — and every digest snapshot — O(nranks) even when a rank
-only ever talks to a handful of peers, which is exactly the per-pair
-state blowup "Quo Vadis MPI RMA?" documents for real implementations.
+The RMA engines keep one per-window counter family indexed by
+``(channel, peer)`` — the matching board's outbound / inbound / expected
+triples (:mod:`repro.rma.notify`).  Dense ``np.zeros(nranks)`` backing
+makes window registration — and every digest snapshot — O(nranks) even
+when a rank only ever talks to a handful of peers, which is exactly the
+per-pair state blowup "Quo Vadis MPI RMA?" documents for real
+implementations.
 
-:class:`SparseCounterVec` and :class:`SparseCounterMat` are a ``dict``
-of Python ints each: untouched keys read as 0 and allocate nothing —
-loads never materialize an entry; only stores do.  Every engine test is
-one scalar compare per peer (``A_i <= g_r``), so there is no vector
-form to serve.
+:class:`SparseCounterMat` is a ``dict`` of Python ints: untouched keys
+read as 0 and allocate nothing — loads never materialize an entry; only
+stores do.  Every engine test is one scalar compare per peer
+(``A_i <= g_r``), so there is no vector form to serve.
 
-Both containers are deterministic: :meth:`items` / :meth:`row_items`
-iterate nonzero entries in ascending key order, so digest material is
+The container is deterministic: :meth:`~SparseCounterMat.row_items`
+iterates nonzero entries in ascending key order, so digest material is
 independent of touch order.
 """
 
@@ -23,51 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-__all__ = ["SparseCounterVec", "SparseCounterMat"]
-
-
-class SparseCounterVec:
-    """Sparse counter vector indexed by peer rank.
-
-    Scalar ``v[r]`` loads (0 for untouched ranks), scalar stores and
-    in-place ``v[r] += k``.  Memory is O(touched ranks), independent of
-    ``nranks``.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, nranks: int = 0):
-        # ``nranks`` is accepted (and ignored) for signature parity with
-        # a dense constructor; sizing is driven purely by touches.
-        self._values: dict[int, int] = {}
-
-    def __getitem__(self, key: int) -> int:
-        return self._values.get(key, 0)
-
-    def __setitem__(self, key: int, value: int) -> None:
-        self._values[key] = value
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._values
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        """Nonzero ``(rank, value)`` pairs in ascending rank order."""
-        values = self._values
-        for key in sorted(values):
-            v = values[key]
-            if v:
-                yield key, v
-
-    def sum(self) -> int:
-        """Sum over all (touched) entries — untouched ranks are 0."""
-        return sum(self._values.values())
-
-    def touched(self) -> int:
-        """Number of materialized entries (test/diagnostic hook)."""
-        return len(self._values)
+__all__ = ["SparseCounterMat"]
 
 
 class SparseCounterMat:

@@ -10,6 +10,7 @@ from repro.explore import (
     diff_digests,
     run_workload,
 )
+from repro.rma.notify import SignalChannel
 
 
 def test_canonical_json_is_order_insensitive():
@@ -50,14 +51,17 @@ def test_empty_context_digest():
 
 
 def test_omega_invariant_audit_detects_imbalance():
-    """Corrupting a grant counter after the run must trip the audit."""
-    ctx = ExplorationContext.from_spec(None)
+    """Corrupting the grant counter the engine matches on after the run
+    must trip the audit — on every engine: they share the board.  (One
+    test over all four variants rather than a parametrized one, so its
+    id stays what it was when the audit could only see the ω engines.)"""
     from repro.explore.runner import WORKLOADS
 
-    result = WORKLOADS["transactions"](VARIANTS[2], ctx)
-    runtime = ctx.runtimes[0]
-    ws = runtime.engines[0].states[0]
-    ws.g[1] += 1  # a grant nobody issued
-    digest = build_digest(ctx, result)
-    assert digest.strict["invariants"]
-    assert any("grant conservation" in line for line in digest.strict["invariants"])
+    for variant in VARIANTS:
+        ctx = ExplorationContext.from_spec(None)
+        result = WORKLOADS["transactions"](variant, ctx)
+        assert build_digest(ctx, result).strict["invariants"] == [], variant.name
+        board = ctx.runtimes[0].engines[0].states[0].board
+        board.inbound[SignalChannel.GRANT, 1] += 1  # a grant nobody issued
+        invariants = build_digest(ctx, result).strict["invariants"]
+        assert any("grant conservation" in line for line in invariants), variant.name

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mpi.stats import RuntimeStats, collect_stats
+from repro.rma.notify import SignalChannel
+from repro.rma.packets import SignalUpdate
 from tests.conftest import make_runtime
 
 
@@ -53,6 +55,21 @@ class TestCollect:
     def test_collect_stats_function(self):
         rt = run_small_job()
         assert collect_stats(rt).messages_sent == rt.fabric.messages_sent
+
+    def test_replayed_signal_update_is_counted(self):
+        """``dup_grants_ignored`` sees the signal engine too: a replayed
+        ``SignalUpdate`` is discarded by the same idempotent max() on the
+        same board a replayed ω ``GrantUpdate`` is."""
+        rt = run_small_job("signal")
+        assert rt.stats().dup_grants_ignored == 0
+        engine = rt.engines[0]
+        ws = engine.states[0]
+        held = ws.board.inbound[SignalChannel.LOCK, 1]
+        assert held == 1  # the one lock grant of the job
+        engine._on_signal(
+            ws, SignalUpdate(ws.gid, channel=int(SignalChannel.LOCK), signaler=1, value=held), 1
+        )
+        assert rt.stats().dup_grants_ignored == 1
 
 
 class TestFrozenSnapshot:

@@ -110,9 +110,9 @@ class TestProgressBehaviour:
 
         rt.run(app)
         # Rank 2 never participated: its counters stay empty.
-        ws2 = rt.engines[2].states[0]
-        assert int(ws2.a.sum()) == 0
-        assert int(ws2.e.sum()) == 0
+        board2 = rt.engines[2].states[0].board
+        assert board2.expected.touched() == 0
+        assert board2.outbound.touched() == 0
 
     def test_epoch_retirement_keeps_state_bounded(self):
         """Completed + closed epochs are retired from the window state

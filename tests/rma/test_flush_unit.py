@@ -4,6 +4,7 @@ scoping (§VII-C)."""
 import pytest
 
 from repro.rma.epoch import Epoch, EpochKind
+from repro.rma.notify import SignalChannel
 from repro.rma.ops import OpKind, RmaOp
 from repro.rma.requests import FlushRequest
 from tests.conftest import make_runtime
@@ -114,12 +115,12 @@ class TestWindowStateUnits:
         def app(proc):
             _win = yield from proc.win_allocate(64)
             yield from proc.barrier()
-            ws = proc.runtime.engines[proc.rank].states[0]
-            assert ws.next_access_id(1) == 1
-            assert ws.next_access_id(2) == 1
-            assert ws.next_access_id(1) == 2
-            assert ws.access_granted(1, 0)
-            assert not ws.access_granted(1, 1)  # nothing granted yet
+            board = proc.runtime.engines[proc.rank].states[0].board
+            assert board.bump_expected(SignalChannel.GRANT, 1) == 1
+            assert board.bump_expected(SignalChannel.GRANT, 2) == 1
+            assert board.bump_expected(SignalChannel.GRANT, 1) == 2
+            assert board.reached(SignalChannel.GRANT, 1, 0)
+            assert not board.reached(SignalChannel.GRANT, 1, 1)  # nothing granted yet
             yield from proc.barrier()
 
         rt.run(app)

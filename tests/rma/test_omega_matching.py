@@ -1,16 +1,25 @@
 """ω-triple epoch matching (§VII-B): invariants and property tests."""
 
+from collections import defaultdict
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.rma.notify import SignalChannel
 from tests.conftest import make_runtime
+
+GRANT, DONE = SignalChannel.GRANT, SignalChannel.DONE
 
 
 def omega(runtime, rank, gid=0):
-    """The (a, e, g) triples of one rank's window state."""
-    ws = runtime.engines[rank].states[gid]
-    return ws.a, ws.e, ws.g
+    """The (a, e, g) triples of one rank's window state: the GRANT rows
+    of its board, as ``{peer: value}`` (absent peers read 0)."""
+    board = runtime.engines[rank].states[gid].board
+    return tuple(
+        defaultdict(int, mat.row_items(GRANT))
+        for mat in (board.expected, board.outbound, board.inbound)
+    )
 
 
 class TestCounterInvariants:
@@ -76,9 +85,9 @@ class TestCounterInvariants:
             yield from proc.barrier()
 
         rt.run(app)
-        ws0 = rt.engines[0].states[0]
-        assert ws0.access_granted(1, 1)
-        assert not ws0.access_granted(1, 2)
+        board0 = rt.engines[0].states[0].board
+        assert board0.reached(GRANT, 1, 1)
+        assert not board0.reached(GRANT, 1, 2)
 
     def test_done_ids_track_access_ids(self):
         rt = make_runtime(2)
@@ -97,8 +106,7 @@ class TestCounterInvariants:
             yield from proc.barrier()
 
         rt.run(app)
-        ws1 = rt.engines[1].states[0]
-        assert ws1.done_id[0] == 2
+        assert rt.engines[1].states[0].board.inbound[DONE, 0] == 2
 
 
 class TestMatchingProperties:

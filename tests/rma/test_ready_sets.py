@@ -49,10 +49,9 @@ def _arrivals(engine, ws, ep) -> set[int]:
     """``ep``'s arrival count, recomputed from the protocol's counters."""
     if ep.kind is EpochKind.GATS_EXPOSURE:
         return {o for o in ep.peers if engine._done_arrived(ws, ep, o)}
-    board = ws.signal_board  # fences count per epoch under signals only
-    if ep.kind is EpochKind.FENCE and board is not None:
+    if ep.kind is EpochKind.FENCE:
         return {p for p in ws.win.group.ranks if p != engine.rank
-                and board.reached(SignalChannel.FENCE_DONE, p, ep.fence_round)}
+                and ws.board.reached(SignalChannel.FENCE_DONE, p, ep.fence_round)}
     return set()
 
 
@@ -334,6 +333,38 @@ def test_mixed_kinds_toward_one_host_match_the_exhaustive_walk(
     assert production == outcome(AUDITED)
 
 
+# ROADMAP 5a's minimal program, as a seed: two GATS accesses toward hosts
+# 1 and 2, then a lock at host 2.  ω folds the lock grant into the stream
+# the GATS posts advance (``RmaEngineBase.lock_channel`` is GRANT), so
+# once a reorder flag activates all three epochs at once an access id
+# handed to one kind is satisfied, or starved, by a grant of the other;
+# the signal engine keeps LOCK apart and completes.
+_HAZARD_STEPS = [("gats", (1, 2), {1, 2}, False)] * 2 + [("lock", 2, False)]
+_HAZARD_BYTES = [[0, 0, 0], [0, 0, 3], [0, 3, 3], [0, 0, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("engine,flags,finish_us", [
+    ("nonblocking", "noflags", 40.97),
+    # The two deadlock cells are pinned, not endorsed: ROADMAP 5a's ruling
+    # (erroneous program, or kind-separated ω counters) will change them
+    # on purpose; nothing else may.
+    ("nonblocking", "A_A_A_R", None),
+    ("nonblocking", "allflags", None),
+    ("signal", "noflags", 40.92),
+    ("signal", "A_A_A_R", 32.05),
+    ("signal", "allflags", 32.05),
+])
+def test_shared_grant_counter_hazard_seed(engine, flags, finish_us):
+    rt = make_runtime(5, engine, cores_per_node=1)
+    app = _mixed_origin_app(_HAZARD_STEPS, (0.0,) * 5, FLAG_SETS[flags])
+    if finish_us is None:
+        with pytest.raises(SimulationDeadlock):
+            rt.run(app)
+    else:
+        assert rt.run(app) == _HAZARD_BYTES
+        assert round(rt.now, 2) == finish_us
+
+
 # ---------------------------------------------------------------------------
 # Wake-ups no registry workload depends on: each of these hangs (a
 # SimulationDeadlock, loudly) when its row of the table is dropped.
@@ -464,7 +495,7 @@ def test_replayed_grant_and_stale_ack_neither_enqueue_nor_raise():
     eng._on_grant(ws, GrantUpdate(ws.gid, granter=1, lock_access_id=access_id), 1)
     # A sequenced replay is dropped before it reaches the index at all.
     eng._on_grant(ws, GrantUpdate(ws.gid, granter=1, lock_access_id=access_id,
-                                  grant_seq=int(ws.g[1])), 1)
+                                  grant_seq=ws.board.inbound[SignalChannel.GRANT, 1]), 1)
     eng._on_unlock_ack(ws, UnlockAck(ws.gid, access_id=access_id), 1)
     eng._on_unlock_ack(ws, UnlockAck(ws.gid, access_id=access_id + 99), 1)
     assert not ws.post_ready and not ws.advance_ready

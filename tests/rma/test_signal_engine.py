@@ -42,7 +42,7 @@ class TestGats:
 
         def app(proc):
             win = yield from proc.win_allocate(64)
-            boards[proc.rank] = win.engine.state_of(win).signal_board
+            boards[proc.rank] = win.engine.state_of(win).board
             yield from proc.barrier()
             if proc.rank == 0:
                 yield from win.start([1])

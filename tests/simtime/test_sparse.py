@@ -1,8 +1,8 @@
-"""Sparse counter containers: dense equivalence + O(touched) sizing.
+"""Sparse counter container: dense equivalence + O(touched) sizing.
 
-The scale story (Fig. 12 regime) rests on these containers behaving
-*bit-identically* to dense ``np.zeros(nranks)`` arrays while allocating
-only for touched keys.  The Hypothesis model
+The scale story (Fig. 12 regime) rests on the container behaving
+*bit-identically* to a dense ``np.zeros((rows, nranks))`` array while
+allocating only for touched keys.  The Hypothesis model
 test drives a sparse container and a dense reference through the same
 random op sequence and compares every read.
 """
@@ -13,39 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simtime import SparseCounterMat, SparseCounterVec
-
-
-class TestVecBasics:
-    def test_untouched_reads_zero_without_materializing(self):
-        v = SparseCounterVec(1 << 20)
-        assert v[12345] == 0
-        assert v[999999] == 0
-        assert v.touched() == 0
-        assert len(v) == 0
-        assert 12345 not in v
-
-    def test_store_then_load(self):
-        v = SparseCounterVec(8)
-        v[3] = 7
-        v[3] += 2
-        assert v[3] == 9
-        assert 3 in v
-        assert v.touched() == 1
-
-    def test_items_nonzero_ascending_regardless_of_touch_order(self):
-        v = SparseCounterVec()
-        v[9] = 1
-        v[2] = 5
-        v[7] = 0  # touched but zero: excluded from items()
-        assert list(v.items()) == [(2, 5), (9, 1)]
-        assert v.touched() == 3
-
-    def test_sum(self):
-        v = SparseCounterVec()
-        v[1] = 10
-        v[40] = 32
-        assert v.sum() == 42
+from repro.simtime import SparseCounterMat
 
 
 class TestMatBasics:
@@ -78,36 +46,6 @@ class TestMatBasics:
 # Hypothesis: sparse container == dense ndarray, op for op
 # ---------------------------------------------------------------------------
 _NRANKS = 32
-
-_vec_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("set"), st.integers(0, _NRANKS - 1), st.integers(0, 50)),
-        st.tuples(st.just("add"), st.integers(0, _NRANKS - 1), st.integers(1, 5)),
-        st.tuples(st.just("get"), st.integers(0, _NRANKS - 1), st.just(0)),
-    ),
-    max_size=60,
-)
-
-
-@given(ops=_vec_ops)
-@settings(max_examples=60, deadline=None)
-def test_vec_matches_dense_reference(ops):
-    sparse = SparseCounterVec(_NRANKS)
-    dense = np.zeros(_NRANKS, dtype=np.int64)
-    for what, key, val in ops:
-        if what == "set":
-            sparse[key] = val
-            dense[key] = val
-        elif what == "add":
-            sparse[key] += val
-            dense[key] += val
-        else:
-            assert sparse[key] == int(dense[key])
-    assert sparse.sum() == int(dense.sum())
-    assert list(sparse.items()) == [
-        (i, int(v)) for i, v in enumerate(dense) if v
-    ]
-
 
 _mat_ops = st.lists(
     st.tuples(

@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.rma.notify as notify_mod
-import repro.rma.state as state_mod
 from repro import LOCK_SHARED
 from repro.bench.calibration import default_model
 from repro.explore.digest import _omega_counters, _signal_counters, _window_memory
@@ -96,13 +95,13 @@ class TestTouchedDrivenSizes:
             # packets landed: the four lock targets.
             assert len(rt.fabric.attention) <= 4
 
-            # ω vectors materialized entries only for actual peers.
+            # The board materialized entries only for actual peers: the
+            # ω rows a (expected), g and done_id (both inbound).
             for rank, engine in enumerate(rt.engines):
                 for ws in engine.states.values():
                     budget = 3 if rank < 4 else 0
-                    assert ws.a.touched() <= budget
-                    assert ws.g.touched() <= budget
-                    assert ws.done_id.touched() <= budget
+                    assert ws.board.expected.touched() <= budget
+                    assert ws.board.inbound.touched() <= budget
 
         # Flow-control pools cover the active pairs plus the collective
         # (barrier / allocate) traffic: linear in n — doubling the job
@@ -119,12 +118,10 @@ class TestTouchedDrivenSizes:
         rt.run(_txn_app(txns))
         for engine in rt.engines:
             for ws in engine.states.values():
-                if ws.signal_board is None:
-                    continue
                 # 6 channels x 32 ranks dense would be 192 slots each.
-                assert ws.signal_board.outbound.touched() <= 12
-                assert ws.signal_board.inbound.touched() <= 12
-                assert ws.signal_board.expected.touched() <= 12
+                assert ws.board.outbound.touched() <= 12
+                assert ws.board.inbound.touched() <= 12
+                assert ws.board.expected.touched() <= 12
 
 
 # ---------------------------------------------------------------------------
@@ -162,38 +159,12 @@ class TestMemoryCeiling:
         # The one lock/put pair materialized O(1) sparse state.
         assert len(rt.fabric.attention) <= 1
         ws0 = next(iter(rt.engines[0].states.values()))
-        assert ws0.a.touched() <= 1
+        assert ws0.board.expected.touched() <= 1
 
 
 # ---------------------------------------------------------------------------
 # Sparse vs dense: bit-identical outcomes
 # ---------------------------------------------------------------------------
-class _DenseVec:
-    """Dense ndarray double of :class:`SparseCounterVec` (test only)."""
-
-    def __init__(self, nranks: int = 0):
-        self._a = np.zeros(max(int(nranks), 1), dtype=np.int64)
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return int(self._a[key])
-        return self._a[list(key)]
-
-    def __setitem__(self, key, value):
-        self._a[key] = value
-
-    def items(self):
-        for i, v in enumerate(self._a):
-            if v:
-                yield i, int(v)
-
-    def sum(self):
-        return int(self._a.sum())
-
-    def touched(self):
-        return len(self._a)
-
-
 class _DenseMat:
     """Dense ndarray double of :class:`SparseCounterMat` (test only)."""
 
@@ -232,14 +203,11 @@ def _fingerprint(nranks: int, engine: str, txns) -> dict:
 
 
 def _with_dense_containers(fn):
-    orig_vec = state_mod.SparseCounterVec
     orig_mat = notify_mod.SparseCounterMat
-    state_mod.SparseCounterVec = _DenseVec
     notify_mod.SparseCounterMat = _DenseMat
     try:
         return fn()
     finally:
-        state_mod.SparseCounterVec = orig_vec
         notify_mod.SparseCounterMat = orig_mat
 
 

@@ -20,9 +20,9 @@ from typing import Callable
 from ..network.model import NetworkModel
 from ..obs.causal import CATEGORIES
 from ..obs.critpath import critpath_report
-from ..obs.workloads import run_instrumented
 from ..workloads import CLASSIC_WORKLOADS
 from ..workloads import SERIES as _SERIES_TABLE
+from ..workloads import run_instrumented
 from . import applications as apps
 from . import figures
 from .calibration import BANDWIDTHS, DELAY_US, default_model

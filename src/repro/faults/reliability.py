@@ -150,9 +150,6 @@ class ReliabilityLayer:
         st.last_sent_us = self.sim.now
         if st.attempts > 1:
             self.retransmissions += 1
-            m = self.metrics
-            if m is not None:
-                m.inc("rel.retransmissions")
             causal = self.causal
             if causal is not None:
                 # The span covers the lost-attempt window: from the
@@ -184,9 +181,6 @@ class ReliabilityLayer:
 
     def _fail(self, st: _SendState) -> None:
         self.delivery_failures += 1
-        m = self.metrics
-        if m is not None:
-            m.inc("rel.delivery_failures")
         msg = st.ticket.message
         self._trace("delivery_fail", msg, st.seq, attempts=st.attempts)
         assert self.fabric is not None
@@ -217,17 +211,12 @@ class ReliabilityLayer:
         self._send_ack(msg.dst, msg.src, seq)
         nxt = self._recv_next.get(key, 0)
         buf = self._recv_buffer.setdefault(key, {})
-        m = self.metrics
         if seq < nxt or seq in buf:
             self.dup_suppressed += 1
-            if m is not None:
-                m.inc("rel.dup_suppressed")
             return
         buf[seq] = ticket
         if seq != nxt:
             self.out_of_order += 1
-            if m is not None:
-                m.inc("rel.out_of_order")
             return
         assert self.fabric is not None
         while nxt in buf:
@@ -237,9 +226,6 @@ class ReliabilityLayer:
 
     def _send_ack(self, from_rank: int, to_rank: int, seq: int) -> None:
         self.acks_sent += 1
-        m = self.metrics
-        if m is not None:
-            m.inc("rel.acks_sent")
         assert self.fabric is not None
         self.fabric._send_ack(from_rank, to_rank, seq)
 

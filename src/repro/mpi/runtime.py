@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 from ..network.fabric import Fabric
 from ..network.model import NetworkModel
 from ..network.topology import ClusterTopology
+from ..rma.notify import SignalChannel
 from ..simtime import Simulator
 from .info import Info
 from .middleware import RankMiddleware
@@ -136,7 +137,8 @@ class MPIRuntime:
         from ..patterns.trace import Tracer
 
         self.tracer = Tracer(self.sim, enabled=trace)
-        self.fabric.tracer = self.tracer
+        if trace:
+            self.fabric.tracer = self.tracer
         self.engine_name = canonical_engine(engine)
         factory = _engine_factory(engine)
         self.middlewares = [RankMiddleware(self.sim, self.fabric, r) for r in range(nranks)]
@@ -274,6 +276,8 @@ class MPIRuntime:
         plan is active — the injector's fault counters folded in as
         ``faults.*`` counters (zero hot-path cost: the injector keeps
         its own counts and they are merged here, at snapshot time).
+        Every fact some layer already counts always-on is read the same
+        way (:meth:`_folded_counters`), never counted a second time.
         The counter-signal engine additionally contributes its
         per-window :class:`~repro.rma.notify.SignalBoard` snapshots
         under ``"signal_board"`` (nonzero counters only, same
@@ -284,6 +288,7 @@ class MPIRuntime:
         summary = self.metrics.summary()
         assert self.profiler is not None
         summary["profile"] = self.profiler.summary()
+        summary["counters"].update(self._folded_counters())
         if self.fabric.injector is not None:
             for name, value in self.fabric.injector.counters.items():
                 summary["counters"][f"faults.{name}"] = value
@@ -304,3 +309,35 @@ class MPIRuntime:
         if boards:
             summary["signal_board"] = boards
         return summary
+
+    def _folded_counters(self) -> dict[str, int]:
+        """The metric names whose fact a layer keeps always-on, read off
+        that layer (nonzero only, like a counter nobody incremented)."""
+        fabric = self.fabric
+        states = [ws for eng in self.engines for ws in eng.states.values()]
+        grants = sum(ws.lock_mgr.grants for ws in states)
+        # Every rank runs the same engine: an ω one or the counter-signal one.
+        omega = not self.engines[0].supports_notified_access
+        folded = {
+            "engine.sweep.window_visits": sum(eng.windows_visited for eng in self.engines),
+            "engine.degraded": sum(getattr(eng, "degraded", False) for eng in self.engines),
+            "omega.dup_grants_ignored" if omega else "signal.dup_ignored": sum(
+                ws.board.dup_signals_ignored for ws in states
+            ),
+            "fc.stalls": fabric.flow.total_stalls(),
+            "nic.attention_stalls": sum(gate.stalls_injected for gate in fabric.attention),
+            "locks.grants": grants,
+            "locks.requests": grants + sum(ws.lock_mgr.queue_depth for ws in states),
+            "fifo.sent": self.metrics.value("fabric.sends.notify"),
+            "fifo.drained": self.profiler.steps[5].work,
+        }
+        if omega:
+            folded["omega.grants_sent"] = sum(
+                v for ws in states for _peer, v in ws.board.outbound.row_items(SignalChannel.GRANT)
+            )
+        rel = fabric.reliability
+        if rel is not None:
+            for name in ("retransmissions", "dup_suppressed", "out_of_order", "acks_sent",
+                         "delivery_failures"):
+                folded[f"rel.{name}"] = getattr(rel, name)
+        return {name: value for name, value in folded.items() if value}

@@ -242,8 +242,8 @@ class Fabric:
         self.reliability = reliability
         if reliability is not None:
             reliability.bind(self)
-        #: Set by the runtime once the tracer exists; fault/retry events
-        #: are emitted through it.
+        #: Set by the runtime when tracing is on (None otherwise);
+        #: fault/retry events are emitted through it.
         self.tracer: "Tracer | None" = None
         #: Optional :class:`repro.obs.MetricsRegistry`, set by the
         #: runtime when built with ``metrics=True``.
@@ -432,7 +432,7 @@ class Fabric:
         attempt = self._attempts.get(msg.uid, 0)
         self._attempts[msg.uid] = attempt + 1
         disp = self.injector.disposition(msg, attempt, now)
-        if disp.lost or disp.duplicate or disp.delay_us:
+        if (disp.lost or disp.duplicate or disp.delay_us) and self.tracer is not None:
             self._trace_fault(msg, disp)
         arrival_delay = delivery - now + disp.delay_us
         if not disp.lost:
@@ -448,8 +448,6 @@ class Fabric:
             reliability.on_attempt(ticket, arrival_delay)
 
     def _trace_fault(self, msg: Message, disp) -> None:
-        if self.tracer is None:
-            return
         self.tracer.emit(
             "fault_inject",
             msg.src,

@@ -199,8 +199,6 @@ class FlowControl:
         if (m is not None or causal is not None) and (pool.available <= 0 or pool._waiters):
             # This send will stall; wrap the grant to time the wait.
             # The closure is fine here — stalls are the rare path.
-            if m is not None:
-                m.inc("fc.stalls")
             start = self.sim._now
             sid = (causal.begin("fc_stall", rank=src, meta={"dst": dst})
                    if causal is not None else None)

@@ -103,9 +103,6 @@ class AttentionGate:
         regardless of the application-driven attention flag.  A stall
         arriving while another is active extends the outage."""
         self.stalls_injected += 1
-        m = self.metrics
-        if m is not None:
-            m.inc("nic.attention_stalls")
         self._stalled = True
         self._stall_gen += 1
         gen = self._stall_gen

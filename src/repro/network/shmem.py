@@ -155,9 +155,6 @@ class NotificationFifo:
         FIFO (see :meth:`push`).
         """
         packet = encode_notification(kind, self.rank, value)
-        m = self.metrics
-        if m is not None:
-            m.inc("fifo.sent")
         self.fabric.send(
             self.rank,
             dst,
@@ -189,10 +186,6 @@ class NotificationFifo:
             packet, src = self._incoming.popleft()
             consume(*decode_checked(packet, src))
             count += 1
-        if count:
-            m = self.metrics
-            if m is not None:
-                m.inc("fifo.drained", count)
         return count
 
     def pending(self) -> list[tuple[NotifyKind, int, int]]:

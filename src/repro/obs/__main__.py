@@ -62,15 +62,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_critpath_parser() -> argparse.ArgumentParser:
-    from .workloads import SERIES, WORKLOADS
+    from ..workloads import SERIES, workload_names
 
     p = argparse.ArgumentParser(
         prog="python -m repro.obs critpath",
         description="Blocked-time attribution + critical path for one "
                     "test-matrix workload.",
     )
-    p.add_argument("--workload", default="halo", choices=sorted(WORKLOADS))
-    p.add_argument("--series", default="new", choices=sorted(SERIES),
+    p.add_argument("--workload", default="halo", choices=workload_names())
+    p.add_argument("--series", default="new", choices=sorted(s.name for s in SERIES),
                    help="engine series (test-matrix column, default 'new')")
     p.add_argument("--json", dest="json_path", metavar="FILE", nargs="?", const="-",
                    help="emit the full report as JSON ('-' or omit FILE for stdout)")
@@ -108,8 +108,8 @@ def _format_critpath(doc: dict) -> str:
 
 def _critpath_main(argv: list[str]) -> int:
     args = _build_critpath_parser().parse_args(argv)
+    from ..workloads import run_instrumented
     from .critpath import critpath_report
-    from .workloads import run_instrumented
 
     runtime = run_instrumented(args.workload, args.series)
     doc = critpath_report(runtime)

@@ -204,20 +204,32 @@ class MetricsRegistry:
             h = self._histograms[name] = Histogram(name, bounds)
         return h
 
-    # -- recording ---------------------------------------------------------
+    # -- recording (hot path: one Python call per record — the accessor
+    # runs on first touch only, and the update is inlined) ----------------
     def inc(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n``."""
-        self.counter(name).inc(n)
+        c = self._counters.get(name) or self.counter(name)
+        c.value += n
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` (tracks its high-water mark)."""
-        self.gauge(name).set(value)
+        g = self._gauges.get(name) or self.gauge(name)
+        g.value = value
+        if value > g.high_water:
+            g.high_water = value
 
     def observe(
         self, name: str, value: float, bounds: Iterable[float] = DEFAULT_LATENCY_BUCKETS_US
     ) -> None:
         """Record one sample into histogram ``name``."""
-        self.histogram(name, bounds).observe(value)
+        h = self._histograms.get(name) or self.histogram(name, bounds)
+        h.counts[bisect_left(h.bounds, value)] += 1
+        h.count += 1
+        h.total += value
+        if value < h.min:
+            h.min = value
+        if value > h.max:
+            h.max = value
 
     # -- reading -----------------------------------------------------------
     def value(self, name: str) -> int:

@@ -81,7 +81,11 @@ class EngineProfiler:
         ``perf_counter()`` reading ``since``; returns the reading it
         ended at — the next step's start."""
         now = perf_counter()
-        self.record(step, work, now - since)
+        st = self.steps[step]
+        st.invocations += 1
+        st.work += work
+        st.wall_s += now - since
+        st.last_virtual_us = self.sim.now
         return now
 
     def tally(self, step: int, work: int = 1) -> None:

@@ -7,9 +7,9 @@ intervals) and the detector reconstructs who waited on whom.
 
 Tracing is off by default; :class:`~repro.mpi.runtime.MPIRuntime` enables
 it with ``trace=True`` — at construction, for the whole run.  Disabled
-emission is a single attribute check: the engines bind the tracer only
-when it is enabled and guard each site with ``self._tracer is not None``
-(the few callers that do not are stopped by :meth:`Tracer.emit` itself).
+emission is a single attribute check: the engines and the fabric bind
+the tracer only when it is enabled and guard each site with ``is not
+None``; the window's blocking calls test ``Tracer.enabled``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ EVENT_KINDS = frozenset(
         "block_exit",
         "fence_open",
         "fence_done",
-        "flush_complete",
         "fault_inject",        # injector perturbed a transmission attempt
         "retry",               # reliability layer retransmitted a packet
         "delivery_fail",       # retries exhausted -> RmaDeliveryError

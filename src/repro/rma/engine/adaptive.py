@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..epoch import Epoch
+from ..epoch import Epoch, EpochKind
 from ..requests import ClosingRequest
 from .mvapich import MvapichEngine
 
@@ -63,8 +63,6 @@ class AdaptiveEngine(MvapichEngine):
     marks the window dirty, so eager epochs are swept without this class
     touching the worklist machinery.
     """
-
-    supports_nonblocking = False
 
     def __init__(self, runtime, rank):
         super().__init__(runtime, rank)
@@ -108,9 +106,6 @@ class AdaptiveEngine(MvapichEngine):
             return False
         self.degraded = True
         now = self.sim.now
-        m = self.metrics
-        if m is not None:
-            m.inc("engine.degraded")
         for gid, target in sorted(self._eager_pairs):
             self.mode_switches.append((now, gid, target, "lazy"))
         self._eager_pairs.clear()
@@ -134,13 +129,10 @@ class AdaptiveEngine(MvapichEngine):
             self.poke()
         return ep
 
-    def close_lock(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        self._learn(win, ep)
-        return super().close_lock(win, ep)
-
-    def close_lock_all(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        self._learn(win, ep)
-        return super().close_lock_all(win, ep)
+    def close_epoch(self, win: "Window", ep: Epoch) -> ClosingRequest:
+        if ep.kind is EpochKind.LOCK or ep.kind is EpochKind.LOCK_ALL:
+            self._learn(win, ep)
+        return super().close_epoch(win, ep)
 
     def _learn(self, win: "Window", ep: Epoch) -> None:
         """Promote/demote the epoch's targets based on the observed gap

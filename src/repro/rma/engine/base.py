@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ...mpi.errors import RmaInternalError
+from ...mpi.errors import RmaInternalError, RmaUsageError
+from ...mpi.requests import Request
 from ...network.packets import ServiceKind
 from ...network.shmem import NotifyKind, decode_checked
 from ..epoch import Epoch, EpochKind, EpochState
@@ -50,6 +51,7 @@ from ..packets import (
     UnlockAck,
     UnlockPacket,
 )
+from ..requests import ClosingRequest
 from ..state import WindowState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -247,8 +249,7 @@ class RmaEngineBase:
             self._dirty.clear()
         self.windows_visited += len(out)
         m = self.metrics
-        if m is not None and out:
-            m.inc("engine.sweep.window_visits", len(out))
+        if m is not None:
             names = self._visit_metric
             for ws in out:
                 m.inc(names[ws.gid])
@@ -271,7 +272,6 @@ class RmaEngineBase:
         self.windows_visited += len(extra)
         m = self.metrics
         if m is not None:
-            m.inc("engine.sweep.window_visits", len(extra))
             names = self._visit_metric
             for ws in extra:
                 m.inc(names[ws.gid])
@@ -413,13 +413,10 @@ class RmaEngineBase:
         # Idempotent form: the packet carries its position in the
         # granter's grant stream, so replays cannot over-increment g.
         seq = p.grant_seq if p.grant_seq is not None else board.inbound[_GRANT, granter] + 1
-        m = self.metrics
         if not board.apply(_GRANT, granter, seq):
-            if m is not None:
-                m.inc("omega.dup_grants_ignored")
             return
-        if m is not None:
-            m.inc("omega.grants_recv")
+        if self.metrics is not None:
+            self.metrics.inc("omega.grants_recv")
         if self._explore is not None:
             self._explore.record_notification(
                 self.rank, "grant", granter, pack_win_value(ws.gid, seq)
@@ -537,9 +534,6 @@ class RmaEngineBase:
                 self._done_landed(ws, sender, ident, via="fifo")
             else:
                 raise RuntimeError(f"unexpected notification {kind} from {sender}")
-        m = fifo.metrics
-        if m is not None:
-            m.inc("fifo.drained", count)
         return count
 
     # =====================================================================
@@ -588,8 +582,6 @@ class RmaEngineBase:
                             grant_seq=value),
                 ServiceKind.RDMA,
             )
-            if self.metrics is not None:
-                self.metrics.inc("omega.grants_sent")
             if lock_access_id is None and self._tracer is not None:
                 self._trace("grant_sent", ws, origin=peer, e=value)
         elif channel is _DONE:
@@ -627,9 +619,16 @@ class RmaEngineBase:
         §VII-B) — under a NOCHECK start too: the exposure side grants
         unconditionally, so a non-consuming epoch would misalign every
         later one.  Passive-target kinds reserve on ``lock_channel`` and
-        ship their lock request, which echoes the reservation."""
-        board = ws.board
+        ship their lock request, which echoes the reservation — unless
+        NOCHECK: then there is no acquisition protocol at all, the epoch
+        neither enters the counter stream nor touches the target's lock
+        manager."""
         passive = ep.kind is not EpochKind.GATS_ACCESS
+        if passive and ep.nocheck:
+            for target in ep.targets:
+                ep.lock_held[target] = True
+            return
+        board = ws.board
         channel = self.lock_channel if passive else _GRANT
         for target in ep.targets:
             ep.access_ids[target] = access_id = board.bump_expected(channel, target)
@@ -897,8 +896,53 @@ class RmaEngineBase:
         self.poke()
 
     # =====================================================================
-    # Policy-free epoch lifecycle helpers (shared by both engines)
+    # Epoch lifecycle API (called by the Window facade).  Every epoch is
+    # created inactive and opened the same way (§VII-A, §VII-C); when it
+    # activates is the engine's policy.
     # =====================================================================
+    def open_fence(self, win: "Window") -> Epoch:
+        ws = self.state_of(win)
+        ws.fence_round += 1
+        ep = Epoch(
+            EpochKind.FENCE, ws.gid, self.rank, targets=tuple(win.group.ranks),
+            fence_round=ws.fence_round,
+        )
+        return self._open_epoch(ws, ep)
+
+    def open_gats_access(
+        self, win: "Window", group: tuple[int, ...], nocheck: bool = False
+    ) -> Epoch:
+        ws = self.state_of(win)
+        ep = Epoch(EpochKind.GATS_ACCESS, ws.gid, self.rank, targets=group, nocheck=nocheck)
+        return self._open_epoch(ws, ep)
+
+    def open_exposure(self, win: "Window", group: tuple[int, ...]) -> Epoch:
+        ws = self.state_of(win)
+        ep = Epoch(EpochKind.GATS_EXPOSURE, ws.gid, self.rank, origin_group=group)
+        return self._open_epoch(ws, ep)
+
+    def open_lock(
+        self, win: "Window", target: int, exclusive: bool, nocheck: bool = False
+    ) -> Epoch:
+        ws = self.state_of(win)
+        ep = Epoch(
+            EpochKind.LOCK, ws.gid, self.rank, targets=(target,), exclusive=exclusive,
+            nocheck=nocheck,
+        )
+        return self._open_epoch(ws, ep)
+
+    def open_lock_all(self, win: "Window", nocheck: bool = False) -> Epoch:
+        ws = self.state_of(win)
+        ep = Epoch(
+            EpochKind.LOCK_ALL, ws.gid, self.rank, targets=tuple(win.group.ranks),
+            exclusive=False, nocheck=nocheck,
+        )
+        return self._open_epoch(ws, ep)
+
+    def close_epoch(self, win: "Window", ep: Epoch) -> ClosingRequest:
+        """The closing routine of every epoch kind."""
+        return self._close_epoch(self.state_of(win), ep)
+
     def _open_epoch(self, ws: WindowState, ep: Epoch) -> Epoch:
         ep.open_time = self.sim.now
         ws.epochs.append(ep)
@@ -911,12 +955,8 @@ class RmaEngineBase:
         self.poke()
         return ep
 
-    def _close_epoch(self, ws: WindowState, ep: Epoch):
-        from ..requests import ClosingRequest
-
+    def _close_epoch(self, ws: WindowState, ep: Epoch) -> ClosingRequest:
         if ep.app_closed:
-            from ...mpi.errors import RmaUsageError
-
             raise RmaUsageError(f"epoch {ep} closed twice")
         ep.app_closed = True
         ep.close_call_time = self.sim.now
@@ -1013,8 +1053,6 @@ class RmaEngineBase:
         raise NotImplementedError
 
     def blocking_flush(self, win: "Window", ep: Epoch, target: int | None, local: bool):
-        from ...mpi.requests import Request
-
         ws = self.state_of(win)
         checker = ws.checker
         if checker is not None:

@@ -182,11 +182,6 @@ class MvapichEngine(RmaEngineBase):
         if self.causal is not None:
             self.causal.instant("epoch_activate", rank=self.rank, win=ws.gid,
                                 epoch=ep.uid, meta={"lazy": True})
-        if ep.nocheck:
-            # MPI_MODE_NOCHECK: no acquisition protocol, no counter traffic.
-            for target in ep.targets:
-                ep.lock_held[target] = True
-            return
         self._enroll_access(ws, ep)
 
     def _advance_lock(self, ws: WindowState, ep: Epoch) -> bool:
@@ -253,83 +248,31 @@ class MvapichEngine(RmaEngineBase):
         return False
 
     # =====================================================================
-    # Epoch lifecycle API
+    # Epoch lifecycle timing (the API itself is the base class's)
     # =====================================================================
-    def open_fence(self, win: "Window") -> Epoch:
+    def _open_epoch(self, ws: WindowState, ep: Epoch) -> Epoch:
+        """Fence and GATS epochs are active from the opening call, and a
+        GATS epoch enrols there (an exposure's grants leave before the
+        epoch is recorded as open).  Lock epochs stay lazy: nothing hits
+        the wire until the unlock or a flush."""
+        kind = ep.kind
+        if kind is not EpochKind.LOCK and kind is not EpochKind.LOCK_ALL:
+            ep.state = EpochState.ACTIVE
+            ep.activate_time = self.sim.now
+            if kind is EpochKind.GATS_ACCESS:
+                self._enroll_access(ws, ep)
+            elif kind is EpochKind.GATS_EXPOSURE:
+                self._enroll_exposure(ws, ep)
+        return super()._open_epoch(ws, ep)
+
+    def close_epoch(self, win: "Window", ep: Epoch) -> ClosingRequest:
+        """MVAPICH announces fence arrival, and acquires a lazy lock, at
+        the closing call."""
         ws = self.state_of(win)
-        ws.fence_round += 1
-        ep = Epoch(
-            EpochKind.FENCE,
-            ws.gid,
-            self.rank,
-            targets=tuple(win.group.ranks),
-            fence_round=ws.fence_round,
-        )
-        ep.state = EpochState.ACTIVE
-        ep.activate_time = self.sim.now
-        return self._open_epoch(ws, ep)
-
-    def close_fence(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        ws = self.state_of(win)
-        # MVAPICH announces fence arrival at the *closing* call.
-        self._broadcast_fence_open(ws, ep.fence_round)
-        return self._close_epoch(ws, ep)
-
-    def open_gats_access(
-        self, win: "Window", group: tuple[int, ...], nocheck: bool = False
-    ) -> Epoch:
-        ws = self.state_of(win)
-        ep = Epoch(EpochKind.GATS_ACCESS, ws.gid, self.rank, targets=group, nocheck=nocheck)
-        ep.state = EpochState.ACTIVE
-        ep.activate_time = self.sim.now
-        self._enroll_access(ws, ep)
-        return self._open_epoch(ws, ep)
-
-    def close_gats_access(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        return self._close_epoch(self.state_of(win), ep)
-
-    def open_exposure(self, win: "Window", group: tuple[int, ...]) -> Epoch:
-        ws = self.state_of(win)
-        ep = Epoch(EpochKind.GATS_EXPOSURE, ws.gid, self.rank, origin_group=group)
-        ep.state = EpochState.ACTIVE
-        ep.activate_time = self.sim.now
-        self._enroll_exposure(ws, ep)
-        return self._open_epoch(ws, ep)
-
-    def close_exposure(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        return self._close_epoch(self.state_of(win), ep)
-
-    def open_lock(
-        self, win: "Window", target: int, exclusive: bool, nocheck: bool = False
-    ) -> Epoch:
-        ws = self.state_of(win)
-        ep = Epoch(
-            EpochKind.LOCK, ws.gid, self.rank, targets=(target,), exclusive=exclusive,
-            nocheck=nocheck,
-        )
-        # Lazy: stays DEFERRED; nothing hits the wire yet.
-        return self._open_epoch(ws, ep)
-
-    def close_lock(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        ws = self.state_of(win)
-        self._activate_lock(ws, ep)
-        return self._close_epoch(ws, ep)
-
-    def open_lock_all(self, win: "Window", nocheck: bool = False) -> Epoch:
-        ws = self.state_of(win)
-        ep = Epoch(
-            EpochKind.LOCK_ALL,
-            ws.gid,
-            self.rank,
-            targets=tuple(win.group.ranks),
-            exclusive=False,
-            nocheck=nocheck,
-        )
-        return self._open_epoch(ws, ep)
-
-    def close_lock_all(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        ws = self.state_of(win)
-        self._activate_lock(ws, ep)
+        if ep.kind is EpochKind.FENCE:
+            self._broadcast_fence_open(ws, ep.fence_round)
+        elif ep.kind is EpochKind.LOCK or ep.kind is EpochKind.LOCK_ALL:
+            self._activate_lock(ws, ep)
         return self._close_epoch(ws, ep)
 
     # =====================================================================

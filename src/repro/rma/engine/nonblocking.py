@@ -44,7 +44,7 @@ from ...network.packets import ServiceKind
 from ..epoch import Epoch, EpochKind, EpochState
 from ..notify import SignalChannel
 from ..packets import UnlockPacket
-from ..requests import ClosingRequest, FlushRequest
+from ..requests import FlushRequest
 from ..state import WindowState
 from .base import RmaEngineBase
 
@@ -69,8 +69,6 @@ _WOKEN = {
 
 class NonblockingEngine(RmaEngineBase):
     """Deferred-epoch, fully nonblocking RMA progress engine."""
-
-    supports_nonblocking = True
 
     #: §VII-A activation gate: the deferred-epoch scan stops at the first
     #: epoch that fails its activation conditions, so E_{k+1} can never
@@ -194,16 +192,7 @@ class NonblockingEngine(RmaEngineBase):
         if self.causal is not None:
             self.causal.instant("epoch_activate", rank=self.rank, win=ws.gid,
                                 epoch=ep.uid, meta={"deferred": len(active_preceding)})
-        if ep.kind in (EpochKind.GATS_ACCESS, EpochKind.LOCK, EpochKind.LOCK_ALL):
-            if ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL) and ep.nocheck:
-                # MPI_MODE_NOCHECK: no acquisition protocol at all — the
-                # epoch neither enters the counter stream nor touches the
-                # target's lock manager.
-                for target in ep.targets:
-                    ep.lock_held[target] = True
-                return
-            self._enroll_access(ws, ep)
-        elif ep.kind is EpochKind.GATS_EXPOSURE:
+        if ep.kind is EpochKind.GATS_EXPOSURE:
             self._enroll_exposure(ws, ep)
             # A done can be in before its exposure activates (a NOCHECK
             # origin, or this epoch deferred behind another): count those
@@ -211,6 +200,8 @@ class NonblockingEngine(RmaEngineBase):
             ep.done_from.update(o for o in ep.peers if self._done_arrived(ws, ep, o))
         elif ep.kind is EpochKind.FENCE:
             self._announce_fence(ws, ep)
+        else:
+            self._enroll_access(ws, ep)
 
     # -- fence rounds over the board (enrolment, grants and dones are in
     # the base class: the baseline engine shares them) -------------------
@@ -448,70 +439,6 @@ class NonblockingEngine(RmaEngineBase):
             assert all(self._done_arrived(ws, ep, o) for o in ep.peers), ep
         self._complete_epoch(ws, ep)
         return True
-
-    # =====================================================================
-    # Epoch lifecycle API (called by the Window facade)
-    # =====================================================================
-    def open_fence(self, win: "Window") -> Epoch:
-        ws = self.state_of(win)
-        ws.fence_round += 1
-        ep = Epoch(
-            EpochKind.FENCE,
-            ws.gid,
-            self.rank,
-            targets=tuple(win.group.ranks),
-            fence_round=ws.fence_round,
-        )
-        return self._open_epoch(ws, ep)
-
-    def close_fence(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        return self._close_epoch(self.state_of(win), ep)
-
-    def open_gats_access(
-        self, win: "Window", group: tuple[int, ...], nocheck: bool = False
-    ) -> Epoch:
-        ws = self.state_of(win)
-        ep = Epoch(EpochKind.GATS_ACCESS, ws.gid, self.rank, targets=group, nocheck=nocheck)
-        return self._open_epoch(ws, ep)
-
-    def close_gats_access(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        return self._close_epoch(self.state_of(win), ep)
-
-    def open_exposure(self, win: "Window", group: tuple[int, ...]) -> Epoch:
-        ws = self.state_of(win)
-        ep = Epoch(EpochKind.GATS_EXPOSURE, ws.gid, self.rank, origin_group=group)
-        return self._open_epoch(ws, ep)
-
-    def close_exposure(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        return self._close_epoch(self.state_of(win), ep)
-
-    def open_lock(
-        self, win: "Window", target: int, exclusive: bool, nocheck: bool = False
-    ) -> Epoch:
-        ws = self.state_of(win)
-        ep = Epoch(
-            EpochKind.LOCK, ws.gid, self.rank, targets=(target,), exclusive=exclusive,
-            nocheck=nocheck,
-        )
-        return self._open_epoch(ws, ep)
-
-    def close_lock(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        return self._close_epoch(self.state_of(win), ep)
-
-    def open_lock_all(self, win: "Window", nocheck: bool = False) -> Epoch:
-        ws = self.state_of(win)
-        ep = Epoch(
-            EpochKind.LOCK_ALL,
-            ws.gid,
-            self.rank,
-            targets=tuple(win.group.ranks),
-            exclusive=False,
-            nocheck=nocheck,
-        )
-        return self._open_epoch(ws, ep)
-
-    def close_lock_all(self, win: "Window", ep: Epoch) -> ClosingRequest:
-        return self._close_epoch(self.state_of(win), ep)
 
     # =====================================================================
     # Flushes

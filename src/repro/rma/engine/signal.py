@@ -82,15 +82,12 @@ class SignalEngine(NonblockingEngine):
         )
 
     def _on_signal(self, ws: WindowState, p: SignalUpdate, src: int) -> None:
-        m = self.metrics
         if not ws.board.apply(p.channel, p.signaler, p.value):
             # Replay/retransmit: the max() application already holds a
             # value at least this high (same contract as grant_seq).
-            if m is not None:
-                m.inc("signal.dup_ignored")
             return
-        if m is not None:
-            m.inc("signal.recv")
+        if self.metrics is not None:
+            self.metrics.inc("signal.recv")
         if self._tracer is not None:
             self._trace("signal_recv", ws, signaler=p.signaler,
                         channel=SignalChannel(p.channel).name.lower(), value=p.value)

@@ -85,7 +85,6 @@ class LockManager:
         self._queue.append(LockWaiter(origin, exclusive, access_id))
         m = self.metrics
         if m is not None:
-            m.inc("locks.requests")
             m.set_gauge("locks.queue_depth", len(self._queue))
         self._drain()
 
@@ -119,7 +118,4 @@ class LockManager:
     def _grant(self, waiter: LockWaiter) -> None:
         self._holders[waiter.origin] = waiter.exclusive
         self.grants += 1
-        m = self.metrics
-        if m is not None:
-            m.inc("locks.grants")
         self._on_grant(waiter)

@@ -174,6 +174,10 @@ class Window:
         """Drive a blocking synchronization: wait on the internal request
         with block_enter/block_exit trace bracketing."""
         tracer = self.group.runtime.tracer
+        if not tracer.enabled:
+            if not req.done:
+                yield from req.wait()
+            return
         euid = epoch.uid if epoch is not None else None
         if not req.done:
             tracer.emit("block_enter", self.rank, self.group.gid, euid, call=call)
@@ -212,7 +216,7 @@ class Window:
                     )
                 self.engine.discard_fence(self, ep)
             else:
-                closing = self.engine.close_fence(self, ep)
+                closing = self.engine.close_epoch(self, ep)
             self._fence_epoch = None
         if not (assert_ & MODE_NOSUCCEED):
             self._fence_epoch = self.engine.open_fence(self)
@@ -273,7 +277,7 @@ class Window:
         if ep is None:
             raise RmaUsageError("MPI_WIN_COMPLETE without an open access epoch")
         self._gats_access = None
-        return self.engine.close_gats_access(self, ep)
+        return self.engine.close_epoch(self, ep)
 
     def complete(self) -> Generator[Any, Any, None]:
         """MPI_WIN_COMPLETE: blocking close of the access epoch."""
@@ -312,7 +316,7 @@ class Window:
         if ep is None:
             raise RmaUsageError("MPI_WIN_WAIT without an open exposure epoch")
         self._exposure = None
-        return self.engine.close_exposure(self, ep)
+        return self.engine.close_epoch(self, ep)
 
     def wait_epoch(self) -> Generator[Any, Any, None]:
         """MPI_WIN_WAIT: blocking close of the exposure epoch."""
@@ -341,7 +345,7 @@ class Window:
         if ep is None:
             raise RmaUsageError("MPI_WIN_TEST without an open exposure epoch")
         if self.engine.test_exposure(self, ep):
-            self.engine.close_exposure(self, ep)
+            self.engine.close_epoch(self, ep)
             self._exposure = None
             return True
         return False
@@ -403,7 +407,7 @@ class Window:
         ep = self._locks.pop(target, None)
         if ep is None:
             raise RmaUsageError(f"MPI_WIN_UNLOCK of unlocked target {target}")
-        return self.engine.close_lock(self, ep)
+        return self.engine.close_epoch(self, ep)
 
     def unlock(self, target: int) -> Generator[Any, Any, None]:
         """MPI_WIN_UNLOCK: blocking close of the lock epoch (operations
@@ -447,7 +451,7 @@ class Window:
         if ep is None:
             raise RmaUsageError("MPI_WIN_UNLOCK_ALL without an open lock_all epoch")
         self._lock_all = None
-        return self.engine.close_lock_all(self, ep)
+        return self.engine.close_epoch(self, ep)
 
     def unlock_all(self) -> Generator[Any, Any, None]:
         """MPI_WIN_UNLOCK_ALL."""
@@ -766,9 +770,11 @@ class Window:
         req = self.inotify_wait(source, count)
         if not req.done:
             tracer = self.group.runtime.tracer
-            tracer.emit("block_enter", self.rank, self.group.gid, None, call="notify_wait")
+            if tracer.enabled:
+                tracer.emit("block_enter", self.rank, self.group.gid, None, call="notify_wait")
             yield from req.wait()
-            tracer.emit("block_exit", self.rank, self.group.gid, None, call="notify_wait")
+            if tracer.enabled:
+                tracer.emit("block_exit", self.rank, self.group.gid, None, call="notify_wait")
 
     def put_notify(
         self, data: np.ndarray, target_rank: int, target_disp: int = 0

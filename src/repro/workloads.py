@@ -2,8 +2,8 @@
 
 Mirrors :mod:`repro.rma.engine.registry`: every surface that names a
 workload or an engine series — the differential oracle
-(:mod:`repro.explore.runner`), the instrumented observability matrix
-(:mod:`repro.obs.workloads`), the benchmark harness
+(:mod:`repro.explore.runner`), the ``critpath`` CLI
+(:mod:`repro.obs.__main__`), the benchmark harness
 (:mod:`repro.bench.harness`) — resolves through this module, so the
 test matrix grows in exactly one place.  Unknown names raise
 :class:`ValueError` listing the valid choices.
@@ -16,7 +16,8 @@ A :class:`Workload` carries two factories for the same scenario:
   ``elapsed_us`` / stall counters / latencies);
 - ``instrumented(engine, nonblocking, metrics, trace) -> MPIRuntime`` —
   the same cell with the observability stack (causal recorder) on,
-  returning the finished runtime for critical-path / trace reports.
+  returning the finished runtime for critical-path / trace reports;
+  :func:`run_instrumented` runs one by (workload, series) name.
 
 :data:`CLASSIC_WORKLOADS` pins the original six-workload matrix; the
 ``protocol_cost`` bench figure iterates it (not the full registry) so
@@ -40,6 +41,7 @@ __all__ = [
     "workload_names",
     "get_workload",
     "get_series",
+    "run_instrumented",
 ]
 
 
@@ -443,3 +445,12 @@ def get_workload(name: str) -> Workload:
             f"unknown workload {name!r}; choose from "
             f"{', '.join(workload_names())}"
         ) from None
+
+
+def run_instrumented(
+    workload: str, series: str = "new", metrics: bool = True, trace: bool = False
+) -> "MPIRuntime":
+    """Run one matrix cell with the causal recorder on; returns the
+    finished runtime (``runtime.causal`` holds the span graph)."""
+    s = get_series(series)
+    return get_workload(workload).instrumented(s.engine, s.nonblocking, metrics, trace)

@@ -131,13 +131,14 @@ class TestLossRecovery:
 class TestFailStop:
     def test_fail_stop_surfaces_delivery_error(self):
         plan = FaultPlan(seed=1, ranks=(RankFault(rank=1, fail_at_us=0.0),))
-        rt = make_runtime(4, fault_plan=plan,
+        rt = make_runtime(4, fault_plan=plan, metrics=True,
                           reliability=ReliabilityConfig(rto_us=5.0, max_attempts=3))
         with pytest.raises(RmaDeliveryError) as exc_info:
             rt.run(ring_put_app())
         err = exc_info.value
         assert err.details["dst"] == 1 or err.details["src"] == 1
         assert err.details["attempts"] == 3
+        assert rt.metrics_summary()["counters"]["rel.delivery_failures"] == 1
         assert "fault_counters" in err.details
         assert err.details["fault_counters"]["failstop_drops"] > 0
 

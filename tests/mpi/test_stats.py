@@ -9,8 +9,8 @@ from repro.rma.packets import SignalUpdate
 from tests.conftest import make_runtime
 
 
-def run_small_job(engine="nonblocking"):
-    rt = make_runtime(3, engine)
+def run_small_job(engine="nonblocking", **kwargs):
+    rt = make_runtime(3, engine, **kwargs)
 
     def app(proc):
         win = yield from proc.win_allocate(1 << 20)
@@ -60,7 +60,7 @@ class TestCollect:
         """``dup_grants_ignored`` sees the signal engine too: a replayed
         ``SignalUpdate`` is discarded by the same idempotent max() on the
         same board a replayed ω ``GrantUpdate`` is."""
-        rt = run_small_job("signal")
+        rt = run_small_job("signal", metrics=True)
         assert rt.stats().dup_grants_ignored == 0
         engine = rt.engines[0]
         ws = engine.states[0]
@@ -70,6 +70,7 @@ class TestCollect:
             ws, SignalUpdate(ws.gid, channel=int(SignalChannel.LOCK), signaler=1, value=held), 1
         )
         assert rt.stats().dup_grants_ignored == 1
+        assert rt.metrics_summary()["counters"]["signal.dup_ignored"] == 1
 
 
 class TestFrozenSnapshot:

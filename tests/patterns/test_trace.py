@@ -46,6 +46,9 @@ class TestTracer:
         assert emitted, "static scan found no instrumentation sites"
         unknown = emitted - set(EVENT_KINDS)
         assert not unknown, f"emitted kinds missing from EVENT_KINDS: {sorted(unknown)}"
+        # ...and the reverse: a registered kind nothing emits is dead.
+        unused = set(EVENT_KINDS) - emitted
+        assert not unused, f"registered kinds with no emission site: {sorted(unused)}"
 
     def test_queries(self, sim):
         t = Tracer(sim, enabled=True)

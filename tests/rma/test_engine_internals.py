@@ -221,9 +221,13 @@ class TestDirtyWorklistMerge:
         ws0, ws1, _ = (eng.states[g] for g in sorted(eng.states))
         eng.mark_dirty(ws1)
         dirty = eng._take_dirty()
-        base = eng.metrics.value("engine.sweep.window_visits")
+
+        def visits():
+            return eng.runtime.metrics_summary()["counters"]["engine.sweep.window_visits"]
+
+        base = visits()
         per_win = eng.metrics.value(f"engine.sweep.visited.win{ws0.gid}")
         eng.mark_dirty(ws0)
         eng._merge_marked(dirty)
-        assert eng.metrics.value("engine.sweep.window_visits") == base + 1
+        assert visits() == base + 1
         assert eng.metrics.value(f"engine.sweep.visited.win{ws0.gid}") == per_win + 1

@@ -457,7 +457,7 @@ def test_late_grant_releases_a_closed_epoch_with_nothing_to_post(engine):
 def _origin_with_open_lock():
     """Rank 0 mid-way through an exclusive lock on rank 1: granted, its
     one put issued, not yet closed."""
-    rt = make_runtime(2)
+    rt = make_runtime(2, metrics=True)
     captured = {}
 
     def app(proc):
@@ -500,6 +500,7 @@ def test_replayed_grant_and_stale_ack_neither_enqueue_nor_raise():
     eng._on_unlock_ack(ws, UnlockAck(ws.gid, access_id=access_id + 99), 1)
     assert not ws.post_ready and not ws.advance_ready
     assert ep.unlock_acked == {1} and ws.lock_epochs == {}
+    assert eng.runtime.metrics_summary()["counters"]["omega.dup_grants_ignored"] == 1
 
 
 def test_grant_replayed_while_the_lock_is_held_is_ignored():

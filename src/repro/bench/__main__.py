@@ -17,7 +17,7 @@ Usage (``--help`` lists every flag)::
         # regression guard: re-run and compare every value with the
         # baseline doc by equality (virtual time is deterministic)
     python -m repro.bench --scaling [--smoke | --ranks 64,128,256]
-                          [--samples 2] [--slope-gate 0.35]
+                          [--samples 2] [--slope-gate 0.20]
                           [--check BENCH_seed.json]
         # Fig. 12 rank-count sweep: contended fan-in at 64..4096 simulated
         # ranks (--smoke: 64, 256, 1024), 4 series.  Gates: deterministic
@@ -182,8 +182,8 @@ def run_scaling_cli(json_path: str | None, baseline: dict | None,
     - repeat-run determinism (``--samples`` > 1; enforced inside
       :func:`repro.bench.scaling.run_scaling` — a mismatch raises);
     - the fitted log-log slope of wall µs/event against rank count must
-      not exceed ``slope_gate`` for any series (per-rank dense state
-      shows up as a clearly positive slope);
+      not exceed ``slope_gate`` (default 0.20) for any series (per-rank
+      dense state shows up as a clearly positive slope);
     - against a baseline, the run's cells are the ``fig12_collapse``
       figure over the run's rank columns, compared by
       :func:`~repro.bench.check.compare_docs` with the committed
@@ -254,7 +254,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="--scaling: explicit rank counts")
     p.add_argument("--samples", type=int, default=1,
                    help="--scaling: runs per cell (deterministic fields must agree)")
-    p.add_argument("--slope-gate", type=float, default=0.35,
+    p.add_argument("--slope-gate", type=float, default=0.20,
                    help="--scaling: ceiling on the per-event cost slope")
     return p
 

@@ -961,7 +961,6 @@ class RmaEngineBase:
         ep.app_closed = True
         ep.close_call_time = self.sim.now
         req = ClosingRequest(self.sim, ep)
-        ep.closing_request = req
         self.mark_dirty(ws)
         if self._tracer is not None:
             self._trace("epoch_close_call", ws, ep)
@@ -969,6 +968,7 @@ class RmaEngineBase:
             req.complete()
             ws.retire_closed()
         else:
+            ep.closing_request = req  # until completion: no lasting cycle
             self._wake_advance(ws, ep)
             self.poke()
         return req
@@ -992,8 +992,10 @@ class RmaEngineBase:
         checker = ws.checker
         if checker is not None:
             checker.on_epoch_complete(ws, ep)
-        if ep.closing_request is not None and not ep.closing_request.done:
-            ep.closing_request.complete()
+        req = ep.closing_request
+        if req is not None:
+            ep.closing_request = None
+            req.complete()
 
     def test_exposure(self, win: "Window", ep: Epoch) -> bool:
         """MPI_WIN_TEST: nonblocking completion probe of an exposure."""

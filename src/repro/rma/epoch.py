@@ -117,7 +117,7 @@ class Epoch:
         #: activation jump ahead; the checker uses it to distinguish
         #: races *introduced* by reordering from plain overlap races).
         self.activated_past: tuple[int, ...] = ()
-        #: Ops recorded in call order (issued lazily as targets allow).
+        #: Ops recorded in call order (issued lazily; cleared at retirement).
         self.ops: list["RmaOp"] = []
         # Incremental op bookkeeping (the progress engine polls these on
         # every sweep; scanning `ops` there would be quadratic).
@@ -151,7 +151,7 @@ class Epoch:
         self.unlock_acked: set[int] = set()
         #: Fence-done broadcast emitted (fence epochs).
         self.fence_done_sent = False
-        #: Closing request (created when the closing routine runs).
+        #: Closing request while it is pending (the engine drops it at completion).
         self.closing_request: "ClosingRequest | None" = None
         # Timeline (for the tracer / pattern detector / consistency).
         self.open_time: float | None = None

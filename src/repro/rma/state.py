@@ -119,10 +119,12 @@ class WindowState:
         """Pop epochs that are both completed and application-closed off
         the head in open order (O(1) per retirement).  Epochs behind a
         still-live head stay queued — every scan already skips completed
-        epochs — and are reclaimed once the head retires."""
+        epochs — and are reclaimed once the head retires.  A retired
+        epoch drops its op history (every reader ran at completion or at
+        close), so it and its ops form no reference cycle."""
         eps = self.epochs
         while eps and eps[0].completed and eps[0].app_closed:
-            eps.popleft()
+            eps.popleft().ops.clear()
 
     def leak_report(self) -> dict[str, Any]:
         """Middleware state that should be empty when the window is

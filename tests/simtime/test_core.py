@@ -342,6 +342,81 @@ class TestHeapEntrySlab:
         assert runs[0] == runs[1]  # perturbed, not nondeterministic
 
 
+class TestCollectorPause:
+    """``run`` pauses automatic cyclic collection and hands the caller's
+    setting back however the run ends."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @staticmethod
+    def _stuck(sim):
+        def body():
+            yield sim.event("never")
+
+        sim.process(body(), name="stuck")
+
+    def test_paused_inside_the_run_and_enabled_after(self, sim):
+        gc.enable()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_disabled_before_stays_disabled(self, sim):
+        gc.disable()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert not gc.isenabled()
+
+    def test_restored_when_a_callback_raises(self, sim):
+        gc.enable()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_restored_when_the_run_deadlocks(self, sim):
+        gc.enable()
+        self._stuck(sim)
+        with pytest.raises(SimulationDeadlock):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_restored_when_run_until_idle_swallows_a_deadlock(self, sim):
+        gc.enable()
+        self._stuck(sim)
+        sim.run_until_idle()
+        assert gc.isenabled()
+
+    def test_an_explicit_collect_inside_the_run_still_collects(self, sim):
+        gc.enable()
+        refs = []
+
+        def make_cycle_then_collect():
+            a, b = type("A", (), {})(), type("B", (), {})()
+            a.peer, b.peer = b, a
+            refs.append(weakref.ref(a))
+            del a, b
+            gc.collect()
+            refs.append(refs[0]())
+
+        sim.schedule(1.0, make_cycle_then_collect)
+        sim.run()
+        assert refs[1] is None, "gc.collect() inside a run freed nothing"
+
+
 class TestProcessesInKernel:
     def test_process_return_value_on_done_event(self, sim):
         def body():

@@ -13,11 +13,12 @@ while ``E_k`` is still blocked, violating program order whenever no
 reorder flag licensed it.
 
 The others each drop one row of the ready-set wake-up table
-(docs/PERFORMANCE.md part 3).  An epoch, a target or an arrival the
-sweep is never told about cannot produce a wrong answer, only none: all
-must die as a :class:`~repro.simtime.SimulationDeadlock`, and a suite
-that saw a silently different digest instead would have found a second
-bug.
+(docs/PERFORMANCE.md part 3); the last two drop rows only the MVAPICH
+baseline has, its gate count and its drain-wide done.  An epoch, a
+target or an arrival the sweep is never told about cannot produce a
+wrong answer, only none: all must die as a
+:class:`~repro.simtime.SimulationDeadlock`, and a suite that saw a
+silently different digest instead would have found a second bug.
 
 Never import this module from production code.
 """
@@ -33,6 +34,8 @@ __all__ = [
     "grant_target_wakeup_dropped",
     "op_delivered_wakeup_dropped",
     "done_arrival_uncounted",
+    "gate_grant_uncounted",
+    "drain_wakeup_dropped",
 ]
 
 
@@ -111,3 +114,36 @@ def done_arrival_uncounted():
             real(self, ws, channel, peer)
 
     return patch.object(NonblockingEngine, "_wake_peer", mutated)
+
+
+def gate_grant_uncounted():
+    """Drop the baseline's *grant toward a gated epoch* row: the counter
+    still moves, but a grant that lands after the GATS access epoch
+    opened never reaches its arrival count, so its phase gate stays shut
+    and the epoch never issues."""
+    from ..rma.engine.mvapich import MvapichEngine
+    from ..rma.notify import SignalChannel
+
+    real = MvapichEngine._wake_peer
+
+    def mutated(self, ws, channel, peer):
+        if channel != SignalChannel.GRANT:
+            real(self, ws, channel, peer)
+
+    return patch.object(MvapichEngine, "_wake_peer", mutated)
+
+
+def drain_wakeup_dropped():
+    """Drop the baseline's *drain-wide done* row: the delivery that drains
+    a closed GATS access epoch no longer wakes it, so its dones are never
+    sent."""
+    from ..rma.engine.mvapich import MvapichEngine
+    from ..rma.epoch import EpochKind
+
+    real = MvapichEngine._wake_advance
+
+    def mutated(self, ws, ep, target=None):
+        if target is None or ep.kind is not EpochKind.GATS_ACCESS:
+            real(self, ws, ep, target)
+
+    return patch.object(MvapichEngine, "_wake_advance", mutated)

@@ -55,14 +55,10 @@ DEGRADE_RETRY_THRESHOLD = 16
 
 
 class AdaptiveEngine(MvapichEngine):
-    """Per-target lazy/eager switching on top of the baseline.
-
-    Dirty-window worklist: inherited unchanged from the baseline.  The
-    one extra state-mutating path this engine adds — eager activation in
-    :meth:`open_lock` — goes through the base ``_activate_lock``, which
-    marks the window dirty, so eager epochs are swept without this class
-    touching the worklist machinery.
-    """
+    """Per-target lazy/eager switching on top of the baseline, whose
+    progress loop and ready sets it inherits unchanged: eager activation
+    in :meth:`open_lock` goes through the baseline's ``_activate_lock``,
+    which marks the window dirty and makes the epoch's ops due."""
 
     def __init__(self, runtime, rank):
         super().__init__(runtime, rank)
@@ -135,12 +131,14 @@ class AdaptiveEngine(MvapichEngine):
         return super().close_epoch(win, ep)
 
     def _learn(self, win: "Window", ep: Epoch) -> None:
-        """Promote/demote the epoch's targets based on the observed gap
-        between the last communication call and this closing call."""
+        """Promote/demote the targets the epoch communicated with, based
+        on the observed gap between the last communication call and this
+        closing call."""
         if ep.nocheck or not ep.ops or self._check_degrade():
             return
         gid = win.group.gid
         last_call = max(op.call_time or 0.0 for op in ep.ops)
         overlappable = (self.sim.now - last_call) > ADAPT_THRESHOLD_US
-        for target in ep.targets:
+        # Sorted is ``ep.targets`` order: a lock epoch's targets ascend.
+        for target in sorted({op.target for op in ep.ops}):
             self._set_mode(gid, target, overlappable)

@@ -1,9 +1,10 @@
-"""Shared machinery of both RMA engines.
+"""Shared machinery of the four RMA engines.
 
-The two engines (the paper's redesign in
-:mod:`~repro.rma.engine.nonblocking`, the MVAPICH-style baseline in
-:mod:`~repro.rma.engine.mvapich`) differ only in *policy*: when epochs
-activate, when transfers are issued, what the closing routines wait for.
+Every engine runs one progress loop, the 7-step sweep of
+:mod:`~repro.rma.engine.nonblocking`; the engines differ only in
+*policy* — when epochs activate, when transfers are issued, what the
+closing routines wait for (the MVAPICH-style baseline in
+:mod:`~repro.rma.engine.mvapich` is three such timing rules).
 Everything mechanical is here — packet construction and reception, data
 application at targets, lock hosting, the notification FIFO and op
 completion fan-out — so that measured differences between engines are
@@ -261,8 +262,6 @@ class RmaEngineBase:
         steps, preserving gid order.  The worklist itself is left intact:
         a mid-sweep mark also means a full revisit next sweep, which is
         what the historical full re-scan (``_resweep``) did."""
-        if not self._dirty:
-            return dirty
         have = {w.gid for w in dirty}
         extra = [ws for gid, ws in sorted(self._dirty.items()) if gid not in have]
         if not extra:
@@ -279,8 +278,8 @@ class RmaEngineBase:
 
     # -- ready-set wake-ups -------------------------------------------------
     # The mechanics below call these wherever an epoch's predicate input
-    # moves.  Who becomes due is policy: no-ops here, filled in by the
-    # engines whose sweep consumes ``WindowState``'s ready sets.
+    # moves.  Who becomes due is policy: filled in by the progress loop
+    # that consumes ``WindowState``'s ready sets, and by the engines.
     def _wake_post(self, ws: WindowState, ep: Epoch, target: int) -> None:
         """``ep``'s readiness toward ``target`` may have flipped."""
 
@@ -517,10 +516,7 @@ class RmaEngineBase:
         the next is decoded, so honest packets queued ahead of a forged
         one take effect even when the forged one then raises.
         """
-        fifo = self.fifo
-        incoming = fifo._incoming
-        if not incoming:
-            return 0
+        incoming = self.fifo._incoming
         states = self.states
         count = 0
         while incoming:
@@ -647,12 +643,15 @@ class RmaEngineBase:
     def _enroll_exposure(self, ws: WindowState, ep: Epoch) -> None:
         """Enter an activating exposure epoch: grant every origin
         (``e++`` locally, ``g++`` remotely) and fix the DONE value that
-        completes the exposure toward it."""
+        completes the exposure toward it.  A done can be in already (a
+        NOCHECK origin, or this epoch deferred behind another): count
+        those now, later ones are counted as they land."""
         board = ws.board
         by_id = self.done_by_id
         for origin in ep.origin_group:
             grant = self._notify(ws, _GRANT, origin)
             ep.exposure_ids[origin] = grant if by_id else board.bump_expected(_DONE, origin)
+        ep.done_from.update(o for o in ep.peers if self._done_arrived(ws, ep, o))
 
     def _access_granted(self, ws: WindowState, ep: Epoch, target: int) -> bool:
         """The O(1) matching test ``A_i <= g_r``."""
@@ -684,13 +683,6 @@ class RmaEngineBase:
             if peer != self.rank:
                 self._notify(ws, _FENCE_DONE, peer, epoch.fence_round)
         epoch.fence_done_sent = True
-
-    def _all_reached(self, ws: WindowState, channel: SignalChannel, round_no: int) -> bool:
-        """Whether every peer announced ``round_no`` on a fence channel."""
-        reached = ws.board.reached
-        return all(
-            reached(channel, p, round_no) for p in ws.win.group.ranks if p != self.rank
-        )
 
     # =====================================================================
     # Lock hosting (target side)
@@ -1014,16 +1006,21 @@ class RmaEngineBase:
         self.mark_dirty(ws)
         if self._tracer is not None:
             self._trace("op_call", ws, ep, op_kind=op.kind.value, target=op.target)
+        if op.request is not None:
+            self._early_activate(ws, ep)
         self.poke()
         return op
 
-    def _take_unissued(self, ws: WindowState, ep: Epoch, target: int) -> list[RmaOp]:
-        """Pop ``ep``'s unissued ops toward ``target``, keeping the
+    def _issue_to(self, ws: WindowState, ep: Epoch, target: int) -> int:
+        """Issue ``ep``'s unissued ops toward ``target``, keeping the
         window's postable-op aggregate in sync (every engine issue site
-        must go through here, or sweeps would skip live work)."""
+        must go through here, or sweeps would skip live work); returns
+        the number issued."""
         ops = ep.take_unissued(target)
         ws.unissued_total -= len(ops)
-        return ops
+        for op in ops:
+            self._issue_op(ws, op)
+        return len(ops)
 
     def next_age(self, win: "Window") -> int:
         """Allocate an RMA-call age (§VII-C flush stamping)."""
@@ -1045,10 +1042,11 @@ class RmaEngineBase:
     # the epoch-local conditions hold and return a request the facade
     # waits on, so engines only add the request-first ``make_flush``.)
     # =====================================================================
-    def _flush_activate(self, ws: WindowState, ep: Epoch) -> None:
-        """Hook run at ``blocking_flush`` entry.  The lazy baseline forces
-        early lock acquisition here (as real MVAPICH does); the redesigned
-        engine needs nothing."""
+    def _early_activate(self, ws: WindowState, ep: Epoch) -> None:
+        """Hook: the application may wait on ``ep``'s ops before closing it
+        (a blocking flush, or an op that carries a request).  The lazy
+        baseline acquires its lock here (as real MVAPICH does); the
+        redesigned engine needs nothing."""
 
     def make_flush(self, win: "Window", ep: Epoch, target: int | None, local: bool):
         """Request-first (nonblocking) flush; engine policy."""
@@ -1059,7 +1057,7 @@ class RmaEngineBase:
         checker = ws.checker
         if checker is not None:
             checker.on_flush(ws, ep)
-        self._flush_activate(ws, ep)
+        self._early_activate(ws, ep)
         ops = [op for op in ep.undelivered_ops(target) if not (local and op.local_done)]
         req = Request(self.sim, f"bflush(ep{ep.uid})")
         if not ops:
@@ -1071,8 +1069,6 @@ class RmaEngineBase:
         return req
 
     def _check_blocking_flushes(self) -> None:
-        if not self._blocking_flushes:
-            return
         live = []
         for ws, req, ops, local in self._blocking_flushes:
             if all((op.local_done if local else op.delivered) for op in ops):

@@ -106,14 +106,14 @@ class NonblockingEngine(RmaEngineBase):
                 late += self._post_ready_ops(ws, intranode=True)   # step 4
         if prof is not None:
             t = prof.lap(4, late, t)
-        work = self._consume_notifications()                   # step 5
+        work = self._consume_notifications() if self.fifo._incoming else 0  # step 5
         late += work
         if prof is not None:
             t = prof.lap(5, work, t)
         # Step 5 may have dirtied windows that were clean at sweep start
         # (FIFO done notifications); the historical full scan reached
         # them in steps 6/7 of the same sweep, so fold them in here.
-        merged = self._merge_marked(dirty)
+        merged = self._merge_marked(dirty) if self._dirty else dirty
         work = 0
         for ws in merged:
             if ws.lock_backlog:
@@ -131,7 +131,8 @@ class NonblockingEngine(RmaEngineBase):
                 work += self._complete_and_activate(ws)        # step 7
         if prof is not None:
             prof.lap(7, work, t)
-        self._check_blocking_flushes()
+        if self._blocking_flushes:
+            self._check_blocking_flushes()
 
     # =====================================================================
     # Activation (§VI rules)
@@ -194,10 +195,6 @@ class NonblockingEngine(RmaEngineBase):
                                 epoch=ep.uid, meta={"deferred": len(active_preceding)})
         if ep.kind is EpochKind.GATS_EXPOSURE:
             self._enroll_exposure(ws, ep)
-            # A done can be in before its exposure activates (a NOCHECK
-            # origin, or this epoch deferred behind another): count those
-            # now, later ones are counted as they land.
-            ep.done_from.update(o for o in ep.peers if self._done_arrived(ws, ep, o))
         elif ep.kind is EpochKind.FENCE:
             self._announce_fence(ws, ep)
         else:
@@ -226,7 +223,8 @@ class NonblockingEngine(RmaEngineBase):
         if len(ep.done_from) != len(ws.win.group.ranks) - 1:
             return False
         if ws.checker is not None:
-            assert self._all_reached(ws, SignalChannel.FENCE_DONE, ep.fence_round), ep
+            assert all(ws.board.reached(SignalChannel.FENCE_DONE, p, ep.fence_round)
+                       for p in ws.win.group.ranks if p != self.rank), ep
         return True
 
     # =====================================================================
@@ -263,7 +261,7 @@ class NonblockingEngine(RmaEngineBase):
                     ws.advance_ready.add(ep)
             elif kind is EpochKind.FENCE:  # involves every peer
                 if not ep.all_issued_to(peer):
-                    ws.post_ready.add((ep, peer))
+                    self._wake_post(ws, ep, peer)
                 if advance:
                     self._fence_done_landed(ws, ep, peer)
                     ws.advance_ready.add(ep)
@@ -324,9 +322,7 @@ class NonblockingEngine(RmaEngineBase):
                 # ω matching outcome (§VII-B): one O(1) test per due pair.
                 m.inc("omega.matches" if ready else "omega.wait_for_grant")
             if ready:
-                for op in self._take_unissued(ws, ep, target):
-                    self._issue_op(ws, op)
-                    posted += 1
+                posted += self._issue_to(ws, ep, target)
         return posted
 
     # =====================================================================

@@ -141,6 +141,13 @@ class Epoch:
         #: exposure's origins, a fence's peers): the group predicate is
         #: this set's size.
         self.done_from: set[int] = set()
+        #: Peers counted toward the baseline's all-targets-ready gate
+        #: (§VIII-B): the targets of a GATS access epoch whose grant is
+        #: in, the ranks that announced a fence round.  The gate is this
+        #: set's size, and ``internode_waiting`` for its internode phase.
+        self.ready_from: set[int] = set()
+        #: Internode targets of a GATS access epoch not yet in ``ready_from``.
+        self.internode_waiting = 0
         #: Targets whose done / unlock may have become sendable since the
         #: epoch was last examined closed; None: every target (an epoch is
         #: born that way, the close call restores it, and one with a

@@ -95,7 +95,7 @@ class WindowState:
 
         # -- ops / flushes -----------------------------------------------------
         #: Recorded-but-unissued ops across every live epoch (the engine
-        #: maintains it in add_op/_take_unissued); lets a sweep skip the
+        #: maintains it in add_op/_issue_to); lets a sweep skip the
         #: per-epoch posting scan when nothing is postable.
         self.unissued_total = 0
         #: Monotonic RMA-call age (§VII-C flush stamping).

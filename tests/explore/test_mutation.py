@@ -8,7 +8,9 @@ byte-identical digest, and (3) shrink it to a minimal perturbation set
 that still fails.
 
 The four ready-set mutants (a dropped wake-up each) must die differently:
-as a deadlock, never as a digest mismatch.
+as a deadlock, never as a digest mismatch.  The two that drop a row only
+the MVAPICH baseline has (its gate count, its drain-wide done) must fall
+to the explorer's own command within 8 schedules.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from __future__ import annotations
 import pytest
 
 from repro.explore import VARIANTS, explore, run_workload, shrink, specs_for
+from repro.explore.__main__ import main
 from repro.explore.mutation import (
     activation_gate_disabled,
     done_arrival_uncounted,
+    drain_wakeup_dropped,
+    gate_grant_uncounted,
     grant_target_wakeup_dropped,
     lock_grant_wakeup_dropped,
     op_delivered_wakeup_dropped,
@@ -112,14 +117,13 @@ def test_shrink_failing_seed_to_minimal_set():
 )
 def test_dropped_wakeup_is_killed_as_a_deadlock_never_a_wrong_answer(mutant, workload):
     """Default budget (baseline + 4 schedules) on a workload that lives
-    on the dropped row (lock epochs / GATS), every ready-set variant:
-    each run either deadlocks or still agrees with the healthy
-    reference, and the mutant is killed."""
+    on the dropped row (lock epochs / GATS), every variant (all four
+    run the ready sets): each run either deadlocks or still agrees with
+    the healthy reference, and the mutant is killed."""
     ref = run_workload(workload, VARIANTS[0], None).digest.strict_sha
-    ready_set_variants = [v for v in VARIANTS if v.engine != "mvapich"]
     deadlocks = 0
     with mutant():
-        for variant in ready_set_variants:
+        for variant in VARIANTS:
             for spec in [None, *specs_for(4)]:
                 try:
                     run = run_workload(workload, variant, spec)
@@ -130,3 +134,22 @@ def test_dropped_wakeup_is_killed_as_a_deadlock_never_a_wrong_answer(mutant, wor
     assert deadlocks
     # restored on exit: the healthy engine is clean again
     assert run_workload(workload, _NEW_NB, None).digest.strict_sha == ref
+
+
+@pytest.mark.parametrize("mutant", [gate_grant_uncounted, drain_wakeup_dropped],
+                         ids=["gate-grant", "drain-done"])
+@pytest.mark.parametrize("workload", ["lu", "ordering"])
+def test_baseline_wakeup_mutant_is_killed_within_8_schedules(mutant, workload):
+    """``python -m repro.explore run --engines mvapich --schedules 8`` on
+    a GATS workload kills each baseline mutant as a deadlock, or at worst
+    as a digest mismatch (exit 1); the healed engine passes the same
+    sweep."""
+    with mutant():
+        try:
+            killed = main(["run", "--engines", "mvapich", "--schedules", "8",
+                           "--workloads", workload]) == 1
+        except SimulationDeadlock:
+            killed = True
+    assert killed
+    assert main(["run", "--engines", "mvapich", "--schedules", "8",
+                 "--workloads", workload]) == 0

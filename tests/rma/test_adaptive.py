@@ -99,6 +99,27 @@ class TestLearning:
         assert rt.engines[0].is_eager(0, 1)
         assert not rt.engines[0].is_eager(0, 2)
 
+    def test_lock_all_learns_only_the_targets_it_touched(self):
+        """A lock_all epoch names every rank, this one included; only the
+        targets it put to had a gap to learn from."""
+        rt = make_runtime(8, "adaptive")
+
+        def app(proc):
+            win = yield from proc.win_allocate(64)
+            yield from proc.barrier()
+            if proc.rank == 0:
+                yield from win.lock_all()
+                win.put(np.int64([1]), 1, 0)
+                yield from proc.compute(50.0)
+                yield from win.unlock_all()
+            yield from proc.barrier()
+
+        rt.run(app)
+        engine = rt.engines[0]
+        assert [(gid, target, mode) for _, gid, target, mode in engine.mode_switches] == [
+            (0, 1, "eager")]
+        assert [t for t in range(8) if engine.is_eager(0, t)] == [1]
+
 
 class TestParity:
     def test_data_identical_to_other_engines(self):

@@ -14,6 +14,10 @@ in this file exist only here:
 - ``Audited*`` check the fixpoint invariant directly after every
   outermost ``poke()``: no epoch and no target outside the sets would
   move if examined, and every arrival count equals its predicate.
+
+Each comes in four engines: the redesign, the signal engine, and the
+MVAPICH baseline with its adaptive variant, whose gates are arrival
+counts of their own (``Epoch.ready_from``).
 """
 
 from __future__ import annotations
@@ -25,10 +29,14 @@ from hypothesis import strategies as st
 
 import repro.mpi.runtime as runtime_mod
 from repro.apps.transactions import TransactionsConfig, run_transactions
+from repro.bench.scaling import SCAN_COST_US, contended_fan_in
 from repro.explore import ExplorationContext, build_digest
 from repro.mpi.info import Info
 from repro.network.fabric import Fabric
+from repro.network.model import NetworkModel
 from repro.rma import MODE_NOCHECK, SEMANTICS_CHECK_INFO_KEY, SEMANTICS_MODE_INFO_KEY
+from repro.rma.engine.adaptive import AdaptiveEngine
+from repro.rma.engine.mvapich import MvapichEngine
 from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.rma.engine.registry import canonical_engine
 from repro.rma.engine.signal import SignalEngine
@@ -55,6 +63,26 @@ def _arrivals(engine, ws, ep) -> set[int]:
     return set()
 
 
+def _gate_arrivals(engine, ws, ep) -> set[int]:
+    """A baseline gated epoch's ``ready_from``, recomputed from the
+    protocol's counters (the redesign keeps none)."""
+    if not isinstance(engine, MvapichEngine):
+        return set()
+    if ep.kind is EpochKind.GATS_ACCESS:
+        return {t for t in ep.targets if engine._access_granted(ws, ep, t)}
+    if ep.kind is EpochKind.FENCE:
+        return {p for p in ep.targets if p == engine.rank
+                or ws.board.reached(SignalChannel.FENCE_OPEN, p, ep.fence_round)}
+    return set()
+
+
+def _internode_waiting(engine, ep) -> int:
+    if not isinstance(engine, MvapichEngine) or ep.kind is not EpochKind.GATS_ACCESS:
+        return 0
+    lo, hi = engine._node_lo, engine._node_hi
+    return sum(1 for t in ep.targets if not lo <= t < hi and t not in ep.ready_from)
+
+
 class _Exhaustive:
     """Every step of every sweep sees every live epoch, target and pair
     due, and every arrival count fresh from its predicate."""
@@ -65,7 +93,10 @@ class _Exhaustive:
                 ws.advance_ready.add(ep)
                 ep.due_targets = None
                 ep.done_from = _arrivals(self, ws, ep)
-                ws.post_ready.update((ep, t) for t in ep.unissued_targets())
+                ep.ready_from = _gate_arrivals(self, ws, ep)
+                ep.internode_waiting = _internode_waiting(self, ep)
+                for target in ep.unissued_targets():
+                    self._wake_post(ws, ep, target)
         ws.activation_pending = True
 
     def _take_dirty(self):
@@ -100,6 +131,14 @@ class ExhaustiveSignal(_Exhaustive, SignalEngine):
     pass
 
 
+class ExhaustiveMvapich(_Exhaustive, MvapichEngine):
+    pass
+
+
+class ExhaustiveAdaptive(_Exhaustive, AdaptiveEngine):
+    pass
+
+
 class _Audited:
     """After every outermost poke, whatever is outside the ready sets
     must be at a fixpoint: examining it — every one of its targets —
@@ -123,6 +162,8 @@ class _Audited:
                     assert not self._target_ready(ws, ep, target), (
                         f"missed post wake-up: {ep} -> {target}")
             assert ep.done_from == _arrivals(self, ws, ep), f"miscounted arrivals: {ep}"
+            assert ep.ready_from == _gate_arrivals(self, ws, ep), f"miscounted gate: {ep}"
+            assert ep.internode_waiting == _internode_waiting(self, ep), f"miscounted gate: {ep}"
             if ep not in due_epochs:
                 def sent():
                     return (len(ep.done_sent), len(ep.unlock_sent),
@@ -145,8 +186,20 @@ class AuditedSignal(_Audited, SignalEngine):
     pass
 
 
-EXHAUSTIVE = {"nonblocking": ExhaustiveNonblocking, "signal": ExhaustiveSignal}
-AUDITED = {"nonblocking": AuditedNonblocking, "signal": AuditedSignal}
+class AuditedMvapich(_Audited, MvapichEngine):
+    pass
+
+
+class AuditedAdaptive(_Audited, AdaptiveEngine):
+    pass
+
+
+EXHAUSTIVE = {"nonblocking": ExhaustiveNonblocking, "signal": ExhaustiveSignal,
+              "mvapich": ExhaustiveMvapich, "adaptive": ExhaustiveAdaptive}
+AUDITED = {"nonblocking": AuditedNonblocking, "signal": AuditedSignal,
+           "mvapich": AuditedMvapich, "adaptive": AuditedAdaptive}
+#: The blocking-only baseline engines.
+BASELINES = ("mvapich", "adaptive")
 
 
 def _substitute(monkeypatch, classes) -> None:
@@ -202,9 +255,16 @@ def _observe(monkeypatch, workload, engine, nonblocking, flags, classes=None):
     }
 
 
+#: (engine, drive) cells; the baselines have no ``MPI_WIN_I*`` drive.
+DRIVES = {
+    f"{engine}-{'istar' if nonblocking else 'blocking'}": (engine, nonblocking)
+    for engine in EXHAUSTIVE for nonblocking in (False, True)
+    if not (nonblocking and engine in BASELINES)
+}
+
+
 @pytest.mark.parametrize("flags", FLAG_SETS, ids=list(FLAG_SETS))
-@pytest.mark.parametrize("nonblocking", [False, True], ids=["blocking", "istar"])
-@pytest.mark.parametrize("engine", ["nonblocking", "signal"])
+@pytest.mark.parametrize("engine,nonblocking", DRIVES.values(), ids=list(DRIVES))
 @pytest.mark.parametrize("workload", workload_names())
 def test_production_matches_exhaustive_walk(monkeypatch, workload, engine, nonblocking, flags):
     args = (monkeypatch, workload, engine, nonblocking, FLAG_SETS[flags])
@@ -222,7 +282,7 @@ def test_production_matches_exhaustive_walk(monkeypatch, workload, engine, nonbl
     updates=st.integers(1, 12),
     seed=st.integers(0, 2**20),
     cores_per_node=st.sampled_from([1, 2, 8]),
-    engine=st.sampled_from(["nonblocking", "signal"]),
+    engine=st.sampled_from(list(AUDITED)),
 )
 @settings(max_examples=20, deadline=None)
 def test_nothing_outside_the_sets_would_progress(nranks, updates, seed, cores_per_node, engine):
@@ -235,14 +295,14 @@ def test_nothing_outside_the_sets_would_progress(nranks, updates, seed, cores_pe
     assert sum(int(t.sum()) for t in res) == updates * sum(1 + r for r in range(nranks))
 
 
-@pytest.mark.parametrize("engine", ["nonblocking", "signal"])
+@pytest.mark.parametrize("engine", list(AUDITED))
 @pytest.mark.parametrize("workload", workload_names())
 def test_registry_workloads_pass_the_audit(monkeypatch, workload, engine):
     """Fence, GATS, lock_all and collective traffic under the same audit
     (the chaos generator above only writes lock epochs)."""
     _substitute(monkeypatch, AUDITED)
     context = ExplorationContext(semantics_check="report")
-    get_workload(workload).oracle(engine, True, context)
+    get_workload(workload).oracle(engine, engine not in BASELINES, context)
     assert all(isinstance(e, _Audited) for rt in context.runtimes for e in rt.engines)
 
 
@@ -544,22 +604,41 @@ def _examined(nonblocking: bool) -> tuple[int, int]:
 def test_examinations_per_epoch_are_bounded():
     """Deep deferred queues (i* + A_A_A_R) no longer multiply the work:
     before the ready sets this cell examined 36 436 times for 320 epochs
-    (114 per epoch), and the blocking control 5 200 times."""
+    (114 per epoch), and the blocking control 5 200 times.  The baseline
+    on the ``--scaling`` fan-in examines a lock epoch 5 times: at the
+    unlock call, twice on its grant, on its delivery and on its ack (its
+    own fixpoint scan made 9.59 per epoch on the 1 024-rank cell)."""
     examined, epochs = _examined(nonblocking=True)
     assert examined <= 8 * epochs
     blocking, _ = _examined(nonblocking=False)
     assert blocking <= 5200
+    model = NetworkModel().with_overrides(baseline_scan_cost_us=SCAN_COST_US)
+    rt = runtime_mod.MPIRuntime(64, cores_per_node=1, engine="mvapich", model=model)
+    epochs = sum(rt.run(contended_fan_in(nonblocking=False)))
+    assert sum(e.epochs_examined for e in rt.engines) <= 5 * epochs
 
 
-@pytest.mark.parametrize("engine", ["nonblocking", "signal"])
+@pytest.mark.parametrize("engine", ["nonblocking", "signal", "mvapich"])
 @pytest.mark.parametrize("k", [4, 8, 16])
-def test_completion_tests_per_fanout_epoch_are_linear_in_its_targets(engine, k):
+def test_completion_tests_per_fanout_epoch_are_linear_in_its_targets(monkeypatch, engine, k):
     """1 -> k GATS fan-out, the hosts posting one after the other once
     the origin sits in ``complete``: every grant and every delivery
     re-examines the closed epoch.  Testing all k targets each time made
     that ~2·k² tests per epoch; a due target is tested on the close
     call, on its grant and on its delivery.  An exposure evaluates its
-    group predicate on activation, close and arrival."""
+    group predicate on activation, close and arrival.  The baseline's
+    two-phase gate was such an all() over the targets at every
+    examination; as arrival counts it tests each grant once at the
+    opening call, once as it lands and once at the drain, where it also
+    runs the epoch's only completion tests."""
+    grant_tests = []
+    real = MvapichEngine._access_granted
+
+    def counted(self, ws, ep, target):
+        grant_tests.append(self.rank)
+        return real(self, ws, ep, target)
+
+    monkeypatch.setattr(MvapichEngine, "_access_granted", counted)
     rounds = 3
     hosts = tuple(range(1, k + 1))
 
@@ -582,6 +661,10 @@ def test_completion_tests_per_fanout_epoch_are_linear_in_its_targets(engine, k):
     rt = make_runtime(k + 1, engine)
     assert rt.run(app) == [0] + [rounds] * k
     origin, *exposers = rt.engines
-    assert 2 * k * rounds < origin.targets_examined <= 4 * k * rounds
+    if engine == "mvapich":
+        assert origin.targets_examined == k * rounds
+        assert grant_tests.count(0) == 3 * k * rounds
+    else:
+        assert 2 * k * rounds < origin.targets_examined <= 4 * k * rounds
     for eng in exposers:
         assert eng.targets_examined <= 4 * rounds

@@ -3,7 +3,7 @@
 
 Runs the same small GATS + passive-target workload twice — once on the
 baseline blocking engine, once on the paper's nonblocking engine — with
-``MPIRuntime(metrics=True, trace=True)``, then prints for each run:
+``MPIRuntime(metrics=True, causal=True)``, then prints for each run:
 
 - the §VII-D 7-step progress-engine profile (invocations / work items /
   host wall-clock per step);
@@ -60,7 +60,7 @@ def main():
 
     for engine in ("mvapich", "nonblocking"):
         rt = MPIRuntime(ranks, cores_per_node=2, engine=engine,
-                        metrics=True, trace=True)
+                        metrics=True, causal=True)
         counters = rt.run(make_app(iters))
         assert counters[0] == ranks * iters, counters
         banner = f" engine={engine}  ({ranks} ranks, {iters} iters) "

@@ -2,16 +2,23 @@
 """Inefficiency-pattern analysis of an RMA workload (§III).
 
 Runs a deliberately sloppy workload — late posts, delayed completes, a
-held lock — with tracing enabled, then runs the pattern detector and
-prints the report, first for blocking synchronizations and then for the
-nonblocking API, showing the patterns disappear.
+held lock — with the causal recorder armed, then runs the pattern
+detector on its span graph and prints the report, first for blocking
+synchronizations and then for the nonblocking API, showing the patterns
+disappear.  Each run's timeline, with the patterns overlaid, is written
+as a Chrome trace-event file in the temporary directory (validate one
+with ``python -m repro.obs --validate FILE``).
 
 Run:  python examples/pattern_analysis.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from repro import MPIRuntime
+from repro.obs import write_chrome_trace_file
 from repro.patterns import detect_patterns, format_report
 
 MB = 1 << 20
@@ -72,24 +79,23 @@ def build_workload(nonblocking: bool):
     return {0: origin, 1: late_target, 2: lock_host, 3: second_requester}
 
 
-def analyze(nonblocking: bool) -> None:
+def analyze(nonblocking: bool, out_dir: Path) -> None:
     label = "NONBLOCKING (§V API)" if nonblocking else "BLOCKING synchronizations"
-    runtime = MPIRuntime(4, cores_per_node=1, engine="nonblocking", trace=True)
+    runtime = MPIRuntime(4, cores_per_node=1, engine="nonblocking", causal=True)
     runtime.run_mixed(build_workload(nonblocking))
-    instances = detect_patterns(runtime.tracer, min_duration=5.0)
+    instances = detect_patterns(runtime.causal, min_duration=5.0)
     print(f"\n=== {label} — job finished at {runtime.now:.0f} µs ===")
     print(format_report(instances))
     # Also export a Chrome-trace timeline with the patterns overlaid.
-    from repro.patterns import write_chrome_trace
-
-    out = f"/tmp/rma_trace_{'nonblocking' if nonblocking else 'blocking'}.json"
-    count = write_chrome_trace(out, runtime.tracer, instances)
+    out = out_dir / f"rma_trace_{'nonblocking' if nonblocking else 'blocking'}.json"
+    count = write_chrome_trace_file(out, runtime, instances)
     print(f"({count} timeline events written to {out} — open in ui.perfetto.dev)")
 
 
 def main():
-    analyze(nonblocking=False)
-    analyze(nonblocking=True)
+    out_dir = Path(tempfile.gettempdir())
+    analyze(nonblocking=False, out_dir=out_dir)
+    analyze(nonblocking=True, out_dir=out_dir)
     print(
         "\nThe nonblocking epochs eliminate the Late Post / Late Complete /\n"
         "Late Unlock wait time that the blocking run inflicts on its peers\n"

@@ -69,7 +69,7 @@ from .mpi import (
 )
 from .network import ClusterTopology, NetworkModel
 from .obs import MetricsRegistry, format_obs_report
-from .patterns import Tracer, detect_patterns, format_report
+from .patterns import detect_patterns, format_report
 from .rma import (
     A_A_A_R,
     A_A_E_R,
@@ -102,7 +102,6 @@ __all__ = [
     "waitany",
     "testall",
     "testany",
-    "Tracer",
     "detect_patterns",
     "format_report",
     "MetricsRegistry",

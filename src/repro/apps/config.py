@@ -52,9 +52,8 @@ class BaseAppConfig:
     semantics_check: str | None = None
     #: Collect :mod:`repro.obs` telemetry (keeps the runtime on the result).
     metrics: bool = False
-    #: Record the event trace (needed for Chrome trace export).
-    trace: bool = False
-    #: Record causal spans (see :mod:`repro.obs.causal`).
+    #: Record causal spans: the timeline the pattern detector, the
+    #: Chrome trace and the critical path read (:mod:`repro.obs.causal`).
     causal: bool = False
     #: Schedule-exploration context (see :mod:`repro.explore`).
     exploration: Any = None
@@ -70,7 +69,6 @@ class BaseAppConfig:
             flow_control=self.flow_control,
             fault_plan=self.fault_plan,
             metrics=self.metrics,
-            trace=self.trace,
             causal=self.causal,
             exploration=self.exploration,
         )
@@ -78,7 +76,7 @@ class BaseAppConfig:
     def keep_runtime(self, runtime: MPIRuntime) -> MPIRuntime | None:
         """The runtime to hand back on the result object: only kept when
         some telemetry was requested (otherwise results stay light)."""
-        return runtime if (self.metrics or self.trace or self.causal) else None
+        return runtime if (self.metrics or self.causal) else None
 
     def checker_info(self) -> dict:
         """Window-info entries arming the semantics checker (empty when

@@ -44,7 +44,7 @@ class HaloResult:
     elapsed_us: float
     field: np.ndarray  # concatenated strips, shape (nranks*cells,)
     #: The finished runtime (for ``metrics_summary()`` / trace export);
-    #: ``None`` unless the config asked for metrics or tracing.
+    #: ``None`` unless the config asked for metrics or the causal recorder.
     runtime: MPIRuntime | None = None
 
 

@@ -163,7 +163,6 @@ class ReliabilityLayer:
                 span.t0 = prev_sent
                 span.parent = ticket.causal_sid
                 causal.end(sid)
-            self._trace("retry", msg, st.seq, attempts=st.attempts)
         patience = delivery_delay_us + self.cfg.rto_for_attempt(st.attempts)
         self.sim.schedule(patience, self._check, msg.src, msg.dst, ticket.rel_seq,
                           st.attempts)
@@ -182,7 +181,6 @@ class ReliabilityLayer:
     def _fail(self, st: _SendState) -> None:
         self.delivery_failures += 1
         msg = st.ticket.message
-        self._trace("delivery_fail", msg, st.seq, attempts=st.attempts)
         assert self.fabric is not None
         injector = self.fabric.injector
         raise RmaDeliveryError(
@@ -242,8 +240,3 @@ class ReliabilityLayer:
     def pending_count(self) -> int:
         """Tracked packets not yet acknowledged."""
         return len(self._pending)
-
-    def _trace(self, kind: str, msg, seq: int, **detail) -> None:
-        fabric = self.fabric
-        if fabric is not None and fabric.tracer is not None:
-            fabric.tracer.emit(kind, msg.src, -1, dst=msg.dst, seq=seq, **detail)

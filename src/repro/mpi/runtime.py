@@ -72,7 +72,6 @@ class MPIRuntime:
         model: NetworkModel | None = None,
         engine: str = DEFAULT_ENGINE,
         flow_control: bool = True,
-        trace: bool = False,
         metrics: bool = False,
         causal: bool = False,
         fault_plan: "FaultPlan | None" = None,
@@ -132,13 +131,6 @@ class MPIRuntime:
             self.fabric.flow.causal = self.causal
             if rel is not None:
                 rel.causal = self.causal
-        # Tracer before the engines: they capture the reference at
-        # construction (its ``enabled`` flag gates hot-path emit calls).
-        from ..patterns.trace import Tracer
-
-        self.tracer = Tracer(self.sim, enabled=trace)
-        if trace:
-            self.fabric.tracer = self.tracer
         self.engine_name = canonical_engine(engine)
         factory = _engine_factory(engine)
         self.middlewares = [RankMiddleware(self.sim, self.fabric, r) for r in range(nranks)]

@@ -43,7 +43,6 @@ from .topology import ClusterTopology
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
     from ..faults.reliability import ReliabilityLayer
-    from ..patterns.trace import Tracer
     from ..simtime import Position, SimEvent, Simulator
 
 __all__ = ["Fabric", "SendTicket"]
@@ -242,9 +241,6 @@ class Fabric:
         self.reliability = reliability
         if reliability is not None:
             reliability.bind(self)
-        #: Set by the runtime when tracing is on (None otherwise);
-        #: fault/retry events are emitted through it.
-        self.tracer: "Tracer | None" = None
         #: Optional :class:`repro.obs.MetricsRegistry`, set by the
         #: runtime when built with ``metrics=True``.
         self.metrics = None
@@ -432,8 +428,6 @@ class Fabric:
         attempt = self._attempts.get(msg.uid, 0)
         self._attempts[msg.uid] = attempt + 1
         disp = self.injector.disposition(msg, attempt, now)
-        if (disp.lost or disp.duplicate or disp.delay_us) and self.tracer is not None:
-            self._trace_fault(msg, disp)
         arrival_delay = delivery - now + disp.delay_us
         if not disp.lost:
             sim.schedule(arrival_delay, arrive, ticket, lane=net_lane)
@@ -446,20 +440,6 @@ class Fabric:
                 )
         if reliability is not None and ticket.rel_seq is not None:
             reliability.on_attempt(ticket, arrival_delay)
-
-    def _trace_fault(self, msg: Message, disp) -> None:
-        self.tracer.emit(
-            "fault_inject",
-            msg.src,
-            -1,
-            dst=msg.dst,
-            uid=msg.uid,
-            drop=disp.drop,
-            corrupt=disp.corrupt,
-            duplicate=disp.duplicate,
-            delay_us=disp.delay_us,
-            reason=disp.reason,
-        )
 
     def _arrive(self, ticket: SendTicket) -> None:
         """Wire-level arrival at the destination NIC (reliability layer on)."""

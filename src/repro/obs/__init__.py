@@ -1,6 +1,7 @@
 """repro.obs — unified telemetry for the simulated RMA stack.
 
-Three cooperating pieces, all opt-in via ``MPIRuntime(metrics=True)``:
+Metrics and one recorder, opt-in via ``MPIRuntime(metrics=True)`` and
+``MPIRuntime(causal=True)``:
 
 - :mod:`~repro.obs.metrics` — a virtual-time-aware registry of
   counters, gauges and fixed-bucket histograms, wired through the
@@ -9,14 +10,15 @@ Three cooperating pieces, all opt-in via ``MPIRuntime(metrics=True)``:
   when disabled);
 - :mod:`~repro.obs.profiler` — the §VII-D 7-step progress-engine
   profiler (per-step invocation/work/wall-clock accounting);
+- :mod:`~repro.obs.causal` + :mod:`~repro.obs.critpath` — the causal
+  span/edge recorder threaded through the DES, the one timeline of a
+  run, and on top of it exact blocked-time attribution per epoch and a
+  critical-path extractor (the §III pattern detector,
+  :mod:`repro.patterns`, reads the same spans);
 - :mod:`~repro.obs.chrometrace` — a schema-checked Chrome
-  trace-event JSON exporter combining the
-  :class:`~repro.patterns.trace.Tracer` stream with metric samples and
-  causal flow arrows (loads in chrome://tracing and Perfetto);
-- :mod:`~repro.obs.causal` + :mod:`~repro.obs.critpath` — a causal
-  span/edge recorder threaded through the DES (opt-in via
-  ``MPIRuntime(causal=True)``) and, on top of it, exact blocked-time
-  attribution per epoch and a critical-path extractor.
+  trace-event JSON exporter drawing the span graph as rank tracks,
+  with metric samples and causal flow arrows (loads in chrome://tracing
+  and Perfetto).
 
 ``python -m repro.obs`` runs an instrumented halo-exchange demo and
 prints the per-step / per-epoch report or writes a trace file;

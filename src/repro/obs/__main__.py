@@ -1,13 +1,12 @@
 """Observability CLI: ``python -m repro.obs``.
 
-Runs a halo-exchange workload with metrics and tracing enabled, then
-prints the 7-step / per-epoch report or writes artifacts::
+Runs a halo-exchange workload with metrics and the causal recorder
+enabled, then prints the 7-step / per-epoch report or writes artifacts::
 
     python -m repro.obs                         # report to stdout
     python -m repro.obs --ranks 8 --iters 20    # bigger run
     python -m repro.obs --engine mvapich        # baseline engine profile
     python -m repro.obs --nonblocking           # drive the §V i* API
-    python -m repro.obs --causal                # + causal flow arrows in the trace
     python -m repro.obs --trace trace.json      # Chrome trace-event JSON
     python -m repro.obs --json metrics.json     # metrics summary as JSON
     python -m repro.obs --validate trace.json   # schema-check an existing trace
@@ -51,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES)
     p.add_argument("--nonblocking", action="store_true",
                    help="drive the §V MPI_WIN_I* API (nonblocking engine only)")
-    p.add_argument("--causal", action="store_true",
-                   help="record causal spans (adds flow arrows to --trace output)")
     p.add_argument("--trace", metavar="FILE", help="write Chrome trace-event JSON")
     p.add_argument("--json", dest="json_path", metavar="FILE",
                    help="write the metrics summary as JSON ('-' for stdout)")
@@ -158,8 +155,7 @@ def main(argv: list[str] | None = None) -> int:
             nonblocking=args.nonblocking,
             cores_per_node=args.cores_per_node,
             metrics=True,
-            trace=True,
-            causal=args.causal,
+            causal=True,
         )
     )
     runtime = result.runtime

@@ -8,6 +8,15 @@ retransmit becomes a :class:`Span` with explicit causal parent edges.
 virtual lifetime to blocked-time categories and to extract the
 critical path bounding completion.
 
+It is the run's one timeline.  Two kinds exist for the §III pattern
+detector (:mod:`repro.patterns.detect`) and the Chrome rank tracks
+(:mod:`repro.obs.chrometrace`): a ``block`` span covers a rank inside a
+blocking synchronization call (``meta["call"]``), and a ``grant``
+instant marks a GATS or lock grant the receiving rank's counter board
+applied.  Both are leaves: neither ever becomes :attr:`CausalRecorder.current`,
+so no other span's ``parent`` or ``end_cause`` points at one, and the
+attribution and the critical path never see them.
+
 Causality is threaded through the DES kernel itself: the recorder
 keeps a *current context* — the span id causally responsible for the
 code executing right now — and :class:`~repro.simtime.core.Simulator`
@@ -16,8 +25,8 @@ schedule time is restored before the callback runs).  Instrumentation
 sites only ever read ``recorder.current``; they never have to thread
 parent ids by hand.
 
-Like every other telemetry layer (metrics, tracer, checker, profiler)
-the recorder is opt-in and follows the one-attribute-check-when-
+Like every other telemetry layer (metrics, checker, profiler) the
+recorder is opt-in and follows the one-attribute-check-when-
 disabled pattern: ``sim.causal``/``runtime.causal`` are ``None`` by
 default and every hot-path hook is a single ``is None`` test.
 

@@ -1,20 +1,31 @@
 """Chrome trace-event JSON export of a run's timeline + metrics.
 
-Builds on the tracer-stream exporter of :mod:`repro.patterns.export`
-(per-rank timelines: epoch lifetimes as async events, blocking
-intervals as duration events, everything else instant) and folds in the
-:mod:`repro.obs` metric samples:
+One exporter over the :mod:`repro.obs.causal` span graph: every rank is
+a "thread", and every completed record of the run lands on its track —
+
+- epoch and op spans as async ``b``/``e`` events (reorder flags let
+  several epochs of one rank be active at once, which strict ``B``/``E``
+  stack nesting could not show);
+- ``block`` spans (the rank inside a blocking synchronization call) as
+  ``B``/``E`` duration events;
+- message spans as one flow-event pair (``s`` at the source rank, ``f``
+  at the destination), so Perfetto draws the causal arrows between rank
+  tracks;
+- every other record (grants, signals, activations, FIFO dones, stalls,
+  retransmissions) as an instant ``i``, or as an async pair when it
+  lasts;
+- detected inefficiency-pattern instances (:mod:`repro.patterns`) as
+  ``X`` complete events, which makes Late Complete / Late Unlock
+  visually obvious.
+
+With ``metrics=True`` it folds in the :mod:`repro.obs` metric samples:
 
 - one ``C`` (counter) sample per registry counter at the run's final
   virtual time, so Perfetto shows end-of-run totals as counter tracks;
 - the 7-step progress profile as per-step ``C`` samples (``work`` and
   ``invocations`` series);
 - the full metrics summary (histograms included) under
-  ``otherData.metrics`` for downstream tooling;
-- when the runtime carries a :mod:`repro.obs.causal` recorder, one
-  flow-event pair (``s`` at the source rank, ``f`` at the destination)
-  per completed message span, so Perfetto draws the causal arrows
-  between rank tracks.
+  ``otherData.metrics`` for downstream tooling.
 
 Every track is named: ``process_name`` for the job, per-rank
 ``thread_name``/``thread_sort_index`` metadata so rank order is stable
@@ -23,7 +34,7 @@ in the viewer regardless of event order.
 The produced document loads in ``chrome://tracing`` and
 https://ui.perfetto.dev (the JSON flavour of the trace-event format);
 :func:`validate_chrome_trace` schema-checks it, and CI runs that check
-on every push (job ``bench-smoke``).
+on every push (jobs ``bench-smoke`` and ``obs-smoke``).
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import os
 
     from ..mpi.runtime import MPIRuntime
+    from ..patterns.detect import PatternInstance
+    from .causal import CausalRecorder
 
 __all__ = ["export_chrome_trace", "write_chrome_trace_file", "validate_chrome_trace"]
 
@@ -45,15 +58,49 @@ _EMITTED_PHASES = frozenset("BEXibenMCsf")
 _ID_PHASES = frozenset("bensf")
 
 
-def export_chrome_trace(runtime: "MPIRuntime") -> dict:
+def _timeline(recorder: "CausalRecorder") -> list[dict]:
+    """The rank tracks: one or two events per completed span."""
+    events: list[dict] = []
+    for span in recorder.spans:
+        t0, t1 = span.t0, span.t1
+        if t1 is None:
+            continue  # still open when the run stopped: nothing to end
+        kind = span.kind
+        base = {"pid": 0, "tid": span.rank, "ts": t0}
+        if kind == "msg":
+            meta = span.meta
+            name = meta["ptype"]
+            events.append({**base, "ph": "s", "cat": "msg", "name": name, "id": span.sid})
+            events.append({**base, "ph": "f", "cat": "msg", "name": name, "id": span.sid,
+                           "bp": "e", "tid": meta["dst"], "ts": t1})
+            continue
+        args = dict(span.meta or {}, win=span.win, epoch=span.epoch)
+        if kind == "block":
+            name = f"blocked:{span.meta['call']}"
+            events.append({**base, "ph": "B", "cat": "sync", "name": name, "args": args})
+            events.append({**base, "ph": "E", "cat": "sync", "name": name, "ts": t1})
+        elif t1 == t0:
+            events.append({**base, "ph": "i", "s": "t", "cat": "event", "name": kind,
+                           "args": args})
+        else:
+            name = f"epoch#{span.epoch}" if kind == "epoch" else kind
+            events.append({**base, "ph": "b", "cat": kind, "name": name, "id": span.sid,
+                           "args": args})
+            events.append({**base, "ph": "e", "cat": kind, "name": name, "id": span.sid,
+                           "ts": t1})
+    return events
+
+
+def export_chrome_trace(
+    runtime: "MPIRuntime", patterns: "list[PatternInstance] | None" = None
+) -> dict:
     """Build the full trace document for one (finished) runtime.
 
-    Works with any combination of ``trace=``/``metrics=``: the timeline
-    section needs ``trace=True``, the counter tracks need
+    The rank tracks need ``causal=True`` and the counter tracks
     ``metrics=True``; with neither the document is valid but empty.
+    ``patterns`` (from :func:`~repro.patterns.detect_patterns`) are
+    overlaid as complete events.
     """
-    from ..patterns.export import to_chrome_trace
-
     events: list[dict] = [
         {
             "ph": "M", "name": "process_name", "pid": 0, "tid": 0,
@@ -69,20 +116,14 @@ def export_chrome_trace(runtime: "MPIRuntime") -> dict:
             {"ph": "M", "name": "thread_sort_index", "pid": 0, "tid": rank,
              "args": {"sort_index": rank}}
         )
-    events.extend(to_chrome_trace(runtime.tracer))
-    causal = getattr(runtime, "causal", None)
-    if causal is not None:
-        for span in causal.message_spans():
-            meta = span.meta or {}
-            name = meta.get("ptype", "msg")
-            events.append(
-                {"ph": "s", "cat": "msg", "name": name, "id": span.sid,
-                 "pid": 0, "tid": span.rank, "ts": span.t0}
-            )
-            events.append(
-                {"ph": "f", "cat": "msg", "name": name, "id": span.sid, "bp": "e",
-                 "pid": 0, "tid": meta.get("dst", span.rank), "ts": span.t1}
-            )
+    if runtime.causal is not None:
+        events.extend(_timeline(runtime.causal))
+    for inst in patterns or ():
+        events.append(
+            {"ph": "X", "pid": 0, "tid": inst.rank, "ts": inst.start, "dur": inst.duration,
+             "name": inst.pattern, "cat": "inefficiency",
+             "args": {"win": inst.win, "epoch": inst.epoch}}
+        )
 
     other: dict[str, Any] = {"nranks": runtime.nranks, "engine": runtime.engine_name}
     summary = runtime.metrics_summary()
@@ -105,9 +146,13 @@ def export_chrome_trace(runtime: "MPIRuntime") -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
 
 
-def write_chrome_trace_file(path: "str | os.PathLike[str]", runtime: "MPIRuntime") -> int:
+def write_chrome_trace_file(
+    path: "str | os.PathLike[str]",
+    runtime: "MPIRuntime",
+    patterns: "list[PatternInstance] | None" = None,
+) -> int:
     """Validate and write the trace document; returns the event count."""
-    doc = export_chrome_trace(runtime)
+    doc = export_chrome_trace(runtime, patterns)
     count = validate_chrome_trace(doc)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

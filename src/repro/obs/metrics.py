@@ -5,8 +5,8 @@ subsystems (engines, fabric, NIC gates, the notification FIFO, flow
 control, lock managers, the reliability layer) each hold a ``metrics``
 attribute that is ``None`` when the runtime was built without
 ``metrics=True``.  Every hot-path hook is therefore a single attribute
-check — the same pattern :class:`~repro.patterns.trace.Tracer` and the
-semantics checker use — and recording never interacts with the
+check — the same pattern the causal recorder and the semantics
+checker use — and recording never interacts with the
 simulator (pure observation: enabling metrics cannot change a run's
 virtual-time results).
 

@@ -1,8 +1,11 @@
 """Inefficiency-pattern instrumentation (§III of the paper).
 
-:mod:`~repro.patterns.trace` records epoch timelines;
-:mod:`~repro.patterns.detect` classifies blocking time into the seven
-patterns (the six of Kühnal et al. plus the paper's Late Unlock).
+:mod:`~repro.patterns.detect` classifies the blocking time of a run into
+the seven patterns (the six of Kühnal et al. plus the paper's Late
+Unlock), reading the span graph of the causal recorder
+(``MPIRuntime(causal=True)``, :mod:`repro.obs.causal`);
+:func:`~repro.obs.chrometrace.export_chrome_trace` overlays the
+instances on the run's timeline.
 """
 
 from .detect import (
@@ -10,18 +13,11 @@ from .detect import (
     PatternInstance,
     detect_patterns,
 )
-from .export import to_chrome_trace, write_chrome_trace
 from .report import format_report
-from .trace import EVENT_KINDS, TraceEvent, Tracer
 
 __all__ = [
-    "Tracer",
-    "TraceEvent",
-    "EVENT_KINDS",
     "PATTERNS",
     "PatternInstance",
     "detect_patterns",
     "format_report",
-    "to_chrome_trace",
-    "write_chrome_trace",
 ]

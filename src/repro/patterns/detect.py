@@ -1,8 +1,9 @@
 """Detection of the MPI one-sided inefficiency patterns (§III).
 
-Given a global :class:`~repro.patterns.trace.Tracer` record of a run,
-:func:`detect_patterns` classifies every blocking interval spent inside
-an RMA synchronization call into the pattern taxonomy:
+Given the causal span graph of a run (:class:`~repro.obs.causal.CausalRecorder`,
+``MPIRuntime(causal=True)``), :func:`detect_patterns` classifies every
+blocking interval spent inside an RMA synchronization call into the
+pattern taxonomy:
 
 - **Late Post** — a closing (or opening) GATS call blocked because the
   matching exposure was not yet posted: the part of a ``complete`` block
@@ -26,6 +27,13 @@ an RMA synchronization call into the pattern taxonomy:
   the previous holder's transfers had completed: the holder sat on the
   lock without needing it.
 
+It reads three kinds of record: ``block`` spans (the rank inside a
+blocking call, ``meta["call"]`` naming it), ``grant`` instants (a GATS
+or lock grant applied at the receiving rank, on either wire encoding)
+and data arrivals — the end of each ``op`` span (remote completion at
+the origin) and the end of each ``PutData`` message span (the put
+applied at its destination).
+
 Durations are attributed to the *suffering* rank.  The detectors use
 the documented heuristics above; they are exact for the single-window
 microbenchmark shapes of §VIII and approximate when a rank multiplexes
@@ -35,9 +43,10 @@ many windows inside one blocking call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .trace import TraceEvent, Tracer
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.causal import CausalRecorder
 
 __all__ = ["PATTERNS", "PatternInstance", "detect_patterns"]
 
@@ -86,45 +95,47 @@ class _Block:
     end: float
 
 
-def _block_intervals(events: list[TraceEvent]) -> list[_Block]:
-    """Pair block_enter/block_exit events per rank (they never nest)."""
-    open_blocks: dict[int, TraceEvent] = {}
+def _timeline(recorder: "CausalRecorder") -> tuple[list[_Block], list, list]:
+    """The closed blocks, the grant arrivals ``(rank, win, t)`` and the
+    data arrivals ``(rank, win, t, at_target)`` of one record."""
+    spans = recorder.spans
     blocks: list[_Block] = []
-    for ev in events:
-        if ev.kind == "block_enter":
-            open_blocks[ev.rank] = ev
-        elif ev.kind == "block_exit":
-            enter = open_blocks.pop(ev.rank, None)
-            if enter is not None:
-                blocks.append(
-                    _Block(
-                        ev.rank,
-                        enter.win,
-                        enter.epoch,
-                        enter.detail.get("call", ""),
-                        enter.time,
-                        ev.time,
-                    )
-                )
-    return blocks
+    grants: list[tuple[int, int, float]] = []
+    arrivals: list[tuple[int, int, float, bool]] = []
+    for s in spans:
+        if s.t1 is None:
+            continue  # still blocked, or still in flight, when the run stopped
+        kind = s.kind
+        if kind == "block":
+            epoch = s.epoch if s.epoch >= 0 else None
+            blocks.append(_Block(s.rank, s.win, epoch, s.meta["call"], s.t0, s.t1))
+        elif kind == "grant":
+            grants.append((s.rank, s.win, s.t1))
+        elif kind == "op":
+            arrivals.append((s.rank, s.win, s.t1, False))
+        elif kind == "msg" and s.meta["ptype"] == "PutData":
+            # A put's message is a child of its op span, which names the window.
+            arrivals.append((s.meta["dst"], spans[s.parent].win, s.t1, True))
+    return blocks, grants, arrivals
 
 
-def _last_time(events: Iterable[TraceEvent], lo: float, hi: float) -> float | None:
-    """Latest event time within (lo, hi], or None."""
+def _last_time(times: Iterable[float], lo: float, hi: float) -> float | None:
+    """Latest time within (lo, hi], or None."""
     best: float | None = None
-    for ev in events:
-        if lo < ev.time <= hi and (best is None or ev.time > best):
-            best = ev.time
+    for t in times:
+        if lo < t <= hi and (best is None or t > best):
+            best = t
     return best
 
 
-def detect_patterns(tracer: Tracer, min_duration: float = 1e-9) -> list[PatternInstance]:
+def detect_patterns(
+    recorder: "CausalRecorder", min_duration: float = 1e-9
+) -> list[PatternInstance]:
     """Classify blocking time into pattern instances.
 
     ``min_duration`` suppresses numerically trivial slivers.
     """
-    events = tracer.events
-    blocks = _block_intervals(events)
+    blocks, grants, arrivals = _timeline(recorder)
     found: list[PatternInstance] = []
 
     def add(pattern: str, block: _Block, start: float, end: float) -> None:
@@ -133,14 +144,12 @@ def detect_patterns(tracer: Tracer, min_duration: float = 1e-9) -> list[PatternI
                 PatternInstance(pattern, block.rank, block.win, block.epoch, start, end)
             )
 
-    grants = [e for e in events if e.kind == "grant_recv"]
-    data_arrivals = [e for e in events if e.kind == "op_delivered"]
-
     for block in blocks:
+        rank, win = block.rank, block.win
         if block.call in _GATS_CLOSE_CALLS:
             # Late Post: waiting for grants that arrive mid-block.
             last_grant = _last_time(
-                (e for e in grants if e.rank == block.rank and e.win == block.win),
+                (t for r, w, t in grants if r == rank and w == win),
                 block.start,
                 block.end,
             )
@@ -149,11 +158,7 @@ def detect_patterns(tracer: Tracer, min_duration: float = 1e-9) -> list[PatternI
 
         elif block.call in _WAIT_CALLS:
             incoming = (
-                e
-                for e in data_arrivals
-                if e.rank == block.rank
-                and e.win == block.win
-                and e.detail.get("side") == "target"
+                t for r, w, t, at_target in arrivals if r == rank and w == win and at_target
             )
             last_data = _last_time(incoming, float("-inf"), block.end)
             if last_data is None or last_data <= block.start:
@@ -164,11 +169,7 @@ def detect_patterns(tracer: Tracer, min_duration: float = 1e-9) -> list[PatternI
                 add("late_complete", block, min(last_data, block.end), block.end)
 
         elif block.call in _FENCE_CALLS:
-            involving_me = (
-                e
-                for e in data_arrivals
-                if e.rank == block.rank and e.win == block.win
-            )
+            involving_me = (t for r, w, t, _ in arrivals if r == rank and w == win)
             last_data = _last_time(involving_me, float("-inf"), block.end)
             if last_data is None or last_data <= block.start:
                 add("wait_at_fence", block, block.start, block.end)
@@ -179,21 +180,16 @@ def detect_patterns(tracer: Tracer, min_duration: float = 1e-9) -> list[PatternI
         elif block.call in _LOCK_CALLS:
             # Late Unlock: time spent waiting for the grant, counted from
             # the moment the previous holder's transfers were over.
-            my_grants = (
-                e for e in grants if e.rank == block.rank and e.win == block.win
-            )
+            my_grants = (t for r, w, t in grants if r == rank and w == win)
             grant_time = _last_time(my_grants, block.start, block.end)
             if grant_time is None:
                 continue
             # Previous holder's last transfer into the lock's target rank
             # before our grant.
             holder_data = (
-                e
-                for e in data_arrivals
-                if e.win == block.win
-                and e.detail.get("side") == "target"
-                and e.rank != block.rank
-                and e.time <= grant_time
+                t
+                for r, w, t, at_target in arrivals
+                if w == win and at_target and r != rank and t <= grant_time
             )
             holder_done = _last_time(holder_data, float("-inf"), grant_time)
             start = max(block.start, holder_done) if holder_done is not None else block.start

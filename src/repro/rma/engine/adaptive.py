@@ -105,10 +105,6 @@ class AdaptiveEngine(MvapichEngine):
         for gid, target in sorted(self._eager_pairs):
             self.mode_switches.append((now, gid, target, "lazy"))
         self._eager_pairs.clear()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "degrade", self.rank, -1, retransmissions=self._retry_pressure()
-            )
         return True
 
     # -- policy hooks -----------------------------------------------------

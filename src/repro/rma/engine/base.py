@@ -152,7 +152,7 @@ class RmaEngineBase:
         #: drive the engine rather than building on iflush).
         self._blocking_flushes: list[tuple[WindowState, Any, list[RmaOp], bool]] = []
         #: Opt-in telemetry (both None unless ``MPIRuntime(metrics=True)``;
-        #: every hook below is then one attribute check, like the tracer).
+        #: every hook below is then one attribute check).
         self.metrics = getattr(runtime, "metrics", None)
         self.profiler = getattr(runtime, "profiler", None)
         #: Causal span recorder (None unless ``MPIRuntime(causal=True)``).
@@ -160,22 +160,13 @@ class RmaEngineBase:
         #: Schedule-exploration context (None outside repro.explore runs);
         #: feeds the delivered-notification multiset of the outcome digest.
         self._explore = getattr(runtime, "exploration", None)
-        #: Hot-path caches, resolved once: the tracer (bound only when
-        #: enabled — ``Tracer.enabled`` is fixed at construction — so a
-        #: disabled site is one ``is not None`` test), this rank's 64-bit
+        #: Hot-path caches, resolved once: this rank's 64-bit
         #: notification FIFO endpoint, and this rank's node span (block
         #: placement makes the same-node test ``lo <= peer < hi`` — O(1)
         #: per peer, no O(nranks) table).
-        self._tracer = runtime.tracer if runtime.tracer.enabled else None
         self.fifo = runtime.middlewares[rank].fifo
         topo = runtime.fabric.topology
         self._node_lo, self._node_hi = topo.node_span(rank)
-
-    # -- small conveniences ------------------------------------------------
-    def _trace(self, kind: str, ws: WindowState, epoch: Epoch | None = None, **detail: Any) -> None:
-        """Emit one trace event; every site guards with ``self._tracer is
-        not None`` so the kwargs are not even built when tracing is off."""
-        self._tracer.emit(kind, self.rank, ws.gid, epoch.uid if epoch else None, **detail)
 
     # -- wiring ---------------------------------------------------------------
     def register_window(self, win: "Window") -> None:
@@ -318,9 +309,6 @@ class RmaEngineBase:
     def _on_put(self, ws: WindowState, p: PutData, src: int) -> None:
         if p.data is not None:
             ws.win.memory.write(p.target_disp, p.data)
-        if self._tracer is not None:
-            self._trace("op_delivered", ws, side="target", op_kind="put", src=src,
-                        disp=p.target_disp)
 
     def _on_get_request(self, ws: WindowState, p: GetRequest, src: int) -> None:
         data = ws.win.memory.read(p.target_disp, p.nbytes)
@@ -416,6 +404,8 @@ class RmaEngineBase:
             return
         if self.metrics is not None:
             self.metrics.inc("omega.grants_recv")
+        if self.causal is not None:
+            self.causal.instant("grant", rank=self.rank, win=ws.gid, meta={"granter": granter})
         if self._explore is not None:
             self._explore.record_notification(
                 self.rank, "grant", granter, pack_win_value(ws.gid, seq)
@@ -427,8 +417,6 @@ class RmaEngineBase:
         # g[granter] is shared: a lock grant advances the counter GATS
         # access epochs toward the same host compare against (A_i <= g_r).
         self._wake_peer(ws, _GRANT, granter)
-        if self._tracer is not None:
-            self._trace("grant_recv", ws, granter=granter, g=seq)
 
     def _lock_held(self, ws: WindowState, ep: Epoch, target: int, wait_metric: str) -> None:
         """``ep``'s lock at ``target`` was granted."""
@@ -444,8 +432,7 @@ class RmaEngineBase:
     def _on_done(self, ws: WindowState, p: DonePacket, src: int) -> None:
         self._done_landed(ws, p.origin, p.access_id)
 
-    def _done_landed(self, ws: WindowState, origin: int, access_id: int,
-                     **detail: str) -> None:
+    def _done_landed(self, ws: WindowState, origin: int, access_id: int) -> None:
         """An ω done (control packet or FIFO word) arrived.  A floor, not
         ``apply``: under the reorder flags dones land out of id order."""
         ws.board.floor_inbound(_DONE, origin, access_id)
@@ -456,13 +443,9 @@ class RmaEngineBase:
             self._explore.record_notification(
                 self.rank, "done", origin, pack_win_value(ws.gid, access_id)
             )
-        if self._tracer is not None:
-            self._trace("done_recv", ws, origin=origin, access_id=access_id, **detail)
 
     def _on_lock_request(self, ws: WindowState, p: LockRequestPacket, src: int) -> None:
         ws.lock_backlog.append(("lock", p))
-        if self._tracer is not None:
-            self._trace("lock_request", ws, origin=p.origin, exclusive=p.exclusive)
 
     def _on_unlock(self, ws: WindowState, p: UnlockPacket, src: int) -> None:
         ws.lock_backlog.append(("unlock", p))
@@ -481,8 +464,6 @@ class RmaEngineBase:
     def _on_fence_done(self, ws: WindowState, p: FenceDone, src: int) -> None:
         ws.board.floor_inbound(_FENCE_DONE, p.origin, p.round_no)
         self._wake_peer(ws, _FENCE_DONE, p.origin)
-        if self._tracer is not None:
-            self._trace("fence_done", ws, origin=p.origin, round_no=p.round_no)
 
     _PACKET_HANDLERS = {
         PutData: _on_put,
@@ -527,7 +508,7 @@ class RmaEngineBase:
             ws = states[gid]
             self.mark_dirty(ws)
             if kind is NotifyKind.EPOCH_COMPLETE:
-                self._done_landed(ws, sender, ident, via="fifo")
+                self._done_landed(ws, sender, ident)
             else:
                 raise RuntimeError(f"unexpected notification {kind} from {sender}")
         return count
@@ -578,8 +559,6 @@ class RmaEngineBase:
                             grant_seq=value),
                 ServiceKind.RDMA,
             )
-            if lock_access_id is None and self._tracer is not None:
-                self._trace("grant_sent", ws, origin=peer, e=value)
         elif channel is _DONE:
             # Intranode dones ride the 64-bit FIFO (§VII-D); internode
             # dones are control packets.
@@ -664,10 +643,8 @@ class RmaEngineBase:
     def _send_done(self, ws: WindowState, epoch: Epoch, target: int) -> None:
         """Access-epoch completion notification to one target."""
         access_id = epoch.access_ids[target] if self.done_by_id else None
-        value = self._notify(ws, _DONE, target, access_id, epoch=epoch)
+        self._notify(ws, _DONE, target, access_id, epoch=epoch)
         epoch.done_sent.add(target)
-        if self._tracer is not None:
-            self._trace("done_sent", ws, epoch, target=target, access_id=value)
 
     def _broadcast_fence_open(self, ws: WindowState, round_no: int) -> None:
         # Fence channels carry the round number itself (a floor, not a
@@ -675,8 +652,6 @@ class RmaEngineBase:
         for peer in ws.win.group.ranks:
             if peer != self.rank:
                 self._notify(ws, _FENCE_OPEN, peer, round_no)
-        if self._tracer is not None:
-            self._trace("fence_open", ws, round_no=round_no)
 
     def _broadcast_fence_done(self, ws: WindowState, epoch: Epoch) -> None:
         for peer in ws.win.group.ranks:
@@ -697,8 +672,6 @@ class RmaEngineBase:
         if checker is not None:
             checker.on_lock_grant(ws, waiter)
         self._notify(ws, self.lock_channel, waiter.origin, lock_access_id=waiter.access_id)
-        if self._tracer is not None:
-            self._trace("lock_grant", ws, origin=waiter.origin, access_id=waiter.access_id)
 
     def _process_lock_backlog(self, ws: WindowState) -> int:
         """Step 6: batch-process queued lock/unlock requests; returns the
@@ -736,8 +709,6 @@ class RmaEngineBase:
                     UnlockAck(ws.gid, access_id=packet.access_id),
                     ServiceKind.CONTROL,
                 )
-                if self._tracer is not None:
-                    self._trace("lock_release", ws, origin=packet.origin)
         return processed
 
     # =====================================================================
@@ -766,9 +737,6 @@ class RmaEngineBase:
             )
             _prev_ctx = causal.current
             causal.current = op.causal_sid
-        if self._tracer is not None:
-            self._trace("op_issue", ws, op.epoch, op_kind=op.kind.value, target=op.target,
-                        nbytes=op.nbytes)
 
         if op.kind is OpKind.PUT:
             payload = PutData(ws.gid, op.uid, op.target_disp, op.nbytes, op.data)
@@ -872,11 +840,6 @@ class RmaEngineBase:
         causal = self.causal
         if causal is not None and op.causal_sid is not None:
             causal.end(op.causal_sid)
-        if self._tracer is not None:
-            self._trace(
-                "op_delivered", ws, op.epoch, side="origin", target=op.target,
-                op_kind=op.kind.value,
-            )
         if not op.local_done:
             # Result-bearing ops: remote completion implies local.
             op.local_done = True
@@ -942,8 +905,6 @@ class RmaEngineBase:
         if self.causal is not None:
             self.causal.epoch_open(self.rank, ws.gid, ep)
         self.mark_dirty(ws)
-        if self._tracer is not None:
-            self._trace("epoch_open", ws, ep, epoch_kind=ep.kind.value)
         self.poke()
         return ep
 
@@ -954,8 +915,6 @@ class RmaEngineBase:
         ep.close_call_time = self.sim.now
         req = ClosingRequest(self.sim, ep)
         self.mark_dirty(ws)
-        if self._tracer is not None:
-            self._trace("epoch_close_call", ws, ep)
         if ep.completed:
             req.complete()
             ws.retire_closed()
@@ -979,8 +938,6 @@ class RmaEngineBase:
                 if ep.open_time is not None:
                     m.observe(f"epoch.{kind}.defer_us", ep.activate_time - ep.open_time)
                 m.observe(f"epoch.{kind}.active_us", ep.complete_time - ep.activate_time)
-        if self._tracer is not None:
-            self._trace("epoch_complete", ws, ep)
         checker = ws.checker
         if checker is not None:
             checker.on_epoch_complete(ws, ep)
@@ -1004,8 +961,6 @@ class RmaEngineBase:
         if ep.active:
             self._wake_post(ws, ep, op.target)
         self.mark_dirty(ws)
-        if self._tracer is not None:
-            self._trace("op_call", ws, ep, op_kind=op.kind.value, target=op.target)
         if op.request is not None:
             self._early_activate(ws, ep)
         self.poke()

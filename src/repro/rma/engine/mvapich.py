@@ -74,8 +74,6 @@ class MvapichEngine(NonblockingEngine):
         ep.state = EpochState.ACTIVE
         ep.activate_time = self.sim.now
         self.mark_dirty(ws)
-        if self._tracer is not None:
-            self._trace("epoch_activate", ws, ep)
         if self.causal is not None:
             self.causal.instant("epoch_activate", rank=self.rank, win=ws.gid,
                                 epoch=ep.uid, meta={"lazy": True})

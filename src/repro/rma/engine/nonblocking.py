@@ -188,8 +188,6 @@ class NonblockingEngine(RmaEngineBase):
         checker = ws.checker
         if checker is not None:
             checker.on_epoch_activate(ws, ep, active_preceding)
-        if self._tracer is not None:
-            self._trace("epoch_activate", ws, ep)
         if self.causal is not None:
             self.causal.instant("epoch_activate", rank=self.rank, win=ws.gid,
                                 epoch=ep.uid, meta={"deferred": len(active_preceding)})

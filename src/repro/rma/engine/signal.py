@@ -48,6 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SignalEngine"]
 
+#: The channels whose updates grant access: GATS grants and lock grants.
+_GRANTS = (SignalChannel.GRANT, SignalChannel.LOCK)
+
 
 class SignalEngine(NonblockingEngine):
     """Counter-signal epoch matching over the nonblocking policy core."""
@@ -66,9 +69,6 @@ class SignalEngine(NonblockingEngine):
         m = self.metrics
         if m is not None:
             m.inc("signal.sent")
-        if self._tracer is not None:
-            self._trace("signal_sent", ws, peer=peer, channel=channel.name.lower(),
-                        value=value)
         if self.causal is not None:
             self.causal.instant(
                 "signal", rank=self.rank, win=ws.gid,
@@ -88,9 +88,9 @@ class SignalEngine(NonblockingEngine):
             return
         if self.metrics is not None:
             self.metrics.inc("signal.recv")
-        if self._tracer is not None:
-            self._trace("signal_recv", ws, signaler=p.signaler,
-                        channel=SignalChannel(p.channel).name.lower(), value=p.value)
+        if self.causal is not None and p.channel in _GRANTS:
+            self.causal.instant("grant", rank=self.rank, win=ws.gid,
+                                meta={"granter": p.signaler})
         if self._explore is not None:
             # Raw counter value, not pack_win_value: counters are not
             # bounded by the 30-bit notification id space.

@@ -160,7 +160,7 @@ class Epoch:
         self.fence_done_sent = False
         #: Closing request while it is pending (the engine drops it at completion).
         self.closing_request: "ClosingRequest | None" = None
-        # Timeline (for the tracer / pattern detector / consistency).
+        # Timeline (for the causal recorder / consistency).
         self.open_time: float | None = None
         self.activate_time: float | None = None
         self.close_call_time: float | None = None

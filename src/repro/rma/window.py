@@ -171,19 +171,18 @@ class Window:
             )
 
     def _blocking_wait(self, req: Request, call: str, epoch: Epoch | None):
-        """Drive a blocking synchronization: wait on the internal request
-        with block_enter/block_exit trace bracketing."""
-        tracer = self.group.runtime.tracer
-        if not tracer.enabled:
-            if not req.done:
-                yield from req.wait()
+        """Drive a blocking synchronization: wait on the internal request,
+        recorded as a ``block`` span when the causal recorder is armed."""
+        if req.done:
             return
-        euid = epoch.uid if epoch is not None else None
-        if not req.done:
-            tracer.emit("block_enter", self.rank, self.group.gid, euid, call=call)
-            yield from req.wait()
-            tracer.emit("block_exit", self.rank, self.group.gid, euid, call=call)
-        tracer.emit("epoch_close_return", self.rank, self.group.gid, euid, call=call)
+        causal = self.group.runtime.causal
+        if causal is None:
+            yield req.event
+            return
+        sid = causal.begin("block", self.rank, self.group.gid,
+                           epoch.uid if epoch is not None else -1, {"call": call})
+        yield req.event
+        causal.end(sid)
 
     # ======================================================================
     # Fence epochs
@@ -767,14 +766,7 @@ class Window:
     def notify_wait(self, source: int, count: int = 1) -> Generator[Any, Any, None]:
         """Block until ``count`` further signals from ``source`` arrive
         (foMPI's ``MPI_Notify_wait``)."""
-        req = self.inotify_wait(source, count)
-        if not req.done:
-            tracer = self.group.runtime.tracer
-            if tracer.enabled:
-                tracer.emit("block_enter", self.rank, self.group.gid, None, call="notify_wait")
-            yield from req.wait()
-            if tracer.enabled:
-                tracer.emit("block_exit", self.rank, self.group.gid, None, call="notify_wait")
+        yield from self._blocking_wait(self.inotify_wait(source, count), "notify_wait", None)
 
     def put_notify(
         self, data: np.ndarray, target_rank: int, target_disp: int = 0

@@ -14,9 +14,9 @@ A :class:`Workload` carries two factories for the same scenario:
   schedule-free run for the differential oracle; the returned dict holds
   only schedule- and engine-independent answer fields (never
   ``elapsed_us`` / stall counters / latencies);
-- ``instrumented(engine, nonblocking, metrics, trace) -> MPIRuntime`` —
-  the same cell with the observability stack (causal recorder) on,
-  returning the finished runtime for critical-path / trace reports;
+- ``instrumented(engine, nonblocking, metrics) -> MPIRuntime`` — the
+  same cell with the causal recorder on, returning the finished runtime
+  for critical-path, pattern and timeline reports;
   :func:`run_instrumented` runs one by (workload, series) name.
 
 :data:`CLASSIC_WORKLOADS` pins the original six-workload matrix; the
@@ -85,7 +85,7 @@ class Workload:
 
     name: str
     oracle: Callable[[str, bool, Any], dict]
-    instrumented: Callable[[str, bool, bool, bool], "MPIRuntime"]
+    instrumented: Callable[[str, bool, bool], "MPIRuntime"]
 
 
 def _arr_sha(arr) -> str:
@@ -112,15 +112,14 @@ def _halo_oracle(engine: str, nonblocking: bool, exploration) -> dict:
     return {"field_sha": _arr_sha(res.field)}
 
 
-def _halo_instrumented(engine: str, nonblocking: bool, metrics: bool,
-                       trace: bool) -> "MPIRuntime":
+def _halo_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
     from .apps.halo import HaloConfig, run_halo
 
     res = run_halo(HaloConfig(
         nranks=4, cells_per_rank=16, iterations=4, cores_per_node=2,
         interior_work_us=8.0,  # overlap fodder: differentiates i* series
         engine=engine, nonblocking=nonblocking,
-        metrics=metrics, trace=trace, causal=True,
+        metrics=metrics, causal=True,
     ))
     return res.runtime
 
@@ -135,15 +134,14 @@ def _stencil2d_oracle(engine: str, nonblocking: bool, exploration) -> dict:
     return {"grid_sha": _arr_sha(res.grid)}
 
 
-def _stencil2d_instrumented(engine: str, nonblocking: bool, metrics: bool,
-                            trace: bool) -> "MPIRuntime":
+def _stencil2d_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
     from .apps.stencil2d import Stencil2DConfig, run_stencil2d
 
     res = run_stencil2d(Stencil2DConfig(
         pr=2, pc=2, tile=4, iterations=3, cores_per_node=2,
         interior_work_us=8.0,
         engine=engine, nonblocking=nonblocking,
-        metrics=metrics, trace=trace, causal=True,
+        metrics=metrics, causal=True,
     ))
     return res.runtime
 
@@ -158,14 +156,13 @@ def _lu_oracle(engine: str, nonblocking: bool, exploration) -> dict:
     return {"u_sha": _arr_sha(res.u_matrix)}
 
 
-def _lu_instrumented(engine: str, nonblocking: bool, metrics: bool,
-                     trace: bool) -> "MPIRuntime":
+def _lu_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
     from .apps.lu import LUConfig, run_lu
 
     res = run_lu(LUConfig(
         nranks=3, m=8, cores_per_node=2,
         engine=engine, nonblocking=nonblocking,
-        metrics=metrics, trace=trace, causal=True,
+        metrics=metrics, causal=True,
     ))
     return res.runtime
 
@@ -182,15 +179,14 @@ def _transactions_oracle(engine: str, nonblocking: bool, exploration) -> dict:
     return {"applied": res.applied, "rank_sums": [int(s) for s in res.rank_sums]}
 
 
-def _transactions_instrumented(engine: str, nonblocking: bool, metrics: bool,
-                               trace: bool) -> "MPIRuntime":
+def _transactions_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
     from .apps.transactions import TransactionsConfig, run_transactions
 
     res = run_transactions(TransactionsConfig(
         nranks=3, txns_per_rank=8, slots_per_rank=16, cores_per_node=2,
         work_in_epoch_us=4.0,  # lazy-lock baselines cannot hide this
         engine=engine, nonblocking=nonblocking,
-        metrics=metrics, trace=trace, causal=True,
+        metrics=metrics, causal=True,
     ))
     return res.runtime
 
@@ -205,14 +201,13 @@ def _factdb_oracle(engine: str, nonblocking: bool, exploration) -> dict:
     return {"table_sha": _arr_sha(res.table), "total": res.derived_total()}
 
 
-def _factdb_instrumented(engine: str, nonblocking: bool, metrics: bool,
-                         trace: bool) -> "MPIRuntime":
+def _factdb_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
     from .apps.factdb import FactDbConfig, run_factdb
 
     res = run_factdb(FactDbConfig(
         nranks=3, universe=32, firings_per_rank=6, cores_per_node=2,
         engine=engine, nonblocking=nonblocking,
-        metrics=metrics, trace=trace, causal=True,
+        metrics=metrics, causal=True,
     ))
     return res.runtime
 
@@ -229,15 +224,14 @@ def _kvservice_oracle(engine: str, nonblocking: bool, exploration) -> dict:
     return {"tables": [list(t) for t in res.tables], "stats": list(res.stats)}
 
 
-def _kvservice_instrumented(engine: str, nonblocking: bool, metrics: bool,
-                            trace: bool) -> "MPIRuntime":
+def _kvservice_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
     from .apps.kvservice import KvServiceConfig, run_kvservice
 
     res = run_kvservice(KvServiceConfig(
         nranks=3, keys_per_shard=8, requests_per_rank=24, rebalance_every=8,
         cores_per_node=2,
         engine=engine, nonblocking=nonblocking,
-        metrics=metrics, trace=trace, causal=True,
+        metrics=metrics, causal=True,
     ))
     return res.runtime
 
@@ -247,8 +241,7 @@ def _kvservice_instrumented(engine: str, nonblocking: bool, metrics: bool,
 # ---------------------------------------------------------------------------
 
 def _ordering_run(engine: str, nonblocking: bool, *, exploration=None,
-                  metrics: bool = False, trace: bool = False,
-                  causal: bool = False):
+                  metrics: bool = False, causal: bool = False):
     """Deferred-epoch ordering pipeline (2 ranks, mixed epoch kinds).
 
     Rank 0 issues three epochs back to back without waiting: an
@@ -315,7 +308,7 @@ def _ordering_run(engine: str, nonblocking: bool, *, exploration=None,
     runtime = MPIRuntime(
         2, cores_per_node=1,  # internode: hop latency >> perturbation bound
         engine=engine, exploration=exploration,
-        metrics=metrics, trace=trace, causal=causal,
+        metrics=metrics, causal=causal,
     )
     results = runtime.run_mixed({0: origin, 1: target})
     return results, runtime
@@ -326,10 +319,8 @@ def _ordering_oracle(engine: str, nonblocking: bool, exploration) -> dict:
     return {"read": results[0]}
 
 
-def _ordering_instrumented(engine: str, nonblocking: bool, metrics: bool,
-                           trace: bool) -> "MPIRuntime":
-    _, runtime = _ordering_run(engine, nonblocking, metrics=metrics,
-                               trace=trace, causal=True)
+def _ordering_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
+    _, runtime = _ordering_run(engine, nonblocking, metrics=metrics, causal=True)
     return runtime
 
 
@@ -339,8 +330,8 @@ _COLL_INVOCATIONS = 3
 
 
 def _coll_run(engine: str, nonblocking: bool, *, exploration=None,
-              metrics: bool = False, trace: bool = False,
-              causal: bool = False, interior_work_us: float = 0.0):
+              metrics: bool = False, causal: bool = False,
+              interior_work_us: float = 0.0):
     """Persistent-collective exerciser: one alltoallv plan re-executed
     ``_COLL_INVOCATIONS`` times over ragged counts (zero-length blocks
     included), plus one allgather and one allreduce plan.  With the
@@ -383,7 +374,7 @@ def _coll_run(engine: str, nonblocking: bool, *, exploration=None,
 
     runtime = MPIRuntime(
         n, cores_per_node=2, engine=engine, exploration=exploration,
-        metrics=metrics, trace=trace, causal=causal,
+        metrics=metrics, causal=causal,
     )
     results = runtime.run(app)
     return results, runtime
@@ -398,10 +389,9 @@ def _coll_oracle(engine: str, nonblocking: bool, exploration) -> dict:
     }
 
 
-def _coll_instrumented(engine: str, nonblocking: bool, metrics: bool,
-                       trace: bool) -> "MPIRuntime":
-    _, runtime = _coll_run(engine, nonblocking, metrics=metrics, trace=trace,
-                           causal=True, interior_work_us=8.0)
+def _coll_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
+    _, runtime = _coll_run(engine, nonblocking, metrics=metrics, causal=True,
+                           interior_work_us=8.0)
     return runtime
 
 
@@ -447,10 +437,8 @@ def get_workload(name: str) -> Workload:
         ) from None
 
 
-def run_instrumented(
-    workload: str, series: str = "new", metrics: bool = True, trace: bool = False
-) -> "MPIRuntime":
+def run_instrumented(workload: str, series: str = "new", metrics: bool = True) -> "MPIRuntime":
     """Run one matrix cell with the causal recorder on; returns the
     finished runtime (``runtime.causal`` holds the span graph)."""
     s = get_series(series)
-    return get_workload(workload).instrumented(s.engine, s.nonblocking, metrics, trace)
+    return get_workload(workload).instrumented(s.engine, s.nonblocking, metrics)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.causal import CATEGORIES, CausalRecorder, ns, span_category
 from repro.simtime import Simulator
+from repro.workloads import SERIES, WORKLOADS
 from tests.conftest import make_runtime
 
 ALL_ENGINES = ("mvapich", "adaptive", "nonblocking", "signal")
@@ -127,6 +128,19 @@ class TestGraph:
         sim.schedule(2.0, fire)  # scheduled outside any span
         sim.run()
         assert seen == [sid, None]
+
+
+@pytest.mark.parametrize("series", SERIES, ids=lambda s: s.name)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_block_and_grant_records_are_leaves(workload, series):
+    """Nothing points at a ``block`` span or a ``grant`` instant: neither
+    ever becomes the context, so the attribution and the critical path
+    walk the same graph with or without them."""
+    rec = WORKLOADS[workload].instrumented(series.engine, series.nonblocking, False).causal
+    leaves = {s.sid for s in rec.spans if s.kind in ("block", "grant")}
+    assert leaves
+    for span in rec.spans:
+        assert span.parent not in leaves and span.end_cause not in leaves, span
 
 
 class TestUnits:

@@ -12,12 +12,14 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace_file,
 )
+from repro.patterns import detect_patterns
+from repro.rma.engine.registry import ENGINES
 from tests.conftest import make_runtime
 
 
 def instrumented_run(**kwargs):
     kwargs.setdefault("metrics", True)
-    kwargs.setdefault("trace", True)
+    kwargs.setdefault("causal", True)
     rt = make_runtime(2, **kwargs)
 
     def app(proc):
@@ -65,11 +67,11 @@ class TestExport:
         assert sorts == {0: 0, 1: 1}
 
     def test_metrics_only_run_still_valid(self):
-        doc = export_chrome_trace(instrumented_run(trace=False))
+        doc = export_chrome_trace(instrumented_run(causal=False))
         assert validate_chrome_trace(doc) > 0
 
     def test_flow_events_from_causal_recorder(self):
-        doc = export_chrome_trace(instrumented_run(causal=True))
+        doc = export_chrome_trace(instrumented_run())
         assert validate_chrome_trace(doc) == len(doc["traceEvents"])
         starts = [e for e in doc["traceEvents"] if e["ph"] == "s"]
         ends = [e for e in doc["traceEvents"] if e["ph"] == "f"]
@@ -84,8 +86,15 @@ class TestExport:
         assert any(e["name"] == "PutData" for e in starts)
 
     def test_no_flow_events_without_causal(self):
-        doc = export_chrome_trace(instrumented_run())
+        doc = export_chrome_trace(instrumented_run(causal=False))
         assert not [e for e in doc["traceEvents"] if e["ph"] in "sf"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_timeline_validates_on_every_engine(self, engine):
+        rt = instrumented_run(engine=engine)
+        doc = export_chrome_trace(rt, detect_patterns(rt.causal))
+        assert validate_chrome_trace(doc) == len(doc["traceEvents"])
+        assert {"b", "e", "B", "E", "s", "f"} <= {e["ph"] for e in doc["traceEvents"]}
 
     def test_write_file(self, tmp_path):
         path = tmp_path / "trace.json"

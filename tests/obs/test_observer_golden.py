@@ -1,10 +1,10 @@
 """Every observer's output is pinned byte for byte.
 
-One canonical JSON document holds, per run: the final virtual time, the
-trace events, ``metrics_summary()`` (minus the host-time ``wall_ms``),
-the causal spans / waits / epoch records and the ``RuntimeStats``
-fields.  The runs are the 32 registry cells (every workload x every
-series, metrics + trace + causal on) and eleven transaction cells that
+One canonical JSON document holds, per run: the final virtual time,
+``metrics_summary()`` (minus the host-time ``wall_ms``), the causal
+spans / waits / epoch records and the ``RuntimeStats`` fields.  The runs
+are the 32 registry cells (every workload x every series, metrics +
+causal on) and eleven transaction cells that
 reach what the registry does not: retransmission, duplicates, delay
 spikes, credit stalls, the baseline's grant scan, adaptive degradation
 and a host-attention stall.
@@ -111,8 +111,6 @@ def _observed(run) -> dict:
     stats = rt.stats()
     return {
         "now": rt.now,
-        "trace": [[e.time, e.kind, e.rank, e.win, e.epoch, e.detail]
-                  for e in rt.tracer.events],
         "metrics": summary,
         "spans": [[s.sid, s.kind, s.rank, s.win, s.epoch, s.t0, s.t1, s.parent,
                    s.end_cause, s.meta] for s in causal.spans],
@@ -128,7 +126,7 @@ def _txn(engine: str, nonblocking: bool, **stress):
     return lambda: run_transactions(TransactionsConfig(
         nranks=4, txns_per_rank=10, slots_per_rank=8, cores_per_node=2,
         work_in_epoch_us=4.0, engine=engine, nonblocking=nonblocking,
-        metrics=True, trace=True, causal=True, **stress,
+        metrics=True, causal=True, **stress,
     )).runtime
 
 
@@ -137,7 +135,7 @@ def observer_document() -> str:
     for name, workload in sorted(WORKLOADS.items()):
         for s in SERIES:
             doc[f"{name}/{s.name}"] = _observed(
-                lambda: workload.instrumented(s.engine, s.nonblocking, True, True))
+                lambda: workload.instrumented(s.engine, s.nonblocking, True))
     for label, engine, nonblocking in _TXN_DRIVES:
         for stress, kwargs in _TXN_STRESS:
             doc[f"transactions-{stress}/{label}"] = _observed(

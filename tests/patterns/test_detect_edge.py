@@ -1,13 +1,13 @@
 """Pattern-detector edge cases and taxonomy completeness."""
 
 
+from repro.obs.causal import CausalRecorder
 from repro.patterns.detect import PATTERNS, detect_patterns
-from repro.patterns.trace import Tracer
 from repro.simtime import Simulator
 
 
-def make_tracer():
-    return Tracer(Simulator(), enabled=True)
+def make_recorder():
+    return CausalRecorder(Simulator())
 
 
 class TestTaxonomy:
@@ -23,7 +23,7 @@ class TestTaxonomy:
 
         import numpy as np
 
-        rt = make_runtime(2, trace=True)
+        rt = make_runtime(2, causal=True)
 
         def app(proc):
             win = yield from proc.win_allocate(2 << 20)
@@ -38,35 +38,36 @@ class TestTaxonomy:
                 yield from win.wait_epoch()
 
         rt.run(app)
-        inst = detect_patterns(rt.tracer)
+        inst = detect_patterns(rt.causal)
         assert not any(i.pattern == "early_transfer" for i in inst)
 
 
 class TestBlockPairing:
     def test_unmatched_enter_ignored(self):
-        tracer = make_tracer()
-        tracer.emit("block_enter", 0, 0, call="complete")
-        # no matching exit (rank still blocked at trace end)
-        assert detect_patterns(tracer) == []
+        rec = make_recorder()
+        rec.begin("block", 0, 0, meta={"call": "complete"})
+        # never ended (rank still blocked when the run stopped)
+        assert detect_patterns(rec) == []
 
     def test_exit_without_enter_ignored(self):
-        tracer = make_tracer()
-        tracer.emit("block_exit", 0, 0, call="complete")
-        assert detect_patterns(tracer) == []
+        # Arrivals with no block around them classify nothing.
+        rec = make_recorder()
+        rec.instant("grant", 0, 0, meta={"granter": 1})
+        rec.instant("op", 0, 0)
+        assert detect_patterns(rec) == []
 
     def test_min_duration_filters_slivers(self):
-        tracer = make_tracer()
-        tracer.emit("block_enter", 0, 0, call="wait")
-        tracer.emit("block_exit", 0, 0, call="wait")
+        rec = make_recorder()
+        rec.instant("block", 0, 0, meta={"call": "wait"})
         # Zero-duration block: below any positive min_duration.
-        assert detect_patterns(tracer, min_duration=1.0) == []
+        assert detect_patterns(rec, min_duration=1.0) == []
 
     def test_instances_sorted_by_time(self):
         from tests.conftest import make_runtime
 
         import numpy as np
 
-        rt = make_runtime(2, trace=True)
+        rt = make_runtime(2, causal=True)
 
         def origin(proc):
             win = yield from proc.win_allocate(64)
@@ -85,7 +86,7 @@ class TestBlockPairing:
                 yield from win.wait_epoch()
 
         rt.run_mixed({0: origin, 1: target})
-        inst = detect_patterns(rt.tracer)
+        inst = detect_patterns(rt.causal)
         starts = [i.start for i in inst]
         assert starts == sorted(starts)
         assert sum(1 for i in inst if i.pattern == "late_complete") == 2

@@ -1,79 +1,40 @@
-"""Tracer mechanics."""
+"""The causal recorder as the pattern detector's timeline: block spans,
+grant instants and the one ``causal=`` switch."""
 
-import re
-from pathlib import Path
+import numpy as np
 
-import pytest
+from repro.obs.causal import CausalRecorder
+from tests.conftest import make_runtime
 
-from repro.patterns.trace import EVENT_KINDS, Tracer
+
+def _kinds(rt):
+    return {s.kind for s in rt.causal.spans}
 
 
 class TestTracer:
-    def test_disabled_records_nothing(self, sim):
-        t = Tracer(sim, enabled=False)
-        t.emit("epoch_open", 0, 0)
-        assert len(t) == 0
+    def test_disabled_records_nothing(self):
+        # Off is the absence of a recorder: every layer holds None.
+        rt = make_runtime(2)
+        assert rt.causal is None and rt.sim.causal is None
+        assert rt.fabric.causal is None
+        assert all(eng.causal is None for eng in rt.engines)
 
     def test_enabled_records_with_time(self, sim):
-        t = Tracer(sim, enabled=True)
-        sim.schedule(5.0, t.emit, "epoch_open", 1, 0)
+        rec = CausalRecorder(sim)
+        sim.schedule(5.0, rec.instant, "grant", 1, 0)
         sim.run()
-        assert len(t) == 1
-        ev = t.events[0]
-        assert ev.time == 5.0 and ev.rank == 1 and ev.kind == "epoch_open"
-
-    def test_unknown_kind_rejected(self, sim):
-        t = Tracer(sim, enabled=True)
-        with pytest.raises(ValueError):
-            t.emit("bogus_event", 0, 0)
-
-    def test_kind_registry_covers_detector_needs(self):
-        for needed in ("block_enter", "block_exit", "grant_recv", "op_delivered"):
-            assert needed in EVENT_KINDS
-
-    def test_every_emitted_kind_is_registered(self):
-        # Static scan: every string literal passed to _trace()/emit()
-        # anywhere in src must be a registered event kind, so a typo at
-        # an instrumentation site fails here instead of only at runtime
-        # in a traced run.
-        src = Path(__file__).resolve().parents[2] / "src"
-        pattern = re.compile(r"""(?:_trace|\.emit)\(\s*["'](\w+)["']""")
-        emitted = {
-            kind
-            for path in src.rglob("*.py")
-            for kind in pattern.findall(path.read_text(encoding="utf-8"))
-        }
-        assert emitted, "static scan found no instrumentation sites"
-        unknown = emitted - set(EVENT_KINDS)
-        assert not unknown, f"emitted kinds missing from EVENT_KINDS: {sorted(unknown)}"
-        # ...and the reverse: a registered kind nothing emits is dead.
-        unused = set(EVENT_KINDS) - emitted
-        assert not unused, f"registered kinds with no emission site: {sorted(unused)}"
-
-    def test_queries(self, sim):
-        t = Tracer(sim, enabled=True)
-        t.emit("epoch_open", 0, 0, epoch=1)
-        t.emit("epoch_open", 1, 0, epoch=2)
-        t.emit("epoch_complete", 0, 0, epoch=1)
-        assert len(t.of_kind("epoch_open")) == 2
-        assert len(t.for_rank(0)) == 2
-        assert len(t.for_epoch(0, 1)) == 2
-        t.clear()
-        assert len(t) == 0
+        (span,) = rec.spans
+        assert span.t0 == span.t1 == 5.0 and span.rank == 1 and span.kind == "grant"
 
     def test_detail_kwargs_stored(self, sim):
-        t = Tracer(sim, enabled=True)
-        t.emit("block_enter", 0, 0, call="complete")
-        assert t.events[0].detail == {"call": "complete"}
+        rec = CausalRecorder(sim)
+        sid = rec.begin("block", 0, 0, meta={"call": "complete"})
+        assert rec.spans[sid].meta == {"call": "complete"}
 
 
 class TestRuntimeIntegration:
     def test_runtime_traces_epochs(self):
-        import numpy as np
-
-        from tests.conftest import make_runtime
-
-        rt = make_runtime(2, trace=True)
+        rt = make_runtime(2, causal=True)
 
         def app(proc):
             win = yield from proc.win_allocate(64)
@@ -85,15 +46,15 @@ class TestRuntimeIntegration:
             yield from proc.barrier()
 
         rt.run(app)
-        kinds = {e.kind for e in rt.tracer.events}
-        assert "epoch_open" in kinds
-        assert "epoch_complete" in kinds
-        assert "op_issue" in kinds
-        assert "lock_grant" in kinds
+        assert {"epoch", "op", "grant", "block"} <= _kinds(rt)
+        (block,) = [s for s in rt.causal.spans if s.kind == "block"]
+        assert block.rank == 0 and block.meta == {"call": "unlock"}
+        # The lock opens at once; the grant lands while unlock drains.
+        (grant,) = [s for s in rt.causal.spans if s.kind == "grant"]
+        assert grant.rank == 0 and grant.meta == {"granter": 1}
+        assert block.t0 < grant.t0 < block.t1
 
     def test_tracing_off_by_default(self):
-        from tests.conftest import make_runtime
-
         rt = make_runtime(2)
 
         def app(proc):
@@ -101,17 +62,12 @@ class TestRuntimeIntegration:
             yield from proc.barrier()
 
         rt.run(app)
-        assert len(rt.tracer) == 0
+        assert rt.causal is None
 
     def test_tracing_off_emits_nothing_under_load(self, engine):
-        # A run with epochs, ops, locks and grants must leave the
-        # disabled tracer completely empty on both engines.
-        import numpy as np
-
+        # A run with epochs, ops, locks, grants and blocking calls holds
+        # no recorder when off, and arming one moves no virtual time.
         from repro.rma import MODE_NOSUCCEED
-        from tests.conftest import make_runtime
-
-        rt = make_runtime(3, engine, cores_per_node=2)
 
         def app(proc):
             win = yield from proc.win_allocate(256)
@@ -124,6 +80,10 @@ class TestRuntimeIntegration:
             yield from win.unlock(0)
             yield from proc.barrier()
 
-        rt.run(app)
-        assert len(rt.tracer) == 0
-        assert rt.tracer.events == []
+        off, on = (make_runtime(3, engine, cores_per_node=2, causal=c) for c in (False, True))
+        off.run(app)
+        on.run(app)
+        assert off.causal is None
+        assert {"block", "grant"} <= _kinds(on)
+        assert off.now == on.now
+        assert off.stats().messages_sent == on.stats().messages_sent

@@ -7,7 +7,7 @@ from repro import MPIRuntime
 
 
 def run_gats_pair(cores_per_node):
-    rt = MPIRuntime(2, cores_per_node=cores_per_node, engine="nonblocking", trace=True)
+    rt = MPIRuntime(2, cores_per_node=cores_per_node, engine="nonblocking", causal=True)
 
     def app(proc):
         win = yield from proc.win_allocate(64)
@@ -25,18 +25,21 @@ def run_gats_pair(cores_per_node):
     return rt
 
 
+def _kinds(rt):
+    """Span kinds of the run, message spans named by their payload."""
+    return [s.meta["ptype"] if s.kind == "msg" else s.kind for s in rt.causal.spans]
+
+
 class TestDoneRouting:
     def test_intranode_done_uses_fifo(self):
         rt = run_gats_pair(cores_per_node=2)  # same node
-        dones = [e for e in rt.tracer.events if e.kind == "done_recv"]
-        assert dones, "no done received"
-        assert all(e.detail.get("via") == "fifo" for e in dones)
+        assert _kinds(rt).count("done.fifo") == 1, "no done sent"
+        assert "DonePacket" not in _kinds(rt)
 
     def test_internode_done_uses_packet(self):
         rt = run_gats_pair(cores_per_node=1)  # distinct nodes
-        dones = [e for e in rt.tracer.events if e.kind == "done_recv"]
-        assert dones
-        assert all(e.detail.get("via") != "fifo" for e in dones)
+        assert _kinds(rt).count("DonePacket") == 1
+        assert "done.fifo" not in _kinds(rt)
 
     def test_fifo_notification_is_8_bytes(self):
         """The §VII-D channel deals only in 64-bit packets."""

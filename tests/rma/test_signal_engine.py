@@ -214,7 +214,7 @@ class TestRequestBased:
 
 class TestObservability:
     def test_signal_metrics_and_trace(self):
-        rt = signal_runtime(2, metrics=True, trace=True)
+        rt = signal_runtime(2, metrics=True, causal=True)
 
         def app(proc):
             win = yield from proc.win_allocate(8)
@@ -233,8 +233,10 @@ class TestObservability:
         counters = summary["counters"]
         assert counters["signal.sent"] >= 2  # at least GRANT + DONE
         assert counters["signal.recv"] == counters["signal.sent"]
-        kinds = {e.kind for e in rt.tracer.events}
-        assert {"signal_sent", "signal_recv"} <= kinds
+        spans = rt.causal.spans
+        sent = [s for s in spans if s.kind == "signal"]
+        landed = [s for s in spans if s.kind == "msg" and s.meta["ptype"] == "SignalUpdate"]
+        assert len(sent) == len(landed) == counters["signal.sent"]
 
     def test_no_leaks_after_drain(self):
         rt = signal_runtime(2)

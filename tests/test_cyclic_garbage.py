@@ -62,7 +62,7 @@ def _assert_none(found: Counter) -> None:
 def test_registry_cell_makes_no_cyclic_garbage(cyclic_garbage, workload, series, observers):
     w = WORKLOADS[workload]
     if observers:
-        w.instrumented(series.engine, series.nonblocking, True, True)
+        w.instrumented(series.engine, series.nonblocking, True)
     else:
         w.oracle(series.engine, series.nonblocking, None)
     _assert_none(cyclic_garbage)

@@ -86,7 +86,7 @@ from .rma import (
 )
 from .simtime import Simulator
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "MPIRuntime",

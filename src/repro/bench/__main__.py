@@ -56,8 +56,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from ..workloads import SERIES
 from .check import baseline_error, compare_docs
-from .harness import SERIES
 from .registry import FIGURES, collect_json, figure_doc, render
 from .scaling import (
     RANKS_FULL,
@@ -88,7 +88,7 @@ def run_meta() -> dict:
         rev = None
     return {
         "seed": None,
-        "engines": [s.name for s in SERIES],
+        "engines": [s.label for s in SERIES],
         "fault_plan": None,  # the §VIII microbenchmarks run fault-free
         "git_rev": rev,
         "python": platform.python_version(),

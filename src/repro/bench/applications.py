@@ -34,8 +34,8 @@ from ..apps import (
 )
 from ..apps.factdb import reference_table
 from ..network.model import NetworkModel
+from ..workloads import SERIES
 from .calibration import BANDWIDTHS
-from .harness import SERIES
 
 __all__ = [
     "MODES",
@@ -118,14 +118,14 @@ def lu_panel(m: int) -> tuple[Rows, Rows]:
     (ms) and communication share (%) per series and job size.  Cached:
     the two figures of a pair read one run (treat the rows as
     read-only)."""
-    times: Rows = {s.name: {} for s in SERIES}
-    comm: Rows = {s.name: {} for s in SERIES}
+    times: Rows = {s.label: {} for s in SERIES}
+    comm: Rows = {s.label: {} for s in SERIES}
     for s in SERIES:
         for n in LU_RANKS:
             res = run_lu(LUConfig(nranks=n, m=m, engine=s.engine, nonblocking=s.nonblocking,
                                   work_per_cell_us=0.08, cores_per_node=1, model=LU_MODEL))
-            times[s.name][str(n)] = res.elapsed_us / 1e3
-            comm[s.name][str(n)] = 100.0 * res.comm_fraction
+            times[s.label][str(n)] = res.elapsed_us / 1e3
+            comm[s.label][str(n)] = 100.0 * res.comm_fraction
     return times, comm
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harness import SERIES
+from ..workloads import SERIES
 
 __all__ = ["NRANKS", "INVOCATIONS", "WORK_US", "SHAPES", "coll_overlap_rows"]
 
@@ -84,7 +84,7 @@ def coll_overlap_rows() -> dict[str, dict[str, float]]:
     """Rows of the ``coll_overlap`` figure: series -> shape -> µs."""
     shapes = _shape_counts()
     return {
-        s.name: {name: _run_cell(s.engine, s.nonblocking, counts)
-                 for name, counts in shapes.items()}
+        s.label: {name: _run_cell(s.engine, s.nonblocking, counts)
+                  for name, counts in shapes.items()}
         for s in SERIES
     }

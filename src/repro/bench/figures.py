@@ -16,8 +16,8 @@ import numpy as np
 from ..mpi.runtime import DEFAULT_ENGINE, MPIRuntime
 from ..network.model import NetworkModel
 from ..rma.flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R
+from ..workloads import Series
 from .calibration import DELAY_US, default_model
-from .harness import Series
 
 __all__ = [
     "SIZES_4B_TO_1MB",

@@ -1,41 +1,18 @@
-"""Series definitions and table rendering for the benchmark harness.
+"""Table rendering for the benchmark harness.
 
 The paper compares three test series (§VIII): "MVAPICH" (vanilla RMA),
 "New" (the redesigned engine driven by blocking calls), and "New
 nonblocking" (the redesigned engine driven by the §V API).  The figures
-of :mod:`repro.bench.registry` sweep these series (plus "Signal") and
-print the rows the corresponding paper figure plots.
+of :mod:`repro.bench.registry` sweep these series (plus "Signal",
+:data:`repro.workloads.SERIES`) and print, under each series' ``label``,
+the rows the corresponding paper figure plots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ..workloads import SERIES as _SERIES_TABLE
-
-__all__ = ["Series", "SERIES", "series_label", "format_table"]
-
-
-@dataclass(frozen=True)
-class Series:
-    """One test series: which engine, driven how."""
-
-    name: str
-    engine: str
-    nonblocking: bool
-
-
-#: The canonical series table (:data:`repro.workloads.SERIES`) under the
-#: bench harness's display names.
-SERIES: tuple[Series, ...] = tuple(
-    Series(s.label, s.engine, s.nonblocking) for s in _SERIES_TABLE
-)
-
-
-def series_label(series: Series) -> str:
-    """Short display label."""
-    return series.name
+__all__ = ["format_table"]
 
 
 def format_table(

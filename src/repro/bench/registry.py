@@ -20,14 +20,12 @@ from typing import Callable
 from ..network.model import NetworkModel
 from ..obs.causal import CATEGORIES
 from ..obs.critpath import critpath_report
-from ..workloads import CLASSIC_WORKLOADS
-from ..workloads import SERIES as _SERIES_TABLE
-from ..workloads import run_instrumented
+from ..workloads import CLASSIC_WORKLOADS, SERIES, run_instrumented
 from . import applications as apps
 from . import figures
 from .calibration import BANDWIDTHS, DELAY_US, default_model
 from .coll_overlap import SHAPES, coll_overlap_rows
-from .harness import SERIES, format_table
+from .harness import format_table
 from .scaling import RANKS_FULL, collapse_rows, run_scaling
 
 __all__ = ["Figure", "FIGURES", "render", "figure_doc", "collect_json"]
@@ -50,12 +48,12 @@ class Figure:
 
 
 def _series_rows(fn) -> Callable[[], Rows]:
-    return lambda: {s.name: fn(s) for s in SERIES}
+    return lambda: {s.label: fn(s) for s in SERIES}
 
 
 def _size_rows(fn, metric: str, sizes: dict[str, int]) -> Callable[[], Rows]:
     return lambda: {
-        s.name: {label: fn(s, n)[metric] for label, n in sizes.items()} for s in SERIES
+        s.label: {label: fn(s, n)[metric] for label, n in sizes.items()} for s in SERIES
     }
 
 
@@ -140,7 +138,7 @@ def _protocol_cost_rows() -> Rows:
     is exact-equality, so registry growth must not change this figure.
     """
     rows: Rows = {}
-    for series in _SERIES_TABLE:
+    for series in SERIES:
         for workload in CLASSIC_WORKLOADS:
             runtime = run_instrumented(workload, series.name, metrics=False)
             blocked = critpath_report(runtime, include_epochs=False)["blocked_ns"]

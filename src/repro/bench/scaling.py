@@ -52,8 +52,8 @@ import numpy as np
 from ..mpi.runtime import MPIRuntime
 from ..rma.flags import A_A_A_R
 from ..rma.window import LOCK_SHARED
+from ..workloads import SERIES, Series
 from .calibration import default_model
-from .harness import SERIES, Series
 
 __all__ = [
     "RANKS_FULL",
@@ -154,7 +154,7 @@ def run_cell(series: Series, nranks: int, rounds: int = ROUNDS,
     puts = sum(r or 0 for r in results)
     events = rt.sim.events_scheduled
     return {
-        "series": series.name,
+        "series": series.label,
         "nranks": nranks,
         "puts": puts,
         "events": events,
@@ -191,7 +191,7 @@ def run_scaling(ranks: tuple[int, ...] = RANKS_FULL, samples: int = 1) -> dict[s
     fields must be identical across samples (a mismatch raises — the
     simulation went nondeterministic); the minimum wall time is kept.
     """
-    cells: dict[str, dict[int, dict[str, Any]]] = {s.name: {} for s in SERIES}
+    cells: dict[str, dict[int, dict[str, Any]]] = {s.label: {} for s in SERIES}
     for nranks in ranks:
         for series in SERIES:
             runs = [run_cell(series, nranks) for _ in range(max(1, samples))]
@@ -200,12 +200,12 @@ def run_scaling(ranks: tuple[int, ...] = RANKS_FULL, samples: int = 1) -> dict[s
                 for field in DETERMINISTIC_FIELDS:
                     if later[field] != first[field]:
                         raise RuntimeError(
-                            f"nondeterministic scaling cell {series.name}@"
+                            f"nondeterministic scaling cell {series.label}@"
                             f"{nranks}: {field} {first[field]} != {later[field]}"
                         )
             first["wall_s"] = min(r["wall_s"] for r in runs)
             first["wall_per_event_us"] = min(r["wall_per_event_us"] for r in runs)
-            cells[series.name][nranks] = first
+            cells[series.label][nranks] = first
     slopes = {
         name: fit_loglog_slope(
             [float(n) for n in ranks],

@@ -28,7 +28,7 @@ from .plan import FaultKind, FaultPlan, fault_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.fabric import Fabric
-    from ..network.packets import Message
+    from ..network.packets import SendTicket
     from ..simtime import Simulator
 
 __all__ = ["Disposition", "FaultInjector"]
@@ -60,9 +60,9 @@ class FaultInjector:
         #: Per-rule ordinal counters (see :meth:`FaultRule.fires`).
         self._rule_matches = [0] * len(plan.rules)
         #: Separate per-rule ordinals for ack packets (acks carry no
-        #: Message uid and must not perturb data-packet ordinals).
+        #: message uid and must not perturb data-packet ordinals).
         self._ack_rule_matches = [0] * len(plan.rules)
-        #: Message uids are process-global; fault draws use offsets from
+        #: Ticket uids are process-global; fault draws use offsets from
         #: the first uid this run shows us, so a plan reproduces the
         #: same faults no matter how many runtimes ran before it.
         self._uid_base: int | None = None
@@ -112,22 +112,23 @@ class FaultInjector:
                 extra += rf.slow_extra_us
         return extra
 
-    def disposition(self, msg: "Message", attempt: int, now: float) -> Disposition:
-        """Fate of one transmission attempt of ``msg``.
+    def disposition(self, ticket: "SendTicket", attempt: int, now: float) -> Disposition:
+        """Fate of one transmission attempt of ``ticket``.
 
-        ``attempt`` feeds the stateless draw so retransmissions of the
-        same packet get independent decisions.
+        ``attempt`` (counted from the last delivery) feeds the stateless
+        draw with ``ticket.uid``, so retransmissions of the same packet
+        get independent decisions.
         """
         d = Disposition()
-        uid = self._rel_uid(msg.uid)
-        if self.rank_dead(msg.src, now) or self.rank_dead(msg.dst, now):
+        uid = self._rel_uid(ticket.uid)
+        if self.rank_dead(ticket.src, now) or self.rank_dead(ticket.dst, now):
             d.drop = True
             d.reason = "failstop"
             self.counters["failstop_drops"] += 1
             return d
-        d.delay_us = self._slow_extra(msg.src, msg.dst, now)
+        d.delay_us = self._slow_extra(ticket.src, ticket.dst, now)
         for i, rule in enumerate(self.plan.rules):
-            if not rule.matches(msg.src, msg.dst, msg.kind, now):
+            if not rule.matches(ticket.src, ticket.dst, ticket.kind, now):
                 continue
             ordinal = self._rule_matches[i]
             self._rule_matches[i] += 1

@@ -126,12 +126,11 @@ class ReliabilityLayer:
     def track(self, ticket: "SendTicket") -> None:
         """Assign the packet its per-pair sequence number and register
         it for ack/retransmit handling (called once per logical send)."""
-        msg = ticket.message
-        key = (msg.src, msg.dst)
+        key = (ticket.src, ticket.dst)
         seq = self._next_seq.get(key, 0)
         self._next_seq[key] = seq + 1
         ticket.rel_seq = seq
-        self._pending[(msg.src, msg.dst, seq)] = _SendState(ticket, seq, self.sim.now)
+        self._pending[(ticket.src, ticket.dst, seq)] = _SendState(ticket, seq, self.sim.now)
 
     def on_attempt(self, ticket: "SendTicket", delivery_delay_us: float) -> None:
         """One transmission attempt went on the wire; arm its timer.
@@ -141,8 +140,7 @@ class ReliabilityLayer:
         retry timer starts counting from when the ack could plausibly
         have returned.
         """
-        msg = ticket.message
-        st = self._pending.get((msg.src, msg.dst, ticket.rel_seq))
+        st = self._pending.get((ticket.src, ticket.dst, ticket.rel_seq))
         if st is None:  # acked while queued on flow control
             return
         prev_sent = st.last_sent_us
@@ -155,8 +153,8 @@ class ReliabilityLayer:
                 # The span covers the lost-attempt window: from the
                 # previous transmission to this retransmission.
                 sid = causal.begin(
-                    "retransmit", rank=msg.src,
-                    meta={"dst": msg.dst, "seq": st.seq,
+                    "retransmit", rank=ticket.src,
+                    meta={"dst": ticket.dst, "seq": st.seq,
                           "attempt": st.attempts},
                 )
                 span = causal.spans[sid]
@@ -164,7 +162,7 @@ class ReliabilityLayer:
                 span.parent = ticket.causal_sid
                 causal.end(sid)
         patience = delivery_delay_us + self.cfg.rto_for_attempt(st.attempts)
-        self.sim.schedule(patience, self._check, msg.src, msg.dst, ticket.rel_seq,
+        self.sim.schedule(patience, self._check, ticket.src, ticket.dst, ticket.rel_seq,
                           st.attempts)
 
     def _check(self, src: int, dst: int, seq: int, attempt_no: int) -> None:
@@ -180,21 +178,21 @@ class ReliabilityLayer:
 
     def _fail(self, st: _SendState) -> None:
         self.delivery_failures += 1
-        msg = st.ticket.message
+        ticket = st.ticket
         assert self.fabric is not None
         injector = self.fabric.injector
         raise RmaDeliveryError(
-            f"undeliverable packet {msg.src}->{msg.dst} seq={st.seq} "
-            f"({type(msg.payload).__name__}, {msg.nbytes}B): "
+            f"undeliverable packet {ticket.src}->{ticket.dst} seq={st.seq} "
+            f"({type(ticket.payload).__name__}, {ticket.nbytes}B): "
             f"{st.attempts} attempts over "
             f"{self.sim.now - st.created_us:.1f}µs",
-            src=msg.src,
-            dst=msg.dst,
+            src=ticket.src,
+            dst=ticket.dst,
             seq=st.seq,
             attempts=st.attempts,
-            nbytes=msg.nbytes,
-            payload_type=type(msg.payload).__name__,
-            service=msg.kind.value,
+            nbytes=ticket.nbytes,
+            payload_type=type(ticket.payload).__name__,
+            service=ticket.kind.value,
             first_sent_us=st.created_us,
             failed_at_us=self.sim.now,
             fault_counters=dict(injector.counters) if injector is not None else {},
@@ -203,10 +201,9 @@ class ReliabilityLayer:
     # -- receiver side ---------------------------------------------------
     def on_wire_arrival(self, ticket: "SendTicket") -> None:
         """An attempt physically arrived: ack it, dedupe, admit in order."""
-        msg = ticket.message
-        key = (msg.src, msg.dst)
+        key = (ticket.src, ticket.dst)
         seq = ticket.rel_seq
-        self._send_ack(msg.dst, msg.src, seq)
+        self._send_ack(ticket.dst, ticket.src, seq)
         nxt = self._recv_next.get(key, 0)
         buf = self._recv_buffer.setdefault(key, {})
         if seq < nxt or seq in buf:

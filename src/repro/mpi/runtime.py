@@ -27,8 +27,8 @@ Engines
     foMPI-style notified-access surface (``put_notify``/``get_notify``/
     ``notify_wait``; see :mod:`repro.rma.engine.signal`).
 
-The name table lives in :mod:`repro.rma.engine.registry`; legacy
-spellings resolve through :func:`~repro.rma.engine.registry.canonical_engine`.
+The name table lives in :mod:`repro.rma.engine.registry`; names resolve
+through :func:`~repro.rma.engine.registry.canonical_engine`.
 """
 
 from __future__ import annotations

@@ -7,11 +7,11 @@ performance differences between engines come only from synchronization
 design, never from transport differences.
 """
 
-from .fabric import Fabric, SendTicket
+from .fabric import Fabric
 from .flowcontrol import CreditPool, FlowControl
 from .model import NetworkModel
 from .nic import AttentionGate, NicPorts
-from .packets import Message, ServiceKind
+from .packets import SendTicket, ServiceKind
 from .regcache import RegistrationCache
 from .shmem import (
     NotificationAuthError,
@@ -33,7 +33,6 @@ __all__ = [
     "NetworkModel",
     "NicPorts",
     "AttentionGate",
-    "Message",
     "ServiceKind",
     "RegistrationCache",
     "ClusterTopology",

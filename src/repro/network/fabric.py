@@ -1,6 +1,6 @@
-"""The simulated fabric: moves :class:`~repro.network.packets.Message`
-objects between ranks under the cost model, port contention, flow control,
-registration-cache and host-attention constraints.
+"""The simulated fabric: moves :class:`~repro.network.packets.SendTicket`
+messages between ranks under the cost model, port contention, flow
+control, registration-cache and host-attention constraints.
 
 The fabric is *omniscient* (it sees both endpoints' port schedules), which
 is the standard trick that lets a discrete-event model enforce cut-through
@@ -36,14 +36,14 @@ from ..obs.metrics import BYTES_BUCKETS
 from .flowcontrol import CreditPool, FlowControl
 from .model import NetworkModel
 from .nic import AttentionGateTable, NicPorts
-from .packets import Message, ServiceKind
+from .packets import SendTicket, ServiceKind
 from .regcache import RegistrationCache
 from .topology import ClusterTopology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
     from ..faults.reliability import ReliabilityLayer
-    from ..simtime import Position, SimEvent, Simulator
+    from ..simtime import Simulator
 
 __all__ = ["Fabric", "SendTicket"]
 
@@ -51,153 +51,6 @@ DeliveryHandler = Callable[[Any, int], None]
 
 #: ``fabric.sends.<kind>`` counter names, formatted once.
 _SENDS_COUNTER = {kind: f"fabric.sends.{kind.name.lower()}" for kind in ServiceKind}
-
-
-class SendTicket:
-    """Handle returned by :meth:`Fabric.send`.
-
-    Completion is exposed two ways:
-
-    - **Flat callbacks** (:meth:`on_local_complete`, :meth:`on_delivered`):
-      ``fn(*args)`` runs at the completion instant via one zero-delay
-      schedule — no event object, no closure.  This is the hot path the
-      RMA engines and the p2p layer use.
-    - **Lazily created events** (:attr:`local_complete`,
-      :attr:`delivered` properties): a real
-      :class:`~repro.simtime.events.SimEvent` built on first access, for
-      code that wants to ``yield`` on a send.  An event requested after
-      the fact triggers immediately with ``trigger_time`` backdated to
-      the actual completion instant.
-
-    *Local complete* fires when the source buffer is reusable (out-port
-    done serializing) — the MPI "local completion" notion used by
-    ``flush_local``.  Until somebody listens it is only a position
-    reserved in the kernel's event order; the first listener claims it,
-    or finds the clock beyond it and takes the after-the-fact path.
-    *Delivered* fires when the payload has been handled
-    at the destination (after the attention gate, for attention-requiring
-    messages).  Under the reliability layer that is the *first
-    successful* delivery; retransmissions and ghost duplicates never
-    refire.  ``rel_seq`` is the per-(src, dst) sequence number assigned
-    by the reliability layer (``None`` when absent or for loopback).
-    """
-
-    __slots__ = (
-        "sim", "message", "rel_seq", "sent_us", "causal_sid",
-        "_local_pos", "_local_done", "_local_time", "_local_cbs", "_local_event",
-        "_delivered_done", "_delivered_time", "_payload", "_delivered_cbs",
-        "_delivered_event",
-    )
-
-    def __init__(self, sim: "Simulator", message: Message):
-        self.sim = sim
-        self.message = message
-        self.rel_seq: int | None = None
-        #: Message span id when causal recording is on (else None).
-        self.causal_sid: int | None = None
-        #: Virtual time of the originating send() call (metrics).
-        self.sent_us: float = sim._now
-        #: ``False`` until the first attempt or listener; the reserved
-        #: position of local completion while nobody listens; ``None``
-        #: once ``_fire_local`` has its own heap entry (or has run).
-        self._local_pos: "Position | None | bool" = False
-        self._local_done = False
-        self._local_time: float | None = None
-        self._local_cbs: list[tuple[Callable[..., None], tuple]] | None = None
-        self._local_event: "SimEvent | None" = None
-        self._delivered_done = False
-        self._delivered_time: float | None = None
-        self._payload: Any = None
-        self._delivered_cbs: list[tuple[Callable[..., None], tuple]] | None = None
-        self._delivered_event: "SimEvent | None" = None
-
-    # -- flat completion callbacks ----------------------------------------
-    def on_local_complete(self, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` when the source buffer becomes reusable
-        (immediately-but-asynchronously if it already is)."""
-        if self._local_pos is not None:
-            self._listen_local()
-        if self._local_done:
-            self.sim.schedule(0.0, fn, *args)
-        elif self._local_cbs is None:
-            self._local_cbs = [(fn, args)]
-        else:
-            self._local_cbs.append((fn, args))
-
-    def on_delivered(self, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` when the payload is handled at the
-        destination (immediately-but-asynchronously if it already was)."""
-        if self._delivered_done:
-            self.sim.schedule(0.0, fn, *args)
-        elif self._delivered_cbs is None:
-            self._delivered_cbs = [(fn, args)]
-        else:
-            self._delivered_cbs.append((fn, args))
-
-    # -- firing (fabric-internal) ------------------------------------------
-    def _listen_local(self) -> None:
-        """The first listener arrives: from here on local completion is
-        a callback — unless it was reserved and the clock is beyond it,
-        in which case it happened at the reserved time."""
-        pos, self._local_pos = self._local_pos, None
-        if pos:
-            sim = self.sim
-            if pos[0] > sim._now or not sim.passed(pos):
-                sim.claim(pos, self._fire_local)
-            else:
-                self._local_done = True
-                self._local_time = pos[0]
-
-    def _fire_local(self) -> None:
-        if self._local_done or self._local_pos:
-            # Retransmissions re-serialize the same buffer; "buffer
-            # reusable" fired (or is reserved) at the first serialization.
-            return
-        self._local_done = True
-        sim = self.sim
-        self._local_time = sim._now
-        cbs, self._local_cbs = self._local_cbs, None
-        if cbs is not None:
-            for fn, args in cbs:
-                sim.schedule(0.0, fn, *args)
-        if self._local_event is not None:
-            self._local_event.trigger()
-
-    def _wake_delivered(self) -> None:
-        """Delivery just happened, recorded by the fabric: tell who listens."""
-        cbs, self._delivered_cbs = self._delivered_cbs, None
-        if cbs is not None:
-            for fn, args in cbs:
-                self.sim.schedule(0.0, fn, *args)
-        if self._delivered_event is not None:
-            self._delivered_event.trigger(self._payload)
-
-    # -- lazily materialized events ----------------------------------------
-    @property
-    def local_complete(self) -> "SimEvent":
-        """Event form of local completion (created on first access)."""
-        ev = self._local_event
-        if ev is None:
-            if self._local_pos is not None:
-                self._listen_local()
-            ev = self._local_event = self.sim.event(f"msg{self.message.uid}.local")
-            if self._local_done:
-                ev.trigger()
-                # Backdate to the actual completion instant: the event
-                # was materialized after the fact.
-                ev.trigger_time = self._local_time
-        return ev
-
-    @property
-    def delivered(self) -> "SimEvent":
-        """Event form of remote delivery (created on first access)."""
-        ev = self._delivered_event
-        if ev is None:
-            ev = self._delivered_event = self.sim.event(f"msg{self.message.uid}.delivered")
-            if self._delivered_done:
-                ev.trigger(self._payload)
-                ev.trigger_time = self._delivered_time
-        return ev
 
 
 class Fabric:
@@ -249,10 +102,6 @@ class Fabric:
         #: becomes a span from send() to _deliver(); the delivery
         #: handler runs under the message's causal context.
         self.causal = None
-        #: Per-message transmission attempt counts (uid -> attempts);
-        #: only maintained when an injector or the reliability layer is
-        #: active.
-        self._attempts: dict[int, int] = {}
         # Traffic accounting (used by benchmarks and tests).
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -303,8 +152,8 @@ class Fabric:
         real MPI middleware; it bypasses fault injection and reliability
         (nothing crosses a wire).
         """
-        message = Message(src, dst, nbytes, kind, payload, needs_attention, pin_region)
-        ticket = SendTicket(self.sim, message)
+        ticket = SendTicket(self.sim, src, dst, nbytes, kind, payload, needs_attention,
+                            pin_region)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         m = self.metrics
@@ -337,10 +186,10 @@ class Fabric:
             self.reliability.track(ticket)
             self._dispatch(ticket)
             return ticket
-        # Inline of _dispatch's credit acquisition for the common
-        # non-stalled case: one list-indexed pool probe, no callback
-        # indirection.  Stalls (and the disabled case) keep the full
-        # FlowControl path so accounting and metrics stay identical.
+        # Inline of _dispatch for the common non-stalled case: one pool
+        # probe, no callback indirection.  A stall hands the probed pool
+        # to the full FlowControl path, so accounting and metrics stay
+        # identical.
         flow = self.flow
         if not flow.enabled:
             self._start_transfer(ticket, None)
@@ -350,7 +199,7 @@ class Fabric:
             pool.available -= 1
             self._start_transfer(ticket, pool)
         else:
-            flow.acquire(src, dst, self._start_transfer, ticket, pool)
+            flow.acquire(pool, src, dst, self._start_transfer, ticket, pool)
         return ticket
 
     # -- internals ---------------------------------------------------------
@@ -358,29 +207,29 @@ class Fabric:
         """Acquire a flow-control credit and put one transmission attempt
         on the wire.  Also the reliability layer's retransmission entry
         point — every attempt pays credits and port occupancy."""
-        msg = ticket.message
+        src, dst = ticket.src, ticket.dst
         flow = self.flow
-        pool = flow.pool(msg.src, msg.dst) if flow.enabled else None
-        flow.acquire(msg.src, msg.dst, self._start_transfer, ticket, pool)
+        pool = flow.pool(src, dst) if flow.enabled else None
+        flow.acquire(pool, src, dst, self._start_transfer, ticket, pool)
 
     def _start_transfer(self, ticket: SendTicket, pool: CreditPool | None) -> None:
         """Put one attempt on the wire; ``pool`` is where its credit
         came from (``None`` with flow control disabled)."""
-        msg = ticket.message
+        src, dst = ticket.src, ticket.dst
         nodes = self._node_id
-        intranode = nodes[msg.src] == nodes[msg.dst]
+        intranode = nodes[src] == nodes[dst]
         sim = self.sim
         now = start = sim._now
-        if msg.pin_region is not None and not intranode:
-            start += self._regcaches[msg.src].pin_cost(*msg.pin_region)
+        if ticket.pin_region is not None and not intranode:
+            start += self._regcaches[src].pin_cost(*ticket.pin_region)
         lat = self._lat[intranode]
-        ser = msg.nbytes / self._bw[intranode]
+        ser = ticket.nbytes / self._bw[intranode]
         if intranode:
-            ports_src = self._ports[msg.src].intranode
-            ports_dst = self._ports[msg.dst].intranode
+            ports_src = self._ports[src].intranode
+            ports_dst = self._ports[dst].intranode
         else:
-            ports_src = self._ports[msg.src].internode
-            ports_dst = self._ports[msg.dst].internode
+            ports_src = self._ports[src].internode
+            ports_dst = self._ports[dst].internode
         # start = max(ready, out_free, in_free - L), see nic.py.
         if ports_src.out_free > start:
             start = ports_src.out_free
@@ -411,11 +260,11 @@ class Fabric:
         reliability = self.reliability
         if reliability is not None:
             arrive = self._arrive
-        elif msg.needs_attention:
+        elif ticket.needs_attention:
             arrive = self._admit
         else:
             arrive = self._deliver
-        net_lane = ("net", msg.src, msg.dst)
+        net_lane = ("net", src, dst)
         if self.injector is None:
             # Per-pair wire arrival order is a fabric contract (the
             # middleware relies on FIFO delivery between two ranks), so
@@ -425,9 +274,9 @@ class Fabric:
                 reliability.on_attempt(ticket, delivery - now)
             return
 
-        attempt = self._attempts.get(msg.uid, 0)
-        self._attempts[msg.uid] = attempt + 1
-        disp = self.injector.disposition(msg, attempt, now)
+        attempt = ticket.attempt
+        ticket.attempt = attempt + 1
+        disp = self.injector.disposition(ticket, attempt, now)
         arrival_delay = delivery - now + disp.delay_us
         if not disp.lost:
             sim.schedule(arrival_delay, arrive, ticket, lane=net_lane)
@@ -451,9 +300,8 @@ class Fabric:
     def _admit(self, ticket: SendTicket) -> None:
         """Deliver one (deduplicated, in-order) packet, gating on host
         attention when the payload needs the destination CPU."""
-        msg = ticket.message
-        if msg.needs_attention:
-            self.attention[msg.dst].submit(self._attn_deliver, ticket)
+        if ticket.needs_attention:
+            self.attention[ticket.dst].submit(self._attn_deliver, ticket)
         else:
             self._deliver(ticket)
 
@@ -465,29 +313,29 @@ class Fabric:
             self.model.host_attention_overhead,
             self._deliver,
             ticket,
-            lane=("attn", ticket.message.dst),
+            lane=("attn", ticket.dst),
         )
 
     def _deliver(self, ticket: SendTicket) -> None:
-        msg = ticket.message
-        if self._attempts:
-            self._attempts.pop(msg.uid, None)
+        # Fault draws count attempts from the last delivery on.
+        ticket.attempt = 0
+        sim = self.sim
         m = self.metrics
         if m is not None:
-            m.observe("fabric.delivery_us", self.sim._now - ticket.sent_us)
+            m.observe("fabric.delivery_us", sim._now - ticket.sent_us)
         causal = self.causal
         if causal is not None and ticket.causal_sid is not None:
             causal.deliver(ticket.causal_sid)
-        payload = msg.payload
-        handler = self._handler_list[msg.dst]
+        handler = self._handler_list[ticket.dst]
         if handler is not None:
-            handler(payload, msg.src)
-        if not ticket._delivered_done:  # an injected duplicate delivers twice
-            ticket._delivered_done = True
-            ticket._delivered_time = self.sim._now
-            ticket._payload = payload
-            if ticket._delivered_cbs is not None or ticket._delivered_event is not None:
-                ticket._wake_delivered()
+            handler(ticket.payload, ticket.src)
+        if ticket.delivered_time is None:  # an injected duplicate delivers twice
+            ticket.delivered_time = sim._now
+            cbs = ticket._delivered_cbs
+            if cbs is not None:
+                ticket._delivered_cbs = None
+                for fn, args in cbs:
+                    sim.schedule(0.0, fn, *args)
 
     # -- reliability-layer ack transport -----------------------------------
     def _send_ack(self, src: int, dst: int, seq: int) -> None:

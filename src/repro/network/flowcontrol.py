@@ -147,8 +147,6 @@ class FlowControl:
         # needed for the probe anyway, so a dense grid buys nothing and
         # costs 16M slots at 4096 ranks).
         self._pools: dict[tuple[int, int], CreditPool] = {}
-        #: Reclaimed idle pools, reused before constructing new ones.
-        self._freelist: list[CreditPool] = []
         #: Optional :class:`repro.obs.MetricsRegistry` (None = disabled).
         self.metrics = None
         #: Optional :class:`repro.obs.causal.CausalRecorder` (None =
@@ -160,38 +158,21 @@ class FlowControl:
         key = (src, dst)
         pool = self._pools.get(key)
         if pool is None:
-            if self._freelist:
-                pool = self._freelist.pop()
-            else:
-                pool = CreditPool(self.capacity if self.enabled else 1, self.sim)
-            self._pools[key] = pool
+            pool = self._pools[key] = CreditPool(self.capacity if self.enabled else 1, self.sim)
         return pool
 
-    def reclaim_idle(self) -> int:
-        """Recycle pools that are back to full credits with no waiters
-        and no recorded stalls (their state is indistinguishable from a
-        fresh pool).  Returns the number reclaimed.  Callers with bursty
-        communication graphs can bound live pool count to the working
-        set; pools with stall statistics are kept so ``pair_stats``
-        stays complete."""
-        idle = []
-        for key, pool in self._pools.items():
-            pool.settle()
-            if pool.available == pool.capacity and not pool._waiters and not pool.stall_count:
-                idle.append(key)
-        for key in idle:
-            self._freelist.append(self._pools.pop(key))
-        return len(idle)
-
-    def acquire(self, src: int, dst: int, on_granted: Callable[..., None], *args: Any) -> None:
-        """Acquire a credit for one packet src→dst (immediate if disabled).
+    def acquire(self, pool: CreditPool | None, src: int, dst: int,
+                on_granted: Callable[..., None], *args: Any) -> None:
+        """Acquire a credit for one packet src→dst from ``pool``, the
+        pair's :meth:`pool` (immediate if disabled; ``pool`` may then be
+        ``None``).  The caller probed the pool already, so it is looked
+        up once per packet.
 
         Extra positional arguments are forwarded to ``on_granted`` when
         the credit is granted (closure-free hot path)."""
         if not self.enabled:
             on_granted(*args)
             return
-        pool = self.pool(src, dst)
         m = self.metrics
         causal = self.causal
         if pool.available <= 0:

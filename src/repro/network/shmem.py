@@ -5,17 +5,18 @@ two RMA windows.  That notification channel deals only with 64-bit
 packets that are used to encode and send intranode lock/unlock requests
 as well as epoch completion packets."
 
-This module provides the packet codec plus the channel object.  The
-channel rides the fabric's intranode path (a NOTIFY message of 8 bytes),
-so it inherits the intranode latency model while exposing a typed
-pop/peek interface to the progress engine.
+Here the channel carries epoch completions only: lock and unlock
+requests travel as control packets on every path.  This module provides
+the packet codec plus the channel object.  The channel rides the
+fabric's intranode path (a NOTIFY message of 8 bytes), so it inherits
+the intranode latency model; the progress engine pops it in step 5.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .packets import ServiceKind
 
@@ -53,22 +54,6 @@ class NotifyKind(enum.IntEnum):
     """Notification opcodes carried in the top byte of a 64-bit packet."""
 
     EPOCH_COMPLETE = 1
-    LOCK_REQUEST_SHARED = 2
-    LOCK_REQUEST_EXCLUSIVE = 3
-    LOCK_GRANT = 4
-    UNLOCK = 5
-    FLUSH_DONE = 6
-
-    @property
-    def is_lock_traffic(self) -> bool:
-        """Whether this opcode belongs to the lock/unlock backlog that
-        progress-engine step 6 batch-processes."""
-        return self in (
-            NotifyKind.LOCK_REQUEST_SHARED,
-            NotifyKind.LOCK_REQUEST_EXCLUSIVE,
-            NotifyKind.LOCK_GRANT,
-            NotifyKind.UNLOCK,
-        )
 
 
 _KIND_SHIFT = 56
@@ -117,11 +102,10 @@ def decode_checked(packet: int, src: int) -> tuple[NotifyKind, int, int]:
     The rank encoded inside the packet is cross-checked against the
     fabric-delivered source rank ``src``: a mismatch means the packet was
     forged or corrupted in transit, and trusting the in-packet rank would
-    misattribute the notification (wrong ``done_id`` slot, wrong lock
-    waiter).  Such packets raise :class:`NotificationAuthError`; malformed
-    ones raise :class:`NotificationDecodeError` first.  This is the single
-    decode path shared by :meth:`NotificationFifo.drain` and the progress
-    engines' flattened step-5 loop.
+    misattribute the notification (wrong ``done_id`` slot).  Such packets
+    raise :class:`NotificationAuthError`; malformed ones raise
+    :class:`NotificationDecodeError` first.  The progress engines' step 5
+    decodes every packet through here.
     """
     kind, rank, value = decode_notification(packet)
     if rank != src:
@@ -137,7 +121,8 @@ class NotificationFifo:
 
     The sending side is :meth:`send`: an 8-byte NOTIFY message on the
     fabric whose delivery appends to the peer's deque.  The progress
-    engine drains the deque in step 5 (:meth:`drain`).
+    engine drains the deque in step 5
+    (:meth:`~repro.rma.engine.base.RmaEngineBase._consume_notifications`).
     """
 
     def __init__(self, fabric: "Fabric", rank: int):
@@ -169,24 +154,6 @@ class NotificationFifo:
         m = self.metrics
         if m is not None:
             m.set_gauge("fifo.depth", len(self._incoming))
-
-    def drain(self, consume: Callable[[NotifyKind, int, int], None]) -> int:
-        """Pop and decode every queued packet, invoking
-        ``consume(kind, sender_rank, value)``; returns the number drained.
-
-        The rank encoded inside each packet is cross-checked against the
-        fabric-delivered source rank: a mismatch means the packet was
-        forged or corrupted in transit, and trusting the in-packet rank
-        would misattribute the notification (wrong ``done_id`` slot,
-        wrong lock waiter).  Such packets are rejected with
-        :class:`NotificationAuthError` instead.
-        """
-        count = 0
-        while self._incoming:
-            packet, src = self._incoming.popleft()
-            consume(*decode_checked(packet, src))
-            count += 1
-        return count
 
     def pending(self) -> list[tuple[NotifyKind, int, int]]:
         """Decode the queued packets without consuming them (diagnostics;

@@ -4,15 +4,10 @@ Every surface that names an engine — ``MPIRuntime(engine=...)``, the
 bench series table, the explore variant table, app configs, CLI
 ``choices`` — resolves through this module, so adding an engine is a
 one-line change here plus a class.
-
-Legacy names keep working through :func:`canonical_engine` with a
-warn-once :class:`DeprecationWarning`, mirroring the info-key shim in
-:mod:`repro.mpi.info`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,7 +16,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
-    "LEGACY_ENGINE_NAMES",
     "canonical_engine",
     "engine_factory",
 ]
@@ -31,41 +25,19 @@ ENGINES: tuple[str, ...] = ("nonblocking", "mvapich", "adaptive", "signal")
 
 DEFAULT_ENGINE = "nonblocking"
 
-#: Historical spellings still accepted by :func:`canonical_engine`.
-LEGACY_ENGINE_NAMES: dict[str, str] = {
-    "new": "nonblocking",
-    "baseline": "mvapich",
-    "counter-signal": "signal",
-}
-
-_warned_legacy: set[str] = set()
-
 
 def canonical_engine(name: str) -> str:
-    """Resolve ``name`` to a canonical engine name.
-
-    Legacy aliases resolve with a warn-once :class:`DeprecationWarning`;
-    unknown names raise :class:`ValueError` listing the valid choices.
-    """
+    """Check that ``name`` is an engine name and return it; unknown
+    names raise :class:`ValueError` listing the valid choices."""
     if name in ENGINES:
         return name
-    if name in LEGACY_ENGINE_NAMES:
-        canonical = LEGACY_ENGINE_NAMES[name]
-        if name not in _warned_legacy:
-            _warned_legacy.add(name)
-            warnings.warn(
-                f"engine name {name!r} is deprecated; use {canonical!r}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return canonical
     raise ValueError(
         f"unknown engine {name!r}; choose from {', '.join(sorted(ENGINES))}"
     )
 
 
 def engine_factory(name: str) -> type["RmaEngineBase"]:
-    """The engine class for a (possibly legacy) engine name.
+    """The engine class for an engine name.
 
     Imports lazily: :mod:`repro.rma.engine` imports the engine modules
     eagerly, so importing them at module scope here would cycle.

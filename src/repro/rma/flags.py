@@ -16,8 +16,7 @@ Info key                                          Meaning (value ``1``)
 ================================================  ===========================
 
 The paper's long ``MPI_WIN_ACCESS_AFTER_ACCESS_REORDER``-style spellings
-remain accepted as deprecated aliases (see
-:data:`repro.mpi.info.LEGACY_INFO_KEYS`).
+were removed in 2.0; like any unknown info key they are ignored.
 
 All default to off (correctness by default).  Per §VI-B the flags never
 apply to any adjacent pair where at least one epoch is a fence or a

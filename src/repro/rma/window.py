@@ -26,7 +26,6 @@ The baseline ("mvapich") engine raises
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
@@ -337,7 +336,7 @@ class Window:
     def test_epoch(self) -> bool:
         """MPI_WIN_TEST: nonblocking probe; True ends the exposure epoch.
 
-        Canonical spelling — ``test`` alone collides with
+        Not ``test``: that would collide with
         :meth:`Request.test <repro.mpi.requests.Request.test>`.
         """
         ep = self._exposure
@@ -348,16 +347,6 @@ class Window:
             self._exposure = None
             return True
         return False
-
-    def test(self) -> bool:
-        """Deprecated alias of :meth:`test_epoch`."""
-        warnings.warn(
-            "Window.test() is deprecated (it collides with Request.test()); "
-            "use Window.test_epoch()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.test_epoch()
 
     # ======================================================================
     # Passive-target epochs

@@ -3,8 +3,8 @@
 Mirrors :mod:`repro.rma.engine.registry`: every surface that names a
 workload or an engine series — the differential oracle
 (:mod:`repro.explore.runner`), the ``critpath`` CLI
-(:mod:`repro.obs.__main__`), the benchmark harness
-(:mod:`repro.bench.harness`) — resolves through this module, so the
+(:mod:`repro.obs.__main__`), the benchmark figures
+(:mod:`repro.bench`) — resolves through this module, so the
 test matrix grows in exactly one place.  Unknown names raise
 :class:`ValueError` listing the valid choices.
 

@@ -9,9 +9,10 @@ from functools import partial
 
 import pytest
 
-from repro.bench import FIGURES, SERIES, registry
+from repro.bench import FIGURES, registry
 from repro.bench.check import compare_docs
 from repro.bench.__main__ import main
+from repro.workloads import SERIES
 
 
 def _doc(values):
@@ -234,7 +235,7 @@ class TestRegistryRoundTrip:
         # other entries export the session's one build of their rows.
         monkeypatch.setattr(registry, "run_scaling", lambda ranks: {
             "ranks": list(ranks),
-            "cells": {s.name: {n: {"throughput": 1.0 / n} for n in ranks}
+            "cells": {s.label: {n: {"throughput": 1.0 / n} for n in ranks}
                       for s in SERIES}})
         monkeypatch.setattr(registry, "FIGURES", {
             name: fig if name == "fig12_collapse" else replace(fig, build=partial(built, name))

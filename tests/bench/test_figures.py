@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import FIGURES, SERIES
+from repro.bench import FIGURES
 from repro.bench.applications import MODES
 from repro.bench.figures import (
     SIZES_4B_TO_1MB,
@@ -24,8 +24,9 @@ from repro.bench.figures import (
     fig05_wait_at_fence,
 )
 from repro.bench.registry import figure_doc
+from repro.workloads import SERIES
 
-MV, NEW, NB, SIG = (s.name for s in SERIES)
+MV, NEW, NB, SIG = (s.label for s in SERIES)
 DELAY = 1000.0
 PUT_1MB = 345.0  # calibrated transfer incl. handshakes
 

@@ -1,14 +1,15 @@
-"""Harness utilities: series registry and table rendering."""
+"""Harness utilities: the series table the figures sweep, and table rendering."""
 
 import pytest
 
-from repro.bench import SERIES, format_table, series_label
+from repro.bench import format_table
 from repro.bench.calibration import default_model, expected_put_us
+from repro.workloads import SERIES
 
 
 class TestSeries:
     def test_paper_series_plus_signal(self):
-        names = [s.name for s in SERIES]
+        names = [s.label for s in SERIES]
         assert names == ["MVAPICH", "New", "New nonblocking", "Signal"]
 
     def test_engines(self):
@@ -18,7 +19,7 @@ class TestSeries:
         assert SERIES[3].engine == "signal" and SERIES[3].nonblocking
 
     def test_label(self):
-        assert series_label(SERIES[0]) == "MVAPICH"
+        assert SERIES[0].label == "MVAPICH"
 
 
 class TestTable:

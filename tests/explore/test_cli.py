@@ -31,18 +31,6 @@ def test_run_engines_filter(capsys):
     assert {r["variant"] for r in doc["runs"]} == {"signal"}
 
 
-def test_run_engines_filter_accepts_legacy_names(capsys):
-    from repro.rma.engine import registry
-
-    registry._warned_legacy.clear()  # warn-once state from earlier tests
-    with pytest.warns(DeprecationWarning):
-        code = main(["run", "--workloads", "transactions", "--schedules", "1",
-                     "--engines", "counter-signal,baseline", "--json"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert {r["variant"] for r in doc["runs"]} == {"signal", "mvapich"}
-
-
 def test_run_engines_filter_rejects_unknown():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--workloads", "transactions", "--engines", "fompi"])

@@ -11,6 +11,10 @@ from repro.faults import (
     ReliabilityConfig,
     RmaDeliveryError,
 )
+from repro.faults.injector import FaultInjector
+from repro.faults.reliability import ReliabilityLayer
+from repro.network import ClusterTopology, Fabric
+from repro.simtime import Simulator
 from tests.conftest import make_runtime
 
 
@@ -243,3 +247,39 @@ class TestTraceEvents:
         retried = [spans[s.parent] for s in spans if s.kind == "retransmit"]
         assert all(m.kind == "msg" for m in retried)
         assert any((m.rank, m.meta["dst"]) == (0, 1) for m in retried)
+
+
+class TestFaultDrawInputs:
+    def test_attempt_numbers_restart_at_delivery(self):
+        """The injector draws on ``(uid, attempt)``, and ``attempt``
+        counts transmissions since the last delivery.  One packet: its
+        first attempt is dropped, the retransmission is delivered, the
+        ack of that is dropped, so the packet goes out a third time, as
+        attempt 0 again."""
+        sim = Simulator()
+        plan = FaultPlan(seed=3, rules=(
+            FaultRule(FaultKind.DROP, 1.0, src=0, dst=1, stop_count=1),  # the data
+            FaultRule(FaultKind.DROP, 1.0, src=1, dst=0, stop_count=1),  # its ack
+        ))
+        injector = FaultInjector(sim, plan)
+        fabric = Fabric(sim, ClusterTopology(2, 1), injector=injector,
+                        reliability=ReliabilityLayer(sim))
+        delivered = []
+        for rank in range(2):
+            fabric.register_handler(rank, lambda payload, src: delivered.append(payload))
+        draws = []
+        disposition = injector.disposition
+
+        def record(ticket, attempt, now):
+            draws.append((ticket.uid, attempt))
+            return disposition(ticket, attempt, now)
+
+        injector.disposition = record
+        ticket = fabric.send(0, 1, 64, "x")
+        sim.run()
+        uid = ticket.uid
+        assert draws == [(uid, 0), (uid, 1), (uid, 0)]
+        assert injector.counters["drops"] == injector.counters["ack_drops"] == 1
+        assert fabric.reliability.retransmissions == 2
+        assert fabric.reliability.dup_suppressed == 1
+        assert delivered == ["x"]

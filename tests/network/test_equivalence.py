@@ -126,7 +126,7 @@ class Program:
         start_transfer, send = fabric._start_transfer, fabric.send
 
         def grant(ticket, pool):
-            log.append(("grant", sim.now, ticket.message.src, ticket.message.dst))
+            log.append(("grant", sim.now, ticket.src, ticket.dst))
             start_transfer(ticket, pool)
 
         def capture(*args, **kwargs):
@@ -140,7 +140,7 @@ class Program:
 
         def listen(ticket, fn, *args):
             def fired(*a):
-                log.append(("local", sim.now, ticket.message.src, ticket.message.dst))
+                log.append(("local", sim.now, ticket.src, ticket.dst))
                 fn(*a)
             on_local(ticket, fired, *args)
 
@@ -160,8 +160,8 @@ class Program:
             "log": log,
             # Asked after the fact: every ticket answers with the instant
             # its out-port was done, listened to or not.
-            "local_times": [t.local_complete.trigger_time for t in tickets],
-            "delivered_times": [t.delivered.trigger_time for t in tickets],
+            "local_times": [t.local_time for t in tickets],
+            "delivered_times": [t.delivered_time for t in tickets],
             "pair_stats": fabric.flow.pair_stats(),
             "stall_count": fabric.flow.total_stalls(),
             "max_queued": fabric.flow.max_queued(),
@@ -228,16 +228,14 @@ class TestLocalCompletion:
         assert sim.pending_callbacks == 2
         sim.run()
         assert fired == [fabric.model.transfer_time(100_000, False)]
-        assert ticket.local_complete.trigger_time == fired[0]
+        assert ticket.local_time == fired[0]
 
     def test_late_listener_sees_the_reserved_time(self):
         sim, fabric = make_fabric()
         ticket = fabric.send(0, 1, 100_000, "x")
         sim.run()
         assert sim.now > fabric.model.transfer_time(100_000, False)
-        event = ticket.local_complete
-        assert event.triggered
-        assert event.trigger_time == fabric.model.transfer_time(100_000, False)
+        assert ticket.local_time == fabric.model.transfer_time(100_000, False)
         # ... and a flat callback takes the already-done path.
         fired = []
         ticket.on_local_complete(fired.append, "late")
@@ -264,7 +262,7 @@ class TestLocalCompletion:
         sim.run()
         assert fabric.flow.total_stalls() == 1
         assert len(fired) == 1 and fired[0] > tight.ack_latency
-        assert stalled.local_complete.trigger_time == fired[0]
+        assert stalled.local_time == fired[0]
 
     def test_zero_byte_send_completes_locally_at_once(self):
         # Nothing to reserve ahead of the clock: it is scheduled.
@@ -272,7 +270,7 @@ class TestLocalCompletion:
         ticket = fabric.send(0, 1, 0, "x")
         assert ticket._local_pos is None
         sim.run()
-        assert ticket.local_complete.trigger_time == 0.0
+        assert ticket.local_time == 0.0
 
     @pytest.mark.parametrize("listen_early", (True, False))
     def test_retransmitted_message_fires_local_completion_once(self, listen_early):
@@ -299,4 +297,4 @@ class TestLocalCompletion:
             ticket.on_local_complete(fired.append, done_at)
             sim.run()
         assert fired == [done_at]
-        assert ticket.local_complete.trigger_time == done_at
+        assert ticket.local_time == done_at

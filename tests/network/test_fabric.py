@@ -27,8 +27,8 @@ class TestTiming:
         sim, fab, _ = make_fabric()
         t = fab.send(0, 1, 100000, "x")
         sim.run_until_idle()
-        assert t.local_complete.trigger_time < t.delivered.trigger_time
-        assert t.delivered.trigger_time - t.local_complete.trigger_time == pytest.approx(
+        assert t.local_time < t.delivered_time
+        assert t.delivered_time - t.local_time == pytest.approx(
             fab.model.internode_latency
         )
 
@@ -59,7 +59,7 @@ class TestTiming:
     def test_loopback_immediate(self):
         sim, fab, dlv = make_fabric()
         t = fab.send(2, 2, 1 << 30, "self")
-        assert t.local_complete.triggered
+        assert t.local_time == t.delivered_time == 0.0
         assert dlv[0][3] == 0.0
 
 
@@ -91,6 +91,17 @@ class TestFlowControlIntegration:
         gap = dlv[1][3] - dlv[0][3]
         assert gap >= 50.0  # waited for the ack
         assert fab.flow.total_stalls() == 1
+
+    def test_a_stalled_send_looks_its_pool_up_once(self):
+        sim, fab, dlv = make_fabric(model=NetworkModel(credits_per_peer=1))
+        probes = []
+        pool = fab.flow.pool
+        fab.flow.pool = lambda src, dst: probes.append((src, dst)) or pool(src, dst)
+        fab.send(0, 1, 8, "a")
+        fab.send(0, 1, 8, "b")  # stalls
+        sim.run_until_idle()
+        assert fab.flow.total_stalls() == 1 and len(dlv) == 2
+        assert probes == [(0, 1), (0, 1)]
 
     def test_disabled_flow_control_no_stalls(self):
         sim, fab, dlv = make_fabric(flow_control_enabled=False)

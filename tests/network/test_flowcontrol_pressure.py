@@ -10,6 +10,7 @@ from repro.network import CreditPool, FlowControl
 from repro.network.model import NetworkModel
 from repro.simtime import Simulator
 from tests.conftest import make_runtime
+from tests.network.test_flowcontrol import take
 
 
 class TestCreditPoolHighWater:
@@ -47,9 +48,9 @@ class TestFlowControlAttribution:
     def test_pair_stats_only_lists_stalled_pairs(self):
         sim = Simulator()
         fc = FlowControl(sim, capacity=1, ack_latency=1.0)
-        fc.acquire(0, 1, lambda: None)
-        fc.acquire(0, 1, lambda: None)  # stalls (0, 1)
-        fc.acquire(0, 2, lambda: None)  # never stalls
+        take(fc, 0, 1, lambda: None)
+        take(fc, 0, 1, lambda: None)  # stalls (0, 1)
+        take(fc, 0, 2, lambda: None)  # never stalls
         stats = fc.pair_stats()
         assert stats == {(0, 1): (1, 1)}
         assert fc.max_queued() == 1
@@ -58,9 +59,9 @@ class TestFlowControlAttribution:
         sim = Simulator()
         fc = FlowControl(sim, capacity=1, ack_latency=1.0)
         for _ in range(4):
-            fc.acquire(0, 1, lambda: None)
+            take(fc, 0, 1, lambda: None)
         for _ in range(2):
-            fc.acquire(2, 3, lambda: None)
+            take(fc, 2, 3, lambda: None)
         assert fc.max_queued() == 3
         assert fc.pair_stats()[(0, 1)] == (3, 3)
         assert fc.pair_stats()[(2, 3)] == (1, 1)
@@ -69,7 +70,7 @@ class TestFlowControlAttribution:
         sim = Simulator()
         fc = FlowControl(sim, capacity=8, ack_latency=1.0, enabled=False)
         for _ in range(100):
-            fc.acquire(0, 1, lambda: None)
+            take(fc, 0, 1, lambda: None)
         assert fc.max_queued() == 0
         assert fc.pair_stats() == {}
 

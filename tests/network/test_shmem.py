@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import MPIRuntime
 from repro.network import (
     ClusterTopology,
     Fabric,
@@ -13,9 +14,12 @@ from repro.network import (
     NotificationFifo,
     NotificationPacket,
     NotifyKind,
+    ServiceKind,
     decode_notification,
     encode_notification,
 )
+from repro.rma.engine.base import pack_win_value, unpack_win_value
+from repro.rma.notify import SignalChannel
 from repro.simtime import Simulator
 
 
@@ -25,16 +29,16 @@ class TestCodec:
         assert decode_notification(pkt) == (NotifyKind.EPOCH_COMPLETE, 123, 456)
 
     def test_packet_fits_64_bits(self):
-        pkt = encode_notification(NotifyKind.UNLOCK, (1 << 20) - 1, (1 << 36) - 1)
+        pkt = encode_notification(NotifyKind.EPOCH_COMPLETE, (1 << 20) - 1, (1 << 36) - 1)
         assert 0 <= pkt < (1 << 64)
 
     def test_rank_overflow_rejected(self):
         with pytest.raises(ValueError):
-            encode_notification(NotifyKind.LOCK_GRANT, 1 << 20, 0)
+            encode_notification(NotifyKind.EPOCH_COMPLETE, 1 << 20, 0)
 
     def test_value_overflow_rejected(self):
         with pytest.raises(ValueError):
-            encode_notification(NotifyKind.LOCK_GRANT, 0, 1 << 36)
+            encode_notification(NotifyKind.EPOCH_COMPLETE, 0, 1 << 36)
 
     @given(
         kind=st.sampled_from(list(NotifyKind)),
@@ -47,11 +51,6 @@ class TestCodec:
             rank,
             value,
         )
-
-    def test_lock_traffic_classification(self):
-        assert NotifyKind.LOCK_GRANT.is_lock_traffic
-        assert NotifyKind.UNLOCK.is_lock_traffic
-        assert not NotifyKind.EPOCH_COMPLETE.is_lock_traffic
 
     def test_value_mask_boundary_roundtrips(self):
         """Epoch uids approaching the 36-bit value mask: the boundary
@@ -82,8 +81,6 @@ class TestCodec:
     def test_pack_win_value_id_boundary(self):
         """The [6-bit gid | 30-bit id] value packing enforces its own
         sub-field boundaries before the 36-bit codec ever sees them."""
-        from repro.rma.engine.base import pack_win_value, unpack_win_value
-
         id_mask = (1 << 30) - 1
         assert unpack_win_value(pack_win_value(63, id_mask)) == (63, id_mask)
         # The largest packed value still fits the 36-bit codec field.
@@ -108,45 +105,65 @@ class TestFifo:
             )
         return sim, fifos
 
+    def _runtime(self):
+        """Two ranks on one node, each with one window: step 5 (the
+        engine's ``_consume_notifications``) is the FIFO's only drain.
+        Returns the runtime and rank 1's engine and window state."""
+        rt = MPIRuntime(2, cores_per_node=2)
+
+        def app(proc):
+            yield from proc.win_allocate(8)
+
+        rt.run(app)
+        engine = rt.middlewares[1].rma_engine
+        (ws,) = engine.states.values()
+        return rt, engine, ws
+
+    @staticmethod
+    def _done(sender, ws, access_id):
+        return encode_notification(NotifyKind.EPOCH_COMPLETE, sender,
+                                   pack_win_value(ws.gid, access_id))
+
     def test_send_and_drain(self):
-        sim, fifos = self._pair()
-        fifos[0].send(1, NotifyKind.EPOCH_COMPLETE, 7)
-        fifos[0].send(1, NotifyKind.UNLOCK, 9)
-        sim.run_until_idle()
-        got = []
-        n = fifos[1].drain(lambda k, r, v: got.append((k, r, v)))
-        assert n == 2
-        assert got == [(NotifyKind.EPOCH_COMPLETE, 0, 7), (NotifyKind.UNLOCK, 0, 9)]
-        assert len(fifos[1]) == 0
+        rt, engine, ws = self._runtime()
+        fifo0 = rt.middlewares[0].fifo
+        fifo0.send(1, NotifyKind.EPOCH_COMPLETE, pack_win_value(ws.gid, 7))
+        fifo0.send(1, NotifyKind.EPOCH_COMPLETE, pack_win_value(ws.gid, 9))
+        rt.sim.run()
+        # Each delivery pokes rank 1's engine, whose step 5 consumed it.
+        assert len(engine.fifo) == 0
+        assert ws.board.inbound[SignalChannel.DONE, 0] == 9
 
     def test_two_way_independent(self):
         sim, fifos = self._pair()
-        fifos[0].send(1, NotifyKind.LOCK_GRANT, 1)
-        fifos[1].send(0, NotifyKind.LOCK_GRANT, 2)
+        fifos[0].send(1, NotifyKind.EPOCH_COMPLETE, 1)
+        fifos[1].send(0, NotifyKind.EPOCH_COMPLETE, 2)
         sim.run_until_idle()
         assert len(fifos[0]) == 1 and len(fifos[1]) == 1
 
     def test_forged_sender_rejected_on_drain(self):
-        """Regression: drain() used to trust the in-packet rank blindly.
+        """Regression: the drain used to trust the in-packet rank blindly.
         A packet whose encoded rank disagrees with the fabric-delivered
-        source would then credit the wrong peer's done counter or lock
-        waiter; it must be rejected instead."""
-        sim, fifos = self._pair()
-        forged = encode_notification(NotifyKind.EPOCH_COMPLETE, 7, 42)
-        fifos[1].push(forged, 0)  # fabric says rank 0, packet claims 7
+        source would then credit the wrong peer's done counter; step 5
+        must reject it instead."""
+        rt, engine, ws = self._runtime()
+        forged = self._done(7, ws, 42)  # the fabric says rank 0, the packet 7
+        rt.fabric.send(0, 1, 8, NotificationPacket(forged), kind=ServiceKind.NOTIFY)
         with pytest.raises(NotificationAuthError) as exc:
-            fifos[1].drain(lambda k, r, v: None)
+            rt.sim.run()
         msg = str(exc.value)
         assert "rank 7" in msg and "rank 0" in msg
+        assert ws.board.inbound[SignalChannel.DONE, 7] == 0
 
     def test_honest_packets_before_forged_one_still_consumed(self):
-        sim, fifos = self._pair()
-        fifos[1].push(encode_notification(NotifyKind.EPOCH_COMPLETE, 0, 1), 0)
-        fifos[1].push(encode_notification(NotifyKind.EPOCH_COMPLETE, 7, 2), 0)
-        got = []
+        rt, engine, ws = self._runtime()
+        engine.fifo.push(self._done(0, ws, 1), 0)
+        engine.fifo.push(self._done(7, ws, 2), 0)
         with pytest.raises(NotificationAuthError):
-            fifos[1].drain(lambda k, r, v: got.append(v))
-        assert got == [1]  # honest prefix delivered before the reject
+            engine.poke()
+        # The honest prefix took effect before the reject.
+        assert ws.board.inbound[SignalChannel.DONE, 0] == 1
+        assert len(engine.fifo) == 0
 
     def test_pending_peeks_without_consuming(self):
         sim, fifos = self._pair()
@@ -154,5 +171,3 @@ class TestFifo:
         sim.run_until_idle()
         assert fifos[1].pending() == [(NotifyKind.EPOCH_COMPLETE, 0, 5)]
         assert len(fifos[1]) == 1  # still queued
-        n = fifos[1].drain(lambda k, r, v: None)
-        assert n == 1 and fifos[1].pending() == []

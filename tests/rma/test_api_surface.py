@@ -1,22 +1,19 @@
 """Request-first API surface guarantees.
 
 Introspection-driven parity between the blocking epoch routines and
-their ``i*`` twins, the deprecation shims (``Window.test``, legacy info
-key spellings), the ``wait_epoch``/``iwait_epoch`` pairing, and the
+their ``i*`` twins, the 1.x spellings removed in 2.0 (``Window.test``,
+legacy info keys), the ``wait_epoch``/``iwait_epoch`` pairing, and the
 dirty-window worklist regression guard (idle windows are never swept).
 """
 
 import inspect
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.mpi.info as info_mod
-from repro.mpi.errors import RmaUsageError
-from repro.mpi.info import LEGACY_INFO_KEYS, Info
-from repro.rma.checker import SEMANTICS_CHECK_INFO_KEY, SEMANTICS_MODE_INFO_KEY
-from repro.rma.flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R, ReorderFlags
+from repro.mpi.info import Info
+from repro.rma.checker import SEMANTICS_CHECK_INFO_KEY
+from repro.rma.flags import E_A_A_R, ReorderFlags
 from repro.rma.engine.mvapich import MvapichEngine
 from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.rma.engine.signal import SignalEngine
@@ -87,75 +84,19 @@ class TestApiParity:
         assert seen["req"].done
 
 
-class TestDeprecationShims:
-    def test_window_test_warns_and_delegates(self):
-        rt = make_runtime(2)
+class TestRemovedIn20:
+    """The 1.x shims are gone, with no fallback (docs/API.md)."""
 
-        def app(proc):
-            win = yield from proc.win_allocate(64)
-            yield from proc.barrier()
-            if proc.rank == 0:
-                yield from win.start([1])
-                win.put(np.zeros(8, dtype=np.uint8), 1, 0)
-                yield from win.complete()
-            else:
-                yield from win.post([0])
-                with pytest.warns(DeprecationWarning, match="test_epoch"):
-                    while not win.test():
-                        yield from proc.compute(5.0)
-            yield from proc.barrier()
+    def test_window_has_no_test_alias(self):
+        assert not hasattr(Window, "test")
+        assert callable(Window.test_epoch)
 
-        rt.run(app)
-
-    def test_window_test_shim_still_validates_usage(self):
-        rt = make_runtime(1)
-        wins = {}
-
-        def app(proc):
-            wins[0] = yield from proc.win_allocate(64)
-            yield from proc.barrier()
-
-        rt.run(app)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RmaUsageError):
-                wins[0].test()
-
-    def test_legacy_info_key_canonicalized_with_single_shot_warning(self):
-        info_mod._warned_legacy.discard("repro_semantics_check")
-        with pytest.warns(DeprecationWarning, match=r"repro\.semantics_check"):
-            info = Info({"repro_semantics_check": "1"})
-        # Stored under the canonical dotted name; both spellings look up.
-        assert dict(info) == {"repro.semantics_check": "1"}
-        assert info.get_bool("repro.semantics_check")
-        assert info.get_bool("repro_semantics_check")
-        assert "repro_semantics_check" in info
-        # Single-shot: the second construction is silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            Info({"repro_semantics_check": "1"})
-
-    def test_legacy_reorder_flag_spelling_still_decodes(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            info = Info({"MPI_WIN_EXPOSURE_AFTER_ACCESS_REORDER": "1"})
-        assert ReorderFlags.from_info(info).exposure_after_access
-        assert info.get_bool(E_A_A_R)
-
-    def test_legacy_table_is_consistent(self):
-        for legacy, canon in LEGACY_INFO_KEYS.items():
-            assert canon.startswith("repro.")
-            assert legacy != canon
-        # The canonical constants all live in the table's value set.
-        canonical = set(LEGACY_INFO_KEYS.values())
-        for key in (
-            SEMANTICS_CHECK_INFO_KEY,
-            SEMANTICS_MODE_INFO_KEY,
-            A_A_A_R,
-            A_A_E_R,
-            E_A_E_R,
-            E_A_A_R,
-        ):
-            assert key in canonical
+    def test_old_info_spellings_are_unknown_keys(self):
+        info = Info({"repro_semantics_check": "1",
+                     "MPI_WIN_EXPOSURE_AFTER_ACCESS_REORDER": "1"})
+        assert not info.get_bool(SEMANTICS_CHECK_INFO_KEY)
+        assert not info.get_bool(E_A_A_R)
+        assert ReorderFlags.from_info(info) == ReorderFlags.from_info(Info())
 
 
 def _traffic_with_idle_windows(proc, idle_windows=4):

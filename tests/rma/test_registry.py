@@ -3,14 +3,12 @@
 import pytest
 
 from repro.mpi.runtime import MPIRuntime
-from repro.rma.engine import registry
 from repro.rma.engine.adaptive import AdaptiveEngine
 from repro.rma.engine.mvapich import MvapichEngine
 from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.rma.engine.registry import (
     DEFAULT_ENGINE,
     ENGINES,
-    LEGACY_ENGINE_NAMES,
     canonical_engine,
     engine_factory,
 )
@@ -33,30 +31,10 @@ class TestCanonicalNames:
         for name in ENGINES:
             assert name in msg
 
-
-class TestLegacyNames:
-    def test_legacy_names_resolve(self):
-        registry._warned_legacy.clear()
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for legacy, canonical in LEGACY_ENGINE_NAMES.items():
-                assert canonical_engine(legacy) == canonical
-
-    def test_legacy_name_warns_exactly_once(self):
-        registry._warned_legacy.clear()
-        with pytest.warns(DeprecationWarning, match="counter-signal"):
-            assert canonical_engine("counter-signal") == "signal"
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert canonical_engine("counter-signal") == "signal"  # silent now
-
-    def test_legacy_targets_are_canonical(self):
-        for canonical in LEGACY_ENGINE_NAMES.values():
-            assert canonical in ENGINES
+    @pytest.mark.parametrize("old", ["new", "baseline", "counter-signal"])
+    def test_names_removed_in_2_0_are_unknown(self, old):
+        with pytest.raises(ValueError, match="unknown engine"):
+            canonical_engine(old)
 
 
 class TestFactories:
@@ -66,23 +44,12 @@ class TestFactories:
         assert engine_factory("adaptive") is AdaptiveEngine
         assert engine_factory("signal") is SignalEngine
 
-    def test_factory_accepts_legacy_names(self):
-        registry._warned_legacy.clear()
-        with pytest.warns(DeprecationWarning):
-            assert engine_factory("new") is NonblockingEngine
-
     def test_factory_rejects_unknown(self):
         with pytest.raises(ValueError):
             engine_factory("openmpi")
 
 
 class TestRuntimeIntegration:
-    def test_runtime_resolves_legacy_name(self):
-        registry._warned_legacy.clear()
-        with pytest.warns(DeprecationWarning):
-            rt = MPIRuntime(2, engine="baseline")
-        assert rt.engine_name == "mvapich"
-
     def test_runtime_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
             MPIRuntime(2, engine="no-such-engine")

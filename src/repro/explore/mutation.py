@@ -13,7 +13,7 @@ while ``E_k`` is still blocked, violating program order whenever no
 reorder flag licensed it.
 
 The others each drop one row of the ready-set wake-up table
-(docs/PERFORMANCE.md part 3); the last two drop rows only the MVAPICH
+(docs/PERFORMANCE.md); the last two drop rows only the MVAPICH
 baseline has, its gate count and its drain-wide done.  An epoch, a
 target or an arrival the sweep is never told about cannot produce a
 wrong answer, only none: all must die as a
@@ -57,17 +57,17 @@ def activation_gate_disabled():
 
 def _grant_wakeup_dropped(*kind_names: str):
     """Make a grant from ``r`` wake nothing of an epoch of these kinds."""
-    from ..rma.engine.base import RmaEngineBase
+    from ..rma.engine.nonblocking import NonblockingEngine
     from ..rma.epoch import EpochKind
 
     kinds = [EpochKind[name] for name in kind_names]
-    real = RmaEngineBase._wake_target
+    real = NonblockingEngine._wake_target
 
     def mutated(self, ws, ep, target):
         if ep.kind not in kinds:
             real(self, ws, ep, target)
 
-    return patch.object(RmaEngineBase, "_wake_target", mutated)
+    return patch.object(NonblockingEngine, "_wake_target", mutated)
 
 
 def lock_grant_wakeup_dropped():

@@ -18,7 +18,7 @@ from .p2p import P2P_PAYLOADS, P2PEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.fabric import Fabric
-    from ..rma.engine.base import RmaEngineBase
+    from ..rma.engine.nonblocking import NonblockingEngine
     from ..simtime import Simulator
 
 __all__ = ["RankMiddleware"]
@@ -33,10 +33,10 @@ class RankMiddleware:
         self.rank = rank
         self.p2p = P2PEngine(sim, fabric, rank)
         self.fifo = NotificationFifo(fabric, rank)
-        self.rma_engine: "RmaEngineBase | None" = None
+        self.rma_engine: "NonblockingEngine | None" = None
         fabric.register_handler(rank, self.on_delivery)
 
-    def attach_rma_engine(self, engine: "RmaEngineBase") -> None:
+    def attach_rma_engine(self, engine: "NonblockingEngine") -> None:
         """Install this rank's RMA engine (one per rank per runtime)."""
         if self.rma_engine is not None:
             raise RuntimeError(f"rank {self.rank} already has an RMA engine")

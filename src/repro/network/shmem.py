@@ -122,7 +122,7 @@ class NotificationFifo:
     The sending side is :meth:`send`: an 8-byte NOTIFY message on the
     fabric whose delivery appends to the peer's deque.  The progress
     engine drains the deque in step 5
-    (:meth:`~repro.rma.engine.base.RmaEngineBase._consume_notifications`).
+    (:meth:`~repro.rma.engine.nonblocking.NonblockingEngine._consume_notifications`).
     """
 
     def __init__(self, fabric: "Fabric", rank: int):

@@ -429,7 +429,7 @@ class RmaChecker:
     @staticmethod
     def _pending_fifo_for(win: "Window") -> list[str]:
         """Undrained notification-FIFO packets addressed to this window."""
-        from .engine.base import unpack_win_value
+        from .engine.nonblocking import unpack_win_value
 
         pending = []
         for kind, sender, value in win.engine.fifo.pending():

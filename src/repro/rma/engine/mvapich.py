@@ -1,7 +1,8 @@
 """The MVAPICH 2-1.9-style baseline engine.
 
-It runs the redesign's 7-step loop over the same ready sets; what makes
-it the baseline is three timing rules (§VIII-B, [12]), each a predicate:
+A subclass of :class:`~repro.rma.engine.nonblocking.NonblockingEngine`:
+the redesign's 7-step loop over the same ready sets.  What makes it the
+baseline is three timing rules (§VIII-B, [12]), each a predicate:
 
 - *Lazy lock acquisition* — "The locking attempt, and consequently the
   whole epoch, is not internally fulfilled until MPI_WIN_UNLOCK is

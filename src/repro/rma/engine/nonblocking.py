@@ -1,25 +1,37 @@
-"""The paper's redesigned RMA engine (§VI–§VII).
+"""The paper's redesigned RMA engine (§VI–§VII): the one progress class
+every registered engine is.
 
-This engine serves both the "New" (blocking synchronization calls) and
-"New nonblocking" (``MPI_WIN_I*``) test series: blocking routines are
-the nonblocking ones plus an internal wait (§VII-C), so the engine only
-ever sees the nonblocking shape.
+It serves both the "New" (blocking synchronization calls) and "New
+nonblocking" (``MPI_WIN_I*``) test series: blocking routines are the
+nonblocking ones plus an internal wait (§VII-C), so the engine only ever
+sees the nonblocking shape.  The other engines subclass it and differ
+only in *policy*: the MVAPICH-style baseline
+(:mod:`~repro.rma.engine.mvapich`) is three timing rules, the
+counter-signal engine (:mod:`~repro.rma.engine.signal`) a wire encoding.
+Everything mechanical — packet reception, data application at targets,
+lock hosting, the notification FIFO and op completion fan-out — is here
+once, so measured differences between engines are purely
+synchronization design.
 
-Key mechanisms
---------------
 Deferred epochs (§VII-A)
-    Epoch objects are created inactive.  The activation predicate
-    (:meth:`_may_activate`) encodes the §VI rules: serial activation in
-    open order, no skipping, ``E_{k+1}`` activates only after ``E_k``
-    completes unless a §VI-B reorder flag allows concurrency (never
-    across fence / lock_all epochs).  Deferred epochs record their
-    communication calls and replay them on activation.
+    Epoch objects are created inactive.  The activation scan
+    (:meth:`~NonblockingEngine._try_activate`) encodes the §VI rules:
+    serial activation in open order, no skipping, ``E_{k+1}`` activates
+    only after ``E_k`` completes unless a §VI-B reorder flag allows
+    concurrency (never across fence / lock_all epochs).  Deferred epochs
+    record their communication calls and replay them on activation.
 
 Epoch matching (§VII-B)
-    The counter board in :class:`~repro.rma.state.WindowState`, through
-    the shared protocol of :mod:`~repro.rma.engine.base`; a target that
-    grants access to an origin several epochs late leaves a persistent
-    trace in the monotonically increasing inbound grant counter.
+    Written once over the window's counter board
+    (:mod:`repro.rma.notify`): every announcement goes through
+    :meth:`~NonblockingEngine._notify`.  A target that grants access to
+    an origin several epochs late leaves a persistent trace in the
+    monotonically increasing inbound grant counter.  What a subclass may
+    change is the *wire encoding* — ``_transmit`` (which packet carries a
+    counter value), the receive handlers that turn it back into
+    ``(channel, peer, value)`` — and two numbering rules,
+    ``lock_channel`` / ``done_by_id``.  This class carries ω's:
+    ``GrantUpdate`` / done / fence packets.
 
 Eager per-target issue (§VIII-B)
     Transfers to any granted target are issued right away (internode
@@ -27,48 +39,121 @@ Eager per-target issue (§VIII-B)
     baseline's all-targets-ready gating.
 
 The 7-step progress loop (§VII-D)
-    :meth:`_sweep` runs the documented step sequence.  In this
-    event-driven simulation, steps 1 (completion verification) is
-    subsumed by completion callbacks, but the structural order —
-    completions before posts, batch completion both before and after
-    intranode work, notification consumption feeding the lock backlog —
-    is preserved.
+    :meth:`~NonblockingEngine._sweep` runs the documented step sequence
+    over the dirty windows and their ready sets (the wake-up table is in
+    docs/PERFORMANCE.md).  Step 1 (completion verification) is subsumed
+    by completion callbacks, but the structural order — completions
+    before posts, batch completion both before and after intranode work,
+    notification consumption feeding the lock backlog — is preserved.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
+from ...mpi.errors import RmaInternalError, RmaUsageError
+from ...mpi.requests import Request
 from ...network.packets import ServiceKind
+from ...network.shmem import NotifyKind, decode_checked
 from ..epoch import Epoch, EpochKind, EpochState
 from ..notify import SignalChannel
-from ..packets import UnlockPacket
-from ..requests import FlushRequest
+from ..ops import OpKind, RmaOp
+from ..packets import (
+    AccRendezvousCts,
+    AccRendezvousRts,
+    AccumulateData,
+    CasRequest,
+    CasResponse,
+    DonePacket,
+    FenceDone,
+    FenceOpen,
+    FetchOpRequest,
+    FetchOpResponse,
+    GetRequest,
+    GetResponse,
+    GrantUpdate,
+    LockRequestPacket,
+    PutData,
+    RmaPayload,
+    UnlockAck,
+    UnlockPacket,
+)
+from ..requests import ClosingRequest, FlushRequest
 from ..state import WindowState
-from .base import RmaEngineBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...mpi.runtime import MPIRuntime
+    from ..locks import LockWaiter
     from ..window import Window
 
-__all__ = ["NonblockingEngine"]
+__all__ = ["NonblockingEngine", "pack_win_value", "unpack_win_value"]
+
+# 64-bit notification value packing: [6-bit window gid | 30-bit id].
+_WIN_BITS = 6
+_ID_MASK = (1 << 30) - 1
+
+_GRANT = SignalChannel.GRANT
+_DONE = SignalChannel.DONE
+_FENCE_OPEN = SignalChannel.FENCE_OPEN
+_FENCE_DONE = SignalChannel.FENCE_DONE
+_RDMA = ServiceKind.RDMA
+_CONTROL = ServiceKind.CONTROL
 
 #: Sort key of the ready sets: application open order within a window.
 _uid = attrgetter("uid")
 
-#: Board channel -> (epoch kind whose predicates read its inbound row,
-#: whether an arrival moves a completion condition too or only target
-#: readiness): the arrival rows of the wake-up table.
+#: Board channel -> the epoch kind whose predicates read its inbound
+#: row: the arrival rows of the wake-up table.
 _WOKEN = {
-    SignalChannel.GRANT: (EpochKind.GATS_ACCESS, True),
-    SignalChannel.DONE: (EpochKind.GATS_EXPOSURE, True),
-    SignalChannel.FENCE_OPEN: (EpochKind.FENCE, False),
-    SignalChannel.FENCE_DONE: (EpochKind.FENCE, True),
+    _GRANT: EpochKind.GATS_ACCESS,
+    _DONE: EpochKind.GATS_EXPOSURE,
+    _FENCE_OPEN: EpochKind.FENCE,
+    _FENCE_DONE: EpochKind.FENCE,
 }
 
 
-class NonblockingEngine(RmaEngineBase):
-    """Deferred-epoch, fully nonblocking RMA progress engine."""
+def pack_win_value(gid: int, ident: int) -> int:
+    """Pack (window gid, id) into a 36-bit notification value."""
+    if gid >= (1 << _WIN_BITS):
+        raise ValueError(f"window gid {gid} does not fit in {_WIN_BITS} bits")
+    if ident > _ID_MASK:
+        raise ValueError(f"id {ident} does not fit in 30 bits")
+    return (gid << 30) | ident
+
+
+def unpack_win_value(value: int) -> tuple[int, int]:
+    """Inverse of :func:`pack_win_value`."""
+    return value >> 30, value & _ID_MASK
+
+
+class NonblockingEngine:
+    """Per-rank deferred-epoch, fully nonblocking RMA progress engine."""
+
+    #: Whether the proposed MPI_WIN_I* API is available.
+    supports_nonblocking: bool = True
+
+    #: Whether the foMPI-style notified-access surface is available
+    #: (``Window.signal``/``notify_wait``/``put_notify``/``get_notify``
+    #: and request-based ops inside active-target epochs) — only the
+    #: counter-signal engine provides it.
+    supports_notified_access: bool = False
+
+    # The two numbering rules of a wire encoding (class constants: an
+    # engine *is* its encoding; not settable per run or per window).
+    #: Channel a lock grant advances and a lock epoch reserves on.  ω
+    #: folds it into GRANT — "the host process of a lock still updates
+    #: e_l locally and g_r remotely" (§VII-B) — so a lock grant moves the
+    #: counter GATS accesses toward that host match on (the hazard
+    #: ``test_shared_grant_counter_hazard_seed`` pins).
+    lock_channel: SignalChannel = _GRANT
+    #: Whether a done carries its epoch's access id and an exposure
+    #: expects the id of the grant it issued (ω), or DONE is a count of
+    #: its own.  They differ once a reorder flag lets a later epoch's
+    #: done overtake an earlier one's: an id floor covers both exposures.
+    done_by_id: bool = True
 
     #: §VII-A activation gate: the deferred-epoch scan stops at the first
     #: epoch that fails its activation conditions, so E_{k+1} can never
@@ -78,10 +163,108 @@ class NonblockingEngine(RmaEngineBase):
     #: resulting ordering bug.  Never clear this in production code.
     _activation_gate = True
 
+    def __init__(self, runtime: "MPIRuntime", rank: int):
+        self.runtime = runtime
+        self.rank = rank
+        self.sim = runtime.sim
+        self.fabric = runtime.fabric
+        self.model = runtime.fabric.model
+        #: WindowState per window gid.
+        self.states: dict[int, WindowState] = {}
+        self._sweeping = False
+        self._resweep = False
+        #: Dirty-window worklist: gid -> WindowState, insertion-ordered
+        #: (the dict doubles as the membership set).  Sweeps visit only
+        #: these: every point that can change epoch state (packet
+        #: arrival, grant update, FIFO notification consumption, local
+        #: epoch open/close/op recording, op-completion callbacks —
+        #: including those of fault-layer retransmit deliveries, which
+        #: re-enter via the same packet path) marks its window.  A clean
+        #: window is at a quiescent fixed point (its previous visit ran
+        #: to no-change and nothing touched it since), so skipping it
+        #: cannot alter the virtual-time schedule.  Drained by
+        #: :meth:`_take_dirty` at sweep time in gid order, which is
+        #: exactly the relative order the historical full scan visited
+        #: the same (effectful) windows in.
+        self._dirty: dict[int, WindowState] = {}
+        #: Sweeps and per-sweep window visits (exact counts).
+        self.sweep_count = 0
+        self.windows_visited = 0
+        #: Epoch examinations: one per ``_advance_epoch`` call and one per
+        #: (epoch, target) readiness test (exact and machine-independent).
+        self.epochs_examined = 0
+        #: Completion tests inside those examinations: one per (epoch,
+        #: target) done / unlock test and one per group-predicate
+        #: evaluation (exposure, fence).  Exact like the above.
+        self.targets_examined = 0
+        #: gid -> interned per-window visit-metric name (hot path).
+        self._visit_metric: dict[int, str] = {}
+        #: Blocking-flush snapshots: (ws, request, ops, local) tuples,
+        #: resolved at the end of every sweep (§VII-C: blocking flushes
+        #: drive the engine rather than building on iflush).
+        self._blocking_flushes: list[tuple[WindowState, Any, list[RmaOp], bool]] = []
+        #: Opt-in telemetry (both None unless ``MPIRuntime(metrics=True)``;
+        #: every hook below is then one attribute check).
+        self.metrics = getattr(runtime, "metrics", None)
+        self.profiler = getattr(runtime, "profiler", None)
+        #: Causal span recorder (None unless ``MPIRuntime(causal=True)``).
+        self.causal = getattr(runtime, "causal", None)
+        #: Schedule-exploration context (None outside repro.explore runs);
+        #: feeds the delivered-notification multiset of the outcome digest.
+        self._explore = getattr(runtime, "exploration", None)
+        #: Hot-path caches, resolved once: this rank's 64-bit
+        #: notification FIFO endpoint, and this rank's node span (block
+        #: placement makes the same-node test ``lo <= peer < hi`` — O(1)
+        #: per peer, no O(nranks) table).
+        self.fifo = runtime.middlewares[rank].fifo
+        topo = runtime.fabric.topology
+        self._node_lo, self._node_hi = topo.node_span(rank)
+
+    # -- wiring ---------------------------------------------------------------
+    def register_window(self, win: "Window") -> None:
+        """Create middleware state for a newly allocated window."""
+        cell: list[WindowState] = []
+        ws = WindowState(win, on_lock_grant=lambda waiter: self._grant_lock(cell[0], waiter))
+        cell.append(ws)
+        self.states[win.group.gid] = ws
+        win._state = ws
+        self._visit_metric[ws.gid] = f"engine.sweep.visited.win{ws.gid}"
+        if self.metrics is not None:
+            ws.lock_mgr.metrics = self.metrics
+
+    def state_of(self, win: "Window") -> WindowState:
+        """State for a window owned by this rank."""
+        return self.states[win.group.gid]
+
     # =====================================================================
     # §VII-D — the progress loop
     # =====================================================================
+    def poke(self) -> None:
+        """Run the progress engine now (re-entrant safe)."""
+        if self._sweeping:
+            self._resweep = True
+            return
+        if (
+            not self._dirty
+            and not self._blocking_flushes
+            and not self.fifo._incoming
+        ):
+            # Nothing a sweep could act on: no dirty windows, no queued
+            # notifications, no blocking flushes.  The sweep body would
+            # visit zero windows and mutate nothing, so skipping it is
+            # a pure wall-clock win.
+            return
+        self._sweeping = True
+        try:
+            self._resweep = True
+            while self._resweep:
+                self._resweep = False
+                self._sweep()
+        finally:
+            self._sweeping = False
+
     def _sweep(self) -> None:
+        """One progress pass over this rank's dirty windows."""
         # With the §VII-D profiler attached (``metrics=True``) each step
         # also reports its work count and wall-clock delta.
         prof = self.profiler
@@ -133,6 +316,58 @@ class NonblockingEngine(RmaEngineBase):
             prof.lap(7, work, t)
         if self._blocking_flushes:
             self._check_blocking_flushes()
+
+    # -- dirty-window worklist --------------------------------------------
+    def mark_dirty(self, ws: WindowState) -> None:
+        """Put ``ws`` on the worklist: something that can change its
+        epoch state happened.  Marking during an active sweep requests a
+        re-sweep so the poke loop revisits the window before returning."""
+        if ws.gid not in self._dirty:
+            self._dirty[ws.gid] = ws
+        if self._sweeping:
+            self._resweep = True
+
+    def _take_dirty(self) -> list[WindowState]:
+        """Drain the worklist for one sweep, in gid order (the relative
+        visit order of the historical every-window scan)."""
+        self.sweep_count += 1
+        if not self._dirty:
+            out = []
+        elif len(self._dirty) == 1:
+            # Single-window sweeps dominate event-driven runs; skip the
+            # sort machinery.
+            out = list(self._dirty.values())
+            self._dirty.clear()
+        else:
+            out = [ws for _gid, ws in sorted(self._dirty.items())]
+            self._dirty.clear()
+        self.windows_visited += len(out)
+        m = self.metrics
+        if m is not None:
+            names = self._visit_metric
+            for ws in out:
+                m.inc(names[ws.gid])
+        return out
+
+    def _merge_marked(self, dirty: list[WindowState]) -> list[WindowState]:
+        """Fold windows marked *during* this sweep (loopback deliveries,
+        step-5 FIFO notifications) into the visit list for the remaining
+        steps, preserving gid order.  The worklist itself is left intact:
+        a mid-sweep mark also means a full revisit next sweep, which is
+        what the historical full re-scan (``_resweep``) did."""
+        have = {w.gid for w in dirty}
+        extra = [ws for gid, ws in sorted(self._dirty.items()) if gid not in have]
+        if not extra:
+            return dirty
+        merged = dirty + extra
+        merged.sort(key=lambda w: w.gid)
+        self.windows_visited += len(extra)
+        m = self.metrics
+        if m is not None:
+            names = self._visit_metric
+            for ws in extra:
+                m.inc(names[ws.gid])
+        return merged
 
     # =====================================================================
     # Activation (§VI rules)
@@ -198,40 +433,17 @@ class NonblockingEngine(RmaEngineBase):
         else:
             self._enroll_access(ws, ep)
 
-    # -- fence rounds over the board (enrolment, grants and dones are in
-    # the base class: the baseline engine shares them) -------------------
-    def _announce_fence(self, ws: WindowState, ep: Epoch) -> None:
-        """Announce an activating fence round to every peer, and count
-        the peers already through it: one can finish a round before this
-        rank enters it."""
-        self._broadcast_fence_open(ws, ep.fence_round)
-        for peer in ws.win.group.ranks:
-            if peer != self.rank:
-                self._fence_done_landed(ws, ep, peer)
-
-    def _fence_done_landed(self, ws: WindowState, ep: Epoch, peer: int) -> None:
-        """Count ``peer`` toward ``ep``'s barrier if it completed the round."""
-        if ws.board.reached(SignalChannel.FENCE_DONE, peer, ep.fence_round):
-            ep.done_from.add(peer)
-
-    def _fence_done_reached(self, ws: WindowState, ep: Epoch) -> bool:
-        """Barrier test for a closing fence: every peer completed the
-        round — counted as each landed, so one compare, no O(nranks)
-        peer set per examination."""
-        if len(ep.done_from) != len(ws.win.group.ranks) - 1:
-            return False
-        if ws.checker is not None:
-            assert all(ws.board.reached(SignalChannel.FENCE_DONE, p, ep.fence_round)
-                       for p in ws.win.group.ranks if p != self.rank), ep
-        return True
-
     # =====================================================================
-    # Ready-set wake-ups (the base-class hooks, filled in)
+    # Ready-set wake-ups: every point where an epoch's predicate input
+    # moves puts the epoch, or the (epoch, target) pair, into a ready set.
     # =====================================================================
     def _wake_post(self, ws: WindowState, ep: Epoch, target: int) -> None:
+        """``ep``'s readiness toward ``target`` may have flipped."""
         ws.post_ready.add((ep, target))
 
     def _wake_advance(self, ws: WindowState, ep: Epoch, target: int | None = None) -> None:
+        """One of ``ep``'s completion conditions may have moved: the one
+        toward ``target``, or (None) any of them."""
         if not ep.active:  # activation wakes a deferred epoch itself
             return
         if target is None:
@@ -245,7 +457,10 @@ class NonblockingEngine(RmaEngineBase):
         ws.advance_ready.add(ep)
 
     def _wake_peer(self, ws: WindowState, channel: SignalChannel, peer: int) -> None:
-        kind, advance = _WOKEN[channel]
+        """``peer`` moved this rank's inbound counter on ``channel`` (a
+        grant / done / fence announcement landed): the active epochs
+        whose predicates read it are due, toward ``peer`` only."""
+        kind = _WOKEN[channel]
         for ep in ws.epochs:
             if not ep.active or ep.kind is not kind:
                 continue
@@ -260,14 +475,23 @@ class NonblockingEngine(RmaEngineBase):
             elif kind is EpochKind.FENCE:  # involves every peer
                 if not ep.all_issued_to(peer):
                     self._wake_post(ws, ep, peer)
-                if advance:
+                # ``==``: a counter-signal update carries its channel as
+                # a plain int.
+                if channel == _FENCE_DONE:
                     self._fence_done_landed(ws, ep, peer)
                     ws.advance_ready.add(ep)
             elif peer in ep.peers and peer not in ep.done_sent:
                 self._wake_target(ws, ep, peer)
 
+    def _wake_target(self, ws: WindowState, ep: Epoch, target: int) -> None:
+        """``target`` granted ``ep`` access: ops recorded toward it may
+        post, and a closed epoch may send it its done / unlock."""
+        if not ep.all_issued_to(target):
+            self._wake_post(ws, ep, target)
+        self._wake_advance(ws, ep, target)
+
     # =====================================================================
-    # Op readiness and posting
+    # Op readiness and posting (steps 2/4)
     # =====================================================================
     def _target_ready(self, ws: WindowState, ep: Epoch, target: int) -> bool:
         if not ep.active:
@@ -282,7 +506,7 @@ class NonblockingEngine(RmaEngineBase):
             if target == self.rank:
                 return True
             # Has ``target`` announced entering this fence round?
-            return ws.board.reached(SignalChannel.FENCE_OPEN, target, ep.fence_round)
+            return ws.board.reached(_FENCE_OPEN, target, ep.fence_round)
         raise AssertionError(f"ops not allowed in {ep.kind}")
 
     def _post_ready_ops(self, ws: WindowState, intranode: bool) -> int:
@@ -323,8 +547,19 @@ class NonblockingEngine(RmaEngineBase):
                 posted += self._issue_to(ws, ep, target)
         return posted
 
+    def _issue_to(self, ws: WindowState, ep: Epoch, target: int) -> int:
+        """Issue ``ep``'s unissued ops toward ``target``, keeping the
+        window's postable-op aggregate in sync (every engine issue site
+        must go through here, or sweeps would skip live work); returns
+        the number issued."""
+        ops = ep.take_unissued(target)
+        ws.unissued_total -= len(ops)
+        for op in ops:
+            self._issue_op(ws, op)
+        return len(ops)
+
     # =====================================================================
-    # Completion (step 3 / step 7)
+    # Completion (steps 3/7)
     # =====================================================================
     def _complete_and_activate(self, ws: WindowState) -> int:
         """Steps 3/7: examine the due epochs (in open order) and rerun
@@ -393,14 +628,11 @@ class NonblockingEngine(RmaEngineBase):
                         and ep.lock_held.get(target, False)
                         and not ep.pending_to(target)
                     ):
-                        self._send(
-                            target,
-                            self.model.control_bytes,
-                            UnlockPacket(
-                                ws.gid, origin=self.rank, access_id=ep.access_ids[target]
-                            ),
-                            ServiceKind.CONTROL,
-                            needs_attention=True,
+                        self.fabric.send(
+                            self.rank, target, self.model.control_bytes,
+                            UnlockPacket(ws.gid, origin=self.rank,
+                                         access_id=ep.access_ids[target]),
+                            _CONTROL, needs_attention=True,
                         )
                         ep.unlock_sent.add(target)
                 if len(ep.unlock_acked) == len(ep.targets):
@@ -435,12 +667,681 @@ class NonblockingEngine(RmaEngineBase):
         return True
 
     # =====================================================================
-    # Flushes
+    # Packet reception
     # =====================================================================
+    def on_packet(self, payload: Any, src: int) -> bool:
+        """Route one fabric delivery; True when consumed."""
+        if not isinstance(payload, RmaPayload):
+            return False
+        ws = self.states.get(payload.win)
+        if ws is None:
+            raise RuntimeError(f"rank {self.rank}: RMA packet for unknown window {payload.win}")
+        self.mark_dirty(ws)
+        handler = self._PACKET_HANDLERS[type(payload)]
+        handler(self, ws, payload, src)
+        return True
+
+    # -- individual packet handlers ----------------------------------------
+    def _on_put(self, ws: WindowState, p: PutData, src: int) -> None:
+        if p.data is not None:
+            ws.win.memory.write(p.target_disp, p.data)
+
+    def _on_get_request(self, ws: WindowState, p: GetRequest, src: int) -> None:
+        data = ws.win.memory.read(p.target_disp, p.nbytes)
+        self.fabric.send(self.rank, src, p.nbytes,
+                         GetResponse(ws.gid, p.op_uid, p.nbytes, data), _RDMA)
+
+    def _on_get_response(self, ws: WindowState, p: GetResponse, src: int) -> None:
+        op = ws.ops_by_uid.pop(p.op_uid)
+        if op.result_buf is not None and p.data is not None:
+            dest = op.result_buf.view(np.uint8).reshape(-1)
+            dest[: p.data.nbytes] = p.data.view(np.uint8).reshape(-1)
+        self._op_delivered(ws, op)
+
+    def _on_accumulate(self, ws: WindowState, p: AccumulateData, src: int) -> None:
+        old: np.ndarray | None = None
+        if p.data is not None:
+            count = p.nbytes // p.dtype.size
+            target_view = ws.win.memory.view(p.dtype, p.target_disp, count)
+            if p.fetch:
+                old = target_view.copy()
+            p.reduce_op.apply(target_view, p.data.view(p.dtype.np_dtype))
+        elif p.fetch:
+            old = ws.win.memory.read(p.target_disp, p.nbytes)
+        if p.fetch:
+            self.fabric.send(self.rank, p.origin, p.nbytes,
+                             GetResponse(ws.gid, p.op_uid, p.nbytes, old), _RDMA)
+
+    def _on_acc_rts(self, ws: WindowState, p: AccRendezvousRts, src: int) -> None:
+        # Host provides the intermediate buffer, then clears the sender.
+        self.fabric.send(self.rank, p.origin, self.model.control_bytes,
+                         AccRendezvousCts(ws.gid, p.op_uid), _CONTROL)
+
+    def _on_acc_cts(self, ws: WindowState, p: AccRendezvousCts, src: int) -> None:
+        op = ws.ops_by_uid[p.op_uid]
+        self._send_accumulate_payload(ws, op)
+
+    def _on_fetch_op(self, ws: WindowState, p: FetchOpRequest, src: int) -> None:
+        view = ws.win.memory.view(p.dtype, p.target_disp, 1)
+        old = view.copy()
+        if p.data is not None:
+            p.reduce_op.apply(view, p.data.view(p.dtype.np_dtype))
+        self.sim.schedule(
+            self.model.cas_processing, self.fabric.send, self.rank, p.origin,
+            p.dtype.size + self.model.control_bytes, FetchOpResponse(ws.gid, p.op_uid, old),
+            _RDMA,
+        )
+
+    def _on_fetch_op_response(self, ws: WindowState, p: FetchOpResponse, src: int) -> None:
+        op = ws.ops_by_uid.pop(p.op_uid)
+        if op.result_buf is not None and p.data is not None:
+            op.result_buf.view(p.data.dtype).reshape(-1)[:1] = p.data.reshape(-1)[:1]
+        self._op_delivered(ws, op)
+
+    def _on_cas(self, ws: WindowState, p: CasRequest, src: int) -> None:
+        view = ws.win.memory.view(p.dtype, p.target_disp, 1)
+        old = view.copy()
+        if p.compare is not None and p.new is not None:
+            if old.reshape(-1)[0] == p.compare.view(p.dtype.np_dtype).reshape(-1)[0]:
+                view.reshape(-1)[0] = p.new.view(p.dtype.np_dtype).reshape(-1)[0]
+        self.sim.schedule(
+            self.model.cas_processing, self.fabric.send, self.rank, p.origin,
+            p.dtype.size + self.model.control_bytes, CasResponse(ws.gid, p.op_uid, old),
+            _RDMA,
+        )
+
+    def _on_cas_response(self, ws: WindowState, p: CasResponse, src: int) -> None:
+        op = ws.ops_by_uid.pop(p.op_uid)
+        if op.result_buf is not None and p.data is not None:
+            op.result_buf.view(p.data.dtype).reshape(-1)[:1] = p.data.reshape(-1)[:1]
+        self._op_delivered(ws, op)
+
+    def _on_grant(self, ws: WindowState, p: GrantUpdate, src: int) -> None:
+        board = ws.board
+        granter = p.granter
+        # Idempotent form: the packet carries its position in the
+        # granter's grant stream, so replays cannot over-increment g.
+        seq = p.grant_seq if p.grant_seq is not None else board.inbound[_GRANT, granter] + 1
+        if not board.apply(_GRANT, granter, seq):
+            return
+        if self.metrics is not None:
+            self.metrics.inc("omega.grants_recv")
+        if self.causal is not None:
+            self.causal.instant("grant", rank=self.rank, win=ws.gid, meta={"granter": granter})
+        if self._explore is not None:
+            self._explore.record_notification(
+                self.rank, "grant", granter, pack_win_value(ws.gid, seq)
+            )
+        if p.lock_access_id is not None:
+            ep = ws.lock_epochs.get((granter, p.lock_access_id))
+            if ep is not None and not ep.lock_held.get(granter, False):
+                self._lock_held(ws, ep, granter, "omega.lock_grant_wait_us")
+        # g[granter] is shared: a lock grant advances the counter GATS
+        # access epochs toward the same host compare against (A_i <= g_r).
+        self._wake_peer(ws, _GRANT, granter)
+
+    def _lock_held(self, ws: WindowState, ep: Epoch, target: int, wait_metric: str) -> None:
+        """``ep``'s lock at ``target`` was granted."""
+        ep.lock_held[target] = True
+        start = ep.activate_time if ep.activate_time is not None else ep.open_time
+        if start is not None:
+            if self.metrics is not None:
+                self.metrics.observe(wait_metric, self.sim.now - start)
+            if self.causal is not None:
+                self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
+        self._wake_target(ws, ep, target)
+
+    def _on_done(self, ws: WindowState, p: DonePacket, src: int) -> None:
+        self._done_landed(ws, p.origin, p.access_id)
+
+    def _done_landed(self, ws: WindowState, origin: int, access_id: int) -> None:
+        """An ω done (control packet or FIFO word) arrived.  A floor, not
+        ``apply``: under the reorder flags dones land out of id order."""
+        ws.board.floor_inbound(_DONE, origin, access_id)
+        self._wake_peer(ws, _DONE, origin)
+        if self._explore is not None:
+            # One canonical form for both transports: the digest
+            # multiset is transport-agnostic.
+            self._explore.record_notification(
+                self.rank, "done", origin, pack_win_value(ws.gid, access_id)
+            )
+
+    def _on_lock_request(self, ws: WindowState, p: LockRequestPacket, src: int) -> None:
+        ws.lock_backlog.append(("lock", p))
+
+    def _on_unlock(self, ws: WindowState, p: UnlockPacket, src: int) -> None:
+        ws.lock_backlog.append(("unlock", p))
+
+    def _on_unlock_ack(self, ws: WindowState, p: UnlockAck, src: int) -> None:
+        # A stale or replayed ack finds no entry: the first one popped it.
+        ep = ws.lock_epochs.pop((src, p.access_id), None)
+        if ep is not None:
+            ep.unlock_acked.add(src)
+            self._wake_advance(ws, ep, src)
+
+    def _on_fence_open(self, ws: WindowState, p: FenceOpen, src: int) -> None:
+        ws.board.floor_inbound(_FENCE_OPEN, p.origin, p.round_no)
+        self._wake_peer(ws, _FENCE_OPEN, p.origin)
+
+    def _on_fence_done(self, ws: WindowState, p: FenceDone, src: int) -> None:
+        ws.board.floor_inbound(_FENCE_DONE, p.origin, p.round_no)
+        self._wake_peer(ws, _FENCE_DONE, p.origin)
+
+    _PACKET_HANDLERS = {
+        PutData: _on_put,
+        GetRequest: _on_get_request,
+        GetResponse: _on_get_response,
+        AccumulateData: _on_accumulate,
+        AccRendezvousRts: _on_acc_rts,
+        AccRendezvousCts: _on_acc_cts,
+        FetchOpRequest: _on_fetch_op,
+        FetchOpResponse: _on_fetch_op_response,
+        CasRequest: _on_cas,
+        CasResponse: _on_cas_response,
+        GrantUpdate: _on_grant,
+        DonePacket: _on_done,
+        LockRequestPacket: _on_lock_request,
+        UnlockPacket: _on_unlock,
+        UnlockAck: _on_unlock_ack,
+        FenceOpen: _on_fence_open,
+        FenceDone: _on_fence_done,
+    }
+
+    # =====================================================================
+    # Notification FIFO (intranode epoch-completion packets, step 5)
+    # =====================================================================
+    def _consume_notifications(self) -> int:
+        """Step 5: drain this rank's 64-bit FIFO; returns packets drained.
+
+        Every packet is an epoch completion, authenticated by
+        :func:`~repro.network.shmem.decode_checked`.  Each one is popped
+        and consumed before the next is decoded, so honest packets queued
+        ahead of a forged one take effect even when the forged one then
+        raises.
+        """
+        incoming = self.fifo._incoming
+        states = self.states
+        count = 0
+        while incoming:
+            packet, src = incoming.popleft()
+            _kind, sender, value = decode_checked(packet, src)
+            count += 1
+            gid, ident = unpack_win_value(value)
+            ws = states[gid]
+            self.mark_dirty(ws)
+            self._done_landed(ws, sender, ident)
+        return count
+
+    # =====================================================================
+    # The matching protocol (one copy, over ``ws.board``)
+    # =====================================================================
+    def _notify(self, ws: WindowState, channel: SignalChannel, peer: int,
+                value: int | None = None, **wire: Any) -> int:
+        """Advance this rank's outbound counter toward ``peer`` — by one,
+        or up to ``value`` on the id- and round-valued channels — and put
+        the new value on the wire.  ``wire`` is context only an encoding
+        may need (the epoch of a done, the access id of a lock grant)."""
+        board = ws.board
+        if value is None:
+            value = board.bump_outbound(channel, peer)
+        else:
+            board.raise_outbound(channel, peer, value)
+        self._transmit(ws, channel, peer, value, **wire)
+        return value
+
+    def _transmit(self, ws: WindowState, channel: SignalChannel, peer: int, value: int,
+                  epoch: Epoch | None = None, lock_access_id: int | None = None) -> None:
+        """The ω wire encoding: which packet carries ``value``."""
+        if channel is _GRANT:
+            # ``e++`` locally (done by the caller), ``g++`` remotely: one
+            # 8-byte RDMA write; a lock grant names the epoch it is for.
+            self.fabric.send(
+                self.rank, peer, 8,
+                GrantUpdate(ws.gid, granter=self.rank, lock_access_id=lock_access_id,
+                            grant_seq=value),
+                _RDMA,
+            )
+        elif channel is _DONE:
+            # Intranode dones ride the 64-bit FIFO (§VII-D); internode
+            # dones are control packets.
+            if self._node_lo <= peer < self._node_hi:
+                self.fifo.send(peer, NotifyKind.EPOCH_COMPLETE, pack_win_value(ws.gid, value))
+                if self.causal is not None:
+                    # FIFO dones never cross the fabric, so they get their
+                    # own (zero-duration) span here.
+                    self.causal.instant(
+                        "done.fifo", rank=self.rank, win=ws.gid, epoch=epoch.uid,
+                        meta={"target": peer},
+                    )
+            else:
+                self.fabric.send(self.rank, peer, self.model.control_bytes,
+                                 DonePacket(ws.gid, origin=self.rank, access_id=value), _CONTROL)
+        elif channel is _FENCE_OPEN or channel is _FENCE_DONE:
+            packet = FenceOpen if channel is _FENCE_OPEN else FenceDone
+            self.fabric.send(self.rank, peer, self.model.control_bytes,
+                             packet(ws.gid, origin=self.rank, round_no=value), _CONTROL)
+        else:
+            raise RmaInternalError(
+                f"the ω encoding has no packet for channel {SignalChannel(channel).name}"
+            )
+
+    def _enroll_access(self, ws: WindowState, ep: Epoch) -> None:
+        """Enter an activating access-side epoch into the matching
+        protocol: reserve the next value per target (``A_i = ++a_l``,
+        §VII-B) — under a NOCHECK start too: the exposure side grants
+        unconditionally, so a non-consuming epoch would misalign every
+        later one.  Passive-target kinds reserve on ``lock_channel`` and
+        ship their lock request, which echoes the reservation — unless
+        NOCHECK: then there is no acquisition protocol at all, the epoch
+        neither enters the counter stream nor touches the target's lock
+        manager."""
+        passive = ep.kind is not EpochKind.GATS_ACCESS
+        if passive and ep.nocheck:
+            for target in ep.targets:
+                ep.lock_held[target] = True
+            return
+        board = ws.board
+        channel = self.lock_channel if passive else _GRANT
+        for target in ep.targets:
+            ep.access_ids[target] = access_id = board.bump_expected(channel, target)
+            if passive:
+                ws.lock_epochs[target, access_id] = ep
+                self.fabric.send(
+                    self.rank, target, self.model.control_bytes,
+                    LockRequestPacket(
+                        ws.gid, origin=self.rank, exclusive=ep.exclusive, access_id=access_id
+                    ),
+                    _CONTROL, needs_attention=True,
+                )
+
+    def _enroll_exposure(self, ws: WindowState, ep: Epoch) -> None:
+        """Enter an activating exposure epoch: grant every origin
+        (``e++`` locally, ``g++`` remotely) and fix the DONE value that
+        completes the exposure toward it.  A done can be in already (a
+        NOCHECK origin, or this epoch deferred behind another): count
+        those now, later ones are counted as they land."""
+        board = ws.board
+        by_id = self.done_by_id
+        for origin in ep.origin_group:
+            grant = self._notify(ws, _GRANT, origin)
+            ep.exposure_ids[origin] = grant if by_id else board.bump_expected(_DONE, origin)
+        ep.done_from.update(o for o in ep.peers if self._done_arrived(ws, ep, o))
+
+    def _access_granted(self, ws: WindowState, ep: Epoch, target: int) -> bool:
+        """The O(1) matching test ``A_i <= g_r``."""
+        return ws.board.reached(_GRANT, target, ep.access_ids[target])
+
+    def _done_arrived(self, ws: WindowState, ep: Epoch, origin: int) -> bool:
+        """Whether ``origin``'s done for this exposure epoch is in."""
+        return ws.board.reached(_DONE, origin, ep.exposure_ids[origin])
+
+    def _send_done(self, ws: WindowState, epoch: Epoch, target: int) -> None:
+        """Access-epoch completion notification to one target."""
+        access_id = epoch.access_ids[target] if self.done_by_id else None
+        self._notify(ws, _DONE, target, access_id, epoch=epoch)
+        epoch.done_sent.add(target)
+
+    # -- fence rounds over the board ------------------------------------------
+    def _broadcast_fence_open(self, ws: WindowState, round_no: int) -> None:
+        # Fence channels carry the round number itself (a floor, not a
+        # count): re-announcements of the same round are idempotent.
+        for peer in ws.win.group.ranks:
+            if peer != self.rank:
+                self._notify(ws, _FENCE_OPEN, peer, round_no)
+
+    def _broadcast_fence_done(self, ws: WindowState, epoch: Epoch) -> None:
+        for peer in ws.win.group.ranks:
+            if peer != self.rank:
+                self._notify(ws, _FENCE_DONE, peer, epoch.fence_round)
+        epoch.fence_done_sent = True
+
+    def _announce_fence(self, ws: WindowState, ep: Epoch) -> None:
+        """Announce an activating fence round to every peer, and count
+        the peers already through it: one can finish a round before this
+        rank enters it."""
+        self._broadcast_fence_open(ws, ep.fence_round)
+        for peer in ws.win.group.ranks:
+            if peer != self.rank:
+                self._fence_done_landed(ws, ep, peer)
+
+    def _fence_done_landed(self, ws: WindowState, ep: Epoch, peer: int) -> None:
+        """Count ``peer`` toward ``ep``'s barrier if it completed the round."""
+        if ws.board.reached(_FENCE_DONE, peer, ep.fence_round):
+            ep.done_from.add(peer)
+
+    def _fence_done_reached(self, ws: WindowState, ep: Epoch) -> bool:
+        """Barrier test for a closing fence: every peer completed the
+        round — counted as each landed, so one compare, no O(nranks)
+        peer set per examination."""
+        if len(ep.done_from) != len(ws.win.group.ranks) - 1:
+            return False
+        if ws.checker is not None:
+            assert all(ws.board.reached(_FENCE_DONE, p, ep.fence_round)
+                       for p in ws.win.group.ranks if p != self.rank), ep
+        return True
+
+    # =====================================================================
+    # Lock hosting (target side)
+    # =====================================================================
+    def _grant_lock(self, ws: WindowState, waiter: "LockWaiter") -> None:
+        """Lock-manager grant callback: one ``lock_channel`` update.  The
+        lock manager is FIFO and an origin's requests arrive in program
+        order, so the host's k-th update toward an origin answers that
+        origin's k-th reservation on the channel (the ω packet names it
+        too: ``lock_access_id``)."""
+        checker = ws.checker
+        if checker is not None:
+            checker.on_lock_grant(ws, waiter)
+        self._notify(ws, self.lock_channel, waiter.origin, lock_access_id=waiter.access_id)
+
+    def _process_lock_backlog(self, ws: WindowState) -> int:
+        """Step 6: batch-process queued lock/unlock requests; returns the
+        number of backlog entries consumed."""
+        if not ws.lock_backlog:
+            return 0
+        checker = ws.checker
+        processed = 0
+        while ws.lock_backlog:
+            what, packet = ws.lock_backlog.popleft()
+            processed += 1
+            if what == "lock":
+                ws.lock_mgr.request(packet.origin, packet.exclusive, packet.access_id)
+            else:
+                if not ws.lock_mgr.holds(packet.origin):
+                    # Unlock without lock: with the checker this is a
+                    # structured LOCK_MISUSE violation (report mode skips
+                    # the release and still acks so the origin does not
+                    # hang); without it, the lock manager's own error
+                    # propagates as before.
+                    if checker is not None:
+                        checker.on_unlock_without_hold(ws, packet.origin)
+                    else:
+                        ws.lock_mgr.release(packet.origin)
+                else:
+                    # Quiescence must be judged *before* release(): the
+                    # FIFO manager grants the next waiter inside it.
+                    others = [o for o in ws.lock_mgr.holders if o != packet.origin]
+                    ws.lock_mgr.release(packet.origin)
+                    if checker is not None:
+                        checker.on_lock_release(ws, packet.origin, quiesced=not others)
+                self.fabric.send(self.rank, packet.origin, self.model.control_bytes,
+                                 UnlockAck(ws.gid, access_id=packet.access_id), _CONTROL)
+        return processed
+
+    # =====================================================================
+    # Op issuing and completion
+    # =====================================================================
+    def _issue_op(self, ws: WindowState, op: RmaOp) -> None:
+        """Put one recorded op on the wire."""
+        assert not op.issued, f"double issue of {op}"
+        checker = ws.checker
+        if checker is not None:
+            checker.on_op_issue(ws, op.epoch, op)
+        op.issued = True
+        op.issue_time = self.sim.now
+        m = self.metrics
+        if m is not None:
+            m.inc("rma.ops_issued")
+        causal = self.causal
+        if causal is not None:
+            # The op span is the causal parent of every message the op
+            # puts on the wire: enter it for the issue body, restore the
+            # caller's context at the end of this method.
+            op.causal_sid = causal.begin(
+                "op", rank=self.rank, win=ws.gid, epoch=op.epoch.uid,
+                meta={"op": op.kind.value, "target": op.target,
+                      "nbytes": op.nbytes},
+            )
+            _prev_ctx = causal.current
+            causal.current = op.causal_sid
+
+        if op.kind is OpKind.PUT:
+            payload = PutData(ws.gid, op.uid, op.target_disp, op.nbytes, op.data)
+            ticket = self.fabric.send(self.rank, op.target, op.nbytes, payload, _RDMA,
+                                      pin_region=(op.target_disp, op.nbytes))
+            ticket.on_local_complete(self._op_local, ws, op)
+            ticket.on_delivered(self._op_delivered, ws, op)
+        elif op.kind is OpKind.GET:
+            ws.ops_by_uid[op.uid] = op
+            self.fabric.send(
+                self.rank, op.target, self.model.control_bytes,
+                GetRequest(ws.gid, op.uid, self.rank, op.target_disp, op.nbytes), _CONTROL,
+            )
+            # A get has no separate local completion phase at the origin.
+            self.sim.schedule(0.0, self._op_local, ws, op)
+        elif op.kind in (OpKind.ACCUMULATE, OpKind.GET_ACCUMULATE):
+            if op.kind is OpKind.GET_ACCUMULATE:
+                ws.ops_by_uid[op.uid] = op
+            if self.model.accumulate_needs_rendezvous(op.nbytes):
+                ws.ops_by_uid[op.uid] = op
+                self.fabric.send(
+                    self.rank, op.target, self.model.control_bytes,
+                    AccRendezvousRts(ws.gid, op.uid, self.rank, op.nbytes), _CONTROL,
+                    needs_attention=True,
+                )
+            else:
+                self._send_accumulate_payload(ws, op)
+        elif op.kind is OpKind.FETCH_AND_OP:
+            ws.ops_by_uid[op.uid] = op
+            self.fabric.send(
+                self.rank, op.target, self.model.control_bytes + op.dtype.size,
+                FetchOpRequest(
+                    ws.gid, op.uid, self.rank, op.target_disp, op.dtype, op.reduce_op, op.data
+                ),
+                _CONTROL,
+            )
+            self.sim.schedule(0.0, self._op_local, ws, op)
+        elif op.kind is OpKind.COMPARE_AND_SWAP:
+            ws.ops_by_uid[op.uid] = op
+            self.fabric.send(
+                self.rank, op.target, self.model.control_bytes + 2 * op.dtype.size,
+                CasRequest(ws.gid, op.uid, self.rank, op.target_disp, op.dtype,
+                           op.compare, op.data),
+                _CONTROL,
+            )
+            self.sim.schedule(0.0, self._op_local, ws, op)
+        else:  # pragma: no cover - exhaustive
+            raise AssertionError(f"unhandled op kind {op.kind}")
+        if causal is not None:
+            causal.current = _prev_ctx
+
+    def _send_accumulate_payload(self, ws: WindowState, op: RmaOp) -> None:
+        fetch = op.kind is OpKind.GET_ACCUMULATE
+        payload = AccumulateData(
+            ws.gid, op.uid, op.target_disp, op.nbytes, op.dtype, op.reduce_op, op.data,
+            fetch=fetch, origin=self.rank,
+        )
+        ticket = self.fabric.send(self.rank, op.target, op.nbytes, payload, _RDMA,
+                                  pin_region=(op.target_disp, op.nbytes))
+        ticket.on_local_complete(self._op_local, ws, op)
+        if not fetch:
+            ticket.on_delivered(self._op_delivered, ws, op)
+
+    def _op_local(self, ws: WindowState, op: RmaOp) -> None:
+        """Origin-buffer-reusable event (step-1 completion verification)."""
+        if op.local_done:
+            return
+        op.local_done = True
+        op.local_time = self.sim.now
+        self.mark_dirty(ws)
+        prof = self.profiler
+        if prof is not None:
+            prof.tally(1)
+        ws.notify_flushes(op, local=True)
+        if op.request is not None and not op.request.remote and not op.request.done:
+            op.request.complete()
+        self.poke()
+
+    def _op_delivered(self, ws: WindowState, op: RmaOp) -> None:
+        """Remote-completion event (applied at target / result at origin)."""
+        if op.delivered:
+            return
+        op.delivered = True
+        op.deliver_time = self.sim.now
+        if op.epoch.mark_delivered(op):
+            self._wake_advance(ws, op.epoch, op.target)
+        self.mark_dirty(ws)
+        prof = self.profiler
+        if prof is not None:
+            prof.tally(1)
+        causal = self.causal
+        if causal is not None and op.causal_sid is not None:
+            causal.end(op.causal_sid)
+        if not op.local_done:
+            # Result-bearing ops: remote completion implies local.
+            op.local_done = True
+            op.local_time = self.sim.now
+            ws.notify_flushes(op, local=True)
+        ws.notify_flushes(op, local=False)
+        if op.request is not None and not op.request.done:
+            op.request.complete()
+        self.poke()
+
+    # =====================================================================
+    # Epoch lifecycle API (called by the Window facade).  Every epoch is
+    # created inactive and opened the same way (§VII-A, §VII-C); when it
+    # activates is the engine's policy.
+    # =====================================================================
+    def open_fence(self, win: "Window") -> Epoch:
+        ws = self.state_of(win)
+        ws.fence_round += 1
+        ep = Epoch(
+            EpochKind.FENCE, ws.gid, self.rank, targets=tuple(win.group.ranks),
+            fence_round=ws.fence_round,
+        )
+        return self._open_epoch(ws, ep)
+
+    def open_gats_access(
+        self, win: "Window", group: tuple[int, ...], nocheck: bool = False
+    ) -> Epoch:
+        ws = self.state_of(win)
+        ep = Epoch(EpochKind.GATS_ACCESS, ws.gid, self.rank, targets=group, nocheck=nocheck)
+        return self._open_epoch(ws, ep)
+
+    def open_exposure(self, win: "Window", group: tuple[int, ...]) -> Epoch:
+        ws = self.state_of(win)
+        ep = Epoch(EpochKind.GATS_EXPOSURE, ws.gid, self.rank, origin_group=group)
+        return self._open_epoch(ws, ep)
+
+    def open_lock(
+        self, win: "Window", target: int, exclusive: bool, nocheck: bool = False
+    ) -> Epoch:
+        ws = self.state_of(win)
+        ep = Epoch(
+            EpochKind.LOCK, ws.gid, self.rank, targets=(target,), exclusive=exclusive,
+            nocheck=nocheck,
+        )
+        return self._open_epoch(ws, ep)
+
+    def open_lock_all(self, win: "Window", nocheck: bool = False) -> Epoch:
+        ws = self.state_of(win)
+        ep = Epoch(
+            EpochKind.LOCK_ALL, ws.gid, self.rank, targets=tuple(win.group.ranks),
+            exclusive=False, nocheck=nocheck,
+        )
+        return self._open_epoch(ws, ep)
+
+    def close_epoch(self, win: "Window", ep: Epoch) -> ClosingRequest:
+        """The closing routine of every epoch kind."""
+        return self._close_epoch(self.state_of(win), ep)
+
+    def _open_epoch(self, ws: WindowState, ep: Epoch) -> Epoch:
+        ep.open_time = self.sim.now
+        ws.epochs.append(ep)
+        ws.activation_pending = True
+        if self.causal is not None:
+            self.causal.epoch_open(self.rank, ws.gid, ep)
+        self.mark_dirty(ws)
+        self.poke()
+        return ep
+
+    def _close_epoch(self, ws: WindowState, ep: Epoch) -> ClosingRequest:
+        if ep.app_closed:
+            raise RmaUsageError(f"epoch {ep} closed twice")
+        ep.app_closed = True
+        ep.close_call_time = self.sim.now
+        req = ClosingRequest(self.sim, ep)
+        self.mark_dirty(ws)
+        if ep.completed:
+            req.complete()
+            ws.retire_closed()
+        else:
+            ep.closing_request = req  # until completion: no lasting cycle
+            self._wake_advance(ws, ep)
+            self.poke()
+        return req
+
+    def _complete_epoch(self, ws: WindowState, ep: Epoch) -> None:
+        ep.state = EpochState.COMPLETED
+        ep.complete_time = self.sim.now
+        ws.activation_pending = True
+        if self.causal is not None:
+            self.causal.epoch_complete(self.rank, ws.gid, ep)
+        m = self.metrics
+        if m is not None:
+            kind = ep.kind.value
+            m.inc(f"epoch.{kind}.completed")
+            if ep.activate_time is not None:
+                if ep.open_time is not None:
+                    m.observe(f"epoch.{kind}.defer_us", ep.activate_time - ep.open_time)
+                m.observe(f"epoch.{kind}.active_us", ep.complete_time - ep.activate_time)
+        checker = ws.checker
+        if checker is not None:
+            checker.on_epoch_complete(ws, ep)
+        req = ep.closing_request
+        if req is not None:
+            ep.closing_request = None
+            req.complete()
+
+    def test_exposure(self, win: "Window", ep: Epoch) -> bool:
+        """MPI_WIN_TEST: nonblocking completion probe of an exposure."""
+        self.poke()
+        return ep.completed
+
+    def add_op(self, win: "Window", ep: Epoch, op: RmaOp) -> RmaOp:
+        """Record one RMA call in its epoch; engine policy decides when
+        it is issued."""
+        ws = self.state_of(win)
+        op.call_time = self.sim.now
+        ep.record_op(op)
+        ws.unissued_total += 1
+        if ep.active:
+            self._wake_post(ws, ep, op.target)
+        self.mark_dirty(ws)
+        if op.request is not None:
+            self._early_activate(ws, ep)
+        self.poke()
+        return op
+
+    def next_age(self, win: "Window") -> int:
+        """Allocate an RMA-call age (§VII-C flush stamping)."""
+        return self.state_of(win).next_age()
+
+    def discard_fence(self, win: "Window", ep: Epoch) -> None:
+        """Drop an empty fence epoch under MODE_NOPRECEDE: no barrier,
+        no notifications — the epoch simply never existed internally."""
+        ws = self.state_of(win)
+        ep.app_closed = True
+        self._complete_epoch(ws, ep)
+        ws.retire_closed()
+        self.mark_dirty(ws)
+        self.poke()
+
+    # =====================================================================
+    # Flushes (§V/§VII-C).  Blocking flushes are *not* built on their
+    # nonblocking equivalents: they drive the progress engine until the
+    # epoch-local conditions hold and return a request the facade waits on.
+    # =====================================================================
+    def _early_activate(self, ws: WindowState, ep: Epoch) -> None:
+        """Hook: the application may wait on ``ep``'s ops before closing it
+        (a blocking flush, or an op that carries a request).  The lazy
+        baseline acquires its lock here (as real MVAPICH does); the
+        redesigned engine needs nothing."""
+
     def make_flush(
         self, win: "Window", ep: Epoch, target: int | None, local: bool
     ) -> FlushRequest:
-        """The nonblocking flush of §V/§VII-C: age-stamped counter."""
+        """The nonblocking flush: age-stamped counter."""
         ws = self.state_of(win)
         checker = ws.checker
         if checker is not None:
@@ -457,3 +1358,28 @@ class NonblockingEngine(RmaEngineBase):
             self.mark_dirty(ws)
         self.poke()
         return req
+
+    def blocking_flush(self, win: "Window", ep: Epoch, target: int | None, local: bool):
+        ws = self.state_of(win)
+        checker = ws.checker
+        if checker is not None:
+            checker.on_flush(ws, ep)
+        self._early_activate(ws, ep)
+        ops = [op for op in ep.undelivered_ops(target) if not (local and op.local_done)]
+        req = Request(self.sim, f"bflush(ep{ep.uid})")
+        if not ops:
+            req.complete()
+            return req
+        self._blocking_flushes.append((ws, req, ops, local))
+        self.mark_dirty(ws)
+        self.poke()
+        return req
+
+    def _check_blocking_flushes(self) -> None:
+        live = []
+        for ws, req, ops, local in self._blocking_flushes:
+            if all((op.local_done if local else op.delivered) for op in ops):
+                req.complete()
+            else:
+                live.append((ws, req, ops, local))
+        self._blocking_flushes = live

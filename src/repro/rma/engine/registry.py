@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .base import RmaEngineBase
+    from .nonblocking import NonblockingEngine
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -36,7 +36,7 @@ def canonical_engine(name: str) -> str:
     )
 
 
-def engine_factory(name: str) -> type["RmaEngineBase"]:
+def engine_factory(name: str) -> type["NonblockingEngine"]:
     """The engine class for an engine name.
 
     Imports lazily: :mod:`repro.rma.engine` imports the engine modules

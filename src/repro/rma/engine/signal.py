@@ -1,10 +1,10 @@
 """The counter-signal engine: mscclpp-style epoch ids + notified access.
 
-Same deferred-epoch activation policy, 7-step progress loop, eager
-per-target issue, dirty-window worklists *and matching protocol* as
-:class:`~repro.rma.engine.nonblocking.NonblockingEngine` — both match on
-the window's :class:`~repro.rma.notify.SignalBoard`.  Only the *wire
-encoding* differs: where the ω engines ship a counter value as a
+A subclass of :class:`~repro.rma.engine.nonblocking.NonblockingEngine`:
+same deferred-epoch activation, 7-step progress loop, eager per-target
+issue, ready sets *and matching protocol* — both match on the window's
+:class:`~repro.rma.notify.SignalBoard`.  Only the *wire encoding*
+differs: where the ω engines ship a counter value as a
 GrantUpdate / DonePacket / FIFO word / FenceOpen / FenceDone, this
 engine writes every channel as a single one-sided 8-byte
 :class:`~repro.rma.packets.SignalUpdate` — ``signal()`` /
@@ -53,7 +53,7 @@ _GRANTS = (SignalChannel.GRANT, SignalChannel.LOCK)
 
 
 class SignalEngine(NonblockingEngine):
-    """Counter-signal epoch matching over the nonblocking policy core."""
+    """Counter-signal wire encoding of the one progress engine."""
 
     supports_notified_access = True
 
@@ -74,9 +74,8 @@ class SignalEngine(NonblockingEngine):
                 "signal", rank=self.rank, win=ws.gid,
                 meta={"channel": channel.name.lower(), "peer": peer, "value": value},
             )
-        self._send(
-            peer,
-            8,
+        self.fabric.send(
+            self.rank, peer, 8,
             SignalUpdate(ws.gid, channel=int(channel), signaler=self.rank, value=value),
             ServiceKind.RDMA,
         )

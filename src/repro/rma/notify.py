@@ -21,7 +21,8 @@ per (channel, peer) — mscclpp's ``EpochIds{outbound, inboundReplica}`` +
 What differs between engines is only how an increment *travels*
 (``GrantUpdate`` / done / fence packets under ω, one 8-byte
 ``SignalUpdate`` under counter signals) and two numbering rules
-(``lock_channel`` and ``done_by_id`` in :mod:`repro.rma.engine.base`).
+(``lock_channel`` and ``done_by_id``, class constants of
+:class:`~repro.rma.engine.nonblocking.NonblockingEngine`).
 
 Channels keep independent streams apart; within one (channel, pair) the
 counters align by *program order* on both sides — the per-pair FIFO
@@ -70,11 +71,10 @@ class SignalBoard:
 
     __slots__ = ("outbound", "inbound", "expected", "dup_signals_ignored")
 
-    def __init__(self, nranks: int):
-        nrows = len(SignalChannel)
-        self.outbound = SparseCounterMat(nrows, nranks)
-        self.inbound = SparseCounterMat(nrows, nranks)
-        self.expected = SparseCounterMat(nrows, nranks)
+    def __init__(self):
+        self.outbound = SparseCounterMat()
+        self.inbound = SparseCounterMat()
+        self.expected = SparseCounterMat()
         #: Replayed grant / signal updates discarded by the idempotent
         #: ``max()`` application (nonzero only if duplicate suppression
         #: is bypassed).

@@ -57,7 +57,7 @@ class WindowState:
         #: Per-(channel, peer) counters every engine matches on.  Sparse:
         #: untouched peers allocate nothing, so window registration is
         #: O(1) in nranks.
-        self.board = SignalBoard(win.group.runtime.nranks)
+        self.board = SignalBoard()
         #: Pending ``notify_wait`` reservations: (source, value, request)
         #: triples resolved when the NOTIFY inbound replica catches up.
         self.signal_waits: list[tuple[int, int, Any]] = []
@@ -68,11 +68,11 @@ class WindowState:
         #: and retirement pops finished epochs from the head in O(1)
         #: instead of rebuilding a list per sweep.
         self.epochs: deque["Epoch"] = deque()
-        # Ready sets (docs/PERFORMANCE.md part 3 has the wake-up table):
+        # Ready sets (docs/PERFORMANCE.md has the wake-up table):
         # an epoch or (epoch, target) pair enters one only when one of
         # its own predicate inputs moved and leaves it when examined, so
-        # whatever is outside is at a fixpoint.  Only engines whose sweep
-        # consumes them fill them.
+        # whatever is outside is at a fixpoint.  ``NonblockingEngine``'s
+        # wake-ups fill them and its sweep consumes them.
         #: Pairs whose readiness test may have flipped (sweep steps 2/4).
         self.post_ready: set[tuple["Epoch", int]] = set()
         #: Epochs whose completion conditions may have moved (steps 3/7);

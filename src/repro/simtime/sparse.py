@@ -35,9 +35,7 @@ class SparseCounterMat:
 
     __slots__ = ("_values",)
 
-    def __init__(self, nrows: int = 0, nranks: int = 0):
-        # Both shape arguments are accepted for dense-constructor parity
-        # and ignored; sizing is driven purely by touches.
+    def __init__(self):
         self._values: dict[tuple[int, int], int] = {}
 
     def __getitem__(self, key: tuple[int, int]) -> int:

@@ -18,7 +18,7 @@ from repro.network import (
     decode_notification,
     encode_notification,
 )
-from repro.rma.engine.base import pack_win_value, unpack_win_value
+from repro.rma.engine.nonblocking import pack_win_value, unpack_win_value
 from repro.rma.notify import SignalChannel
 from repro.simtime import Simulator
 

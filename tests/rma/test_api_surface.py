@@ -14,9 +14,7 @@ import pytest
 from repro.mpi.info import Info
 from repro.rma.checker import SEMANTICS_CHECK_INFO_KEY
 from repro.rma.flags import E_A_A_R, ReorderFlags
-from repro.rma.engine.mvapich import MvapichEngine
-from repro.rma.engine.nonblocking import NonblockingEngine
-from repro.rma.engine.signal import SignalEngine
+from repro.rma.engine.registry import ENGINES, engine_factory
 from repro.rma.window import MODE_NOSUCCEED, Window
 from tests.conftest import make_runtime
 from tests.rma.test_ready_sets import _substitute
@@ -134,8 +132,7 @@ class _EveryWindow:
 
 EVERY_WINDOW = {
     name: type(f"EveryWindow{cls.__name__}", (_EveryWindow, cls), {})
-    for name, cls in (("nonblocking", NonblockingEngine), ("signal", SignalEngine),
-                      ("mvapich", MvapichEngine))
+    for name, cls in zip(ENGINES, map(engine_factory, ENGINES))
 }
 
 
@@ -149,7 +146,7 @@ class TestDirtyWorklist:
         for gid in range(1, 5):
             assert rt.metrics.value(f"engine.sweep.visited.win{gid}") == 0
 
-    @pytest.mark.parametrize("engine", ["nonblocking", "signal", "mvapich"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_both_modes_reach_the_same_virtual_time(self, monkeypatch, engine):
         """Skipping clean windows is invisible: same virtual time and
         same final window bytes as the scan of every window, in strictly

@@ -445,7 +445,7 @@ class TestEpochLeak:
 
     def test_undrained_fifo_notification_leak(self):
         from repro.network.shmem import NotifyKind, encode_notification
-        from repro.rma.engine.base import pack_win_value
+        from repro.rma.engine.nonblocking import pack_win_value
 
         def app(proc):
             win = yield from proc.win_allocate(8, info=CHECK)

@@ -210,7 +210,7 @@ class TestManyWindows:
     def test_window_gid_limit_is_checked(self):
         """Notification packing supports 64 windows; the 64th window
         creation still works, and the codec guards the boundary."""
-        from repro.rma.engine.base import pack_win_value
+        from repro.rma.engine.nonblocking import pack_win_value
 
         pack_win_value(63, 1)
         with pytest.raises(ValueError):

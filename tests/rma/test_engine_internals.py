@@ -4,7 +4,7 @@ packing, progress-sweep behaviour."""
 import numpy as np
 import pytest
 
-from repro.rma.engine.base import pack_win_value, unpack_win_value
+from repro.rma.engine.nonblocking import pack_win_value, unpack_win_value
 from repro.rma.epoch import EpochState
 from tests.conftest import make_runtime
 

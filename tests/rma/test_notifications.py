@@ -47,12 +47,12 @@ class TestDoneRouting:
         sizes = []
         original_send = rt.fabric.send
 
-        def spy(src, dst, nbytes, payload, **kw):
+        def spy(src, dst, nbytes, payload, *args, **kw):
             from repro.network.shmem import NotificationPacket
 
             if isinstance(payload, NotificationPacket):
                 sizes.append(nbytes)
-            return original_send(src, dst, nbytes, payload, **kw)
+            return original_send(src, dst, nbytes, payload, *args, **kw)
 
         rt.fabric.send = spy
 

@@ -210,18 +210,18 @@ class TestWraparoundGuard:
     @given(channel=st.sampled_from(list(SignalChannel)))
     @settings(max_examples=len(SignalChannel), deadline=None)
     def test_outbound_bump_refuses_to_wrap(self, channel):
-        board = SignalBoard(2)
+        board = SignalBoard()
         board.outbound[channel, 1] = SIGNAL_LIMIT - 1
         with pytest.raises(RmaInternalError, match="wraparound"):
             board.bump_outbound(channel, 1)
 
     def test_outbound_floor_refuses_to_wrap(self):
-        board = SignalBoard(2)
+        board = SignalBoard()
         with pytest.raises(RmaInternalError, match="wraparound"):
             board.raise_outbound(SignalChannel.FENCE_OPEN, 1, SIGNAL_LIMIT)
 
     def test_expected_reservation_refuses_to_wrap(self):
-        board = SignalBoard(2)
+        board = SignalBoard()
         board.expected[SignalChannel.NOTIFY, 0] = SIGNAL_LIMIT - 2
         with pytest.raises(RmaInternalError, match="wraparound"):
             board.bump_expected(SignalChannel.NOTIFY, 0, count=2)
@@ -234,9 +234,9 @@ class TestDupIdempotence:
     def test_replayed_signal_is_ignored(self):
         """Unit-level contract: max() application discards replays and
         counts them, exactly like GrantUpdate.grant_seq."""
-        board = SignalBoard(2)
+        board = SignalBoard()
         v = board.bump_outbound(SignalChannel.NOTIFY, 1)
-        peer = SignalBoard(2)
+        peer = SignalBoard()
         assert peer.apply(SignalChannel.NOTIFY, 0, v) is True
         assert peer.apply(SignalChannel.NOTIFY, 0, v) is False  # replay
         assert peer.apply(SignalChannel.NOTIFY, 0, v - 1) is False  # stale

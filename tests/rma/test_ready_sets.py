@@ -1,9 +1,10 @@
 """The per-window ready sets are sound, precise and loud when wrong.
 
-Production sweeps examine only the epochs and (epoch, target) pairs
-whose own predicate inputs moved, and read group predicates off arrival
-counts (the wake-up table in docs/PERFORMANCE.md part 3).  The engines
-in this file exist only here:
+Production sweeps of ``NonblockingEngine`` examine only the epochs and
+(epoch, target) pairs whose own predicate inputs moved, and read group
+predicates off arrival counts (the wake-up table in docs/PERFORMANCE.md,
+"Ready sets and the wake-up table").  The engines in this file exist
+only here, each a ``NonblockingEngine`` subclass:
 
 - ``Exhaustive*`` mark every live epoch, every one of its targets and
   every pair due, and recount every arrival, before every step — the
@@ -15,9 +16,9 @@ in this file exist only here:
   outermost ``poke()``: no epoch and no target outside the sets would
   move if examined, and every arrival count equals its predicate.
 
-Each comes in four engines: the redesign, the signal engine, and the
-MVAPICH baseline with its adaptive variant, whose gates are arrival
-counts of their own (``Epoch.ready_from``).
+Each comes in all four registered engines: the redesign itself, the
+signal engine, and the MVAPICH baseline with its adaptive variant, whose
+gates are arrival counts of their own (``Epoch.ready_from``).
 """
 
 from __future__ import annotations
@@ -393,21 +394,22 @@ def test_mixed_kinds_toward_one_host_match_the_exhaustive_walk(
     assert production == outcome(AUDITED)
 
 
-# ROADMAP 5a's minimal program, as a seed: two GATS accesses toward hosts
-# 1 and 2, then a lock at host 2.  ω folds the lock grant into the stream
-# the GATS posts advance (``RmaEngineBase.lock_channel`` is GRANT), so
-# once a reorder flag activates all three epochs at once an access id
-# handed to one kind is satisfied, or starved, by a grant of the other;
-# the signal engine keeps LOCK apart and completes.
+# The shared-grant-counter hazard's minimal program, as a seed: two GATS
+# accesses toward hosts 1 and 2, then a lock at host 2.  ω folds the lock
+# grant into the stream the GATS posts advance
+# (``NonblockingEngine.lock_channel`` is GRANT), so once a reorder flag
+# activates all three epochs at once an access id handed to one kind is
+# satisfied, or starved, by a grant of the other; the signal engine
+# keeps LOCK apart and completes.
 _HAZARD_STEPS = [("gats", (1, 2), {1, 2}, False)] * 2 + [("lock", 2, False)]
 _HAZARD_BYTES = [[0, 0, 0], [0, 0, 3], [0, 3, 3], [0, 0, 0], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("engine,flags,finish_us", [
     ("nonblocking", "noflags", 40.97),
-    # The two deadlock cells are pinned, not endorsed: ROADMAP 5a's ruling
-    # (erroneous program, or kind-separated ω counters) will change them
-    # on purpose; nothing else may.
+    # The two deadlock cells are pinned, not endorsed: a ruling on the
+    # hazard (erroneous program, or kind-separated ω counters) will change
+    # them on purpose; nothing else may.
     ("nonblocking", "A_A_A_R", None),
     ("nonblocking", "allflags", None),
     ("signal", "noflags", 40.92),

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.rma.engine
 from repro.mpi.runtime import MPIRuntime
 from repro.rma.engine.adaptive import AdaptiveEngine
 from repro.rma.engine.mvapich import MvapichEngine
@@ -43,6 +44,17 @@ class TestFactories:
         assert engine_factory("mvapich") is MvapichEngine
         assert engine_factory("adaptive") is AdaptiveEngine
         assert engine_factory("signal") is SignalEngine
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_every_engine_is_the_one_progress_class(self, name):
+        assert issubclass(engine_factory(name), NonblockingEngine)
+
+    def test_package_exports_no_base_class(self):
+        """The exported classes are exactly the registered engines: no
+        abstract base, no alias."""
+        pkg = repro.rma.engine
+        exported = {getattr(pkg, n) for n in pkg.__all__ if isinstance(getattr(pkg, n), type)}
+        assert exported == {engine_factory(name) for name in ENGINES}
 
     def test_factory_rejects_unknown(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """The engines differ only in the wire.
 
-Every engine runs the matching protocol of ``engine/base.py`` over the
-same counter board; an engine is its *wire encoding* (``_transmit``, the
+Every engine is a ``NonblockingEngine`` (``engine/nonblocking.py``) and
+runs its one matching protocol over the same counter board; an engine is its *wire encoding* (``_transmit``, the
 receive handlers) plus two numbering rules.  So the stream of
 ``_notify`` calls — which counter advanced toward whom, to what value —
 is a property of the program, not of the engine: recorded per rank as a
@@ -28,7 +28,7 @@ import pytest
 
 from repro.explore import VARIANTS, ExplorationContext
 from repro.explore.runner import WORKLOADS
-from repro.rma.engine.base import RmaEngineBase
+from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.rma.notify import SignalChannel
 
 WIRE_BLIND = ("halo", "stencil2d", "lu", "transactions", "factdb", "ordering")
@@ -42,7 +42,7 @@ SIGNAL = next(v for v in VARIANTS if v.engine == "signal")
 def _stream(workload: str, variant) -> dict[int, Counter]:
     """rank -> multiset of (window, channel, peer, value) notified."""
     record: dict[int, Counter] = {}
-    real = RmaEngineBase._notify
+    real = NonblockingEngine._notify
 
     def recording(self, ws, channel, peer, value=None, **wire):
         sent = real(self, ws, channel, peer, value, **wire)
@@ -50,7 +50,7 @@ def _stream(workload: str, variant) -> dict[int, Counter]:
         return sent
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RmaEngineBase, "_notify", recording)
+        mp.setattr(NonblockingEngine, "_notify", recording)
         WORKLOADS[workload](variant, ExplorationContext(semantics_check="report"))
     assert record, "the workload notified nothing"
     return record

@@ -18,12 +18,12 @@ from repro.simtime import SparseCounterMat
 
 class TestMatBasics:
     def test_untouched_reads_zero(self):
-        m = SparseCounterMat(6, 1 << 20)
+        m = SparseCounterMat()
         assert m[3, 123456] == 0
         assert m.touched() == 0
 
     def test_store_then_load(self):
-        m = SparseCounterMat(6, 64)
+        m = SparseCounterMat()
         m[1, 5] = 50
         m[2, 5] = 7
         m[2, 5] += 2
@@ -61,7 +61,7 @@ _mat_ops = st.lists(
 @given(ops=_mat_ops)
 @settings(max_examples=60, deadline=None)
 def test_mat_matches_dense_reference(ops):
-    sparse = SparseCounterMat(4, _NRANKS)
+    sparse = SparseCounterMat()
     dense = np.zeros((4, _NRANKS), dtype=np.int64)
     for what, row, col, val in ops:
         if what == "set":

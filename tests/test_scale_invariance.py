@@ -3,18 +3,17 @@
 PR 9's contract: no per-rank or per-pair structure in the runtime may
 be sized by the *total* rank count — flow-control pools, attention
 gates, ω-counter vectors, signal boards all materialize per touched
-peer only.  Three angles:
+peer only.  Two angles:
 
 - **touched-driven sizing** — a job where only a few ranks talk must
   leave every lazy table sized by the communicating set, not ``nranks``;
 - **memory ceiling** — an (almost) idle 2048-rank runtime stays within
   a flat tracemalloc budget (dense per-pair state would need gigabytes:
   one ``2048x2048`` int64 grid alone is 32 MiB, and the seed code kept
-  several per window);
-- **sparse vs dense** — Hypothesis drives random small topologies
-  through the production sparse containers and through dense ndarray
-  doubles patched into the engine; virtual time, window memory hashes,
-  and ω/signal digests must be bit-identical.
+  several per window).
+
+The sparse counter container itself is checked against a dense array,
+op for op, in ``tests/simtime/test_sparse.py``.
 
 Plus the opt-in contract of the Fig. 12 scan-cost knob: at the default
 ``baseline_scan_cost_us = 0.0`` nothing moves, and a positive cost
@@ -26,16 +25,10 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import repro.rma.notify as notify_mod
 from repro import LOCK_SHARED
 from repro.bench.calibration import default_model
-from repro.explore.digest import _omega_counters, _signal_counters, _window_memory
 from tests.conftest import make_runtime
-
-ENGINES = ("nonblocking", "mvapich", "signal")
 
 
 def _txn_app(txns):
@@ -160,74 +153,6 @@ class TestMemoryCeiling:
         assert len(rt.fabric.attention) <= 1
         ws0 = next(iter(rt.engines[0].states.values()))
         assert ws0.board.expected.touched() <= 1
-
-
-# ---------------------------------------------------------------------------
-# Sparse vs dense: bit-identical outcomes
-# ---------------------------------------------------------------------------
-class _DenseMat:
-    """Dense ndarray double of :class:`SparseCounterMat` (test only)."""
-
-    def __init__(self, nrows: int = 0, nranks: int = 0):
-        self._a = np.zeros((max(nrows, 1), max(int(nranks), 1)), dtype=np.int64)
-
-    def __getitem__(self, key):
-        row, col = key
-        if isinstance(col, (int, np.integer)):
-            return int(self._a[int(row), int(col)])
-        return self._a[int(row), list(col)]
-
-    def __setitem__(self, key, value):
-        row, col = key
-        self._a[int(row), int(col)] = value
-
-    def row_items(self, row):
-        for c, v in enumerate(self._a[int(row)]):
-            if v:
-                yield c, int(v)
-
-    def touched(self):
-        return int(self._a.size)
-
-
-def _fingerprint(nranks: int, engine: str, txns) -> dict:
-    rt = make_runtime(nranks, engine, model=default_model())
-    rt.run(_txn_app(txns))
-    return {
-        "virtual_us": rt.now,
-        "events": rt.sim.events_scheduled,
-        "memory": _window_memory(rt),
-        "omega": _omega_counters(rt),
-        "signal": _signal_counters(rt),
-    }
-
-
-def _with_dense_containers(fn):
-    orig_mat = notify_mod.SparseCounterMat
-    notify_mod.SparseCounterMat = _DenseMat
-    try:
-        return fn()
-    finally:
-        notify_mod.SparseCounterMat = orig_mat
-
-
-@given(
-    nranks=st.integers(min_value=2, max_value=5),
-    engine=st.sampled_from(ENGINES),
-    txns=st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 3), st.booleans()),
-        min_size=1,
-        max_size=8,
-    ),
-)
-@settings(max_examples=25, deadline=None)
-def test_sparse_vs_dense_bit_identical(nranks, engine, txns):
-    """Random small topology, production sparse containers vs dense
-    ndarray doubles: virtual time, event count, window memory hashes
-    and ω/signal digest material must match exactly."""
-    sparse = _fingerprint(nranks, engine, txns)
-    dense = _with_dense_containers(lambda: _fingerprint(nranks, engine, txns))
-    assert sparse == dense
 
 
 # ---------------------------------------------------------------------------

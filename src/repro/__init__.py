@@ -68,7 +68,7 @@ from .mpi import (
     waitany,
 )
 from .network import ClusterTopology, NetworkModel
-from .obs import MetricsRegistry, format_obs_report
+from .obs import format_obs_report
 from .patterns import detect_patterns, format_report
 from .rma import (
     A_A_A_R,
@@ -104,7 +104,6 @@ __all__ = [
     "testany",
     "detect_patterns",
     "format_report",
-    "MetricsRegistry",
     "format_obs_report",
     "EpochKind",
     "ReorderFlags",

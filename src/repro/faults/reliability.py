@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..mpi.errors import RmaDeliveryError
+from ..obs.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.fabric import Fabric, SendTicket
@@ -110,9 +111,8 @@ class ReliabilityLayer:
         self.out_of_order = 0
         self.acks_sent = 0
         self.delivery_failures = 0
-        #: Optional :class:`repro.obs.MetricsRegistry`, set by the
-        #: runtime when built with ``metrics=True``.
-        self.metrics = None
+        #: Send-to-ack round trips of the acked packets' last attempts.
+        self.ack_rtt = Histogram("rel.ack_rtt_us")
         #: Optional :class:`repro.obs.causal.CausalRecorder`; each
         #: retransmission becomes a span covering the lost-attempt
         #: window, parented to the message's span.
@@ -228,9 +228,7 @@ class ReliabilityLayer:
         """The sender's credit: stop retransmitting ``(src, dst, seq)``."""
         st = self._pending.pop((src, dst, seq), None)
         if st is not None:
-            m = self.metrics
-            if m is not None:
-                m.observe("rel.ack_rtt_us", self.sim.now - st.last_sent_us)
+            self.ack_rtt.observe(self.sim.now - st.last_sent_us)
 
     # -- diagnostics -----------------------------------------------------
     @property

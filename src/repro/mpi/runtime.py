@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 from ..network.fabric import Fabric
 from ..network.model import NetworkModel
 from ..network.topology import ClusterTopology
-from ..rma.notify import SignalChannel
 from ..simtime import Simulator
 from .info import Info
 from .middleware import RankMiddleware
@@ -88,24 +87,21 @@ class MPIRuntime:
         self.topology = ClusterTopology(nranks, cores_per_node)
         # Telemetry first: every layer below captures these references at
         # construction (None when disabled: one attribute check per event).
+        # ``metrics=True`` arms the §VII-D step profiler and the causal
+        # span recorder the summary is folded from.
+        self.metrics = metrics
+        self.profiler: "EngineProfiler | None" = None
         if metrics:
-            from ..obs import EngineProfiler, MetricsRegistry
+            from ..obs import EngineProfiler
 
-            self.metrics: "MetricsRegistry | None" = MetricsRegistry(self.sim)
-            self.profiler: "EngineProfiler | None" = EngineProfiler(self.sim)
-        else:
-            self.metrics = None
-            self.profiler = None
-        # Causal span recorder (repro.obs.causal): created before the
-        # fabric and engines so they capture the reference; threaded
-        # into the kernel so context crosses schedule()/fire boundaries.
-        if causal:
+            self.profiler = EngineProfiler(self.sim)
+        # The recorder is threaded into the kernel too, so context
+        # crosses schedule()/fire boundaries.
+        self.causal: "CausalRecorder | None" = None
+        if causal or metrics:
             from ..obs.causal import CausalRecorder
 
-            self.causal: "CausalRecorder | None" = CausalRecorder(self.sim)
-            self.sim.causal = self.causal
-        else:
-            self.causal = None
+            self.causal = self.sim.causal = CausalRecorder(self.sim)
         injector, rel = self._build_fault_stack(self.sim, fault_plan, reliability)
         self.fault_plan = fault_plan
         self.fabric = Fabric(
@@ -118,14 +114,6 @@ class MPIRuntime:
         )
         if injector is not None:
             injector.install(self.fabric)
-        if self.metrics is not None:
-            self.fabric.metrics = self.metrics
-            self.fabric.flow.metrics = self.metrics
-            # The gate table propagates the registry to every gate it
-            # materializes (gates are created lazily on first touch).
-            self.fabric.attention.metrics = self.metrics
-            if rel is not None:
-                rel.metrics = self.metrics
         if self.causal is not None:
             self.fabric.causal = self.causal
             self.fabric.flow.causal = self.causal
@@ -144,9 +132,6 @@ class MPIRuntime:
         self.window_groups: list["WindowGroup"] = []
         #: Per-rank count of win_allocate calls (for collective matching).
         self._win_calls = [0] * nranks
-        if self.metrics is not None:
-            for mw in self.middlewares:
-                mw.fifo.metrics = self.metrics
         if exploration is not None:
             exploration.attach_runtime(self)
 
@@ -261,75 +246,10 @@ class MPIRuntime:
 
     def metrics_summary(self) -> dict | None:
         """JSON-stable snapshot of the :mod:`repro.obs` telemetry, or
-        ``None`` when the runtime was built without ``metrics=True``.
-
-        Combines the registry (counters / gauges / histograms), the
-        §VII-D 7-step profile under ``"profile"``, and — when a fault
-        plan is active — the injector's fault counters folded in as
-        ``faults.*`` counters (zero hot-path cost: the injector keeps
-        its own counts and they are merged here, at snapshot time).
-        Every fact some layer already counts always-on is read the same
-        way (:meth:`_folded_counters`), never counted a second time.
-        The counter-signal engine additionally contributes its
-        per-window :class:`~repro.rma.notify.SignalBoard` snapshots
-        under ``"signal_board"`` (nonzero counters only, same
-        merge-at-snapshot pattern).
-        """
-        if self.metrics is None:
+        ``None`` when the runtime was built without ``metrics=True``;
+        folded after the fact by :func:`repro.obs.metrics.fold_metrics`."""
+        if not self.metrics:
             return None
-        summary = self.metrics.summary()
-        assert self.profiler is not None
-        summary["profile"] = self.profiler.summary()
-        summary["counters"].update(self._folded_counters())
-        if self.fabric.injector is not None:
-            for name, value in self.fabric.injector.counters.items():
-                summary["counters"][f"faults.{name}"] = value
-        if self.exploration is not None:
-            # Same zero-hot-path-cost pattern as the fault counters: the
-            # schedule policy keeps its own tallies, merged at snapshot.
-            for name, value in self.exploration.sched_counters().items():
-                summary["counters"][name] = value
-        summary["counters"] = dict(sorted(summary["counters"].items()))
-        boards: dict[str, Any] = {}
-        for rank, eng in enumerate(self.engines):
-            if not eng.supports_notified_access:
-                continue
-            for gid in sorted(eng.states):
-                snap = eng.states[gid].board.snapshot()
-                if snap:
-                    boards[f"rank{rank}.win{gid}"] = snap
-        if boards:
-            summary["signal_board"] = boards
-        return summary
+        from ..obs.metrics import fold_metrics
 
-    def _folded_counters(self) -> dict[str, int]:
-        """The metric names whose fact a layer keeps always-on, read off
-        that layer (nonzero only, like a counter nobody incremented)."""
-        fabric = self.fabric
-        states = [ws for eng in self.engines for ws in eng.states.values()]
-        grants = sum(ws.lock_mgr.grants for ws in states)
-        # Every rank runs the same engine: an ω one or the counter-signal one.
-        omega = not self.engines[0].supports_notified_access
-        folded = {
-            "engine.sweep.window_visits": sum(eng.windows_visited for eng in self.engines),
-            "engine.degraded": sum(getattr(eng, "degraded", False) for eng in self.engines),
-            "omega.dup_grants_ignored" if omega else "signal.dup_ignored": sum(
-                ws.board.dup_signals_ignored for ws in states
-            ),
-            "fc.stalls": fabric.flow.total_stalls(),
-            "nic.attention_stalls": sum(gate.stalls_injected for gate in fabric.attention),
-            "locks.grants": grants,
-            "locks.requests": grants + sum(ws.lock_mgr.queue_depth for ws in states),
-            "fifo.sent": self.metrics.value("fabric.sends.notify"),
-            "fifo.drained": self.profiler.steps[5].work,
-        }
-        if omega:
-            folded["omega.grants_sent"] = sum(
-                v for ws in states for _peer, v in ws.board.outbound.row_items(SignalChannel.GRANT)
-            )
-        rel = fabric.reliability
-        if rel is not None:
-            for name in ("retransmissions", "dup_suppressed", "out_of_order", "acks_sent",
-                         "delivery_failures"):
-                folded[f"rel.{name}"] = getattr(rel, name)
-        return {name: value for name, value in folded.items() if value}
+        return fold_metrics(self)

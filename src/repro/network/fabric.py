@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..obs.metrics import BYTES_BUCKETS
 from .flowcontrol import CreditPool, FlowControl
 from .model import NetworkModel
 from .nic import AttentionGateTable, NicPorts
@@ -48,9 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Fabric", "SendTicket"]
 
 DeliveryHandler = Callable[[Any, int], None]
-
-#: ``fabric.sends.<kind>`` counter names, formatted once.
-_SENDS_COUNTER = {kind: f"fabric.sends.{kind.name.lower()}" for kind in ServiceKind}
 
 
 class Fabric:
@@ -94,9 +90,6 @@ class Fabric:
         self.reliability = reliability
         if reliability is not None:
             reliability.bind(self)
-        #: Optional :class:`repro.obs.MetricsRegistry`, set by the
-        #: runtime when built with ``metrics=True``.
-        self.metrics = None
         #: Optional :class:`repro.obs.causal.CausalRecorder`, set by the
         #: runtime when built with ``causal=True``.  Every message
         #: becomes a span from send() to _deliver(); the delivery
@@ -105,6 +98,9 @@ class Fabric:
         # Traffic accounting (used by benchmarks and tests).
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: Sends per service kind, keyed by ``ServiceKind`` value (a str
+        #: key: hashing the enum member would cost a Python call per send).
+        self.sends = dict.fromkeys((kind.value for kind in ServiceKind), 0)
         # Lanes key per-pair FIFO contracts in the kernel by *equality*,
         # not identity, so the per-send tuple is built inline at each
         # schedule site — a lookup table would have to build the same
@@ -156,10 +152,7 @@ class Fabric:
                             pin_region)
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        m = self.metrics
-        if m is not None:
-            m.inc(_SENDS_COUNTER[kind])
-            m.observe("fabric.msg_bytes", nbytes, BYTES_BUCKETS)
+        self.sends[kind._value_] += 1
         causal = self.causal
         if causal is not None:
             ticket.causal_sid = causal.begin(
@@ -188,7 +181,7 @@ class Fabric:
             return ticket
         # Inline of _dispatch for the common non-stalled case: one pool
         # probe, no callback indirection.  A stall hands the probed pool
-        # to the full FlowControl path, so accounting and metrics stay
+        # to the full FlowControl path, so accounting and spans stay
         # identical.
         flow = self.flow
         if not flow.enabled:
@@ -320,9 +313,6 @@ class Fabric:
         # Fault draws count attempts from the last delivery on.
         ticket.attempt = 0
         sim = self.sim
-        m = self.metrics
-        if m is not None:
-            m.observe("fabric.delivery_us", sim._now - ticket.sent_us)
         causal = self.causal
         if causal is not None and ticket.causal_sid is not None:
             causal.deliver(ticket.causal_sid)

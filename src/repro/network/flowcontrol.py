@@ -147,8 +147,6 @@ class FlowControl:
         # needed for the probe anyway, so a dense grid buys nothing and
         # costs 16M slots at 4096 ranks).
         self._pools: dict[tuple[int, int], CreditPool] = {}
-        #: Optional :class:`repro.obs.MetricsRegistry` (None = disabled).
-        self.metrics = None
         #: Optional :class:`repro.obs.causal.CausalRecorder` (None =
         #: disabled); stalled sends become ``fc_stall`` spans.
         self.causal = None
@@ -173,26 +171,20 @@ class FlowControl:
         if not self.enabled:
             on_granted(*args)
             return
-        m = self.metrics
         causal = self.causal
         if pool.available <= 0:
             pool.settle()
-        if (m is not None or causal is not None) and (pool.available <= 0 or pool._waiters):
-            # This send will stall; wrap the grant to time the wait.
+        if causal is not None and (pool.available <= 0 or pool._waiters):
+            # This send will stall; wrap the grant to close its span.
             # The closure is fine here — stalls are the rare path.
-            start = self.sim._now
-            sid = (causal.begin("fc_stall", rank=src, meta={"dst": dst})
-                   if causal is not None else None)
+            sid = causal.begin("fc_stall", rank=src, meta={"dst": dst})
             inner, inner_args = on_granted, args
 
             def on_granted() -> None:
-                if m is not None:
-                    m.observe("fc.credit_wait_us", self.sim._now - start)
-                if sid is not None:
-                    # end_cause = whatever released the credit; the
-                    # resumed send runs under the stall span's context.
-                    causal.end(sid)
-                    causal.current = sid
+                # end_cause = whatever released the credit; the resumed
+                # send runs under the stall span's context.
+                causal.end(sid)
+                causal.current = sid
                 inner(*inner_args)
 
             args = ()

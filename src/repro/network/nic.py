@@ -69,7 +69,7 @@ class AttentionGate:
     """
 
     __slots__ = ("sim", "rank", "_attentive", "_stalled", "_stall_gen", "_queue",
-                 "stalls_injected", "metrics")
+                 "stalls_injected", "deferred")
 
     def __init__(self, sim: "Simulator", rank: int):
         self.sim = sim
@@ -81,8 +81,8 @@ class AttentionGate:
         self._queue: deque[tuple[Callable[..., None], tuple[Any, ...]]] = deque()
         #: Number of injected stalls observed (diagnostics).
         self.stalls_injected = 0
-        #: Optional :class:`repro.obs.MetricsRegistry` (None = disabled).
-        self.metrics = None
+        #: Deliveries that found the gate closed and queued.
+        self.deferred = 0
 
     @property
     def attentive(self) -> bool:
@@ -135,9 +135,7 @@ class AttentionGate:
             fn(*args)
         else:
             self._queue.append((fn, args))
-            m = self.metrics
-            if m is not None:
-                m.inc("nic.attention_deferred")
+            self.deferred += 1
 
     @property
     def pending(self) -> int:
@@ -156,19 +154,16 @@ class AttentionGateTable:
     change virtual time.  Iteration yields touched gates only.
     """
 
-    __slots__ = ("_sim", "_gates", "_metrics")
+    __slots__ = ("_sim", "_gates")
 
     def __init__(self, sim: "Simulator"):
         self._sim = sim
         self._gates: dict[int, AttentionGate] = {}
-        self._metrics = None
 
     def __getitem__(self, rank: int) -> AttentionGate:
         gate = self._gates.get(rank)
         if gate is None:
-            gate = AttentionGate(self._sim, rank)
-            gate.metrics = self._metrics
-            self._gates[rank] = gate
+            gate = self._gates[rank] = AttentionGate(self._sim, rank)
         return gate
 
     def __iter__(self):
@@ -176,14 +171,3 @@ class AttentionGateTable:
 
     def __len__(self) -> int:
         return len(self._gates)
-
-    @property
-    def metrics(self):
-        """Registry propagated to every gate, existing and future."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-        for gate in self._gates.values():
-            gate.metrics = registry

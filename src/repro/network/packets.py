@@ -94,7 +94,7 @@ class SendTicket:
 
     __slots__ = (
         "sim", "src", "dst", "nbytes", "kind", "payload", "needs_attention", "pin_region",
-        "uid", "attempt", "rel_seq", "sent_us", "causal_sid",
+        "uid", "attempt", "rel_seq", "causal_sid",
         "_local_pos", "_local_time", "_local_cbs", "delivered_time", "_delivered_cbs",
     )
 
@@ -114,8 +114,6 @@ class SendTicket:
         self.uid = next(_msg_ids)
         self.attempt = 0
         self.rel_seq: int | None = None
-        #: Virtual time of the originating send() call (metrics).
-        self.sent_us: float = sim._now
         #: The message's span id when causal recording is on (else None).
         self.causal_sid: int | None = None
         #: ``False`` until the first attempt or listener; the reserved

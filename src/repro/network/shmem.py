@@ -129,8 +129,8 @@ class NotificationFifo:
         self.fabric = fabric
         self.rank = rank
         self._incoming: deque[tuple[int, int]] = deque()  # (packet, from_rank)
-        #: Optional :class:`repro.obs.MetricsRegistry` (None = disabled).
-        self.metrics = None
+        #: Deepest the queue has been (read at summary time).
+        self.max_depth = 0
 
     def send(self, dst: int, kind: NotifyKind, value: int) -> None:
         """Send one 64-bit notification packet to ``dst``.
@@ -151,9 +151,9 @@ class NotificationFifo:
     def push(self, packet: int, from_rank: int) -> None:
         """Called at delivery time by the middleware handler."""
         self._incoming.append((packet, from_rank))
-        m = self.metrics
-        if m is not None:
-            m.set_gauge("fifo.depth", len(self._incoming))
+        depth = len(self._incoming)
+        if depth > self.max_depth:
+            self.max_depth = depth
 
     def pending(self) -> list[tuple[NotifyKind, int, int]]:
         """Decode the queued packets without consuming them (diagnostics;

@@ -3,11 +3,9 @@
 Metrics and one recorder, opt-in via ``MPIRuntime(metrics=True)`` and
 ``MPIRuntime(causal=True)``:
 
-- :mod:`~repro.obs.metrics` — a virtual-time-aware registry of
-  counters, gauges and fixed-bucket histograms, wired through the
-  progress engines, fabric/NIC, notification FIFO, flow control, lock
-  managers and the reliability layer (one attribute check per event
-  when disabled);
+- :mod:`~repro.obs.metrics` — the metrics summary (counters, gauges,
+  fixed-bucket histograms), folded at snapshot time from the span
+  graph and the counts each layer keeps always-on;
 - :mod:`~repro.obs.profiler` — the §VII-D 7-step progress-engine
   profiler (per-step invocation/work/wall-clock accounting);
 - :mod:`~repro.obs.causal` + :mod:`~repro.obs.critpath` — the causal
@@ -42,10 +40,7 @@ from .critpath import (
 from .metrics import (
     BYTES_BUCKETS,
     DEFAULT_LATENCY_BUCKETS_US,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
     quantile_from_snapshot,
 )
 from .profiler import PROGRESS_STEPS, EngineProfiler, StepStat
@@ -58,9 +53,6 @@ from .report import (
 )
 
 __all__ = [
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS_US",
     "BYTES_BUCKETS",

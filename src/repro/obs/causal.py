@@ -25,10 +25,11 @@ schedule time is restored before the callback runs).  Instrumentation
 sites only ever read ``recorder.current``; they never have to thread
 parent ids by hand.
 
-Like every other telemetry layer (metrics, checker, profiler) the
-recorder is opt-in and follows the one-attribute-check-when-
-disabled pattern: ``sim.causal``/``runtime.causal`` are ``None`` by
-default and every hot-path hook is a single ``is None`` test.
+Like the semantics checker and the step profiler, the recorder is
+opt-in (``causal=True``, or ``metrics=True``, whose summary is folded
+from it) and one attribute check when disabled: ``sim.causal`` /
+``runtime.causal`` are ``None`` by default and every hot-path hook is
+a single ``is None`` test.
 
 Times are virtual microseconds; the attribution pass converts them to
 an integer-nanosecond grid so the conservation invariant (categories

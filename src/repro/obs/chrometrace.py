@@ -20,7 +20,7 @@ a "thread", and every completed record of the run lands on its track —
 
 With ``metrics=True`` it folds in the :mod:`repro.obs` metric samples:
 
-- one ``C`` (counter) sample per registry counter at the run's final
+- one ``C`` (counter) sample per summary counter at the run's final
   virtual time, so Perfetto shows end-of-run totals as counter tracks;
 - the 7-step progress profile as per-step ``C`` samples (``work`` and
   ``invocations`` series);
@@ -96,8 +96,9 @@ def export_chrome_trace(
 ) -> dict:
     """Build the full trace document for one (finished) runtime.
 
-    The rank tracks need ``causal=True`` and the counter tracks
-    ``metrics=True``; with neither the document is valid but empty.
+    The rank tracks need the recorder (``causal=True`` or
+    ``metrics=True``) and the counter tracks ``metrics=True``; with
+    neither the document is valid but empty.
     ``patterns`` (from :func:`~repro.patterns.detect_patterns`) are
     overlaid as complete events.
     """

@@ -1,14 +1,13 @@
-"""Virtual-time-aware metrics primitives: counters, gauges, histograms.
+"""The metrics summary, folded at snapshot time, and its histogram.
 
-The registry is the passive half of :mod:`repro.obs`: instrumented
-subsystems (engines, fabric, NIC gates, the notification FIFO, flow
-control, lock managers, the reliability layer) each hold a ``metrics``
-attribute that is ``None`` when the runtime was built without
-``metrics=True``.  Every hot-path hook is therefore a single attribute
-check — the same pattern the causal recorder and the semantics
-checker use — and recording never interacts with the
-simulator (pure observation: enabling metrics cannot change a run's
-virtual-time results).
+Nothing records a metric while a run executes.  :func:`fold_metrics`
+reads three sources once the run is over: the causal span graph
+(message sizes and delivery times, credit waits, ops, signals, lock
+waits, the epoch records), the integers each layer keeps always-on
+(sends per kind, gate deferrals, FIFO and lock-queue high-water marks,
+per-window visits, pair tests, board applications), and the two
+:class:`Histogram` series no span holds (the reliability layer's ack
+round trips, the baseline scan server's grant costs).
 
 Naming convention: dotted lowercase paths, ``subsystem.metric`` or
 ``subsystem.detail.metric`` (``fabric.sends.rdma``,
@@ -19,19 +18,18 @@ in ``_us`` are histograms of virtual microseconds.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable
+from collections import Counter, defaultdict
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simtime import Simulator
+    from ..mpi.runtime import MPIRuntime
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_US",
     "BYTES_BUCKETS",
     "quantile_from_snapshot",
+    "fold_metrics",
 ]
 
 #: Default fixed histogram bucket upper bounds, in virtual µs.  Spans
@@ -43,41 +41,6 @@ DEFAULT_LATENCY_BUCKETS_US: tuple[float, ...] = (
 
 #: Bucket bounds for message-size histograms (bytes).
 BYTES_BUCKETS: tuple[float, ...] = (8, 64, 512, 4096, 65536, 1 << 20, 8 << 20)
-
-
-class Counter:
-    """Monotonic event count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """Last-set value plus its high-water mark."""
-
-    __slots__ = ("name", "value", "high_water")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.high_water = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.high_water:
-            self.high_water = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Gauge {self.name}={self.value} (hw {self.high_water})>"
 
 
 class Histogram:
@@ -168,85 +131,111 @@ def quantile_from_snapshot(snap: dict, q: float) -> float:
                             snap["max"], q)
 
 
-class MetricsRegistry:
-    """One registry per runtime: creates metrics on first touch.
+def _snapshot(name: str, values: Iterable[float],
+              bounds: Iterable[float] = DEFAULT_LATENCY_BUCKETS_US) -> dict:
+    """The snapshot of a histogram fed ``values`` in the order given: a
+    float ``sum`` depends on it, so every caller passes event order."""
+    h = Histogram(name, bounds)
+    for v in values:
+        h.observe(v)
+    return h.snapshot()
 
-    All mutator entry points (:meth:`inc`, :meth:`set_gauge`,
-    :meth:`observe`) auto-create the named metric, so instrumentation
-    sites never need registration boilerplate.
-    """
 
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self.created_us = sim.now
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
+def _ended(spans: list) -> list[float]:
+    """Durations of the ended ``spans`` in the order they ended (ties in
+    the order they began)."""
+    ended = sorted((s for s in spans if s.t1 is not None), key=lambda s: (s.t1, s.sid))
+    return [s.t1 - s.t0 for s in ended]
 
-    # -- access / creation -------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(name)
-        return c
 
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
+def fold_metrics(runtime: "MPIRuntime") -> dict:
+    """The JSON-stable metrics summary of a finished ``metrics=True``
+    run, plus the §VII-D step profile under ``"profile"`` and the
+    counter-signal engine's nonzero per-window board snapshots under
+    ``"signal_board"``."""
+    from ..rma.notify import SignalChannel
 
-    def histogram(
-        self, name: str, bounds: Iterable[float] = DEFAULT_LATENCY_BUCKETS_US
-    ) -> Histogram:
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(name, bounds)
-        return h
-
-    # -- recording (hot path: one Python call per record — the accessor
-    # runs on first touch only, and the update is inlined) ----------------
-    def inc(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` by ``n``."""
-        c = self._counters.get(name) or self.counter(name)
-        c.value += n
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` (tracks its high-water mark)."""
-        g = self._gauges.get(name) or self.gauge(name)
-        g.value = value
-        if value > g.high_water:
-            g.high_water = value
-
-    def observe(
-        self, name: str, value: float, bounds: Iterable[float] = DEFAULT_LATENCY_BUCKETS_US
-    ) -> None:
-        """Record one sample into histogram ``name``."""
-        h = self._histograms.get(name) or self.histogram(name, bounds)
-        h.counts[bisect_left(h.bounds, value)] += 1
-        h.count += 1
-        h.total += value
-        if value < h.min:
-            h.min = value
-        if value > h.max:
-            h.max = value
-
-    # -- reading -----------------------------------------------------------
-    def value(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never touched)."""
-        c = self._counters.get(name)
-        return c.value if c is not None else 0
-
-    def summary(self) -> dict:
-        """JSON-stable snapshot of every metric (sorted names)."""
-        return {
-            "virtual_time_us": self.sim.now,
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {
-                n: {"value": g.value, "high_water": g.high_water}
-                for n, g in sorted(self._gauges.items())
-            },
-            "histograms": {
-                n: h.snapshot() for n, h in sorted(self._histograms.items())
-            },
-        }
+    rec, fabric, engines = runtime.causal, runtime.fabric, runtime.engines
+    states = [ws for eng in engines for ws in eng.states.values()]
+    # Every rank runs the same engine: an ω one or the counter-signal one.
+    omega = not engines[0].supports_notified_access
+    wire = "omega" if omega else "signal"
+    spans: dict[str, list] = defaultdict(list)
+    for span in rec.spans:
+        spans[span.kind].append(span)
+    grants = sum(ws.lock_mgr.grants for ws in states)
+    counters = Counter({
+        "engine.sweep.window_visits": sum(eng.windows_visited for eng in engines),
+        "engine.degraded": sum(getattr(eng, "degraded", False) for eng in engines),
+        "omega.dup_grants_ignored" if omega else "signal.dup_ignored": sum(
+            ws.board.dup_signals_ignored for ws in states),
+        "omega.grants_recv" if omega else "signal.recv": sum(ws.board.applied for ws in states),
+        "omega.matches": sum(eng.pairs_ready for eng in engines),
+        "omega.wait_for_grant": sum(eng.pairs_waiting for eng in engines),
+        "rma.ops_issued": len(spans["op"]),
+        "signal.sent": len(spans["signal"]),
+        "fc.stalls": fabric.flow.total_stalls(),
+        "nic.attention_stalls": sum(gate.stalls_injected for gate in fabric.attention),
+        "nic.attention_deferred": sum(gate.deferred for gate in fabric.attention),
+        "locks.grants": grants,
+        "locks.requests": grants + sum(ws.lock_mgr.queue_depth for ws in states),
+        "fifo.sent": fabric.sends["notify"],
+        "fifo.drained": runtime.profiler.steps[5].work,
+    })
+    counters.update({f"fabric.sends.{kind}": n for kind, n in fabric.sends.items()})
+    for ws in states:
+        counters[f"engine.sweep.visited.win{ws.gid}"] += ws.visits
+    if omega:
+        counters["omega.grants_sent"] = sum(
+            v for ws in states for _peer, v in ws.board.outbound.row_items(SignalChannel.GRANT))
+    rel = fabric.reliability
+    if rel is not None:
+        counters.update({f"rel.{name}": getattr(rel, name) for name in (
+            "retransmissions", "dup_suppressed", "out_of_order", "acks_sent", "delivery_failures")})
+    lock_waits = sorted((t1, t0, uid) for uid, waits in rec.waits.items()
+                        for category, t0, t1 in waits if category == "lock_wait")
+    series: dict[str, list[float]] = defaultdict(list, {
+        "fabric.delivery_us": _ended(spans["msg"]),
+        "fc.credit_wait_us": _ended(spans["fc_stall"]),
+        f"{wire}.lock_grant_wait_us": [t1 - t0 for t1, t0, _uid in lock_waits],
+    })
+    for r in rec.epochs:  # in completion order
+        counters[f"epoch.{r.kind}.completed"] += 1
+        if r.activate_us is not None:
+            if r.open_us is not None:
+                series[f"epoch.{r.kind}.defer_us"].append(r.activate_us - r.open_us)
+            series[f"epoch.{r.kind}.active_us"].append(r.complete_us - r.activate_us)
+    counters = {name: value for name, value in counters.items() if value}
+    # Fault and schedule-policy tallies are reported zeros included.
+    if fabric.injector is not None:
+        for name, value in fabric.injector.counters.items():
+            counters[f"faults.{name}"] = value
+    if runtime.exploration is not None:
+        counters.update(runtime.exploration.sched_counters())
+    histograms = {name: _snapshot(name, values) for name, values in series.items()}
+    histograms["fabric.msg_bytes"] = _snapshot(
+        "fabric.msg_bytes", [s.meta["nbytes"] for s in spans["msg"]], BYTES_BUCKETS)
+    for h in (getattr(rel, "ack_rtt", None), getattr(engines[0], "scan_cost", None)):
+        if h is not None:
+            histograms[h.name] = h.snapshot()
+    fifos = [mw.fifo for mw in runtime.middlewares]
+    # A gauge is the summed live depth now and the deepest any one got.
+    gauges = {
+        "fifo.depth": (sum(map(len, fifos)), max(f.max_depth for f in fifos)),
+        "locks.queue_depth": (sum(ws.lock_mgr.queue_depth for ws in states),
+                              max((ws.lock_mgr.max_depth for ws in states), default=0)),
+    }
+    summary: dict[str, Any] = {
+        "virtual_time_us": runtime.sim.now,
+        "counters": dict(sorted(counters.items())),
+        "gauges": {name: {"value": value, "high_water": high}
+                   for name, (value, high) in gauges.items() if high},
+        "histograms": {name: h for name, h in sorted(histograms.items()) if h["count"]},
+        "profile": runtime.profiler.summary(),
+    }
+    boards = {f"rank{rank}.win{gid}": snap for rank, eng in enumerate(engines)
+              if eng.supports_notified_access
+              for gid in sorted(eng.states) if (snap := eng.states[gid].board.snapshot())}
+    if boards:
+        summary["signal_board"] = boards
+    return summary

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ...obs.metrics import Histogram
 from ..epoch import Epoch, EpochKind, EpochState
 from ..notify import SignalChannel
 from ..requests import ClosingRequest
@@ -31,6 +32,7 @@ from ..state import WindowState
 from .nonblocking import NonblockingEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...mpi.runtime import MPIRuntime
     from ..window import Window
 
 __all__ = ["MvapichEngine"]
@@ -47,6 +49,13 @@ class MvapichEngine(NonblockingEngine):
     """Lazy, blocking-only baseline RMA engine."""
 
     supports_nonblocking = False
+
+    def __init__(self, runtime: "MPIRuntime", rank: int):
+        super().__init__(runtime, rank)
+        #: Every rank's grant scan costs in one job-wide histogram, added
+        #: in grant order (a float sum depends on the order).
+        self.scan_cost = (runtime.engines[0].scan_cost if runtime.engines
+                          else Histogram("baseline.scan_cost_us"))
 
     def _try_activate(self, ws: WindowState) -> int:
         """No deferred-activation scan: every epoch activates at a call."""
@@ -169,8 +178,7 @@ class MvapichEngine(NonblockingEngine):
         now = self.sim.now
         self._scan_busy_until = done = max(self._scan_busy_until, now) + kappa * pending
         self._scan_pending += 1
-        if self.metrics is not None:
-            self.metrics.observe("baseline.scan_cost_us", done - now)
+        self.scan_cost.observe(done - now)
         self.sim.schedule(done - now, self._scanned_grant, ws, waiter)
 
     def _scanned_grant(self, ws: WindowState, waiter) -> None:

@@ -197,17 +197,18 @@ class NonblockingEngine:
         #: target) done / unlock test and one per group-predicate
         #: evaluation (exposure, fence).  Exact like the above.
         self.targets_examined = 0
-        #: gid -> interned per-window visit-metric name (hot path).
-        self._visit_metric: dict[int, str] = {}
+        #: Steps 2/4 readiness tests of due (epoch, target) pairs, by
+        #: outcome (§VII-B ω matching: one O(1) test per pair).
+        self.pairs_ready = 0
+        self.pairs_waiting = 0
         #: Blocking-flush snapshots: (ws, request, ops, local) tuples,
         #: resolved at the end of every sweep (§VII-C: blocking flushes
         #: drive the engine rather than building on iflush).
         self._blocking_flushes: list[tuple[WindowState, Any, list[RmaOp], bool]] = []
-        #: Opt-in telemetry (both None unless ``MPIRuntime(metrics=True)``;
+        #: Opt-in step profiler (None unless ``MPIRuntime(metrics=True)``;
         #: every hook below is then one attribute check).
-        self.metrics = getattr(runtime, "metrics", None)
         self.profiler = getattr(runtime, "profiler", None)
-        #: Causal span recorder (None unless ``MPIRuntime(causal=True)``).
+        #: Causal span recorder (None unless ``causal`` or ``metrics``).
         self.causal = getattr(runtime, "causal", None)
         #: Schedule-exploration context (None outside repro.explore runs);
         #: feeds the delivered-notification multiset of the outcome digest.
@@ -228,9 +229,6 @@ class NonblockingEngine:
         cell.append(ws)
         self.states[win.group.gid] = ws
         win._state = ws
-        self._visit_metric[ws.gid] = f"engine.sweep.visited.win{ws.gid}"
-        if self.metrics is not None:
-            ws.lock_mgr.metrics = self.metrics
 
     def state_of(self, win: "Window") -> WindowState:
         """State for a window owned by this rank."""
@@ -342,11 +340,8 @@ class NonblockingEngine:
             out = [ws for _gid, ws in sorted(self._dirty.items())]
             self._dirty.clear()
         self.windows_visited += len(out)
-        m = self.metrics
-        if m is not None:
-            names = self._visit_metric
-            for ws in out:
-                m.inc(names[ws.gid])
+        for ws in out:
+            ws.visits += 1
         return out
 
     def _merge_marked(self, dirty: list[WindowState]) -> list[WindowState]:
@@ -362,11 +357,8 @@ class NonblockingEngine:
         merged = dirty + extra
         merged.sort(key=lambda w: w.gid)
         self.windows_visited += len(extra)
-        m = self.metrics
-        if m is not None:
-            names = self._visit_metric
-            for ws in extra:
-                m.inc(names[ws.gid])
+        for ws in extra:
+            ws.visits += 1
         return merged
 
     # =====================================================================
@@ -535,16 +527,14 @@ class NonblockingEngine:
                 if (ep, target) in wanted
             ]
             assert len(pairs) == len(wanted), wanted.difference(pairs)
-        m = self.metrics
         posted = 0
         for ep, target in pairs:
             self.epochs_examined += 1
-            ready = self._target_ready(ws, ep, target)
-            if m is not None:
-                # ω matching outcome (§VII-B): one O(1) test per due pair.
-                m.inc("omega.matches" if ready else "omega.wait_for_grant")
-            if ready:
+            if self._target_ready(ws, ep, target):
+                self.pairs_ready += 1
                 posted += self._issue_to(ws, ep, target)
+            else:
+                self.pairs_waiting += 1
         return posted
 
     def _issue_to(self, ws: WindowState, ep: Epoch, target: int) -> int:
@@ -764,8 +754,6 @@ class NonblockingEngine:
         seq = p.grant_seq if p.grant_seq is not None else board.inbound[_GRANT, granter] + 1
         if not board.apply(_GRANT, granter, seq):
             return
-        if self.metrics is not None:
-            self.metrics.inc("omega.grants_recv")
         if self.causal is not None:
             self.causal.instant("grant", rank=self.rank, win=ws.gid, meta={"granter": granter})
         if self._explore is not None:
@@ -775,20 +763,17 @@ class NonblockingEngine:
         if p.lock_access_id is not None:
             ep = ws.lock_epochs.get((granter, p.lock_access_id))
             if ep is not None and not ep.lock_held.get(granter, False):
-                self._lock_held(ws, ep, granter, "omega.lock_grant_wait_us")
+                self._lock_held(ws, ep, granter)
         # g[granter] is shared: a lock grant advances the counter GATS
         # access epochs toward the same host compare against (A_i <= g_r).
         self._wake_peer(ws, _GRANT, granter)
 
-    def _lock_held(self, ws: WindowState, ep: Epoch, target: int, wait_metric: str) -> None:
+    def _lock_held(self, ws: WindowState, ep: Epoch, target: int) -> None:
         """``ep``'s lock at ``target`` was granted."""
         ep.lock_held[target] = True
         start = ep.activate_time if ep.activate_time is not None else ep.open_time
-        if start is not None:
-            if self.metrics is not None:
-                self.metrics.observe(wait_metric, self.sim.now - start)
-            if self.causal is not None:
-                self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
+        if start is not None and self.causal is not None:
+            self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
         self._wake_target(ws, ep, target)
 
     def _on_done(self, ws: WindowState, p: DonePacket, src: int) -> None:
@@ -1079,9 +1064,6 @@ class NonblockingEngine:
             checker.on_op_issue(ws, op.epoch, op)
         op.issued = True
         op.issue_time = self.sim.now
-        m = self.metrics
-        if m is not None:
-            m.inc("rma.ops_issued")
         causal = self.causal
         if causal is not None:
             # The op span is the causal parent of every message the op
@@ -1277,14 +1259,6 @@ class NonblockingEngine:
         ws.activation_pending = True
         if self.causal is not None:
             self.causal.epoch_complete(self.rank, ws.gid, ep)
-        m = self.metrics
-        if m is not None:
-            kind = ep.kind.value
-            m.inc(f"epoch.{kind}.completed")
-            if ep.activate_time is not None:
-                if ep.open_time is not None:
-                    m.observe(f"epoch.{kind}.defer_us", ep.activate_time - ep.open_time)
-                m.observe(f"epoch.{kind}.active_us", ep.complete_time - ep.activate_time)
         checker = ws.checker
         if checker is not None:
             checker.on_epoch_complete(ws, ep)

@@ -66,9 +66,6 @@ class SignalEngine(NonblockingEngine):
     def _transmit(self, ws: WindowState, channel: SignalChannel, peer: int, value: int,
                   **_wire) -> None:
         """Write ``value`` one-sidedly into ``peer``'s inbound replica."""
-        m = self.metrics
-        if m is not None:
-            m.inc("signal.sent")
         if self.causal is not None:
             self.causal.instant(
                 "signal", rank=self.rank, win=ws.gid,
@@ -85,8 +82,6 @@ class SignalEngine(NonblockingEngine):
             # Replay/retransmit: the max() application already holds a
             # value at least this high (same contract as grant_seq).
             return
-        if self.metrics is not None:
-            self.metrics.inc("signal.recv")
         if self.causal is not None and p.channel in _GRANTS:
             self.causal.instant("grant", rank=self.rank, win=ws.gid,
                                 meta={"granter": p.signaler})
@@ -119,7 +114,7 @@ class SignalEngine(NonblockingEngine):
             ep = ws.lock_epochs.get((granter, value))
             if ep is None or ep.lock_held.get(granter, False):
                 return
-            self._lock_held(ws, ep, granter, "signal.lock_grant_wait_us")
+            self._lock_held(ws, ep, granter)
             value -= 1
 
     # =====================================================================

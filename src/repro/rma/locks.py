@@ -44,8 +44,8 @@ class LockManager:
         self._queue: deque[LockWaiter] = deque()
         #: Total grants issued (diagnostics).
         self.grants = 0
-        #: Optional :class:`repro.obs.MetricsRegistry` (None = disabled).
-        self.metrics = None
+        #: Deepest the wait queue has been (read at summary time).
+        self.max_depth = 0
 
     # -- queries -----------------------------------------------------------
     @property
@@ -83,9 +83,9 @@ class LockManager:
         recursive shared-locking hazard §VII-A mentions.
         """
         self._queue.append(LockWaiter(origin, exclusive, access_id))
-        m = self.metrics
-        if m is not None:
-            m.set_gauge("locks.queue_depth", len(self._queue))
+        depth = len(self._queue)
+        if depth > self.max_depth:
+            self.max_depth = depth
         self._drain()
 
     def release(self, origin: int) -> None:

@@ -69,7 +69,7 @@ class SignalChannel(enum.IntEnum):
 class SignalBoard:
     """Per-window (channel × peer) counter triple of one rank."""
 
-    __slots__ = ("outbound", "inbound", "expected", "dup_signals_ignored")
+    __slots__ = ("outbound", "inbound", "expected", "dup_signals_ignored", "applied")
 
     def __init__(self):
         self.outbound = SparseCounterMat()
@@ -79,6 +79,9 @@ class SignalBoard:
         #: ``max()`` application (nonzero only if duplicate suppression
         #: is bypassed).
         self.dup_signals_ignored = 0
+        #: Grant / signal updates :meth:`apply` took (the ω engines'
+        #: grants received; every update the counter-signal engine took).
+        self.applied = 0
 
     # -- sender side -------------------------------------------------------
     def bump_outbound(self, channel: int, peer: int) -> int:
@@ -114,6 +117,7 @@ class SignalBoard:
             self.dup_signals_ignored += 1
             return False
         self.inbound[channel, peer] = value
+        self.applied += 1
         return True
 
     def floor_inbound(self, channel: int, peer: int, value: int) -> None:

@@ -84,6 +84,8 @@ class WindowState:
         #: lock request to its UnlockAck: grants and acks find their epoch
         #: here instead of scanning ``epochs``.
         self.lock_epochs: dict[tuple[int, int], "Epoch"] = {}
+        #: Sweeps that visited this window (engine step loop).
+        self.visits = 0
 
         # -- lock hosting ----------------------------------------------------
         self.lock_mgr = LockManager(on_lock_grant)

@@ -86,7 +86,9 @@ class TestExport:
         assert any(e["name"] == "PutData" for e in starts)
 
     def test_no_flow_events_without_causal(self):
-        doc = export_chrome_trace(instrumented_run(causal=False))
+        # metrics=True arms the recorder too: only a run with neither
+        # observer has no span graph to draw.
+        doc = export_chrome_trace(instrumented_run(metrics=False, causal=False))
         assert not [e for e in doc["traceEvents"] if e["ph"] in "sf"]
 
     @pytest.mark.parametrize("engine", ENGINES)

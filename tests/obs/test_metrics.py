@@ -1,35 +1,10 @@
-"""Metrics primitives: counters, gauges, histograms, the registry."""
+"""The fixed-bucket histogram of the metrics summary."""
 
 import pytest
 
-from repro.obs.metrics import (
-    BYTES_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS_US,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    quantile_from_snapshot,
-)
-from repro.simtime import Simulator
-
-
-class TestCounter:
-    def test_increments(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
-
-class TestGauge:
-    def test_tracks_high_water(self):
-        g = Gauge("depth")
-        g.set(3)
-        g.set(7)
-        g.set(2)
-        assert g.value == 2
-        assert g.high_water == 7
+from repro.apps.transactions import TransactionsConfig, run_transactions
+from repro.obs.metrics import Histogram, quantile_from_snapshot
+from repro.rma.engine.registry import ENGINES
 
 
 class TestHistogram:
@@ -117,41 +92,27 @@ class TestHistogram:
                 quantile_from_snapshot(snap, bad)
 
 
-class TestRegistry:
-    def make(self):
-        return MetricsRegistry(Simulator())
 
-    def test_auto_creation(self):
-        m = self.make()
-        m.inc("a.b")
-        m.inc("a.b", 2)
-        m.set_gauge("g", 4)
-        m.observe("h_us", 12.0)
-        assert m.value("a.b") == 3
-        assert m.value("never.touched") == 0
-        assert m.gauge("g").high_water == 4
-        assert m.histogram("h_us").count == 1
+class TestFold:
+    """The summary is folded from the span graph and the layers' own
+    counts, so arming the recorder a second time changes nothing."""
 
-    def test_same_object_on_repeat_access(self):
-        m = self.make()
-        assert m.counter("c") is m.counter("c")
-        assert m.histogram("h") is m.histogram("h")
+    @staticmethod
+    def _summary(engine, **obs):
+        rt = run_transactions(TransactionsConfig(
+            nranks=4, txns_per_rank=6, slots_per_rank=8, cores_per_node=2,
+            work_in_epoch_us=4.0, engine=engine, nonblocking=engine in ("nonblocking", "signal"),
+            metrics=True, **obs,
+        )).runtime
+        summary = rt.metrics_summary()
+        for step in summary["profile"]["steps"].values():
+            del step["wall_ms"]
+        return rt, summary
 
-    def test_custom_bounds(self):
-        m = self.make()
-        m.observe("bytes", 100, BYTES_BUCKETS)
-        assert m.histogram("bytes").bounds == BYTES_BUCKETS
-        assert m.histogram("default").bounds == DEFAULT_LATENCY_BUCKETS_US
-
-    def test_summary_shape(self):
-        sim = Simulator()
-        m = MetricsRegistry(sim)
-        m.inc("z.count")
-        m.inc("a.count")
-        m.set_gauge("depth", 3)
-        m.observe("lat_us", 7.0)
-        s = m.summary()
-        assert s["virtual_time_us"] == sim.now
-        assert list(s["counters"]) == ["a.count", "z.count"]  # sorted
-        assert s["gauges"]["depth"] == {"value": 3, "high_water": 3}
-        assert s["histograms"]["lat_us"]["count"] == 1
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_metrics_alone_equals_metrics_with_causal(self, engine):
+        rt, alone = self._summary(engine)
+        _, both = self._summary(engine, causal=True)
+        assert alone == both
+        sends = {n: v for n, v in alone["counters"].items() if n.startswith("fabric.sends.")}
+        assert sends and sum(sends.values()) == rt.stats().messages_sent

@@ -126,7 +126,7 @@ class TestWired:
     def test_profiler_absent_without_metrics(self):
         rt = make_runtime(2)
         assert rt.profiler is None
-        assert rt.metrics is None
+        assert not rt.metrics
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_profiling_does_not_change_virtual_time(self, engine):

@@ -217,17 +217,12 @@ class TestDirtyWorklistMerge:
         assert eng._merge_marked(dirty) is dirty
 
     def test_merge_extras_count_into_visit_metrics(self):
-        eng = self._engine(metrics=True)
+        eng = self._engine()
         ws0, ws1, _ = (eng.states[g] for g in sorted(eng.states))
         eng.mark_dirty(ws1)
         dirty = eng._take_dirty()
-
-        def visits():
-            return eng.runtime.metrics_summary()["counters"]["engine.sweep.window_visits"]
-
-        base = visits()
-        per_win = eng.metrics.value(f"engine.sweep.visited.win{ws0.gid}")
+        base, per_win = eng.windows_visited, ws0.visits
         eng.mark_dirty(ws0)
         eng._merge_marked(dirty)
-        assert visits() == base + 1
-        assert eng.metrics.value(f"engine.sweep.visited.win{ws0.gid}") == per_win + 1
+        assert eng.windows_visited == base + 1
+        assert ws0.visits == per_win + 1

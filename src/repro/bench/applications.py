@@ -55,9 +55,7 @@ Rows = dict[str, dict[str, float]]
 
 #: Fig. 12's four series: the paper's three plus the §VI-B reorder flag.
 MODES = (
-    ("MVAPICH", dict(engine="mvapich")),
-    ("New", dict(engine="nonblocking")),
-    ("New nonblocking", dict(engine="nonblocking", nonblocking=True)),
+    *((s.label, dict(engine=s.engine, nonblocking=s.nonblocking)) for s in SERIES[:3]),
     ("New nonblocking + A_A_A_R", dict(engine="nonblocking", nonblocking=True, reorder=True)),
 )
 

@@ -10,8 +10,9 @@ never shows.  This package turns the kernel's determinism into a
   same-timestamp events, whole-lane coherent, splitmix64-keyed like
   :mod:`repro.faults` — one seed replays one schedule byte for byte);
 - :mod:`~repro.explore.runner` runs each workload on all four engine
-  variants of the paper's test matrix under identical schedules and
-  diffs canonical outcome digests (:mod:`~repro.explore.digest`);
+  series of the paper's test matrix (:mod:`repro.workloads`) under
+  identical schedules and diffs canonical outcome digests
+  (:mod:`~repro.explore.digest`);
 - :mod:`~repro.explore.shrink` delta-debugs a failing seed down to a
   minimal perturbation set;
 - :mod:`~repro.explore.mutation` provides known-bad engine mutations so
@@ -24,15 +25,7 @@ Pytest: the ``exploration`` fixture (:mod:`~repro.explore.pytest_plugin`).
 from .context import ExplorationContext
 from .digest import OutcomeDigest, build_digest, canonical_json, diff_digests
 from .policy import PerturbationSpec, SchedulePolicy, specs_for
-from .runner import (
-    VARIANTS,
-    WORKLOADS,
-    EngineVariant,
-    ExploreReport,
-    RunOutcome,
-    explore,
-    run_workload,
-)
+from .runner import ExploreReport, RunOutcome, explore, run_workload
 from .shrink import ShrinkResult, shrink
 
 __all__ = [
@@ -44,9 +37,6 @@ __all__ = [
     "PerturbationSpec",
     "SchedulePolicy",
     "specs_for",
-    "EngineVariant",
-    "VARIANTS",
-    "WORKLOADS",
     "RunOutcome",
     "ExploreReport",
     "explore",

@@ -5,18 +5,18 @@ Subcommands::
     python -m repro.explore run [--workloads halo,lu] [--engines signal,nonblocking]
         [--schedules 4] [--seed 0x5EED] [--max-extra-us 0.5] [--json]
         [--out report.json]
-        Differential sweep: workloads x engine variants x (baseline +
-        N explored schedules).  --engines restricts the variant matrix
-        to the named engines (canonical or legacy names).  Exit 1 if
-        any digest disagrees.
+        Differential sweep: workloads x engine series x (baseline +
+        N explored schedules).  --engines restricts the series to those
+        running on the named engines (canonical or legacy names).  Exit
+        1 if any digest disagrees.
 
-    python -m repro.explore replay --workload W --variant V
+    python -m repro.explore replay --workload W --variant SERIES
         (--seed S | --spec-file f.json) [--expect-strict SHA] [--json]
         Re-run one explored schedule from its replay token and print the
         digest.  With --expect-strict, exit 1 unless the strict SHA
         matches (byte-level determinism check).
 
-    python -m repro.explore shrink --workload W --variant V --seed S
+    python -m repro.explore shrink --workload W --variant SERIES --seed S
         [--budget 64] [--json]
         Delta-debug a failing seed to a minimal perturbation set.
 
@@ -30,11 +30,10 @@ import argparse
 import json
 import sys
 
+from ..workloads import SERIES, get_series, workload_names
 from .policy import PerturbationSpec
-from .runner import VARIANTS, WORKLOADS, explore, run_workload
+from .runner import explore, run_workload
 from .shrink import shrink
-
-_VARIANTS = {v.name: v for v in VARIANTS}
 
 
 def _int(text: str) -> int:
@@ -48,12 +47,12 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="differential schedule sweep")
     run.add_argument("--workloads", default=None,
-                     help=f"comma list from {sorted(WORKLOADS)} (default: all)")
+                     help=f"comma list from {list(workload_names())} (default: all)")
     run.add_argument("--engines", default=None,
-                     help="comma list of engine names; only variants running on "
-                          "those engines are swept (default: all variants)")
+                     help="comma list of engine names; only series running on "
+                          "those engines are swept (default: all series)")
     run.add_argument("--schedules", type=int, default=4,
-                     help="explored schedules per workload/variant (default 4)")
+                     help="explored schedules per workload/series (default 4)")
     run.add_argument("--seed", type=_int, default=0x5EED, help="base seed")
     run.add_argument("--max-extra-us", type=float, default=0.5,
                      help="per-event extra-delay bound (µs)")
@@ -61,8 +60,8 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="also write the JSON report here")
 
     rep = sub.add_parser("replay", help="re-run one schedule from its token")
-    rep.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    rep.add_argument("--variant", required=True, choices=sorted(_VARIANTS))
+    rep.add_argument("--workload", required=True, choices=workload_names())
+    rep.add_argument("--variant", required=True, choices=[s.name for s in SERIES])
     rep.add_argument("--seed", type=_int, default=None, help="schedule seed")
     rep.add_argument("--spec-file", default=None,
                      help="replay token JSON (as printed by shrink)")
@@ -72,8 +71,8 @@ def _parser() -> argparse.ArgumentParser:
     rep.add_argument("--json", action="store_true")
 
     shr = sub.add_parser("shrink", help="minimize a failing seed")
-    shr.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    shr.add_argument("--variant", required=True, choices=sorted(_VARIANTS))
+    shr.add_argument("--workload", required=True, choices=workload_names())
+    shr.add_argument("--variant", required=True, choices=[s.name for s in SERIES])
     shr.add_argument("--seed", type=_int, required=True)
     shr.add_argument("--max-extra-us", type=float, default=0.5)
     shr.add_argument("--budget", type=int, default=64, help="max oracle re-runs")
@@ -90,10 +89,10 @@ def _load_spec(args) -> PerturbationSpec:
     return PerturbationSpec(seed=args.seed, max_extra_us=args.max_extra_us)
 
 
-def _select_variants(engines_arg: str | None):
-    """Resolve ``--engines`` to a variant subset (None = all)."""
+def _select_series(engines_arg: str | None):
+    """Resolve ``--engines`` to a series subset (None = all)."""
     if engines_arg is None:
-        return VARIANTS
+        return SERIES
     from ..rma.engine.registry import ENGINES, canonical_engine
 
     wanted = set()
@@ -108,24 +107,24 @@ def _select_variants(engines_arg: str | None):
                 f"unknown engine {token!r} in --engines; "
                 f"known engines: {', '.join(sorted(ENGINES))}"
             ) from None
-    variants = tuple(v for v in VARIANTS if v.engine in wanted)
-    if not variants:
+    series = tuple(s for s in SERIES if s.engine in wanted)
+    if not series:
         raise SystemExit(
-            "--engines selected no variants; "
+            "--engines selected no series; "
             f"known engines: {', '.join(sorted(ENGINES))}"
         )
-    return variants
+    return series
 
 
 def _cmd_run(args) -> int:
     names = args.workloads.split(",") if args.workloads else None
-    variants = _select_variants(args.engines)
+    series = _select_series(args.engines)
     report = explore(
         workloads=names,
         nschedules=args.schedules,
         base_seed=args.seed,
         max_extra_us=args.max_extra_us,
-        variants=variants,
+        series=series,
     )
     doc = report.to_json()
     if args.out:
@@ -136,7 +135,7 @@ def _cmd_run(args) -> int:
         print()
     else:
         print(f"explored {len(report.runs)} runs "
-              f"({len(names or sorted(WORKLOADS))} workloads x {len(variants)} variants "
+              f"({len(names or workload_names())} workloads x {len(series)} series "
               f"x {1 + args.schedules} schedules)")
         if report.ok:
             print("all digests agree")
@@ -150,7 +149,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_replay(args) -> int:
     spec = _load_spec(args)
-    run = run_workload(args.workload, _VARIANTS[args.variant], spec)
+    run = run_workload(args.workload, get_series(args.variant), spec)
     doc = {"run": run.to_json(), "digest": run.digest.to_json()}
     if args.json:
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
@@ -166,17 +165,17 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_shrink(args) -> int:
-    variant = _VARIANTS[args.variant]
+    series = get_series(args.variant)
     spec = PerturbationSpec(seed=args.seed, max_extra_us=args.max_extra_us)
     # Oracle: strict digest disagrees with the unperturbed baseline of
-    # the reference variant (the sweep's own strict rule).
-    ref = run_workload(args.workload, VARIANTS[0], None)
+    # the reference series (the sweep's own strict rule).
+    ref = run_workload(args.workload, SERIES[0], None)
 
     def fails(candidate: PerturbationSpec) -> bool:
-        run = run_workload(args.workload, variant, candidate)
+        run = run_workload(args.workload, series, candidate)
         return run.digest.strict_sha != ref.digest.strict_sha
 
-    full = run_workload(args.workload, variant, spec)
+    full = run_workload(args.workload, series, spec)
     if full.digest.strict_sha == ref.digest.strict_sha:
         print(f"seed {args.seed:#x} does not fail on {args.workload}/{args.variant}; "
               "nothing to shrink", file=sys.stderr)

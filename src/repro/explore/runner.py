@@ -1,4 +1,4 @@
-"""Workload registry, engine-variant matrix, and the differential sweep.
+"""The differential sweep over the test matrix.
 
 The oracle's design is the paper's test matrix grown by one column:
 every workload runs on four engine series — **MVAPICH** (baseline
@@ -18,67 +18,27 @@ and their :class:`~repro.explore.digest.OutcomeDigest`\\ s are compared:
 Workloads are deliberately small instances of the real apps — big
 enough to produce cross-rank traffic on every synchronization style
 (fence, GATS, exclusive/shared locks, persistent collectives), small
-enough that a 4-variant × N-schedule sweep stays in CI-smoke territory.
-The workload factories themselves live in the :mod:`repro.workloads`
-registry (the single source of workload names); this module owns the
-sweep and the digest comparison.
+enough that a 4-series × N-schedule sweep stays in CI-smoke territory.
+The rows and columns of the matrix are :mod:`repro.workloads`' tables
+(``WORKLOADS`` and ``SERIES``; a run's ``variant`` is its series name);
+this module owns the sweep and the digest comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from ..workloads import SERIES, get_workload, workload_names
+from ..workloads import SERIES, Series, get_workload, workload_names
 from .context import ExplorationContext
 from .digest import OutcomeDigest, build_digest, diff_digests
 from .policy import PerturbationSpec, specs_for
 
 __all__ = [
-    "EngineVariant",
-    "VARIANTS",
-    "WORKLOADS",
     "RunOutcome",
     "ExploreReport",
     "run_workload",
     "explore",
 ]
-
-
-@dataclass(frozen=True)
-class EngineVariant:
-    """One column of the paper's test matrix."""
-
-    name: str
-    engine: str
-    nonblocking: bool
-
-
-#: The paper's three test series (§IX) plus the counter-signal engine
-#: (the registry's canonical series table, in its order).
-VARIANTS: tuple[EngineVariant, ...] = tuple(
-    EngineVariant(s.name, s.engine, s.nonblocking) for s in SERIES
-)
-
-
-def _oracle_adapter(name: str) -> Callable[[EngineVariant, ExplorationContext], dict]:
-    oracle = get_workload(name).oracle
-
-    def run(variant: EngineVariant, exploration: ExplorationContext) -> dict:
-        return oracle(variant.engine, variant.nonblocking, exploration)
-
-    run.__name__ = f"_run_{name}"
-    return run
-
-
-#: Workload name -> runner(variant, exploration) -> schedule-free result
-#: summary, resolved through :data:`repro.workloads.WORKLOADS`.  Each
-#: runner threads the exploration context through its app config and
-#: extracts only schedule-independent fields (never elapsed_us /
-#: fc_stalls / comm_us / latencies).
-WORKLOADS: dict[str, Callable[[EngineVariant, ExplorationContext], dict]] = {
-    name: _oracle_adapter(name) for name in workload_names()
-}
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +47,8 @@ WORKLOADS: dict[str, Callable[[EngineVariant, ExplorationContext], dict]] = {
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """One (workload, variant, schedule) run and its digest."""
+    """One (workload, series, schedule) run and its digest; ``variant``
+    is the series name."""
 
     workload: str
     variant: str
@@ -109,7 +70,7 @@ class RunOutcome:
 
 def run_workload(
     workload: str,
-    variant: EngineVariant,
+    series: Series,
     spec: PerturbationSpec | None,
     semantics_check: str | None = "report",
 ) -> RunOutcome:
@@ -120,18 +81,12 @@ def run_workload(
     return a byte-identical digest — that is the replay guarantee the
     CLI's ``replay`` subcommand and the shrinker both rest on.
     """
-    try:
-        runner = WORKLOADS[workload]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {workload!r}; choose from "
-            f"{', '.join(workload_names())}"
-        ) from None
+    w = get_workload(workload)
     context = ExplorationContext.from_spec(spec, semantics_check=semantics_check)
-    result = runner(variant, context)
+    result = w.oracle(series.engine, series.nonblocking, context)
     digest = build_digest(context, result)
     applied = tuple(context.policy.applied) if context.policy is not None else ()
-    return RunOutcome(workload, variant.name, spec, digest, applied)
+    return RunOutcome(workload, series.name, spec, digest, applied)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +139,15 @@ def explore(
     nschedules: int = 4,
     base_seed: int = 0x5EED,
     max_extra_us: float = 0.5,
-    variants: tuple[EngineVariant, ...] = VARIANTS,
+    series: tuple[Series, ...] = SERIES,
     specs: list[PerturbationSpec] | None = None,
     semantics_check: str | None = "report",
 ) -> ExploreReport:
-    """Run the differential sweep: every workload × every variant ×
+    """Run the differential sweep: every workload × every series ×
     (baseline + ``nschedules`` explored schedules), then cross-check the
     digests (strict across everything; engine-only across schedules
-    within a variant)."""
-    names = list(workloads) if workloads else sorted(WORKLOADS)
+    within a series)."""
+    names = list(workloads) if workloads else list(workload_names())
     if specs is None:
         specs = specs_for(nschedules, base_seed=base_seed, max_extra_us=max_extra_us)
     all_specs: list[PerturbationSpec | None] = [None, *specs]
@@ -201,15 +156,15 @@ def explore(
 
     for name in names:
         matrix: dict[tuple[str, int | None], RunOutcome] = {}
-        for variant in variants:
+        for s in series:
             for spec in all_specs:
-                run = run_workload(name, variant, spec, semantics_check=semantics_check)
-                matrix[(variant.name, _spec_seed(spec))] = run
+                run = run_workload(name, s, spec, semantics_check=semantics_check)
+                matrix[(s.name, _spec_seed(spec))] = run
                 runs.append(run)
 
         # Strict oracle: every run of this workload must agree with the
-        # baseline run of the first variant.
-        ref = matrix[(variants[0].name, None)]
+        # baseline run of the first series.
+        ref = matrix[(series[0].name, None)]
         for (vname, seed), run in matrix.items():
             if run.digest.strict_sha != ref.digest.strict_sha:
                 mismatches.append({
@@ -221,19 +176,19 @@ def explore(
                     "paths": diff_digests(ref.digest.strict, run.digest.strict)[:20],
                 })
 
-        # Engine-only oracle: within one variant, every schedule must
-        # reproduce the variant's baseline notification/ω behavior.
-        for variant in variants:
-            vref = matrix[(variant.name, None)]
+        # Engine-only oracle: within one series, every schedule must
+        # reproduce the series' baseline notification/ω behavior.
+        for s in series:
+            vref = matrix[(s.name, None)]
             for spec in specs:
-                run = matrix[(variant.name, spec.seed)]
+                run = matrix[(s.name, spec.seed)]
                 if run.digest.engine_sha != vref.digest.engine_sha:
                     mismatches.append({
                         "kind": "engine_only",
                         "workload": name,
-                        "variant": variant.name,
+                        "variant": s.name,
                         "seeds": [spec.seed],
-                        "against": {"variant": variant.name, "seed": None},
+                        "against": {"variant": s.name, "seed": None},
                         "paths": diff_digests(
                             vref.digest.engine_only, run.digest.engine_only
                         )[:20],

@@ -18,11 +18,12 @@ Metrics and one recorder, opt-in via ``MPIRuntime(metrics=True)`` and
   with metric samples and causal flow arrows (loads in chrome://tracing
   and Perfetto).
 
-``python -m repro.obs`` runs an instrumented halo-exchange demo and
-prints the per-step / per-epoch report or writes a trace file;
-``python -m repro.obs critpath`` runs one test-matrix workload and
-prints where its epochs' time went; see ``docs/OBSERVABILITY.md`` for
-the model and a walkthrough.
+``python -m repro.obs`` runs one instrumented test-matrix cell
+(``--workload`` / ``--series``, halo on ``new`` by default) and prints
+the per-step / per-epoch report or writes a trace file;
+``python -m repro.obs critpath`` runs the same cell and prints where
+its epochs' time went; see ``docs/OBSERVABILITY.md`` for the model and
+a walkthrough.
 """
 
 from .causal import CATEGORIES, CausalRecorder, Span, span_category

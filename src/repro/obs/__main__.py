@@ -1,19 +1,21 @@
 """Observability CLI: ``python -m repro.obs``.
 
-Runs a halo-exchange workload with metrics and the causal recorder
-enabled, then prints the 7-step / per-epoch report or writes artifacts::
+Runs one test-matrix cell (:mod:`repro.workloads`: a workload under an
+engine series) with metrics and the causal recorder enabled, then prints
+the 7-step / per-epoch report or writes artifacts::
 
-    python -m repro.obs                         # report to stdout
-    python -m repro.obs --ranks 8 --iters 20    # bigger run
-    python -m repro.obs --engine mvapich        # baseline engine profile
-    python -m repro.obs --nonblocking           # drive the §V i* API
-    python -m repro.obs --trace trace.json      # Chrome trace-event JSON
-    python -m repro.obs --json metrics.json     # metrics summary as JSON
-    python -m repro.obs --validate trace.json   # schema-check an existing trace
+    python -m repro.obs                          # halo on 'new', report to stdout
+    python -m repro.obs --workload lu            # another row of the matrix
+    python -m repro.obs --series mvapich         # baseline engine profile
+    python -m repro.obs --series new-nonblocking # drive the §V i* API
+    python -m repro.obs --series signal          # adds the signal-board section
+    python -m repro.obs --trace trace.json       # Chrome trace-event JSON
+    python -m repro.obs --json metrics.json      # metrics summary as JSON
+    python -m repro.obs --validate trace.json    # schema-check an existing trace
 
-The ``critpath`` subcommand runs one test-matrix workload under one
-engine series with the causal recorder on, then prints the blocked-time
-attribution and the critical path (or the full report as JSON)::
+The ``critpath`` subcommand runs the same cell with the causal recorder
+only, then prints the blocked-time attribution and the critical path
+(or the full report as JSON)::
 
     python -m repro.obs critpath --workload halo --series mvapich
     python -m repro.obs critpath --workload lu --json report.json
@@ -32,24 +34,25 @@ import argparse
 import json
 import sys
 
-from ..rma.engine.registry import DEFAULT_ENGINE, ENGINES
+from ..workloads import SERIES, run_instrumented, workload_names
 from .chrometrace import validate_chrome_trace, write_chrome_trace_file
 from .report import format_obs_report
 
 
+def _cell_parser() -> argparse.ArgumentParser:
+    """The run-selection flags both commands share: one matrix cell."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--workload", default="halo", choices=workload_names())
+    p.add_argument("--series", default="new", choices=[s.name for s in SERIES],
+                   help="engine series (test-matrix column, default 'new')")
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="python -m repro.obs",
-        description="Run an instrumented halo exchange and report where time goes.",
+        prog="python -m repro.obs", parents=[_cell_parser()],
+        description="Run one instrumented test-matrix cell and report where time goes.",
     )
-    p.add_argument("--ranks", type=int, default=4, help="ranks in the job (default 4)")
-    p.add_argument("--cells", type=int, default=32, help="cells per rank (default 32)")
-    p.add_argument("--iters", type=int, default=8, help="halo iterations (default 8)")
-    p.add_argument("--cores-per-node", type=int, default=2,
-                   help="ranks per node; >1 exercises the intranode FIFO path (default 2)")
-    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES)
-    p.add_argument("--nonblocking", action="store_true",
-                   help="drive the §V MPI_WIN_I* API (nonblocking engine only)")
     p.add_argument("--trace", metavar="FILE", help="write Chrome trace-event JSON")
     p.add_argument("--json", dest="json_path", metavar="FILE",
                    help="write the metrics summary as JSON ('-' for stdout)")
@@ -59,16 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_critpath_parser() -> argparse.ArgumentParser:
-    from ..workloads import SERIES, workload_names
-
     p = argparse.ArgumentParser(
-        prog="python -m repro.obs critpath",
+        prog="python -m repro.obs critpath", parents=[_cell_parser()],
         description="Blocked-time attribution + critical path for one "
                     "test-matrix workload.",
     )
-    p.add_argument("--workload", default="halo", choices=workload_names())
-    p.add_argument("--series", default="new", choices=sorted(s.name for s in SERIES),
-                   help="engine series (test-matrix column, default 'new')")
     p.add_argument("--json", dest="json_path", metavar="FILE", nargs="?", const="-",
                    help="emit the full report as JSON ('-' or omit FILE for stdout)")
     p.add_argument("--epoch", type=int, default=None,
@@ -105,10 +103,10 @@ def _format_critpath(doc: dict) -> str:
 
 def _critpath_main(argv: list[str]) -> int:
     args = _build_critpath_parser().parse_args(argv)
-    from ..workloads import run_instrumented
     from .critpath import critpath_report
 
-    runtime = run_instrumented(args.workload, args.series)
+    # The report reads only the span graph: no profiler laps.
+    runtime = run_instrumented(args.workload, args.series, metrics=False)
     doc = critpath_report(runtime)
     if args.epoch is not None:
         from .critpath import critical_path
@@ -144,23 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"OK {args.validate}: {count} valid trace events")
         return 0
 
-    from ..apps.halo import HaloConfig, run_halo
-
-    result = run_halo(
-        HaloConfig(
-            nranks=args.ranks,
-            cells_per_rank=args.cells,
-            iterations=args.iters,
-            engine=args.engine,
-            nonblocking=args.nonblocking,
-            cores_per_node=args.cores_per_node,
-            metrics=True,
-            causal=True,
-        )
-    )
-    runtime = result.runtime
-    assert runtime is not None
-
+    runtime = run_instrumented(args.workload, args.series)
     print(format_obs_report(runtime))
 
     if args.json_path is not None:

@@ -2,22 +2,24 @@
 
 Mirrors :mod:`repro.rma.engine.registry`: every surface that names a
 workload or an engine series — the differential oracle
-(:mod:`repro.explore.runner`), the ``critpath`` CLI
-(:mod:`repro.obs.__main__`), the benchmark figures
-(:mod:`repro.bench`) — resolves through this module, so the
+(:mod:`repro.explore.runner`), ``python -m repro.obs`` and its
+``critpath`` subcommand (:mod:`repro.obs.__main__`), the benchmark
+figures (:mod:`repro.bench`) — resolves through this module, so the
 test matrix grows in exactly one place.  Unknown names raise
 :class:`ValueError` listing the valid choices.
 
-A :class:`Workload` carries two factories for the same scenario:
+A :class:`Workload` row is one runner at two sizes:
 
-- ``oracle(engine, nonblocking, exploration) -> dict`` — a small,
-  schedule-free run for the differential oracle; the returned dict holds
-  only schedule- and engine-independent answer fields (never
-  ``elapsed_us`` / stall counters / latencies);
-- ``instrumented(engine, nonblocking, metrics) -> MPIRuntime`` — the
-  same cell with the causal recorder on, returning the finished runtime
-  for critical-path, pattern and timeline reports;
-  :func:`run_instrumented` runs one by (workload, series) name.
+- ``run(engine, nonblocking, **fields) -> (app result, runtime)`` runs
+  the scenario with ``fields`` as its config;
+- :meth:`Workload.oracle` runs the ``small`` size for the differential
+  oracle and reduces the result with ``answer`` to schedule- and
+  engine-independent fields (never ``elapsed_us`` / stall counters /
+  latencies);
+- :meth:`Workload.instrumented` runs the ``traced`` size with the
+  causal recorder on and returns the finished runtime for
+  critical-path, pattern and timeline reports; :func:`run_instrumented`
+  runs one by (workload, series) name.
 
 :data:`CLASSIC_WORKLOADS` pins the original six-workload matrix; the
 ``protocol_cost`` bench figure iterates it (not the full registry) so
@@ -26,11 +28,29 @@ its baseline stays byte-identical as new workloads land.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .mpi.runtime import MPIRuntime
+import numpy as np
+
+from .apps import (
+    FactDbConfig,
+    HaloConfig,
+    KvServiceConfig,
+    LUConfig,
+    Stencil2DConfig,
+    TransactionsConfig,
+    run_factdb,
+    run_halo,
+    run_kvservice,
+    run_lu,
+    run_stencil2d,
+    run_transactions,
+)
+from .coll import plan_allgather, plan_allreduce, plan_alltoallv
+from .mpi.runtime import MPIRuntime
+from .rma.flags import A_A_A_R
 
 __all__ = [
     "Series",
@@ -81,159 +101,40 @@ def get_series(name: str) -> Series:
 
 @dataclass(frozen=True)
 class Workload:
-    """One row of the test matrix (both factory flavors)."""
+    """One row of the test matrix: a runner and the two sizes it runs at."""
 
     name: str
-    oracle: Callable[[str, bool, Any], dict]
-    instrumented: Callable[[str, bool, bool], "MPIRuntime"]
+    #: ``run(engine, nonblocking, **fields) -> (app result, runtime)``.
+    run: Callable[..., tuple[Any, MPIRuntime | None]]
+    #: App result -> the schedule-free answer the oracle compares.
+    answer: Callable[[Any], dict]
+    #: Config fields of the oracle run (sized for sweep speed).
+    small: dict[str, Any]
+    #: Config fields of the instrumented run.  Load-bearing: the
+    #: ``protocol_cost`` baseline depends on them byte for byte.
+    traced: dict[str, Any]
+
+    def oracle(self, engine: str, nonblocking: bool, exploration) -> dict:
+        result, _ = self.run(engine, nonblocking, exploration=exploration, **self.small)
+        return self.answer(result)
+
+    def instrumented(self, engine: str, nonblocking: bool, metrics: bool) -> MPIRuntime:
+        _, runtime = self.run(engine, nonblocking, metrics=metrics, causal=True, **self.traced)
+        return runtime
 
 
 def _arr_sha(arr) -> str:
-    import hashlib
-
-    import numpy as np
-
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# App-backed workloads (config sizes chosen for sweep speed; the
-# instrumented sizes are load-bearing — the ``protocol_cost`` baseline
-# depends on them byte-for-byte)
-# ---------------------------------------------------------------------------
+def _app(run_fn: Callable, config_cls: type) -> Callable:
+    """The runner of an app-backed row: build its config, run the app."""
 
-def _halo_oracle(engine: str, nonblocking: bool, exploration) -> dict:
-    from .apps.halo import HaloConfig, run_halo
+    def run(engine: str, nonblocking: bool, **fields):
+        res = run_fn(config_cls(engine=engine, nonblocking=nonblocking, **fields))
+        return res, res.runtime
 
-    res = run_halo(HaloConfig(
-        nranks=3, cells_per_rank=8, iterations=3,
-        engine=engine, nonblocking=nonblocking, exploration=exploration,
-    ))
-    return {"field_sha": _arr_sha(res.field)}
-
-
-def _halo_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
-    from .apps.halo import HaloConfig, run_halo
-
-    res = run_halo(HaloConfig(
-        nranks=4, cells_per_rank=16, iterations=4, cores_per_node=2,
-        interior_work_us=8.0,  # overlap fodder: differentiates i* series
-        engine=engine, nonblocking=nonblocking,
-        metrics=metrics, causal=True,
-    ))
-    return res.runtime
-
-
-def _stencil2d_oracle(engine: str, nonblocking: bool, exploration) -> dict:
-    from .apps.stencil2d import Stencil2DConfig, run_stencil2d
-
-    res = run_stencil2d(Stencil2DConfig(
-        pr=2, pc=2, tile=4, iterations=2,
-        engine=engine, nonblocking=nonblocking, exploration=exploration,
-    ))
-    return {"grid_sha": _arr_sha(res.grid)}
-
-
-def _stencil2d_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
-    from .apps.stencil2d import Stencil2DConfig, run_stencil2d
-
-    res = run_stencil2d(Stencil2DConfig(
-        pr=2, pc=2, tile=4, iterations=3, cores_per_node=2,
-        interior_work_us=8.0,
-        engine=engine, nonblocking=nonblocking,
-        metrics=metrics, causal=True,
-    ))
-    return res.runtime
-
-
-def _lu_oracle(engine: str, nonblocking: bool, exploration) -> dict:
-    from .apps.lu import LUConfig, run_lu
-
-    res = run_lu(LUConfig(
-        nranks=3, m=6,  # real mode: the U factor is the checkable answer
-        engine=engine, nonblocking=nonblocking, exploration=exploration,
-    ))
-    return {"u_sha": _arr_sha(res.u_matrix)}
-
-
-def _lu_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
-    from .apps.lu import LUConfig, run_lu
-
-    res = run_lu(LUConfig(
-        nranks=3, m=8, cores_per_node=2,
-        engine=engine, nonblocking=nonblocking,
-        metrics=metrics, causal=True,
-    ))
-    return res.runtime
-
-
-def _transactions_oracle(engine: str, nonblocking: bool, exploration) -> dict:
-    from .apps.transactions import TransactionsConfig, run_transactions
-
-    res = run_transactions(TransactionsConfig(
-        nranks=3, txns_per_rank=6, slots_per_rank=16,
-        engine=engine, nonblocking=nonblocking, exploration=exploration,
-    ))
-    # fc_stalls / retransmissions / elapsed_us are timing-dependent by
-    # design — the integer counter sums are the schedule-free answer.
-    return {"applied": res.applied, "rank_sums": [int(s) for s in res.rank_sums]}
-
-
-def _transactions_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
-    from .apps.transactions import TransactionsConfig, run_transactions
-
-    res = run_transactions(TransactionsConfig(
-        nranks=3, txns_per_rank=8, slots_per_rank=16, cores_per_node=2,
-        work_in_epoch_us=4.0,  # lazy-lock baselines cannot hide this
-        engine=engine, nonblocking=nonblocking,
-        metrics=metrics, causal=True,
-    ))
-    return res.runtime
-
-
-def _factdb_oracle(engine: str, nonblocking: bool, exploration) -> dict:
-    from .apps.factdb import FactDbConfig, run_factdb
-
-    res = run_factdb(FactDbConfig(
-        nranks=3, universe=32, firings_per_rank=5,
-        engine=engine, nonblocking=nonblocking, exploration=exploration,
-    ))
-    return {"table_sha": _arr_sha(res.table), "total": res.derived_total()}
-
-
-def _factdb_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
-    from .apps.factdb import FactDbConfig, run_factdb
-
-    res = run_factdb(FactDbConfig(
-        nranks=3, universe=32, firings_per_rank=6, cores_per_node=2,
-        engine=engine, nonblocking=nonblocking,
-        metrics=metrics, causal=True,
-    ))
-    return res.runtime
-
-
-def _kvservice_oracle(engine: str, nonblocking: bool, exploration) -> dict:
-    from .apps.kvservice import KvServiceConfig, run_kvservice
-
-    res = run_kvservice(KvServiceConfig(
-        nranks=3, keys_per_shard=8, requests_per_rank=36, rebalance_every=12,
-        engine=engine, nonblocking=nonblocking, exploration=exploration,
-    ))
-    # Latencies/elapsed are timing-dependent; the tables and counter
-    # stats are the schedule-free answer.
-    return {"tables": [list(t) for t in res.tables], "stats": list(res.stats)}
-
-
-def _kvservice_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
-    from .apps.kvservice import KvServiceConfig, run_kvservice
-
-    res = run_kvservice(KvServiceConfig(
-        nranks=3, keys_per_shard=8, requests_per_rank=24, rebalance_every=8,
-        cores_per_node=2,
-        engine=engine, nonblocking=nonblocking,
-        metrics=metrics, causal=True,
-    ))
-    return res.runtime
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +160,6 @@ def _ordering_run(engine: str, nonblocking: bool, *, exploration=None,
     final window memory and the app answer both diverge.  This is the
     workload the mutation self-test drives.
     """
-    import numpy as np
-
-    from .mpi.runtime import MPIRuntime
-    from .rma.flags import A_A_A_R
-
     _i8 = np.int64
 
     def origin(proc):
@@ -314,16 +210,6 @@ def _ordering_run(engine: str, nonblocking: bool, *, exploration=None,
     return results, runtime
 
 
-def _ordering_oracle(engine: str, nonblocking: bool, exploration) -> dict:
-    results, _ = _ordering_run(engine, nonblocking, exploration=exploration)
-    return {"read": results[0]}
-
-
-def _ordering_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
-    _, runtime = _ordering_run(engine, nonblocking, metrics=metrics, causal=True)
-    return runtime
-
-
 #: Ragged counts matrix for the coll workload (self traffic included).
 _COLL_COUNTS = ((1, 2, 0), (3, 0, 2), (0, 4, 2))
 _COLL_INVOCATIONS = 3
@@ -338,11 +224,6 @@ def _coll_run(engine: str, nonblocking: bool, *, exploration=None,
     nonblocking drive, ``interior_work_us`` of compute sits between
     ``start()`` and ``wait()`` — the overlap the ``coll_overlap`` bench
     figure measures."""
-    import numpy as np
-
-    from .coll import plan_allgather, plan_allreduce, plan_alltoallv
-    from .mpi.runtime import MPIRuntime
-
     n = len(_COLL_COUNTS)
 
     def app(proc):
@@ -380,36 +261,70 @@ def _coll_run(engine: str, nonblocking: bool, *, exploration=None,
     return results, runtime
 
 
-def _coll_oracle(engine: str, nonblocking: bool, exploration) -> dict:
-    results, _ = _coll_run(engine, nonblocking, exploration=exploration)
-    return {
-        "alltoallv": [r[0] for r in results],
-        "allgather": results[0][1],
-        "allreduce": results[0][2],
-    }
-
-
-def _coll_instrumented(engine: str, nonblocking: bool, metrics: bool) -> "MPIRuntime":
-    _, runtime = _coll_run(engine, nonblocking, metrics=metrics, causal=True,
-                           interior_work_us=8.0)
-    return runtime
-
-
 # ---------------------------------------------------------------------------
-# The registry
+# The registry (small sizes are chosen for sweep speed)
 # ---------------------------------------------------------------------------
 
 WORKLOADS: dict[str, Workload] = {
     w.name: w
     for w in (
-        Workload("halo", _halo_oracle, _halo_instrumented),
-        Workload("stencil2d", _stencil2d_oracle, _stencil2d_instrumented),
-        Workload("lu", _lu_oracle, _lu_instrumented),
-        Workload("transactions", _transactions_oracle, _transactions_instrumented),
-        Workload("factdb", _factdb_oracle, _factdb_instrumented),
-        Workload("ordering", _ordering_oracle, _ordering_instrumented),
-        Workload("coll", _coll_oracle, _coll_instrumented),
-        Workload("kvservice", _kvservice_oracle, _kvservice_instrumented),
+        Workload(
+            "halo", _app(run_halo, HaloConfig),
+            lambda res: {"field_sha": _arr_sha(res.field)},
+            small=dict(nranks=3, cells_per_rank=8, iterations=3),
+            traced=dict(nranks=4, cells_per_rank=16, iterations=4, cores_per_node=2,
+                        interior_work_us=8.0),  # overlap fodder: differentiates i* series
+        ),
+        Workload(
+            "stencil2d", _app(run_stencil2d, Stencil2DConfig),
+            lambda res: {"grid_sha": _arr_sha(res.grid)},
+            small=dict(pr=2, pc=2, tile=4, iterations=2),
+            traced=dict(pr=2, pc=2, tile=4, iterations=3, cores_per_node=2,
+                        interior_work_us=8.0),
+        ),
+        Workload(
+            "lu", _app(run_lu, LUConfig),
+            lambda res: {"u_sha": _arr_sha(res.u_matrix)},
+            small=dict(nranks=3, m=6),  # real mode: the U factor is the checkable answer
+            traced=dict(nranks=3, m=8, cores_per_node=2),
+        ),
+        Workload(
+            "transactions", _app(run_transactions, TransactionsConfig),
+            # fc_stalls / retransmissions / elapsed_us are timing-dependent by
+            # design — the integer counter sums are the schedule-free answer.
+            lambda res: {"applied": res.applied,
+                         "rank_sums": [int(s) for s in res.rank_sums]},
+            small=dict(nranks=3, txns_per_rank=6, slots_per_rank=16),
+            traced=dict(nranks=3, txns_per_rank=8, slots_per_rank=16, cores_per_node=2,
+                        work_in_epoch_us=4.0),  # lazy-lock baselines cannot hide this
+        ),
+        Workload(
+            "factdb", _app(run_factdb, FactDbConfig),
+            lambda res: {"table_sha": _arr_sha(res.table), "total": res.derived_total()},
+            small=dict(nranks=3, universe=32, firings_per_rank=5),
+            traced=dict(nranks=3, universe=32, firings_per_rank=6, cores_per_node=2),
+        ),
+        Workload(
+            "ordering", _ordering_run,
+            lambda results: {"read": results[0]},
+            small={}, traced={},
+        ),
+        Workload(
+            "coll", _coll_run,
+            lambda results: {"alltoallv": [r[0] for r in results],
+                             "allgather": results[0][1],
+                             "allreduce": results[0][2]},
+            small={}, traced=dict(interior_work_us=8.0),
+        ),
+        Workload(
+            "kvservice", _app(run_kvservice, KvServiceConfig),
+            # Latencies/elapsed are timing-dependent; the tables and counter
+            # stats are the schedule-free answer.
+            lambda res: {"tables": [list(t) for t in res.tables], "stats": list(res.stats)},
+            small=dict(nranks=3, keys_per_shard=8, requests_per_rank=36, rebalance_every=12),
+            traced=dict(nranks=3, keys_per_shard=8, requests_per_rank=24, rebalance_every=8,
+                        cores_per_node=2),
+        ),
     )
 }
 
@@ -437,7 +352,7 @@ def get_workload(name: str) -> Workload:
         ) from None
 
 
-def run_instrumented(workload: str, series: str = "new", metrics: bool = True) -> "MPIRuntime":
+def run_instrumented(workload: str, series: str = "new", metrics: bool = True) -> MPIRuntime:
     """Run one matrix cell with the causal recorder on; returns the
     finished runtime (``runtime.causal`` holds the span graph)."""
     s = get_series(series)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from repro.explore.__main__ import main
+import repro.explore
+from repro.explore.__main__ import _parser, main
+from repro.obs.__main__ import _build_parser as _obs_parser
+from repro.workloads import SERIES
 
 
 def test_run_json_report(capsys, tmp_path):
@@ -92,3 +96,19 @@ def test_shrink_minimizes_under_mutation(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["ids"]) == 1
     assert doc["spec"]["restrict"] == doc["ids"]
+
+
+def _choices(parser: argparse.ArgumentParser, dest: str) -> list:
+    return list(next(a.choices for a in parser._actions if a.dest == dest))
+
+
+def test_the_cli_columns_are_the_series_table():
+    """One column table: the explorer keeps no copy of the series (or of
+    the workload rows), and both CLIs offer exactly the series names."""
+    for gone in ("EngineVariant", "VARIANTS", "WORKLOADS"):
+        assert not hasattr(repro.explore, gone), gone
+    names = [s.name for s in SERIES]
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert _choices(sub.choices["replay"], "variant") == names
+    assert _choices(_obs_parser(), "series") == names

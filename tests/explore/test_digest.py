@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.explore import (
-    VARIANTS,
     ExplorationContext,
     build_digest,
     canonical_json,
@@ -11,6 +10,7 @@ from repro.explore import (
     run_workload,
 )
 from repro.rma.notify import SignalChannel
+from repro.workloads import SERIES, get_workload
 
 
 def test_canonical_json_is_order_insensitive():
@@ -29,7 +29,7 @@ def test_diff_digests_paths():
 
 
 def test_digest_covers_memory_checker_and_omega():
-    run = run_workload("transactions", VARIANTS[2], None)
+    run = run_workload("transactions", SERIES[2], None)
     strict, engine_only = run.digest.strict, run.digest.engine_only
     # one window x 3 ranks
     assert sorted(strict["memory"]) == ["0/0", "0/1", "0/2"]
@@ -53,15 +53,13 @@ def test_empty_context_digest():
 def test_omega_invariant_audit_detects_imbalance():
     """Corrupting the grant counter the engine matches on after the run
     must trip the audit — on every engine: they share the board.  (One
-    test over all four variants rather than a parametrized one, so its
+    test over all four series rather than a parametrized one, so its
     id stays what it was when the audit could only see the ω engines.)"""
-    from repro.explore.runner import WORKLOADS
-
-    for variant in VARIANTS:
+    for series in SERIES:
         ctx = ExplorationContext.from_spec(None)
-        result = WORKLOADS["transactions"](variant, ctx)
-        assert build_digest(ctx, result).strict["invariants"] == [], variant.name
+        result = get_workload("transactions").oracle(series.engine, series.nonblocking, ctx)
+        assert build_digest(ctx, result).strict["invariants"] == [], series.name
         board = ctx.runtimes[0].engines[0].states[0].board
         board.inbound[SignalChannel.GRANT, 1] += 1  # a grant nobody issued
         invariants = build_digest(ctx, result).strict["invariants"]
-        assert any("grant conservation" in line for line in invariants), variant.name
+        assert any("grant conservation" in line for line in invariants), series.name

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.explore import VARIANTS, explore, run_workload, shrink, specs_for
+from repro.explore import explore, run_workload, shrink, specs_for
 from repro.explore.__main__ import main
 from repro.explore.mutation import (
     activation_gate_disabled,
@@ -30,9 +30,10 @@ from repro.explore.mutation import (
 )
 from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.simtime import SimulationDeadlock
+from repro.workloads import SERIES
 
-_NEW_NB = VARIANTS[2]  # the variant that exercises deferred epochs
-_SIGNAL = VARIANTS[3]  # signal engine: inherits the same deferral path
+_NEW_NB = SERIES[2]  # the series that exercises deferred epochs
+_SIGNAL = SERIES[3]  # signal engine: inherits the same deferral path
 
 
 def test_gate_flag_restored_even_on_error():
@@ -80,7 +81,7 @@ def test_failing_seed_replays_deterministically():
 
 
 def test_shrink_failing_seed_to_minimal_set():
-    ref = run_workload("ordering", VARIANTS[0], None)
+    ref = run_workload("ordering", SERIES[0], None)
     with activation_gate_disabled():
         from repro.explore import PerturbationSpec
 
@@ -120,13 +121,13 @@ def test_dropped_wakeup_is_killed_as_a_deadlock_never_a_wrong_answer(mutant, wor
     on the dropped row (lock epochs / GATS), every variant (all four
     run the ready sets): each run either deadlocks or still agrees with
     the healthy reference, and the mutant is killed."""
-    ref = run_workload(workload, VARIANTS[0], None).digest.strict_sha
+    ref = run_workload(workload, SERIES[0], None).digest.strict_sha
     deadlocks = 0
     with mutant():
-        for variant in VARIANTS:
+        for series in SERIES:
             for spec in [None, *specs_for(4)]:
                 try:
-                    run = run_workload(workload, variant, spec)
+                    run = run_workload(workload, series, spec)
                 except SimulationDeadlock:
                     deadlocks += 1
                 else:

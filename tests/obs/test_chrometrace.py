@@ -14,6 +14,7 @@ from repro.obs import (
 )
 from repro.patterns import detect_patterns
 from repro.rma.engine.registry import ENGINES
+from repro.workloads import SERIES
 from tests.conftest import make_runtime
 
 
@@ -214,13 +215,26 @@ class TestCli:
 
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
-        rc = main(["--ranks", "2", "--cells", "8", "--iters", "2",
+        rc = main(["--workload", "halo", "--series", "new",
                    "--trace", str(trace), "--json", str(metrics)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "7-step progress profile" in out
         assert validate_chrome_trace(json.loads(trace.read_text())) > 0
         assert "counters" in json.loads(metrics.read_text())
+
+    @pytest.mark.parametrize("series", SERIES, ids=lambda s: s.name)
+    def test_every_series_runs_and_traces(self, series, tmp_path, capsys):
+        """--series admits only engine/drive pairs that exist, and each
+        one runs to a valid trace (the old --engine / --nonblocking pair
+        let ``mvapich --nonblocking`` fail inside the run)."""
+        from repro.obs.__main__ import main
+
+        trace = tmp_path / "trace.json"
+        assert main(["--series", series.name, "--trace", str(trace)]) == 0
+        assert validate_chrome_trace(json.loads(trace.read_text())) > 0
+        out = capsys.readouterr().out
+        assert ("signal boards" in out) == (series.engine == "signal")
 
     def test_validate_good_and_bad(self, tmp_path, capsys):
         from repro.obs.__main__ import main

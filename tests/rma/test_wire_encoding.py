@@ -26,20 +26,20 @@ from functools import cache
 
 import pytest
 
-from repro.explore import VARIANTS, ExplorationContext
-from repro.explore.runner import WORKLOADS
+from repro.explore import ExplorationContext
 from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.rma.notify import SignalChannel
+from repro.workloads import SERIES, get_workload
 
 WIRE_BLIND = ("halo", "stencil2d", "lu", "transactions", "factdb", "ordering")
 #: The workloads with passive-target epochs: where the fold shows.
 LOCKING = {"transactions", "factdb", "ordering"}
-OMEGA = [v for v in VARIANTS if v.engine != "signal"]
-SIGNAL = next(v for v in VARIANTS if v.engine == "signal")
+OMEGA = [s for s in SERIES if s.engine != "signal"]
+SIGNAL = next(s for s in SERIES if s.engine == "signal")
 
 
 @cache
-def _stream(workload: str, variant) -> dict[int, Counter]:
+def _stream(workload: str, series) -> dict[int, Counter]:
     """rank -> multiset of (window, channel, peer, value) notified."""
     record: dict[int, Counter] = {}
     real = NonblockingEngine._notify
@@ -51,7 +51,8 @@ def _stream(workload: str, variant) -> dict[int, Counter]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NonblockingEngine, "_notify", recording)
-        WORKLOADS[workload](variant, ExplorationContext(semantics_check="report"))
+        get_workload(workload).oracle(series.engine, series.nonblocking,
+                                      ExplorationContext(semantics_check="report"))
     assert record, "the workload notified nothing"
     return record
 
@@ -70,9 +71,9 @@ def _folded(stream: dict[int, Counter]) -> dict[int, Counter]:
 
 @pytest.mark.parametrize("workload", WIRE_BLIND)
 def test_notify_stream_is_engine_independent(workload):
-    reference = _folded(_stream(workload, VARIANTS[0]))
-    for variant in VARIANTS[1:]:
-        assert _folded(_stream(workload, variant)) == reference, variant.name
+    reference = _folded(_stream(workload, SERIES[0]))
+    for series in SERIES[1:]:
+        assert _folded(_stream(workload, series)) == reference, series.name
 
 
 @pytest.mark.parametrize("workload", WIRE_BLIND)
@@ -80,6 +81,6 @@ def test_the_fold_is_the_only_difference(workload):
     """Unfolded, the three ω series still agree with each other, and the
     signal engine differs from them exactly where locks are taken."""
     reference = _stream(workload, OMEGA[0])
-    for variant in OMEGA[1:]:
-        assert _stream(workload, variant) == reference, variant.name
+    for series in OMEGA[1:]:
+        assert _stream(workload, series) == reference, series.name
     assert (_stream(workload, SIGNAL) != reference) == (workload in LOCKING)

@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from repro.explore.policy import specs_for
-from repro.explore.runner import VARIANTS, run_workload
+from repro.explore.runner import run_workload
 from repro.simtime import Simulator
 from repro.workloads import SERIES, WORKLOADS
 from tests.obs.test_observer_golden import _TXN_DRIVES, _TXN_STRESS, _txn
@@ -81,6 +81,6 @@ def test_stressed_transactions_make_no_cyclic_garbage(
 @pytest.mark.parametrize("workload", ["transactions", "lu", "kvservice"])
 def test_explored_schedule_makes_no_cyclic_garbage(cyclic_garbage, workload):
     (spec,) = specs_for(1, base_seed=0x5EED)
-    for variant in VARIANTS:
-        run_workload(workload, variant, spec)
+    for series in SERIES:
+        run_workload(workload, series, spec)
     _assert_none(cyclic_garbage)

@@ -36,8 +36,6 @@ from .faults import (
     RankFault,
     ReliabilityConfig,
     RmaDeliveryError,
-    chaos_sweep,
-    default_schedule,
 )
 from .mpi import (
     ANY_SOURCE,
@@ -139,7 +137,5 @@ __all__ = [
     "RankFault",
     "ReliabilityConfig",
     "RmaDeliveryError",
-    "chaos_sweep",
-    "default_schedule",
     "__version__",
 ]

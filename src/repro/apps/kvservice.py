@@ -97,11 +97,6 @@ class KvServiceConfig(BaseAppConfig):
         """Rounds = rebalances (one rotation closes every round)."""
         return -(-self.requests_per_rank // self.rebalance_every)
 
-    @property
-    def simulated_clients(self) -> int:
-        adds = self.requests_per_rank  # upper bound; exact count is seeded
-        return self.nranks * adds * self.clients_per_request
-
 
 @dataclass(frozen=True)
 class KvServiceResult:

@@ -2,13 +2,13 @@
 
 Subcommands::
 
-    python -m repro.explore run [--workloads halo,lu] [--engines signal,nonblocking]
+    python -m repro.explore run [--workloads halo,lu] [--variants new,signal]
         [--schedules 4] [--seed 0x5EED] [--max-extra-us 0.5] [--json]
         [--out report.json]
         Differential sweep: workloads x engine series x (baseline +
-        N explored schedules).  --engines restricts the series to those
-        running on the named engines (canonical or legacy names).  Exit
-        1 if any digest disagrees.
+        N explored schedules).  --variants restricts the sweep to the
+        named series (the values ``replay --variant`` takes).  Exit 1
+        if any digest disagrees.
 
     python -m repro.explore replay --workload W --variant SERIES
         (--seed S | --spec-file f.json) [--expect-strict SHA] [--json]
@@ -48,9 +48,8 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="differential schedule sweep")
     run.add_argument("--workloads", default=None,
                      help=f"comma list from {list(workload_names())} (default: all)")
-    run.add_argument("--engines", default=None,
-                     help="comma list of engine names; only series running on "
-                          "those engines are swept (default: all series)")
+    run.add_argument("--variants", default=None,
+                     help=f"comma list from {[s.name for s in SERIES]} (default: all)")
     run.add_argument("--schedules", type=int, default=4,
                      help="explored schedules per workload/series (default 4)")
     run.add_argument("--seed", type=_int, default=0x5EED, help="base seed")
@@ -89,36 +88,23 @@ def _load_spec(args) -> PerturbationSpec:
     return PerturbationSpec(seed=args.seed, max_extra_us=args.max_extra_us)
 
 
-def _select_series(engines_arg: str | None):
-    """Resolve ``--engines`` to a series subset (None = all)."""
-    if engines_arg is None:
+def _select_series(variants_arg: str | None):
+    """Resolve ``--variants`` to a series subset in table order (None = all)."""
+    if variants_arg is None:
         return SERIES
-    from ..rma.engine.registry import ENGINES, canonical_engine
-
-    wanted = set()
-    for token in engines_arg.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            wanted.add(canonical_engine(token))
-        except ValueError:
-            raise SystemExit(
-                f"unknown engine {token!r} in --engines; "
-                f"known engines: {', '.join(sorted(ENGINES))}"
-            ) from None
-    series = tuple(s for s in SERIES if s.engine in wanted)
-    if not series:
-        raise SystemExit(
-            "--engines selected no series; "
-            f"known engines: {', '.join(sorted(ENGINES))}"
-        )
-    return series
+    try:
+        wanted = {get_series(t.strip()) for t in variants_arg.split(",") if t.strip()}
+    except ValueError as exc:
+        raise SystemExit(f"--variants: {exc}") from None
+    if not wanted:
+        raise SystemExit(f"--variants named no series; choose from "
+                         f"{', '.join(s.name for s in SERIES)}")
+    return tuple(s for s in SERIES if s in wanted)
 
 
 def _cmd_run(args) -> int:
     names = args.workloads.split(",") if args.workloads else None
-    series = _select_series(args.engines)
+    series = _select_series(args.variants)
     report = explore(
         workloads=names,
         nschedules=args.schedules,

@@ -112,23 +112,6 @@ class ExploreReport:
             "mismatches": self.mismatches,
         }
 
-    def failing_specs(self) -> list[tuple[str, str, PerturbationSpec | None]]:
-        """(workload, variant, spec) triples involved in mismatches."""
-        out = []
-        seen = set()
-        for m in self.mismatches:
-            for run in self.runs:
-                if run.workload != m["workload"]:
-                    continue
-                if m.get("variant") is not None and run.variant != m["variant"]:
-                    continue
-                seed = run.spec.seed if run.spec is not None else None
-                key = (run.workload, run.variant, seed)
-                if key not in seen and seed in m.get("seeds", [seed]):
-                    seen.add(key)
-                    out.append((run.workload, run.variant, run.spec))
-        return out
-
 
 def _spec_seed(spec: PerturbationSpec | None):
     return spec.seed if spec is not None else None

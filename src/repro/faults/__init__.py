@@ -16,10 +16,12 @@ input to every experiment:
   retransmission with capped exponential backoff, duplicate
   suppression and in-order admission, surfacing
   :class:`~repro.mpi.errors.RmaDeliveryError` when retries exhaust
-  (:mod:`repro.faults.reliability`);
-- :func:`chaos_sweep` / :func:`default_schedule` — the chaos-schedule
-  driver comparing faulty runs against the fault-free answer
-  (:mod:`repro.faults.chaos`).
+  (:mod:`repro.faults.reliability`).
+
+Whether a plan changed the answer is the differential oracle's
+question: run a workload with and without the plan and compare their
+:class:`~repro.explore.digest.OutcomeDigest` (answer, final window
+bytes, checker verdict, ω audit); ``docs/FAULTS.md`` has the recipe.
 
 Attach a plan to a runtime with
 ``MPIRuntime(n, fault_plan=FaultPlan.light_chaos(seed=7))``; the
@@ -29,7 +31,6 @@ retry protocol.
 """
 
 from ..mpi.errors import RmaDeliveryError
-from .chaos import ChaosOutcome, chaos_sweep, default_schedule, results_equal
 from .injector import Disposition, FaultInjector
 from .plan import (
     FaultKind,
@@ -55,8 +56,4 @@ __all__ = [
     "ReliabilityConfig",
     "ReliabilityLayer",
     "RmaDeliveryError",
-    "ChaosOutcome",
-    "chaos_sweep",
-    "default_schedule",
-    "results_equal",
 ]

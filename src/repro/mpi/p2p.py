@@ -236,14 +236,3 @@ class P2PEngine:
                 )
             dest[: raw.nbytes] = raw
         req.complete(data)
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def unexpected_count(self) -> int:
-        """Unmatched arrivals currently queued."""
-        return len(self._unexpected)
-
-    @property
-    def posted_count(self) -> int:
-        """Posted-but-unmatched receives."""
-        return len(self._posted)

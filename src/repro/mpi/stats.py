@@ -14,9 +14,8 @@ each pair that ever stalled to its ``(stall_count, max_queued)``.
 The snapshot is genuinely frozen: the dict-valued fields are deep-copied
 at collect time and wrapped in :class:`types.MappingProxyType`, so later
 runtime activity (or caller mutation attempts) cannot silently alter a
-stats object captured mid-run.  When the runtime was built with
-``metrics=True``, :attr:`RuntimeStats.metrics` carries the full
-:meth:`MPIRuntime.metrics_summary` dict.
+stats object captured mid-run.  The observers' summary is not part of
+the snapshot: it is :meth:`MPIRuntime.metrics_summary`.
 """
 
 from __future__ import annotations
@@ -62,56 +61,12 @@ class RuntimeStats:
     dup_grants_ignored: int = 0
     #: True once the adaptive engine fell back to conservative mode.
     degraded: bool = False
-    #: :meth:`MPIRuntime.metrics_summary` snapshot (None unless the
-    #: runtime was built with ``metrics=True``).
-    metrics: dict | None = None
 
     @property
     def regcache_hit_rate(self) -> float:
         """Pin-cache hit fraction (0 when never exercised)."""
         total = self.regcache_hits + self.regcache_misses
         return self.regcache_hits / total if total else 0.0
-
-    @property
-    def total_faults(self) -> int:
-        """Sum of all injector counters."""
-        return sum(self.faults_injected.values())
-
-    def format(self) -> str:
-        """Fixed-width human-readable rendering."""
-        lines = [
-            f"virtual time        {self.virtual_time_us:14.2f} µs",
-            f"messages sent       {self.messages_sent:14d}",
-            f"bytes sent          {self.bytes_sent:14d}",
-            f"flow-ctrl stalls    {self.fc_stalls:14d}"
-            f"  (deepest pair backlog {self.fc_max_queued})",
-            f"regcache hit rate   {100 * self.regcache_hit_rate:13.1f} %"
-            f"  ({self.regcache_hits} hits / {self.regcache_misses} misses,"
-            f" {self.regcache_evictions} evictions)",
-            f"lock grants         {self.lock_grants:14d}",
-            f"windows             {self.windows:14d}",
-            f"live epochs         {self.live_epochs:14d}",
-        ]
-        if self.faults_injected or self.retransmissions or self.acks_sent:
-            faults = ", ".join(
-                f"{k}={v}" for k, v in self.faults_injected.items() if v
-            ) or "none fired"
-            lines += [
-                f"faults injected     {self.total_faults:14d}  ({faults})",
-                f"retransmissions     {self.retransmissions:14d}",
-                f"dup suppressed      {self.dup_suppressed:14d}",
-                f"acks sent           {self.acks_sent:14d}",
-                f"delivery failures   {self.delivery_failures:14d}",
-            ]
-            if self.degraded:
-                lines.append("adaptive engine     DEGRADED (conservative fallback)")
-        if self.metrics is not None:
-            profile = self.metrics.get("profile", {})
-            lines.append(
-                f"obs metrics         {len(self.metrics.get('counters', {})):14d} counters"
-                f"  ({profile.get('sweeps', 0)} progress sweeps profiled)"
-            )
-        return "\n".join(lines)
 
 
 def collect_stats(runtime: "MPIRuntime") -> RuntimeStats:
@@ -159,5 +114,4 @@ def collect_stats(runtime: "MPIRuntime") -> RuntimeStats:
         delivery_failures=rel.delivery_failures if rel is not None else 0,
         dup_grants_ignored=dup_grants,
         degraded=degraded,
-        metrics=runtime.metrics_summary(),
     )

@@ -62,14 +62,6 @@ class EngineProfiler:
         #: Full progress sweeps executed across all ranks.
         self.sweeps = 0
 
-    def record(self, step: int, work: int, wall_s: float) -> None:
-        """Account one timed execution of ``step``."""
-        st = self.steps[step]
-        st.invocations += 1
-        st.work += work
-        st.wall_s += wall_s
-        st.last_virtual_us = self.sim.now
-
     def begin_sweep(self) -> float:
         """Count one progress sweep; returns the ``perf_counter()``
         reading its first step starts at."""
@@ -77,7 +69,7 @@ class EngineProfiler:
         return perf_counter()
 
     def lap(self, step: int, work: int, since: float) -> float:
-        """:meth:`record` an execution of ``step`` that began at the
+        """Account one timed execution of ``step`` that began at the
         ``perf_counter()`` reading ``since``; returns the reading it
         ended at — the next step's start."""
         now = perf_counter()

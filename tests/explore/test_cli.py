@@ -26,8 +26,9 @@ def test_run_json_report(capsys, tmp_path):
 
 
 def test_run_engines_filter(capsys):
+    """``--variants`` picks the swept series by series name."""
     code = main(["run", "--workloads", "transactions", "--schedules", "1",
-                 "--engines", "signal", "--json"])
+                 "--variants", "signal", "--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
@@ -37,17 +38,20 @@ def test_run_engines_filter(capsys):
 
 def test_run_engines_filter_rejects_unknown():
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--workloads", "transactions", "--engines", "fompi"])
+        main(["run", "--workloads", "transactions", "--variants", "new,nonblocking"])
     msg = str(exc.value)
-    assert "fompi" in msg
-    for name in ("adaptive", "mvapich", "nonblocking", "signal"):
-        assert name in msg
+    assert "'nonblocking'" in msg  # an engine name is not a series name
+    for s in SERIES:
+        assert s.name in msg
 
 
 def test_run_engines_filter_rejects_empty():
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--workloads", "transactions", "--engines", " , "])
-    assert "known engines" in str(exc.value)
+        main(["run", "--workloads", "transactions", "--variants", " , "])
+    assert "named no series" in str(exc.value)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--workloads", "transactions", "--engines", "signal"])
+    assert exc.value.code == 2  # the engine-name flag is gone: usage error
 
 
 def test_replay_is_byte_identical(capsys):

@@ -141,16 +141,16 @@ def test_dropped_wakeup_is_killed_as_a_deadlock_never_a_wrong_answer(mutant, wor
                          ids=["gate-grant", "drain-done"])
 @pytest.mark.parametrize("workload", ["lu", "ordering"])
 def test_baseline_wakeup_mutant_is_killed_within_8_schedules(mutant, workload):
-    """``python -m repro.explore run --engines mvapich --schedules 8`` on
+    """``python -m repro.explore run --variants mvapich --schedules 8`` on
     a GATS workload kills each baseline mutant as a deadlock, or at worst
     as a digest mismatch (exit 1); the healed engine passes the same
     sweep."""
     with mutant():
         try:
-            killed = main(["run", "--engines", "mvapich", "--schedules", "8",
+            killed = main(["run", "--variants", "mvapich", "--schedules", "8",
                            "--workloads", workload]) == 1
         except SimulationDeadlock:
             killed = True
     assert killed
-    assert main(["run", "--engines", "mvapich", "--schedules", "8",
+    assert main(["run", "--variants", "mvapich", "--schedules", "8",
                  "--workloads", workload]) == 0

@@ -7,16 +7,7 @@ counters run over run."""
 import pytest
 
 from repro.apps import TransactionsConfig, run_transactions
-from repro.faults import (
-    ChaosOutcome,
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    RankFault,
-    chaos_sweep,
-    default_schedule,
-    results_equal,
-)
+from repro.faults import FaultKind, FaultPlan, FaultRule
 
 NRANKS = 6
 TXNS = 12
@@ -63,54 +54,6 @@ class TestAcceptance:
         assert a.dup_suppressed == b.dup_suppressed
         assert a.elapsed_us == b.elapsed_us
         assert a.rank_sums == b.rank_sums
-
-
-class TestChaosSweep:
-    def test_default_schedule_all_ok(self):
-        kw = dict(engine="nonblocking", nonblocking=True)
-        outcomes = chaos_sweep(
-            lambda plan: run_series(kw, plan).rank_sums,
-            default_schedule(seed=7, slow_rank=2),
-        )
-        assert len(outcomes) == 3
-        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
-
-    def test_sweep_detects_divergence(self):
-        # A run_fn that corrupts its own answer under faults must be
-        # flagged, proving the comparison is not vacuous.
-        def bad_run(plan):
-            base = run_series(SERIES[1][1], None).rank_sums
-            return base if plan is None else tuple(s + 1 for s in base)
-
-        outcomes = chaos_sweep(bad_run, default_schedule(seed=7)[:1])
-        assert not outcomes[0].ok
-        assert "diverged" in outcomes[0].error
-
-    def test_sweep_reports_delivery_error(self):
-        from repro.faults import ReliabilityConfig
-        from repro.mpi.errors import RmaDeliveryError
-
-        def failing_run(plan):
-            if plan is None:
-                return 0
-            raise RmaDeliveryError("boom", src=0, dst=1)
-
-        plan = FaultPlan(seed=1, ranks=(RankFault(rank=0, fail_at_us=0.0),))
-        outcomes = chaos_sweep(failing_run, [plan])
-        assert not outcomes[0].ok
-        assert "delivery" in outcomes[0].error
-        assert isinstance(outcomes[0], ChaosOutcome)
-        assert ReliabilityConfig().max_attempts >= 1  # imported API sanity
-
-    def test_results_equal_numpy_and_nested(self):
-        import numpy as np
-
-        a = {"x": [np.arange(4), (1, 2)], "y": 3.0}
-        b = {"x": [np.arange(4), (1, 2)], "y": 3.0}
-        assert results_equal(a, b)
-        b["x"][0] = np.arange(4) + 1
-        assert not results_equal(a, b)
-        assert not results_equal(np.arange(4), np.arange(4, dtype=np.int32))
 
 
 class TestEscalatedChaos:

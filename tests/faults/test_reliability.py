@@ -219,9 +219,7 @@ class TestStatsIntegration:
         assert stats.retransmissions >= 1
         assert stats.acks_sent > 0
         assert stats.delivery_failures == 0
-        assert stats.total_faults >= 1
-        assert "faults injected" in stats.format()
-        assert "retransmissions" in stats.format()
+        assert sum(stats.faults_injected.values()) >= 1
 
     def test_stats_default_empty_without_plan(self):
         rt = make_runtime(2)
@@ -229,7 +227,7 @@ class TestStatsIntegration:
         stats = rt.stats()
         assert stats.faults_injected == {}
         assert stats.retransmissions == 0
-        assert "faults injected" not in stats.format()
+        assert stats.acks_sent == stats.dup_suppressed == stats.delivery_failures == 0
 
 
 class TestTraceEvents:

@@ -44,9 +44,11 @@ class TestCollect:
         assert s.regcache_hit_rate == 0.0
 
     def test_format_mentions_key_fields(self):
-        text = run_small_job().stats().format()
-        for needle in ("virtual time", "messages sent", "lock grants", "regcache"):
-            assert needle in text
+        """The snapshot's fields are its format: no text rendering."""
+        stats = run_small_job().stats()
+        assert stats.regcache_hits + stats.regcache_misses > 0
+        assert (stats.fc_stalls, stats.fc_max_queued, dict(stats.fc_pair_stalls)) == (0, 0, {})
+        assert not hasattr(stats, "format")
 
     def test_both_engines(self, engine):
         stats = run_small_job(engine).stats()
@@ -107,9 +109,12 @@ class TestFrozenSnapshot:
         assert dict(stats.faults_injected) == before
 
     def test_metrics_field_none_by_default(self):
-        assert run_small_job().stats().metrics is None
+        """Without ``metrics=True`` the runtime folds no summary."""
+        rt = run_small_job()
+        assert not rt.metrics and rt.metrics_summary() is None
 
     def test_metrics_field_carries_summary(self):
+        """With ``metrics=True`` the summary is ``rt.metrics_summary()``."""
         rt = make_runtime(2, metrics=True)
 
         def app(proc):
@@ -122,11 +127,27 @@ class TestFrozenSnapshot:
             yield from proc.barrier()
 
         rt.run(app)
-        stats = rt.stats()
-        assert stats.metrics is not None
-        assert stats.metrics["counters"]["rma.ops_issued"] == 1
-        assert stats.metrics["profile"]["sweeps"] > 0
-        assert "obs metrics" in stats.format()
+        summary = rt.metrics_summary()
+        assert summary["counters"]["rma.ops_issued"] == 1
+        assert summary["profile"]["sweeps"] > 0
+
+
+def test_removed_names_stay_removed():
+    """The chaos driver and the snapshot's second summary are gone: the
+    explorer's digest checks fault plans, ``metrics_summary()`` is the
+    one summary."""
+    import dataclasses
+
+    import repro
+    import repro.faults
+
+    for name in ("chaos_sweep", "ChaosOutcome", "default_schedule", "results_equal"):
+        assert not hasattr(repro, name) and not hasattr(repro.faults, name), name
+        assert name not in repro.__all__ and name not in repro.faults.__all__, name
+    fields = {f.name for f in dataclasses.fields(RuntimeStats)}
+    assert "metrics" not in fields
+    assert not hasattr(RuntimeStats, "format")
+    assert not hasattr(RuntimeStats, "total_faults")
 
 
 class TestCliRunner:

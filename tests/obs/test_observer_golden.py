@@ -117,8 +117,7 @@ def _observed(run) -> dict:
         "waits": causal.waits,
         "epochs": [[r.uid, r.kind, r.rank, r.win, r.sid, r.open_us, r.activate_us,
                     r.close_us, r.complete_us, r.ops] for r in causal.epochs],
-        "stats": {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
-                  if f.name != "metrics"},
+        "stats": {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)},
     }
 
 

@@ -54,12 +54,14 @@ def two_sided_workload(proc):
 class TestUnit:
     def test_record_and_tally(self):
         prof = EngineProfiler(Simulator())
-        prof.record(2, work=3, wall_s=0.25)
-        prof.record(2, work=1, wall_s=0.25)
+        t = prof.begin_sweep()
+        t = prof.lap(2, work=3, since=t - 0.25)  # a step that began 0.25 s earlier
+        prof.lap(2, work=1, since=t - 0.25)
         prof.tally(1)
         st = prof.steps[2]
-        assert (st.invocations, st.work, st.wall_s) == (2, 4, 0.5)
-        assert prof.steps[1].work == 1
+        assert (prof.sweeps, st.invocations, st.work) == (1, 2, 4)
+        assert 0.5 <= st.wall_s < 1.0
+        assert prof.steps[1].work == 1 and prof.steps[1].wall_s == 0.0
 
     def test_summary_covers_all_seven_steps(self):
         summary = EngineProfiler(Simulator()).summary()

@@ -2,8 +2,8 @@
 
 Only what the paper's workloads and benchmarks need: a dissemination
 barrier, a binomial-tree broadcast, and a binomial-tree reduce/allreduce
-for gathering per-rank statistics.  Internal traffic uses a reserved
-negative tag space so it can never match application receives.
+for gathering per-rank statistics.  Internal traffic goes straight to the
+rank's ``P2PEngine`` on reserved negative tags, which ``ANY_TAG`` never matches.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ __all__ = [
     "allgather",
 ]
 
-# Reserved internal tag bases (application tags must be >= 0).
-_TAG_BARRIER = -100
+# Reserved internal tag bases (-100 to -199: p2p.TAG_BARRIER).
 _TAG_BCAST = -200
 _TAG_REDUCE = -300
 _TAG_GATHER = -400
@@ -36,22 +35,9 @@ _TAG_AGATHER = -700
 
 
 def barrier(proc: "MPIProcess") -> Generator[Any, Any, None]:
-    """Dissemination barrier: ceil(log2(n)) rounds of paired messages."""
-    n = proc.size
-    if n == 1:
-        return
-    rank = proc.rank
-    k = 0
-    dist = 1
-    while dist < n:
-        dst = (rank + dist) % n
-        src = (rank - dist) % n
-        sreq = proc.isend(dst, 8, tag=_TAG_BARRIER - k)
-        rreq = proc.irecv(src, tag=_TAG_BARRIER - k)
-        yield from sreq.wait()
-        yield from rreq.wait()
-        dist <<= 1
-        k += 1
+    """Dissemination barrier (:class:`~repro.mpi.p2p.DisseminationBarrier`)."""
+    if proc.size > 1:
+        yield proc.middleware.p2p.barrier.enter()
 
 
 def bcast(
@@ -64,13 +50,14 @@ def bcast(
     n = proc.size
     if n == 1:
         return data
+    p2p = proc.middleware.p2p
     vrank = (proc.rank - root) % n
     # Receive from the parent (the rank that differs in our lowest set bit).
     mask = 1
     while mask < n:
         if vrank & mask:
             src = (proc.rank - mask + n) % n
-            rreq = proc.irecv(src, tag=_TAG_BCAST)
+            rreq = p2p.irecv(src, tag=_TAG_BCAST)
             data = yield from rreq.wait()
             break
         mask <<= 1
@@ -81,7 +68,7 @@ def bcast(
     while mask > 0:
         if vrank + mask < n:
             dst = (proc.rank + mask) % n
-            sends.append(proc.isend(dst, size, tag=_TAG_BCAST, data=data))
+            sends.append(p2p.isend(dst, size, tag=_TAG_BCAST, data=data))
         mask >>= 1
     for s in sends:
         yield from s.wait()
@@ -97,17 +84,18 @@ def reduce_sum(
     acc = np.array(value, copy=True)
     if n == 1:
         return acc
+    p2p = proc.middleware.p2p
     vrank = (proc.rank - root) % n
     mask = 1
     while mask < n:
         if vrank & mask:
             dst = ((vrank & ~mask) + root) % n
-            sreq = proc.isend(dst, acc.nbytes, tag=_TAG_REDUCE, data=acc)
+            sreq = p2p.isend(dst, acc.nbytes, tag=_TAG_REDUCE, data=acc)
             yield from sreq.wait()
             return None
         peer = vrank | mask
         if peer < n:
-            rreq = proc.irecv(((peer + root) % n), tag=_TAG_REDUCE)
+            rreq = p2p.irecv(((peer + root) % n), tag=_TAG_REDUCE)
             contrib = yield from rreq.wait()
             acc = acc + contrib.view(acc.dtype).reshape(acc.shape)
         mask <<= 1
@@ -129,17 +117,18 @@ def gather(
 ) -> Generator[Any, Any, list[np.ndarray] | None]:
     """Linear gather of one array per rank to ``root`` (fine at the job
     sizes the benchmarks use for statistics collection)."""
+    p2p = proc.middleware.p2p
     if proc.rank == root:
         out: list[np.ndarray | None] = [None] * proc.size
         out[root] = np.array(value, copy=True)
         reqs = {
-            r: proc.irecv(r, tag=_TAG_GATHER) for r in range(proc.size) if r != root
+            r: p2p.irecv(r, tag=_TAG_GATHER) for r in range(proc.size) if r != root
         }
         for r, req in reqs.items():
             data = yield from req.wait()
             out[r] = data.view(np.asarray(value).dtype)
         return out  # type: ignore[return-value]
-    sreq = proc.isend(root, np.asarray(value).nbytes, tag=_TAG_GATHER, data=np.asarray(value))
+    sreq = p2p.isend(root, np.asarray(value).nbytes, tag=_TAG_GATHER, data=np.asarray(value))
     yield from sreq.wait()
     return None
 
@@ -158,10 +147,10 @@ def alltoallv(
     matrix, so zero pairs exchange no message at all.  Returns one
     received block per source rank (length ``counts[src][rank]``).
     """
-    n, rank = proc.size, proc.rank
+    n, rank, p2p = proc.size, proc.rank, proc.middleware.p2p
     out: list[np.ndarray] = [np.zeros(0, dtype=dtype) for _ in range(n)]
     rreqs = {
-        src: proc.irecv(src, tag=_TAG_A2AV)
+        src: p2p.irecv(src, tag=_TAG_A2AV)
         for src in range(n)
         if src != rank and counts[src][rank]
     }
@@ -181,7 +170,7 @@ def alltoallv(
         if dst == rank:
             out[rank] = block.copy()
         else:
-            sends.append(proc.isend(dst, block.nbytes, tag=_TAG_A2AV, data=block))
+            sends.append(p2p.isend(dst, block.nbytes, tag=_TAG_A2AV, data=block))
     for src, req in rreqs.items():
         data = yield from req.wait()
         out[src] = np.asarray(data).view(dtype)
@@ -195,11 +184,11 @@ def allgather(
 ) -> Generator[Any, Any, np.ndarray]:
     """Linear allgather; returns the rank-ordered concatenation.
     Per-rank contribution sizes may differ (allgatherv included)."""
-    n, rank = proc.size, proc.rank
+    n, rank, p2p = proc.size, proc.rank, proc.middleware.p2p
     arr = np.ascontiguousarray(np.asarray(value))
-    rreqs = {src: proc.irecv(src, tag=_TAG_AGATHER) for src in range(n) if src != rank}
+    rreqs = {src: p2p.irecv(src, tag=_TAG_AGATHER) for src in range(n) if src != rank}
     sends = [
-        proc.isend(dst, arr.nbytes, tag=_TAG_AGATHER, data=arr)
+        p2p.isend(dst, arr.nbytes, tag=_TAG_AGATHER, data=arr)
         for dst in range(n)
         if dst != rank
     ]

@@ -10,7 +10,8 @@ build collectives.  The protocol is the classic eager/rendezvous split:
   once a matching receive is posted; the payload then flows.
 
 Matching is MPI-conformant: per-(source, tag) FIFO with ``ANY_SOURCE`` /
-``ANY_TAG`` wildcards, posted-receive order priority.
+``ANY_TAG`` wildcards, posted-receive order priority.  ``ANY_TAG``
+matches tags >= 0 only: negative tags are the collectives' context.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..network.packets import ServiceKind
+from ..simtime import SimEvent
 from .errors import TruncationError
 from .requests import Request
 
@@ -33,6 +35,8 @@ __all__ = ["ANY_SOURCE", "ANY_TAG", "P2PEngine", "SendRequest", "RecvRequest"]
 
 ANY_SOURCE = -1
 ANY_TAG = -1
+#: Barrier round ``k`` travels on tag ``TAG_BARRIER - k`` (-100 to -199).
+TAG_BARRIER = -100
 
 _send_ids = itertools.count()
 
@@ -110,6 +114,7 @@ class P2PEngine:
         self._rndv_pending: dict[int, tuple[int, int, np.ndarray | None, SendRequest]] = {}
         #: Receives matched to an RTS, awaiting payload: send_id -> request.
         self._rndv_recv: dict[int, RecvRequest] = {}
+        self.barrier = DisseminationBarrier(sim, fabric, rank)
 
     # -- sending ---------------------------------------------------------
     def isend(
@@ -157,6 +162,9 @@ class P2PEngine:
         """
         kind = type(payload)
         if kind is EagerData:
+            if TAG_BARRIER - 100 < payload.tag <= TAG_BARRIER:
+                self.barrier.on_token(TAG_BARRIER - payload.tag)
+                return True
             req = self._match_posted(src, payload.tag)
             if req is None:
                 self._unexpected.append((src, payload))
@@ -189,7 +197,8 @@ class P2PEngine:
     # -- matching internals ----------------------------------------------
     @staticmethod
     def _matches(req: RecvRequest, src: int, tag: int) -> bool:
-        return (req.source in (ANY_SOURCE, src)) and (req.tag in (ANY_TAG, tag))
+        wild = req.tag == ANY_TAG and tag >= 0  # never a collective's negative tag
+        return req.source in (ANY_SOURCE, src) and (req.tag == tag or wild)
 
     def _match_posted(self, src: int, tag: int) -> RecvRequest | None:
         for i, req in enumerate(self._posted):
@@ -236,3 +245,60 @@ class P2PEngine:
                 )
             dest[: raw.nbytes] = raw
         req.complete(data)
+
+
+class DisseminationBarrier:
+    """One rank's dissemination barrier, progressed by its two-sided layer
+    (§VII): round ``k`` sends a token on tag ``TAG_BARRIER - k`` to ``rank
+    + 2**k`` and takes one from ``rank - 2**k``.  The generator barrier's
+    kernel positions are kept, with no request and one caller resume:
+    local completion schedules a hop (where ``SendRequest.complete`` ran)
+    that schedules :meth:`_sent` (where the process resumed); the round
+    advances there, or in the token's own zero-delay schedule if it comes
+    later.  The last round resumes the caller in place."""
+
+    __slots__ = ("sim", "fabric", "rank", "nranks", "rounds", "tokens", "_round", "_done")
+
+    def __init__(self, sim: "Simulator", fabric: "Fabric", rank: int):
+        self.sim, self.fabric, self.rank = sim, fabric, rank
+        self.nranks = fabric.topology.nranks
+        self.rounds = (self.nranks - 1).bit_length()
+        #: Per round (one source each): tokens not yet taken, -1 = awaited.
+        self.tokens = [0] * self.rounds
+        self._round = 0
+        self._done: SimEvent | None = None
+
+    def enter(self) -> SimEvent:
+        """Start a barrier (``nranks`` > 1); wait on the event returned."""
+        self._done = SimEvent(self.sim, "barrier")
+        self._round = 0
+        self._send()
+        return self._done
+
+    def _send(self) -> None:
+        k = self._round
+        ticket = self.fabric.send(
+            self.rank, (self.rank + (1 << k)) % self.nranks, 8 + self.fabric.model.control_bytes,
+            EagerData(TAG_BARRIER - k, 8, None, next(_send_ids)), kind=ServiceKind.CONTROL,
+        )
+        ticket.on_local_complete(self.sim.schedule, 0.0, self._sent)
+
+    def _sent(self) -> None:
+        k = self._round
+        self.tokens[k] -= 1
+        if self.tokens[k] >= 0:
+            self._advance()
+
+    def on_token(self, k: int) -> None:
+        """A round-``k`` token was delivered."""
+        self.tokens[k] += 1
+        if not self.tokens[k]:
+            self.sim.schedule(0.0, self._advance)
+
+    def _advance(self) -> None:
+        self._round += 1
+        if self._round < self.rounds:
+            self._send()
+        else:
+            done, self._done = self._done, None
+            done.trigger_now()

@@ -79,6 +79,8 @@ class MPIProcess:
     ) -> SendRequest:
         """Nonblocking send (completes at local completion)."""
         self._check_rank(dst)
+        if tag < 0:
+            raise ValueError(f"tag {tag} is in the reserved range (< 0); application tags are >= 0")
         return self.middleware.p2p.isend(dst, nbytes, tag, data)
 
     def irecv(
@@ -90,6 +92,8 @@ class MPIProcess:
         """Nonblocking receive; the request's value is the payload."""
         if source != ANY_SOURCE:
             self._check_rank(source)
+        if tag < 0 and tag != ANY_TAG:
+            raise ValueError(f"tag {tag} is in the reserved range (< 0); application tags are >= 0")
         return self.middleware.p2p.irecv(source, tag, buffer)
 
     def send(

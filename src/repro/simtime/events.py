@@ -70,6 +70,16 @@ class SimEvent:
         for fn in callbacks:
             sim.schedule(0.0, fn, self)
 
+    def trigger_now(self, value: Any = None) -> None:
+        """:meth:`trigger`, but the waiters run inside the calling
+        callback instead of in one zero-delay schedule each.  Only for a
+        caller that itself holds the position that schedule would take:
+        ``seq`` order and ``events_scheduled`` are then unchanged."""
+        callbacks, self._callbacks = self._callbacks, []
+        self.trigger(value)
+        for fn in callbacks:
+            fn(self)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self.triggered else "pending"
         return f"<SimEvent {self.name!r} {state}>"

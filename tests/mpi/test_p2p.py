@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, TruncationError
+from repro.simtime import ProcessFailed
 from tests.conftest import make_runtime
 
 
@@ -172,6 +173,69 @@ class TestErrors:
         with pytest.raises(Exception) as exc:
             rt.run_mixed({0: bad})
         assert isinstance(exc.value.original, ValueError)
+
+
+class TestReservedTags:
+    """Negative tags are the collectives' context: ``ANY_TAG`` does not
+    match them and the application surface rejects them."""
+
+    @staticmethod
+    def _wildcard_then(collective):
+        def app(proc):
+            req = proc.irecv() if proc.rank == 1 else None  # ANY_SOURCE, ANY_TAG
+            total = yield from collective(proc)
+            if proc.rank == 0:
+                yield from proc.send(1, 0, tag=7, data=np.int64([42]))
+            if req is not None:
+                got = yield from req.wait()
+                return req.matched_tag, int(got.view(np.int64)[0]), total
+            return None, None, total
+
+        return make_runtime(4).run(app)
+
+    def test_any_tag_leaves_barrier_tokens_alone(self):
+        def barrier(proc):
+            yield from proc.barrier()
+
+        res = self._wildcard_then(barrier)
+        assert res[1] == (7, 42, None)
+
+    def test_any_tag_leaves_allreduce_traffic_alone(self):
+        def allreduce(proc):
+            total = yield from proc.allreduce_sum(np.int64([proc.rank]))
+            return int(total[0])
+
+        res = self._wildcard_then(allreduce)
+        assert res[1] == (7, 42, 6)
+        assert [r[2] for r in res] == [6] * 4
+
+    @staticmethod
+    def _rejects(call):
+        def app(proc):
+            yield from call(proc)
+
+        with pytest.raises(ProcessFailed) as exc:
+            make_runtime(2).run_mixed({0: app})
+        assert isinstance(exc.value.original, ValueError)
+        assert "reserved range" in str(exc.value.original)
+
+    def test_isend_rejects_reserved_tag(self):
+        def call(proc):
+            yield from proc.isend(1, 8, tag=-100).wait()
+
+        self._rejects(call)
+
+    def test_send_rejects_reserved_tag(self):
+        self._rejects(lambda proc: proc.send(1, 8, tag=-2))
+
+    def test_irecv_rejects_reserved_tag(self):
+        def call(proc):
+            yield from proc.irecv(1, tag=-100).wait()
+
+        self._rejects(call)
+
+    def test_recv_rejects_reserved_tag(self):
+        self._rejects(lambda proc: proc.recv(1, tag=-300))
 
 
 class TestTiming:

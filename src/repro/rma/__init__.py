@@ -21,7 +21,7 @@ from .epoch import Epoch, EpochKind, EpochState
 from .flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R, ReorderFlags
 from .locks import LockManager, LockWaiter
 from .ops import OpKind, RmaOp
-from .requests import ClosingRequest, FlushRequest, OpeningRequest, OpRequest
+from .requests import ClosingRequest, FlushRequest, OpeningRequest
 from .window import (
     LOCK_EXCLUSIVE,
     LOCK_SHARED,
@@ -53,7 +53,6 @@ __all__ = [
     "OpeningRequest",
     "ClosingRequest",
     "FlushRequest",
-    "OpRequest",
     "LockManager",
     "LockWaiter",
     "ConsistencyTracker",

@@ -55,7 +55,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ...mpi.errors import RmaInternalError, RmaUsageError
-from ...mpi.requests import Request
 from ...network.packets import ServiceKind
 from ...network.shmem import NotifyKind, decode_checked
 from ..epoch import Epoch, EpochKind, EpochState
@@ -201,10 +200,6 @@ class NonblockingEngine:
         #: outcome (§VII-B ω matching: one O(1) test per pair).
         self.pairs_ready = 0
         self.pairs_waiting = 0
-        #: Blocking-flush snapshots: (ws, request, ops, local) tuples,
-        #: resolved at the end of every sweep (§VII-C: blocking flushes
-        #: drive the engine rather than building on iflush).
-        self._blocking_flushes: list[tuple[WindowState, Any, list[RmaOp], bool]] = []
         #: Opt-in step profiler (None unless ``MPIRuntime(metrics=True)``;
         #: every hook below is then one attribute check).
         self.profiler = getattr(runtime, "profiler", None)
@@ -242,15 +237,10 @@ class NonblockingEngine:
         if self._sweeping:
             self._resweep = True
             return
-        if (
-            not self._dirty
-            and not self._blocking_flushes
-            and not self.fifo._incoming
-        ):
-            # Nothing a sweep could act on: no dirty windows, no queued
-            # notifications, no blocking flushes.  The sweep body would
-            # visit zero windows and mutate nothing, so skipping it is
-            # a pure wall-clock win.
+        if not self._dirty and not self.fifo._incoming:
+            # Nothing a sweep could act on: no dirty windows and no queued
+            # notifications.  The sweep body would visit zero windows and
+            # mutate nothing, so skipping it is a pure wall-clock win.
             return
         self._sweeping = True
         try:
@@ -312,8 +302,6 @@ class NonblockingEngine:
                 work += self._complete_and_activate(ws)        # step 7
         if prof is not None:
             prof.lap(7, work, t)
-        if self._blocking_flushes:
-            self._check_blocking_flushes()
 
     # -- dirty-window worklist --------------------------------------------
     def mark_dirty(self, ws: WindowState) -> None:
@@ -1140,7 +1128,10 @@ class NonblockingEngine:
             ticket.on_delivered(self._op_delivered, ws, op)
 
     def _op_local(self, ws: WindowState, op: RmaOp) -> None:
-        """Origin-buffer-reusable event (step-1 completion verification)."""
+        """Origin-buffer-reusable event (step-1 completion verification).
+        It is MPI local completion only for ops that bear no result: a
+        get-like op's result buffer is reusable once the result lands
+        (MPI-3.1 §11.5.4), which :meth:`_op_delivered` reports."""
         if op.local_done:
             return
         op.local_done = True
@@ -1149,9 +1140,10 @@ class NonblockingEngine:
         prof = self.profiler
         if prof is not None:
             prof.tally(1)
-        ws.notify_flushes(op, local=True)
-        if op.request is not None and not op.request.remote and not op.request.done:
-            op.request.complete()
+        if op.result_buf is None:
+            ws.notify_flushes(op, local=True)
+            if op.request is not None and not op.request.done:
+                op.request.complete()
         self.poke()
 
     def _op_delivered(self, ws: WindowState, op: RmaOp) -> None:
@@ -1170,9 +1162,12 @@ class NonblockingEngine:
         if causal is not None and op.causal_sid is not None:
             causal.end(op.causal_sid)
         if not op.local_done:
-            # Result-bearing ops: remote completion implies local.
+            # Remote completion implies local.
             op.local_done = True
             op.local_time = self.sim.now
+            ws.notify_flushes(op, local=True)
+        elif op.result_buf is not None:
+            # The result landed: the op is locally complete only now.
             ws.notify_flushes(op, local=True)
         ws.notify_flushes(op, local=False)
         if op.request is not None and not op.request.done:
@@ -1302,29 +1297,31 @@ class NonblockingEngine:
         self.poke()
 
     # =====================================================================
-    # Flushes (§V/§VII-C).  Blocking flushes are *not* built on their
-    # nonblocking equivalents: they drive the progress engine until the
-    # epoch-local conditions hold and return a request the facade waits on.
+    # Flushes (§V/§VII-C).  Every flush is the age-stamped request; a
+    # blocking one is that request plus a wait in the Window facade.
     # =====================================================================
     def _early_activate(self, ws: WindowState, ep: Epoch) -> None:
         """Hook: the application may wait on ``ep``'s ops before closing it
-        (a blocking flush, or an op that carries a request).  The lazy
-        baseline acquires its lock here (as real MVAPICH does); the
-        redesigned engine needs nothing."""
+        (a flush, or an op that carries a request).  The lazy baseline
+        acquires its lock here (as real MVAPICH does); the redesigned
+        engine needs nothing."""
 
     def make_flush(
         self, win: "Window", ep: Epoch, target: int | None, local: bool
     ) -> FlushRequest:
-        """The nonblocking flush: age-stamped counter."""
+        """The flush: a counter of the ops stamped at or before the call
+        that are not yet complete (locally, for ``local``: an op bearing
+        a result counts until it is delivered)."""
         ws = self.state_of(win)
         checker = ws.checker
         if checker is not None:
             checker.on_flush(ws, ep)
+        self._early_activate(ws, ep)
         stamp = ws.age_counter
         pending = sum(
             1
             for op in ep.undelivered_ops(target)
-            if op.age <= stamp and not (local and op.local_done)
+            if op.age <= stamp and not (local and op.local_done and op.result_buf is None)
         )
         req = FlushRequest(self.sim, ep, stamp, target, local, pending)
         if not req.done:
@@ -1332,28 +1329,3 @@ class NonblockingEngine:
             self.mark_dirty(ws)
         self.poke()
         return req
-
-    def blocking_flush(self, win: "Window", ep: Epoch, target: int | None, local: bool):
-        ws = self.state_of(win)
-        checker = ws.checker
-        if checker is not None:
-            checker.on_flush(ws, ep)
-        self._early_activate(ws, ep)
-        ops = [op for op in ep.undelivered_ops(target) if not (local and op.local_done)]
-        req = Request(self.sim, f"bflush(ep{ep.uid})")
-        if not ops:
-            req.complete()
-            return req
-        self._blocking_flushes.append((ws, req, ops, local))
-        self.mark_dirty(ws)
-        self.poke()
-        return req
-
-    def _check_blocking_flushes(self) -> None:
-        live = []
-        for ws, req, ops, local in self._blocking_flushes:
-            if all((op.local_done if local else op.delivered) for op in ops):
-                req.complete()
-            else:
-                live.append((ws, req, ops, local))
-        self._blocking_flushes = live

@@ -44,11 +44,6 @@ class EpochKind(enum.Enum):
         return self is not EpochKind.GATS_EXPOSURE
 
     @property
-    def is_exposure(self) -> bool:
-        """Target-side epochs (fence is also an exposure everywhere)."""
-        return self in (EpochKind.GATS_EXPOSURE, EpochKind.FENCE)
-
-    @property
     def reorder_excluded(self) -> bool:
         """Kinds next to which the §VI-B optimization flags do not apply."""
         return self in (EpochKind.FENCE, EpochKind.LOCK_ALL)
@@ -184,12 +179,6 @@ class Epoch:
         """Not yet activated by the progress engine."""
         return self._state is EpochState.DEFERRED
 
-    @property
-    def reordered(self) -> bool:
-        """Whether a §VI-B flag activated this epoch while a predecessor
-        was still active."""
-        return bool(self.activated_past)
-
     # -- op bookkeeping (engine-internal) --------------------------------
     def record_op(self, op: "RmaOp") -> None:
         """Register a communication call with this epoch."""
@@ -235,14 +224,6 @@ class Epoch:
         if target is not None:
             return list(by_target.get(target, {}).values())
         return [op for ops in by_target.values() for op in ops.values()]
-
-    def ops_to(self, target: int) -> list["RmaOp"]:
-        """Recorded ops directed at ``target``."""
-        return [op for op in self.ops if op.target == target]
-
-    def undelivered_to(self, target: int) -> int:
-        """Ops to ``target`` not yet remotely complete."""
-        return len(self._undelivered_by_target.get(target, ()))
 
     @property
     def undelivered(self) -> int:

@@ -78,13 +78,3 @@ class ReorderFlags:
         if not new_is_access and not active_is_access:
             return self.exposure_after_exposure
         return self.exposure_after_access
-
-    @property
-    def any_enabled(self) -> bool:
-        """True when at least one reorder flag is on."""
-        return (
-            self.access_after_access
-            or self.access_after_exposure
-            or self.exposure_after_exposure
-            or self.exposure_after_access
-        )

@@ -44,16 +44,6 @@ class OpKind(enum.Enum):
         return self is not OpKind.GET
 
     @property
-    def writes_origin(self) -> bool:
-        """Whether the op writes into origin memory (result-bearing ops)."""
-        return self in (
-            OpKind.GET,
-            OpKind.GET_ACCUMULATE,
-            OpKind.FETCH_AND_OP,
-            OpKind.COMPARE_AND_SWAP,
-        )
-
-    @property
     def is_atomic(self) -> bool:
         """Accumulate-family ops (elementwise atomic at the target)."""
         return self in (
@@ -126,7 +116,8 @@ class RmaOp:
         #: buffer until completion, so call-time capture is conformant).
         self.data = data
         self.compare = compare
-        #: Caller-provided array that result-bearing ops fill at delivery.
+        #: Caller-provided array that result-bearing ops fill at delivery;
+        #: such an op is locally complete only when its result lands.
         self.result_buf = result_buf
         self.epoch = epoch
         self.issued = False

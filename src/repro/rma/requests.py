@@ -11,8 +11,9 @@ specialized as epoch-opening, epoch-closing, or flush requests":
   immediately precedes them; each younger completing RMA op decrements
   the request's completion counter, and the request completes at zero.
 
-Request-based communication (``rput``/``rget``/...) additionally uses
-:class:`OpRequest`, completing per-operation.
+Request-based communication (``rput``/``rget``/...) returns a plain
+:class:`~repro.mpi.requests.Request` that the engine completes at the
+op's local completion (for result-bearing ops: when the result lands).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .epoch import Epoch
     from .ops import RmaOp
 
-__all__ = ["OpeningRequest", "ClosingRequest", "FlushRequest", "OpRequest"]
+__all__ = ["OpeningRequest", "ClosingRequest", "FlushRequest"]
 
 
 class OpeningRequest(CompletedRequest):
@@ -60,8 +61,10 @@ class FlushRequest(Request):
     target:
         Restrict to one target rank (``None`` = all targets: flush_all).
     local:
-        Local-completion flavor (``flush_local``): ops count as done at
-        origin-buffer reuse rather than remote completion.
+        Local-completion flavor (``flush_local``): ops count as done once
+        their origin buffers are reusable rather than at remote
+        completion — for an op that bears a result, when the result has
+        landed in its result buffer.
     counter:
         Number of not-yet-complete qualifying ops at creation time; the
         engine decrements it via :meth:`op_completed`.
@@ -117,16 +120,3 @@ class FlushRequest(Request):
             )
         if self.counter == 0:
             self.complete()
-
-
-class OpRequest(Request):
-    """Per-operation request for the request-based RMA calls.
-
-    For ``rput``/``raccumulate`` completion means local completion; for
-    ``rget``/``rget_accumulate`` it means the result is available.
-    """
-
-    def __init__(self, sim: "Simulator", name: str, remote: bool):
-        super().__init__(sim, name)
-        #: Whether completion requires remote completion (result-bearing).
-        self.remote = remote

@@ -40,7 +40,7 @@ from .checker import RmaChecker
 from .epoch import Epoch, EpochKind
 from .flags import ReorderFlags
 from .ops import OpKind, RmaOp
-from .requests import OpeningRequest, OpRequest
+from .requests import FlushRequest, OpeningRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import MPIRuntime
@@ -466,56 +466,52 @@ class Window:
             f"{'all targets' if target is None else f'rank {target}'}"
         )
 
-    def _flush_internal(self, target: int | None, local: bool) -> tuple[Request, Epoch]:
-        """Request-first core of the blocking flush family: the engine
-        hands back a request (completing through its normal sweep, §VII-C)
-        and the Window does the waiting — same shape as every other
-        blocking/\\ ``i*`` pair.  The ``iflush*`` family uses the engine's
-        age-stamped ``make_flush`` instead, which additionally permits
-        new RMA calls before completion."""
-        ep = self._passive_epoch_for(target)
-        return self.engine.blocking_flush(self, ep, target, local), ep
+    def _flush(self, target: int | None, local: bool) -> FlushRequest:
+        """The one flush: the engine's age-stamped request (§VII-C).  A
+        blocking flush waits on it before any further RMA call, so its
+        stamp covers exactly the ops pending at the call."""
+        return self.engine.make_flush(self, self._passive_epoch_for(target), target, local)
 
     def flush(self, target: int) -> Generator[Any, Any, None]:
         """MPI_WIN_FLUSH: complete all outstanding ops to ``target``."""
-        req, ep = self._flush_internal(target, False)
-        yield from self._blocking_wait(req, "flush", ep)
+        req = self._flush(target, False)
+        yield from self._blocking_wait(req, "flush", req.epoch)
 
     def flush_local(self, target: int) -> Generator[Any, Any, None]:
         """MPI_WIN_FLUSH_LOCAL: locally complete ops to ``target``."""
-        req, ep = self._flush_internal(target, True)
-        yield from self._blocking_wait(req, "flush_local", ep)
+        req = self._flush(target, True)
+        yield from self._blocking_wait(req, "flush_local", req.epoch)
 
     def flush_all(self) -> Generator[Any, Any, None]:
         """MPI_WIN_FLUSH_ALL."""
-        req, ep = self._flush_internal(None, False)
-        yield from self._blocking_wait(req, "flush_all", ep)
+        req = self._flush(None, False)
+        yield from self._blocking_wait(req, "flush_all", req.epoch)
 
     def flush_local_all(self) -> Generator[Any, Any, None]:
         """MPI_WIN_FLUSH_LOCAL_ALL."""
-        req, ep = self._flush_internal(None, True)
-        yield from self._blocking_wait(req, "flush_local_all", ep)
+        req = self._flush(None, True)
+        yield from self._blocking_wait(req, "flush_local_all", req.epoch)
 
     def iflush(self, target: int) -> Request:
         """MPI_WIN_IFLUSH (§V): age-stamped nonblocking flush; new RMA
         calls may be issued before it completes (§VII-C)."""
         self._require_nonblocking("MPI_WIN_IFLUSH")
-        return self.engine.make_flush(self, self._passive_epoch_for(target), target, False)
+        return self._flush(target, False)
 
     def iflush_local(self, target: int) -> Request:
         """MPI_WIN_IFLUSH_LOCAL (§V)."""
         self._require_nonblocking("MPI_WIN_IFLUSH_LOCAL")
-        return self.engine.make_flush(self, self._passive_epoch_for(target), target, True)
+        return self._flush(target, True)
 
     def iflush_all(self) -> Request:
         """MPI_WIN_IFLUSH_ALL (§V)."""
         self._require_nonblocking("MPI_WIN_IFLUSH_ALL")
-        return self.engine.make_flush(self, self._passive_epoch_for(None), None, False)
+        return self._flush(None, False)
 
     def iflush_local_all(self) -> Request:
         """MPI_WIN_IFLUSH_LOCAL_ALL (§V)."""
         self._require_nonblocking("MPI_WIN_IFLUSH_LOCAL_ALL")
-        return self.engine.make_flush(self, self._passive_epoch_for(None), None, True)
+        return self._flush(None, True)
 
     # ======================================================================
     # Communication calls
@@ -558,7 +554,7 @@ class Window:
         data: np.ndarray | None = None,
         compare: np.ndarray | None = None,
         result_buf: np.ndarray | None = None,
-        request: OpRequest | None = None,
+        request: Request | None = None,
         notify_target: int | None = None,
     ) -> RmaOp:
         ep = self._epoch_for(target)
@@ -664,9 +660,7 @@ class Window:
 
     # -- request-based variants (passive target only, MPI-3 §11.3;
     # the counter-signal engine relaxes them to every epoch kind) ------------
-    def _request_op(
-        self, kind: OpKind, target: int, remote: bool
-    ) -> OpRequest:
+    def _request_op(self, kind: OpKind, target: int) -> Request:
         ep = self._epoch_for(target)
         if (
             ep.kind not in (EpochKind.LOCK, EpochKind.LOCK_ALL)
@@ -675,20 +669,20 @@ class Window:
             raise RmaUsageError(
                 "request-based RMA operations are reserved for passive-target epochs"
             )
-        return OpRequest(self.sim, f"{kind.value}-req", remote)
+        return Request(self.sim, f"{kind.value}-req")
 
-    def rput(self, data: np.ndarray, target_rank: int, target_disp: int = 0) -> OpRequest:
+    def rput(self, data: np.ndarray, target_rank: int, target_disp: int = 0) -> Request:
         """MPI_RPUT: like put, with a per-op request (local completion)."""
-        req = self._request_op(OpKind.PUT, target_rank, remote=False)
+        req = self._request_op(OpKind.PUT, target_rank)
         arr, dtype = self._capture(data)
         self._make_op(
             OpKind.PUT, target_rank, target_disp, arr.nbytes, dtype, data=arr, request=req
         )
         return req
 
-    def rget(self, buffer: np.ndarray, target_rank: int, target_disp: int = 0) -> OpRequest:
+    def rget(self, buffer: np.ndarray, target_rank: int, target_disp: int = 0) -> Request:
         """MPI_RGET: completion means the data is available."""
-        req = self._request_op(OpKind.GET, target_rank, remote=True)
+        req = self._request_op(OpKind.GET, target_rank)
         dtype = from_numpy(np.asarray(buffer).dtype)
         self._make_op(
             OpKind.GET, target_rank, target_disp, buffer.nbytes, dtype,
@@ -702,9 +696,9 @@ class Window:
         target_rank: int,
         target_disp: int = 0,
         op: ReduceOp = SUM,
-    ) -> OpRequest:
+    ) -> Request:
         """MPI_RACCUMULATE."""
-        req = self._request_op(OpKind.ACCUMULATE, target_rank, remote=False)
+        req = self._request_op(OpKind.ACCUMULATE, target_rank)
         arr, dtype = self._capture(data)
         self._make_op(
             OpKind.ACCUMULATE, target_rank, target_disp, arr.nbytes, dtype,
@@ -719,9 +713,9 @@ class Window:
         target_rank: int,
         target_disp: int = 0,
         op: ReduceOp = SUM,
-    ) -> OpRequest:
+    ) -> Request:
         """MPI_RGET_ACCUMULATE."""
-        req = self._request_op(OpKind.GET_ACCUMULATE, target_rank, remote=True)
+        req = self._request_op(OpKind.GET_ACCUMULATE, target_rank)
         arr, dtype = self._capture(data)
         self._make_op(
             OpKind.GET_ACCUMULATE, target_rank, target_disp, arr.nbytes, dtype,
@@ -759,13 +753,13 @@ class Window:
 
     def put_notify(
         self, data: np.ndarray, target_rank: int, target_disp: int = 0
-    ) -> OpRequest:
+    ) -> Request:
         """foMPI-style notified put: like :meth:`rput`, plus one signal
         delivered to the target *after* the data is applied there (the
         signal rides the same FIFO fabric lane as the put payload, so no
         extra round trip orders it)."""
         self._require_notified("Window.put_notify")
-        req = self._request_op(OpKind.PUT, target_rank, remote=False)
+        req = self._request_op(OpKind.PUT, target_rank)
         arr, dtype = self._capture(data)
         self._make_op(
             OpKind.PUT, target_rank, target_disp, arr.nbytes, dtype, data=arr,
@@ -775,12 +769,12 @@ class Window:
 
     def get_notify(
         self, buffer: np.ndarray, target_rank: int, target_disp: int = 0
-    ) -> OpRequest:
+    ) -> Request:
         """foMPI-style notified get: like :meth:`rget`, plus one signal
         delivered to the target once the data has arrived back at the
         origin (the target learns its memory was read)."""
         self._require_notified("Window.get_notify")
-        req = self._request_op(OpKind.GET, target_rank, remote=True)
+        req = self._request_op(OpKind.GET, target_rank)
         dtype = from_numpy(np.asarray(buffer).dtype)
         self._make_op(
             OpKind.GET, target_rank, target_disp, buffer.nbytes, dtype,

@@ -386,7 +386,7 @@ class TestFlushMisuse:
             yield from proc.barrier()
             yield from win.fence()
             if proc.rank == 0:
-                win.engine.blocking_flush(win, win._fence_epoch, None, False)
+                win.engine.make_flush(win, win._fence_epoch, None, False)
             yield from win.fence(assert_=2)
             yield from proc.barrier()
 

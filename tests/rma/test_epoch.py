@@ -24,11 +24,6 @@ class TestKinds:
         assert EpochKind.FENCE.is_access
         assert not EpochKind.GATS_EXPOSURE.is_access
 
-    def test_exposure_sides(self):
-        assert EpochKind.GATS_EXPOSURE.is_exposure
-        assert EpochKind.FENCE.is_exposure
-        assert not EpochKind.LOCK.is_exposure
-
     def test_reorder_exclusions(self):
         assert EpochKind.FENCE.reorder_excluded
         assert EpochKind.LOCK_ALL.reorder_excluded
@@ -56,24 +51,14 @@ class TestState:
 
 
 class TestOpBookkeeping:
-    def test_ops_to_filters_by_target(self):
-        ep = make_epoch(targets=(1, 2))
-        add_op(ep, target=1)
-        add_op(ep, target=2)
-        add_op(ep, target=1)
-        assert len(ep.ops_to(1)) == 2
-        assert len(ep.ops_to(2)) == 1
-
     def test_undelivered_counts(self):
         ep = make_epoch()
         a = add_op(ep)
         add_op(ep)
         assert ep.undelivered == 2
-        assert ep.undelivered_to(1) == 2
         a.delivered = True
         ep.mark_delivered(a)
         assert ep.undelivered == 1
-        assert ep.undelivered_to(1) == 1
 
     def test_undelivered_ops_is_the_in_flight_set(self):
         """What a flush filters: never the whole ``ops`` history."""
@@ -110,11 +95,9 @@ class TestOpBookkeeping:
         assert op.target_range == (16, 48)
 
     def test_op_kind_classification(self):
-        assert OpKind.PUT.writes_target and not OpKind.PUT.writes_origin
-        assert not OpKind.GET.writes_target and OpKind.GET.writes_origin
-        assert OpKind.ACCUMULATE.is_atomic
-        assert OpKind.COMPARE_AND_SWAP.writes_origin
-        assert OpKind.GET_ACCUMULATE.writes_target and OpKind.GET_ACCUMULATE.writes_origin
+        assert OpKind.PUT.writes_target and not OpKind.GET.writes_target
+        assert OpKind.ACCUMULATE.is_atomic and not OpKind.PUT.is_atomic
+        assert OpKind.GET_ACCUMULATE.writes_target
 
     def test_negative_op_size_rejected(self):
         ep = make_epoch()

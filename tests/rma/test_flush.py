@@ -1,8 +1,26 @@
 """Flush routines: blocking, nonblocking (age-stamped), local variants."""
 
 import numpy as np
+import pytest
 
 from tests.conftest import make_runtime
+
+ALL_ENGINES = ("nonblocking", "mvapich", "adaptive", "signal")
+NONBLOCKING_ENGINES = ("nonblocking", "signal")
+FLUSH_CALLS = ("flush", "flush_local", "flush_all", "flush_local_all")
+
+
+def _issue_result_op(win, kind, result):
+    """One result-bearing op to rank 1, displacement 0; the target holds 7
+    there and every op leaves 7 in ``result``."""
+    if kind == "get":
+        win.get(result, 1, 0)
+    elif kind == "get_accumulate":
+        win.get_accumulate(np.int64([0]), result, 1, 0)
+    elif kind == "fetch_and_op":
+        win.fetch_and_op(np.int64([1]), result, 1, 0)
+    else:
+        win.compare_and_swap(np.int64([0]), np.int64([9]), result, 1, 0)
 
 
 class TestBlockingFlush:
@@ -177,3 +195,68 @@ class TestNonblockingFlush:
             yield from proc.barrier()
 
         make_runtime(2).run(app)
+
+
+class TestLocalCompletionOfResults:
+    """MPI-3.1 §11.5.4: after a local flush the result buffer of a get,
+    get_accumulate, fetch_and_op or compare_and_swap holds the result."""
+
+    @pytest.mark.parametrize(
+        "kind", ("get", "get_accumulate", "fetch_and_op", "compare_and_swap"))
+    @pytest.mark.parametrize(
+        "engine, form",
+        [(e, "flush_local") for e in ALL_ENGINES]
+        + [(e, "iflush_local") for e in NONBLOCKING_ENGINES],
+    )
+    def test_local_flush_returns_after_the_result_lands(self, engine, form, kind):
+        def app(proc):
+            win = yield from proc.win_allocate(64)
+            win.view(np.int64)[0] = 7
+            yield from proc.barrier()
+            seen = None
+            if proc.rank == 0:
+                result = np.zeros(1, dtype=np.int64)
+                yield from win.lock(1)
+                _issue_result_op(win, kind, result)
+                if form == "flush_local":
+                    yield from win.flush_local(1)
+                else:
+                    yield from win.iflush_local(1).wait()
+                seen = int(result[0])
+                yield from win.unlock(1)
+            yield from proc.barrier()
+            return seen
+
+        assert make_runtime(2, engine).run(app)[0] == 7
+
+
+@pytest.mark.parametrize("call", FLUSH_CALLS)
+@pytest.mark.parametrize("engine", NONBLOCKING_ENGINES)
+def test_blocking_flush_is_the_nonblocking_flush_plus_a_wait(engine, call):
+    """The same lock_all program of accumulates, once with ``flush*`` and
+    once with ``iflush*(...).wait()``: equal virtual time, kernel events,
+    engine sweeps and window bytes."""
+
+    def program(nonblocking):
+        def app(proc):
+            win = yield from proc.win_allocate(1024)
+            yield from proc.barrier()
+            yield from win.lock_all()
+            for rnd in range(3):
+                for peer in range(proc.size):
+                    n = 64 if (peer + rnd) % 2 else 1
+                    win.accumulate(np.full(n, proc.rank + rnd, dtype=np.int64), peer, 0)
+                args = () if call.endswith("_all") else ((proc.rank + 1) % proc.size,)
+                if nonblocking:
+                    yield from getattr(win, "i" + call)(*args).wait()
+                else:
+                    yield from getattr(win, call)(*args)
+            yield from win.unlock_all()
+            yield from proc.barrier()
+            return win.view(np.uint8).tobytes()
+
+        rt = make_runtime(4, engine)
+        res = rt.run(app)
+        return rt.now, rt.sim.events_scheduled, sum(e.sweep_count for e in rt.engines), res
+
+    assert program(nonblocking=False) == program(nonblocking=True)

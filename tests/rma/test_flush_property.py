@@ -6,19 +6,25 @@ known at creation has completed — under **any** interleaving of
 qualifying and non-qualifying completions.  Early completion would let
 ``MPI_WIN_FLUSH`` return while stamped transfers are still in flight;
 counter underflow would mean double-counted completions and must raise
-rather than pass silently.
+rather than pass silently.  For a local flush, an op that bears a
+result is complete only once it is delivered (its result has landed).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi.errors import RmaInternalError
+from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.rma.epoch import Epoch, EpochKind
 from repro.rma.ops import OpKind, RmaOp
 from repro.rma.requests import FlushRequest
+from repro.rma.state import WindowState
 from repro.simtime import Simulator
 
 _TARGETS = (1, 2, 3)
@@ -28,16 +34,22 @@ def _epoch() -> Epoch:
     return Epoch(EpochKind.LOCK_ALL, 0, 0, targets=_TARGETS)
 
 
-def _op(ep: Epoch, age: int, target: int) -> RmaOp:
-    op = RmaOp(OpKind.PUT, 0, target, 0, 8, ep, age=age)
+def _op(ep: Epoch, age: int, target: int, fetch: bool = False) -> RmaOp:
+    if fetch:
+        op = RmaOp(OpKind.GET, 0, target, 0, 8, ep, age=age,
+                   result_buf=np.zeros(8, dtype=np.uint8))
+    else:
+        op = RmaOp(OpKind.PUT, 0, target, 0, 8, ep, age=age)
     ep.record_op(op)
     return op
 
 
-# One op = (age, target).  Ages straddle any stamp the strategy picks.
+# One op = (age, target, bears a result).  Ages straddle any stamp the
+# strategy picks.
 _ops_strategy = st.lists(
     st.tuples(st.integers(min_value=1, max_value=12),
-              st.sampled_from(_TARGETS)),
+              st.sampled_from(_TARGETS),
+              st.booleans()),
     min_size=0, max_size=12,
 )
 
@@ -47,35 +59,44 @@ _ops_strategy = st.lists(
     ops=_ops_strategy,
     stamp_age=st.integers(min_value=0, max_value=12),
     flush_target=st.sampled_from((None, *_TARGETS)),
+    local=st.booleans(),
     order=st.randoms(use_true_random=False),
 )
 def test_completes_exactly_when_last_qualifying_op_does(
-    ops, stamp_age, flush_target, order
+    ops, stamp_age, flush_target, local, order
 ):
-    """Arbitrary younger/older/foreign-target interleavings: the flush
-    never completes early, always completes at the end, and the counter
-    never underflows."""
+    """Arbitrary younger/older/foreign-target interleavings of every op's
+    local-completion and delivery events, fed through the engine's own
+    completion callbacks: the flush never completes early, always
+    completes at the end, and the counter never underflows."""
     sim = Simulator()
     ep = _epoch()
-    rma_ops = [_op(ep, age, target) for age, target in ops]
+    rma_ops = [_op(ep, age, target, fetch) for age, target, fetch in ops]
     qualifying = [
         op for op in rma_ops
         if op.age <= stamp_age and (flush_target is None or op.target == flush_target)
     ]
     fr = FlushRequest(sim, ep, stamp_age=stamp_age, target=flush_target,
-                      local=False, counter=len(qualifying))
+                      local=local, counter=len(qualifying))
     assert fr.done == (len(qualifying) == 0)
+    win = SimpleNamespace(rank=0, group=SimpleNamespace(gid=0, checker=None))
+    ws = WindowState(win, on_lock_grant=None)
+    ws.flushes.append(fr)
+    engine = SimpleNamespace(sim=sim, profiler=None, causal=None,
+                             mark_dirty=lambda ws: None, poke=lambda: None)
 
-    shuffled = list(rma_ops)
-    order.shuffle(shuffled)
-    remaining = len(qualifying)
-    for op in shuffled:
-        fr.op_completed(op)
-        if op in qualifying:
-            remaining -= 1
+    events = [(callback, op) for op in rma_ops
+              for callback in (NonblockingEngine._op_local, NonblockingEngine._op_delivered)]
+    order.shuffle(events)
+    for callback, op in events:
+        callback(engine, ws, op)
+        pending = [
+            q for q in qualifying
+            if not (q.delivered or (local and q.local_done and q.result_buf is None))
+        ]
         # never early, never late, never negative:
-        assert fr.done == (remaining == 0)
-        assert fr.counter >= 0
+        assert fr.done == (not pending)
+        assert fr.counter == len(pending)
     assert fr.done
     assert fr.counter == 0
 

@@ -84,9 +84,6 @@ class KvServiceConfig(BaseAppConfig):
     #: In-flight ADD flushes under the nonblocking drive.
     max_pending: int = 16
     seed: int = 777
-    #: Epoch style for the rebalance/stats collectives (see
-    #: :func:`repro.coll.plan_alltoallv`); "auto" follows the engine.
-    coll_style: str = "auto"
 
     @property
     def total_keys(self) -> int:
@@ -159,8 +156,8 @@ def run_kvservice(cfg: KvServiceConfig) -> KvServiceResult:
         # Persistent control-path collectives, planned exactly once.
         rotation = [[keys if j == (i + 1) % n else 0 for j in range(n)]
                     for i in range(n)]
-        rebalance = yield from plan_alltoallv(proc, rotation, style=cfg.coll_style)
-        stats_red = yield from plan_allreduce(proc, 4, style=cfg.coll_style)
+        rebalance = yield from plan_alltoallv(proc, rotation)
+        stats_red = yield from plan_allreduce(proc, 4)
 
         yield from store.lock_all()
         yield from proc.barrier()

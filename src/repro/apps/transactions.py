@@ -150,16 +150,15 @@ def run_transactions(cfg: TransactionsConfig) -> TransactionsResult:
     finish_times = [0.0] * cfg.nranks
     sums = runtime.run(_make_app(cfg, finish_times))
     total = cfg.nranks * cfg.txns_per_rank
-    injector = runtime.fabric.injector
-    rel = runtime.fabric.reliability
+    stats = runtime.stats()
     return TransactionsResult(
         total_txns=total,
         elapsed_us=max(finish_times),
         applied=int(sum(sums)),
-        fc_stalls=runtime.fabric.flow.total_stalls(),
+        fc_stalls=stats.fc_stalls,
         rank_sums=tuple(int(s) for s in sums),
-        retransmissions=rel.retransmissions if rel is not None else 0,
-        dup_suppressed=rel.dup_suppressed if rel is not None else 0,
-        faults_injected=dict(injector.counters) if injector is not None else None,
+        retransmissions=stats.retransmissions,
+        dup_suppressed=stats.dup_suppressed,
+        faults_injected=dict(stats.faults_injected) if cfg.fault_plan is not None else None,
         runtime=cfg.keep_runtime(runtime),
     )

@@ -148,7 +148,7 @@ def _protocol_cost_rows() -> Rows:
 
 _SIZES = {"4B": 4, "64KB": 65536, "1MB": figures.MB}
 _FENCE_SIZES = {"256KB": 256 * 1024, "1MB": figures.MB}
-_STYLES = ("lock", "gats", "fence")
+_EPOCH_KINDS = ("lock", "gats", "fence")
 _OVERLAP_OPS = {"put 1MB + work": False, "acc 1MB + work": True}  # accumulate?
 _EPOCHS = ("epoch 1", "epoch 2", "epoch 3", "epoch 4")
 _TXN_COLUMNS = ("ktxn/s", "stalls")
@@ -235,8 +235,8 @@ FIGURES: dict[str, Figure] = {
         Figure("fig13d", "Fig. 13(d): LU communication share; matrix 256x256",
                _strs(apps.LU_RANKS), "%", lambda: apps.lu_panel(256)[1]),
         Figure("latency_epoch", "§VIII-A: pure epoch latency, 1 MB put",
-               _STYLES, "µs",
-               _series_rows(lambda s: {k: figures.epoch_latency(s, k) for k in _STYLES})),
+               _EPOCH_KINDS, "µs",
+               _series_rows(lambda s: {k: figures.epoch_latency(s, k) for k in _EPOCH_KINDS})),
         Figure("latency_overlap",
                "§VIII-A: lock-epoch overlap (1000 µs work; full overlap = ~1000)",
                tuple(_OVERLAP_OPS), "µs", _series_rows(_overlap_row)),

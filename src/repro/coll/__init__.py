@@ -9,12 +9,13 @@ Plan once, execute many times::
         received = yield from coll.wait()
     yield from coll.finish()
 
-See :mod:`repro.coll.persistent` for the epoch styles (fence / PSCW /
-notified-access) and :mod:`repro.coll.schedule` for the compiled layout.
+The engine picks the epoch style (fence on the blocking baselines, PSCW
+on ``nonblocking``, notified access on ``signal``); see
+:mod:`repro.coll.persistent` for the styles and :mod:`repro.coll.schedule`
+for the compiled layout.
 """
 
 from .persistent import (
-    STYLES,
     PersistentAllgather,
     PersistentAllreduce,
     PersistentColl,
@@ -25,7 +26,6 @@ from .persistent import (
 from .schedule import CollSchedule, build_schedule, uniform_counts, validate_counts
 
 __all__ = [
-    "STYLES",
     "CollSchedule",
     "PersistentAllgather",
     "PersistentAllreduce",

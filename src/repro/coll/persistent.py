@@ -8,10 +8,11 @@ per-invocation setup (the persistent-collective model of "Analyzing
 Persistent Alltoallv RMA Implementations", see PAPERS.md, carried onto
 the paper's nonblocking epochs).
 
-Three epoch styles, selected per engine capability (``style="auto"``):
+Three epoch styles; the engine's capabilities pick one
+(:func:`_style_of`):
 
 ==============  ======================  =====================================
-style           engines (auto)          per-invocation protocol
+style           engines                 per-invocation protocol
 ==============  ======================  =====================================
 ``"fence"``     mvapich, adaptive       one *persistent* fence epoch chain:
                                         the plan opens the first epoch; each
@@ -68,10 +69,7 @@ __all__ = [
     "plan_alltoallv",
     "plan_allgather",
     "plan_allreduce",
-    "STYLES",
 ]
-
-STYLES = ("fence", "pscw", "notify")
 
 #: Deterministic elementwise reductions in fixed rank order.
 _REDUCERS = {
@@ -81,10 +79,10 @@ _REDUCERS = {
 }
 
 
-def _auto_style(engine) -> str:
-    """The issue's capability ladder: signal engines use notified
-    access, engines with the §V API use PSCW chains, blocking baselines
-    use the fence variant."""
+def _style_of(engine) -> str:
+    """The capability ladder: signal engines use notified access,
+    engines with the §V API use PSCW chains, blocking baselines use the
+    fence variant."""
     if engine.supports_notified_access:
         return "notify"
     if engine.supports_nonblocking:
@@ -162,11 +160,7 @@ class PersistentColl:
     def _issue(self, blocks: list[np.ndarray]) -> None:
         """Issue the nonblocking epoch chain for the current invocation."""
         win, s, k = self.window, self.schedule, self.invocations
-        if self.style == "fence":
-            for j in s.send_peers:
-                win.put(blocks[j], j, s.put_disp(j, k))
-            self._reqs.append(win.ifence())
-        elif self.style == "pscw":
+        if self.style == "pscw":
             if s.recv_peers:
                 win.ipost(s.recv_peers)
                 exposure_done = win.iwait()
@@ -326,26 +320,19 @@ class PersistentAllreduce(PersistentAllgather):
 # Plan builders (collective: every rank calls with identical arguments)
 # ---------------------------------------------------------------------------
 
-def _plan(proc, counts, dtype, style, nonblocking, cls, name: str, **extra):
+def _plan(proc, counts, dtype, nonblocking, cls, name: str, **extra):
     sched = build_schedule(proc.size, proc.rank, counts, dtype)
     win = yield from proc.win_allocate(
         sched.window_bytes, info={A_A_E_R: 1}, name=name,
     )
     engine = win.engine
-    engine_name = win.group.runtime.engine_name
-    if style == "auto":
-        style = _auto_style(engine)
-    if style not in STYLES:
-        raise ValueError(f"unknown style {style!r} (have {STYLES})")
-    if style == "notify" and not engine.supports_notified_access:
-        raise UnsupportedOperation(
-            f"style='notify' needs notified access (engine {engine_name!r})"
-        )
+    style = _style_of(engine)
     if nonblocking is None:
         nonblocking = engine.supports_nonblocking
     if nonblocking and not engine.supports_nonblocking:
         raise UnsupportedOperation(
-            f"nonblocking drive on blocking-only engine {engine_name!r}"
+            f"nonblocking drive on blocking-only engine "
+            f"{win.group.runtime.engine_name!r}"
         )
     plan = cls(proc, win, sched, style, nonblocking, **extra)
     if style == "fence":
@@ -357,19 +344,18 @@ def _plan(proc, counts, dtype, style, nonblocking, cls, name: str, **extra):
 
 
 def plan_alltoallv(
-    proc, counts, dtype=np.int64, style: str = "auto",
-    nonblocking: bool | None = None,
+    proc, counts, dtype=np.int64, nonblocking: bool | None = None,
 ) -> Generator[Any, Any, PersistentColl]:
     """Compile a persistent alltoallv: ``counts[i][j]`` elements flow
     from rank ``i`` to rank ``j`` on every invocation.  Collective;
     every rank passes the identical counts matrix."""
-    plan = yield from _plan(proc, counts, dtype, style, nonblocking,
+    plan = yield from _plan(proc, counts, dtype, nonblocking,
                             PersistentColl, "coll.alltoallv")
     return plan
 
 
 def plan_allgather(
-    proc, count: int | Sequence[int], dtype=np.int64, style: str = "auto",
+    proc, count: int | Sequence[int], dtype=np.int64,
     nonblocking: bool | None = None,
 ) -> Generator[Any, Any, PersistentAllgather]:
     """Compile a persistent allgather(v): rank ``i`` contributes
@@ -382,17 +368,17 @@ def plan_allgather(
         if len(per_rank) != n:
             raise ValueError(f"need {n} per-rank counts, got {len(per_rank)}")
         counts = tuple(tuple(c for _ in range(n)) for c in per_rank)
-    plan = yield from _plan(proc, counts, dtype, style, nonblocking,
+    plan = yield from _plan(proc, counts, dtype, nonblocking,
                             PersistentAllgather, "coll.allgather")
     return plan
 
 
 def plan_allreduce(
-    proc, count: int, dtype=np.int64, op: str = "sum", style: str = "auto",
+    proc, count: int, dtype=np.int64, op: str = "sum",
     nonblocking: bool | None = None,
 ) -> Generator[Any, Any, PersistentAllreduce]:
     """Compile a persistent allreduce over ``count``-element vectors."""
     plan = yield from _plan(proc, uniform_counts(proc.size, int(count)), dtype,
-                            style, nonblocking, PersistentAllreduce,
+                            nonblocking, PersistentAllreduce,
                             "coll.allreduce", op=op)
     return plan

@@ -6,9 +6,6 @@ config field) to opt a run into schedule exploration.  It bundles
 
 - the :class:`~repro.explore.policy.SchedulePolicy` the DES kernel
   consults for every scheduled callback,
-- the default semantics-checker mode forced onto every window the run
-  allocates (``"report"`` during exploration, so violations become
-  digest components instead of aborting the run),
 - the delivered-notification log the engines feed (every epoch-done and
   grant notification actually *received*, whatever transport carried
   it), and
@@ -16,8 +13,12 @@ config field) to opt a run into schedule exploration.  It bundles
   digest builder walks for final window memory and ω counters.
 
 The runtime only duck-types this object (``policy``,
-``semantics_check``, ``record_notification``, ``attach_runtime``), so
-:mod:`repro.mpi` never imports :mod:`repro.explore`.
+``record_notification``, ``attach_runtime``), so :mod:`repro.mpi` never
+imports :mod:`repro.explore`.  Its presence alone arms the semantics
+checker in report mode on every window whose info leaves
+``repro.semantics_check`` unset
+(:meth:`~repro.mpi.runtime.MPIRuntime._apply_exploration_info`), so
+violations become digest components instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class ExplorationContext:
     """Everything one explored run carries (one instance per run)."""
 
     policy: SchedulePolicy | None = None
-    #: Checker mode forced onto windows lacking an explicit info key
-    #: (None = leave windows unchecked unless the app asked).
-    semantics_check: str | None = "report"
     #: Multiset of delivered notifications: (rank, kind, sender, value)
     #: -> count.  Fed by the engines' reception handlers.
     notifications: Counter = field(default_factory=Counter)
@@ -49,13 +47,11 @@ class ExplorationContext:
     runtimes: "list[MPIRuntime]" = field(default_factory=list)
 
     @classmethod
-    def from_spec(
-        cls, spec: PerturbationSpec | None, semantics_check: str | None = "report"
-    ) -> "ExplorationContext":
+    def from_spec(cls, spec: PerturbationSpec | None) -> "ExplorationContext":
         """Fresh context for one run of one schedule (``spec=None`` =
         the baseline schedule, still digest-instrumented)."""
         policy = SchedulePolicy(spec) if spec is not None else None
-        return cls(policy=policy, semantics_check=semantics_check)
+        return cls(policy=policy)
 
     # -- hooks the runtime/engines call (duck-typed) -----------------------
     def attach_runtime(self, runtime: "MPIRuntime") -> None:

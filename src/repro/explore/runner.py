@@ -72,7 +72,6 @@ def run_workload(
     workload: str,
     series: Series,
     spec: PerturbationSpec | None,
-    semantics_check: str | None = "report",
 ) -> RunOutcome:
     """Execute one workload once under one explored schedule.
 
@@ -82,7 +81,7 @@ def run_workload(
     CLI's ``replay`` subcommand and the shrinker both rest on.
     """
     w = get_workload(workload)
-    context = ExplorationContext.from_spec(spec, semantics_check=semantics_check)
+    context = ExplorationContext.from_spec(spec)
     result = w.oracle(series.engine, series.nonblocking, context)
     digest = build_digest(context, result)
     applied = tuple(context.policy.applied) if context.policy is not None else ()
@@ -124,7 +123,6 @@ def explore(
     max_extra_us: float = 0.5,
     series: tuple[Series, ...] = SERIES,
     specs: list[PerturbationSpec] | None = None,
-    semantics_check: str | None = "report",
 ) -> ExploreReport:
     """Run the differential sweep: every workload × every series ×
     (baseline + ``nschedules`` explored schedules), then cross-check the
@@ -141,7 +139,7 @@ def explore(
         matrix: dict[tuple[str, int | None], RunOutcome] = {}
         for s in series:
             for spec in all_specs:
-                run = run_workload(name, s, spec, semantics_check=semantics_check)
+                run = run_workload(name, s, spec)
                 matrix[(s.name, _spec_seed(spec))] = run
                 runs.append(run)
 

@@ -24,8 +24,9 @@ question: run a workload with and without the plan and compare their
 bytes, checker verdict, ω audit); ``docs/FAULTS.md`` has the recipe.
 
 Attach a plan to a runtime with
-``MPIRuntime(n, fault_plan=FaultPlan.light_chaos(seed=7))``; the
-reliability layer arms automatically whenever a plan is present.  See
+``MPIRuntime(n, fault_plan=FaultPlan.light_chaos(seed=7))``; any plan
+arms the reliability layer, which retries by the plan's ``retry``
+policy (a :class:`ReliabilityConfig`).  See
 ``docs/FAULTS.md`` for the fault model, determinism guarantees and the
 retry protocol.
 """
@@ -37,11 +38,12 @@ from .plan import (
     FaultPlan,
     FaultRule,
     RankFault,
+    ReliabilityConfig,
     fault_hash,
     mix_hash,
     splitmix64,
 )
-from .reliability import ReliabilityConfig, ReliabilityLayer
+from .reliability import ReliabilityLayer
 
 __all__ = [
     "FaultKind",

@@ -16,8 +16,9 @@ mix, so
   shared stream-consuming RNG would.
 
 The plan is interpreted by :class:`~repro.faults.injector.FaultInjector`
-inside the fabric; plans with message loss require the reliability
-layer (:mod:`repro.faults.reliability`) to remain livable.
+inside the fabric.  Any plan also arms the reliability layer
+(:mod:`repro.faults.reliability`), which retries by the plan's
+:attr:`FaultPlan.retry` policy.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "FaultRule",
     "RankFault",
     "FaultPlan",
+    "ReliabilityConfig",
     "fault_hash",
     "splitmix64",
     "mix_hash",
@@ -170,6 +172,36 @@ class RankFault:
 
 
 @dataclass(frozen=True)
+class ReliabilityConfig:
+    """The reliability layer's retry policy (:attr:`FaultPlan.retry`).
+
+    ``rto_us`` is the patience *beyond the expected delivery instant* of
+    an attempt — the fabric knows each attempt's scheduled arrival time,
+    so the timer need not guess serialization delays.  Attempt ``n``
+    (1-based) waits ``rto_us * backoff**(n-1)`` past its expected
+    delivery before retransmitting; after ``max_attempts``
+    transmissions the packet is declared undeliverable.
+    """
+
+    rto_us: float = 25.0
+    backoff: float = 2.0
+    max_attempts: int = 8
+    ack_bytes: int = 8
+
+    def __post_init__(self) -> None:
+        if self.rto_us <= 0:
+            raise ValueError(f"rto_us must be positive, got {self.rto_us}")
+        if self.backoff < 1.0:
+            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+
+    def rto_for_attempt(self, attempt: int) -> float:
+        """Patience after the expected delivery of 1-based ``attempt``."""
+        return self.rto_us * self.backoff ** (attempt - 1)
+
+
+@dataclass(frozen=True)
 class FaultPlan:
     """A seeded, immutable chaos schedule for one run."""
 
@@ -178,15 +210,8 @@ class FaultPlan:
     ranks: tuple[RankFault, ...] = ()
     #: How far behind the genuine arrival an injected ghost copy lands.
     duplicate_lag_us: float = 5.0
-
-    @property
-    def needs_reliability(self) -> bool:
-        """Whether the plan can lose packets (drop/corrupt/duplicate/
-        fail-stop) and therefore requires the reliability layer."""
-        lossy = (FaultKind.DROP, FaultKind.CORRUPT, FaultKind.DUPLICATE)
-        return any(r.kind in lossy and r.rate > 0 for r in self.rules) or any(
-            rf.fail_at_us is not None for rf in self.ranks
-        )
+    #: Retry policy of the reliability layer every plan arms.
+    retry: ReliabilityConfig = ReliabilityConfig()
 
     @classmethod
     def light_chaos(

@@ -10,8 +10,8 @@ middleware does over an unreliable transport:
   (source, destination) sequence number;
 - **ack / retransmit** — the receiver acks each sequence number it
   sees; the sender retransmits on a capped exponential backoff
-  (:attr:`ReliabilityConfig.rto_us`, :attr:`ReliabilityConfig.backoff`,
-  :attr:`ReliabilityConfig.max_attempts`) and surfaces
+  (the plan's :attr:`~repro.faults.plan.FaultPlan.retry`:
+  ``rto_us``, ``backoff``, ``max_attempts``) and surfaces
   :class:`~repro.mpi.errors.RmaDeliveryError` with structured
   diagnostics when the budget exhausts;
 - **duplicate suppression** — retransmissions that crossed a late ack,
@@ -34,49 +34,19 @@ layer is absent and the fabric pays one ``is None`` test per send.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..mpi.errors import RmaDeliveryError
 from ..obs.metrics import Histogram
+from .plan import ReliabilityConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.fabric import Fabric, SendTicket
     from ..simtime import Simulator
 
-__all__ = ["ReliabilityConfig", "ReliabilityLayer"]
+__all__ = ["ReliabilityLayer"]
 
 PairKey = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """Retry-protocol knobs.
-
-    ``rto_us`` is the patience *beyond the expected delivery instant* of
-    an attempt — the fabric knows each attempt's scheduled arrival time,
-    so the timer need not guess serialization delays.  Attempt ``n``
-    (1-based) waits ``rto_us * backoff**(n-1)`` past its expected
-    delivery before retransmitting; after ``max_attempts``
-    transmissions the packet is declared undeliverable.
-    """
-
-    rto_us: float = 25.0
-    backoff: float = 2.0
-    max_attempts: int = 8
-    ack_bytes: int = 8
-
-    def __post_init__(self) -> None:
-        if self.rto_us <= 0:
-            raise ValueError(f"rto_us must be positive, got {self.rto_us}")
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-
-    def rto_for_attempt(self, attempt: int) -> float:
-        """Patience after the expected delivery of 1-based ``attempt``."""
-        return self.rto_us * self.backoff ** (attempt - 1)
 
 
 class _SendState:

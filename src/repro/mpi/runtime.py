@@ -44,7 +44,7 @@ from .middleware import RankMiddleware
 from .process import MPIProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultPlan, ReliabilityConfig
+    from ..faults import FaultPlan
     from ..rma.window import Window, WindowGroup
 
 __all__ = ["MPIRuntime", "ENGINES"]
@@ -74,7 +74,6 @@ class MPIRuntime:
         metrics: bool = False,
         causal: bool = False,
         fault_plan: "FaultPlan | None" = None,
-        reliability: "bool | ReliabilityConfig | None" = None,
         exploration: Any = None,
     ):
         # Schedule exploration first: the kernel itself consults the
@@ -102,7 +101,14 @@ class MPIRuntime:
             from ..obs.causal import CausalRecorder
 
             self.causal = self.sim.causal = CausalRecorder(self.sim)
-        injector, rel = self._build_fault_stack(self.sim, fault_plan, reliability)
+        # A fault plan arms the injector and the reliability layer that
+        # repairs it, retrying by the plan's own policy.
+        injector = rel = None
+        if fault_plan is not None:
+            from ..faults import FaultInjector, ReliabilityLayer
+
+            injector = FaultInjector(self.sim, fault_plan)
+            rel = ReliabilityLayer(self.sim, fault_plan.retry)
         self.fault_plan = fault_plan
         self.fabric = Fabric(
             self.sim,
@@ -134,36 +140,6 @@ class MPIRuntime:
         self._win_calls = [0] * nranks
         if exploration is not None:
             exploration.attach_runtime(self)
-
-    @staticmethod
-    def _build_fault_stack(sim, fault_plan, reliability):
-        """Resolve the optional fault injector + reliability layer.
-
-        The reliability layer arms automatically whenever a fault plan
-        is present; pass ``reliability=False`` to study raw loss (only
-        legal for plans that cannot lose packets) or a
-        :class:`~repro.faults.ReliabilityConfig` to tune the retry
-        protocol.
-        """
-        if fault_plan is None and not reliability:
-            return None, None
-        from ..faults import FaultInjector, ReliabilityConfig, ReliabilityLayer
-
-        if isinstance(reliability, ReliabilityConfig):
-            enabled, cfg = True, reliability
-        elif reliability is None:
-            enabled, cfg = fault_plan is not None, ReliabilityConfig()
-        else:
-            enabled, cfg = bool(reliability), ReliabilityConfig()
-
-        if fault_plan is not None and fault_plan.needs_reliability and not enabled:
-            raise ValueError(
-                "fault plan can lose packets (drop/corrupt/duplicate/fail-stop) "
-                "but reliability=False; the run could not terminate"
-            )
-        injector = FaultInjector(sim, fault_plan) if fault_plan is not None else None
-        rel = ReliabilityLayer(sim, cfg) if enabled else None
-        return injector, rel
 
     # -- introspection -----------------------------------------------------
     @property
@@ -198,11 +174,10 @@ class MPIRuntime:
         return win
 
     def _apply_exploration_info(self, info: Info) -> Info:
-        """Force the exploration context's default semantics-checker mode
-        onto windows whose application did not choose one itself (the
+        """Arm the semantics checker in report mode on windows of an
+        explored run whose info leaves the checker key unset (the
         checker verdict is an outcome-digest component)."""
-        exploration = self.exploration
-        if exploration is None or not getattr(exploration, "semantics_check", None):
+        if self.exploration is None:
             return info
         from ..rma.checker import SEMANTICS_CHECK_INFO_KEY, SEMANTICS_MODE_INFO_KEY
 
@@ -210,26 +185,16 @@ class MPIRuntime:
             return info
         merged = dict(info)
         merged[SEMANTICS_CHECK_INFO_KEY] = "1"
-        merged[SEMANTICS_MODE_INFO_KEY] = exploration.semantics_check
+        merged[SEMANTICS_MODE_INFO_KEY] = "report"
         return Info(merged)
 
     # -- launching ---------------------------------------------------------
-    def run(
-        self,
-        app: AppFn,
-        *args: Any,
-        until: float | None = None,
-        ranks: list[int] | None = None,
-    ) -> list[Any]:
-        """Run ``app(proc, *args)`` on every rank (or on ``ranks``) to
-        completion; returns per-rank return values (None for ranks not
-        launched)."""
-        launched = ranks if ranks is not None else list(range(self.nranks))
-        procs = {}
-        for r in launched:
-            procs[r] = self.sim.process(app(self.processes[r], *args), name=f"rank{r}")
+    def run(self, app: AppFn, *args: Any, until: float | None = None) -> list[Any]:
+        """Run ``app(proc, *args)`` on every rank to completion; returns
+        the per-rank return values."""
+        procs = [self.sim.process(app(p, *args), name=f"rank{p.rank}") for p in self.processes]
         self.sim.run(until=until)
-        return [procs[r].done.value if r in procs else None for r in range(self.nranks)]
+        return [p.done.value for p in procs]
 
     def run_mixed(self, apps: dict[int, AppFn], until: float | None = None) -> dict[int, Any]:
         """Run a different generator function per rank (microbenchmark

@@ -191,9 +191,11 @@ class FlowControl:
 
         pool.acquire(on_granted, *args)
 
+    # The run summary reads these once per run over every pool: a list
+    # is one call where a generator is one per pool.
     def total_stalls(self) -> int:
         """Aggregate stall count across all pairs (contention metric)."""
-        return sum(p.stall_count for p in self._pools.values())
+        return sum([p.stall_count for p in self._pools.values()])
 
     def total_queued(self) -> int:
         """Sends currently stalled across all pairs."""
@@ -201,7 +203,7 @@ class FlowControl:
 
     def max_queued(self) -> int:
         """Deepest backlog any single pair ever reached."""
-        return max((p.max_queued for p in self._pools.values()), default=0)
+        return max([p.max_queued for p in self._pools.values()], default=0)
 
     def pair_stats(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Per-pair ``(stall_count, max_queued)`` for every pair that

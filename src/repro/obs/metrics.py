@@ -156,6 +156,7 @@ def fold_metrics(runtime: "MPIRuntime") -> dict:
     from ..rma.notify import SignalChannel
 
     rec, fabric, engines = runtime.causal, runtime.fabric, runtime.engines
+    stats = runtime.stats()
     states = [ws for eng in engines for ws in eng.states.values()]
     # Every rank runs the same engine: an ω one or the counter-signal one.
     omega = not engines[0].supports_notified_access
@@ -163,22 +164,25 @@ def fold_metrics(runtime: "MPIRuntime") -> dict:
     spans: dict[str, list] = defaultdict(list)
     for span in rec.spans:
         spans[span.kind].append(span)
-    grants = sum(ws.lock_mgr.grants for ws in states)
     counters = Counter({
         "engine.sweep.window_visits": sum(eng.windows_visited for eng in engines),
         "engine.degraded": sum(getattr(eng, "degraded", False) for eng in engines),
-        "omega.dup_grants_ignored" if omega else "signal.dup_ignored": sum(
-            ws.board.dup_signals_ignored for ws in states),
+        "omega.dup_grants_ignored" if omega else "signal.dup_ignored":
+            stats.dup_grants_ignored,
         "omega.grants_recv" if omega else "signal.recv": sum(ws.board.applied for ws in states),
         "omega.matches": sum(eng.pairs_ready for eng in engines),
         "omega.wait_for_grant": sum(eng.pairs_waiting for eng in engines),
         "rma.ops_issued": len(spans["op"]),
         "signal.sent": len(spans["signal"]),
-        "fc.stalls": fabric.flow.total_stalls(),
+        "fc.stalls": stats.fc_stalls,
         "nic.attention_stalls": sum(gate.stalls_injected for gate in fabric.attention),
         "nic.attention_deferred": sum(gate.deferred for gate in fabric.attention),
-        "locks.grants": grants,
-        "locks.requests": grants + sum(ws.lock_mgr.queue_depth for ws in states),
+        "locks.grants": stats.lock_grants,
+        "locks.requests": stats.lock_grants + sum(ws.lock_mgr.queue_depth for ws in states),
+        "rel.retransmissions": stats.retransmissions,
+        "rel.dup_suppressed": stats.dup_suppressed,
+        "rel.acks_sent": stats.acks_sent,
+        "rel.delivery_failures": stats.delivery_failures,
         "fifo.sent": fabric.sends["notify"],
         "fifo.drained": runtime.profiler.steps[5].work,
     })
@@ -190,8 +194,7 @@ def fold_metrics(runtime: "MPIRuntime") -> dict:
             v for ws in states for _peer, v in ws.board.outbound.row_items(SignalChannel.GRANT))
     rel = fabric.reliability
     if rel is not None:
-        counters.update({f"rel.{name}": getattr(rel, name) for name in (
-            "retransmissions", "dup_suppressed", "out_of_order", "acks_sent", "delivery_failures")})
+        counters["rel.out_of_order"] = rel.out_of_order
     lock_waits = sorted((t1, t0, uid) for uid, waits in rec.waits.items()
                         for category, t0, t1 in waits if category == "lock_wait")
     series: dict[str, list[float]] = defaultdict(list, {
@@ -207,9 +210,7 @@ def fold_metrics(runtime: "MPIRuntime") -> dict:
             series[f"epoch.{r.kind}.active_us"].append(r.complete_us - r.activate_us)
     counters = {name: value for name, value in counters.items() if value}
     # Fault and schedule-policy tallies are reported zeros included.
-    if fabric.injector is not None:
-        for name, value in fabric.injector.counters.items():
-            counters[f"faults.{name}"] = value
+    counters.update({f"faults.{name}": value for name, value in stats.faults_injected.items()})
     if runtime.exploration is not None:
         counters.update(runtime.exploration.sched_counters())
     histograms = {name: _snapshot(name, values) for name, values in series.items()}

@@ -1,9 +1,8 @@
 """Human-readable rendering of a run's metrics summary.
 
-Fixed-width tables in the style of :meth:`RuntimeStats.format`: the
-7-step progress profile, the per-kind epoch-latency breakdown
-(queued→activated deferral cost and activated→completed), and the
-counter listing.  All consume the plain-dict summary produced by
+Fixed-width tables: the 7-step progress profile, the per-kind
+epoch-latency breakdown (queued→activated deferral cost and
+activated→completed), and the counter listing.  All consume the plain-dict summary produced by
 :meth:`MPIRuntime.metrics_summary`, so they also work on summaries
 loaded back from JSON.
 """

@@ -9,8 +9,8 @@ Epoch style           Blocking                   Nonblocking (§V)
 ====================  =========================  =========================
 fence                 ``fence``                  ``ifence``
 GATS origin           ``start`` / ``complete``   ``istart`` / ``icomplete``
-GATS target           ``post`` / ``wait_epoch``  ``ipost`` / ``iwait_epoch``
-                      ``test_epoch`` (MPI-3)     (``iwait`` alias)
+GATS target           ``post`` / ``wait_epoch``  ``ipost`` / ``iwait``
+                      ``test_epoch`` (MPI-3)
 passive single        ``lock`` / ``unlock``      ``ilock`` / ``iunlock``
 passive all           ``lock_all``/``unlock_all``  ``ilock_all``/``iunlock_all``
 flush                 ``flush[_local][_all]``    ``iflush[_local][_all]``
@@ -327,12 +327,6 @@ class Window:
         self._require_nonblocking("MPI_WIN_IWAIT")
         return self._wait_internal()
 
-    def iwait_epoch(self) -> Request:
-        """Alias of :meth:`iwait`, matching the :meth:`wait_epoch`
-        spelling of the blocking call (the blocking/nonblocking pair is
-        ``wait_epoch``/``iwait_epoch``; ``iwait`` remains supported)."""
-        return self.iwait()
-
     def test_epoch(self) -> bool:
         """MPI_WIN_TEST: nonblocking probe; True ends the exposure epoch.
 
@@ -455,8 +449,11 @@ class Window:
     # Flushes
     # ======================================================================
     def _passive_epoch_for(self, target: int | None) -> Epoch:
-        if target is not None and target in self._locks:
-            return self._locks[target]
+        if target is not None:
+            if target not in self.group.windows:
+                raise RmaUsageError(f"flush target {target} unknown")
+            if target in self._locks:
+                return self._locks[target]
         if self._lock_all is not None:
             return self._lock_all
         if target is None and len(self._locks) == 1:
@@ -536,7 +533,10 @@ class Window:
         raise RmaUsageError(f"RMA call to {target} outside any epoch")
 
     def _check_target_range(self, target: int, disp: int, nbytes: int) -> None:
-        tsize = self.group.window_of(target).memory.nbytes
+        try:
+            tsize = self.group.windows[target].memory.nbytes
+        except KeyError:
+            raise RmaUsageError(f"RMA target {target} unknown") from None
         if disp < 0 or nbytes < 0 or disp + nbytes > tsize:
             raise RmaUsageError(
                 f"target range [{disp}, {disp + nbytes}) outside rank {target}'s "

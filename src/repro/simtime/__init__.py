@@ -21,7 +21,7 @@ Quick example::
 
 from .core import Position, Simulator, TieBreakPolicy
 from .errors import InvalidYield, ProcessFailed, SimtimeError, SimulationDeadlock
-from .events import AllOf, AnyOf, SimEvent, Timeout
+from .events import AnyOf, SimEvent, Timeout
 from .process import SimProcess
 from .sparse import SparseCounterMat
 
@@ -32,7 +32,6 @@ __all__ = [
     "SparseCounterMat",
     "SimEvent",
     "Timeout",
-    "AllOf",
     "AnyOf",
     "SimProcess",
     "SimtimeError",

@@ -43,7 +43,7 @@ from math import inf
 from typing import Any, Callable, Generator, Hashable, Protocol
 
 from .errors import SimulationDeadlock
-from .events import AllOf, AnyOf, SimEvent, Timeout
+from .events import AnyOf, SimEvent, Timeout
 from .process import SimProcess
 
 __all__ = ["Position", "Simulator", "TieBreakPolicy"]
@@ -193,10 +193,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
         """Create an event that triggers after ``delay``."""
         return Timeout(self, delay, value, name)
-
-    def all_of(self, events: list[SimEvent], name: str = "") -> AllOf:
-        """Create an event that triggers when all of ``events`` have."""
-        return AllOf(self, events, name)
 
     def any_of(self, events: list[SimEvent], name: str = "") -> AnyOf:
         """Create an event that triggers when any of ``events`` has."""

@@ -1,7 +1,7 @@
 """Event primitives for the discrete-event kernel.
 
 A :class:`SimEvent` is a one-shot synchronization point.  Processes obtain
-events (directly, or via :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`)
+events (directly, or via :class:`Timeout`, :class:`AnyOf`)
 and ``yield`` them; the kernel resumes the process when the event triggers.
 
 Events carry an optional *value* that becomes the result of the ``yield``
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Simulator
 
-__all__ = ["SimEvent", "Timeout", "AllOf", "AnyOf"]
+__all__ = ["SimEvent", "Timeout", "AnyOf"]
 
 
 class SimEvent:
@@ -96,37 +96,6 @@ class Timeout(SimEvent):
         super().__init__(sim, name or f"timeout({delay})")
         self.delay = delay
         sim.schedule(delay, self.trigger, value)
-
-
-class AllOf(SimEvent):
-    """Triggers once every constituent event has triggered.
-
-    The value is the list of constituent values in constructor order.
-    """
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: list[SimEvent], name: str = ""):
-        super().__init__(sim, name or f"allof({len(events)})")
-        self._events = list(events)
-        self._remaining = sum(1 for e in self._events if not e.triggered)
-        if self._remaining == 0:
-            # Trigger via the scheduler so construction never re-enters
-            # user callbacks synchronously.
-            sim.schedule(0.0, self._finish)
-        else:
-            for e in self._events:
-                if not e.triggered:
-                    e.add_callback(self._on_child)
-
-    def _on_child(self, _event: SimEvent) -> None:
-        self._remaining -= 1
-        if self._remaining == 0:
-            self._finish()
-
-    def _finish(self) -> None:
-        if not self.triggered:
-            self.trigger([e.value for e in self._events])
 
 
 class AnyOf(SimEvent):

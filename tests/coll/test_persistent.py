@@ -1,9 +1,9 @@
 """Persistent one-sided collectives vs the two-sided reference.
 
-Every (engine, style, drive) cell must deliver exactly what the
-two-sided :mod:`repro.mpi.collectives` implementations deliver, over
-ragged counts matrices (zero-length blocks and single-rank jobs
-included), and a plan re-executed N times must equal N single-shot
+Every (engine, drive) cell must deliver exactly what the two-sided
+:mod:`repro.mpi.collectives` implementations deliver, over ragged
+counts matrices (zero-length blocks and single-rank jobs included),
+and a plan re-executed N times must equal N single-shot
 plans.
 """
 
@@ -24,16 +24,14 @@ from repro.simtime.errors import ProcessFailed
 
 _I8 = np.int64
 
-#: Every valid (engine, style, nonblocking-drive) cell.  fence is the
-#: only style a blocking-only engine supports; notify needs notified
-#: access; the nonblocking drive needs ``supports_nonblocking``.
+#: Every (engine, nonblocking-drive) cell, with the epoch style the
+#: engine picks: fence on a blocking-only engine, PSCW on one with the
+#: §V API, notify on one with notified access.  The nonblocking drive
+#: needs ``supports_nonblocking``.
 CELLS = [
     ("mvapich", "fence", False),
-    ("nonblocking", "fence", False),
-    ("nonblocking", "fence", True),
     ("nonblocking", "pscw", False),
     ("nonblocking", "pscw", True),
-    ("signal", "pscw", True),
     ("signal", "notify", False),
     ("signal", "notify", True),
 ]
@@ -49,8 +47,8 @@ def _run_alltoallv(engine, style, nonblocking, counts, invocations=3):
     n = len(counts)
 
     def app(proc):
-        a2a = yield from plan_alltoallv(proc, counts, style=style,
-                                        nonblocking=nonblocking)
+        a2a = yield from plan_alltoallv(proc, counts, nonblocking=nonblocking)
+        assert a2a.style == style
         rounds = []
         for k in range(invocations):
             send = [_block(proc.rank, j, k, counts[proc.rank][j])
@@ -79,8 +77,8 @@ def test_allgather_allreduce_match_two_sided(engine, style, nonblocking):
     n = 3
 
     def app(proc):
-        ag = yield from plan_allgather(proc, (2, 0, 3), style=style,
-                                       nonblocking=nonblocking)
+        ag = yield from plan_allgather(proc, (2, 0, 3), nonblocking=nonblocking)
+        assert ag.style == style
         mine = np.arange((2, 0, 3)[proc.rank], dtype=_I8) + 10 * proc.rank
         ag.start(mine)
         gathered = yield from ag.wait()
@@ -88,8 +86,8 @@ def test_allgather_allreduce_match_two_sided(engine, style, nonblocking):
         np.testing.assert_array_equal(gathered, ref)
         yield from ag.finish()
 
-        ar = yield from plan_allreduce(proc, 4, op="sum", style=style,
-                                       nonblocking=nonblocking)
+        ar = yield from plan_allreduce(proc, 4, op="sum", nonblocking=nonblocking)
+        assert ar.style == style
         contrib = np.arange(4, dtype=_I8) * (proc.rank + 1)
         ar.start(contrib)
         reduced = yield from ar.wait()
@@ -153,8 +151,7 @@ def test_persistent_reuse_equals_single_shot(engine, style, nonblocking):
 
     def single_shot(k):
         def app(proc):
-            a2a = yield from plan_alltoallv(proc, counts, style=style,
-                                            nonblocking=nonblocking)
+            a2a = yield from plan_alltoallv(proc, counts, nonblocking=nonblocking)
             send = [_block(proc.rank, j, k, counts[proc.rank][j])
                     for j in range(n)]
             a2a.start(send)
@@ -192,7 +189,7 @@ def test_invocation_counter_and_test_polling():
 
 
 # ---------------------------------------------------------------------------
-# Style / drive validation
+# Drive validation
 # ---------------------------------------------------------------------------
 
 def _plan_app(**kwargs):
@@ -202,16 +199,6 @@ def _plan_app(**kwargs):
         return 0
 
     return app
-
-
-def test_unknown_style_rejected():
-    with pytest.raises(ProcessFailed, match="unknown style"):
-        MPIRuntime(2, engine="nonblocking").run(_plan_app(style="rdma"))
-
-
-def test_notify_needs_notified_access():
-    with pytest.raises(ProcessFailed, match="notified access"):
-        MPIRuntime(2, engine="mvapich").run(_plan_app(style="notify"))
 
 
 def test_nonblocking_drive_needs_capability():

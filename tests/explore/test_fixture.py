@@ -12,7 +12,6 @@ from repro.explore.pytest_plugin import exploration_params
 def test_fixture_default_is_baseline(exploration):
     assert isinstance(exploration, ExplorationContext)
     assert exploration.policy is None
-    assert exploration.semantics_check == "report"
 
 
 @pytest.mark.parametrize("exploration", exploration_params(2, base_seed=0xF17),

@@ -44,6 +44,7 @@ def heavy_loss_plan(seed=77):
     return FaultPlan(
         seed=seed,
         rules=(FaultRule(FaultKind.DROP, 0.5, stop_count=4 * DEGRADE_RETRY_THRESHOLD),),
+        retry=DEEP_RETRY,
     )
 
 
@@ -56,8 +57,7 @@ class TestDegradation:
         assert not eng.degraded
 
     def test_degrades_under_retry_pressure(self):
-        rt = make_runtime(2, "adaptive", fault_plan=heavy_loss_plan(),
-                          reliability=DEEP_RETRY)
+        rt = make_runtime(2, "adaptive", fault_plan=heavy_loss_plan())
         rt.run_mixed(overlap_epoch_app(10))
         eng = rt.engines[0]
         assert rt.fabric.reliability.retransmissions >= DEGRADE_RETRY_THRESHOLD
@@ -68,8 +68,7 @@ class TestDegradation:
         assert rt.stats().degraded
 
     def test_demotion_recorded_in_mode_switches(self):
-        rt = make_runtime(2, "adaptive", fault_plan=heavy_loss_plan(),
-                          reliability=DEEP_RETRY)
+        rt = make_runtime(2, "adaptive", fault_plan=heavy_loss_plan())
         rt.run_mixed(overlap_epoch_app(10))
         switches = [kind for (_, _, _, kind) in rt.engines[0].mode_switches]
         # If the pair ever went eager, degradation must have pulled it back.
@@ -90,6 +89,6 @@ class TestDegradation:
     def test_degraded_run_still_correct(self):
         clean = make_runtime(2, "adaptive").run_mixed(overlap_epoch_app(10))
         faulty = make_runtime(
-            2, "adaptive", fault_plan=heavy_loss_plan(), reliability=DEEP_RETRY
+            2, "adaptive", fault_plan=heavy_loss_plan()
         ).run_mixed(overlap_epoch_app(10))
         assert clean == faulty

@@ -87,35 +87,15 @@ class TestRankFault:
 
 
 class TestFaultPlan:
-    def test_needs_reliability_lossy_kinds(self):
-        for kind in (FaultKind.DROP, FaultKind.CORRUPT, FaultKind.DUPLICATE):
-            kw = {"delay_us": 1.0} if kind is FaultKind.DELAY else {}
-            plan = FaultPlan(rules=(FaultRule(kind, 0.01, **kw),))
-            assert plan.needs_reliability
-
-    def test_delay_only_plan_is_lossless(self):
-        plan = FaultPlan(rules=(FaultRule(FaultKind.DELAY, 0.5, delay_us=10.0),))
-        assert not plan.needs_reliability
-
-    def test_zero_rate_is_lossless(self):
-        plan = FaultPlan(rules=(FaultRule(FaultKind.DROP, 0.0),))
-        assert not plan.needs_reliability
-
-    def test_failstop_needs_reliability(self):
-        plan = FaultPlan(ranks=(RankFault(rank=0, fail_at_us=5.0),))
-        assert plan.needs_reliability
-
     def test_light_chaos_composition(self):
         plan = FaultPlan.light_chaos(seed=3)
         kinds = {r.kind for r in plan.rules}
         assert kinds == {FaultKind.DROP, FaultKind.DUPLICATE, FaultKind.DELAY}
         assert plan.seed == 3
-        assert plan.needs_reliability
 
     def test_light_chaos_disable_channels(self):
         plan = FaultPlan.light_chaos(seed=3, drop=0.0, duplicate=0.0, delay_rate=0.5)
         assert {r.kind for r in plan.rules} == {FaultKind.DELAY}
-        assert not plan.needs_reliability
 
     def test_describe_mentions_every_channel(self):
         plan = FaultPlan.light_chaos(

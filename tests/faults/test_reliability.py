@@ -1,5 +1,7 @@
 """Injector + reliability layer behaviour over the real RMA stack."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from repro.faults.injector import FaultInjector
 from repro.faults.reliability import ReliabilityLayer
 from repro.network import ClusterTopology, Fabric
 from repro.simtime import Simulator
+from repro.workloads import SERIES, WORKLOADS
 from tests.conftest import make_runtime
+from tests.explore.test_fault_digest import APP_ROWS
 
 
 def ring_put_app(nbytes=8):
@@ -49,27 +53,25 @@ class TestRuntimeWiring:
         assert rt.fabric.injector is not None
         assert rt.fabric.reliability is not None
 
-    def test_lossy_plan_with_reliability_disabled_rejected(self):
-        with pytest.raises(ValueError, match="reliability"):
-            make_runtime(2, fault_plan=FaultPlan.light_chaos(seed=1),
-                         reliability=False)
-
-    def test_lossless_plan_without_reliability_allowed(self):
-        plan = FaultPlan(rules=(FaultRule(FaultKind.DELAY, 0.5, delay_us=5.0),))
-        rt = make_runtime(2, fault_plan=plan, reliability=False)
-        assert rt.fabric.reliability is None
-        assert rt.fabric.injector is not None
-
     def test_custom_reliability_config(self):
         cfg = ReliabilityConfig(rto_us=50.0, max_attempts=3)
-        rt = make_runtime(2, fault_plan=FaultPlan.light_chaos(seed=1),
-                          reliability=cfg)
+        plan = dataclasses.replace(FaultPlan.light_chaos(seed=1), retry=cfg)
+        rt = make_runtime(2, fault_plan=plan)
         assert rt.fabric.reliability.cfg is cfg
 
-    def test_reliability_without_plan(self):
-        rt = make_runtime(2, reliability=True)
-        assert rt.fabric.injector is None
+    @pytest.mark.parametrize("series", SERIES, ids=[s.name for s in SERIES])
+    @pytest.mark.parametrize("workload", APP_ROWS)
+    def test_empty_plan_arms_the_layer_and_changes_nothing(self, workload, series):
+        """Any plan arms the injector and the reliability layer; a plan
+        that injects nothing leaves the answer and the clock unchanged."""
+        w = WORKLOADS[workload]
+        clean, _ = w.run(series.engine, series.nonblocking, causal=True, **w.small)
+        result, rt = w.run(series.engine, series.nonblocking, causal=True,
+                           fault_plan=FaultPlan(), **w.small)
+        assert rt.fabric.injector is not None
         assert rt.fabric.reliability is not None
+        assert w.answer(result) == w.answer(clean)
+        assert result.elapsed_us == clean.elapsed_us
 
 
 class TestLossRecovery:
@@ -134,9 +136,9 @@ class TestLossRecovery:
 
 class TestFailStop:
     def test_fail_stop_surfaces_delivery_error(self):
-        plan = FaultPlan(seed=1, ranks=(RankFault(rank=1, fail_at_us=0.0),))
-        rt = make_runtime(4, fault_plan=plan, metrics=True,
-                          reliability=ReliabilityConfig(rto_us=5.0, max_attempts=3))
+        plan = FaultPlan(seed=1, ranks=(RankFault(rank=1, fail_at_us=0.0),),
+                         retry=ReliabilityConfig(rto_us=5.0, max_attempts=3))
+        rt = make_runtime(4, fault_plan=plan, metrics=True)
         with pytest.raises(RmaDeliveryError) as exc_info:
             rt.run(ring_put_app())
         err = exc_info.value
@@ -147,9 +149,9 @@ class TestFailStop:
         assert err.details["fault_counters"]["failstop_drops"] > 0
 
     def test_failstop_drops_counted(self):
-        plan = FaultPlan(seed=1, ranks=(RankFault(rank=1, fail_at_us=0.0),))
-        rt = make_runtime(4, fault_plan=plan,
-                          reliability=ReliabilityConfig(rto_us=5.0, max_attempts=2))
+        plan = FaultPlan(seed=1, ranks=(RankFault(rank=1, fail_at_us=0.0),),
+                         retry=ReliabilityConfig(rto_us=5.0, max_attempts=2))
+        rt = make_runtime(4, fault_plan=plan)
         with pytest.raises(RmaDeliveryError):
             rt.run(ring_put_app())
         assert rt.fabric.reliability.delivery_failures >= 1

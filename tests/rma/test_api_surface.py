@@ -2,7 +2,7 @@
 
 Introspection-driven parity between the blocking epoch routines and
 their ``i*`` twins, the 1.x spellings removed in 2.0 (``Window.test``,
-legacy info keys), the ``wait_epoch``/``iwait_epoch`` pairing, and the
+legacy info keys), the ``wait_epoch``/``iwait`` pairing, and the
 dirty-window worklist regression guard (idle windows are never swept).
 """
 
@@ -26,7 +26,7 @@ BLOCKING_TO_REQUEST_FIRST = {
     "start": "istart",
     "complete": "icomplete",
     "post": "ipost",
-    "wait_epoch": "iwait_epoch",
+    "wait_epoch": "iwait",
     "lock": "ilock",
     "unlock": "iunlock",
     "lock_all": "ilock_all",
@@ -52,34 +52,13 @@ class TestApiParity:
         assert inspect.signature(b).parameters == inspect.signature(i).parameters
 
     def test_every_i_routine_has_a_blocking_counterpart(self):
-        expected = set(BLOCKING_TO_REQUEST_FIRST.values()) | {"iwait"}
+        expected = set(BLOCKING_TO_REQUEST_FIRST.values())
         actual = {
             name
             for name, member in vars(Window).items()
             if name.startswith("i") and callable(member)
         }
         assert actual == expected
-
-    def test_iwait_epoch_is_an_alias_of_iwait(self):
-        rt = make_runtime(2)
-        seen = {}
-
-        def app(proc):
-            win = yield from proc.win_allocate(64)
-            yield from proc.barrier()
-            if proc.rank == 0:
-                yield from win.start([1])
-                win.put(np.zeros(8, dtype=np.uint8), 1, 0)
-                yield from win.complete()
-            else:
-                yield from win.post([0])
-                req = win.iwait_epoch()
-                seen["req"] = req
-                yield from req.wait()
-            yield from proc.barrier()
-
-        rt.run(app)
-        assert seen["req"].done
 
 
 class TestRemovedIn20:

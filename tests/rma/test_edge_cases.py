@@ -225,5 +225,5 @@ class TestRunSubsets:
             yield from proc.compute(1.0)
             return proc.rank
 
-        res = rt.run(app, ranks=[1, 3])
-        assert res == [None, 1, None, 3]
+        res = rt.run_mixed({1: app, 3: app})
+        assert res == {1: 1, 3: 3}

@@ -243,7 +243,7 @@ def _observe(monkeypatch, workload, engine, nonblocking, flags, classes=None):
             return real_send(self, src, dst, nbytes, payload, *args, **kwargs)
 
         mp.setattr(Fabric, "send", logged_send)
-        context = ExplorationContext(semantics_check="report")
+        context = ExplorationContext()
         result = get_workload(workload).oracle(engine, nonblocking, context)
     digest = build_digest(context, result)
     return {
@@ -302,7 +302,7 @@ def test_registry_workloads_pass_the_audit(monkeypatch, workload, engine):
     """Fence, GATS, lock_all and collective traffic under the same audit
     (the chaos generator above only writes lock epochs)."""
     _substitute(monkeypatch, AUDITED)
-    context = ExplorationContext(semantics_check="report")
+    context = ExplorationContext()
     get_workload(workload).oracle(engine, engine not in BASELINES, context)
     assert all(isinstance(e, _Audited) for rt in context.runtimes for e in rt.engines)
 
@@ -593,7 +593,7 @@ def test_grant_replayed_while_the_lock_is_held_is_ignored():
 # The deterministic gate: examinations scale with epochs, not with sweeps
 # ---------------------------------------------------------------------------
 def _examined(nonblocking: bool) -> tuple[int, int]:
-    context = ExplorationContext(semantics_check=None)
+    context = ExplorationContext()
     res = run_transactions(TransactionsConfig(
         nranks=16, txns_per_rank=20, nonblocking=nonblocking, reorder=nonblocking,
         max_pending=8, exploration=context,

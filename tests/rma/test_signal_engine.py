@@ -204,7 +204,7 @@ class TestRequestBased:
                 yield from req.wait()
             else:
                 win.ipost([0])
-                req = win.iwait_epoch()
+                req = win.iwait()
                 yield from req.wait()
             yield from proc.barrier()
             return int(win.view(np.int64)[0])

@@ -4,15 +4,33 @@ import numpy as np
 import pytest
 
 from repro import RmaUsageError, UnsupportedOperation
+from repro.rma.engine.registry import ENGINES
 from tests.conftest import make_runtime
 
 
-def expect_usage_error(app, nranks=2, engine="nonblocking", exc_type=RmaUsageError):
+def expect_usage_error(app, nranks=2, engine="nonblocking", exc_type=RmaUsageError,
+                       match=None):
     rt = make_runtime(nranks, engine)
     with pytest.raises(Exception) as exc:
         rt.run(app)
     err = getattr(exc.value, "original", exc.value)
     assert isinstance(err, exc_type), err
+    if match is not None:
+        assert match in str(err), err
+
+
+#: One call to a rank outside a 2-rank window, and the epoch it runs in.
+UNKNOWN_TARGET_CALLS = {
+    "put-lock_all": ("lock_all", lambda win, t: win.put(np.int64([1]), t, 0)),
+    "get-fence": ("fence", lambda win, t: win.get(np.zeros(1, np.int64), t, 0)),
+    "flush": ("lock_all", lambda win, t: win.flush(t)),
+    "flush_local": ("lock_all", lambda win, t: win.flush_local(t)),
+    "iflush": ("lock_all", lambda win, t: win.iflush(t).wait()),
+}
+UNKNOWN_TARGET_CELLS = [
+    (engine, call) for engine in ENGINES for call in UNKNOWN_TARGET_CALLS
+    if call != "iflush" or engine in ("nonblocking", "signal")
+]
 
 
 class TestEpochRequired:
@@ -44,6 +62,23 @@ class TestEpochRequired:
                 win.put(np.zeros(64, dtype=np.uint8), 1, 0)
 
         expect_usage_error(app)
+
+    @pytest.mark.parametrize("target", [7, -1])
+    @pytest.mark.parametrize("engine,call", UNKNOWN_TARGET_CELLS)
+    def test_unknown_target_rank_rejected(self, engine, call, target):
+        epoch, issue = UNKNOWN_TARGET_CALLS[call]
+
+        def app(proc):
+            win = yield from proc.win_allocate(64)
+            yield from proc.barrier()
+            yield from (win.fence() if epoch == "fence" else win.lock_all())
+            if proc.rank == 0:
+                ret = issue(win, target)
+                if ret is not None:
+                    yield from ret
+            yield from proc.barrier()
+
+        expect_usage_error(app, engine=engine, match=f"target {target} unknown")
 
 
 class TestEpochPairing:

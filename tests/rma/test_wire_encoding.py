@@ -52,7 +52,7 @@ def _stream(workload: str, series) -> dict[int, Counter]:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NonblockingEngine, "_notify", recording)
         get_workload(workload).oracle(series.engine, series.nonblocking,
-                                      ExplorationContext(semantics_check="report"))
+                                      ExplorationContext())
     assert record, "the workload notified nothing"
     return record
 

@@ -1,4 +1,4 @@
-"""SimEvent, Timeout, AllOf, AnyOf semantics."""
+"""SimEvent, Timeout, AnyOf semantics."""
 
 import pytest
 
@@ -51,28 +51,6 @@ class TestTimeout:
         t = sim.timeout(0.0)
         sim.run()
         assert t.trigger_time == 0.0
-
-
-class TestAllOf:
-    def test_waits_for_all(self, sim):
-        evs = [sim.timeout(float(i), value=i) for i in (3, 1, 2)]
-        combo = sim.all_of(evs)
-        sim.run()
-        assert combo.trigger_time == 3.0
-        assert combo.value == [3, 1, 2]
-
-    def test_empty_list_triggers_immediately(self, sim):
-        combo = sim.all_of([])
-        sim.run()
-        assert combo.triggered
-
-    def test_with_pre_triggered_events(self, sim):
-        a = sim.event()
-        a.trigger("a")
-        b = sim.timeout(2.0, value="b")
-        combo = sim.all_of([a, b])
-        sim.run()
-        assert combo.value == ["a", "b"]
 
 
 class TestAnyOf:

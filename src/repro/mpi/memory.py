@@ -18,6 +18,8 @@ __all__ = ["WindowMemory"]
 class WindowMemory:
     """A contiguous byte buffer exposed for remote access."""
 
+    __slots__ = ("rank", "buf")
+
     def __init__(self, nbytes: int, rank: int):
         if nbytes < 0:
             raise ValueError(f"negative window size: {nbytes}")

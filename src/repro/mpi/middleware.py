@@ -27,6 +27,8 @@ __all__ = ["RankMiddleware"]
 class RankMiddleware:
     """Delivery router plus per-rank engine container."""
 
+    __slots__ = ("sim", "fabric", "rank", "p2p", "fifo", "rma_engine")
+
     def __init__(self, sim: "Simulator", fabric: "Fabric", rank: int):
         self.sim = sim
         self.fabric = fabric

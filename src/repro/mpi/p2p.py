@@ -42,7 +42,7 @@ _send_ids = itertools.count()
 
 
 # -- wire payloads ---------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class EagerData:
     """Payload of an eager send: data travels with the envelope."""
 
@@ -52,7 +52,7 @@ class EagerData:
     send_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RtsPacket:
     """Rendezvous request-to-send."""
 
@@ -61,14 +61,14 @@ class RtsPacket:
     send_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CtsPacket:
     """Rendezvous clear-to-send (receiver matched the RTS)."""
 
     send_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RndvData:
     """Rendezvous payload."""
 
@@ -85,9 +85,13 @@ P2P_PAYLOADS = frozenset({EagerData, RtsPacket, CtsPacket, RndvData})
 class SendRequest(Request):
     """Completes when the send buffer is reusable (local completion)."""
 
+    __slots__ = ()
+
 
 class RecvRequest(Request):
     """Completes when the message has fully arrived; value is the data."""
+
+    __slots__ = ("source", "tag", "buffer", "matched_source", "matched_tag")
 
     def __init__(self, sim: "Simulator", source: int, tag: int, buffer: np.ndarray | None):
         super().__init__(sim, ("recv(src=%d,tag=%d)", source, tag))
@@ -101,6 +105,9 @@ class RecvRequest(Request):
 
 class P2PEngine:
     """Per-rank two-sided messaging state machine."""
+
+    __slots__ = ("sim", "fabric", "rank", "_posted", "_unexpected", "_rndv_pending",
+                 "_rndv_recv", "barrier")
 
     def __init__(self, sim: "Simulator", fabric: "Fabric", rank: int):
         self.sim = sim

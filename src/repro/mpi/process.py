@@ -41,6 +41,8 @@ __all__ = ["MPIProcess"]
 class MPIProcess:
     """Handle to one simulated MPI rank, passed to application code."""
 
+    __slots__ = ("runtime", "rank", "size", "middleware")
+
     def __init__(self, runtime: "MPIRuntime", rank: int):
         self.runtime = runtime
         self.rank = rank

@@ -38,6 +38,8 @@ _req_ids = itertools.count()
 class Request:
     """A completion handle backed by a kernel event."""
 
+    __slots__ = ("sim", "uid", "_name", "event")
+
     def __init__(self, sim: "Simulator", name: "str | tuple" = ""):
         self.sim = sim
         self.uid = next(_req_ids)
@@ -96,6 +98,8 @@ class CompletedRequest(Request):
     §VII-C: "Nonblocking epoch-opening routines always return a dummy
     request object that is flagged as completed at creation time."
     """
+
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", name: str = "", value: Any = None):
         super().__init__(sim, name)

@@ -143,17 +143,18 @@ class FlowControl:
         self.ack_latency = ack_latency
         self.enabled = enabled and capacity > 0
         # Sparse per-pair pools: memory is O(touched pairs), not nranks².
-        # A touched pair is one dict probe per send (the key tuple is
-        # needed for the probe anyway, so a dense grid buys nothing and
-        # costs 16M slots at 4096 ranks).
-        self._pools: dict[tuple[int, int], CreditPool] = {}
+        # A touched pair is one dict probe per send, keyed by the one int
+        # ``src * stride + dst`` (no key tuple per pair, an int hash per
+        # probe); a dense grid would cost 16M slots at 4096 ranks.
+        self._stride = nranks or 1 << 32
+        self._pools: dict[int, CreditPool] = {}
         #: Optional :class:`repro.obs.causal.CausalRecorder` (None =
         #: disabled); stalled sends become ``fc_stall`` spans.
         self.causal = None
 
     def pool(self, src: int, dst: int) -> CreditPool:
         """The credit pool for the directed pair (created on demand)."""
-        key = (src, dst)
+        key = src * self._stride + dst
         pool = self._pools.get(key)
         if pool is None:
             pool = self._pools[key] = CreditPool(self.capacity if self.enabled else 1, self.sim)
@@ -199,7 +200,7 @@ class FlowControl:
 
     def total_queued(self) -> int:
         """Sends currently stalled across all pairs."""
-        return sum(p.queued for p in self._pools.values())
+        return sum([p.queued for p in self._pools.values()])
 
     def max_queued(self) -> int:
         """Deepest backlog any single pair ever reached."""
@@ -209,8 +210,9 @@ class FlowControl:
         """Per-pair ``(stall_count, max_queued)`` for every pair that
         ever stalled — the attribution §VIII-B lacked: *which* directed
         pair's credits ran dry, and how deep its backlog got."""
+        stride = self._stride
         return {
-            key: (pool.stall_count, pool.max_queued)
+            divmod(key, stride): (pool.stall_count, pool.max_queued)
             for key, pool in sorted(self._pools.items())
             if pool.stall_count
         }

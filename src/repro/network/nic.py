@@ -19,12 +19,17 @@ Attention
 Some control traffic (lock grants, large-accumulate rendezvous) needs the
 destination *host CPU*, not just its NIC.  :class:`AttentionGate` models
 whether the host is currently inside the MPI library (attentive) or off
-computing; gated deliveries queue FIFO until attention returns.
+computing; gated deliveries queue until attention returns.  The queue is
+not FIFO per host by construction: a drained delivery that finds the
+gate closed again when its turn comes is requeued *behind* the
+deliveries that arrived meanwhile.  What runs keep is the arrival order
+per (source, destination) pair, the order the fabric's FIFO lanes
+promise (``tests/network/test_attention_order.py`` pins it on a seeded
+program).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,7 +83,8 @@ class AttentionGate:
         self._stalled = False
         #: Generation counter so overlapping stalls extend, not truncate.
         self._stall_gen = 0
-        self._queue: deque[tuple[Callable[..., None], tuple[Any, ...]]] = deque()
+        #: Deliveries waiting for attention: a list while any waits.
+        self._queue: "list[tuple[Callable[..., None], tuple[Any, ...]]] | tuple[()]" = ()
         #: Number of injected stalls observed (diagnostics).
         self.stalls_injected = 0
         #: Deliveries that found the gate closed and queued.
@@ -90,8 +96,10 @@ class AttentionGate:
         return self._attentive and not self._stalled
 
     def set_attentive(self, value: bool) -> None:
-        """Flip the gate; turning it on drains the pending queue in FIFO
-        order (scheduled at the current instant, not run synchronously)."""
+        """Flip the gate; turning it on drains the pending queue in queue
+        order (scheduled at the current instant, not run synchronously).
+        A drained delivery that finds the gate closed again goes to the
+        back of the queue, behind those that arrived since the drain."""
         if value == self._attentive:
             return
         self._attentive = value
@@ -116,8 +124,8 @@ class AttentionGate:
             self._drain()
 
     def _drain(self) -> None:
-        while self._queue:
-            fn, args = self._queue.popleft()
+        queue, self._queue = self._queue, ()
+        for fn, args in queue:
             self.sim.schedule(0.0, self._run_if_still_attentive, fn, args)
 
     def _run_if_still_attentive(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
@@ -125,17 +133,22 @@ class AttentionGate:
         # between the drain scheduling and this callback; requeue then.
         if self.attentive:
             fn(*args)
-        else:
+        elif self._queue:
             self._queue.append((fn, args))
+        else:
+            self._queue = [(fn, args)]
 
     def submit(self, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` now if attentive, else queue it.  Passing
         the arguments separately keeps the hot delivery path closure-free."""
         if self.attentive:
             fn(*args)
-        else:
+            return
+        self.deferred += 1
+        if self._queue:
             self._queue.append((fn, args))
-            self.deferred += 1
+        else:
+            self._queue = [(fn, args)]
 
     @property
     def pending(self) -> int:

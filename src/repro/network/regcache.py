@@ -22,6 +22,9 @@ class RegistrationCache:
     registration caches keyed by (address, length).
     """
 
+    __slots__ = ("capacity", "base_cost", "cost_per_kb", "_entries", "_used", "hits",
+                 "misses", "evictions")
+
     def __init__(self, capacity_bytes: int, base_cost: float, cost_per_kb: float):
         if capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")

@@ -122,13 +122,16 @@ class NotificationFifo:
     The sending side is :meth:`send`: an 8-byte NOTIFY message on the
     fabric whose delivery appends to the peer's deque.  The progress
     engine drains the deque in step 5
-    (:meth:`~repro.rma.engine.nonblocking.NonblockingEngine._consume_notifications`).
+    (:meth:`~repro.rma.engine.nonblocking.NonblockingEngine._consume_notifications`),
+    which leaves ``()`` behind: the deque exists only while a packet waits.
     """
+
+    __slots__ = ("fabric", "rank", "_incoming", "max_depth")
 
     def __init__(self, fabric: "Fabric", rank: int):
         self.fabric = fabric
         self.rank = rank
-        self._incoming: deque[tuple[int, int]] = deque()  # (packet, from_rank)
+        self._incoming: "deque[tuple[int, int]] | tuple[()]" = ()  # (packet, from_rank)
         #: Deepest the queue has been (read at summary time).
         self.max_depth = 0
 
@@ -150,6 +153,8 @@ class NotificationFifo:
 
     def push(self, packet: int, from_rank: int) -> None:
         """Called at delivery time by the middleware handler."""
+        if not self._incoming:
+            self._incoming = deque()
         self._incoming.append((packet, from_rank))
         depth = len(self._incoming)
         if depth > self.max_depth:

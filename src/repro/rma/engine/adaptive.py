@@ -60,6 +60,8 @@ class AdaptiveEngine(MvapichEngine):
     in :meth:`open_lock` goes through the baseline's ``_activate_lock``,
     which marks the window dirty and makes the epoch's ops due."""
 
+    __slots__ = ("_eager_pairs", "mode_switches", "degraded")
+
     def __init__(self, runtime, rank):
         super().__init__(runtime, rank)
         #: (window gid, target) pairs currently in eager mode.

@@ -48,6 +48,8 @@ _GATED = {SignalChannel.GRANT: _GATS_ACCESS, _FENCE_OPEN: _FENCE}
 class MvapichEngine(NonblockingEngine):
     """Lazy, blocking-only baseline RMA engine."""
 
+    __slots__ = ("scan_cost", "_scan_busy_until", "_scan_pending")
+
     supports_nonblocking = False
 
     def __init__(self, runtime: "MPIRuntime", rank: int):
@@ -56,6 +58,9 @@ class MvapichEngine(NonblockingEngine):
         #: in grant order (a float sum depends on the order).
         self.scan_cost = (runtime.engines[0].scan_cost if runtime.engines
                           else Histogram("baseline.scan_cost_us"))
+        #: The serial scan server: busy until this time, this many grants queued.
+        self._scan_busy_until = 0.0
+        self._scan_pending = 0
 
     def _try_activate(self, ws: WindowState) -> int:
         """No deferred-activation scan: every epoch activates at a call."""
@@ -159,10 +164,6 @@ class MvapichEngine(NonblockingEngine):
         return super()._advance_epoch(ws, ep)
 
     # -- lock hosting: the legacy O(pending-state) grant service --------------
-    #: The serial scan server: busy until this time, this many grants queued.
-    _scan_busy_until = 0.0
-    _scan_pending = 0
-
     def _grant_lock(self, ws: WindowState, waiter) -> None:
         """Grant a lock after walking the pending state (queued grants and
         waiters, live epochs, the lock backlog) at ``baseline_scan_cost_us``

@@ -49,6 +49,7 @@ The 7-step progress loop (§VII-D)
 
 from __future__ import annotations
 
+from collections import deque
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
@@ -130,6 +131,13 @@ def unpack_win_value(value: int) -> tuple[int, int]:
 
 class NonblockingEngine:
     """Per-rank deferred-epoch, fully nonblocking RMA progress engine."""
+
+    __slots__ = (
+        "runtime", "rank", "sim", "fabric", "model", "states", "_sweeping", "_resweep",
+        "_dirty", "sweep_count", "windows_visited", "epochs_examined", "targets_examined",
+        "pairs_ready", "pairs_waiting", "profiler", "causal", "_explore", "fifo", "_node_lo",
+        "_node_hi",
+    )
 
     #: Whether the proposed MPI_WIN_I* API is available.
     supports_nonblocking: bool = True
@@ -779,11 +787,11 @@ class NonblockingEngine:
                 self.rank, "done", origin, pack_win_value(ws.gid, access_id)
             )
 
-    def _on_lock_request(self, ws: WindowState, p: LockRequestPacket, src: int) -> None:
-        ws.lock_backlog.append(("lock", p))
-
-    def _on_unlock(self, ws: WindowState, p: UnlockPacket, src: int) -> None:
-        ws.lock_backlog.append(("unlock", p))
+    def _on_lock_traffic(self, ws: WindowState, p: LockRequestPacket | UnlockPacket,
+                         src: int) -> None:
+        if not ws.lock_backlog:
+            ws.lock_backlog = deque()
+        ws.lock_backlog.append(p)
 
     def _on_unlock_ack(self, ws: WindowState, p: UnlockAck, src: int) -> None:
         # A stale or replayed ack finds no entry: the first one popped it.
@@ -813,8 +821,8 @@ class NonblockingEngine:
         CasResponse: _on_cas_response,
         GrantUpdate: _on_grant,
         DonePacket: _on_done,
-        LockRequestPacket: _on_lock_request,
-        UnlockPacket: _on_unlock,
+        LockRequestPacket: _on_lock_traffic,
+        UnlockPacket: _on_lock_traffic,
         UnlockAck: _on_unlock_ack,
         FenceOpen: _on_fence_open,
         FenceDone: _on_fence_done,
@@ -832,17 +840,18 @@ class NonblockingEngine:
         ahead of a forged one take effect even when the forged one then
         raises.
         """
-        incoming = self.fifo._incoming
+        fifo = self.fifo
         states = self.states
         count = 0
-        while incoming:
-            packet, src = incoming.popleft()
+        while fifo._incoming:
+            packet, src = fifo._incoming.popleft()
             _kind, sender, value = decode_checked(packet, src)
             count += 1
             gid, ident = unpack_win_value(value)
             ws = states[gid]
             self.mark_dirty(ws)
             self._done_landed(ws, sender, ident)
+        fifo._incoming = ()
         return count
 
     # =====================================================================
@@ -1010,14 +1019,12 @@ class NonblockingEngine:
     def _process_lock_backlog(self, ws: WindowState) -> int:
         """Step 6: batch-process queued lock/unlock requests; returns the
         number of backlog entries consumed."""
-        if not ws.lock_backlog:
-            return 0
         checker = ws.checker
         processed = 0
         while ws.lock_backlog:
-            what, packet = ws.lock_backlog.popleft()
+            packet = ws.lock_backlog.popleft()
             processed += 1
-            if what == "lock":
+            if type(packet) is LockRequestPacket:
                 ws.lock_mgr.request(packet.origin, packet.exclusive, packet.access_id)
             else:
                 if not ws.lock_mgr.holds(packet.origin):
@@ -1039,6 +1046,7 @@ class NonblockingEngine:
                         checker.on_lock_release(ws, packet.origin, quiesced=not others)
                 self.fabric.send(self.rank, packet.origin, self.model.control_bytes,
                                  UnlockAck(ws.gid, access_id=packet.access_id), _CONTROL)
+        ws.lock_backlog = ()
         return processed
 
     # =====================================================================

@@ -55,6 +55,8 @@ _GRANTS = (SignalChannel.GRANT, SignalChannel.LOCK)
 class SignalEngine(NonblockingEngine):
     """Counter-signal wire encoding of the one progress engine."""
 
+    __slots__ = ()
+
     supports_notified_access = True
 
     lock_channel = SignalChannel.LOCK

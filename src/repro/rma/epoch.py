@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -26,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["EpochKind", "EpochState", "Epoch"]
 
 _epoch_uids = itertools.count()
+
+#: The bookkeeping an epoch's kind never uses, shared by every epoch:
+#: reads see an empty map or set, and a stray write raises.
+_NO_IDS = MappingProxyType({})
+_NO_PEERS = frozenset()
 
 
 class EpochKind(enum.Enum):
@@ -60,6 +66,16 @@ class EpochState(enum.Enum):
 class Epoch:
     """One epoch's full middleware record."""
 
+    __slots__ = (
+        "uid", "kind", "win", "owner", "targets", "origin_group", "peers", "exclusive",
+        "fence_round", "nocheck", "is_access", "reorder_excluded", "_state", "active",
+        "completed", "app_closed", "activated_past", "ops", "_unissued_by_target",
+        "_unissued_count", "_undelivered_by_target", "_undelivered_count", "access_ids",
+        "exposure_ids", "lock_held", "done_sent", "done_from", "ready_from",
+        "internode_waiting", "due_targets", "unlock_sent", "unlock_acked", "fence_done_sent",
+        "closing_request", "open_time", "activate_time", "close_call_time", "complete_time",
+    )
+
     def __init__(
         self,
         kind: EpochKind,
@@ -79,14 +95,15 @@ class Epoch:
         self.targets = tuple(targets)
         #: Exposure-side origin group (GATS post group).
         self.origin_group = tuple(origin_group)
+        gats_access = kind is EpochKind.GATS_ACCESS
+        exposure = kind is EpochKind.GATS_EXPOSURE
+        lock = kind is EpochKind.LOCK or kind is EpochKind.LOCK_ALL
+        fence = kind is EpochKind.FENCE
         #: A GATS group as a set: every grant and done asks each live
         #: epoch of the kind whether its sender belongs.  (Fence and
         #: lock_all involve every rank and are never asked.)
-        self.peers = (
-            frozenset(self.targets or self.origin_group)
-            if kind is EpochKind.GATS_ACCESS or kind is EpochKind.GATS_EXPOSURE
-            else frozenset()
-        )
+        self.peers = (frozenset(self.targets or self.origin_group)
+                      if gats_access or exposure else _NO_PEERS)
         self.exclusive = exclusive
         self.fence_round = fence_round
         #: MPI_MODE_NOCHECK: the application guarantees the matching
@@ -95,8 +112,8 @@ class Epoch:
         #: Kind-derived flags, flattened to plain attributes: the
         #: activation predicate reads them per epoch pair per sweep, and
         #: the enum-property forms cost a containment test per read.
-        self.is_access = kind is not EpochKind.GATS_EXPOSURE
-        self.reorder_excluded = kind in (EpochKind.FENCE, EpochKind.LOCK_ALL)
+        self.is_access = not exposure
+        self.reorder_excluded = fence or kind is EpochKind.LOCK_ALL
 
         # ``state`` is a property: its setter maintains the plain
         # ``active``/``completed`` bools the progress engines poll tens
@@ -124,23 +141,23 @@ class Epoch:
         self._undelivered_count = 0
         #: Access ids per target: the value reserved on the board's
         #: grant (or lock) channel at activation — ``A_i = ++a_l``, §VII-B.
-        self.access_ids: dict[int, int] = {}
+        self.access_ids = {} if gats_access or lock else _NO_IDS
         #: Exposure indices per origin: the DONE value that completes
         #: this exposure toward each origin (assigned at activation).
-        self.exposure_ids: dict[int, int] = {}
+        self.exposure_ids = {} if exposure else _NO_IDS
         #: Lock held per target (lock / lock_all epochs).
-        self.lock_held: dict[int, bool] = {}
-        #: Done packet already sent per target (access side).
-        self.done_sent: set[int] = set()
+        self.lock_held = {} if lock else _NO_IDS
+        #: Done packet already sent per target (GATS access side).
+        self.done_sent = set() if gats_access else _NO_PEERS
         #: Peers whose completion announcement for this epoch is in (an
         #: exposure's origins, a fence's peers): the group predicate is
         #: this set's size.
-        self.done_from: set[int] = set()
+        self.done_from = set() if exposure or fence else _NO_PEERS
         #: Peers counted toward the baseline's all-targets-ready gate
         #: (§VIII-B): the targets of a GATS access epoch whose grant is
         #: in, the ranks that announced a fence round.  The gate is this
         #: set's size, and ``internode_waiting`` for its internode phase.
-        self.ready_from: set[int] = set()
+        self.ready_from = set() if gats_access or fence else _NO_PEERS
         #: Internode targets of a GATS access epoch not yet in ``ready_from``.
         self.internode_waiting = 0
         #: Targets whose done / unlock may have become sendable since the
@@ -148,9 +165,9 @@ class Epoch:
         #: born that way, the close call restores it, and one with a
         #: single target has nothing to narrow and stays that way).
         self.due_targets: set[int] | None = None
-        #: Unlock packet sent / acknowledged per target.
-        self.unlock_sent: set[int] = set()
-        self.unlock_acked: set[int] = set()
+        #: Unlock packet sent / acknowledged per target (lock epochs).
+        self.unlock_sent = set() if lock else _NO_PEERS
+        self.unlock_acked = set() if lock else _NO_PEERS
         #: Fence-done broadcast emitted (fence epochs).
         self.fence_done_sent = False
         #: Closing request while it is pending (the engine drops it at completion).

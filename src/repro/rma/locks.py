@@ -23,7 +23,7 @@ from typing import Callable
 __all__ = ["LockWaiter", "LockManager"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LockWaiter:
     """One queued lock request."""
 
@@ -35,13 +35,16 @@ class LockWaiter:
 class LockManager:
     """FIFO lock state for one hosted window."""
 
+    __slots__ = ("_on_grant", "_holders", "_queue", "grants", "max_depth")
+
     def __init__(self, on_grant: Callable[[LockWaiter], None]):
         #: Callback invoked for every grant (engine sends the grant
         #: notification and updates its ω counters there).
         self._on_grant = on_grant
         #: Current holders: origin -> exclusive?
         self._holders: dict[int, bool] = {}
-        self._queue: deque[LockWaiter] = deque()
+        #: Waiting requests: a deque while any waits, ``()`` otherwise.
+        self._queue: "deque[LockWaiter] | tuple[()]" = ()
         #: Total grants issued (diagnostics).
         self.grants = 0
         #: Deepest the wait queue has been (read at summary time).
@@ -82,6 +85,8 @@ class LockManager:
         after the earlier hold is released, which also prevents the
         recursive shared-locking hazard §VII-A mentions.
         """
+        if not self._queue:
+            self._queue = deque()
         self._queue.append(LockWaiter(origin, exclusive, access_id))
         depth = len(self._queue)
         if depth > self.max_depth:
@@ -107,13 +112,15 @@ class LockManager:
                     return
                 self._queue.popleft()
                 self._grant(head)
-                return  # exclusive holder blocks everything behind it
+                break  # exclusive holder blocks everything behind it
             # Shared head: grantable unless an exclusive holder exists.
             if self.locked_exclusive:
                 return
             self._queue.popleft()
             self._grant(head)
             # Loop continues: grant every consecutive shared request.
+        if not self._queue:
+            self._queue = ()
 
     def _grant(self, waiter: LockWaiter) -> None:
         self._holders[waiter.origin] = waiter.exclusive

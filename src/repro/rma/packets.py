@@ -42,14 +42,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class RmaPayload:
     """Common header: which window group this traffic belongs to."""
 
     win: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PutData(RmaPayload):
     """A put's payload: applied to target window memory at delivery."""
 
@@ -59,7 +59,7 @@ class PutData(RmaPayload):
     data: np.ndarray | None
 
 
-@dataclass
+@dataclass(slots=True)
 class GetRequest(RmaPayload):
     """RDMA-read request; the target NIC answers autonomously."""
 
@@ -69,7 +69,7 @@ class GetRequest(RmaPayload):
     nbytes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class GetResponse(RmaPayload):
     """RDMA-read response carrying the target bytes."""
 
@@ -78,7 +78,7 @@ class GetResponse(RmaPayload):
     data: np.ndarray | None
 
 
-@dataclass
+@dataclass(slots=True)
 class AccumulateData(RmaPayload):
     """Accumulate operand; reduced into target memory at delivery."""
 
@@ -93,7 +93,7 @@ class AccumulateData(RmaPayload):
     origin: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class AccRendezvousRts(RmaPayload):
     """Large-accumulate rendezvous request (needs host attention at the
     target: an intermediate buffer must be provided — §VIII-A)."""
@@ -103,14 +103,14 @@ class AccRendezvousRts(RmaPayload):
     nbytes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class AccRendezvousCts(RmaPayload):
     """Target's clear-to-send for a large accumulate."""
 
     op_uid: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchOpRequest(RmaPayload):
     """MPI_FETCH_AND_OP: single-element atomic read-modify-write."""
 
@@ -122,7 +122,7 @@ class FetchOpRequest(RmaPayload):
     data: np.ndarray | None
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchOpResponse(RmaPayload):
     """Old value returned by a fetch-and-op."""
 
@@ -130,7 +130,7 @@ class FetchOpResponse(RmaPayload):
     data: np.ndarray | None
 
 
-@dataclass
+@dataclass(slots=True)
 class CasRequest(RmaPayload):
     """MPI_COMPARE_AND_SWAP request."""
 
@@ -142,7 +142,7 @@ class CasRequest(RmaPayload):
     new: np.ndarray | None
 
 
-@dataclass
+@dataclass(slots=True)
 class CasResponse(RmaPayload):
     """Old value returned by a compare-and-swap."""
 
@@ -150,7 +150,7 @@ class CasResponse(RmaPayload):
     data: np.ndarray | None
 
 
-@dataclass
+@dataclass(slots=True)
 class GrantUpdate(RmaPayload):
     """One-sided increment of the origin's ω-triple ``g`` counter
     (§VII-B): the target granted one more access to the receiving rank.
@@ -176,7 +176,7 @@ class GrantUpdate(RmaPayload):
     grant_seq: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SignalUpdate(RmaPayload):
     """One-sided 8-byte write of a counter-signal value (the counter
     protocol of :mod:`repro.rma.notify`; mscclpp's ``epoch.hpp``).
@@ -193,7 +193,7 @@ class SignalUpdate(RmaPayload):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DonePacket(RmaPayload):
     """Access-epoch completion notification carrying the access id
     ``A_i`` that matches the target-side exposure id (§VII-B)."""
@@ -202,7 +202,7 @@ class DonePacket(RmaPayload):
     access_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class LockRequestPacket(RmaPayload):
     """Passive-target lock request (processed by the target host)."""
 
@@ -211,7 +211,7 @@ class LockRequestPacket(RmaPayload):
     access_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class UnlockPacket(RmaPayload):
     """The 'different kind of done packet' closing a lock epoch."""
 
@@ -219,14 +219,14 @@ class UnlockPacket(RmaPayload):
     access_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class UnlockAck(RmaPayload):
     """Target's acknowledgment that the lock epoch is fully closed."""
 
     access_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FenceOpen(RmaPayload):
     """Rank entered fence round ``round_no`` (opening side)."""
 
@@ -234,7 +234,7 @@ class FenceOpen(RmaPayload):
     round_no: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FenceDone(RmaPayload):
     """Rank closed fence round ``round_no`` and its outbound transfers
     are complete (the barrier-semantics notification of rule 5)."""

@@ -37,6 +37,8 @@ class OpeningRequest(CompletedRequest):
     such request object always detects immediate completion." (§VII-C)
     """
 
+    __slots__ = ("epoch",)
+
     def __init__(self, sim: "Simulator", epoch: "Epoch"):
         super().__init__(sim, f"open(ep{epoch.uid})")
         self.epoch = epoch
@@ -44,6 +46,8 @@ class OpeningRequest(CompletedRequest):
 
 class ClosingRequest(Request):
     """Completes when the epoch's internal lifetime ends."""
+
+    __slots__ = ("epoch",)
 
     def __init__(self, sim: "Simulator", epoch: "Epoch"):
         super().__init__(sim, f"close(ep{epoch.uid})")
@@ -69,6 +73,8 @@ class FlushRequest(Request):
         Number of not-yet-complete qualifying ops at creation time; the
         engine decrements it via :meth:`op_completed`.
     """
+
+    __slots__ = ("epoch", "stamp_age", "target", "local", "counter")
 
     def __init__(
         self,

@@ -44,6 +44,12 @@ __all__ = ["WindowState"]
 class WindowState:
     """Everything one rank's engine knows about one window."""
 
+    __slots__ = (
+        "win", "rank", "gid", "checker", "board", "signal_waits", "epochs", "post_ready",
+        "advance_ready", "activation_pending", "lock_epochs", "visits", "lock_mgr",
+        "lock_backlog", "fence_round", "unissued_total", "age_counter", "ops_by_uid", "flushes",
+    )
+
     def __init__(self, win: "Window", on_lock_grant):
         self.win = win
         self.rank = win.rank
@@ -63,11 +69,11 @@ class WindowState:
         self.signal_waits: list[tuple[int, int, Any]] = []
 
         # -- epochs ---------------------------------------------------------
-        #: All epochs not yet retired, in application open order.  A
-        #: deque: the serial-activation scan (§VII-A) walks it in order
-        #: and retirement pops finished epochs from the head in O(1)
-        #: instead of rebuilding a list per sweep.
-        self.epochs: deque["Epoch"] = deque()
+        #: All epochs not yet retired, in application open order: the
+        #: serial-activation scan (§VII-A) walks it in order and
+        #: retirement deletes finished epochs from the head.  A list, not
+        #: a deque: it is short, and an empty deque is 0.6 KiB per window.
+        self.epochs: list["Epoch"] = []
         # Ready sets (docs/PERFORMANCE.md has the wake-up table):
         # an epoch or (epoch, target) pair enters one only when one of
         # its own predicate inputs moved and leaves it when examined, so
@@ -89,8 +95,8 @@ class WindowState:
 
         # -- lock hosting ----------------------------------------------------
         self.lock_mgr = LockManager(on_lock_grant)
-        #: Lock/unlock events awaiting batch processing (engine step 6).
-        self.lock_backlog: deque[tuple[str, Any]] = deque()
+        #: Lock / unlock packets awaiting engine step 6: a deque while any waits.
+        self.lock_backlog: "deque[Any] | tuple[()]" = ()
 
         #: Fence rounds opened locally so far (round numbers start at 1).
         self.fence_round = 0
@@ -119,14 +125,15 @@ class WindowState:
 
     def retire_closed(self) -> None:
         """Pop epochs that are both completed and application-closed off
-        the head in open order (O(1) per retirement).  Epochs behind a
+        the head in open order.  Epochs behind a
         still-live head stay queued — every scan already skips completed
         epochs — and are reclaimed once the head retires.  A retired
         epoch drops its op history (every reader ran at completion or at
         close), so it and its ops form no reference cycle."""
         eps = self.epochs
         while eps and eps[0].completed and eps[0].app_closed:
-            eps.popleft().ops.clear()
+            eps[0].ops.clear()
+            del eps[0]
 
     def leak_report(self) -> dict[str, Any]:
         """Middleware state that should be empty when the window is

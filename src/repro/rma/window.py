@@ -97,6 +97,9 @@ class WindowGroup:
 class Window:
     """One rank's view of an RMA window."""
 
+    __slots__ = ("group", "rank", "memory", "engine", "sim", "_state", "_fence_epoch",
+                 "_gats_access", "_exposure", "_locks", "_lock_all")
+
     def __init__(self, group: WindowGroup, rank: int, nbytes: int):
         self.group = group
         self.rank = rank

@@ -10,7 +10,11 @@ peer only.  Two angles:
 - **memory ceiling** — an (almost) idle 2048-rank runtime stays within
   a flat tracemalloc budget (dense per-pair state would need gigabytes:
   one ``2048x2048`` int64 grid alone is 32 MiB, and the seed code kept
-  several per window).
+  several per window);
+- **state paid for when used** — the per-rank, per-pair, per-epoch and
+  per-message records are slotted, an epoch holds only its own kind's
+  bookkeeping, every wait queue is ``()`` once drained, and a fan-in run
+  stays under a per-rank tracemalloc ceiling.
 
 The sparse counter container itself is checked against a dense array,
 op for op, in ``tests/simtime/test_sparse.py``.
@@ -22,12 +26,37 @@ slows only the baseline engine.
 
 from __future__ import annotations
 
+import gc
+import sys
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
+import pytest
 
-from repro import LOCK_SHARED
+from repro import LOCK_SHARED, MODE_NOSUCCEED, MPIRuntime
 from repro.bench.calibration import default_model
+from repro.mpi.memory import WindowMemory
+from repro.mpi.middleware import RankMiddleware
+from repro.mpi.p2p import (
+    CtsPacket, EagerData, P2PEngine, RecvRequest, RndvData, RtsPacket, SendRequest,
+)
+from repro.mpi.process import MPIProcess
+from repro.mpi.requests import CompletedRequest, Request
+from repro.network.model import NetworkModel
+from repro.network.regcache import RegistrationCache
+from repro.network.shmem import NotificationFifo
+from repro.rma import packets
+from repro.rma.engine.adaptive import AdaptiveEngine
+from repro.rma.engine.mvapich import MvapichEngine
+from repro.rma.engine.nonblocking import NonblockingEngine
+from repro.rma.engine.signal import SignalEngine
+from repro.rma.epoch import Epoch, EpochKind
+from repro.rma.locks import LockManager, LockWaiter
+from repro.rma.requests import ClosingRequest, FlushRequest, OpeningRequest
+from repro.rma.state import WindowState
+from repro.rma.window import Window
+from repro.workloads import SERIES, WORKLOADS
 from tests.conftest import make_runtime
 
 
@@ -153,6 +182,162 @@ class TestMemoryCeiling:
         assert len(rt.fabric.attention) <= 1
         ws0 = next(iter(rt.engines[0].states.values()))
         assert ws0.board.expected.touched() <= 1
+
+
+# ---------------------------------------------------------------------------
+# State is paid for when it is used
+# ---------------------------------------------------------------------------
+#: Every record the simulator keeps per rank, pair, epoch or message.
+SLOTTED = (
+    NonblockingEngine, MvapichEngine, SignalEngine, AdaptiveEngine, WindowState, Window,
+    WindowMemory, LockManager, LockWaiter, NotificationFifo, RankMiddleware, P2PEngine,
+    MPIProcess, RegistrationCache, Epoch, Request, CompletedRequest, SendRequest,
+    RecvRequest, OpeningRequest, ClosingRequest, FlushRequest, EagerData, RtsPacket,
+    CtsPacket, RndvData,
+    *(cls for cls in vars(packets).values()
+      if isinstance(cls, type) and issubclass(cls, packets.RmaPayload)),
+)
+
+#: Per-rank tracemalloc peak of :func:`_fanin_app` at 256 ranks on the
+#: baseline engine (CPython 3.11): 23.9 KiB with dict-backed records and
+#: per-rank deques, 15.9 KiB with slotted records and first-use queues.
+#: The ceiling leaves 13 % headroom over the latter.
+FANIN_KIB_PER_RANK = 18.0
+
+
+def _all_kinds_app(proc):
+    """Every epoch kind, a flush and two-sided traffic."""
+    win = yield from proc.win_allocate(64)
+    me, n = proc.rank, proc.size
+    peer = (me + 1) % n
+    data = np.full(8, me + 1, dtype=np.uint8)
+    yield from win.fence()
+    win.put(data, peer, 0)
+    yield from win.fence(MODE_NOSUCCEED)
+    if me % 2:  # odd ranks access their left neighbour, even ones expose
+        yield from win.start((me - 1,))
+        win.put(data, me - 1, 8)
+        yield from win.complete()
+    else:
+        yield from win.post((me + 1,))
+        yield from win.wait_epoch()
+    yield from win.lock(peer, LOCK_SHARED)
+    win.put(data, peer, 16)
+    yield from win.flush(peer)
+    yield from win.unlock(peer)
+    yield from win.lock_all()
+    win.put(data, peer, 24)
+    yield from win.unlock_all()
+    yield from proc.send(peer, 8, data=data)
+    yield from proc.recv((me - 1) % n, buffer=np.zeros(8, dtype=np.uint8))
+    yield from proc.barrier()
+    return win
+
+
+def _fanin_app(rounds=3, hot_div=4):
+    """Shared lock/put/unlock rounds toward rotating peers; rank 0 is a
+    pure lock server every ``hot_div``-th worker visits once."""
+
+    def app(proc):
+        win = yield from proc.win_allocate(256, info={"repro.A_A_A_R": "true"})
+        me, n = proc.rank, proc.size
+        data = np.zeros(8, dtype=np.uint8)
+        if me == 0:
+            yield from proc.barrier()
+            return 0
+        hot = ((me - 1) // hot_div) % rounds if (me - 1) % hot_div == 0 else -1
+        for k in range(rounds):
+            target = 0 if k == hot else 1 + (me + k * 7) % (n - 1)
+            if target == me:
+                target = 1 + target % (n - 1)
+            yield from win.lock(target, LOCK_SHARED)
+            win.put(data, target, 0)
+            yield from win.unlock(target)
+        yield from proc.barrier()
+        return rounds
+
+    return app
+
+
+def _own_bytes(ep: Epoch) -> int:
+    """The epoch plus the containers it owns (the shared immutable
+    empties the other kinds' bookkeeping points at are nobody's)."""
+    total = sys.getsizeof(ep)
+    for name in Epoch.__slots__:
+        value = getattr(ep, name)
+        if isinstance(value, (list, dict, set)) or (
+                isinstance(value, (tuple, frozenset, MappingProxyType)) and value):
+            total += sys.getsizeof(value)
+    return total
+
+
+class TestPaidForWhenUsed:
+    def test_record_classes_have_no_instance_dict(self):
+        for cls in SLOTTED:
+            assert cls.__dictoffset__ == 0, f"{cls.__name__} instances carry a __dict__"
+
+    @pytest.mark.parametrize("engine", ["nonblocking", "mvapich", "signal", "adaptive"])
+    def test_live_records_after_a_run_have_no_dict(self, engine):
+        rt = make_runtime(4, engine)
+        wins = rt.run(_all_kinds_app)
+        assert all(isinstance(w, Window) for w in wins)
+        gc.collect()
+        kinds = set(SLOTTED)
+        live = [obj for obj in gc.get_objects() if type(obj) in kinds]
+        assert {type(obj) for obj in live} >= {
+            type(rt.engines[0]), WindowState, Window, LockManager, RankMiddleware, MPIProcess}
+        assert not [obj for obj in live if hasattr(obj, "__dict__")]
+
+    def test_one_target_lock_epoch_is_small(self):
+        """3 360 B with a ``__dict__`` and every kind's bookkeeping."""
+        ep = Epoch(EpochKind.LOCK, 0, 0, targets=(1,))
+        assert _own_bytes(ep) <= 1200
+
+    def test_epoch_holds_only_its_kinds_bookkeeping(self):
+        lock = Epoch(EpochKind.LOCK, 0, 0, targets=(1,))
+        exposure = Epoch(EpochKind.GATS_EXPOSURE, 0, 0, origin_group=(1,))
+        assert lock.lock_held == {} and lock.exposure_ids == {}
+        with pytest.raises(TypeError):
+            lock.exposure_ids[1] = 1  # a stray write fails loudly
+        with pytest.raises(AttributeError):
+            exposure.unlock_sent.add(1)
+        with pytest.raises(AttributeError):
+            lock.peer_count = 1  # slotted: no new attributes
+
+    def test_fanin_per_rank_peak(self):
+        n = 256
+        model = NetworkModel().with_overrides(baseline_scan_cost_us=0.12)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rt = make_runtime(n, "mvapich", model=model)
+            assert rt.run(_fanin_app()) == [0] + [3] * (n - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n / 1024 <= FANIN_KIB_PER_RANK
+
+    @pytest.mark.parametrize("series", SERIES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_wait_queues_exist_only_while_something_waits(self, monkeypatch, workload, series):
+        runtimes = []
+        init = MPIRuntime.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            runtimes.append(self)
+
+        monkeypatch.setattr(MPIRuntime, "__init__", recording_init)
+        WORKLOADS[workload].oracle(series.engine, series.nonblocking, None)
+        (rt,) = runtimes
+        for mw in rt.middlewares:
+            assert mw.fifo._incoming == () and len(mw.fifo) == 0
+        for gate in rt.fabric.attention:
+            assert gate._queue == () and gate.pending == 0
+        for engine in rt.engines:
+            for ws in engine.states.values():
+                assert ws.lock_backlog == ()
+                assert ws.lock_mgr._queue == () and ws.lock_mgr.queued == []
 
 
 # ---------------------------------------------------------------------------

@@ -90,21 +90,22 @@ def collect_stats(runtime: "MPIRuntime") -> RuntimeStats:
         degraded = degraded or getattr(engine, "degraded", False)
     injector = fabric.injector
     rel = fabric.reliability
+    fc_pairs = fabric.flow.pair_stats()
     return RuntimeStats(
         virtual_time_us=runtime.now,
         messages_sent=fabric.messages_sent,
         bytes_sent=fabric.bytes_sent,
-        fc_stalls=fabric.flow.total_stalls(),
+        fc_stalls=sum([stalls for stalls, _ in fc_pairs.values()]),
         regcache_hits=hits,
         regcache_misses=misses,
         regcache_evictions=evictions,
         lock_grants=lock_grants,
         live_epochs=live_epochs,
         windows=len(runtime.window_groups),
-        fc_max_queued=fabric.flow.max_queued(),
+        fc_max_queued=max([depth for _, depth in fc_pairs.values()], default=0),
         # Snapshot-time deep freeze: pair_stats()/counters return fresh
         # dicts, but the proxy also blocks caller-side mutation.
-        fc_pair_stalls=MappingProxyType(dict(fabric.flow.pair_stats())),
+        fc_pair_stalls=MappingProxyType(fc_pairs),
         faults_injected=MappingProxyType(
             dict(injector.counters) if injector is not None else {}
         ),

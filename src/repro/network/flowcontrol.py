@@ -30,11 +30,12 @@ class CreditPool:
     to know.  The first sender to stall claims every outstanding
     position with :meth:`release`, and while anybody waits a new return
     is scheduled: grants happen when, and in the order, they would with
-    an event per credit.
+    an event per credit.  A pool that never stalled and has every credit
+    home is one a fresh pool stands in for: :class:`FlowControl` drops it.
     """
 
     __slots__ = ("capacity", "available", "sim", "_waiters", "_returns", "stall_count",
-                 "max_queued")
+                 "max_queued", "sent")
 
     def __init__(self, capacity: int, sim: "Simulator | None" = None):
         if capacity <= 0:
@@ -45,8 +46,7 @@ class CreditPool:
         #: Kernel that times the returns (a hand-driven pool needs none).
         self.sim = sim
         #: Stalled sends, FIFO: a deque from the first stall on, until
-        #: then ``()`` — an empty deque is 0.6 KiB, most pools never see
-        #: a waiter and 1024 ranks touch 14k pools.
+        #: then ``()`` (an empty deque is 0.6 KiB; most pools never wait).
         self._waiters: "deque[tuple[Callable[..., None], tuple[Any, ...]]] | tuple[()]" = ()
         #: Reserved positions of the credits in flight, in event order
         #: (at most ``capacity``); empty whenever a sender waits.
@@ -56,6 +56,8 @@ class CreditPool:
         #: High-water mark of concurrently stalled sends (§VIII-B: the
         #: depth the pending-epoch backlog reached on this pair).
         self.max_queued = 0
+        #: A credit went out since :class:`FlowControl`'s last sweep.
+        self.sent = False
 
     def settle(self) -> None:
         """Count home every returning credit the clock has passed."""
@@ -99,6 +101,7 @@ class CreditPool:
     def return_after(self, delay: float) -> None:
         """The credit of a packet put on the wire now is home ``delay``
         from now (the ack travels back after the wire-level arrival)."""
+        self.sent = True
         sim = self.sim
         if self._waiters or delay <= 0.0:
             sim.schedule(delay, self.release)
@@ -115,11 +118,6 @@ class CreditPool:
             insort(returns, pos)  # a policy delayed an earlier return past this one
         else:
             returns.append(pos)
-
-    @property
-    def queued(self) -> int:
-        """Sends currently stalled on this pool."""
-        return len(self._waiters)
 
 
 class FlowControl:
@@ -142,23 +140,42 @@ class FlowControl:
         self.capacity = capacity
         self.ack_latency = ack_latency
         self.enabled = enabled and capacity > 0
-        # Sparse per-pair pools: memory is O(touched pairs), not nranks².
-        # A touched pair is one dict probe per send, keyed by the one int
-        # ``src * stride + dst`` (no key tuple per pair, an int hash per
-        # probe); a dense grid would cost 16M slots at 4096 ranks.
+        # Sparse per-pair pools, one dict probe per send keyed by the int
+        # ``src * stride + dst`` (a dense grid is 16M slots at 4096 ranks),
+        # live while they differ from a fresh one: a sweep leaving L pools
+        # runs again when there are max(2 L, nranks).
         self._stride = nranks or 1 << 32
         self._pools: dict[int, CreditPool] = {}
+        self._floor = self._room = nranks or 1
         #: Optional :class:`repro.obs.causal.CausalRecorder` (None =
         #: disabled); stalled sends become ``fc_stall`` spans.
         self.causal = None
 
     def pool(self, src: int, dst: int) -> CreditPool:
-        """The credit pool for the directed pair (created on demand)."""
+        """The credit pool for the directed pair, created on demand; a
+        creation may first drop the idle pools (:meth:`_sweep`)."""
         key = src * self._stride + dst
         pool = self._pools.get(key)
         if pool is None:
+            if not self._room:
+                self._sweep()
+            self._room -= 1
             pool = self._pools[key] = CreditPool(self.capacity if self.enabled else 1, self.sim)
         return pool
+
+    def _sweep(self) -> None:
+        """Keep only the pools that sent since the previous sweep (the
+        second chance of a pair in an active exchange), stalled (a waiter
+        is a stall) or have a credit away: returns are in event order, so
+        the last one behind the clock is all of them (a tie is kept)."""
+        now = self.sim.now
+        self._pools = kept = {
+            key: pool for key, pool in self._pools.items()
+            if pool.sent or (pool._returns and pool._returns[-1][0] >= now)
+            or pool.stall_count or pool.available + len(pool._returns) < pool.capacity}
+        for pool in kept.values():
+            pool.sent = False
+        self._room = max(len(kept), self._floor - len(kept))
 
     def acquire(self, pool: CreditPool | None, src: int, dst: int,
                 on_granted: Callable[..., None], *args: Any) -> None:
@@ -191,20 +208,6 @@ class FlowControl:
             args = ()
 
         pool.acquire(on_granted, *args)
-
-    # The run summary reads these once per run over every pool: a list
-    # is one call where a generator is one per pool.
-    def total_stalls(self) -> int:
-        """Aggregate stall count across all pairs (contention metric)."""
-        return sum([p.stall_count for p in self._pools.values()])
-
-    def total_queued(self) -> int:
-        """Sends currently stalled across all pairs."""
-        return sum([p.queued for p in self._pools.values()])
-
-    def max_queued(self) -> int:
-        """Deepest backlog any single pair ever reached."""
-        return max([p.max_queued for p in self._pools.values()], default=0)
 
     def pair_stats(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Per-pair ``(stall_count, max_queued)`` for every pair that

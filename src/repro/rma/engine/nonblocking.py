@@ -50,6 +50,7 @@ The 7-step progress loop (§VII-D)
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
@@ -227,9 +228,8 @@ class NonblockingEngine:
     # -- wiring ---------------------------------------------------------------
     def register_window(self, win: "Window") -> None:
         """Create middleware state for a newly allocated window."""
-        cell: list[WindowState] = []
-        ws = WindowState(win, on_lock_grant=lambda waiter: self._grant_lock(cell[0], waiter))
-        cell.append(ws)
+        ws = WindowState(win, on_lock_grant=None)
+        ws.lock_mgr._on_grant = partial(self._grant_lock, ws)
         self.states[win.group.gid] = ws
         win._state = ws
 

@@ -2,11 +2,13 @@
 
 A credit coming home to a pool nobody waits on, and a local completion
 nobody listens for, are reserved positions in the event order instead of
-heap entries.  The reference this is held to is the behaviour it
-replaced, kept here as two test-only subclasses — a ``CreditPool`` whose
-returns are always scheduled and a ``Fabric`` whose local completion is
-always scheduled.  Seeded random programs run through both and must
-agree on everything observable, down to ``events_scheduled``.
+heap entries; and a pool a fresh one would stand in for is dropped.  The
+reference this is held to is the behaviour it replaced, kept here as
+three test-only subclasses — a ``CreditPool`` whose returns are always
+scheduled, a ``FlowControl`` that keeps every pool to the end of the run
+and a ``Fabric`` whose local completion is always scheduled.  Seeded
+random programs run through both and must agree on everything
+observable, down to ``events_scheduled``.
 """
 
 import random
@@ -20,7 +22,7 @@ from repro.explore.policy import PerturbationSpec
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.faults.injector import FaultInjector
 from repro.faults.reliability import ReliabilityLayer
-from repro.network import ClusterTopology, CreditPool, Fabric, NetworkModel
+from repro.network import ClusterTopology, CreditPool, Fabric, FlowControl, NetworkModel
 from repro.network.fabric import SendTicket
 from repro.simtime import Simulator
 
@@ -34,6 +36,22 @@ class ScheduledReturnsPool(CreditPool):
         self.sim.schedule(delay, self.release)
 
 
+class KeepingFlowControl(FlowControl):
+    """Every pool lives to the end of the run: nothing is ever swept."""
+
+    def _sweep(self):
+        self._room = float("inf")
+
+
+class SweepingFlowControl(FlowControl):
+    """Sweeps before every probe: dropping a pool must be invisible
+    whenever it happens, not only when the pool count grows."""
+
+    def pool(self, src, dst):
+        self._sweep()
+        return super().pool(src, dst)
+
+
 class ScheduledLocalFabric(Fabric):
     """Every transmission attempt schedules its local completion."""
 
@@ -45,6 +63,7 @@ class ScheduledLocalFabric(Fabric):
 
 def use_reference(monkeypatch):
     monkeypatch.setattr("repro.network.flowcontrol.CreditPool", ScheduledReturnsPool)
+    monkeypatch.setattr("repro.network.fabric.FlowControl", KeepingFlowControl)
     monkeypatch.setattr("repro.mpi.runtime.Fabric", ScheduledLocalFabric)
 
 
@@ -163,8 +182,8 @@ class Program:
             "local_times": [t.local_time for t in tickets],
             "delivered_times": [t.delivered_time for t in tickets],
             "pair_stats": fabric.flow.pair_stats(),
-            "stall_count": fabric.flow.total_stalls(),
-            "max_queued": fabric.flow.max_queued(),
+            "stall_count": stats.fc_stalls,
+            "max_queued": stats.fc_max_queued,
             "retransmissions": stats.retransmissions,
             "events_scheduled": sim.events_scheduled,
             "now": sim.now,
@@ -186,19 +205,46 @@ def test_random_programs_agree_with_the_event_per_noop_reference(first, monkeypa
             assert got[field] == want[field], f"{program}: {field} differs"
 
 
+@pytest.mark.parametrize("first", range(0, 200, 2 * SEEDS_PER_CASE))
+def test_random_programs_agree_when_every_probe_sweeps(first, monkeypatch):
+    for seed in range(first, first + 2 * SEEDS_PER_CASE, 2):
+        program = Program(seed)
+        with monkeypatch.context() as stressed:
+            stressed.setattr("repro.network.fabric.FlowControl", SweepingFlowControl)
+            got = program.run(stressed)
+        with monkeypatch.context() as reference:
+            use_reference(reference)
+            want = program.run(reference)
+        for field in want:
+            assert got[field] == want[field], f"{program}: {field} differs"
+
+
 def test_the_programs_reach_the_regimes_that_matter(monkeypatch):
     """The property is only worth its runtime if the programs stall,
-    retransmit, tie and leave credits uncounted: count, don't hope."""
-    stalled = retransmitted = policies = unlistened = 0
+    retransmit, tie, leave credits uncounted and drop pools: count,
+    don't hope."""
+    stalled = retransmitted = policies = unlistened = swept = dropped = 0
+    sweep = FlowControl._sweep
+
+    def counting_sweep(flow):
+        nonlocal dropped
+        before = len(flow._pools)
+        sweep(flow)
+        dropped += before - len(flow._pools)
+
+    monkeypatch.setattr(FlowControl, "_sweep", counting_sweep)
     for seed in range(0, 200, 4):
         program = Program(seed)
+        dropped = 0
         out = program.run(monkeypatch)
+        swept += dropped > 0
         stalled += out["stall_count"] > 0
         retransmitted += out["retransmissions"] > 0
         policies += program.policy_seed is not None
         unlistened += sum(1 for e in out["log"] if e[0] == "grant") > \
             sum(1 for e in out["log"] if e[0] == "local")
     assert stalled >= 10 and retransmitted >= 5 and policies >= 15 and unlistened >= 40
+    assert swept >= 20
 
 
 # -- the ticket's side, case by case ------------------------------------------
@@ -260,7 +306,7 @@ class TestLocalCompletion:
         stalled.on_local_complete(lambda: fired.append(sim.now))
         assert stalled._local_pos is None  # nothing reserved: no attempt yet
         sim.run()
-        assert fabric.flow.total_stalls() == 1
+        assert fabric.flow.pair_stats() == {(0, 1): (1, 1)}
         assert len(fired) == 1 and fired[0] > tight.ack_latency
         assert stalled.local_time == fired[0]
 

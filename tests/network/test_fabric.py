@@ -90,7 +90,7 @@ class TestFlowControlIntegration:
         sim.run_until_idle()
         gap = dlv[1][3] - dlv[0][3]
         assert gap >= 50.0  # waited for the ack
-        assert fab.flow.total_stalls() == 1
+        assert fab.flow.pair_stats() == {(0, 1): (1, 1)}
 
     def test_a_stalled_send_looks_its_pool_up_once(self):
         sim, fab, dlv = make_fabric(model=NetworkModel(credits_per_peer=1))
@@ -100,7 +100,7 @@ class TestFlowControlIntegration:
         fab.send(0, 1, 8, "a")
         fab.send(0, 1, 8, "b")  # stalls
         sim.run_until_idle()
-        assert fab.flow.total_stalls() == 1 and len(dlv) == 2
+        assert fab.flow.pair_stats() == {(0, 1): (1, 1)} and len(dlv) == 2
         assert probes == [(0, 1), (0, 1)]
 
     def test_disabled_flow_control_no_stalls(self):
@@ -108,7 +108,7 @@ class TestFlowControlIntegration:
         for _ in range(200):
             fab.send(0, 1, 8, "x")
         sim.run_until_idle()
-        assert fab.flow.total_stalls() == 0
+        assert fab.flow.pair_stats() == {}
         assert len(dlv) == 200
 
 

@@ -20,7 +20,7 @@ class TestCreditPool:
         pool.acquire(lambda: granted.append(2))
         pool.acquire(lambda: granted.append(3))
         assert granted == [1, 2]
-        assert pool.queued == 1
+        assert len(pool._waiters) == 1
         assert pool.stall_count == 1
 
     def test_release_unblocks_fifo(self):
@@ -62,8 +62,8 @@ class TestFlowControl:
         take(fc, 0, 2, lambda: granted.append("b"))  # distinct pair
         take(fc, 0, 1, lambda: granted.append("c"))  # stalls
         assert granted == ["a", "b"]
-        assert fc.total_queued() == 1
-        assert fc.total_stalls() == 1
+        assert len(fc.pool(0, 1)._waiters) == 1 and fc.pool(0, 2)._waiters == ()
+        assert fc.pair_stats() == {(0, 1): (1, 1)}
 
     def test_scheduled_release_returns_credit(self):
         sim = Simulator()
@@ -197,3 +197,151 @@ class TestReturningCredits:
         pool.return_after(1.0)   # perturbed to 1.5
         pool.return_after(1.25)  # stays at 1.25: home first
         assert [p[0] for p in pool._returns] == [1.25, 1.5]
+
+
+class TestIdlePoolsAreDropped:
+    """A pool exists while it differs from a fresh one.  Each test names
+    the one-line mutant of ``FlowControl._sweep`` that it fails under."""
+
+    def make(self, capacity=2, policy=None):
+        sim = Simulator(policy=policy)
+        return sim, FlowControl(sim, capacity=capacity, ack_latency=1.0, nranks=4)
+
+    @staticmethod
+    def send(fc, src, dst, delay):
+        """One packet as the fabric sends it: its credit comes home
+        ``delay`` after the grant."""
+        pool = fc.pool(src, dst)
+        fc.acquire(pool, src, dst, pool.return_after, delay)
+        return pool
+
+    @staticmethod
+    def sweep_at(sim, fc, when, times=2):
+        """Sweep ``times`` times from callbacks at ``when`` (the first of
+        two uses up the second chance of a pool that sent)."""
+        for _ in range(times):
+            sim.schedule(when - sim.now, fc._sweep)
+        sim.run()
+
+    def test_idle_pool_is_dropped_and_its_pair_starts_fresh(self):
+        # Mutants: ``self._pools = kept = {`` -> ``kept = {``; or
+        # ``pool.sent = False`` -> ``pass``.
+        sim, fc = self.make()
+        old = self.send(fc, 0, 1, 1.0)
+        self.send(fc, 0, 1, 2.0)
+        self.sweep_at(sim, fc, 5.0)
+        assert fc._pools == {}
+        new = fc.pool(0, 1)
+        assert new is not old
+        assert new.available == new.capacity == 2 and new._returns == []
+
+    def test_a_pool_that_sent_since_the_last_sweep_survives_one(self):
+        # Mutants: ``pool.sent or`` deleted from the sweep; or ``self.sent =
+        # True`` deleted from ``CreditPool.return_after``.
+        sim, fc = self.make()
+        pool = self.send(fc, 0, 1, 1.0)
+        self.sweep_at(sim, fc, 5.0, times=1)
+        assert fc.pool(0, 1) is pool
+        self.send(fc, 0, 1, 1.0)
+        self.sweep_at(sim, fc, 7.0, times=1)
+        assert fc.pool(0, 1) is pool
+        self.sweep_at(sim, fc, 8.0, times=1)
+        assert fc._pools == {}
+
+    def test_a_pool_that_ever_stalled_is_kept(self):
+        # Mutant: ``or pool.stall_count`` deleted.
+        sim, fc = self.make(capacity=1)
+        pool = self.send(fc, 0, 1, 1.0)
+        self.send(fc, 0, 1, 1.0)  # stalls until 1.0, home at 2.0
+        self.sweep_at(sim, fc, 5.0)
+        assert fc.pool(0, 1) is pool and pool.available + len(pool._returns) == 1
+        assert fc.pair_stats() == {(0, 1): (1, 1)}
+
+    def test_a_pool_with_a_waiter_is_kept(self):
+        # Mutant: ``or pool.stall_count or pool.available + ...`` -> ``}``.
+        sim, fc = self.make(capacity=1)
+        pool = fc.pool(0, 1)
+        fc.acquire(pool, 0, 1, lambda: None)  # its credit is never returned
+        fc.acquire(pool, 0, 1, lambda: None)
+        fc._sweep()
+        fc._sweep()
+        assert fc.pool(0, 1) is pool and len(pool._waiters) == 1
+
+    def test_a_pool_with_a_credit_in_flight_is_kept(self):
+        # Mutant: ``pool._returns[-1]`` -> ``pool._returns[0]``.
+        sim, fc = self.make()
+        pool = self.send(fc, 0, 1, 1.0)
+        self.send(fc, 0, 1, 9.0)
+        self.sweep_at(sim, fc, 5.0)
+        assert fc.pool(0, 1) is pool
+        self.sweep_at(sim, fc, 10.0)
+        assert fc._pools == {}  # home at last: it goes
+
+    def test_a_return_due_later_at_the_same_instant_is_kept(self):
+        # Mutant: ``>= now`` -> ``> now``.
+        class Keys:
+            """The credit's return takes key 1; the sweep, scheduled
+            after it, takes key 0 and so runs first at that instant."""
+
+            keys = iter((1, 0))
+
+            def perturb(self, time, seq, lane):
+                return 0.0, next(self.keys)
+
+        sim, fc = self.make(policy=Keys())
+        pool = self.send(fc, 0, 1, 2.0)
+        seen = []
+
+        def sweep_twice():
+            seen.append(sim.passed(pool._returns[-1]))
+            fc._sweep()
+            fc._sweep()
+            seen.append(fc.pool(0, 1) is pool)
+
+        sim.schedule(2.0, sweep_twice)
+        sim.run()
+        assert seen == [False, True]
+
+    def test_a_credit_returning_as_an_event_is_kept_until_it_lands(self):
+        # Mutant: ``or pool.available + len(pool._returns) < pool.capacity`` deleted.
+        sim, fc = self.make(capacity=1)
+        seen = []
+
+        def send_then_sweep():
+            pool = self.send(fc, 0, 1, 0.0)  # a ``release`` callback at this instant
+            fc._sweep()
+            fc._sweep()
+            seen.append((fc.pool(0, 1) is pool, pool.available))
+
+        sim.schedule(1.0, send_then_sweep)
+        sim.run()
+        assert seen == [(True, 0)]
+        assert fc.pool(0, 1).available == 1
+
+    def test_a_new_pool_sweeps_at_twice_what_the_last_sweep_left(self):
+        # Mutant: ``max(len(kept), self._floor - len(kept))`` -> ``self._floor``.
+        sim, fc = self.make()  # 4 ranks: a sweep leaving L waits for max(2 L, 4) pools
+        pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+        keys = [src * 4 + dst for src, dst in pairs]
+
+        def advance():
+            sim.schedule(5.0, lambda: None)
+            sim.run()
+
+        for pair in pairs[:4]:
+            self.send(fc, *pair, 1.0)
+        advance()
+        fc._sweep()  # all four sent since construction: kept
+        for pair in pairs[:3]:
+            self.send(fc, *pair, 1.0)
+        advance()
+        fc._sweep()  # the fourth sent nothing since the last sweep: three left
+        assert sorted(fc._pools) == keys[:3]
+        for pair in pairs[4:7]:
+            self.send(fc, *pair, 1.0)  # six pools, twice three: no sweep yet
+        for pair in pairs[:3] + pairs[4:7]:
+            fc.pool(*pair)  # probing creates nothing and sweeps nothing
+        assert sorted(fc._pools) == keys[:3] + keys[4:7]
+        advance()
+        self.send(fc, *pairs[7], 1.0)  # the seventh pool sweeps the first three
+        assert sorted(fc._pools) == keys[4:8]

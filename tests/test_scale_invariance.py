@@ -43,6 +43,7 @@ from repro.mpi.p2p import (
 )
 from repro.mpi.process import MPIProcess
 from repro.mpi.requests import CompletedRequest, Request
+from repro.network.flowcontrol import FlowControl
 from repro.network.model import NetworkModel
 from repro.network.regcache import RegistrationCache
 from repro.network.shmem import NotificationFifo
@@ -90,7 +91,7 @@ def _txn_app(txns):
 # Touched-driven sizing
 # ---------------------------------------------------------------------------
 class TestTouchedDrivenSizes:
-    def test_small_active_set_in_large_job(self):
+    def test_small_active_set_in_large_job(self, monkeypatch):
         """64 ranks, but only ranks 0-3 communicate: every lazy table is
         sized by the active set (plus collective traffic), never by the
         rank count."""
@@ -107,11 +108,22 @@ class TestTouchedDrivenSizes:
                     yield from win.unlock(target)
             yield from proc.barrier()
 
+        # Pairs that ever had a pool: ``_pools`` holds only the live
+        # ones, and idle pools are dropped.
+        touched = set()
+        probe = FlowControl.pool
+
+        def recording_probe(flow, src, dst):
+            touched.add((src, dst))
+            return probe(flow, src, dst)
+
+        monkeypatch.setattr(FlowControl, "pool", recording_probe)
         pools = {}
         for n in (32, 64):
+            touched.clear()
             rt = make_runtime(n, "nonblocking", model=default_model())
             rt.run(app)
-            pools[n] = len(rt.fabric.flow._pools)
+            pools[n] = len(touched)
 
             # Attention gates exist only where attention-needing control
             # packets landed: the four lock targets.
@@ -200,9 +212,14 @@ SLOTTED = (
 
 #: Per-rank tracemalloc peak of :func:`_fanin_app` at 256 ranks on the
 #: baseline engine (CPython 3.11): 23.9 KiB with dict-backed records and
-#: per-rank deques, 15.9 KiB with slotted records and first-use queues.
-#: The ceiling leaves 13 % headroom over the latter.
-FANIN_KIB_PER_RANK = 18.0
+#: per-rank deques, 15.9 KiB with slotted records and first-use queues,
+#: 12.7 KiB once idle credit pools are dropped.  The ceiling leaves 14 %
+#: headroom over the last.
+FANIN_KIB_PER_RANK = 14.5
+#: Live credit pools at that run's traced peak, as a multiple of those
+#: a fresh pool cannot stand in for: 4.2x with idle pools dropped, 13.5x
+#: with every pool kept to the end of the run.
+FANIN_LIVE_POOLS_PER_BUSY = 5
 
 
 def _all_kinds_app(proc):
@@ -316,6 +333,30 @@ class TestPaidForWhenUsed:
         finally:
             tracemalloc.stop()
         assert peak / n / 1024 <= FANIN_KIB_PER_RANK
+
+    def test_fanin_live_pools_at_the_peak(self):
+        n = 256
+        model = NetworkModel().with_overrides(baseline_scan_cost_us=0.12)
+        samples = []
+
+        def sample():
+            now = rt.sim.now
+            pools = rt.fabric.flow._pools.values()
+            busy = sum(1 for p in pools if p.stall_count or p.available + len(p._returns) <
+                       p.capacity or p._returns and p._returns[-1][0] >= now)
+            samples.append((tracemalloc.get_traced_memory()[0], len(pools), busy))
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rt = make_runtime(n, "mvapich", model=model)
+            for i in range(1, 400):  # every 0.25 us across the peak
+                rt.sim.schedule(i * 0.25, sample)
+            assert rt.run(_fanin_app()) == [0] + [3] * (n - 1)
+        finally:
+            tracemalloc.stop()
+        _, live, busy = max(samples)
+        assert live <= FANIN_LIVE_POOLS_PER_BUSY * busy
 
     @pytest.mark.parametrize("series", SERIES, ids=lambda s: s.name)
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))

@@ -4,9 +4,9 @@ Each rank owns one :class:`RankMiddleware` holding its two-sided engine,
 its notification FIFO endpoint, and (once windows exist) its RMA engine.
 The paper's design keeps two cooperating progress engines (§VII): the
 pre-existing one for two-sided/collectives and the new RMA one; the
-delivery router below is where that cooperation happens — any arrival
-pokes the RMA progress engine so RMA-related progress is made on
-two-sided activity and vice versa.
+delivery router below is where that cooperation happens — an RMA packet
+or a FIFO word pokes the RMA progress engine; a two-sided payload fills
+no RMA ready set, so it does not.
 """
 
 from __future__ import annotations
@@ -48,16 +48,16 @@ class RankMiddleware:
         """Fabric delivery entry point for this rank.
 
         Payload classes are disjoint across the three layers, so the
-        route is read off ``type(payload)``; whichever layer consumes
-        it, every arrival pokes the RMA engine — full opportunistic
-        progression, §VII.
+        route is read off ``type(payload)``; an RMA packet or a FIFO
+        word then pokes the RMA engine (§VII).
         """
         rma = self.rma_engine
         kind = type(payload)
+        if kind in P2P_PAYLOADS:
+            self.p2p.on_delivery(payload, src)
+            return
         if kind is NotificationPacket:
             self.fifo.push(payload.packet, src)
-        elif kind in P2P_PAYLOADS:
-            self.p2p.on_delivery(payload, src)
         elif rma is None or not rma.on_packet(payload, src):
             raise RuntimeError(
                 f"rank {self.rank}: unroutable delivery {payload!r} from {src}"

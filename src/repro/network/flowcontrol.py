@@ -45,8 +45,8 @@ class CreditPool:
         self.available = capacity
         #: Kernel that times the returns (a hand-driven pool needs none).
         self.sim = sim
-        #: Stalled sends, FIFO: a deque from the first stall on, until
-        #: then ``()`` (an empty deque is 0.6 KiB; most pools never wait).
+        #: Stalled sends, FIFO: a deque while any waits, else ``()``
+        #: (an empty deque is 0.6 KiB; most pools never wait).
         self._waiters: "deque[tuple[Callable[..., None], tuple[Any, ...]]] | tuple[()]" = ()
         #: Reserved positions of the credits in flight, in event order
         #: (at most ``capacity``); empty whenever a sender waits.
@@ -92,6 +92,8 @@ class CreditPool:
         """Return one credit, unblocking the oldest waiter if any."""
         if self._waiters:
             waiter, args = self._waiters.popleft()
+            if not self._waiters:  # before the call: the waiter may stall again
+                self._waiters = ()
             waiter(*args)
         else:
             if self.available >= self.capacity:

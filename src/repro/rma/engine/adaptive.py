@@ -58,7 +58,7 @@ class AdaptiveEngine(MvapichEngine):
     """Per-target lazy/eager switching on top of the baseline, whose
     progress loop and ready sets it inherits unchanged: eager activation
     in :meth:`open_lock` goes through the baseline's ``_activate_lock``,
-    which marks the window dirty and makes the epoch's ops due."""
+    which makes the epoch's granted ops due and marks the window if any is."""
 
     __slots__ = ("_eager_pairs", "mode_switches", "degraded")
 

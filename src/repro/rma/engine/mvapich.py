@@ -88,12 +88,12 @@ class MvapichEngine(NonblockingEngine):
             return
         ep.state = EpochState.ACTIVE
         ep.activate_time = self.sim.now
-        self.mark_dirty(ws)
         if self.causal is not None:
             self.causal.instant("epoch_activate", rank=self.rank, win=ws.gid,
                                 epoch=ep.uid, meta={"lazy": True})
         self._enroll_access(ws, ep)
         ws.post_ready.update((ep, t) for t in ep.unissued_targets() if ep.lock_held.get(t))
+        self._mark_if_due(ws)
 
     #: A flush, or an op that carries a request, acquires the lock early.
     _early_activate = _activate_lock

@@ -134,10 +134,9 @@ class NonblockingEngine:
     """Per-rank deferred-epoch, fully nonblocking RMA progress engine."""
 
     __slots__ = (
-        "runtime", "rank", "sim", "fabric", "model", "states", "_sweeping", "_resweep",
-        "_dirty", "sweep_count", "windows_visited", "epochs_examined", "targets_examined",
-        "pairs_ready", "pairs_waiting", "profiler", "causal", "_explore", "fifo", "_node_lo",
-        "_node_hi",
+        "runtime", "rank", "sim", "fabric", "model", "states", "_sweeping", "_dirty",
+        "sweep_count", "windows_visited", "epochs_examined", "targets_examined", "pairs_ready",
+        "pairs_waiting", "profiler", "causal", "_explore", "fifo", "_node_lo", "_node_hi",
     )
 
     #: Whether the proposed MPI_WIN_I* API is available.
@@ -180,20 +179,12 @@ class NonblockingEngine:
         #: WindowState per window gid.
         self.states: dict[int, WindowState] = {}
         self._sweeping = False
-        self._resweep = False
-        #: Dirty-window worklist: gid -> WindowState, insertion-ordered
-        #: (the dict doubles as the membership set).  Sweeps visit only
-        #: these: every point that can change epoch state (packet
-        #: arrival, grant update, FIFO notification consumption, local
-        #: epoch open/close/op recording, op-completion callbacks —
-        #: including those of fault-layer retransmit deliveries, which
-        #: re-enter via the same packet path) marks its window.  A clean
-        #: window is at a quiescent fixed point (its previous visit ran
-        #: to no-change and nothing touched it since), so skipping it
-        #: cannot alter the virtual-time schedule.  Drained by
-        #: :meth:`_take_dirty` at sweep time in gid order, which is
-        #: exactly the relative order the historical full scan visited
-        #: the same (effectful) windows in.
+        #: Dirty-window worklist, gid -> WindowState; empty outside
+        #: :meth:`poke`.  A window is on it only while one of its ready
+        #: sets holds something (:meth:`_mark_if_due`): one with none is
+        #: at a fixed point, so skipping it cannot alter the virtual-time
+        #: schedule.  Drained in gid order, the relative order the
+        #: historical full scan visited the same (effectful) windows in.
         self._dirty: dict[int, WindowState] = {}
         #: Sweeps and per-sweep window visits (exact counts).
         self.sweep_count = 0
@@ -241,20 +232,13 @@ class NonblockingEngine:
     # §VII-D — the progress loop
     # =====================================================================
     def poke(self) -> None:
-        """Run the progress engine now (re-entrant safe)."""
+        """Sweep while a window is dirty or a notification is queued
+        (re-entrant safe: a poke inside a sweep is answered by the loop)."""
         if self._sweeping:
-            self._resweep = True
-            return
-        if not self._dirty and not self.fifo._incoming:
-            # Nothing a sweep could act on: no dirty windows and no queued
-            # notifications.  The sweep body would visit zero windows and
-            # mutate nothing, so skipping it is a pure wall-clock win.
             return
         self._sweeping = True
         try:
-            self._resweep = True
-            while self._resweep:
-                self._resweep = False
+            while self._dirty or self.fifo._incoming:
                 self._sweep()
         finally:
             self._sweeping = False
@@ -310,31 +294,27 @@ class NonblockingEngine:
                 work += self._complete_and_activate(ws)        # step 7
         if prof is not None:
             prof.lap(7, work, t)
+        # Done with these: a window stays dirty only if it left work (the
+        # internode pairs steps 3/7 made due wait for the next step 2),
+        # not for a mid-sweep mark of work this sweep already did.
+        for ws in merged:
+            self._dirty.pop(ws.gid, None)
+            self._mark_if_due(ws)
 
     # -- dirty-window worklist --------------------------------------------
-    def mark_dirty(self, ws: WindowState) -> None:
-        """Put ``ws`` on the worklist: something that can change its
-        epoch state happened.  Marking during an active sweep requests a
-        re-sweep so the poke loop revisits the window before returning."""
-        if ws.gid not in self._dirty:
+    def _mark_if_due(self, ws: WindowState) -> None:
+        """Put ``ws`` on the worklist if one of its ready sets holds
+        something (every point that can fill one calls this after it)."""
+        if ws.post_ready or ws.advance_ready or ws.activation_pending or ws.lock_backlog:
             self._dirty[ws.gid] = ws
-        if self._sweeping:
-            self._resweep = True
 
     def _take_dirty(self) -> list[WindowState]:
         """Drain the worklist for one sweep, in gid order (the relative
         visit order of the historical every-window scan)."""
         self.sweep_count += 1
-        if not self._dirty:
-            out = []
-        elif len(self._dirty) == 1:
-            # Single-window sweeps dominate event-driven runs; skip the
-            # sort machinery.
-            out = list(self._dirty.values())
-            self._dirty.clear()
-        else:
-            out = [ws for _gid, ws in sorted(self._dirty.items())]
-            self._dirty.clear()
+        dirty = self._dirty
+        out = list(dirty.values()) if len(dirty) < 2 else [ws for _, ws in sorted(dirty.items())]
+        dirty.clear()
         self.windows_visited += len(out)
         for ws in out:
             ws.visits += 1
@@ -344,8 +324,7 @@ class NonblockingEngine:
         """Fold windows marked *during* this sweep (loopback deliveries,
         step-5 FIFO notifications) into the visit list for the remaining
         steps, preserving gid order.  The worklist itself is left intact:
-        a mid-sweep mark also means a full revisit next sweep, which is
-        what the historical full re-scan (``_resweep``) did."""
+        the end of the sweep keeps each window on it that still has work."""
         have = {w.gid for w in dirty}
         extra = [ws for gid, ws in sorted(self._dirty.items()) if gid not in have]
         if not extra:
@@ -426,8 +405,14 @@ class NonblockingEngine:
     # moves puts the epoch, or the (epoch, target) pair, into a ready set.
     # =====================================================================
     def _wake_post(self, ws: WindowState, ep: Epoch, target: int) -> None:
-        """``ep``'s readiness toward ``target`` may have flipped."""
-        ws.post_ready.add((ep, target))
+        """``ep``'s readiness toward ``target`` may have flipped: due if it
+        did.  A pair still waiting is examined here (steps 2/4 would find
+        it waiting) and re-woken by the arrival that readies it."""
+        if self._target_ready(ws, ep, target):
+            ws.post_ready.add((ep, target))
+        else:
+            self.epochs_examined += 1
+            self.pairs_waiting += 1
 
     def _wake_advance(self, ws: WindowState, ep: Epoch, target: int | None = None) -> None:
         """One of ``ep``'s completion conditions may have moved: the one
@@ -534,12 +519,9 @@ class NonblockingEngine:
         return posted
 
     def _issue_to(self, ws: WindowState, ep: Epoch, target: int) -> int:
-        """Issue ``ep``'s unissued ops toward ``target``, keeping the
-        window's postable-op aggregate in sync (every engine issue site
-        must go through here, or sweeps would skip live work); returns
-        the number issued."""
+        """Issue ``ep``'s unissued ops toward ``target``; returns the
+        number issued."""
         ops = ep.take_unissued(target)
-        ws.unissued_total -= len(ops)
         for op in ops:
             self._issue_op(ws, op)
         return len(ops)
@@ -565,15 +547,6 @@ class NonblockingEngine:
             if ws.activation_pending:
                 ws.activation_pending = False
                 progressed += self._try_activate(ws)
-        if progressed and ws.unissued_total:
-            # Newly activated epochs may have ready ops; re-mark the
-            # window and rerun the step sequence so steps 2/4 post them.
-            # With nothing postable the re-sweep would find the window
-            # already at this loop's fixpoint (grants/dones sent here
-            # only land via future deliveries, which re-mark on arrival),
-            # so it is skipped as a structural no-op.
-            self.mark_dirty(ws)
-            self._resweep = True
         ws.retire_closed()
         return progressed
 
@@ -662,9 +635,8 @@ class NonblockingEngine:
         ws = self.states.get(payload.win)
         if ws is None:
             raise RuntimeError(f"rank {self.rank}: RMA packet for unknown window {payload.win}")
-        self.mark_dirty(ws)
-        handler = self._PACKET_HANDLERS[type(payload)]
-        handler(self, ws, payload, src)
+        self._PACKET_HANDLERS[type(payload)](self, ws, payload, src)
+        self._mark_if_due(ws)
         return True
 
     # -- individual packet handlers ----------------------------------------
@@ -849,8 +821,8 @@ class NonblockingEngine:
             count += 1
             gid, ident = unpack_win_value(value)
             ws = states[gid]
-            self.mark_dirty(ws)
             self._done_landed(ws, sender, ident)
+            self._mark_if_due(ws)
         fifo._incoming = ()
         return count
 
@@ -1139,12 +1111,12 @@ class NonblockingEngine:
         """Origin-buffer-reusable event (step-1 completion verification).
         It is MPI local completion only for ops that bear no result: a
         get-like op's result buffer is reusable once the result lands
-        (MPI-3.1 §11.5.4), which :meth:`_op_delivered` reports."""
+        (MPI-3.1 §11.5.4), which :meth:`_op_delivered` reports.  No
+        ready set moves, so no sweep is due."""
         if op.local_done:
             return
         op.local_done = True
         op.local_time = self.sim.now
-        self.mark_dirty(ws)
         prof = self.profiler
         if prof is not None:
             prof.tally(1)
@@ -1152,7 +1124,6 @@ class NonblockingEngine:
             ws.notify_flushes(op, local=True)
             if op.request is not None and not op.request.done:
                 op.request.complete()
-        self.poke()
 
     def _op_delivered(self, ws: WindowState, op: RmaOp) -> None:
         """Remote-completion event (applied at target / result at origin)."""
@@ -1162,7 +1133,7 @@ class NonblockingEngine:
         op.deliver_time = self.sim.now
         if op.epoch.mark_delivered(op):
             self._wake_advance(ws, op.epoch, op.target)
-        self.mark_dirty(ws)
+            self._mark_if_due(ws)
         prof = self.profiler
         if prof is not None:
             prof.tally(1)
@@ -1236,7 +1207,7 @@ class NonblockingEngine:
         ws.activation_pending = True
         if self.causal is not None:
             self.causal.epoch_open(self.rank, ws.gid, ep)
-        self.mark_dirty(ws)
+        self._mark_if_due(ws)
         self.poke()
         return ep
 
@@ -1246,13 +1217,13 @@ class NonblockingEngine:
         ep.app_closed = True
         ep.close_call_time = self.sim.now
         req = ClosingRequest(self.sim, ep)
-        self.mark_dirty(ws)
         if ep.completed:
             req.complete()
             ws.retire_closed()
         else:
             ep.closing_request = req  # until completion: no lasting cycle
             self._wake_advance(ws, ep)
+            self._mark_if_due(ws)
             self.poke()
         return req
 
@@ -1281,14 +1252,32 @@ class NonblockingEngine:
         ws = self.state_of(win)
         op.call_time = self.sim.now
         ep.record_op(op)
-        ws.unissued_total += 1
         if ep.active:
             self._wake_post(ws, ep, op.target)
-        self.mark_dirty(ws)
         if op.request is not None:
             self._early_activate(ws, ep)
-        self.poke()
+        if not self._issue_direct(ws, ep, op.target):
+            self._mark_if_due(ws)
+            self.poke()
         return op
+
+    def _issue_direct(self, ws: WindowState, ep: Epoch, target: int) -> bool:
+        """Issue a just-recorded op at once if its pair is this rank's only
+        due entry and its target remote (no loopback re-entry): a sweep
+        would post it in step 2 or 4 and find every other step empty."""
+        due = ws.post_ready
+        if (len(due) != 1 or self._dirty or self.fifo._incoming or self._sweeping
+                or target == self.rank or ws.advance_ready or ws.activation_pending
+                or ws.lock_backlog or (ep, target) not in due):
+            return False
+        due.clear()
+        self.epochs_examined += 1
+        self.pairs_ready += 1
+        posted = self._issue_to(ws, ep, target)
+        prof = self.profiler
+        if prof is not None:
+            prof.tally(4 if self._node_lo <= target < self._node_hi else 2, posted)
+        return True
 
     def next_age(self, win: "Window") -> int:
         """Allocate an RMA-call age (§VII-C flush stamping)."""
@@ -1301,7 +1290,7 @@ class NonblockingEngine:
         ep.app_closed = True
         self._complete_epoch(ws, ep)
         ws.retire_closed()
-        self.mark_dirty(ws)
+        self._mark_if_due(ws)
         self.poke()
 
     # =====================================================================
@@ -1334,6 +1323,5 @@ class NonblockingEngine:
         req = FlushRequest(self.sim, ep, stamp, target, local, pending)
         if not req.done:
             ws.flushes.append(req)
-            self.mark_dirty(ws)
         self.poke()
         return req

@@ -47,7 +47,7 @@ class WindowState:
     __slots__ = (
         "win", "rank", "gid", "checker", "board", "signal_waits", "epochs", "post_ready",
         "advance_ready", "activation_pending", "lock_epochs", "visits", "lock_mgr",
-        "lock_backlog", "fence_round", "unissued_total", "age_counter", "ops_by_uid", "flushes",
+        "lock_backlog", "fence_round", "age_counter", "ops_by_uid", "flushes",
     )
 
     def __init__(self, win: "Window", on_lock_grant):
@@ -102,10 +102,6 @@ class WindowState:
         self.fence_round = 0
 
         # -- ops / flushes -----------------------------------------------------
-        #: Recorded-but-unissued ops across every live epoch (the engine
-        #: maintains it in add_op/_issue_to); lets a sweep skip the
-        #: per-epoch posting scan when nothing is postable.
-        self.unissued_total = 0
         #: Monotonic RMA-call age (§VII-C flush stamping).
         self.age_counter = 0
         #: In-flight response-bearing ops by uid (routing table).

@@ -23,7 +23,7 @@ class TestCreditPoolHighWater:
         for _ in range(5):
             pool.release()
         # Draining does not erase the high-water mark.
-        assert not pool._waiters
+        assert pool._waiters == ()
         assert pool.max_queued == 5
 
     def test_max_queued_zero_when_never_stalled(self):
@@ -105,6 +105,15 @@ class TestPressureScenarios:
         # The totals are the per-pair attribution summed and maxed.
         assert stats.fc_stalls == sum(s for s, _ in stats.fc_pair_stalls.values())
         assert stats.fc_max_queued == max(q for _, q in stats.fc_pair_stalls.values())
+
+    def test_a_drained_pool_keeps_no_empty_deque(self):
+        """The last waiter to leave puts ``()`` back: a pool that once
+        stalled holds no 0.6 KiB empty deque for the rest of the run."""
+        rt = make_runtime(2, model=self.TIGHT)
+        assert rt.run(flood_app(64))[1] == 1
+        pool = rt.fabric.flow.pool(0, 1)
+        assert pool._waiters == ()
+        assert pool.stall_count == 61
 
     def test_many_pending_epochs_viii_b(self):
         # The §VIII-B scenario: many nonblocking epochs in flight at

@@ -135,19 +135,38 @@ class TestProgressBehaviour:
         assert res[0] <= 1  # nothing lingering
 
     def test_poke_reentrancy_safe(self):
-        """poke() during a sweep re-runs rather than recursing."""
+        """poke() during a sweep does not recurse: what it would sweep
+        stays on the worklist for the outer poke loop's next sweep."""
         rt = make_runtime(2)
+
+        def app(proc):
+            yield from proc.win_allocate(64)
+            yield from proc.barrier()
+
+        rt.run(app)
         engine = rt.engines[0]
+        (ws,) = engine.states.values()
+        ws.activation_pending = True
+        engine._mark_if_due(ws)
+        sweeps = engine.sweep_count
         engine._sweeping = True
         engine.poke()  # must not recurse into _sweep
-        assert engine._resweep
+        assert engine.sweep_count == sweeps and ws.gid in engine._dirty
         engine._sweeping = False
-        engine._resweep = False
+        engine.poke()
+        assert engine.sweep_count == sweeps + 1
+        assert not engine._dirty and not ws.activation_pending
 
     def test_unroutable_packet_raises(self):
         rt = make_runtime(2)
         with pytest.raises(RuntimeError, match="unroutable"):
             rt.middlewares[0].on_delivery(object(), 1)
+
+
+def _fill(eng, ws) -> None:
+    """A wake-up filled one of ``ws``'s ready sets, and marked it."""
+    ws.activation_pending = True
+    eng._mark_if_due(ws)
 
 
 class TestDirtyWorklistMerge:
@@ -171,14 +190,14 @@ class TestDirtyWorklistMerge:
     def test_mid_sweep_mark_merges_in_gid_order(self):
         eng = self._engine()
         ws0, ws1, ws2 = (eng.states[g] for g in sorted(eng.states))
-        eng.mark_dirty(ws0)
-        eng.mark_dirty(ws2)
+        _fill(eng, ws0)
+        _fill(eng, ws2)
         dirty = eng._take_dirty()
         assert [w.gid for w in dirty] == [ws0.gid, ws2.gid]
         v0 = eng.windows_visited
         # A loopback delivery marks the middle window mid-sweep: the
         # merged visit list must come back gid-sorted, not appended.
-        eng.mark_dirty(ws1)
+        _fill(eng, ws1)
         merged = eng._merge_marked(dirty)
         assert [w.gid for w in merged] == [ws0.gid, ws1.gid, ws2.gid]
         # Exactly the extras are accounted, once.
@@ -187,9 +206,9 @@ class TestDirtyWorklistMerge:
     def test_mid_sweep_mark_survives_for_next_sweep(self):
         eng = self._engine()
         ws0, _, ws2 = (eng.states[g] for g in sorted(eng.states))
-        eng.mark_dirty(ws2)
+        _fill(eng, ws2)
         dirty = eng._take_dirty()
-        eng.mark_dirty(ws0)
+        _fill(eng, ws0)
         eng._merge_marked(dirty)
         # _merge_marked folds the window into *this* sweep but leaves the
         # worklist intact: the next sweep revisits it (the historical
@@ -200,10 +219,10 @@ class TestDirtyWorklistMerge:
     def test_remark_of_already_visited_window_adds_nothing(self):
         eng = self._engine()
         ws1 = eng.states[sorted(eng.states)[1]]
-        eng.mark_dirty(ws1)
+        _fill(eng, ws1)
         dirty = eng._take_dirty()
         v0 = eng.windows_visited
-        eng.mark_dirty(ws1)  # mid-sweep re-mark of a visited window
+        _fill(eng, ws1)  # mid-sweep re-mark of a visited window
         merged = eng._merge_marked(dirty)
         assert merged is dirty  # no extras to fold in
         assert eng.windows_visited == v0
@@ -212,17 +231,17 @@ class TestDirtyWorklistMerge:
     def test_merge_with_clean_worklist_is_identity(self):
         eng = self._engine()
         ws0 = eng.states[sorted(eng.states)[0]]
-        eng.mark_dirty(ws0)
+        _fill(eng, ws0)
         dirty = eng._take_dirty()
         assert eng._merge_marked(dirty) is dirty
 
     def test_merge_extras_count_into_visit_metrics(self):
         eng = self._engine()
         ws0, ws1, _ = (eng.states[g] for g in sorted(eng.states))
-        eng.mark_dirty(ws1)
+        _fill(eng, ws1)
         dirty = eng._take_dirty()
         base, per_win = eng.windows_visited, ws0.visits
-        eng.mark_dirty(ws0)
+        _fill(eng, ws0)
         eng._merge_marked(dirty)
         assert eng.windows_visited == base + 1
         assert ws0.visits == per_win + 1

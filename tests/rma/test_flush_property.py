@@ -83,7 +83,7 @@ def test_completes_exactly_when_last_qualifying_op_does(
     ws = WindowState(win, on_lock_grant=None)
     ws.flushes.append(fr)
     engine = SimpleNamespace(sim=sim, profiler=None, causal=None,
-                             mark_dirty=lambda ws: None, poke=lambda: None)
+                             _mark_if_due=lambda ws: None, poke=lambda: None)
 
     events = [(callback, op) for op in rma_ops
               for callback in (NonblockingEngine._op_local, NonblockingEngine._op_delivered)]

@@ -44,7 +44,6 @@ class BaseAppConfig:
     nonblocking: bool = False
     cores_per_node: int = 8
     model: NetworkModel | None = None
-    flow_control: bool = True
     #: Chaos schedule applied to the fabric (arms the reliability layer).
     fault_plan: "FaultPlan | None" = None
     #: Run the RMA semantics checker on the app's windows
@@ -66,7 +65,6 @@ class BaseAppConfig:
             cores_per_node=self.cores_per_node,
             engine=self.engine,
             model=self.model,
-            flow_control=self.flow_control,
             fault_plan=self.fault_plan,
             metrics=self.metrics,
             causal=self.causal,

@@ -102,11 +102,11 @@ def credit_rows() -> Rows:
 
 
 def flow_control_rows() -> Rows:
-    """Credit flow control on / off under the same pipelined epochs."""
-    model = NetworkModel(credits_per_peer=2, ack_latency=10.0)
+    """Credit flow control on / off (zero credits) under the same
+    pipelined epochs."""
     return {
-        label: _pipelined_txn(40, flow_control=on, model=model)
-        for label, on in (("flow control on", True), ("flow control off", False))
+        label: _pipelined_txn(40, model=NetworkModel(credits_per_peer=credits, ack_latency=10.0))
+        for label, credits in (("flow control on", 2), ("flow control off", 0))
     }
 
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..rma.notify import SignalChannel
+from ..rma.notify import SignalChannel, row_items
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import MPIRuntime
@@ -120,7 +120,7 @@ def _omega_counters(runtime: "MPIRuntime") -> dict[str, dict]:
         omega = not engine.supports_notified_access
         for gid, ws in sorted(engine.states.items()):
             out[f"{gid}/{rank}"] = {
-                name: {str(r): v for r, v in getattr(ws.board, array).row_items(channel)}
+                name: {str(r): v for r, v in row_items(getattr(ws.board, array), channel)}
                 if omega else {}
                 for name, array, channel in _OMEGA_ROWS
             }
@@ -164,8 +164,8 @@ def _omega_invariants(runtime: "MPIRuntime") -> list[str]:
         for l, board_l in sorted(boards.items()):
             for r in sorted(boards):
                 board_r = boards[r]
-                a, g = board_l.expected[grant, r], board_l.inbound[grant, r]
-                e, done_id = board_r.outbound[grant, l], board_r.inbound[done, l]
+                a, g = board_l.expected.get((grant, r), 0), board_l.inbound.get((grant, r), 0)
+                e, done_id = board_r.outbound.get((grant, l), 0), board_r.inbound.get((done, l), 0)
                 if g != e:
                     bad.append(f"win {gid}: grant conservation g[{l}<-{r}]={g} != e[{r}->{l}]={e}")
                 if done_id > a:

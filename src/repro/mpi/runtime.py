@@ -70,7 +70,6 @@ class MPIRuntime:
         cores_per_node: int = 8,
         model: NetworkModel | None = None,
         engine: str = DEFAULT_ENGINE,
-        flow_control: bool = True,
         metrics: bool = False,
         causal: bool = False,
         fault_plan: "FaultPlan | None" = None,
@@ -88,7 +87,6 @@ class MPIRuntime:
         # construction (None when disabled: one attribute check per event).
         # ``metrics=True`` arms the §VII-D step profiler and the causal
         # span recorder the summary is folded from.
-        self.metrics = metrics
         self.profiler: "EngineProfiler | None" = None
         if metrics:
             from ..obs import EngineProfiler
@@ -114,7 +112,6 @@ class MPIRuntime:
             self.sim,
             self.topology,
             model,
-            flow_control_enabled=flow_control,
             injector=injector,
             reliability=rel,
         )
@@ -203,6 +200,11 @@ class MPIRuntime:
         self.sim.run(until=until)
         return {r: p.done.value for r, p in procs.items()}
 
+    @property
+    def metrics(self) -> bool:
+        """Whether the runtime was built with ``metrics=True``."""
+        return self.profiler is not None
+
     def stats(self):
         """Snapshot fabric/engine counters (see :mod:`repro.mpi.stats`)."""
         from .stats import collect_stats
@@ -213,7 +215,7 @@ class MPIRuntime:
         """JSON-stable snapshot of the :mod:`repro.obs` telemetry, or
         ``None`` when the runtime was built without ``metrics=True``;
         folded after the fact by :func:`repro.obs.metrics.fold_metrics`."""
-        if not self.metrics:
+        if self.profiler is None:
             return None
         from ..obs.metrics import fold_metrics
 

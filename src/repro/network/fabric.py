@@ -57,7 +57,6 @@ class Fabric:
         sim: "Simulator",
         topology: ClusterTopology,
         model: NetworkModel | None = None,
-        flow_control_enabled: bool = True,
         injector: "FaultInjector | None" = None,
         reliability: "ReliabilityLayer | None" = None,
     ):
@@ -68,7 +67,6 @@ class Fabric:
             sim,
             self.model.credits_per_peer,
             self.model.ack_latency,
-            enabled=flow_control_enabled,
             nranks=topology.nranks,
         )
         self._ports = [NicPorts() for _ in range(topology.nranks)]

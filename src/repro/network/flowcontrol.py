@@ -125,9 +125,9 @@ class CreditPool:
 class FlowControl:
     """Lazily instantiated credit pools for all rank pairs.
 
-    ``capacity <= 0`` or ``enabled=False`` disables flow control entirely
-    (every acquire succeeds immediately), which the ablation benchmarks
-    use to isolate its effect.
+    ``capacity <= 0`` disables flow control entirely (every acquire
+    succeeds immediately), which the ablation benchmarks use to isolate
+    its effect.
     """
 
     def __init__(
@@ -135,13 +135,12 @@ class FlowControl:
         sim: "Simulator",
         capacity: int,
         ack_latency: float,
-        enabled: bool = True,
         nranks: int | None = None,
     ):
         self.sim = sim
         self.capacity = capacity
         self.ack_latency = ack_latency
-        self.enabled = enabled and capacity > 0
+        self.enabled = capacity > 0
         # Sparse per-pair pools, one dict probe per send keyed by the int
         # ``src * stride + dst`` (a dense grid is 16M slots at 4096 ranks),
         # live while they differ from a fresh one: a sweep leaving L pools
@@ -162,7 +161,7 @@ class FlowControl:
             if not self._room:
                 self._sweep()
             self._room -= 1
-            pool = self._pools[key] = CreditPool(self.capacity if self.enabled else 1, self.sim)
+            pool = self._pools[key] = CreditPool(self.capacity, self.sim)
         return pool
 
     def _sweep(self) -> None:

@@ -52,7 +52,8 @@ class NetworkModel:
         Registration-cache capacity in bytes per rank (LRU).
     credits_per_peer:
         Flow-control credits per (source, destination) pair: the maximum
-        number of unacknowledged packets in flight towards one peer.
+        number of unacknowledged packets in flight towards one peer; 0
+        disables flow control.
     ack_latency:
         Delay after delivery before the sender's credit returns.
     host_attention_overhead:

@@ -178,6 +178,9 @@ class CausalRecorder:
         self.epochs: list[EpochRecord] = []
         #: Epoch uid -> open epoch span sid (moved to records on complete).
         self._epoch_sids: dict[int, int] = {}
+        #: Epoch uid -> ``(op uid, (target, issue, local, deliver))`` of
+        #: its delivered ops (moved to records on complete).
+        self._op_times: dict[int, list[tuple[int, tuple]]] = {}
 
     # -- span primitives -------------------------------------------------
     def begin(self, kind: str, rank: int = -1, win: int = -1,
@@ -223,6 +226,15 @@ class CausalRecorder:
             meta={"kind": ep.kind.value},
         )
 
+    def op_delivered(self, op: Any) -> None:
+        """Close an op's span and keep its times for its epoch's record (a
+        delivered op is locally complete at the latest now)."""
+        if op.causal_sid is not None:
+            self.end(op.causal_sid)
+        local = op.local_time if op.local_time is not None else op.deliver_time
+        self._op_times.setdefault(op.epoch.uid, []).append(
+            (op.uid, (op.target, op.issue_time, local, op.deliver_time)))
+
     def epoch_complete(self, rank: int, win: int, ep: Any) -> None:
         """Close the epoch span and snapshot attribution inputs
         (called from ``_complete_epoch``; uniform across engines)."""
@@ -231,11 +243,8 @@ class CausalRecorder:
             sid = self.begin("epoch", rank=rank, win=win, epoch=ep.uid,
                              meta={"kind": ep.kind.value})
         self.end(sid)
-        ops = [
-            (op.target, op.issue_time, op.local_time, op.deliver_time)
-            for op in ep.ops
-            if op.issue_time is not None
-        ]
+        # Every op of a completed epoch is delivered: all of them, in call order.
+        ops = [times for _uid, times in sorted(self._op_times.pop(ep.uid, ()))]
         self.epochs.append(
             EpochRecord(
                 ep.uid, ep.kind.value, rank, win, sid,

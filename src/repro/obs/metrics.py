@@ -153,7 +153,7 @@ def fold_metrics(runtime: "MPIRuntime") -> dict:
     run, plus the §VII-D step profile under ``"profile"`` and the
     counter-signal engine's nonzero per-window board snapshots under
     ``"signal_board"``."""
-    from ..rma.notify import SignalChannel
+    from ..rma.notify import SignalChannel, row_items
 
     rec, fabric, engines = runtime.causal, runtime.fabric, runtime.engines
     stats = runtime.stats()
@@ -191,7 +191,7 @@ def fold_metrics(runtime: "MPIRuntime") -> dict:
         counters[f"engine.sweep.visited.win{ws.gid}"] += ws.visits
     if omega:
         counters["omega.grants_sent"] = sum(
-            v for ws in states for _peer, v in ws.board.outbound.row_items(SignalChannel.GRANT))
+            v for ws in states for _peer, v in row_items(ws.board.outbound, SignalChannel.GRANT))
     rel = fabric.reliability
     if rel is not None:
         counters["rel.out_of_order"] = rel.out_of_order
@@ -232,7 +232,8 @@ def fold_metrics(runtime: "MPIRuntime") -> dict:
         "gauges": {name: {"value": value, "high_water": high}
                    for name, (value, high) in gauges.items() if high},
         "histograms": {name: h for name, h in sorted(histograms.items()) if h["count"]},
-        "profile": runtime.profiler.summary(),
+        "profile": {"sweeps": sum(eng.sweep_count for eng in engines),
+                    **runtime.profiler.summary()},
     }
     boards = {f"rank{rank}.win{gid}": snap for rank, eng in enumerate(engines)
               if eng.supports_notified_access

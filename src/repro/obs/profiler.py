@@ -59,14 +59,6 @@ class EngineProfiler:
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.steps: dict[int, StepStat] = {n: StepStat() for n in PROGRESS_STEPS}
-        #: Full progress sweeps executed across all ranks.
-        self.sweeps = 0
-
-    def begin_sweep(self) -> float:
-        """Count one progress sweep; returns the ``perf_counter()``
-        reading its first step starts at."""
-        self.sweeps += 1
-        return perf_counter()
 
     def lap(self, step: int, work: int, since: float) -> float:
         """Account one timed execution of ``step`` that began at the
@@ -88,10 +80,9 @@ class EngineProfiler:
         st.last_virtual_us = self.sim.now
 
     def summary(self) -> dict:
-        """JSON-stable profile: sweep count plus per-step stats keyed by
-        step number (as str, for JSON round-trip stability)."""
+        """JSON-stable per-step stats keyed by step number (as str, for
+        JSON round-trip stability)."""
         return {
-            "sweeps": self.sweeps,
             "steps": {
                 str(n): {
                     "name": PROGRESS_STEPS[n],

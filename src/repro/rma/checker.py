@@ -257,7 +257,7 @@ class RmaChecker:
         if ep.kind is EpochKind.GATS_ACCESS and op.target in ep.access_ids:
             access_id = ep.access_ids[op.target]
             if not ws.board.reached(SignalChannel.GRANT, op.target, access_id):
-                granted = ws.board.inbound[SignalChannel.GRANT, op.target]
+                granted = ws.board.inbound.get((SignalChannel.GRANT, op.target), 0)
                 self._flag(
                     ViolationKind.OMEGA_VIOLATION,
                     ws,
@@ -349,7 +349,7 @@ class RmaChecker:
         ops = self._shadow.get(key)
         if ops:
             self._shadow[key] = [
-                op for op in ops if not (op.origin == source and op.delivered)
+                op for op in ops if not (op.origin == source and op.deliver_time is not None)
             ]
 
     # -- lock hosting ------------------------------------------------------

@@ -132,11 +132,11 @@ class AdaptiveEngine(MvapichEngine):
         """Promote/demote the targets the epoch communicated with, based
         on the observed gap between the last communication call and this
         closing call."""
-        if ep.nocheck or not ep.ops or self._check_degrade():
+        if ep.nocheck or ep.last_call_time is None or self._check_degrade():
             return
         gid = win.group.gid
-        last_call = max(op.call_time or 0.0 for op in ep.ops)
-        overlappable = (self.sim.now - last_call) > ADAPT_THRESHOLD_US
-        # Sorted is ``ep.targets`` order: a lock epoch's targets ascend.
-        for target in sorted({op.target for op in ep.ops}):
+        overlappable = (self.sim.now - ep.last_call_time) > ADAPT_THRESHOLD_US
+        # Every target called keeps its in-flight entry; sorted is
+        # ``ep.targets`` order: a lock epoch's targets ascend.
+        for target in sorted(ep._undelivered_by_target):
             self._set_mode(gid, target, overlappable)

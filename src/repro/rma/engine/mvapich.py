@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ...obs.metrics import Histogram
-from ..epoch import Epoch, EpochKind, EpochState
+from ..epoch import Epoch, EpochKind
 from ..notify import SignalChannel
 from ..requests import ClosingRequest
 from ..state import WindowState
@@ -51,6 +51,7 @@ class MvapichEngine(NonblockingEngine):
     __slots__ = ("scan_cost", "_scan_busy_until", "_scan_pending")
 
     supports_nonblocking = False
+    activation_scan = False
 
     def __init__(self, runtime: "MPIRuntime", rank: int):
         super().__init__(runtime, rank)
@@ -69,7 +70,7 @@ class MvapichEngine(NonblockingEngine):
     def _open_epoch(self, ws: WindowState, ep: Epoch) -> Epoch:
         """GATS and fence epochs activate at the opening call; locks wait."""
         if ep.kind not in _LOCK_KINDS:
-            ep.state = EpochState.ACTIVE
+            ep.active = True
             ep.activate_time = self.sim.now
             if ep.kind is EpochKind.GATS_EXPOSURE:
                 self._enroll_exposure(ws, ep)
@@ -86,7 +87,7 @@ class MvapichEngine(NonblockingEngine):
         """Acquire a lazy lock now: issue the deferred lock request(s)."""
         if ep.active or ep.kind not in _LOCK_KINDS:
             return
-        ep.state = EpochState.ACTIVE
+        ep.active = True
         ep.activate_time = self.sim.now
         if self.causal is not None:
             self.causal.instant("epoch_activate", rank=self.rank, win=ws.gid,
@@ -94,9 +95,6 @@ class MvapichEngine(NonblockingEngine):
         self._enroll_access(ws, ep)
         ws.post_ready.update((ep, t) for t in ep.unissued_targets() if ep.lock_held.get(t))
         self._mark_if_due(ws)
-
-    #: A flush, or an op that carries a request, acquires the lock early.
-    _early_activate = _activate_lock
 
     def close_epoch(self, win: "Window", ep: Epoch) -> ClosingRequest:
         """Fence arrival is announced, and a lazy lock acquired, here."""

@@ -52,6 +52,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from operator import attrgetter
+from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -59,7 +60,7 @@ import numpy as np
 from ...mpi.errors import RmaInternalError, RmaUsageError
 from ...network.packets import ServiceKind
 from ...network.shmem import NotifyKind, decode_checked
-from ..epoch import Epoch, EpochKind, EpochState
+from ..epoch import Epoch, EpochKind
 from ..notify import SignalChannel
 from ..ops import OpKind, RmaOp
 from ..packets import (
@@ -135,7 +136,7 @@ class NonblockingEngine:
 
     __slots__ = (
         "runtime", "rank", "sim", "fabric", "model", "states", "_sweeping", "_dirty",
-        "sweep_count", "windows_visited", "epochs_examined", "targets_examined", "pairs_ready",
+        "sweep_count", "epochs_examined", "targets_examined", "pairs_ready",
         "pairs_waiting", "profiler", "causal", "_explore", "fifo", "_node_lo", "_node_hi",
     )
 
@@ -162,6 +163,10 @@ class NonblockingEngine:
     #: done overtake an earlier one's: an id floor covers both exposures.
     done_by_id: bool = True
 
+    #: Whether opening or completing an epoch requests the §VII-A
+    #: activation scan (the baseline activates at calls and has none).
+    activation_scan: bool = True
+
     #: §VII-A activation gate: the deferred-epoch scan stops at the first
     #: epoch that fails its activation conditions, so E_{k+1} can never
     #: activate before E_k unless a reorder flag allows it.  Test-only
@@ -186,9 +191,8 @@ class NonblockingEngine:
         #: schedule.  Drained in gid order, the relative order the
         #: historical full scan visited the same (effectful) windows in.
         self._dirty: dict[int, WindowState] = {}
-        #: Sweeps and per-sweep window visits (exact counts).
+        #: Sweeps (an exact count; window visits are ``windows_visited``).
         self.sweep_count = 0
-        self.windows_visited = 0
         #: Epoch examinations: one per ``_advance_epoch`` call and one per
         #: (epoch, target) readiness test (exact and machine-independent).
         self.epochs_examined = 0
@@ -215,6 +219,11 @@ class NonblockingEngine:
         self.fifo = runtime.middlewares[rank].fifo
         topo = runtime.fabric.topology
         self._node_lo, self._node_hi = topo.node_span(rank)
+
+    @property
+    def windows_visited(self) -> int:
+        """Per-sweep window visits: the sum of the windows' own counts."""
+        return sum(ws.visits for ws in self.states.values())
 
     # -- wiring ---------------------------------------------------------------
     def register_window(self, win: "Window") -> None:
@@ -249,7 +258,7 @@ class NonblockingEngine:
         # also reports its work count and wall-clock delta.
         prof = self.profiler
         dirty = self._take_dirty()
-        t = prof.begin_sweep() if prof is not None else 0.0
+        t = perf_counter() if prof is not None else 0.0
         work = 0
         for ws in dirty:
             # Step 1 (completion verification) is event-driven here:
@@ -315,7 +324,6 @@ class NonblockingEngine:
         dirty = self._dirty
         out = list(dirty.values()) if len(dirty) < 2 else [ws for _, ws in sorted(dirty.items())]
         dirty.clear()
-        self.windows_visited += len(out)
         for ws in out:
             ws.visits += 1
         return out
@@ -331,7 +339,6 @@ class NonblockingEngine:
             return dirty
         merged = dirty + extra
         merged.sort(key=lambda w: w.gid)
-        self.windows_visited += len(extra)
         for ws in extra:
             ws.visits += 1
         return merged
@@ -378,7 +385,7 @@ class NonblockingEngine:
     def _activate(
         self, ws: WindowState, ep: Epoch, active_preceding: tuple[Epoch, ...] = ()
     ) -> None:
-        ep.state = EpochState.ACTIVE
+        ep.active = True
         ep.activate_time = self.sim.now
         ep.activated_past = tuple(p.uid for p in active_preceding)
         # Due on activation, every target of it (``due_targets`` is still
@@ -719,7 +726,8 @@ class NonblockingEngine:
         granter = p.granter
         # Idempotent form: the packet carries its position in the
         # granter's grant stream, so replays cannot over-increment g.
-        seq = p.grant_seq if p.grant_seq is not None else board.inbound[_GRANT, granter] + 1
+        seq = (p.grant_seq if p.grant_seq is not None
+               else board.inbound.get((_GRANT, granter), 0) + 1)
         if not board.apply(_GRANT, granter, seq):
             return
         if self.causal is not None:
@@ -1026,11 +1034,10 @@ class NonblockingEngine:
     # =====================================================================
     def _issue_op(self, ws: WindowState, op: RmaOp) -> None:
         """Put one recorded op on the wire."""
-        assert not op.issued, f"double issue of {op}"
+        assert op.issue_time is None, f"double issue of {op}"
         checker = ws.checker
         if checker is not None:
             checker.on_op_issue(ws, op.epoch, op)
-        op.issued = True
         op.issue_time = self.sim.now
         causal = self.causal
         if causal is not None:
@@ -1113,9 +1120,8 @@ class NonblockingEngine:
         get-like op's result buffer is reusable once the result lands
         (MPI-3.1 §11.5.4), which :meth:`_op_delivered` reports.  No
         ready set moves, so no sweep is due."""
-        if op.local_done:
+        if op.local_time is not None:
             return
-        op.local_done = True
         op.local_time = self.sim.now
         prof = self.profiler
         if prof is not None:
@@ -1127,9 +1133,8 @@ class NonblockingEngine:
 
     def _op_delivered(self, ws: WindowState, op: RmaOp) -> None:
         """Remote-completion event (applied at target / result at origin)."""
-        if op.delivered:
+        if op.deliver_time is not None:
             return
-        op.delivered = True
         op.deliver_time = self.sim.now
         if op.epoch.mark_delivered(op):
             self._wake_advance(ws, op.epoch, op.target)
@@ -1137,12 +1142,10 @@ class NonblockingEngine:
         prof = self.profiler
         if prof is not None:
             prof.tally(1)
-        causal = self.causal
-        if causal is not None and op.causal_sid is not None:
-            causal.end(op.causal_sid)
-        if not op.local_done:
+        if self.causal is not None:
+            self.causal.op_delivered(op)
+        if op.local_time is None:
             # Remote completion implies local.
-            op.local_done = True
             op.local_time = self.sim.now
             ws.notify_flushes(op, local=True)
         elif op.result_buf is not None:
@@ -1204,7 +1207,8 @@ class NonblockingEngine:
     def _open_epoch(self, ws: WindowState, ep: Epoch) -> Epoch:
         ep.open_time = self.sim.now
         ws.epochs.append(ep)
-        ws.activation_pending = True
+        if self.activation_scan:
+            ws.activation_pending = True
         if self.causal is not None:
             self.causal.epoch_open(self.rank, ws.gid, ep)
         self._mark_if_due(ws)
@@ -1228,9 +1232,10 @@ class NonblockingEngine:
         return req
 
     def _complete_epoch(self, ws: WindowState, ep: Epoch) -> None:
-        ep.state = EpochState.COMPLETED
+        ep.active, ep.completed = False, True
         ep.complete_time = self.sim.now
-        ws.activation_pending = True
+        if self.activation_scan:
+            ws.activation_pending = True
         if self.causal is not None:
             self.causal.epoch_complete(self.rank, ws.gid, ep)
         checker = ws.checker
@@ -1250,12 +1255,12 @@ class NonblockingEngine:
         """Record one RMA call in its epoch; engine policy decides when
         it is issued."""
         ws = self.state_of(win)
-        op.call_time = self.sim.now
+        ep.last_call_time = self.sim.now
         ep.record_op(op)
         if ep.active:
             self._wake_post(ws, ep, op.target)
         if op.request is not None:
-            self._early_activate(ws, ep)
+            self._activate_lock(ws, ep)
         if not self._issue_direct(ws, ep, op.target):
             self._mark_if_due(ws)
             self.poke()
@@ -1297,7 +1302,7 @@ class NonblockingEngine:
     # Flushes (§V/§VII-C).  Every flush is the age-stamped request; a
     # blocking one is that request plus a wait in the Window facade.
     # =====================================================================
-    def _early_activate(self, ws: WindowState, ep: Epoch) -> None:
+    def _activate_lock(self, ws: WindowState, ep: Epoch) -> None:
         """Hook: the application may wait on ``ep``'s ops before closing it
         (a flush, or an op that carries a request).  The lazy baseline
         acquires its lock here (as real MVAPICH does); the redesigned
@@ -1313,12 +1318,13 @@ class NonblockingEngine:
         checker = ws.checker
         if checker is not None:
             checker.on_flush(ws, ep)
-        self._early_activate(ws, ep)
+        self._activate_lock(ws, ep)
         stamp = ws.age_counter
         pending = sum(
             1
             for op in ep.undelivered_ops(target)
-            if op.age <= stamp and not (local and op.local_done and op.result_buf is None)
+            if op.age <= stamp and not (local and op.local_time is not None
+                                        and op.result_buf is None)
         )
         req = FlushRequest(self.sim, ep, stamp, target, local, pending)
         if not req.done:

@@ -196,11 +196,11 @@ class SignalEngine(NonblockingEngine):
             self._notify(ws, SignalChannel.NOTIFY, op.notify_target)
 
     def _op_delivered(self, ws: WindowState, op: RmaOp) -> None:
-        already = op.delivered
+        already = op.deliver_time is not None
         super()._op_delivered(ws, op)
         if (
             not already
-            and op.delivered
+            and op.deliver_time is not None
             and op.notify_target is not None
             and not self._notify_at_issue(op)
         ):

@@ -10,7 +10,9 @@ An epoch has two lifetimes (§VI):
 An epoch opened at application level but not yet activated is a
 *deferred epoch*: its communication calls are recorded and replayed on
 activation (§VII-A).  An epoch can even be closed at application level
-while still deferred (``app_closed`` with ``state == DEFERRED``).
+while still deferred (``app_closed`` with ``state == DEFERRED``).  An op
+stays in its epoch only while it is owed: unissued, or issued and not
+yet delivered.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class Epoch:
 
     __slots__ = (
         "uid", "kind", "win", "owner", "targets", "origin_group", "peers", "exclusive",
-        "fence_round", "nocheck", "is_access", "reorder_excluded", "_state", "active",
-        "completed", "app_closed", "activated_past", "ops", "_unissued_by_target",
+        "fence_round", "nocheck", "is_access", "reorder_excluded", "active",
+        "completed", "app_closed", "activated_past", "last_call_time", "_unissued_by_target",
         "_unissued_count", "_undelivered_by_target", "_undelivered_count", "access_ids",
         "exposure_ids", "lock_held", "done_sent", "done_from", "ready_from",
         "internode_waiting", "due_targets", "unlock_sent", "unlock_acked", "fence_done_sent",
@@ -115,11 +117,8 @@ class Epoch:
         self.is_access = not exposure
         self.reorder_excluded = fence or kind is EpochKind.LOCK_ALL
 
-        # ``state`` is a property: its setter maintains the plain
-        # ``active``/``completed`` bools the progress engines poll tens
-        # of thousands of times per run (a bool attribute read is ~5x
-        # cheaper than property + enum identity test).
-        self._state = EpochState.DEFERRED
+        # The internal-lifetime state is these two bools, set by the
+        # progress engines (``state`` is the enum view of them).
         self.active = False
         self.completed = False
         #: Application already invoked the closing routine.
@@ -129,14 +128,14 @@ class Epoch:
         #: activation jump ahead; the checker uses it to distinguish
         #: races *introduced* by reordering from plain overlap races).
         self.activated_past: tuple[int, ...] = ()
-        #: Ops recorded in call order (issued lazily; cleared at retirement).
-        self.ops: list["RmaOp"] = []
-        # Incremental op bookkeeping (the progress engine polls these on
-        # every sweep; scanning `ops` there would be quadratic).
+        #: Virtual time of the last communication call (None: none yet).
+        self.last_call_time: float | None = None
+        # The ops still owed, per target (the progress engine polls these
+        # on every sweep).  A delivered op leaves its epoch.
         self._unissued_by_target: dict[int, list["RmaOp"]] = {}
         self._unissued_count = 0
-        #: Not-yet-delivered ops per target, by op uid (flushes filter
-        #: this in-flight set, never the whole ``ops`` history).
+        #: Not-yet-delivered ops per target, by op uid; a target's entry
+        #: outlives its ops, so the keys are every target ever called.
         self._undelivered_by_target: dict[int, dict[int, "RmaOp"]] = {}
         self._undelivered_count = 0
         #: Access ids per target: the value reserved on the board's
@@ -181,25 +180,19 @@ class Epoch:
     # -- state helpers -----------------------------------------------------
     @property
     def state(self) -> EpochState:
-        """Internal-lifetime state; assigning it refreshes the flattened
-        ``active``/``completed`` flags."""
-        return self._state
-
-    @state.setter
-    def state(self, value: EpochState) -> None:
-        self._state = value
-        self.active = value is EpochState.ACTIVE
-        self.completed = value is EpochState.COMPLETED
+        """Internal-lifetime state, read off ``active`` / ``completed``."""
+        if self.completed:
+            return EpochState.COMPLETED
+        return EpochState.ACTIVE if self.active else EpochState.DEFERRED
 
     @property
     def deferred(self) -> bool:
         """Not yet activated by the progress engine."""
-        return self._state is EpochState.DEFERRED
+        return not (self.active or self.completed)
 
     # -- op bookkeeping (engine-internal) --------------------------------
     def record_op(self, op: "RmaOp") -> None:
         """Register a communication call with this epoch."""
-        self.ops.append(op)
         self._unissued_by_target.setdefault(op.target, []).append(op)
         self._unissued_count += 1
         self._undelivered_by_target.setdefault(op.target, {})[op.uid] = op

@@ -28,6 +28,10 @@ Channels keep independent streams apart; within one (channel, pair) the
 counters align by *program order* on both sides — the per-pair FIFO
 fabric lanes make the k-th update sent the k-th applied.
 
+Each counter family is a ``dict`` keyed by ``(channel, peer)`` and read
+with ``.get(key, 0)``: only a store adds an entry, so a window costs
+O(peers it talked to), not O(nranks).
+
 Counters saturate at :data:`SIGNAL_LIMIT` (2^62): far below int64
 overflow, far above any real run.  Crossing it raises — wraparound
 would silently break the monotonic ``max()`` application.
@@ -38,9 +42,8 @@ from __future__ import annotations
 import enum
 
 from ..mpi.errors import RmaInternalError
-from ..simtime import SparseCounterMat
 
-__all__ = ["SignalChannel", "SignalBoard", "SIGNAL_LIMIT"]
+__all__ = ["SignalChannel", "SignalBoard", "SIGNAL_LIMIT", "row_items"]
 
 #: Counter ceiling (2^62): bumping past it raises instead of wrapping.
 SIGNAL_LIMIT = 1 << 62
@@ -72,9 +75,9 @@ class SignalBoard:
     __slots__ = ("outbound", "inbound", "expected", "dup_signals_ignored", "applied")
 
     def __init__(self):
-        self.outbound = SparseCounterMat()
-        self.inbound = SparseCounterMat()
-        self.expected = SparseCounterMat()
+        self.outbound: dict[tuple[int, int], int] = {}
+        self.inbound: dict[tuple[int, int], int] = {}
+        self.expected: dict[tuple[int, int], int] = {}
         #: Replayed grant / signal updates discarded by the idempotent
         #: ``max()`` application (nonzero only if duplicate suppression
         #: is bypassed).
@@ -87,7 +90,7 @@ class SignalBoard:
     def bump_outbound(self, channel: int, peer: int) -> int:
         """Allocate the next outbound value toward ``peer`` (the value a
         ``signal()`` writes into the peer's inbound replica)."""
-        value = self.outbound[channel, peer] + 1
+        value = self.outbound.get((channel, peer), 0) + 1
         if value >= SIGNAL_LIMIT:
             raise RmaInternalError(
                 f"signal counter wraparound: channel {SignalChannel(channel).name} "
@@ -105,7 +108,7 @@ class SignalBoard:
                 f"signal counter wraparound: channel {SignalChannel(channel).name} "
                 f"toward peer {peer} reached {SIGNAL_LIMIT}"
             )
-        if value > self.outbound[channel, peer]:
+        if value > self.outbound.get((channel, peer), 0):
             self.outbound[channel, peer] = value
         return value
 
@@ -113,7 +116,7 @@ class SignalBoard:
     def apply(self, channel: int, peer: int, value: int) -> bool:
         """``inbound = max(inbound, value)``; False (and counted) when
         the update was a duplicate/replay."""
-        if value <= self.inbound[channel, peer]:
+        if value <= self.inbound.get((channel, peer), 0):
             self.dup_signals_ignored += 1
             return False
         self.inbound[channel, peer] = value
@@ -124,13 +127,13 @@ class SignalBoard:
         """``inbound = max(inbound, value)`` with no duplicate accounting:
         for id- and round-valued updates, which may legally land out of
         value order (a later epoch's done overtaking an earlier one's)."""
-        if value > self.inbound[channel, peer]:
+        if value > self.inbound.get((channel, peer), 0):
             self.inbound[channel, peer] = value
 
     def bump_expected(self, channel: int, peer: int, count: int = 1) -> int:
         """Consume ``count`` future signals from ``peer``; returns the
         inbound value that satisfies the reservation."""
-        value = self.expected[channel, peer] + count
+        value = self.expected.get((channel, peer), 0) + count
         if value >= SIGNAL_LIMIT:
             raise RmaInternalError(
                 f"signal counter wraparound: expected {SignalChannel(channel).name} "
@@ -141,11 +144,11 @@ class SignalBoard:
 
     def reached(self, channel: int, peer: int, value: int) -> bool:
         """``wait(expected)`` probe: has the inbound replica caught up?"""
-        return self.inbound[channel, peer] >= value
+        return self.inbound.get((channel, peer), 0) >= value
 
     def unconsumed(self, channel: int, peer: int) -> int:
         """Signals arrived but not yet reserved by any wait/test."""
-        return self.inbound[channel, peer] - self.expected[channel, peer]
+        return self.inbound.get((channel, peer), 0) - self.expected.get((channel, peer), 0)
 
     # -- introspection -------------------------------------------------------
     def snapshot(self) -> dict[str, dict[str, dict[str, int]]]:
@@ -156,9 +159,15 @@ class SignalBoard:
             for name, arr in (
                 ("out", self.outbound), ("in", self.inbound), ("exp", self.expected)
             ):
-                row = {str(r): v for r, v in arr.row_items(ch)}
+                row = {str(r): v for r, v in row_items(arr, ch)}
                 if row:
                     entry[name] = row
             if entry:
                 out[ch.name.lower()] = entry
         return out
+
+
+def row_items(counters: dict[tuple[int, int], int], channel: int) -> list[tuple[int, int]]:
+    """Nonzero ``(peer, value)`` pairs of one board row, ascending peer
+    (digest material independent of touch order)."""
+    return sorted((peer, v) for (ch, peer), v in counters.items() if ch == channel and v)

@@ -5,7 +5,8 @@ Ops carry a monotonically increasing *age* (§VII-C) used by nonblocking
 flush requests, the captured operand data, and delivery bookkeeping.
 The descriptor moves through three states: *recorded* (the epoch is
 deferred or the target not yet granted), *issued* (on the wire) and
-*delivered* (applied at the target / result back at the origin).
+*delivered* (applied at the target / result back at the origin); its
+timestamps are the state, ``None`` meaning "not yet".
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class RmaOp:
     __slots__ = (
         "uid",
         "age",
-        "call_time",
         "kind",
         "origin",
         "target",
@@ -72,11 +72,8 @@ class RmaOp:
         "compare",
         "result_buf",
         "epoch",
-        "issued",
         "issue_time",
-        "local_done",
         "local_time",
-        "delivered",
         "deliver_time",
         "request",
         "notify_target",
@@ -103,8 +100,6 @@ class RmaOp:
             raise ValueError(f"negative op size: {nbytes}")
         self.uid = next(_op_uids)
         self.age = age
-        #: Virtual time of the application call (set by the engine).
-        self.call_time: float | None = None
         self.kind = kind
         self.origin = origin
         self.target = target
@@ -120,13 +115,11 @@ class RmaOp:
         #: such an op is locally complete only when its result lands.
         self.result_buf = result_buf
         self.epoch = epoch
-        self.issued = False
+        #: Virtual time the op went on the wire (None: still recorded).
         self.issue_time: float | None = None
-        #: Local completion (origin buffer reusable).
-        self.local_done = False
+        #: Local completion: origin buffer reusable.
         self.local_time: float | None = None
-        #: Remote completion (applied at target; result back for gets).
-        self.delivered = False
+        #: Remote completion: applied at target; result back for gets.
         self.deliver_time: float | None = None
         #: Request handle for request-based variants (rput/rget/...).
         self.request = request
@@ -170,7 +163,8 @@ class RmaOp:
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "delivered" if self.delivered else ("issued" if self.issued else "recorded")
+        state = ("delivered" if self.deliver_time is not None
+                 else "issued" if self.issue_time is not None else "recorded")
         return (
             f"<RmaOp #{self.uid} {self.kind.value} {self.origin}->{self.target} "
             f"disp={self.target_disp} {self.nbytes}B age={self.age} {state}>"

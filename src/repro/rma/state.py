@@ -123,12 +123,9 @@ class WindowState:
         """Pop epochs that are both completed and application-closed off
         the head in open order.  Epochs behind a
         still-live head stay queued — every scan already skips completed
-        epochs — and are reclaimed once the head retires.  A retired
-        epoch drops its op history (every reader ran at completion or at
-        close), so it and its ops form no reference cycle."""
+        epochs — and are reclaimed once the head retires."""
         eps = self.epochs
         while eps and eps[0].completed and eps[0].app_closed:
-            eps[0].ops.clear()
             del eps[0]
 
     def leak_report(self) -> dict[str, Any]:

@@ -211,7 +211,7 @@ class Window:
             )
         if ep is not None:
             if assert_ & MODE_NOPRECEDE:
-                if ep.ops:
+                if ep.last_call_time is not None:
                     raise RmaUsageError(
                         "MODE_NOPRECEDE asserted but the fence epoch has RMA calls"
                     )

@@ -23,13 +23,11 @@ from .core import Position, Simulator, TieBreakPolicy
 from .errors import InvalidYield, ProcessFailed, SimtimeError, SimulationDeadlock
 from .events import AnyOf, SimEvent, Timeout
 from .process import SimProcess
-from .sparse import SparseCounterMat
 
 __all__ = [
     "Simulator",
     "Position",
     "TieBreakPolicy",
-    "SparseCounterMat",
     "SimEvent",
     "Timeout",
     "AnyOf",

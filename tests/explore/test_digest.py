@@ -60,6 +60,7 @@ def test_omega_invariant_audit_detects_imbalance():
         result = get_workload("transactions").oracle(series.engine, series.nonblocking, ctx)
         assert build_digest(ctx, result).strict["invariants"] == [], series.name
         board = ctx.runtimes[0].engines[0].states[0].board
-        board.inbound[SignalChannel.GRANT, 1] += 1  # a grant nobody issued
+        key = (SignalChannel.GRANT, 1)
+        board.inbound[key] = board.inbound.get(key, 0) + 1  # a grant nobody issued
         invariants = build_digest(ctx, result).strict["invariants"]
         assert any("grant conservation" in line for line in invariants), series.name

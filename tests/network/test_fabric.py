@@ -104,7 +104,7 @@ class TestFlowControlIntegration:
         assert probes == [(0, 1), (0, 1)]
 
     def test_disabled_flow_control_no_stalls(self):
-        sim, fab, dlv = make_fabric(flow_control_enabled=False)
+        sim, fab, dlv = make_fabric(model=NetworkModel(credits_per_peer=0))
         for _ in range(200):
             fab.send(0, 1, 8, "x")
         sim.run_until_idle()

@@ -48,7 +48,7 @@ class TestCreditPool:
 class TestFlowControl:
     def test_disabled_always_grants(self):
         sim = Simulator()
-        fc = FlowControl(sim, capacity=1, ack_latency=1.0, enabled=False)
+        fc = FlowControl(sim, capacity=0, ack_latency=1.0)
         granted = []
         for i in range(100):
             take(fc, 0, 1, lambda i=i: granted.append(i))

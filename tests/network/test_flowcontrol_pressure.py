@@ -65,7 +65,7 @@ class TestFlowControlAttribution:
 
     def test_disabled_flow_control_reports_empty(self):
         sim = Simulator()
-        fc = FlowControl(sim, capacity=8, ack_latency=1.0, enabled=False)
+        fc = FlowControl(sim, capacity=0, ack_latency=1.0)
         for _ in range(100):
             take(fc, 0, 1, lambda: None)
         assert fc.pair_stats() == {}
@@ -159,10 +159,8 @@ class TestPressureScenarios:
         assert faulty_stalls >= clean_stalls
 
     def test_disabled_flow_control_still_correct_under_faults(self):
-        clean = make_runtime(2, flow_control=False).run(flood_app(32))
-        rt = make_runtime(
-            2, flow_control=False,
-            fault_plan=FaultPlan.light_chaos(seed=11),
-        )
+        off = NetworkModel(credits_per_peer=0)
+        clean = make_runtime(2, model=off).run(flood_app(32))
+        rt = make_runtime(2, model=off, fault_plan=FaultPlan.light_chaos(seed=11))
         assert rt.run(flood_app(32)) == clean
         assert rt.stats().fc_stalls == 0

@@ -1,9 +1,18 @@
 """Epoch object helpers and kind classification."""
 
+import itertools
+import weakref
+
+import numpy as np
 import pytest
 
+from repro.rma import window as window_mod
+from repro.rma.engine.registry import ENGINES
 from repro.rma.epoch import Epoch, EpochKind, EpochState
 from repro.rma.ops import OpKind, RmaOp
+from tests.conftest import make_runtime
+
+_ages = itertools.count(1)
 
 
 def make_epoch(kind=EpochKind.GATS_ACCESS, targets=(1,)):
@@ -11,7 +20,7 @@ def make_epoch(kind=EpochKind.GATS_ACCESS, targets=(1,)):
 
 
 def add_op(ep, target=1, nbytes=8):
-    op = RmaOp(OpKind.PUT, 0, target, 0, nbytes, ep, age=len(ep.ops) + 1)
+    op = RmaOp(OpKind.PUT, 0, target, 0, nbytes, ep, age=next(_ages))
     ep.record_op(op)
     return op
 
@@ -39,11 +48,15 @@ class TestState:
         assert not ep.app_closed
 
     def test_state_transitions(self):
+        """``state`` is a view of the two bools the engines set."""
         ep = make_epoch()
-        ep.state = EpochState.ACTIVE
-        assert ep.active
-        ep.state = EpochState.COMPLETED
-        assert ep.completed
+        assert ep.state is EpochState.DEFERRED
+        ep.active = True
+        assert ep.state is EpochState.ACTIVE and not ep.deferred
+        ep.active, ep.completed = False, True
+        assert ep.state is EpochState.COMPLETED and not ep.deferred
+        with pytest.raises(AttributeError):
+            ep.state = EpochState.ACTIVE
 
     def test_uids_monotonic(self):
         a, b = make_epoch(), make_epoch()
@@ -56,7 +69,7 @@ class TestOpBookkeeping:
         a = add_op(ep)
         add_op(ep)
         assert ep.undelivered == 2
-        a.delivered = True
+        a.deliver_time = 0.0
         ep.mark_delivered(a)
         assert ep.undelivered == 1
 
@@ -70,7 +83,8 @@ class TestOpBookkeeping:
         ep.app_closed = True
         assert ep.mark_delivered(b)
         assert ep.undelivered_ops() == [c] and ep.undelivered_ops(2) == []
-        assert ep.ops == [a, b, c]
+        # A delivered op has left; the targets ever called are still known.
+        assert list(ep._undelivered_by_target) == [1, 2]
         ep.take_unissued(1), ep.take_unissued(2)
         assert ep.pending_to(1) and not ep.pending_to(2)
 
@@ -103,3 +117,35 @@ class TestOpBookkeeping:
         ep = make_epoch()
         with pytest.raises(ValueError):
             RmaOp(OpKind.PUT, 0, 1, 0, -1, ep, age=1)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_delivered_op_is_freed_before_its_epoch_closes(monkeypatch, engine):
+    """An epoch holds an op only while it is owed: inside a long
+    ``lock_all`` epoch, a put whose caller dropped it is freed (by
+    reference counting: the run pauses the cyclic collector) once it is
+    delivered, while the epoch is still open."""
+    refs = []
+
+    class TrackedOp(RmaOp):  # the subclass regains ``__weakref__``
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(window_mod, "RmaOp", TrackedOp)
+
+    def app(proc):
+        win = yield from proc.win_allocate(64)
+        yield from proc.barrier()
+        alive = None
+        if proc.rank == 0:
+            yield from win.lock_all()
+            win.put(np.int64([7]), 1, 0)
+            yield from win.flush(1)
+            yield from proc.compute(5.0)
+            alive = [ref() is not None for ref in refs]
+            yield from win.unlock_all()
+        yield from proc.barrier()
+        return alive
+
+    assert make_runtime(2, engine).run(app)[0] == [False]

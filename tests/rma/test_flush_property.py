@@ -92,7 +92,8 @@ def test_completes_exactly_when_last_qualifying_op_does(
         callback(engine, ws, op)
         pending = [
             q for q in qualifying
-            if not (q.delivered or (local and q.local_done and q.result_buf is None))
+            if not (q.deliver_time is not None
+                    or (local and q.local_time is not None and q.result_buf is None))
         ]
         # never early, never late, never negative:
         assert fr.done == (not pending)

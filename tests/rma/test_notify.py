@@ -2,7 +2,9 @@
 
 Hypothesis drives the corners the paper-level tests never hit: zero-byte
 notified puts, self-targeted signals, counter wraparound, and duplicate
-signal delivery under an injected-fault fabric.
+signal delivery under an injected-fault fabric.  The board's sparsity is
+pinned here too: it behaves like a dense ``(channel, peer)`` array while
+holding an entry only for what was written.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultPlan
 from repro.mpi.errors import RmaInternalError, UnsupportedOperation
-from repro.rma.notify import SIGNAL_LIMIT, SignalBoard, SignalChannel
+from repro.rma.notify import SIGNAL_LIMIT, SignalBoard, SignalChannel, row_items
 from repro.rma.window import MODE_NOSUCCEED
 from tests.conftest import bytes_buf, make_runtime
 
@@ -204,6 +206,94 @@ class TestUnsupportedEngines:
             yield from proc.barrier()
 
         make_runtime(2, engine).run(app)
+
+
+class TestBoardSparsity:
+    def test_untouched_reads_zero(self):
+        board = SignalBoard()
+        assert board.reached(SignalChannel.GRANT, 123456, 0)
+        assert not board.reached(SignalChannel.GRANT, 123456, 1)
+        assert board.unconsumed(SignalChannel.NOTIFY, 7) == 0
+        assert not board.apply(SignalChannel.DONE, 3, 0)  # a replay of nothing
+        board.floor_inbound(SignalChannel.FENCE_OPEN, 4, 0)
+        board.raise_outbound(SignalChannel.FENCE_DONE, 5, 0)
+        assert (len(board.outbound), len(board.inbound), len(board.expected)) == (0, 0, 0)
+        assert board.snapshot() == {}
+
+    def test_store_then_load(self):
+        board = SignalBoard()
+        assert board.bump_outbound(SignalChannel.GRANT, 5) == 1
+        assert board.bump_expected(SignalChannel.GRANT, 5, count=2) == 2
+        assert board.apply(SignalChannel.GRANT, 5, 3)
+        board.floor_inbound(SignalChannel.DONE, 5, 9)
+        assert board.reached(SignalChannel.GRANT, 5, 3)
+        assert board.unconsumed(SignalChannel.GRANT, 5) == 1
+        assert board.inbound == {(SignalChannel.GRANT, 5): 3, (SignalChannel.DONE, 5): 9}
+        assert (len(board.outbound), len(board.expected)) == (1, 1)
+
+    def test_row_items_ascending_and_row_scoped(self):
+        board = SignalBoard()
+        for peer in (9, 2, 2):
+            board.bump_outbound(SignalChannel.GRANT, peer)
+        board.bump_outbound(SignalChannel.DONE, 4)
+        board.bump_expected(SignalChannel.GRANT, 6, count=0)  # an entry holding 0
+        assert list(row_items(board.outbound, SignalChannel.GRANT)) == [(2, 2), (9, 1)]
+        assert list(row_items(board.outbound, SignalChannel.DONE)) == [(4, 1)]
+        assert list(row_items(board.expected, SignalChannel.GRANT)) == []
+        assert list(board.snapshot()) == ["grant", "done"]
+        assert board.snapshot()["grant"] == {"out": {"2": 2, "9": 1}}
+
+
+_NPEERS = 32
+
+_board_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("bump_outbound", "raise_outbound", "apply", "floor_inbound",
+                         "bump_expected", "read")),
+        st.sampled_from(list(SignalChannel)),
+        st.integers(0, _NPEERS - 1),
+        st.integers(0, 20),
+    ),
+    max_size=60,
+)
+
+
+@given(ops=_board_ops)
+@settings(max_examples=60, deadline=None)
+def test_board_matches_dense_reference(ops):
+    """Op for op, the board answers like three dense ``(channel, peer)``
+    arrays, its rows are theirs in ascending peer order, and it holds an
+    entry for exactly the counters a write moved off zero."""
+    board = SignalBoard()
+    dense = {name: np.zeros((len(SignalChannel), _NPEERS), dtype=np.int64)
+             for name in ("outbound", "inbound", "expected")}
+    out, inb, exp = dense["outbound"], dense["inbound"], dense["expected"]
+    for what, ch, peer, val in ops:
+        if what == "bump_outbound":
+            out[ch, peer] += 1
+            assert board.bump_outbound(ch, peer) == out[ch, peer]
+        elif what == "raise_outbound":
+            out[ch, peer] = max(out[ch, peer], val)
+            assert board.raise_outbound(ch, peer, val) == val
+        elif what == "apply":
+            took = bool(val > inb[ch, peer])
+            inb[ch, peer] = max(inb[ch, peer], val)
+            assert board.apply(ch, peer, val) is took
+        elif what == "floor_inbound":
+            inb[ch, peer] = max(inb[ch, peer], val)
+            board.floor_inbound(ch, peer, val)
+        elif what == "bump_expected":
+            exp[ch, peer] += val + 1
+            assert board.bump_expected(ch, peer, val + 1) == exp[ch, peer]
+        else:
+            assert board.reached(ch, peer, val) == (inb[ch, peer] >= val)
+            assert board.unconsumed(ch, peer) == inb[ch, peer] - exp[ch, peer]
+    for name, ref in dense.items():
+        counters = getattr(board, name)
+        for ch in SignalChannel:
+            want = [(p, int(v)) for p, v in enumerate(ref[ch]) if v]
+            assert list(row_items(counters, ch)) == want
+        assert len(counters) == np.count_nonzero(ref)
 
 
 class TestWraparoundGuard:

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rma.notify import SignalChannel
+from repro.rma.notify import SignalChannel, row_items
 from tests.conftest import make_runtime
 
 GRANT, DONE = SignalChannel.GRANT, SignalChannel.DONE
@@ -17,7 +17,7 @@ def omega(runtime, rank, gid=0):
     of its board, as ``{peer: value}`` (absent peers read 0)."""
     board = runtime.engines[rank].states[gid].board
     return tuple(
-        defaultdict(int, mat.row_items(GRANT))
+        defaultdict(int, row_items(mat, GRANT))
         for mat in (board.expected, board.outbound, board.inbound)
     )
 

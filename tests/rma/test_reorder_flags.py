@@ -174,7 +174,7 @@ class TestActivationPredicate:
     def test_try_activate_checks_all_active_predecessors(self):
         """An epoch activates past *several* still-active predecessors
         only when the flag pair holds against every one of them."""
-        from repro.rma.epoch import Epoch, EpochKind, EpochState
+        from repro.rma.epoch import Epoch, EpochKind
 
         ws, eng = self._fresh_state({A_A_A_R: 1})
         acc1 = Epoch(EpochKind.GATS_ACCESS, ws.gid, 0, targets=(1,))
@@ -183,20 +183,20 @@ class TestActivationPredicate:
         # Force the exposure active as E_A_A_R would have, then ask the
         # scan about acc2: allowed past acc1, not past exp.
         ws.epochs.extend([acc1, exp, acc2])
-        acc1.state = EpochState.ACTIVE
-        exp.state = EpochState.ACTIVE
+        acc1.active = True
+        exp.active = True
         eng._try_activate(ws)
         assert acc2.deferred
 
     def test_activation_records_provenance(self):
         """activated_past carries the uids of the epochs jumped over."""
-        from repro.rma.epoch import Epoch, EpochKind, EpochState
+        from repro.rma.epoch import Epoch, EpochKind
 
         ws, eng = self._fresh_state({A_A_A_R: 1})
         acc1 = Epoch(EpochKind.GATS_ACCESS, ws.gid, 0, targets=(1,))
         acc2 = Epoch(EpochKind.GATS_ACCESS, ws.gid, 0, targets=(1,))
         ws.epochs.extend([acc1, acc2])
-        acc1.state = EpochState.ACTIVE
+        acc1.active = True
         eng._try_activate(ws)
         assert acc2.active and acc2.activated_past == (acc1.uid,)
         assert not acc1.activated_past

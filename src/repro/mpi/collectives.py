@@ -41,7 +41,7 @@ def barrier(proc: "MPIProcess") -> Generator[Any, Any, None]:
 
 
 def bcast(
-    proc: "MPIProcess", data: np.ndarray | None, root: int = 0, nbytes: int | None = None
+    proc: "MPIProcess", data: np.ndarray | None = None, root: int = 0, nbytes: int | None = None
 ) -> Generator[Any, Any, np.ndarray | None]:
     """Binomial-tree broadcast; returns the data on every rank.
 

@@ -308,4 +308,4 @@ class DisseminationBarrier:
             self._send()
         else:
             done, self._done = self._done, None
-            done.trigger_now()
+            done.complete_now()

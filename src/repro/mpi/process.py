@@ -22,7 +22,7 @@ application kernel.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Sequence
+from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
@@ -116,45 +116,21 @@ class MPIProcess:
         data = yield from req.wait()
         return data
 
-    # -- request sugar -----------------------------------------------------
-    def wait(self, request: Request) -> Generator[Any, Any, Any]:
-        """Blocking wait on one request."""
-        result = yield from request.wait()
-        return result
-
-    def waitall(self, requests: Sequence[Request]) -> Generator[Any, Any, list[Any]]:
-        """Blocking wait on all requests."""
-        values = yield from waitall(requests)
-        return values
-
-    def waitany(self, requests: Sequence[Request]) -> Generator[Any, Any, tuple[int, Any]]:
-        """Blocking wait for the first completed request."""
-        result = yield from waitany(requests)
-        return result
-
-    # -- collectives ---------------------------------------------------------
-    def barrier(self) -> Generator[Any, Any, None]:
-        """Dissemination barrier over all ranks."""
-        yield from collectives.barrier(self)
-
-    def bcast(
-        self, data: np.ndarray | None = None, root: int = 0, nbytes: int | None = None
-    ) -> Generator[Any, Any, np.ndarray | None]:
-        """Binomial broadcast from ``root``."""
-        result = yield from collectives.bcast(self, data, root, nbytes)
-        return result
-
-    def allreduce_sum(self, value: np.ndarray) -> Generator[Any, Any, np.ndarray]:
-        """Sum-allreduce of a numpy value."""
-        result = yield from collectives.allreduce_sum(self, np.asarray(value))
-        return result
-
-    def gather(
-        self, value: np.ndarray, root: int = 0
-    ) -> Generator[Any, Any, list[np.ndarray] | None]:
-        """Gather one array per rank to ``root``."""
-        result = yield from collectives.gather(self, np.asarray(value), root)
-        return result
+    # -- request and collective sugar: the functions themselves -------------
+    #: Blocking wait on one request (:meth:`Request.wait`).
+    wait = staticmethod(Request.wait)
+    #: Blocking wait on all requests; their values in order.
+    waitall = staticmethod(waitall)
+    #: Blocking wait for the first completed request: ``(index, value)``.
+    waitany = staticmethod(waitany)
+    #: Dissemination barrier over all ranks.
+    barrier = collectives.barrier
+    #: Binomial broadcast from ``root``.
+    bcast = collectives.bcast
+    #: Sum-allreduce of a numpy value.
+    allreduce_sum = collectives.allreduce_sum
+    #: Gather one array per rank to ``root``.
+    gather = collectives.gather
 
     # -- RMA windows ---------------------------------------------------------
     def win_allocate(

@@ -15,7 +15,6 @@ test/wait behaviour from here.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Generator, Iterable, Sequence
 
 from ..simtime import SimEvent
@@ -32,64 +31,25 @@ __all__ = [
     "testany",
 ]
 
-_req_ids = itertools.count()
 
+class Request(SimEvent):
+    """A completion handle: the kernel event itself, so a process may
+    also ``yield`` it or pass it to ``sim.any_of``.  :attr:`done`,
+    :attr:`value` (e.g. the received data) and :attr:`completed_at` are
+    its own slots, and the middleware completes it with :meth:`complete`."""
 
-class Request:
-    """A completion handle backed by a kernel event."""
-
-    __slots__ = ("sim", "uid", "_name", "event")
-
-    def __init__(self, sim: "Simulator", name: "str | tuple" = ""):
-        self.sim = sim
-        self.uid = next(_req_ids)
-        self._name = name
-        self.event = SimEvent(sim, name)
-
-    @property
-    def name(self) -> str:
-        """Label for diagnostics.  Given as ``(format, *args)`` it is
-        formatted here, on demand: the hot path never reads a name."""
-        name = self._name
-        if isinstance(name, tuple):
-            return name[0] % name[1:]
-        return name or f"request{self.uid}"
-
-    # -- completion interface -------------------------------------------
-    @property
-    def done(self) -> bool:
-        """Whether the operation has completed."""
-        return self.event.triggered
-
-    @property
-    def value(self) -> Any:
-        """Operation result (e.g. received data), ``None`` until done."""
-        return self.event.value
-
-    @property
-    def completed_at(self) -> float | None:
-        """Virtual time of completion (``None`` until done, then fixed).
-        Latencies are measured to here — not to whenever the caller got
-        around to ``wait()``."""
-        return self.event.trigger_time
-
-    def complete(self, value: Any = None) -> None:
-        """Mark the request complete (middleware-internal)."""
-        self.event.trigger(value)
+    __slots__ = ()
 
     def test(self) -> bool:
         """Nonblocking completion probe (``MPI_Test``)."""
         return self.done
 
-    def wait(self) -> Generator["SimEvent", Any, Any]:
+    def wait(self) -> Generator[SimEvent, Any, Any]:
         """Blocking wait, to be driven with ``yield from``; returns the
         operation's value."""
         if not self.done:
-            yield self.event
+            yield self
         return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} {self.name} {'done' if self.done else 'pending'}>"
 
 
 class CompletedRequest(Request):
@@ -101,20 +61,20 @@ class CompletedRequest(Request):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", name: str = "", value: Any = None):
+    def __init__(self, sim: "Simulator", name: "str | tuple" = "", value: Any = None):
         super().__init__(sim, name)
-        self.event.trigger(value)
+        self.complete(value)
 
 
-def waitall(requests: Sequence[Request]) -> Generator["SimEvent", Any, list[Any]]:
+def waitall(requests: Sequence[Request]) -> Generator[SimEvent, Any, list[Any]]:
     """Wait for every request; returns their values in order."""
     for req in requests:
         if not req.done:
-            yield req.event
+            yield req
     return [req.value for req in requests]
 
 
-def waitany(requests: Sequence[Request]) -> Generator["SimEvent", Any, tuple[int, Any]]:
+def waitany(requests: Sequence[Request]) -> Generator[SimEvent, Any, tuple[int, Any]]:
     """Wait until at least one request completes; returns
     ``(index, value)`` of the first completed one (lowest index among
     already-done requests)."""
@@ -123,8 +83,7 @@ def waitany(requests: Sequence[Request]) -> Generator["SimEvent", Any, tuple[int
     for i, req in enumerate(requests):
         if req.done:
             return i, req.value
-    sim = requests[0].sim
-    index, value = yield sim.any_of([r.event for r in requests])
+    index, value = yield requests[0].sim.any_of(requests)
     return index, value
 
 

@@ -189,16 +189,17 @@ class MPIRuntime:
     def run(self, app: AppFn, *args: Any, until: float | None = None) -> list[Any]:
         """Run ``app(proc, *args)`` on every rank to completion; returns
         the per-rank return values."""
-        procs = [self.sim.process(app(p, *args), name=f"rank{p.rank}") for p in self.processes]
+        procs = [self.sim.process(app(p, *args), name=("rank%d", p.rank)) for p in self.processes]
         self.sim.run(until=until)
-        return [p.done.value for p in procs]
+        return [p.value for p in procs]
 
     def run_mixed(self, apps: dict[int, AppFn], until: float | None = None) -> dict[int, Any]:
         """Run a different generator function per rank (microbenchmark
         style: origin/target/bystander roles)."""
-        procs = {r: self.sim.process(fn(self.processes[r]), name=f"rank{r}") for r, fn in apps.items()}
+        procs = {r: self.sim.process(fn(self.processes[r]), name=("rank%d", r))
+                 for r, fn in apps.items()}
         self.sim.run(until=until)
-        return {r: p.done.value for r, p in procs.items()}
+        return {r: p.value for r, p in procs.items()}
 
     @property
     def metrics(self) -> bool:

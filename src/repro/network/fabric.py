@@ -94,7 +94,6 @@ class Fabric:
         #: handler runs under the message's causal context.
         self.causal = None
         # Traffic accounting (used by benchmarks and tests).
-        self.messages_sent = 0
         self.bytes_sent = 0
         #: Sends per service kind, keyed by ``ServiceKind`` value (a str
         #: key: hashing the enum member would cost a Python call per send).
@@ -119,6 +118,12 @@ class Fabric:
         if self._handler_list[rank] is not None:
             raise ValueError(f"rank {rank} already has a delivery handler")
         self._handler_list[rank] = handler
+
+    @property
+    def messages_sent(self) -> int:
+        """Messages put on the wire: every send plus every reliability ack."""
+        rel = self.reliability
+        return sum(self.sends.values()) + (rel.acks_sent if rel is not None else 0)
 
     def regcache(self, rank: int) -> RegistrationCache:
         """The registration cache of ``rank``."""
@@ -148,7 +153,6 @@ class Fabric:
         """
         ticket = SendTicket(self.sim, src, dst, nbytes, kind, payload, needs_attention,
                             pin_region)
-        self.messages_sent += 1
         self.bytes_sent += nbytes
         self.sends[kind._value_] += 1
         causal = self.causal
@@ -335,7 +339,6 @@ class Fabric:
         duplicates reach the receiver.
         """
         assert self.reliability is not None
-        self.messages_sent += 1
         self.bytes_sent += self.reliability.cfg.ack_bytes
         delay = self.model.latency(self.topology.same_node(src, dst))
         if self.injector is not None:

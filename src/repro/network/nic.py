@@ -73,8 +73,7 @@ class AttentionGate:
     stalled.
     """
 
-    __slots__ = ("sim", "rank", "_attentive", "_stalled", "_stall_gen", "_queue",
-                 "stalls_injected", "deferred")
+    __slots__ = ("sim", "rank", "_attentive", "_stalled", "_stall_gen", "_queue", "deferred")
 
     def __init__(self, sim: "Simulator", rank: int):
         self.sim = sim
@@ -85,8 +84,6 @@ class AttentionGate:
         self._stall_gen = 0
         #: Deliveries waiting for attention: a list while any waits.
         self._queue: "list[tuple[Callable[..., None], tuple[Any, ...]]] | tuple[()]" = ()
-        #: Number of injected stalls observed (diagnostics).
-        self.stalls_injected = 0
         #: Deliveries that found the gate closed and queued.
         self.deferred = 0
 
@@ -110,7 +107,6 @@ class AttentionGate:
         """Fault injection: suspend control processing for ``duration``
         regardless of the application-driven attention flag.  A stall
         arriving while another is active extends the outage."""
-        self.stalls_injected += 1
         self._stalled = True
         self._stall_gen += 1
         gen = self._stall_gen

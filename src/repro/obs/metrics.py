@@ -175,7 +175,7 @@ def fold_metrics(runtime: "MPIRuntime") -> dict:
         "rma.ops_issued": len(spans["op"]),
         "signal.sent": len(spans["signal"]),
         "fc.stalls": stats.fc_stalls,
-        "nic.attention_stalls": sum(gate.stalls_injected for gate in fabric.attention),
+        "nic.attention_stalls": stats.faults_injected.get("stalls", 0),
         "nic.attention_deferred": sum(gate.deferred for gate in fabric.attention),
         "locks.grants": stats.lock_grants,
         "locks.requests": stats.lock_grants + sum(ws.lock_mgr.queue_depth for ws in states),

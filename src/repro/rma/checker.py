@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..mpi.errors import RmaUsageError
 from .consistency import ConsistencyTracker
@@ -149,6 +149,11 @@ class RmaChecker:
         #: against.  Bumping the interval drops the list, which bounds
         #: memory over long runs.
         self._shadow: dict[tuple[int, int], list["RmaOp"]] = {}
+        #: ``(epoch uid, uid of an epoch still active when it activated)``
+        #: (§VI-B reorder provenance: only a reorder flag lets an
+        #: activation jump ahead; it tells races *introduced* by
+        #: reordering from plain overlap races).
+        self._jumped: set[tuple[int, int]] = set()
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -211,10 +216,8 @@ class RmaChecker:
             if not op.conflicts_with(other):
                 continue
             oep = other.epoch
-            reorder_linked = (
-                oep.uid in ep.activated_past or ep.uid in oep.activated_past
-            )
-            if reorder_linked:
+            jumped = self._jumped
+            if (ep.uid, oep.uid) in jumped or (oep.uid, ep.uid) in jumped:
                 self._flag(
                     ViolationKind.ILLEGAL_REORDER,
                     ws,
@@ -303,13 +306,14 @@ class RmaChecker:
             )
 
     def on_epoch_activate(
-        self, ws: "WindowState", ep: "Epoch", active_preceding: tuple["Epoch", ...]
+        self, ws: "WindowState", ep: "Epoch", active_preceding: Sequence["Epoch"]
     ) -> None:
         """Validate one deferred-epoch activation against the §VI rules
         (an oracle over the engine's own predicate: catches engine bugs
         and direct misuse alike)."""
         flags = ws.win.group.flags
         for prev in active_preceding:
+            self._jumped.add((ep.uid, prev.uid))
             if ep.kind.reorder_excluded or prev.kind.reorder_excluded:
                 self._flag(
                     ViolationKind.ILLEGAL_REORDER,

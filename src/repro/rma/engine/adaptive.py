@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..epoch import Epoch, EpochKind
+from ..ops import RmaOp
 from ..requests import ClosingRequest
 from .mvapich import MvapichEngine
 
@@ -60,7 +61,7 @@ class AdaptiveEngine(MvapichEngine):
     in :meth:`open_lock` goes through the baseline's ``_activate_lock``,
     which makes the epoch's granted ops due and marks the window if any is."""
 
-    __slots__ = ("_eager_pairs", "mode_switches", "degraded")
+    __slots__ = ("_eager_pairs", "mode_switches", "degraded", "_called")
 
     def __init__(self, runtime, rank):
         super().__init__(runtime, rank)
@@ -70,6 +71,9 @@ class AdaptiveEngine(MvapichEngine):
         self.mode_switches: list[tuple[float, int, int, str]] = []
         #: Set once retry pressure forces conservative-only operation.
         self.degraded = False
+        #: Targets each open lock / lock_all epoch has called, what
+        #: :meth:`_learn` judges at its close.
+        self._called: dict[Epoch, set[int]] = {}
 
     # -- mode bookkeeping -----------------------------------------------
     def is_eager(self, gid: int, target: int) -> bool:
@@ -123,20 +127,24 @@ class AdaptiveEngine(MvapichEngine):
             self.poke()
         return ep
 
+    def add_op(self, win: "Window", ep: Epoch, op: RmaOp) -> RmaOp:
+        if ep.kind is EpochKind.LOCK or ep.kind is EpochKind.LOCK_ALL:
+            self._called.setdefault(ep, set()).add(op.target)
+        return super().add_op(win, ep, op)
+
     def close_epoch(self, win: "Window", ep: Epoch) -> ClosingRequest:
         if ep.kind is EpochKind.LOCK or ep.kind is EpochKind.LOCK_ALL:
-            self._learn(win, ep)
+            self._learn(win, ep, self._called.pop(ep, ()))
         return super().close_epoch(win, ep)
 
-    def _learn(self, win: "Window", ep: Epoch) -> None:
-        """Promote/demote the targets the epoch communicated with, based
-        on the observed gap between the last communication call and this
+    def _learn(self, win: "Window", ep: Epoch, called: "set[int] | tuple[()]") -> None:
+        """Promote/demote the targets the epoch ``called``, based on the
+        observed gap between the last communication call and this
         closing call."""
         if ep.nocheck or ep.last_call_time is None or self._check_degrade():
             return
         gid = win.group.gid
         overlappable = (self.sim.now - ep.last_call_time) > ADAPT_THRESHOLD_US
-        # Every target called keeps its in-flight entry; sorted is
-        # ``ep.targets`` order: a lock epoch's targets ascend.
-        for target in sorted(ep._undelivered_by_target):
+        # Sorted is ``ep.targets`` order: a lock epoch's targets ascend.
+        for target in sorted(called):
             self._set_mode(gid, target, overlappable)

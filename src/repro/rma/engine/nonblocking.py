@@ -53,7 +53,7 @@ from collections import deque
 from functools import partial
 from operator import attrgetter
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -377,17 +377,16 @@ class NonblockingEngine:
                     # keep scanning — later epochs may now activate out
                     # of order.
                     continue
-            self._activate(ws, ep, tuple(active_preceding))
+            self._activate(ws, ep, active_preceding)
             active_preceding.append(ep)
             activated += 1
         return activated
 
     def _activate(
-        self, ws: WindowState, ep: Epoch, active_preceding: tuple[Epoch, ...] = ()
+        self, ws: WindowState, ep: Epoch, active_preceding: Sequence[Epoch] = ()
     ) -> None:
         ep.active = True
         ep.activate_time = self.sim.now
-        ep.activated_past = tuple(p.uid for p in active_preceding)
         # Due on activation, every target of it (``due_targets`` is still
         # None): it may have been closed while deferred (an exposure's
         # dones may even be in already), and every op recorded while

@@ -138,7 +138,7 @@ class SignalEngine(NonblockingEngine):
         ws = self.state_of(win)
         board = ws.board
         target_value = board.bump_expected(SignalChannel.NOTIFY, source, count)
-        req = Request(self.sim, f"notify-wait(src={source},v={target_value})")
+        req = Request(self.sim, ("notify-wait(src=%d,v=%d)", source, target_value))
         if board.reached(SignalChannel.NOTIFY, source, target_value):
             self._notify_consumed(ws, source)
             req.complete()

@@ -71,7 +71,7 @@ class Epoch:
     __slots__ = (
         "uid", "kind", "win", "owner", "targets", "origin_group", "peers", "exclusive",
         "fence_round", "nocheck", "is_access", "reorder_excluded", "active",
-        "completed", "app_closed", "activated_past", "last_call_time", "_unissued_by_target",
+        "completed", "app_closed", "last_call_time", "_unissued_by_target",
         "_unissued_count", "_undelivered_by_target", "_undelivered_count", "access_ids",
         "exposure_ids", "lock_held", "done_sent", "done_from", "ready_from",
         "internode_waiting", "due_targets", "unlock_sent", "unlock_acked", "fence_done_sent",
@@ -123,19 +123,14 @@ class Epoch:
         self.completed = False
         #: Application already invoked the closing routine.
         self.app_closed = False
-        #: Uids of epochs still active when this one activated (§VI-B
-        #: reorder provenance: non-empty only when a reorder flag let the
-        #: activation jump ahead; the checker uses it to distinguish
-        #: races *introduced* by reordering from plain overlap races).
-        self.activated_past: tuple[int, ...] = ()
         #: Virtual time of the last communication call (None: none yet).
         self.last_call_time: float | None = None
         # The ops still owed, per target (the progress engine polls these
         # on every sweep).  A delivered op leaves its epoch.
         self._unissued_by_target: dict[int, list["RmaOp"]] = {}
         self._unissued_count = 0
-        #: Not-yet-delivered ops per target, by op uid; a target's entry
-        #: outlives its ops, so the keys are every target ever called.
+        #: Not-yet-delivered ops per target, by op uid (a target leaves
+        #: with its last op).
         self._undelivered_by_target: dict[int, dict[int, "RmaOp"]] = {}
         self._undelivered_count = 0
         #: Access ids per target: the value reserved on the board's
@@ -209,7 +204,11 @@ class Epoch:
         """Account one op's remote completion; True when that moved a
         completion input (every closing condition that counts deliveries
         also requires the closing routine to have been called)."""
-        del self._undelivered_by_target[op.target][op.uid]
+        by_target = self._undelivered_by_target
+        ops = by_target[op.target]
+        del ops[op.uid]
+        if not ops:
+            del by_target[op.target]
         self._undelivered_count -= 1
         return self.app_closed
 

@@ -40,7 +40,7 @@ class OpeningRequest(CompletedRequest):
     __slots__ = ("epoch",)
 
     def __init__(self, sim: "Simulator", epoch: "Epoch"):
-        super().__init__(sim, f"open(ep{epoch.uid})")
+        super().__init__(sim, ("open(ep%d)", epoch.uid))
         self.epoch = epoch
 
 
@@ -50,7 +50,7 @@ class ClosingRequest(Request):
     __slots__ = ("epoch",)
 
     def __init__(self, sim: "Simulator", epoch: "Epoch"):
-        super().__init__(sim, f"close(ep{epoch.uid})")
+        super().__init__(sim, ("close(ep%d)", epoch.uid))
         self.epoch = epoch
 
 
@@ -85,9 +85,8 @@ class FlushRequest(Request):
         local: bool,
         counter: int,
     ):
-        scope = "all" if target is None else f"t{target}"
-        kind = "local" if local else "remote"
-        super().__init__(sim, f"flush-{kind}({scope},age<={stamp_age})")
+        super().__init__(sim, ("flush-%s(t=%s,age<=%d)", "local" if local else "remote",
+                               "all" if target is None else target, stamp_age))
         self.epoch = epoch
         self.stamp_age = stamp_age
         self.target = target

@@ -179,11 +179,11 @@ class Window:
             return
         causal = self.group.runtime.causal
         if causal is None:
-            yield req.event
+            yield req
             return
         sid = causal.begin("block", self.rank, self.group.gid,
                            epoch.uid if epoch is not None else -1, {"call": call})
-        yield req.event
+        yield req
         causal.end(sid)
 
     # ======================================================================
@@ -672,7 +672,7 @@ class Window:
             raise RmaUsageError(
                 "request-based RMA operations are reserved for passive-target epochs"
             )
-        return Request(self.sim, f"{kind.value}-req")
+        return Request(self.sim, ("%s-req", kind.value))
 
     def rput(self, data: np.ndarray, target_rank: int, target_disp: int = 0) -> Request:
         """MPI_RPUT: like put, with a per-op request (local completion)."""

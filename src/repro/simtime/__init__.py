@@ -16,7 +16,7 @@ Quick example::
 
     proc = sim.process(worker())
     sim.run()
-    assert proc.done.value == 5.0
+    assert proc.value == 5.0
 """
 
 from .core import Position, Simulator, TieBreakPolicy

@@ -187,22 +187,24 @@ class Simulator:
 
     # -- event factories ---------------------------------------------------
     def event(self, name: str = "") -> SimEvent:
-        """Create a fresh untriggered :class:`SimEvent`."""
+        """Create a fresh pending :class:`SimEvent`."""
         return SimEvent(self, name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
-        """Create an event that triggers after ``delay``."""
+        """Create an event that completes after ``delay``."""
         return Timeout(self, delay, value, name)
 
     def any_of(self, events: list[SimEvent], name: str = "") -> AnyOf:
-        """Create an event that triggers when any of ``events`` has."""
+        """Create an event that completes when any of ``events`` has."""
         return AnyOf(self, events, name)
 
     # -- processes ---------------------------------------------------------
-    def process(self, gen: Generator[SimEvent, Any, Any], name: str = "") -> SimProcess:
+    def process(
+        self, gen: Generator[SimEvent, Any, Any], name: str | tuple = ""
+    ) -> SimProcess:
         """Register a generator as a cooperative process and start it at
         the current virtual time."""
-        proc = SimProcess(self, gen, name or f"proc{len(self._processes)}")
+        proc = SimProcess(self, gen, name or ("proc%d", len(self._processes)))
         self._processes.append(proc)
         self.schedule(0.0, proc._step, None)
         return proc
@@ -247,7 +249,7 @@ class Simulator:
                 heappop(heap)
                 if batching:
                     # Drain every co-temporal entry up front: a burst of
-                    # same-instant callbacks (event triggers, loopback
+                    # same-instant callbacks (event completions, loopback
                     # deliveries) pays one heap pop each instead of a full
                     # push/pop round-trip, and zero-delay schedules made
                     # while the batch runs append straight to its tail (see

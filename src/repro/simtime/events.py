@@ -2,7 +2,7 @@
 
 A :class:`SimEvent` is a one-shot synchronization point.  Processes obtain
 events (directly, or via :class:`Timeout`, :class:`AnyOf`)
-and ``yield`` them; the kernel resumes the process when the event triggers.
+and ``yield`` them; the kernel resumes the process when the event completes.
 
 Events carry an optional *value* that becomes the result of the ``yield``
 expression in the waiting process, mirroring how ``MPI_Wait`` surfaces a
@@ -20,89 +20,98 @@ __all__ = ["SimEvent", "Timeout", "AnyOf"]
 
 
 class SimEvent:
-    """A one-shot triggerable event.
+    """A one-shot completion.  A request (:mod:`repro.mpi.requests`) and
+    a process (:class:`~repro.simtime.process.SimProcess`) are kernel
+    events themselves, so all three share one vocabulary.
 
     Parameters
     ----------
     sim:
         Owning simulator; used to schedule callback execution when the
-        event triggers.
+        event completes.
     name:
-        Optional human-readable label used in tracing and deadlock reports.
+        Optional label for diagnostics; see :attr:`name`.
     """
 
-    __slots__ = ("sim", "name", "_callbacks", "triggered", "value", "trigger_time")
+    __slots__ = ("sim", "_name", "_callbacks", "done", "value", "completed_at")
 
-    def __init__(self, sim: "Simulator", name: str = ""):
+    def __init__(self, sim: "Simulator", name: "str | tuple" = ""):
         self.sim = sim
-        self.name = name
-        self._callbacks: list[Callable[[SimEvent], None]] = []
-        #: Whether :meth:`trigger` has been called (read-only for users).
-        self.triggered = False
-        #: The value passed to :meth:`trigger` (``None`` before that).
+        self._name = name
+        self._callbacks: "list[Callable[[SimEvent], None]] | tuple[()]" = []
+        #: Whether :meth:`complete` has been called (read-only for users).
+        self.done = False
+        #: The value passed to :meth:`complete` (``None`` before that).
         self.value: Any = None
-        #: Virtual time at which the event triggered (``None`` until then).
-        self.trigger_time: float | None = None
+        #: Virtual time of completion (``None`` until then, then fixed).
+        #: Latencies are measured to here, not to whenever a waiter resumed.
+        self.completed_at: float | None = None
+
+    @property
+    def name(self) -> str:
+        """Label for diagnostics.  Given as ``(format, *args)`` it is
+        formatted here, on demand: the hot path never reads a name."""
+        name = self._name
+        return name[0] % name[1:] if isinstance(name, tuple) else name
 
     # -- wiring ----------------------------------------------------------
     def add_callback(self, fn: Callable[["SimEvent"], None]) -> None:
-        """Register ``fn(event)`` to run when the event triggers.
+        """Register ``fn(event)`` to run when the event completes.
 
-        If the event already triggered, the callback is scheduled to run
+        If the event already completed, the callback is scheduled to run
         at the current virtual time (never synchronously), preserving the
         kernel's run-to-completion semantics.
         """
-        if self.triggered:
+        if self.done:
             self.sim.schedule(0.0, fn, self)
         else:
             self._callbacks.append(fn)
 
-    def trigger(self, value: Any = None) -> None:
-        """Fire the event, waking all waiters.  Idempotent-hostile:
-        triggering twice is a programming error and raises."""
-        if self.triggered:
-            raise RuntimeError(f"event {self.name!r} triggered twice")
-        self.triggered = True
+    def complete(self, value: Any = None) -> None:
+        """Complete the event, waking all waiters.  Completing twice is a
+        programming error and raises."""
+        if self.done:
+            raise RuntimeError(f"event {self.name!r} completed twice")
+        self.done = True
         self.value = value
         sim = self.sim
-        self.trigger_time = sim._now
-        callbacks, self._callbacks = self._callbacks, []
+        self.completed_at = sim._now
+        callbacks, self._callbacks = self._callbacks, ()
         for fn in callbacks:
             sim.schedule(0.0, fn, self)
 
-    def trigger_now(self, value: Any = None) -> None:
-        """:meth:`trigger`, but the waiters run inside the calling
+    def complete_now(self, value: Any = None) -> None:
+        """:meth:`complete`, but the waiters run inside the calling
         callback instead of in one zero-delay schedule each.  Only for a
         caller that itself holds the position that schedule would take:
         ``seq`` order and ``events_scheduled`` are then unchanged."""
-        callbacks, self._callbacks = self._callbacks, []
-        self.trigger(value)
+        callbacks, self._callbacks = self._callbacks, ()
+        self.complete(value)
         for fn in callbacks:
             fn(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "triggered" if self.triggered else "pending"
-        return f"<SimEvent {self.name!r} {state}>"
+        return f"<{type(self).__name__} {self.name!r} {'done' if self.done else 'pending'}>"
 
 
 class Timeout(SimEvent):
-    """An event that triggers ``delay`` virtual time units after creation."""
+    """An event that completes ``delay`` virtual time units after creation."""
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, name: str = ""):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name or f"timeout({delay})")
+        super().__init__(sim, name or ("timeout(%s)", delay))
         self.delay = delay
-        sim.schedule(delay, self.trigger, value)
+        sim.schedule(delay, self.complete, value)
 
 
 class AnyOf(SimEvent):
-    """Triggers as soon as one constituent event triggers.
+    """Completes as soon as one constituent event completes.
 
     The value is a ``(index, value)`` tuple for the first event observed
-    triggering (deterministic under the kernel's FIFO callback ordering).
+    completing (deterministic under the kernel's FIFO callback ordering).
     """
 
     __slots__ = ("_events",)
@@ -110,9 +119,9 @@ class AnyOf(SimEvent):
     def __init__(self, sim: "Simulator", events: list[SimEvent], name: str = ""):
         if not events:
             raise ValueError("AnyOf needs at least one event")
-        super().__init__(sim, name or f"anyof({len(events)})")
+        super().__init__(sim, name or ("anyof(%d)", len(events)))
         self._events = list(events)
-        fired = next((i for i, e in enumerate(self._events) if e.triggered), None)
+        fired = next((i for i, e in enumerate(self._events) if e.done), None)
         if fired is not None:
             sim.schedule(0.0, self._finish, fired)
         else:
@@ -126,5 +135,5 @@ class AnyOf(SimEvent):
         return cb
 
     def _finish(self, index: int) -> None:
-        if not self.triggered:
-            self.trigger((index, self._events[index].value))
+        if not self.done:
+            self.complete((index, self._events[index].value))

@@ -2,7 +2,7 @@
 
 A process body is a Python generator that yields
 :class:`~repro.simtime.events.SimEvent` objects.  The kernel resumes the
-generator when the yielded event triggers, sending the event's value back
+generator when the yielded event completes, sending the event's value back
 as the result of the ``yield`` expression.  Nested "blocking" calls are
 expressed with ``yield from`` (the SimPy idiom), which is how the MPI
 layer exposes its blocking API.
@@ -13,32 +13,28 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from .errors import InvalidYield, ProcessFailed
+from .events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Simulator
-    from .events import SimEvent
 
 __all__ = ["SimProcess"]
 
 
-class SimProcess:
-    """A running generator with completion tracking.
+class SimProcess(SimEvent):
+    """A running generator that is its own completion event: other
+    processes ``yield`` it, and its :attr:`value` is the generator's
+    return value once :attr:`done`.  A process that raised is not
+    :attr:`alive` and never done."""
 
-    A process is itself awaitable by other processes through its
-    :attr:`done` event, whose value is the generator's return value.
-    """
+    __slots__ = ("_gen", "_alive", "_failure", "_waiting_on")
 
-    __slots__ = ("sim", "name", "_gen", "_alive", "done", "_failure", "_waiting_on")
-
-    def __init__(self, sim: "Simulator", gen: Generator["SimEvent", Any, Any], name: str):
-        self.sim = sim
-        self.name = name
+    def __init__(self, sim: "Simulator", gen: Generator[SimEvent, Any, Any], name: str | tuple):
+        super().__init__(sim, name)
         self._gen = gen
         self._alive = True
-        #: Event triggered (with the return value) when the generator ends.
-        self.done: "SimEvent" = sim.event(name=f"{name}.done")
         self._failure: BaseException | None = None
-        self._waiting_on: "SimEvent | None" = None
+        self._waiting_on: SimEvent | None = None
 
     # -- inspection ------------------------------------------------------
     @property
@@ -47,7 +43,7 @@ class SimProcess:
         return self._alive
 
     @property
-    def waiting_on(self) -> "SimEvent | None":
+    def waiting_on(self) -> SimEvent | None:
         """The event this process is currently blocked on, if any."""
         return self._waiting_on
 
@@ -59,10 +55,10 @@ class SimProcess:
             raise ProcessFailed(self.name, failure) from failure
 
     # -- kernel interface --------------------------------------------------
-    def _step(self, event: "SimEvent | None") -> None:
+    def _step(self, event: SimEvent | None) -> None:
         """Advance the generator by one yield.
 
-        ``event`` is the event whose triggering resumed us (``None`` for
+        ``event`` is the event whose completion resumed us (``None`` for
         the initial step).  Its value is sent into the generator.
         """
         self._waiting_on = None
@@ -71,15 +67,15 @@ class SimProcess:
             target = self._gen.send(send_value)
         except StopIteration as stop:
             self._alive = False
-            self.done.trigger(stop.value)
+            self.complete(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - surfaced via kernel
             self._alive = False
             self._failure = exc
             self.sim._failed.append(self)
             return
-        trigger = getattr(target, "add_callback", None)
-        if trigger is None:
+        add_callback = getattr(target, "add_callback", None)
+        if add_callback is None:
             self._alive = False
             self._failure = InvalidYield(
                 f"process {self.name!r} yielded {target!r}; processes must yield SimEvent objects"
@@ -87,8 +83,4 @@ class SimProcess:
             self.sim._failed.append(self)
             return
         self._waiting_on = target
-        target.add_callback(self._step)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "alive" if self._alive else "done"
-        return f"<SimProcess {self.name!r} {state}>"
+        add_callback(self._step)

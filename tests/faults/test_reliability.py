@@ -174,7 +174,7 @@ class TestRankFaults:
         res = rt.run(ring_put_app())
         assert res == expected_ring(4)
         assert rt.fabric.injector.counters["stalls"] == 1
-        assert rt.fabric.attention[1].stalls_injected == 1
+        assert rt.stats().faults_injected["stalls"] == 1
 
 
 class TestDeterminism:

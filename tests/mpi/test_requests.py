@@ -1,5 +1,7 @@
 """Request objects and the test/wait families."""
 
+import inspect
+
 import pytest
 
 from repro.mpi.requests import CompletedRequest, Request, waitall, waitany
@@ -40,7 +42,7 @@ class TestRequest:
 
         proc = sim.process(body())
         sim.run()
-        assert proc.done.value == ("late", 5.0)
+        assert proc.value == ("late", 5.0)
 
     def test_wait_on_done_request_is_instant(self, sim):
         req = CompletedRequest(sim, value="x")
@@ -51,7 +53,42 @@ class TestRequest:
 
         proc = sim.process(body())
         sim.run()
-        assert proc.done.value == (0.0, "x")
+        assert proc.value == (0.0, "x")
+
+
+class TestRequestIsItsEvent:
+    def test_a_process_yields_a_request(self, sim):
+        req = Request(sim)
+        sim.schedule(4.0, req.complete, "payload")
+
+        def body():
+            got = yield req
+            return got, sim.now
+
+        proc = sim.process(body())
+        sim.run()
+        assert proc.value == ("payload", 4.0)
+
+    def test_any_of_combines_requests_and_events(self, sim):
+        slow, fast = Request(sim), Request(sim)
+        sim.schedule(9.0, slow.complete, "slow")
+        sim.schedule(3.0, fast.complete, "fast")
+
+        def body():
+            got = yield sim.any_of([slow, sim.timeout(6.0), fast])
+            return got, sim.now
+
+        proc = sim.process(body())
+        sim.run()
+        assert proc.value == ((2, "fast"), 3.0)
+
+    @pytest.mark.parametrize("name", ["done", "value", "completed_at"])
+    def test_completion_state_is_a_slot_not_a_property(self, name):
+        assert inspect.ismemberdescriptor(inspect.getattr_static(Request, name))
+
+    def test_name_is_formatted_on_demand(self, sim):
+        assert Request(sim, ("recv(src=%d)", 3)).name == "recv(src=3)"
+        assert CompletedRequest(sim, "plain").name == "plain"
 
 
 class TestFamilies:
@@ -66,7 +103,7 @@ class TestFamilies:
 
         proc = sim.process(body())
         sim.run()
-        assert proc.done.value == ([0, 10, 20], 3.0)
+        assert proc.value == ([0, 10, 20], 3.0)
 
     def test_waitall_empty(self, sim):
         def body():
@@ -75,7 +112,7 @@ class TestFamilies:
 
         proc = sim.process(body())
         sim.run()
-        assert proc.done.value == []
+        assert proc.value == []
 
     def test_waitany_returns_first(self, sim):
         reqs = [Request(sim), Request(sim)]
@@ -88,8 +125,8 @@ class TestFamilies:
 
         proc = sim.process(body())
         sim.run()
-        assert proc.done.value[:2] == (1, "fast")
-        assert proc.done.value[2] == 2.0
+        assert proc.value[:2] == (1, "fast")
+        assert proc.value[2] == 2.0
 
     def test_waitany_prefers_lowest_done_index(self, sim):
         reqs = [Request(sim), CompletedRequest(sim, value="b"), CompletedRequest(sim, value="c")]
@@ -100,7 +137,7 @@ class TestFamilies:
 
         proc = sim.process(body())
         sim.run_until_idle()
-        assert proc.done.value == (1, "b")
+        assert proc.value == (1, "b")
 
     def test_waitany_empty_rejected(self, sim):
         with pytest.raises(ValueError):

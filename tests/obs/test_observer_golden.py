@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 from repro.apps.transactions import TransactionsConfig, run_transactions
 from repro.faults import FaultPlan, RankFault
-from repro.mpi import p2p, requests
+from repro.mpi import p2p
 from repro.network import packets
 from repro.network.model import NetworkModel
 from repro.rma import epoch, ops
@@ -58,14 +58,13 @@ _TXN_STRESS = (
 
 #: The process-wide uid counters whose values reach the observers.
 _UID_COUNTERS = (
-    (epoch, "_epoch_uids"), (ops, "_op_uids"), (packets, "_msg_ids"),
-    (requests, "_req_ids"), (p2p, "_send_ids"),
+    (epoch, "_epoch_uids"), (ops, "_op_uids"), (packets, "_msg_ids"), (p2p, "_send_ids"),
 )
 
 
 @contextmanager
 def _fresh_uids():
-    """Number this run's epochs, ops, messages and requests from 0, as a
+    """Number this run's epochs, ops and messages from 0, as a
     fresh interpreter would, whatever ran before it in this process."""
     saved = [getattr(module, name) for module, name in _UID_COUNTERS]
     for module, name in _UID_COUNTERS:

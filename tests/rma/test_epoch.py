@@ -83,8 +83,8 @@ class TestOpBookkeeping:
         ep.app_closed = True
         assert ep.mark_delivered(b)
         assert ep.undelivered_ops() == [c] and ep.undelivered_ops(2) == []
-        # A delivered op has left; the targets ever called are still known.
-        assert list(ep._undelivered_by_target) == [1, 2]
+        # A delivered op has left, and a target with it its last op.
+        assert list(ep._undelivered_by_target) == [1]
         ep.take_unissued(1), ep.take_unissued(2)
         assert ep.pending_to(1) and not ep.pending_to(2)
 
@@ -149,3 +149,29 @@ def test_a_delivered_op_is_freed_before_its_epoch_closes(monkeypatch, engine):
         return alive
 
     assert make_runtime(2, engine).run(app)[0] == [False]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_no_empty_target_entry_survives_a_closed_lock_all_epoch(engine):
+    """A target leaves the in-flight index with its last delivered op:
+    a flushed ``lock_all`` epoch holds no entry while it is still open,
+    and a closed one none at all."""
+
+    def app(proc):
+        win = yield from proc.win_allocate(64)
+        yield from proc.barrier()
+        seen = None
+        if proc.rank == 0:
+            yield from win.lock_all()
+            ep = win._epoch_for(1)
+            for target in range(1, proc.size):
+                win.put(np.int64([target]), target, 0)
+            yield from win.flush_all()
+            flushed = dict(ep._undelivered_by_target)
+            win.put(np.int64([9]), 2, 8)
+            yield from win.unlock_all()
+            seen = (flushed, dict(ep._undelivered_by_target), ep.completed)
+        yield from proc.barrier()
+        return seen
+
+    assert make_runtime(4, engine).run(app)[0] == ({}, {}, True)

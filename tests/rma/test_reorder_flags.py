@@ -189,17 +189,17 @@ class TestActivationPredicate:
         assert acc2.deferred
 
     def test_activation_records_provenance(self):
-        """activated_past carries the uids of the epochs jumped over."""
+        """The checker records the uids of the epochs an activation jumped over."""
+        from repro.rma.checker import SEMANTICS_CHECK_INFO_KEY
         from repro.rma.epoch import Epoch, EpochKind
 
-        ws, eng = self._fresh_state({A_A_A_R: 1})
+        ws, eng = self._fresh_state({A_A_A_R: 1, SEMANTICS_CHECK_INFO_KEY: 1})
         acc1 = Epoch(EpochKind.GATS_ACCESS, ws.gid, 0, targets=(1,))
         acc2 = Epoch(EpochKind.GATS_ACCESS, ws.gid, 0, targets=(1,))
         ws.epochs.extend([acc1, acc2])
         acc1.active = True
         eng._try_activate(ws)
-        assert acc2.active and acc2.activated_past == (acc1.uid,)
-        assert not acc1.activated_past
+        assert acc2.active and ws.checker._jumped == {(acc2.uid, acc1.uid)}
 
 
 class TestFlagExclusions:

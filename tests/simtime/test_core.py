@@ -425,8 +425,8 @@ class TestProcessesInKernel:
 
         proc = sim.process(body())
         sim.run()
-        assert proc.done.triggered
-        assert proc.done.value == 42
+        assert proc.done
+        assert proc.value == 42
         assert not proc.alive
 
     def test_deadlock_detection(self, sim):

@@ -7,21 +7,21 @@ import pytest
 class TestSimEvent:
     def test_trigger_sets_value_and_time(self, sim):
         ev = sim.event("e")
-        sim.schedule(2.0, ev.trigger, "payload")
+        sim.schedule(2.0, ev.complete, "payload")
         sim.run()
-        assert ev.triggered
+        assert ev.done
         assert ev.value == "payload"
-        assert ev.trigger_time == 2.0
+        assert ev.completed_at == 2.0
 
     def test_double_trigger_raises(self, sim):
         ev = sim.event()
-        ev.trigger()
+        ev.complete()
         with pytest.raises(RuntimeError, match="twice"):
-            ev.trigger()
+            ev.complete()
 
     def test_callback_after_trigger_still_fires(self, sim):
         ev = sim.event()
-        ev.trigger(7)
+        ev.complete(7)
         seen = []
         ev.add_callback(lambda e: seen.append(e.value))
         sim.run()
@@ -32,7 +32,7 @@ class TestSimEvent:
         seen = []
         for i in range(5):
             ev.add_callback(lambda e, i=i: seen.append(i))
-        sim.schedule(1.0, ev.trigger)
+        sim.schedule(1.0, ev.complete)
         sim.run()
         assert seen == [0, 1, 2, 3, 4]
 
@@ -41,7 +41,7 @@ class TestTimeout:
     def test_timeout_value(self, sim):
         t = sim.timeout(4.0, value="v")
         sim.run()
-        assert t.triggered and t.value == "v" and t.trigger_time == 4.0
+        assert t.done and t.value == "v" and t.completed_at == 4.0
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -50,7 +50,7 @@ class TestTimeout:
     def test_zero_timeout(self, sim):
         t = sim.timeout(0.0)
         sim.run()
-        assert t.trigger_time == 0.0
+        assert t.completed_at == 0.0
 
 
 class TestAnyOf:
@@ -58,7 +58,7 @@ class TestAnyOf:
         evs = [sim.timeout(5.0, value="slow"), sim.timeout(1.0, value="fast")]
         combo = sim.any_of(evs)
         sim.run()
-        assert combo.trigger_time == 1.0
+        assert combo.completed_at == 1.0
         assert combo.value == (1, "fast")
 
     def test_empty_rejected(self, sim):
@@ -67,10 +67,10 @@ class TestAnyOf:
 
     def test_pre_triggered_event(self, sim):
         a = sim.event()
-        a.trigger("x")
+        a.complete("x")
         combo = sim.any_of([sim.timeout(9.0), a])
         sim.run(until=0.5)
-        assert combo.triggered
+        assert combo.done
         assert combo.value == (1, "x")
 
     def test_only_fires_once(self, sim):

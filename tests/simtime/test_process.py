@@ -18,7 +18,7 @@ class TestLifecycle:
 
         proc = sim.process(outer())
         sim.run()
-        assert proc.done.value == "inner-value!"
+        assert proc.value == "inner-value!"
         assert sim.now == 3.0
 
     def test_yield_receives_event_value(self, sim):
@@ -28,7 +28,7 @@ class TestLifecycle:
 
         proc = sim.process(body())
         sim.run()
-        assert proc.done.value == "hello"
+        assert proc.value == "hello"
 
     def test_process_waits_on_another(self, sim):
         def first():
@@ -38,12 +38,12 @@ class TestLifecycle:
         p1 = sim.process(first())
 
         def second():
-            v = yield p1.done
+            v = yield p1
             return v * 2
 
         p2 = sim.process(second())
         sim.run()
-        assert p2.done.value == 198
+        assert p2.value == 198
 
     def test_immediate_return(self, sim):
         def body():
@@ -52,7 +52,7 @@ class TestLifecycle:
 
         proc = sim.process(body())
         sim.run()
-        assert proc.done.value == 1
+        assert proc.value == 1
 
     def test_waiting_on_attribute(self, sim):
         ev = sim.event("gate")
@@ -63,7 +63,7 @@ class TestLifecycle:
         proc = sim.process(body())
         sim.run_until_idle()
         assert proc.waiting_on is ev
-        ev.trigger()
+        ev.complete()
         sim.run()
         assert proc.waiting_on is None
 
@@ -97,4 +97,32 @@ class TestFailures:
         proc = sim.process(body())
         with pytest.raises(ProcessFailed):
             sim.run()
-        assert not proc.done.triggered
+        assert not proc.done
+
+
+class TestProcessIsItsEvent:
+    def test_a_process_is_yielded_and_its_result_is_its_value(self, sim):
+        def child():
+            yield sim.timeout(2.0)
+            return "result"
+
+        kid = sim.process(child())
+
+        def parent():
+            got = yield kid
+            return got, sim.now
+
+        proc = sim.process(parent())
+        sim.run()
+        assert kid.done and kid.value == "result" and kid.completed_at == 2.0
+        assert proc.value == ("result", 2.0)
+
+    def test_a_finished_process_is_combined_with_other_events(self, sim):
+        def quick():
+            return 7
+            yield  # pragma: no cover
+
+        kid = sim.process(quick())
+        combo = sim.any_of([sim.timeout(5.0), kid])
+        sim.run()
+        assert combo.value == (1, 7) and combo.completed_at == 0.0

@@ -54,7 +54,7 @@ def test_anyof_triggers_at_min(ds):
     evs = [sim.timeout(d) for d in ds]
     any_of = sim.any_of(list(evs))
     sim.run()
-    assert any_of.trigger_time == min(ds)
+    assert any_of.completed_at == min(ds)
 
 
 @given(st.integers(min_value=1, max_value=40))
@@ -68,4 +68,4 @@ def test_process_chain_accumulates_time(n):
 
     proc = sim.process(body())
     sim.run()
-    assert proc.done.value == 1.5 * n
+    assert proc.value == 1.5 * n

@@ -67,13 +67,10 @@ from ..packets import (
     AccRendezvousCts,
     AccRendezvousRts,
     AccumulateData,
-    CasRequest,
-    CasResponse,
+    AtomicRequest,
     DonePacket,
     FenceDone,
     FenceOpen,
-    FetchOpRequest,
-    FetchOpResponse,
     GetRequest,
     GetResponse,
     GrantUpdate,
@@ -683,42 +680,24 @@ class NonblockingEngine:
 
     def _on_acc_cts(self, ws: WindowState, p: AccRendezvousCts, src: int) -> None:
         op = ws.ops_by_uid[p.op_uid]
+        if op.kind is OpKind.ACCUMULATE:
+            del ws.ops_by_uid[p.op_uid]  # nothing else comes back for it
         self._send_accumulate_payload(ws, op)
 
-    def _on_fetch_op(self, ws: WindowState, p: FetchOpRequest, src: int) -> None:
+    def _on_atomic(self, ws: WindowState, p: AtomicRequest, src: int) -> None:
         view = ws.win.memory.view(p.dtype, p.target_disp, 1)
         old = view.copy()
         if p.data is not None:
-            p.reduce_op.apply(view, p.data.view(p.dtype.np_dtype))
+            value = p.data.view(p.dtype.np_dtype)
+            if p.compare is None:
+                p.reduce_op.apply(view, value)
+            elif old.reshape(-1)[0] == p.compare.view(p.dtype.np_dtype).reshape(-1)[0]:
+                view.reshape(-1)[0] = value.reshape(-1)[0]
         self.sim.schedule(
             self.model.cas_processing, self.fabric.send, self.rank, p.origin,
-            p.dtype.size + self.model.control_bytes, FetchOpResponse(ws.gid, p.op_uid, old),
-            _RDMA,
+            p.dtype.size + self.model.control_bytes,
+            GetResponse(ws.gid, p.op_uid, p.dtype.size, old), _RDMA,
         )
-
-    def _on_fetch_op_response(self, ws: WindowState, p: FetchOpResponse, src: int) -> None:
-        op = ws.ops_by_uid.pop(p.op_uid)
-        if op.result_buf is not None and p.data is not None:
-            op.result_buf.view(p.data.dtype).reshape(-1)[:1] = p.data.reshape(-1)[:1]
-        self._op_delivered(ws, op)
-
-    def _on_cas(self, ws: WindowState, p: CasRequest, src: int) -> None:
-        view = ws.win.memory.view(p.dtype, p.target_disp, 1)
-        old = view.copy()
-        if p.compare is not None and p.new is not None:
-            if old.reshape(-1)[0] == p.compare.view(p.dtype.np_dtype).reshape(-1)[0]:
-                view.reshape(-1)[0] = p.new.view(p.dtype.np_dtype).reshape(-1)[0]
-        self.sim.schedule(
-            self.model.cas_processing, self.fabric.send, self.rank, p.origin,
-            p.dtype.size + self.model.control_bytes, CasResponse(ws.gid, p.op_uid, old),
-            _RDMA,
-        )
-
-    def _on_cas_response(self, ws: WindowState, p: CasResponse, src: int) -> None:
-        op = ws.ops_by_uid.pop(p.op_uid)
-        if op.result_buf is not None and p.data is not None:
-            op.result_buf.view(p.data.dtype).reshape(-1)[:1] = p.data.reshape(-1)[:1]
-        self._op_delivered(ws, op)
 
     def _on_grant(self, ws: WindowState, p: GrantUpdate, src: int) -> None:
         board = ws.board
@@ -794,10 +773,7 @@ class NonblockingEngine:
         AccumulateData: _on_accumulate,
         AccRendezvousRts: _on_acc_rts,
         AccRendezvousCts: _on_acc_cts,
-        FetchOpRequest: _on_fetch_op,
-        FetchOpResponse: _on_fetch_op_response,
-        CasRequest: _on_cas,
-        CasResponse: _on_cas_response,
+        AtomicRequest: _on_atomic,
         GrantUpdate: _on_grant,
         DonePacket: _on_done,
         LockRequestPacket: _on_lock_traffic,
@@ -1057,19 +1033,11 @@ class NonblockingEngine:
                                       pin_region=(op.target_disp, op.nbytes))
             ticket.on_local_complete(self._op_local, ws, op)
             ticket.on_delivered(self._op_delivered, ws, op)
-        elif op.kind is OpKind.GET:
-            ws.ops_by_uid[op.uid] = op
-            self.fabric.send(
-                self.rank, op.target, self.model.control_bytes,
-                GetRequest(ws.gid, op.uid, self.rank, op.target_disp, op.nbytes), _CONTROL,
-            )
-            # A get has no separate local completion phase at the origin.
-            self.sim.schedule(0.0, self._op_local, ws, op)
         elif op.kind in (OpKind.ACCUMULATE, OpKind.GET_ACCUMULATE):
-            if op.kind is OpKind.GET_ACCUMULATE:
-                ws.ops_by_uid[op.uid] = op
-            if self.model.accumulate_needs_rendezvous(op.nbytes):
-                ws.ops_by_uid[op.uid] = op
+            rendezvous = self.model.accumulate_needs_rendezvous(op.nbytes)
+            if rendezvous or op.kind is OpKind.GET_ACCUMULATE:
+                ws.ops_by_uid[op.uid] = op  # a CTS or the result comes back
+            if rendezvous:
                 self.fabric.send(
                     self.rank, op.target, self.model.control_bytes,
                     AccRendezvousRts(ws.gid, op.uid, self.rank, op.nbytes), _CONTROL,
@@ -1077,27 +1045,19 @@ class NonblockingEngine:
                 )
             else:
                 self._send_accumulate_payload(ws, op)
-        elif op.kind is OpKind.FETCH_AND_OP:
+        else:
+            # GET, FETCH_AND_OP, COMPARE_AND_SWAP: a request the target
+            # answers with a GetResponse; no separate local phase.
             ws.ops_by_uid[op.uid] = op
-            self.fabric.send(
-                self.rank, op.target, self.model.control_bytes + op.dtype.size,
-                FetchOpRequest(
-                    ws.gid, op.uid, self.rank, op.target_disp, op.dtype, op.reduce_op, op.data
-                ),
-                _CONTROL,
-            )
+            if op.kind is OpKind.GET:
+                nbytes = self.model.control_bytes
+                payload = GetRequest(ws.gid, op.uid, self.rank, op.target_disp, op.nbytes)
+            else:
+                nbytes = self.model.control_bytes + (1 if op.compare is None else 2) * op.dtype.size
+                payload = AtomicRequest(ws.gid, op.uid, self.rank, op.target_disp, op.dtype,
+                                        op.reduce_op, op.data, op.compare)
+            self.fabric.send(self.rank, op.target, nbytes, payload, _CONTROL)
             self.sim.schedule(0.0, self._op_local, ws, op)
-        elif op.kind is OpKind.COMPARE_AND_SWAP:
-            ws.ops_by_uid[op.uid] = op
-            self.fabric.send(
-                self.rank, op.target, self.model.control_bytes + 2 * op.dtype.size,
-                CasRequest(ws.gid, op.uid, self.rank, op.target_disp, op.dtype,
-                           op.compare, op.data),
-                _CONTROL,
-            )
-            self.sim.schedule(0.0, self._op_local, ws, op)
-        else:  # pragma: no cover - exhaustive
-            raise AssertionError(f"unhandled op kind {op.kind}")
         if causal is not None:
             causal.current = _prev_ctx
 

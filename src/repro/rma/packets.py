@@ -27,10 +27,7 @@ __all__ = [
     "AccumulateData",
     "AccRendezvousRts",
     "AccRendezvousCts",
-    "FetchOpRequest",
-    "FetchOpResponse",
-    "CasRequest",
-    "CasResponse",
+    "AtomicRequest",
     "GrantUpdate",
     "SignalUpdate",
     "DonePacket",
@@ -71,7 +68,9 @@ class GetRequest(RmaPayload):
 
 @dataclass(slots=True)
 class GetResponse(RmaPayload):
-    """RDMA-read response carrying the target bytes."""
+    """The answer to every op that gets bytes back from its target (get,
+    get_accumulate, fetch_and_op, compare_and_swap): the target bytes
+    read before the op touched them."""
 
     op_uid: int
     nbytes: int
@@ -111,43 +110,19 @@ class AccRendezvousCts(RmaPayload):
 
 
 @dataclass(slots=True)
-class FetchOpRequest(RmaPayload):
-    """MPI_FETCH_AND_OP: single-element atomic read-modify-write."""
+class AtomicRequest(RmaPayload):
+    """Single-element atomic read-modify-write, answered by a
+    :class:`GetResponse` with the old value: MPI_FETCH_AND_OP when
+    ``compare`` is None, else MPI_COMPARE_AND_SWAP with ``data`` the new
+    value."""
 
     op_uid: int
     origin: int
     target_disp: int
     dtype: Datatype
-    reduce_op: ReduceOp
+    reduce_op: ReduceOp | None
     data: np.ndarray | None
-
-
-@dataclass(slots=True)
-class FetchOpResponse(RmaPayload):
-    """Old value returned by a fetch-and-op."""
-
-    op_uid: int
-    data: np.ndarray | None
-
-
-@dataclass(slots=True)
-class CasRequest(RmaPayload):
-    """MPI_COMPARE_AND_SWAP request."""
-
-    op_uid: int
-    origin: int
-    target_disp: int
-    dtype: Datatype
-    compare: np.ndarray | None
-    new: np.ndarray | None
-
-
-@dataclass(slots=True)
-class CasResponse(RmaPayload):
-    """Old value returned by a compare-and-swap."""
-
-    op_uid: int
-    data: np.ndarray | None
+    compare: np.ndarray | None = None
 
 
 @dataclass(slots=True)

@@ -557,10 +557,22 @@ class Window:
         data: np.ndarray | None = None,
         compare: np.ndarray | None = None,
         result_buf: np.ndarray | None = None,
-        request: Request | None = None,
+        request: bool = False,
         notify_target: int | None = None,
-    ) -> RmaOp:
+    ) -> Request | None:
+        """Record one op; ``request=True`` makes and returns the per-op
+        request of the ``r*`` / ``*_notify`` forms (MPI-3 §11.3)."""
         ep = self._epoch_for(target)
+        req = None
+        if request:
+            if (
+                ep.kind not in (EpochKind.LOCK, EpochKind.LOCK_ALL)
+                and not self.engine.supports_notified_access
+            ):
+                raise RmaUsageError(
+                    "request-based RMA operations are reserved for passive-target epochs"
+                )
+            req = Request(self.sim, ("%s-req", kind.value))
         self._check_target_range(target, disp, nbytes)
         op = RmaOp(
             kind,
@@ -575,13 +587,13 @@ class Window:
             data=data,
             compare=compare,
             result_buf=result_buf,
-            request=request,
+            request=req,
         )
         # Must be set before add_op: the engine may issue the op (and
         # send its same-lane notification) synchronously inside it.
         op.notify_target = notify_target
         self.engine.add_op(self, ep, op)
-        return op
+        return req
 
     @staticmethod
     def _capture(data: np.ndarray) -> tuple[np.ndarray, Datatype]:
@@ -661,37 +673,21 @@ class Window:
             data=new_arr, compare=cmp_arr, result_buf=result,
         )
 
-    # -- request-based variants (passive target only, MPI-3 §11.3;
-    # the counter-signal engine relaxes them to every epoch kind) ------------
-    def _request_op(self, kind: OpKind, target: int) -> Request:
-        ep = self._epoch_for(target)
-        if (
-            ep.kind not in (EpochKind.LOCK, EpochKind.LOCK_ALL)
-            and not self.engine.supports_notified_access
-        ):
-            raise RmaUsageError(
-                "request-based RMA operations are reserved for passive-target epochs"
-            )
-        return Request(self.sim, ("%s-req", kind.value))
-
+    # -- request-based variants ------------------------------------------------
     def rput(self, data: np.ndarray, target_rank: int, target_disp: int = 0) -> Request:
         """MPI_RPUT: like put, with a per-op request (local completion)."""
-        req = self._request_op(OpKind.PUT, target_rank)
         arr, dtype = self._capture(data)
-        self._make_op(
-            OpKind.PUT, target_rank, target_disp, arr.nbytes, dtype, data=arr, request=req
+        return self._make_op(
+            OpKind.PUT, target_rank, target_disp, arr.nbytes, dtype, data=arr, request=True
         )
-        return req
 
     def rget(self, buffer: np.ndarray, target_rank: int, target_disp: int = 0) -> Request:
         """MPI_RGET: completion means the data is available."""
-        req = self._request_op(OpKind.GET, target_rank)
         dtype = from_numpy(np.asarray(buffer).dtype)
-        self._make_op(
+        return self._make_op(
             OpKind.GET, target_rank, target_disp, buffer.nbytes, dtype,
-            result_buf=buffer, request=req,
+            result_buf=buffer, request=True,
         )
-        return req
 
     def raccumulate(
         self,
@@ -701,13 +697,11 @@ class Window:
         op: ReduceOp = SUM,
     ) -> Request:
         """MPI_RACCUMULATE."""
-        req = self._request_op(OpKind.ACCUMULATE, target_rank)
         arr, dtype = self._capture(data)
-        self._make_op(
+        return self._make_op(
             OpKind.ACCUMULATE, target_rank, target_disp, arr.nbytes, dtype,
-            reduce_op=op, data=arr, request=req,
+            reduce_op=op, data=arr, request=True,
         )
-        return req
 
     def rget_accumulate(
         self,
@@ -718,13 +712,11 @@ class Window:
         op: ReduceOp = SUM,
     ) -> Request:
         """MPI_RGET_ACCUMULATE."""
-        req = self._request_op(OpKind.GET_ACCUMULATE, target_rank)
         arr, dtype = self._capture(data)
-        self._make_op(
+        return self._make_op(
             OpKind.GET_ACCUMULATE, target_rank, target_disp, arr.nbytes, dtype,
-            reduce_op=op, data=arr, result_buf=result, request=req,
+            reduce_op=op, data=arr, result_buf=result, request=True,
         )
-        return req
 
     # ======================================================================
     # Notified access (foMPI-style; counter-signal engine only)
@@ -762,13 +754,11 @@ class Window:
         signal rides the same FIFO fabric lane as the put payload, so no
         extra round trip orders it)."""
         self._require_notified("Window.put_notify")
-        req = self._request_op(OpKind.PUT, target_rank)
         arr, dtype = self._capture(data)
-        self._make_op(
+        return self._make_op(
             OpKind.PUT, target_rank, target_disp, arr.nbytes, dtype, data=arr,
-            request=req, notify_target=target_rank,
+            request=True, notify_target=target_rank,
         )
-        return req
 
     def get_notify(
         self, buffer: np.ndarray, target_rank: int, target_disp: int = 0
@@ -777,13 +767,11 @@ class Window:
         delivered to the target once the data has arrived back at the
         origin (the target learns its memory was read)."""
         self._require_notified("Window.get_notify")
-        req = self._request_op(OpKind.GET, target_rank)
         dtype = from_numpy(np.asarray(buffer).dtype)
-        self._make_op(
+        return self._make_op(
             OpKind.GET, target_rank, target_disp, buffer.nbytes, dtype,
-            result_buf=buffer, request=req, notify_target=target_rank,
+            result_buf=buffer, request=True, notify_target=target_rank,
         )
-        return req
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Window #{self.group.gid} rank={self.rank} {self.size}B>"

@@ -38,7 +38,8 @@ class SimEvent:
     def __init__(self, sim: "Simulator", name: "str | tuple" = ""):
         self.sim = sim
         self._name = name
-        self._callbacks: "list[Callable[[SimEvent], None]] | tuple[()]" = []
+        #: ``()`` until the first waiter: many events complete with none.
+        self._callbacks: "list[Callable[[SimEvent], None]] | tuple[()]" = ()
         #: Whether :meth:`complete` has been called (read-only for users).
         self.done = False
         #: The value passed to :meth:`complete` (``None`` before that).
@@ -64,8 +65,10 @@ class SimEvent:
         """
         if self.done:
             self.sim.schedule(0.0, fn, self)
-        else:
+        elif self._callbacks:
             self._callbacks.append(fn)
+        else:
+            self._callbacks = [fn]
 
     def complete(self, value: Any = None) -> None:
         """Complete the event, waking all waiters.  Completing twice is a

@@ -36,6 +36,18 @@ class TestSimEvent:
         sim.run()
         assert seen == [0, 1, 2, 3, 4]
 
+    def test_no_waiter_no_callback_list(self, sim):
+        """The waiter list exists only while something waits."""
+        ev = sim.event()
+        assert ev._callbacks == ()
+        ev.complete()
+        assert ev._callbacks == ()
+        waited = sim.event()
+        waited.add_callback(lambda e: None)
+        assert type(waited._callbacks) is list
+        waited.complete()
+        assert waited._callbacks == ()
+
 
 class TestTimeout:
     def test_timeout_value(self, sim):

@@ -3,9 +3,8 @@
 This package is the paper's contribution: windows, the five epoch
 styles, the proposed ``MPI_WIN_I*`` nonblocking synchronization API
 (§V), deferred epochs and ω-triple O(1) matching (§VII), the 7-step RMA
-progress engine (§VII-D), the §VI-B reorder flags, the §VI-C
-consistency tracker and the full semantics checker / race detector
-that subsumes it.
+progress engine (§VII-D), the §VI-B reorder flags and the semantics
+checker / race detector that enforces §VI-C.
 """
 
 from .checker import (
@@ -16,7 +15,6 @@ from .checker import (
     Violation,
     ViolationKind,
 )
-from .consistency import ConsistencyTracker, Hazard
 from .epoch import Epoch, EpochKind, EpochState
 from .flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R, ReorderFlags
 from .locks import LockManager, LockWaiter
@@ -55,8 +53,6 @@ __all__ = [
     "FlushRequest",
     "LockManager",
     "LockWaiter",
-    "ConsistencyTracker",
-    "Hazard",
     "RmaChecker",
     "RmaSemanticsError",
     "Violation",

@@ -43,10 +43,6 @@ violating event; ``repro.semantics_check_mode=report`` accumulates
 :meth:`RmaChecker.report`.  Without the info key no checker object
 exists and the hot path pays a single ``is None`` test per hook.
 
-The checker subsumes the older §VI-C
-:class:`~repro.rma.consistency.ConsistencyTracker`: it embeds one and
-exposes its hazard report through :meth:`RmaChecker.hazards`.
-
 Interaction with fault injection
 --------------------------------
 The checker's invariants assume each protocol packet is observed
@@ -66,7 +62,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..mpi.errors import RmaUsageError
-from .consistency import ConsistencyTracker
 from .epoch import EpochKind
 from .notify import SignalChannel
 
@@ -140,8 +135,6 @@ class RmaChecker:
         self.mode = mode
         #: All violations, in detection order (both modes record).
         self.violations: list[Violation] = []
-        #: Embedded §VI-C hazard tracker (subsumes consistency.py).
-        self.tracker = ConsistencyTracker()
         #: Exposure-interval counter per (win gid, target rank).
         self._interval: dict[tuple[int, int], int] = {}
         #: Ops issued toward (win gid, target rank) in the *current*
@@ -169,10 +162,6 @@ class RmaChecker:
         if kind is None:
             return list(self.violations)
         return [v for v in self.violations if v.kind is kind]
-
-    def hazards(self):
-        """§VI-C reorder-concurrency hazards (subsumed tracker report)."""
-        return self.tracker.hazards()
 
     def _flag(
         self,
@@ -277,9 +266,6 @@ class RmaChecker:
         # lock manager.
         if ep.kind in _PASSIVE_KINDS and ep.nocheck:
             self._check_nocheck_lock(ws, ep, op)
-        # §VI-C hazard bookkeeping (subsumed consistency tracker).
-        concurrent = [o.uid for o in ws.epochs if o.active and o is not ep]
-        self.tracker.record(op, ep.uid, concurrent)
         # (a)/(c) shadow-interval race detection.
         self._check_shadow(ws, ep, op)
 

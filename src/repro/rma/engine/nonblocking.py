@@ -704,15 +704,13 @@ class NonblockingEngine:
         granter = p.granter
         # Idempotent form: the packet carries its position in the
         # granter's grant stream, so replays cannot over-increment g.
-        seq = (p.grant_seq if p.grant_seq is not None
-               else board.inbound.get((_GRANT, granter), 0) + 1)
-        if not board.apply(_GRANT, granter, seq):
+        if not board.apply(_GRANT, granter, p.grant_seq):
             return
         if self.causal is not None:
             self.causal.instant("grant", rank=self.rank, win=ws.gid, meta={"granter": granter})
         if self._explore is not None:
             self._explore.record_notification(
-                self.rank, "grant", granter, pack_win_value(ws.gid, seq)
+                self.rank, "grant", granter, pack_win_value(ws.gid, p.grant_seq)
             )
         if p.lock_access_id is not None:
             ep = ws.lock_epochs.get((granter, p.lock_access_id))

@@ -166,7 +166,7 @@ class Epoch:
         self.fence_done_sent = False
         #: Closing request while it is pending (the engine drops it at completion).
         self.closing_request: "ClosingRequest | None" = None
-        # Timeline (for the causal recorder / consistency).
+        # Timeline (for the causal recorder).
         self.open_time: float | None = None
         self.activate_time: float | None = None
         self.close_call_time: float | None = None

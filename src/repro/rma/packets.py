@@ -147,8 +147,8 @@ class GrantUpdate(RmaPayload):
     """
 
     granter: int
+    grant_seq: int
     lock_access_id: int | None = None
-    grant_seq: int | None = None
 
 
 @dataclass(slots=True)

@@ -4,13 +4,15 @@ One minimal *failing program* per violation class: each test runs an
 erroneous MPI program that the engines happily execute, and passes only
 because the checker (enabled via the ``repro.semantics_check`` info key)
 raises a structured :class:`RmaSemanticsError` at the violating event.
-Plus: report-mode accumulation, the activation oracle, the embedded
-§VI-C hazard tracker, and default-path behaviour (checker absent).
+Plus: report-mode accumulation, the activation oracle, correct
+reordered programs the checker leaves alone, and default-path behaviour
+(checker absent).
 """
 
 import numpy as np
 import pytest
 
+from repro.explore.context import ExplorationContext
 from repro.mpi.info import Info
 from repro.rma import (
     LOCK_EXCLUSIVE,
@@ -22,13 +24,14 @@ from repro.rma import (
     RmaSemanticsError,
     ViolationKind,
 )
+from repro.rma.engine.registry import ENGINES
 from repro.rma.epoch import Epoch, EpochKind
 from repro.rma.flags import A_A_A_R, E_A_E_R
 from repro.rma.locks import LockWaiter
-from repro.rma.ops import OpKind, RmaOp
 from repro.rma.packets import UnlockPacket
 from repro.rma.requests import FlushRequest
 from repro.simtime import ProcessFailed
+from repro.workloads import SERIES, WORKLOADS
 from tests.conftest import make_runtime
 
 CHECK = {SEMANTICS_CHECK_INFO_KEY: 1}
@@ -193,6 +196,72 @@ class TestOverlapRace:
 
         res = make_runtime(2).run(app)
         assert int(res[1][0]) == 3
+
+
+class TestLockHandoffOrder:
+    """§VI-C under A_A_A_R: two back-to-back exclusive-lock epochs from
+    one origin (nonblocking drive where the engine has one, blocking on
+    the baselines).  The lock handoff orders their puts, so overlapping
+    puts are no race either: every engine ends with the program-order
+    bytes and an empty report."""
+
+    @pytest.mark.parametrize("disjoint", [True, False], ids=["disjoint", "overlap"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_two_lock_epochs_land_in_program_order(self, engine, disjoint):
+        def app(proc):
+            win = yield from proc.win_allocate(64, info={A_A_A_R: 1, **REPORT})
+            yield from proc.barrier()
+            if proc.rank == 0:
+                reqs = []
+                for i in range(2):
+                    disp = 8 * i if disjoint else 0
+                    if win.engine.supports_nonblocking:
+                        win.ilock(1)
+                        win.put(np.int64([i]), 1, disp)
+                        reqs.append(win.iunlock(1))
+                    else:
+                        yield from win.lock(1)
+                        win.put(np.int64([i]), 1, disp)
+                        yield from win.unlock(1)
+                yield from proc.waitall(reqs)
+            yield from proc.barrier()
+            return win.group.checker, win.view(np.int64)[:2].tolist()
+
+        res = make_runtime(2, engine).run(app)
+        checker, target_cells = res[1]
+        assert checker.report() == []
+        assert target_cells == ([0, 1] if disjoint else [1, 0])
+
+
+def _final_bytes(runtime):
+    return [
+        (group.gid, rank, win.view(np.uint8).tobytes())
+        for group in runtime.window_groups
+        for rank, win in sorted(group.windows.items())
+    ]
+
+
+@pytest.mark.parametrize("series", SERIES, ids=lambda s: s.name)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_checker_is_silent(workload, series):
+    """Arming the checker changes nothing a run does: every registry
+    workload at its small size, armed in report mode (an exploration
+    context with no policy) and unarmed (the causal recorder keeps the
+    runtime and is itself silent), ends at the same virtual time after
+    the same kernel events with the same window bytes — and the armed
+    run reports no violation."""
+    wl = WORKLOADS[workload]
+    ctx = ExplorationContext()
+    wl.run(series.engine, series.nonblocking, exploration=ctx, **wl.small)
+    (armed,) = ctx.runtimes
+    _, plain = wl.run(series.engine, series.nonblocking, causal=True, **wl.small)
+    checkers = [g.checker for g in armed.window_groups]
+    assert checkers and None not in checkers
+    assert all(g.checker is None for g in plain.window_groups)
+    assert armed.now == plain.now
+    assert armed.sim.events_scheduled == plain.sim.events_scheduled
+    assert _final_bytes(armed) == _final_bytes(plain)
+    assert [v for c in checkers for v in c.report()] == []
 
 
 class TestOmegaViolation:
@@ -517,22 +586,3 @@ def _nocheck_omega_app(proc):
         win.put(np.int64([1]), 1, 0)
         yield from win.complete()
     yield from proc.barrier()
-
-
-class TestHazardSubsumption:
-    """The checker embeds the §VI-C ConsistencyTracker and exposes its
-    conservative hazard report alongside the precise race report."""
-
-    def test_hazards_delegates_to_embedded_tracker(self):
-        checker = RmaChecker(mode="report")
-        ep1 = Epoch(EpochKind.LOCK, 0, 0, targets=(1,))
-        ep2 = Epoch(EpochKind.LOCK, 0, 0, targets=(1,))
-        op1 = RmaOp(OpKind.PUT, 0, 1, 0, 8, ep1, age=1)
-        op2 = RmaOp(OpKind.PUT, 0, 1, 4, 8, ep2, age=2)
-        checker.tracker.record(op1, ep1.uid, [ep2.uid])
-        checker.tracker.record(op2, ep2.uid, [ep1.uid])
-        hazards = checker.hazards()
-        assert len(hazards) == 1
-        assert hazards[0].overlap == (4, 8)
-        # Hazard analysis is conservative; the precise report stays empty.
-        assert checker.report() == []

@@ -641,9 +641,11 @@ def test_replayed_grant_and_stale_ack_neither_enqueue_nor_raise():
     ws, eng, ep = c["ws"], c["eng"], c["ep"]
     access_id = ep.access_ids[1]
     assert not ws.post_ready and not ws.advance_ready
-    # A replay without a sequence number gets past the idempotent g
-    # update; the index no longer knows the epoch, so nothing is woken.
-    eng._on_grant(ws, GrantUpdate(ws.gid, granter=1, lock_access_id=access_id), 1)
+    # A grant one past g gets past the idempotent g update; the index
+    # no longer knows the epoch, so nothing is woken.
+    g = ws.board.inbound[SignalChannel.GRANT, 1]
+    eng._on_grant(ws, GrantUpdate(ws.gid, granter=1, lock_access_id=access_id,
+                                  grant_seq=g + 1), 1)
     # A sequenced replay is dropped before it reaches the index at all.
     eng._on_grant(ws, GrantUpdate(ws.gid, granter=1, lock_access_id=access_id,
                                   grant_seq=ws.board.inbound[SignalChannel.GRANT, 1]), 1)
@@ -668,7 +670,8 @@ def test_grant_replayed_while_the_lock_is_held_is_ignored():
             ws, eng = win._state, win.engine
             ep = ws.epochs[-1]
             assert ep.kind is EpochKind.LOCK and ep.lock_held[1]
-            eng._on_grant(ws, GrantUpdate(ws.gid, granter=1,
+            g = ws.board.inbound[SignalChannel.GRANT, 1]
+            eng._on_grant(ws, GrantUpdate(ws.gid, granter=1, grant_seq=g + 1,
                                           lock_access_id=ep.access_ids[1]), 1)
             seen["woken"] = bool(ws.post_ready or ws.advance_ready)
             yield from win.unlock(1)

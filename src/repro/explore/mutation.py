@@ -71,8 +71,8 @@ def _grant_wakeup_dropped(*kind_names: str):
 
 
 def lock_grant_wakeup_dropped():
-    """Drop the *lock held at r* wake-up: the grant still flips
-    ``lock_held`` but the epoch is not made due, so ops recorded before
+    """Drop the *lock held at r* wake-up: the grant still enters ``r``
+    into ``lock_stage`` but the epoch is not made due, so ops recorded before
     the grant are never posted and the unlock is never sent."""
     return _grant_wakeup_dropped("LOCK", "LOCK_ALL")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -39,6 +40,10 @@ ANY_TAG = -1
 TAG_BARRIER = -100
 
 _send_ids = itertools.count()
+
+#: An idle rank's rendezvous tables (shared, read-only): a rank pays
+#: for a table only while a handshake is in it.
+_NO_HANDSHAKES = MappingProxyType({})
 
 
 # -- wire payloads ---------------------------------------------------------
@@ -104,7 +109,12 @@ class RecvRequest(Request):
 
 
 class P2PEngine:
-    """Per-rank two-sided messaging state machine."""
+    """Per-rank two-sided messaging state machine.
+
+    Each queue and table is the shared empty (``()`` or
+    ``_NO_HANDSHAKES``) until its first entry, and the code that takes
+    the last entry out puts the shared empty back.
+    """
 
     __slots__ = ("sim", "fabric", "rank", "_posted", "_unexpected", "_rndv_pending",
                  "_rndv_recv", "barrier")
@@ -114,13 +124,14 @@ class P2PEngine:
         self.fabric = fabric
         self.rank = rank
         #: Posted receives, in post order (MPI matching priority).
-        self._posted: list[RecvRequest] = []
+        self._posted: list[RecvRequest] | tuple[()] = ()
         #: Unexpected arrivals in arrival order: (src, payload).
-        self._unexpected: list[tuple[int, EagerData | RtsPacket]] = []
+        self._unexpected: list[tuple[int, EagerData | RtsPacket]] | tuple[()] = ()
         #: Rendezvous sends awaiting CTS: send_id -> (dst, nbytes, data, request)
-        self._rndv_pending: dict[int, tuple[int, int, np.ndarray | None, SendRequest]] = {}
+        self._rndv_pending: dict[int, tuple[int, int, np.ndarray | None, SendRequest]] | \
+            MappingProxyType = _NO_HANDSHAKES
         #: Receives matched to an RTS, awaiting payload: send_id -> request.
-        self._rndv_recv: dict[int, RecvRequest] = {}
+        self._rndv_recv: dict[int, RecvRequest] | MappingProxyType = _NO_HANDSHAKES
         self.barrier = DisseminationBarrier(sim, fabric, rank)
 
     # -- sending ---------------------------------------------------------
@@ -141,7 +152,10 @@ class P2PEngine:
             )
             ticket.on_local_complete(req.complete)
         else:
-            self._rndv_pending[send_id] = (dst, nbytes, data, req)
+            if self._rndv_pending:
+                self._rndv_pending[send_id] = (dst, nbytes, data, req)
+            else:
+                self._rndv_pending = {send_id: (dst, nbytes, data, req)}
             rts = RtsPacket(tag, nbytes, send_id)
             self.fabric.send(
                 self.rank, dst, self.fabric.model.control_bytes, rts,
@@ -156,9 +170,11 @@ class P2PEngine:
         """Post a receive; completes with the message data (or None for
         size-only transfers)."""
         req = RecvRequest(self.sim, source, tag, buffer)
-        matched = self._match_unexpected(req)
-        if matched is None:
-            self._posted.append(req)
+        if self._match_unexpected(req) is None:
+            if self._posted:
+                self._posted.append(req)
+            else:
+                self._posted = [req]
         return req
 
     # -- delivery (called by middleware) ---------------------------------
@@ -174,19 +190,21 @@ class P2PEngine:
                 return True
             req = self._match_posted(src, payload.tag)
             if req is None:
-                self._unexpected.append((src, payload))
+                self._stash(src, payload)
             else:
                 self._finish_recv(req, src, payload.tag, payload.nbytes, payload.data)
             return True
         if kind is RtsPacket:
             req = self._match_posted(src, payload.tag)
             if req is None:
-                self._unexpected.append((src, payload))
+                self._stash(src, payload)
             else:
                 self._send_cts(req, src, payload)
             return True
         if kind is CtsPacket:
             dst, nbytes, data, sreq = self._rndv_pending.pop(payload.send_id)
+            if not self._rndv_pending:
+                self._rndv_pending = _NO_HANDSHAKES
             ticket = self.fabric.send(
                 self.rank, dst, nbytes, RndvData(payload.send_id, nbytes, data),
                 kind=ServiceKind.RDMA,
@@ -195,6 +213,8 @@ class P2PEngine:
             return True
         if kind is RndvData:
             req = self._rndv_recv.pop(payload.send_id)
+            if not self._rndv_recv:
+                self._rndv_recv = _NO_HANDSHAKES
             self._finish_recv(
                 req, req.matched_source, req.matched_tag, payload.nbytes, payload.data
             )
@@ -207,16 +227,30 @@ class P2PEngine:
         wild = req.tag == ANY_TAG and tag >= 0  # never a collective's negative tag
         return req.source in (ANY_SOURCE, src) and (req.tag == tag or wild)
 
+    def _stash(self, src: int, payload: EagerData | RtsPacket) -> None:
+        """Keep an arrival no posted receive matched."""
+        if self._unexpected:
+            self._unexpected.append((src, payload))
+        else:
+            self._unexpected = [(src, payload)]
+
     def _match_posted(self, src: int, tag: int) -> RecvRequest | None:
-        for i, req in enumerate(self._posted):
+        posted = self._posted
+        for i, req in enumerate(posted):
             if self._matches(req, src, tag):
-                return self._posted.pop(i)
+                del posted[i]
+                if not posted:
+                    self._posted = ()
+                return req
         return None
 
     def _match_unexpected(self, req: RecvRequest) -> bool | None:
-        for i, (src, payload) in enumerate(self._unexpected):
+        unexpected = self._unexpected
+        for i, (src, payload) in enumerate(unexpected):
             if self._matches(req, src, payload.tag):
-                self._unexpected.pop(i)
+                del unexpected[i]
+                if not unexpected:
+                    self._unexpected = ()
                 if isinstance(payload, EagerData):
                     self._finish_recv(req, src, payload.tag, payload.nbytes, payload.data)
                 else:
@@ -227,7 +261,10 @@ class P2PEngine:
     def _send_cts(self, req: RecvRequest, src: int, rts: RtsPacket) -> None:
         req.matched_source = src
         req.matched_tag = rts.tag
-        self._rndv_recv[rts.send_id] = req
+        if self._rndv_recv:
+            self._rndv_recv[rts.send_id] = req
+        else:
+            self._rndv_recv = {rts.send_id: req}
         self.fabric.send(
             self.rank, src, self.fabric.model.control_bytes, CtsPacket(rts.send_id),
             kind=ServiceKind.CONTROL,
@@ -271,7 +308,9 @@ class DisseminationBarrier:
         self.nranks = fabric.topology.nranks
         self.rounds = (self.nranks - 1).bit_length()
         #: Per round (one source each): tokens not yet taken, -1 = awaited.
-        self.tokens = [0] * self.rounds
+        #: ``()`` while every count is 0: between barriers, unless a
+        #: token of the next one came early.
+        self.tokens: list[int] | tuple[()] = ()
         self._round = 0
         self._done: SimEvent | None = None
 
@@ -279,6 +318,8 @@ class DisseminationBarrier:
         """Start a barrier (``nranks`` > 1); wait on the event returned."""
         self._done = SimEvent(self.sim, "barrier")
         self._round = 0
+        if not self.tokens:
+            self.tokens = [0] * self.rounds
         self._send()
         return self._done
 
@@ -298,6 +339,8 @@ class DisseminationBarrier:
 
     def on_token(self, k: int) -> None:
         """A round-``k`` token was delivered."""
+        if not self.tokens:
+            self.tokens = [0] * self.rounds
         self.tokens[k] += 1
         if not self.tokens[k]:
             self.sim.schedule(0.0, self._advance)
@@ -307,5 +350,7 @@ class DisseminationBarrier:
         if self._round < self.rounds:
             self._send()
         else:
+            if not any(self.tokens):
+                self.tokens = ()
             done, self._done = self._done, None
             done.complete_now()

@@ -10,8 +10,12 @@ here charges a size-dependent cost on cache misses and nothing on hits.
 from __future__ import annotations
 
 from collections import OrderedDict
+from types import MappingProxyType
 
 __all__ = ["RegistrationCache"]
+
+#: The entries of a cache with nothing pinned (shared, read-only).
+_NO_REGIONS = MappingProxyType({})
 
 
 class RegistrationCache:
@@ -31,7 +35,9 @@ class RegistrationCache:
         self.capacity = capacity_bytes
         self.base_cost = base_cost
         self.cost_per_kb = cost_per_kb
-        self._entries: OrderedDict[tuple[int, int], int] = OrderedDict()
+        #: Pinned regions, least recently used first: an ``OrderedDict``
+        #: while any is pinned, ``_NO_REGIONS`` otherwise.
+        self._entries: OrderedDict[tuple[int, int], int] | MappingProxyType = _NO_REGIONS
         self._used = 0
         self.hits = 0
         self.misses = 0
@@ -47,26 +53,32 @@ class RegistrationCache:
         if size < 0:
             raise ValueError("negative region size")
         key = (base, size)
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
             self.hits += 1
             return 0.0
         self.misses += 1
         cost = self.base_cost + self.cost_per_kb * (size / 1024.0)
         if size <= self.capacity:
-            while self._used + size > self.capacity and self._entries:
-                _, evicted = self._entries.popitem(last=False)
+            while self._used + size > self.capacity and entries:
+                _, evicted = entries.popitem(last=False)
                 self._used -= evicted
                 self.evictions += 1
-            self._entries[key] = size
+            if not entries:
+                self._entries = entries = OrderedDict()
+            entries[key] = size
             self._used += size
         return cost
 
     def invalidate(self, base: int, size: int) -> bool:
         """Drop a region (e.g. freed memory); returns whether it was cached."""
-        entry = self._entries.pop((base, size), None)
+        entry = self._entries.get((base, size))
         if entry is None:
             return False
+        del self._entries[base, size]
+        if not self._entries:
+            self._entries = _NO_REGIONS
         self._used -= entry
         return True
 

@@ -93,7 +93,11 @@ class MvapichEngine(NonblockingEngine):
             self.causal.instant("epoch_activate", rank=self.rank, win=ws.gid,
                                 epoch=ep.uid, meta={"lazy": True})
         self._enroll_access(ws, ep)
-        ws.post_ready.update((ep, t) for t in ep.unissued_targets() if ep.lock_held.get(t))
+        pairs = [(ep, t) for t in ep.unissued_targets() if t in ep.lock_stage]
+        if ws.post_ready:
+            ws.post_ready.update(pairs)
+        elif pairs:
+            ws.post_ready = set(pairs)
         self._mark_if_due(ws)
 
     def close_epoch(self, win: "Window", ep: Epoch) -> ClosingRequest:

@@ -50,7 +50,6 @@ The 7-step progress loop (§VII-D)
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from operator import attrgetter
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Sequence
@@ -60,7 +59,7 @@ import numpy as np
 from ...mpi.errors import RmaInternalError, RmaUsageError
 from ...network.packets import ServiceKind
 from ...network.shmem import NotifyKind, decode_checked
-from ..epoch import Epoch, EpochKind
+from ..epoch import LOCK_HELD, UNLOCK_ACKED, UNLOCK_SENT, Epoch, EpochKind
 from ..notify import SignalChannel
 from ..ops import OpKind, RmaOp
 from ..packets import (
@@ -81,7 +80,7 @@ from ..packets import (
     UnlockPacket,
 )
 from ..requests import ClosingRequest, FlushRequest
-from ..state import WindowState
+from ..state import NO_WAKEUPS, NOTHING, WindowState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...mpi.runtime import MPIRuntime
@@ -225,8 +224,7 @@ class NonblockingEngine:
     # -- wiring ---------------------------------------------------------------
     def register_window(self, win: "Window") -> None:
         """Create middleware state for a newly allocated window."""
-        ws = WindowState(win, on_lock_grant=None)
-        ws.lock_mgr._on_grant = partial(self._grant_lock, ws)
+        ws = WindowState(win, self._grant_lock)
         self.states[win.group.gid] = ws
         win._state = ws
 
@@ -388,8 +386,12 @@ class NonblockingEngine:
         # None): it may have been closed while deferred (an exposure's
         # dones may even be in already), and every op recorded while
         # deferred is now postable.
-        ws.advance_ready.add(ep)
-        ws.post_ready.update((ep, target) for target in ep.unissued_targets())
+        self._wake_advance(ws, ep)
+        pairs = [(ep, target) for target in ep.unissued_targets()]
+        if ws.post_ready:
+            ws.post_ready.update(pairs)
+        elif pairs:
+            ws.post_ready = set(pairs)
         checker = ws.checker
         if checker is not None:
             checker.on_epoch_activate(ws, ep, active_preceding)
@@ -411,11 +413,13 @@ class NonblockingEngine:
         """``ep``'s readiness toward ``target`` may have flipped: due if it
         did.  A pair still waiting is examined here (steps 2/4 would find
         it waiting) and re-woken by the arrival that readies it."""
-        if self._target_ready(ws, ep, target):
-            ws.post_ready.add((ep, target))
-        else:
+        if not self._target_ready(ws, ep, target):
             self.epochs_examined += 1
             self.pairs_waiting += 1
+        elif ws.post_ready:
+            ws.post_ready.add((ep, target))
+        else:
+            ws.post_ready = {(ep, target)}
 
     def _wake_advance(self, ws: WindowState, ep: Epoch, target: int | None = None) -> None:
         """One of ``ep``'s completion conditions may have moved: the one
@@ -430,7 +434,10 @@ class NonblockingEngine:
             return
         elif ep.due_targets is not None:
             ep.due_targets.add(target)
-        ws.advance_ready.add(ep)
+        if ws.advance_ready:
+            ws.advance_ready.add(ep)
+        else:
+            ws.advance_ready = {ep}
 
     def _wake_peer(self, ws: WindowState, channel: SignalChannel, peer: int) -> None:
         """``peer`` moved this rank's inbound counter on ``channel`` (a
@@ -447,7 +454,7 @@ class NonblockingEngine:
                     and self._done_arrived(ws, ep, peer)
                 ):
                     ep.done_from.add(peer)
-                    ws.advance_ready.add(ep)
+                    self._wake_advance(ws, ep)
             elif kind is EpochKind.FENCE:  # involves every peer
                 if not ep.all_issued_to(peer):
                     self._wake_post(ws, ep, peer)
@@ -455,7 +462,7 @@ class NonblockingEngine:
                 # a plain int.
                 if channel == _FENCE_DONE:
                     self._fence_done_landed(ws, ep, peer)
-                    ws.advance_ready.add(ep)
+                    self._wake_advance(ws, ep)
             elif peer in ep.peers and peer not in ep.done_sent:
                 self._wake_target(ws, ep, peer)
 
@@ -477,7 +484,7 @@ class NonblockingEngine:
             # already happened; skip the grant wait.
             return ep.nocheck or self._access_granted(ws, ep, target)
         if ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL):
-            return ep.lock_held.get(target, False)
+            return target in ep.lock_stage
         if ep.kind is EpochKind.FENCE:
             if target == self.rank:
                 return True
@@ -498,7 +505,10 @@ class NonblockingEngine:
         pairs = [p for p in due if (node_lo <= p[1] < node_hi) == intranode]
         if not pairs:
             return 0
-        due.difference_update(pairs)
+        if len(pairs) == len(due):
+            ws.post_ready = NO_WAKEUPS
+        else:
+            due.difference_update(pairs)
         if len(pairs) > 1:
             # Ordering only — one pair or many, none is dropped: ops leave
             # an epoch through this examination alone, so every due pair
@@ -536,15 +546,14 @@ class NonblockingEngine:
         """Steps 3/7: examine the due epochs (in open order) and rerun
         the activation scan while either has work; returns the number of
         epochs progressed (completed or activated)."""
-        due = ws.advance_ready
-        if not due and not ws.activation_pending:
+        if not ws.advance_ready and not ws.activation_pending:
             return 0
         progressed = 0
-        while due or ws.activation_pending:
+        while ws.advance_ready or ws.activation_pending:
+            due = ws.advance_ready
             if due:
-                batch = sorted(due, key=_uid) if len(due) > 1 else list(due)
-                due.clear()
-                for ep in batch:
+                ws.advance_ready = NO_WAKEUPS
+                for ep in sorted(due, key=_uid) if len(due) > 1 else due:
                     if ep.active and self._advance_epoch(ws, ep):
                         progressed += 1
             if ws.activation_pending:
@@ -583,21 +592,18 @@ class NonblockingEngine:
                         self._complete_epoch(ws, ep)
                         return True
                     return False
+                stage = ep.lock_stage
                 for target in ep.take_due_targets():
                     self.targets_examined += 1
-                    if (
-                        target not in ep.unlock_sent
-                        and ep.lock_held.get(target, False)
-                        and not ep.pending_to(target)
-                    ):
+                    if stage.get(target) == LOCK_HELD and not ep.pending_to(target):
                         self.fabric.send(
                             self.rank, target, self.model.control_bytes,
                             UnlockPacket(ws.gid, origin=self.rank,
                                          access_id=ep.access_ids[target]),
                             _CONTROL, needs_attention=True,
                         )
-                        ep.unlock_sent.add(target)
-                if len(ep.unlock_acked) == len(ep.targets):
+                        stage[target] = UNLOCK_SENT
+                if ep.unlocks_acked == len(ep.targets):
                     self._complete_epoch(ws, ep)
                     return True
             return False
@@ -654,6 +660,8 @@ class NonblockingEngine:
 
     def _on_get_response(self, ws: WindowState, p: GetResponse, src: int) -> None:
         op = ws.ops_by_uid.pop(p.op_uid)
+        if not ws.ops_by_uid:
+            ws.ops_by_uid = NOTHING
         if op.result_buf is not None and p.data is not None:
             dest = op.result_buf.view(np.uint8).reshape(-1)
             dest[: p.data.nbytes] = p.data.view(np.uint8).reshape(-1)
@@ -682,6 +690,8 @@ class NonblockingEngine:
         op = ws.ops_by_uid[p.op_uid]
         if op.kind is OpKind.ACCUMULATE:
             del ws.ops_by_uid[p.op_uid]  # nothing else comes back for it
+            if not ws.ops_by_uid:
+                ws.ops_by_uid = NOTHING
         self._send_accumulate_payload(ws, op)
 
     def _on_atomic(self, ws: WindowState, p: AtomicRequest, src: int) -> None:
@@ -714,7 +724,7 @@ class NonblockingEngine:
             )
         if p.lock_access_id is not None:
             ep = ws.lock_epochs.get((granter, p.lock_access_id))
-            if ep is not None and not ep.lock_held.get(granter, False):
+            if ep is not None and granter not in ep.lock_stage:
                 self._lock_held(ws, ep, granter)
         # g[granter] is shared: a lock grant advances the counter GATS
         # access epochs toward the same host compare against (A_i <= g_r).
@@ -722,7 +732,7 @@ class NonblockingEngine:
 
     def _lock_held(self, ws: WindowState, ep: Epoch, target: int) -> None:
         """``ep``'s lock at ``target`` was granted."""
-        ep.lock_held[target] = True
+        ep.lock_stage[target] = LOCK_HELD
         start = ep.activate_time if ep.activate_time is not None else ep.open_time
         if start is not None and self.causal is not None:
             self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
@@ -751,9 +761,12 @@ class NonblockingEngine:
 
     def _on_unlock_ack(self, ws: WindowState, p: UnlockAck, src: int) -> None:
         # A stale or replayed ack finds no entry: the first one popped it.
-        ep = ws.lock_epochs.pop((src, p.access_id), None)
+        ep = ws.lock_epochs.pop((src, p.access_id), None) if ws.lock_epochs else None
         if ep is not None:
-            ep.unlock_acked.add(src)
+            if not ws.lock_epochs:
+                ws.lock_epochs = NOTHING
+            ep.lock_stage[src] = UNLOCK_ACKED
+            ep.unlocks_acked += 1
             self._wake_advance(ws, ep, src)
 
     def _on_fence_open(self, ws: WindowState, p: FenceOpen, src: int) -> None:
@@ -873,14 +886,17 @@ class NonblockingEngine:
         passive = ep.kind is not EpochKind.GATS_ACCESS
         if passive and ep.nocheck:
             for target in ep.targets:
-                ep.lock_held[target] = True
+                ep.lock_stage[target] = LOCK_HELD
             return
         board = ws.board
         channel = self.lock_channel if passive else _GRANT
         for target in ep.targets:
             ep.access_ids[target] = access_id = board.bump_expected(channel, target)
             if passive:
-                ws.lock_epochs[target, access_id] = ep
+                if ws.lock_epochs:
+                    ws.lock_epochs[target, access_id] = ep
+                else:
+                    ws.lock_epochs = {(target, access_id): ep}
                 self.fabric.send(
                     self.rank, target, self.model.control_bytes,
                     LockRequestPacket(
@@ -992,11 +1008,12 @@ class NonblockingEngine:
                         ws.lock_mgr.release(packet.origin)
                 else:
                     # Quiescence must be judged *before* release(): the
-                    # FIFO manager grants the next waiter inside it.
-                    others = [o for o in ws.lock_mgr.holders if o != packet.origin]
+                    # FIFO manager grants the next waiter inside it.  The
+                    # origin holds, so quiesced is "the only holder".
+                    quiesced = checker is not None and ws.lock_mgr.holder_count == 1
                     ws.lock_mgr.release(packet.origin)
                     if checker is not None:
-                        checker.on_lock_release(ws, packet.origin, quiesced=not others)
+                        checker.on_lock_release(ws, packet.origin, quiesced=quiesced)
                 self.fabric.send(self.rank, packet.origin, self.model.control_bytes,
                                  UnlockAck(ws.gid, access_id=packet.access_id), _CONTROL)
         ws.lock_backlog = ()
@@ -1034,7 +1051,7 @@ class NonblockingEngine:
         elif op.kind in (OpKind.ACCUMULATE, OpKind.GET_ACCUMULATE):
             rendezvous = self.model.accumulate_needs_rendezvous(op.nbytes)
             if rendezvous or op.kind is OpKind.GET_ACCUMULATE:
-                ws.ops_by_uid[op.uid] = op  # a CTS or the result comes back
+                ws.expect_reply(op)  # a CTS or the result comes back
             if rendezvous:
                 self.fabric.send(
                     self.rank, op.target, self.model.control_bytes,
@@ -1046,7 +1063,7 @@ class NonblockingEngine:
         else:
             # GET, FETCH_AND_OP, COMPARE_AND_SWAP: a request the target
             # answers with a GetResponse; no separate local phase.
-            ws.ops_by_uid[op.uid] = op
+            ws.expect_reply(op)
             if op.kind is OpKind.GET:
                 nbytes = self.model.control_bytes
                 payload = GetRequest(ws.gid, op.uid, self.rank, op.target_disp, op.nbytes)
@@ -1232,7 +1249,7 @@ class NonblockingEngine:
                 or target == self.rank or ws.advance_ready or ws.activation_pending
                 or ws.lock_backlog or (ep, target) not in due):
             return False
-        due.clear()
+        ws.post_ready = NO_WAKEUPS
         self.epochs_examined += 1
         self.pairs_ready += 1
         posted = self._issue_to(ws, ep, target)
@@ -1285,6 +1302,9 @@ class NonblockingEngine:
         )
         req = FlushRequest(self.sim, ep, stamp, target, local, pending)
         if not req.done:
-            ws.flushes.append(req)
+            if ws.flushes:
+                ws.flushes.append(req)
+            else:
+                ws.flushes = [req]
         self.poke()
         return req

@@ -114,7 +114,7 @@ class SignalEngine(NonblockingEngine):
         already acked and dropped) ends the newly covered run."""
         while True:
             ep = ws.lock_epochs.get((granter, value))
-            if ep is None or ep.lock_held.get(granter, False):
+            if ep is None or granter in ep.lock_stage:
                 return
             self._lock_held(ws, ep, granter)
             value -= 1
@@ -142,8 +142,10 @@ class SignalEngine(NonblockingEngine):
         if board.reached(SignalChannel.NOTIFY, source, target_value):
             self._notify_consumed(ws, source)
             req.complete()
-        else:
+        elif ws.signal_waits:
             ws.signal_waits.append((source, target_value, req))
+        else:
+            ws.signal_waits = [(source, target_value, req)]
         return req
 
     def test_notify(self, win: "Window", source: int, count: int = 1) -> bool:
@@ -177,7 +179,7 @@ class SignalEngine(NonblockingEngine):
                     req.complete()
             else:
                 live.append((src, value, req))
-        ws.signal_waits = live
+        ws.signal_waits = live or ()
 
     # -- notified transfers (put_notify / get_notify) -------------------------
     @staticmethod

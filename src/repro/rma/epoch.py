@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .ops import RmaOp
     from .requests import ClosingRequest
 
-__all__ = ["EpochKind", "EpochState", "Epoch"]
+__all__ = ["EpochKind", "EpochState", "Epoch", "LOCK_HELD", "UNLOCK_SENT", "UNLOCK_ACKED"]
 
 _epoch_uids = itertools.count()
 
@@ -34,6 +34,10 @@ _epoch_uids = itertools.count()
 #: reads see an empty map or set, and a stray write raises.
 _NO_IDS = MappingProxyType({})
 _NO_PEERS = frozenset()
+
+#: A lock epoch's stage toward one target (``Epoch.lock_stage``); each
+#: implies the ones before it.
+LOCK_HELD, UNLOCK_SENT, UNLOCK_ACKED = 1, 2, 3
 
 
 class EpochKind(enum.Enum):
@@ -73,8 +77,8 @@ class Epoch:
         "fence_round", "nocheck", "is_access", "reorder_excluded", "active",
         "completed", "app_closed", "last_call_time", "_unissued_by_target",
         "_unissued_count", "_undelivered_by_target", "_undelivered_count", "access_ids",
-        "exposure_ids", "lock_held", "done_sent", "done_from", "ready_from",
-        "internode_waiting", "due_targets", "unlock_sent", "unlock_acked", "fence_done_sent",
+        "exposure_ids", "lock_stage", "unlocks_acked", "done_sent", "done_from", "ready_from",
+        "internode_waiting", "due_targets", "fence_done_sent",
         "closing_request", "open_time", "activate_time", "close_call_time", "complete_time",
     )
 
@@ -126,12 +130,13 @@ class Epoch:
         #: Virtual time of the last communication call (None: none yet).
         self.last_call_time: float | None = None
         # The ops still owed, per target (the progress engine polls these
-        # on every sweep).  A delivered op leaves its epoch.
-        self._unissued_by_target: dict[int, list["RmaOp"]] = {}
+        # on every sweep).  A delivered op leaves its epoch, and each map
+        # is the shared empty while its count is 0.
+        self._unissued_by_target: dict[int, list["RmaOp"]] | MappingProxyType = _NO_IDS
         self._unissued_count = 0
         #: Not-yet-delivered ops per target, by op uid (a target leaves
         #: with its last op).
-        self._undelivered_by_target: dict[int, dict[int, "RmaOp"]] = {}
+        self._undelivered_by_target: dict[int, dict[int, "RmaOp"]] | MappingProxyType = _NO_IDS
         self._undelivered_count = 0
         #: Access ids per target: the value reserved on the board's
         #: grant (or lock) channel at activation — ``A_i = ++a_l``, §VII-B.
@@ -139,8 +144,11 @@ class Epoch:
         #: Exposure indices per origin: the DONE value that completes
         #: this exposure toward each origin (assigned at activation).
         self.exposure_ids = {} if exposure else _NO_IDS
-        #: Lock held per target (lock / lock_all epochs).
-        self.lock_held = {} if lock else _NO_IDS
+        #: Lock / lock_all epochs: each target whose lock is held, at its
+        #: stage (``LOCK_HELD`` < ``UNLOCK_SENT`` < ``UNLOCK_ACKED``), and
+        #: how many targets acknowledged the unlock.
+        self.lock_stage = {} if lock else _NO_IDS
+        self.unlocks_acked = 0
         #: Done packet already sent per target (GATS access side).
         self.done_sent = set() if gats_access else _NO_PEERS
         #: Peers whose completion announcement for this epoch is in (an
@@ -159,9 +167,6 @@ class Epoch:
         #: born that way, the close call restores it, and one with a
         #: single target has nothing to narrow and stays that way).
         self.due_targets: set[int] | None = None
-        #: Unlock packet sent / acknowledged per target (lock epochs).
-        self.unlock_sent = set() if lock else _NO_PEERS
-        self.unlock_acked = set() if lock else _NO_PEERS
         #: Fence-done broadcast emitted (fence epochs).
         self.fence_done_sent = False
         #: Closing request while it is pending (the engine drops it at completion).
@@ -188,16 +193,27 @@ class Epoch:
     # -- op bookkeeping (engine-internal) --------------------------------
     def record_op(self, op: "RmaOp") -> None:
         """Register a communication call with this epoch."""
-        self._unissued_by_target.setdefault(op.target, []).append(op)
+        target = op.target
+        if self._unissued_count:
+            self._unissued_by_target.setdefault(target, []).append(op)
+        else:
+            self._unissued_by_target = {target: [op]}
         self._unissued_count += 1
-        self._undelivered_by_target.setdefault(op.target, {})[op.uid] = op
+        if self._undelivered_count:
+            self._undelivered_by_target.setdefault(target, {})[op.uid] = op
+        else:
+            self._undelivered_by_target = {target: {op.uid: op}}
         self._undelivered_count += 1
 
     def take_unissued(self, target: int) -> list["RmaOp"]:
         """Pop every not-yet-issued op directed at ``target`` (the
         engine issues them immediately after)."""
+        if not self._unissued_count:
+            return []
         ops = self._unissued_by_target.pop(target, [])
         self._unissued_count -= len(ops)
+        if not self._unissued_count:
+            self._unissued_by_target = _NO_IDS
         return ops
 
     def mark_delivered(self, op: "RmaOp") -> bool:
@@ -207,9 +223,11 @@ class Epoch:
         by_target = self._undelivered_by_target
         ops = by_target[op.target]
         del ops[op.uid]
-        if not ops:
-            del by_target[op.target]
         self._undelivered_count -= 1
+        if not self._undelivered_count:
+            self._undelivered_by_target = _NO_IDS
+        elif not ops:
+            del by_target[op.target]
         return self.app_closed
 
     def take_due_targets(self) -> tuple[int, ...] | list[int]:

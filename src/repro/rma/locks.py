@@ -18,9 +18,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Any, Callable
 
 __all__ = ["LockWaiter", "LockManager"]
+
+#: The holder map while nobody holds the lock (shared, read-only).
+_NO_HOLDERS = MappingProxyType({})
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,14 +39,20 @@ class LockWaiter:
 class LockManager:
     """FIFO lock state for one hosted window."""
 
-    __slots__ = ("_on_grant", "_holders", "_queue", "grants", "max_depth")
+    __slots__ = ("_on_grant", "_host", "_holders", "locked_exclusive", "_queue", "grants",
+                 "max_depth")
 
-    def __init__(self, on_grant: Callable[[LockWaiter], None]):
-        #: Callback invoked for every grant (engine sends the grant
-        #: notification and updates its ω counters there).
+    def __init__(self, on_grant: Callable[[Any, LockWaiter], None], host: Any = None):
+        #: Called as ``on_grant(host, waiter)`` for every grant (the
+        #: engine sends the grant notification and updates its ω counters
+        #: there; ``host`` is its state for the window).
         self._on_grant = on_grant
-        #: Current holders: origin -> exclusive?
-        self._holders: dict[int, bool] = {}
+        self._host = host
+        #: Current holders: origin -> exclusive?  A dict while anyone
+        #: holds the lock, the shared empty otherwise.
+        self._holders: "dict[int, bool] | MappingProxyType" = _NO_HOLDERS
+        #: Whether an exclusive holder exists (then it is the only one).
+        self.locked_exclusive = False
         #: Waiting requests: a deque while any waits, ``()`` otherwise.
         self._queue: "deque[LockWaiter] | tuple[()]" = ()
         #: Total grants issued (diagnostics).
@@ -67,9 +77,9 @@ class LockManager:
         return len(self._queue)
 
     @property
-    def locked_exclusive(self) -> bool:
-        """Whether an exclusive holder exists."""
-        return any(self._holders.values())
+    def holder_count(self) -> int:
+        """Number of current holders (O(1) — ``holders`` copies)."""
+        return len(self._holders)
 
     def holds(self, origin: int) -> bool:
         """Whether ``origin`` currently holds the lock."""
@@ -95,9 +105,13 @@ class LockManager:
 
     def release(self, origin: int) -> None:
         """Release ``origin``'s hold and process the queue."""
-        if origin not in self._holders:
+        holders = self._holders
+        if origin not in holders:
             raise RuntimeError(f"origin {origin} released a lock it does not hold")
-        del self._holders[origin]
+        if holders.pop(origin):
+            self.locked_exclusive = False
+        if not holders:
+            self._holders = _NO_HOLDERS
         self._drain()
 
     # -- internals -----------------------------------------------------------
@@ -123,6 +137,11 @@ class LockManager:
             self._queue = ()
 
     def _grant(self, waiter: LockWaiter) -> None:
-        self._holders[waiter.origin] = waiter.exclusive
+        if self._holders:
+            self._holders[waiter.origin] = waiter.exclusive
+        else:
+            self._holders = {waiter.origin: waiter.exclusive}
+        if waiter.exclusive:
+            self.locked_exclusive = True
         self.grants += 1
-        self._on_grant(waiter)
+        self._on_grant(self._host, waiter)

@@ -27,6 +27,7 @@ touch ``r`` iff ``A_i <= g[r]`` — ``board.reached(GRANT, r, A_i)``.
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 from .locks import LockManager
@@ -40,9 +41,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["WindowState"]
 
+#: What an idle window's maps and sets hold: shared and read-only, so a
+#: window pays for one only while something is in it.
+NOTHING = MappingProxyType({})
+NO_WAKEUPS = frozenset()
+
 
 class WindowState:
-    """Everything one rank's engine knows about one window."""
+    """Everything one rank's engine knows about one window.
+
+    Each container below is the shared empty (``()``, ``NOTHING`` or
+    ``NO_WAKEUPS``) until its first entry, and the code that empties
+    it puts the shared empty back.
+    """
 
     __slots__ = (
         "win", "rank", "gid", "checker", "board", "signal_waits", "epochs", "post_ready",
@@ -66,7 +77,7 @@ class WindowState:
         self.board = SignalBoard()
         #: Pending ``notify_wait`` reservations: (source, value, request)
         #: triples resolved when the NOTIFY inbound replica catches up.
-        self.signal_waits: list[tuple[int, int, Any]] = []
+        self.signal_waits: list[tuple[int, int, Any]] | tuple[()] = ()
 
         # -- epochs ---------------------------------------------------------
         #: All epochs not yet retired, in application open order: the
@@ -80,21 +91,21 @@ class WindowState:
         # whatever is outside is at a fixpoint.  ``NonblockingEngine``'s
         # wake-ups fill them and its sweep consumes them.
         #: Pairs whose readiness test may have flipped (sweep steps 2/4).
-        self.post_ready: set[tuple["Epoch", int]] = set()
+        self.post_ready: set[tuple["Epoch", int]] | frozenset = NO_WAKEUPS
         #: Epochs whose completion conditions may have moved (steps 3/7);
         #: which of an epoch's targets is in ``Epoch.due_targets``.
-        self.advance_ready: set["Epoch"] = set()
+        self.advance_ready: set["Epoch"] | frozenset = NO_WAKEUPS
         #: An epoch was opened or completed since the last activation scan.
         self.activation_pending = False
         #: (target, access id) -> the lock epoch enrolled there, from its
         #: lock request to its UnlockAck: grants and acks find their epoch
         #: here instead of scanning ``epochs``.
-        self.lock_epochs: dict[tuple[int, int], "Epoch"] = {}
+        self.lock_epochs: dict[tuple[int, int], "Epoch"] | MappingProxyType = NOTHING
         #: Sweeps that visited this window (engine step loop).
         self.visits = 0
 
         # -- lock hosting ----------------------------------------------------
-        self.lock_mgr = LockManager(on_lock_grant)
+        self.lock_mgr = LockManager(on_lock_grant, self)
         #: Lock / unlock packets awaiting engine step 6: a deque while any waits.
         self.lock_backlog: "deque[Any] | tuple[()]" = ()
 
@@ -105,15 +116,22 @@ class WindowState:
         #: Monotonic RMA-call age (§VII-C flush stamping).
         self.age_counter = 0
         #: In-flight response-bearing ops by uid (routing table).
-        self.ops_by_uid: dict[int, "RmaOp"] = {}
+        self.ops_by_uid: dict[int, "RmaOp"] | MappingProxyType = NOTHING
         #: Live flush requests.
-        self.flushes: list["FlushRequest"] = []
+        self.flushes: list["FlushRequest"] | tuple[()] = ()
 
     # -- small helpers ---------------------------------------------------
     def next_age(self) -> int:
         """Allocate the next RMA-call age."""
         self.age_counter += 1
         return self.age_counter
+
+    def expect_reply(self, op: "RmaOp") -> None:
+        """Route what comes back for ``op`` (a CTS, a result) to it."""
+        if self.ops_by_uid:
+            self.ops_by_uid[op.uid] = op
+        else:
+            self.ops_by_uid = {op.uid: op}
 
     def live_epochs(self) -> list["Epoch"]:
         """Epochs whose internal lifetime has not ended."""
@@ -173,4 +191,4 @@ class WindowState:
                 fr.op_completed(op)
             if not fr.done:
                 live.append(fr)
-        self.flushes = live
+        self.flushes = live or ()

@@ -506,7 +506,7 @@ class TestEpochLeak:
             if proc.rank == 0:
                 ep = Epoch(EpochKind.LOCK, win.group.gid, 0, targets=(1,))
                 fr = FlushRequest(proc.runtime.sim, ep, 1, 1, False, counter=1)
-                win._state.flushes.append(fr)
+                win._state.flushes = [*win._state.flushes, fr]
             yield from proc.win_free(win)
 
         v = run_expect(2, app, ViolationKind.EPOCH_LEAK)

@@ -81,7 +81,7 @@ def test_completes_exactly_when_last_qualifying_op_does(
     assert fr.done == (len(qualifying) == 0)
     win = SimpleNamespace(rank=0, group=SimpleNamespace(gid=0, checker=None))
     ws = WindowState(win, on_lock_grant=None)
-    ws.flushes.append(fr)
+    ws.flushes = [fr]
     engine = SimpleNamespace(sim=sim, profiler=None, causal=None,
                              _mark_if_due=lambda ws: None, poke=lambda: None)
 

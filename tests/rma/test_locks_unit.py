@@ -7,7 +7,7 @@ from repro.rma.locks import LockManager
 
 def make():
     grants = []
-    mgr = LockManager(lambda w: grants.append(w.origin))
+    mgr = LockManager(lambda _host, w: grants.append(w.origin))
     return mgr, grants
 
 
@@ -82,6 +82,30 @@ class TestSharedPolicy:
         assert grants == [1, 2]
         mgr.release(2)
         assert grants == [1, 2, 3]
+
+
+class TestExclusiveFlag:
+    def test_exclusive_then_shared_burst_then_exclusive(self):
+        """``locked_exclusive`` is a flag set by an exclusive grant and
+        cleared by its release, not a scan of the holders."""
+        mgr, grants = make()
+        mgr.request(1, True, 1)
+        assert grants == [1] and mgr.locked_exclusive and mgr.holder_count == 1
+        for o in (2, 3, 4):
+            mgr.request(o, False, 1)  # the burst queues behind the writer
+        mgr.request(5, True, 1)
+        assert grants == [1] and mgr.locked_exclusive
+        mgr.release(1)  # the whole shared burst at once, not the writer
+        assert grants == [1, 2, 3, 4] and not mgr.locked_exclusive
+        assert mgr.holder_count == 3 and [w.origin for w in mgr.queued] == [5]
+        mgr.release(2)
+        mgr.release(3)
+        assert grants == [1, 2, 3, 4] and not mgr.locked_exclusive
+        mgr.release(4)
+        assert grants == [1, 2, 3, 4, 5] and mgr.locked_exclusive
+        assert mgr.holder_count == 1 and mgr.queued == []
+        mgr.release(5)
+        assert not mgr.locked_exclusive and mgr.holder_count == 0 and mgr.holders == {}
 
 
 class TestSameOrigin:

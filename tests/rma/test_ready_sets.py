@@ -47,7 +47,7 @@ from repro.rma.engine.mvapich import MvapichEngine
 from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.rma.engine.registry import canonical_engine
 from repro.rma.engine.signal import SignalEngine
-from repro.rma.epoch import EpochKind
+from repro.rma.epoch import LOCK_HELD, UNLOCK_ACKED, UNLOCK_SENT, EpochKind
 from repro.rma.flags import A_A_A_R, A_A_E_R, E_A_A_R, E_A_E_R
 from repro.rma.notify import SignalChannel
 from repro.rma.packets import GrantUpdate, UnlockAck
@@ -110,8 +110,7 @@ class _Exhaustive:
     def _mark_all(self, ws) -> None:
         for ep in ws.epochs:
             if ep.active:
-                ws.advance_ready.add(ep)
-                ep.due_targets = None
+                self._wake_advance(ws, ep)  # due, every target of it
                 ep.done_from = _arrivals(self, ws, ep)
                 ep.ready_from = _gate_arrivals(self, ws, ep)
                 ep.internode_waiting = _internode_waiting(self, ep)
@@ -219,7 +218,8 @@ class _Audited:
             assert ep.internode_waiting == _internode_waiting(self, ep), f"miscounted gate: {ep}"
             if ep not in due_epochs:
                 def sent():
-                    return (len(ep.done_sent), len(ep.unlock_sent),
+                    return (len(ep.done_sent),
+                            sum(stage >= UNLOCK_SENT for stage in ep.lock_stage.values()),
                             ep.fence_done_sent, self.fabric.messages_sent)
                 before = sent()
                 # Not due means none of its targets is: test them all.
@@ -633,7 +633,7 @@ def test_index_holds_an_epoch_from_request_to_ack():
     ep = c["ep"]
     assert c["during"] == {(1, ep.access_ids[1]): ep}
     assert c["ws"].lock_epochs == {}  # the UnlockAck popped it
-    assert ep.completed and ep.unlock_acked == {1}
+    assert ep.completed and ep.lock_stage == {1: UNLOCK_ACKED}
 
 
 def test_replayed_grant_and_stale_ack_neither_enqueue_nor_raise():
@@ -652,7 +652,7 @@ def test_replayed_grant_and_stale_ack_neither_enqueue_nor_raise():
     eng._on_unlock_ack(ws, UnlockAck(ws.gid, access_id=access_id), 1)
     eng._on_unlock_ack(ws, UnlockAck(ws.gid, access_id=access_id + 99), 1)
     assert not ws.post_ready and not ws.advance_ready
-    assert ep.unlock_acked == {1} and ws.lock_epochs == {}
+    assert ep.lock_stage == {1: UNLOCK_ACKED} and ws.lock_epochs == {}
     assert eng.runtime.metrics_summary()["counters"]["omega.dup_grants_ignored"] == 1
 
 
@@ -669,7 +669,7 @@ def test_grant_replayed_while_the_lock_is_held_is_ignored():
             yield from win.flush(1)
             ws, eng = win._state, win.engine
             ep = ws.epochs[-1]
-            assert ep.kind is EpochKind.LOCK and ep.lock_held[1]
+            assert ep.kind is EpochKind.LOCK and ep.lock_stage[1] == LOCK_HELD
             g = ws.board.inbound[SignalChannel.GRANT, 1]
             eng._on_grant(ws, GrantUpdate(ws.gid, granter=1, grant_seq=g + 1,
                                           lock_access_id=ep.access_ids[1]), 1)

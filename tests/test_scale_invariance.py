@@ -36,6 +36,7 @@ import pytest
 
 from repro import LOCK_SHARED, MODE_NOSUCCEED, MPIRuntime
 from repro.bench.calibration import default_model
+from repro.mpi import p2p as p2p_module
 from repro.mpi.memory import WindowMemory
 from repro.mpi.middleware import RankMiddleware
 from repro.mpi.p2p import (
@@ -45,6 +46,7 @@ from repro.mpi.process import MPIProcess
 from repro.mpi.requests import CompletedRequest, Request
 from repro.network.flowcontrol import FlowControl
 from repro.network.model import NetworkModel
+from repro.network import regcache as regcache_module
 from repro.network.regcache import RegistrationCache
 from repro.network.shmem import NotificationFifo
 from repro.rma import packets
@@ -53,9 +55,10 @@ from repro.rma.engine.mvapich import MvapichEngine
 from repro.rma.engine.nonblocking import NonblockingEngine
 from repro.rma.engine.signal import SignalEngine
 from repro.rma.epoch import Epoch, EpochKind
+from repro.rma import locks as locks_module
 from repro.rma.locks import LockManager, LockWaiter
 from repro.rma.requests import ClosingRequest, FlushRequest, OpeningRequest
-from repro.rma.state import WindowState
+from repro.rma.state import NO_WAKEUPS, NOTHING, WindowState
 from repro.rma.window import Window
 from repro.workloads import SERIES, WORKLOADS
 from tests.conftest import make_runtime
@@ -213,9 +216,14 @@ SLOTTED = (
 #: Per-rank tracemalloc peak of :func:`_fanin_app` at 256 ranks on the
 #: baseline engine (CPython 3.11): 23.9 KiB with dict-backed records and
 #: per-rank deques, 15.9 KiB with slotted records and first-use queues,
-#: 12.7 KiB once idle credit pools are dropped.  The ceiling leaves 14 %
-#: headroom over the last.
-FANIN_KIB_PER_RANK = 14.5
+#: 12.7 KiB once idle credit pools are dropped, 10.37 KiB once every
+#: per-rank container and a lock epoch's per-target state are paid for
+#: when used.  The ceiling leaves 5 % headroom over the last.
+FANIN_KIB_PER_RANK = 10.9
+#: ``_own_bytes`` of a fresh one-target lock epoch: 1 056 B with three
+#: per-target flag containers and eager op maps, 488 B with one stage
+#: map and op maps made at the first op; 5 % headroom.
+LOCK_EPOCH_BYTES = 512
 #: Live credit pools at that run's traced peak, as a multiple of those
 #: a fresh pool cannot stand in for: 4.2x with idle pools dropped, 13.5x
 #: with every pool kept to the end of the run.
@@ -276,6 +284,42 @@ def _fanin_app(rounds=3, hot_div=4):
     return app
 
 
+def _lazy_containers(rt):
+    """``(name, container, its shared empty)`` for every per-rank
+    container that exists only while something is in it."""
+    out = []
+    for mw in rt.middlewares:
+        p2p = mw.p2p
+        out += [
+            ("posted receives", p2p._posted, ()),
+            ("unexpected arrivals", p2p._unexpected, ()),
+            ("rendezvous sends", p2p._rndv_pending, p2p_module._NO_HANDSHAKES),
+            ("rendezvous receives", p2p._rndv_recv, p2p_module._NO_HANDSHAKES),
+            ("barrier tokens", p2p.barrier.tokens, ()),
+            ("FIFO", mw.fifo._incoming, ()),
+        ]
+    for gate in rt.fabric.attention:
+        out.append(("attention queue", gate._queue, ()))
+    for engine in rt.engines:
+        for ws in engine.states.values():
+            out += [
+                ("post_ready", ws.post_ready, NO_WAKEUPS),
+                ("advance_ready", ws.advance_ready, NO_WAKEUPS),
+                ("lock_epochs", ws.lock_epochs, NOTHING),
+                ("ops_by_uid", ws.ops_by_uid, NOTHING),
+                ("flushes", ws.flushes, ()),
+                ("signal_waits", ws.signal_waits, ()),
+                ("lock backlog", ws.lock_backlog, ()),
+                ("lock holders", ws.lock_mgr._holders, locks_module._NO_HOLDERS),
+                ("lock queue", ws.lock_mgr._queue, ()),
+            ]
+    return out
+
+
+def _not_shared_empty(rt) -> list[str]:
+    return [name for name, value, empty in _lazy_containers(rt) if value is not empty]
+
+
 def _own_bytes(ep: Epoch) -> int:
     """The epoch plus the containers it owns (the shared immutable
     empties the other kinds' bookkeeping points at are nobody's)."""
@@ -308,16 +352,39 @@ class TestPaidForWhenUsed:
     def test_one_target_lock_epoch_is_small(self):
         """3 360 B with a ``__dict__`` and every kind's bookkeeping."""
         ep = Epoch(EpochKind.LOCK, 0, 0, targets=(1,))
-        assert _own_bytes(ep) <= 1200
+        assert _own_bytes(ep) <= LOCK_EPOCH_BYTES
+
+    def test_idle_rank_holds_only_shared_empties(self):
+        """After ``win_allocate`` and a barrier nothing waits anywhere:
+        no rank pays for a queue, table or ready set."""
+        n = 256
+
+        def app(proc):
+            yield from proc.win_allocate(64)
+            yield from proc.barrier()
+
+        rt = make_runtime(n, "mvapich")
+        rt.run(app)
+        assert len(_lazy_containers(rt)) >= 15 * n
+        assert _not_shared_empty(rt) == []
+        assert all(rt.fabric.regcache(r)._entries is regcache_module._NO_REGIONS
+                   for r in range(n))
+
+    def test_an_emptied_registration_cache_holds_the_shared_empty(self):
+        cache = RegistrationCache(1024, 1.0, 0.0)
+        assert cache.pin_cost(0, 64) == 1.0 and cache.pin_cost(0, 64) == 0.0
+        assert cache.invalidate(0, 64) and not cache.invalidate(0, 64)
+        assert cache._entries is regcache_module._NO_REGIONS and cache.used_bytes == 0
+        assert cache.pin_cost(0, 64) == 1.0 and len(cache) == 1
 
     def test_epoch_holds_only_its_kinds_bookkeeping(self):
         lock = Epoch(EpochKind.LOCK, 0, 0, targets=(1,))
         exposure = Epoch(EpochKind.GATS_EXPOSURE, 0, 0, origin_group=(1,))
-        assert lock.lock_held == {} and lock.exposure_ids == {}
+        assert lock.lock_stage == {} and lock.exposure_ids == {}
         with pytest.raises(TypeError):
             lock.exposure_ids[1] = 1  # a stray write fails loudly
         with pytest.raises(AttributeError):
-            exposure.unlock_sent.add(1)
+            exposure.done_sent.add(1)
         with pytest.raises(AttributeError):
             lock.peer_count = 1  # slotted: no new attributes
 
@@ -371,14 +438,14 @@ class TestPaidForWhenUsed:
         monkeypatch.setattr(MPIRuntime, "__init__", recording_init)
         WORKLOADS[workload].oracle(series.engine, series.nonblocking, None)
         (rt,) = runtimes
+        assert _not_shared_empty(rt) == []
         for mw in rt.middlewares:
-            assert mw.fifo._incoming == () and len(mw.fifo) == 0
+            assert len(mw.fifo) == 0
         for gate in rt.fabric.attention:
-            assert gate._queue == () and gate.pending == 0
+            assert gate.pending == 0
         for engine in rt.engines:
             for ws in engine.states.values():
-                assert ws.lock_backlog == ()
-                assert ws.lock_mgr._queue == () and ws.lock_mgr.queued == []
+                assert ws.lock_mgr.queued == [] and ws.lock_mgr.holder_count == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ config field) to opt a run into schedule exploration.  It bundles
   digest builder walks for final window memory and ω counters.
 
 The runtime only duck-types this object (``policy``,
-``record_notification``, ``attach_runtime``), so :mod:`repro.mpi` never
+``record_notification``, ``record_window_notification``,
+``attach_runtime``), so :mod:`repro.mpi` never
 imports :mod:`repro.explore`.  Its presence alone arms the semantics
 checker in report mode on every window whose info leaves
 ``repro.semantics_check`` unset
@@ -61,6 +62,12 @@ class ExplorationContext:
         """One notification delivered at ``rank`` (transport-agnostic:
         shared-memory FIFO packets and control packets log the same)."""
         self.notifications[(rank, kind, sender, value)] += 1
+
+    def record_window_notification(self, rank: int, kind: str, sender: int,
+                                   gid: int, ident: int) -> None:
+        """One ω grant or done of window ``gid`` delivered at ``rank``,
+        keyed by ``gid << 30 | ident`` (no bound on ``gid``)."""
+        self.notifications[(rank, kind, sender, gid << 30 | ident)] += 1
 
     # -- report helpers ----------------------------------------------------
     def notification_multiset(self) -> list[list]:

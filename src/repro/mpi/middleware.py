@@ -5,7 +5,7 @@ its notification FIFO endpoint, and (once windows exist) its RMA engine.
 The paper's design keeps two cooperating progress engines (§VII): the
 pre-existing one for two-sided/collectives and the new RMA one; the
 delivery router below is where that cooperation happens — an RMA packet
-or a FIFO word pokes the RMA progress engine; a two-sided payload fills
+or a FIFO done pokes the RMA progress engine; a two-sided payload fills
 no RMA ready set, so it does not.
 """
 
@@ -49,7 +49,7 @@ class RankMiddleware:
 
         Payload classes are disjoint across the three layers, so the
         route is read off ``type(payload)``; an RMA packet or a FIFO
-        word then pokes the RMA engine (§VII).
+        done then pokes the RMA engine (§VII).
         """
         rma = self.rma_engine
         kind = type(payload)
@@ -57,7 +57,7 @@ class RankMiddleware:
             self.p2p.on_delivery(payload, src)
             return
         if kind is NotificationPacket:
-            self.fifo.push(payload.packet, src)
+            self.fifo.push(payload, src)
         elif rma is None or not rma.on_packet(payload, src):
             raise RuntimeError(
                 f"rank {self.rank}: unroutable delivery {payload!r} from {src}"

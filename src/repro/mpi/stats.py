@@ -73,8 +73,7 @@ def collect_stats(runtime: "MPIRuntime") -> RuntimeStats:
     """Snapshot the counters of a runtime."""
     fabric = runtime.fabric
     hits = misses = evictions = 0
-    for rank in range(runtime.nranks):
-        cache = fabric.regcache(rank)
+    for cache in fabric.regcaches.values():
         hits += cache.hits
         misses += cache.misses
         evictions += cache.evictions

@@ -13,16 +13,7 @@ from .model import NetworkModel
 from .nic import AttentionGate, NicPorts
 from .packets import SendTicket, ServiceKind
 from .regcache import RegistrationCache
-from .shmem import (
-    NotificationAuthError,
-    NotificationDecodeError,
-    NotificationError,
-    NotificationFifo,
-    NotificationPacket,
-    NotifyKind,
-    decode_notification,
-    encode_notification,
-)
+from .shmem import NotificationFifo, NotificationPacket
 from .topology import ClusterTopology
 
 __all__ = [
@@ -38,10 +29,4 @@ __all__ = [
     "ClusterTopology",
     "NotificationFifo",
     "NotificationPacket",
-    "NotifyKind",
-    "NotificationError",
-    "NotificationDecodeError",
-    "NotificationAuthError",
-    "encode_notification",
-    "decode_notification",
 ]

@@ -74,14 +74,9 @@ class Fabric:
         #: only; a fresh gate is attentive with an empty queue, so
         #: on-demand creation is invisible to virtual time).
         self.attention = AttentionGateTable(sim)
-        self._regcaches = [
-            RegistrationCache(
-                self.model.regcache_capacity,
-                self.model.pin_base_cost,
-                self.model.pin_cost_per_kb,
-            )
-            for _ in range(topology.nranks)
-        ]
+        #: rank -> registration cache, made on first use (the rank's
+        #: first internode pin, or a ``regcache(rank)`` call).
+        self.regcaches: dict[int, RegistrationCache] = {}
         #: Per-rank middleware delivery handlers.
         self._handler_list: list[DeliveryHandler | None] = [None] * topology.nranks
         self.injector = injector
@@ -126,8 +121,13 @@ class Fabric:
         return sum(self.sends.values()) + (rel.acks_sent if rel is not None else 0)
 
     def regcache(self, rank: int) -> RegistrationCache:
-        """The registration cache of ``rank``."""
-        return self._regcaches[rank]
+        """The registration cache of ``rank``, made on first use."""
+        cache = self.regcaches.get(rank)
+        if cache is None:
+            model = self.model
+            cache = self.regcaches[rank] = RegistrationCache(
+                model.regcache_capacity, model.pin_base_cost, model.pin_cost_per_kb)
+        return cache
 
     # -- sending ---------------------------------------------------------
     def send(
@@ -216,7 +216,9 @@ class Fabric:
         sim = self.sim
         now = start = sim._now
         if ticket.pin_region is not None and not intranode:
-            start += self._regcaches[src].pin_cost(*ticket.pin_region)
+            caches = self.regcaches
+            cache = caches[src] if src in caches else self.regcache(src)
+            start += cache.pin_cost(*ticket.pin_region)
         lat = self._lat[intranode]
         ser = ticket.nbytes / self._bw[intranode]
         if intranode:

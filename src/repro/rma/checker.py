@@ -419,11 +419,8 @@ class RmaChecker:
     @staticmethod
     def _pending_fifo_for(win: "Window") -> list[str]:
         """Undrained notification-FIFO packets addressed to this window."""
-        from .engine.nonblocking import unpack_win_value
-
-        pending = []
-        for kind, sender, value in win.engine.fifo.pending():
-            gid, ident = unpack_win_value(value)
-            if gid == win.group.gid:
-                pending.append(f"{kind.name}(from={sender}, id={ident})")
-        return pending
+        gid = win.group.gid
+        return [
+            f"EPOCH_COMPLETE(from={sender}, id={packet.access_id})"
+            for packet, sender in win.engine.fifo.pending() if packet.win == gid
+        ]

@@ -58,7 +58,6 @@ import numpy as np
 
 from ...mpi.errors import RmaInternalError, RmaUsageError
 from ...network.packets import ServiceKind
-from ...network.shmem import NotifyKind, decode_checked
 from ..epoch import LOCK_HELD, UNLOCK_ACKED, UNLOCK_SENT, Epoch, EpochKind
 from ..notify import SignalChannel
 from ..ops import OpKind, RmaOp
@@ -87,11 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..locks import LockWaiter
     from ..window import Window
 
-__all__ = ["NonblockingEngine", "pack_win_value", "unpack_win_value"]
-
-# 64-bit notification value packing: [6-bit window gid | 30-bit id].
-_WIN_BITS = 6
-_ID_MASK = (1 << 30) - 1
+__all__ = ["NonblockingEngine"]
 
 _GRANT = SignalChannel.GRANT
 _DONE = SignalChannel.DONE
@@ -111,20 +106,6 @@ _WOKEN = {
     _FENCE_OPEN: EpochKind.FENCE,
     _FENCE_DONE: EpochKind.FENCE,
 }
-
-
-def pack_win_value(gid: int, ident: int) -> int:
-    """Pack (window gid, id) into a 36-bit notification value."""
-    if gid >= (1 << _WIN_BITS):
-        raise ValueError(f"window gid {gid} does not fit in {_WIN_BITS} bits")
-    if ident > _ID_MASK:
-        raise ValueError(f"id {ident} does not fit in 30 bits")
-    return (gid << 30) | ident
-
-
-def unpack_win_value(value: int) -> tuple[int, int]:
-    """Inverse of :func:`pack_win_value`."""
-    return value >> 30, value & _ID_MASK
 
 
 class NonblockingEngine:
@@ -719,8 +700,8 @@ class NonblockingEngine:
         if self.causal is not None:
             self.causal.instant("grant", rank=self.rank, win=ws.gid, meta={"granter": granter})
         if self._explore is not None:
-            self._explore.record_notification(
-                self.rank, "grant", granter, pack_win_value(ws.gid, p.grant_seq)
+            self._explore.record_window_notification(
+                self.rank, "grant", granter, ws.gid, p.grant_seq
             )
         if p.lock_access_id is not None:
             ep = ws.lock_epochs.get((granter, p.lock_access_id))
@@ -742,15 +723,15 @@ class NonblockingEngine:
         self._done_landed(ws, p.origin, p.access_id)
 
     def _done_landed(self, ws: WindowState, origin: int, access_id: int) -> None:
-        """An ω done (control packet or FIFO word) arrived.  A floor, not
+        """An ω done (control packet or FIFO entry) arrived.  A floor, not
         ``apply``: under the reorder flags dones land out of id order."""
         ws.board.floor_inbound(_DONE, origin, access_id)
         self._wake_peer(ws, _DONE, origin)
         if self._explore is not None:
             # One canonical form for both transports: the digest
             # multiset is transport-agnostic.
-            self._explore.record_notification(
-                self.rank, "done", origin, pack_win_value(ws.gid, access_id)
+            self._explore.record_window_notification(
+                self.rank, "done", origin, ws.gid, access_id
             )
 
     def _on_lock_traffic(self, ws: WindowState, p: LockRequestPacket | UnlockPacket,
@@ -798,24 +779,19 @@ class NonblockingEngine:
     # Notification FIFO (intranode epoch-completion packets, step 5)
     # =====================================================================
     def _consume_notifications(self) -> int:
-        """Step 5: drain this rank's 64-bit FIFO; returns packets drained.
+        """Step 5: drain this rank's FIFO; returns packets drained.
 
-        Every packet is an epoch completion, authenticated by
-        :func:`~repro.network.shmem.decode_checked`.  Each one is popped
-        and consumed before the next is decoded, so honest packets queued
-        ahead of a forged one take effect even when the forged one then
-        raises.
+        Every entry is an epoch completion, credited to the rank the
+        fabric delivered it from.
         """
         fifo = self.fifo
         states = self.states
         count = 0
         while fifo._incoming:
             packet, src = fifo._incoming.popleft()
-            _kind, sender, value = decode_checked(packet, src)
             count += 1
-            gid, ident = unpack_win_value(value)
-            ws = states[gid]
-            self._done_landed(ws, sender, ident)
+            ws = states[packet.win]
+            self._done_landed(ws, src, packet.access_id)
             self._mark_if_due(ws)
         fifo._incoming = ()
         return count
@@ -853,7 +829,7 @@ class NonblockingEngine:
             # Intranode dones ride the 64-bit FIFO (§VII-D); internode
             # dones are control packets.
             if self._node_lo <= peer < self._node_hi:
-                self.fifo.send(peer, NotifyKind.EPOCH_COMPLETE, pack_win_value(ws.gid, value))
+                self.fifo.send(peer, ws.gid, value)
                 if self.causal is not None:
                     # FIFO dones never cross the fabric, so they get their
                     # own (zero-duration) span here.

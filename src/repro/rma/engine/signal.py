@@ -5,7 +5,7 @@ same deferred-epoch activation, 7-step progress loop, eager per-target
 issue, ready sets *and matching protocol* — both match on the window's
 :class:`~repro.rma.notify.SignalBoard`.  Only the *wire encoding*
 differs: where the ω engines ship a counter value as a
-GrantUpdate / DonePacket / FIFO word / FenceOpen / FenceDone, this
+GrantUpdate / DonePacket / FIFO done / FenceOpen / FenceDone, this
 engine writes every channel as a single one-sided 8-byte
 :class:`~repro.rma.packets.SignalUpdate` — ``signal()`` /
 ``wait(expected)`` in the style of mscclpp's ``epoch.hpp`` — and numbers
@@ -88,8 +88,8 @@ class SignalEngine(NonblockingEngine):
             self.causal.instant("grant", rank=self.rank, win=ws.gid,
                                 meta={"granter": p.signaler})
         if self._explore is not None:
-            # Raw counter value, not pack_win_value: counters are not
-            # bounded by the 30-bit notification id space.
+            # The window rides in the kind and the value is the raw
+            # counter (the ω engines key theirs as ``gid << 30 | id``).
             self._explore.record_notification(
                 self.rank, f"signal.{SignalChannel(p.channel).name.lower()}.w{ws.gid}",
                 p.signaler, p.value,

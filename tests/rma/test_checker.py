@@ -513,17 +513,13 @@ class TestEpochLeak:
         assert v.detail["flushes"]
 
     def test_undrained_fifo_notification_leak(self):
-        from repro.network.shmem import NotifyKind, encode_notification
-        from repro.rma.engine.nonblocking import pack_win_value
+        from repro.network.shmem import NotificationPacket
 
         def app(proc):
             win = yield from proc.win_allocate(8, info=CHECK)
             yield from proc.barrier()
             if proc.rank == 0:
-                pkt = encode_notification(
-                    NotifyKind.EPOCH_COMPLETE, 1, pack_win_value(win.group.gid, 3)
-                )
-                win.engine.fifo.push(pkt, 1)
+                win.engine.fifo.push(NotificationPacket(win.group.gid, 3), 1)
             yield from proc.win_free(win)
 
         v = run_expect(2, app, ViolationKind.EPOCH_LEAK)

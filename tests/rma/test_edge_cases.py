@@ -207,14 +207,54 @@ class TestManyWindows:
         res = make_runtime(2, engine).run(app)
         assert res[1] == (1, 2)
 
-    def test_window_gid_limit_is_checked(self):
-        """Notification packing supports 64 windows; the 64th window
-        creation still works, and the codec guards the boundary."""
-        from repro.rma.engine.nonblocking import pack_win_value
+    @staticmethod
+    def _last_of_65_windows(proc):
+        """GATS, fence and lock epochs on the 65th window (gid 64), each
+        putting one value from one rank into the other."""
+        for _ in range(65):
+            win = yield from proc.win_allocate(24)
+        yield from proc.barrier()
 
-        pack_win_value(63, 1)
-        with pytest.raises(ValueError):
-            pack_win_value(64, 1)
+        def epoch(req_fn, blocking_fn, *args):
+            if win.engine.supports_nonblocking:
+                return (yield from req_fn(*args).wait())
+            return (yield from blocking_fn(*args))
+
+        if proc.rank == 0:
+            yield from epoch(win.istart, win.start, [1])
+            win.put(np.int64([1]), 1, 0)
+            yield from epoch(win.icomplete, win.complete)
+        else:
+            yield from epoch(win.ipost, win.post, [0])
+            yield from epoch(win.iwait, win.wait_epoch)
+        yield from epoch(win.ifence, win.fence)
+        if proc.rank == 1:
+            win.put(np.int64([2]), 0, 8)
+        yield from epoch(win.ifence, win.fence, MODE_NOSUCCEED)
+        if proc.rank == 0:
+            yield from epoch(win.ilock, win.lock, 1)
+            win.put(np.int64([3]), 1, 16)
+            yield from epoch(win.iunlock, win.unlock, 1)
+        yield from proc.barrier()
+        return win.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("cores_per_node", [2, 1], ids=["one_node", "two_nodes"])
+    @pytest.mark.parametrize("engine", ["nonblocking", "mvapich", "adaptive", "signal"])
+    def test_more_than_64_windows(self, engine, cores_per_node):
+        """Intranode dones of window 64 ride the FIFO (one node) and
+        internode ones a ``DonePacket`` (two nodes): both land."""
+        rt = make_runtime(2, engine, cores_per_node=cores_per_node)
+        assert rt.run(self._last_of_65_windows) == [[0, 2, 0], [1, 0, 3]]
+
+    def test_more_than_64_windows_explored(self):
+        """The explorer keys window 64's grants and dones too."""
+        from repro.explore import ExplorationContext
+
+        ctx = ExplorationContext()
+        rt = make_runtime(2, "nonblocking", cores_per_node=2, exploration=ctx)
+        assert rt.run(self._last_of_65_windows) == [[0, 2, 0], [1, 0, 3]]
+        assert {(kind, value >> 30) for _, kind, _, value in ctx.notifications} >= {
+            ("grant", 64), ("done", 64)}
 
 
 class TestRunSubsets:

@@ -1,29 +1,11 @@
-"""Engine internals: deferred-epoch recording/replay, notification
-packing, progress-sweep behaviour."""
+"""Engine internals: deferred-epoch recording/replay, progress-sweep
+behaviour."""
 
 import numpy as np
 import pytest
 
-from repro.rma.engine.nonblocking import pack_win_value, unpack_win_value
 from repro.rma.epoch import EpochState
 from tests.conftest import make_runtime
-
-
-class TestNotificationPacking:
-    def test_roundtrip(self):
-        v = pack_win_value(5, 123456)
-        assert unpack_win_value(v) == (5, 123456)
-
-    def test_gid_overflow(self):
-        with pytest.raises(ValueError):
-            pack_win_value(64, 0)
-
-    def test_id_overflow(self):
-        with pytest.raises(ValueError):
-            pack_win_value(0, 1 << 30)
-
-    def test_fits_36_bits(self):
-        assert pack_win_value(63, (1 << 30) - 1) < (1 << 36)
 
 
 class TestDeferredRecording:
